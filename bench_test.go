@@ -592,7 +592,9 @@ func BenchmarkPlanCache(b *testing.B) {
 // any worker count; only wall time may differ. The workers=GOMAXPROCS
 // variant reports scaling-ratio — the single-worker parallel-section time
 // divided by its own — and skips itself on a single-CPU host, where it
-// would measure the identical configuration twice.
+// would measure the identical configuration twice. It also reports the
+// sequential cluster and balance stages from the same run ledger, the
+// bulk of a cold plan, so the BENCH_9 gate covers them too.
 func BenchmarkPipelineParallelism(b *testing.B) {
 	w, err := workloads.Synthesize(workloads.SynthSpec{
 		Name:   "parbench",
@@ -613,7 +615,7 @@ func BenchmarkPipelineParallelism(b *testing.B) {
 			if vi == 1 && procs == 1 {
 				b.Skip("GOMAXPROCS=1: the parallel variant is workers=1 again")
 			}
-			var tagMS, simMS float64
+			var tagMS, simMS, clusterMS, balanceMS float64
 			var pairsGen, pairsDense int64
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
@@ -631,15 +633,22 @@ func BenchmarkPipelineParallelism(b *testing.B) {
 				}
 				pairsGen, pairsDense = 0, 0
 				for _, st := range r.Timings() {
-					if st.Stage == pipeline.StageSimilarity {
+					switch st.Stage {
+					case pipeline.StageSimilarity:
 						simMS += st.DurationMS
 						pairsGen += st.PairsGenerated
 						pairsDense += st.PairsDense
+					case pipeline.StageCluster:
+						clusterMS += st.DurationMS
+					case pipeline.StageBalance:
+						balanceMS += st.DurationMS
 					}
 				}
 			}
 			b.ReportMetric(tagMS/float64(b.N), "tag-ms/op")
 			b.ReportMetric(simMS/float64(b.N), "similarity-ms/op")
+			b.ReportMetric(clusterMS/float64(b.N), "cluster-ms/op")
+			b.ReportMetric(balanceMS/float64(b.N), "balance-ms/op")
 			// The sparse similarity engine's selectivity on this workload:
 			// pairs materialized as a fraction of the dense n(n−1)/2 bound.
 			if pairsDense > 0 {

@@ -116,11 +116,16 @@ bench_gate() {
 # eviction jitter while catching a pooled path regressing to per-call
 # allocation). The ledger's BenchmarkDistribute entry records the sub-1ms
 # steady state this gate anchors to.
-go test -run '^$' -bench 'BenchmarkDistribute$|BenchmarkPostings$|BenchmarkCacheHitServe$' -benchtime 100x -benchmem -count=3 . >"$bench_dir/bench.out" 2>&1 || {
+#
+# Every ledger-gated bench runs at -cpu 1, the CPU count the ledgers were
+# recorded at: go test appends "-N" to benchmark names when GOMAXPROCS is N
+# > 1, which would match no ledger entry on a multi-core runner, and
+# Workers follows GOMAXPROCS, which moves the allocation counts.
+go test -run '^$' -bench 'BenchmarkDistribute$|BenchmarkPostings$|BenchmarkCacheHitServe$' -benchtime 100x -benchmem -count=3 -cpu 1 . >"$bench_dir/bench.out" 2>&1 || {
 	cat "$bench_dir/bench.out" >&2
 	exit 1
 }
-go test -run '^$' -bench 'BenchmarkPipelineParallelism' -benchtime 1x -count=3 . >>"$bench_dir/bench.out" 2>&1 || {
+go test -run '^$' -bench 'BenchmarkPipelineParallelism' -benchtime 1x -count=3 -cpu 1 . >>"$bench_dir/bench.out" 2>&1 || {
 	cat "$bench_dir/bench.out" >&2
 	exit 1
 }
@@ -132,7 +137,7 @@ echo "==> replan speedup floor gate (vs BENCH_7.json)"
 # bound (benchjson "-floor" semantics): runner noise shrinks a measured
 # speedup toward 1, never inflates it, so samples fold by maximum and the
 # floor sits far below the ~100x+ measured on an idle machine.
-go test -run '^$' -bench 'BenchmarkReplanIncremental$' -benchtime 3x -count=3 . >"$bench_dir/replan-bench.out" 2>&1 || {
+go test -run '^$' -bench 'BenchmarkReplanIncremental$' -benchtime 3x -count=3 -cpu 1 . >"$bench_dir/replan-bench.out" 2>&1 || {
 	cat "$bench_dir/replan-bench.out" >&2
 	exit 1
 }
@@ -143,7 +148,7 @@ echo "==> warm-scan bench gate (vs BENCH_10.json)"
 # read: the ledger records its records/s throughput and allocation
 # footprint on a 2048-record log. 100% tolerance for time (CI I/O jitter),
 # the tighter alloc tolerance for the scan's near-constant allocations.
-go test -run '^$' -bench 'BenchmarkWarmScan$' -benchtime 5x -benchmem -count=3 ./internal/planstore >"$bench_dir/warmscan-bench.out" 2>&1 || {
+go test -run '^$' -bench 'BenchmarkWarmScan$' -benchtime 5x -benchmem -count=3 -cpu 1 ./internal/planstore >"$bench_dir/warmscan-bench.out" 2>&1 || {
 	cat "$bench_dir/warmscan-bench.out" >&2
 	exit 1
 }

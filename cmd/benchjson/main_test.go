@@ -291,8 +291,9 @@ func TestCompareSkipsUnknownAndRequiresOverlap(t *testing.T) {
 
 // TestCompareAgainstCommittedLedger keeps the CI gate honest: the
 // committed BENCH_9.json must contain the entries ci.sh gates on,
-// including the allocation stats the alloc side of the gate compares and
-// the sub-1ms BenchmarkDistribute steady state the PR pinned.
+// including the allocation stats the alloc side of the gate compares, the
+// sub-1ms BenchmarkDistribute steady state, and the per-stage pipeline
+// times (similarity, cluster, balance).
 func TestCompareAgainstCommittedLedger(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_9.json")
 	if err != nil {
@@ -318,16 +319,18 @@ func TestCompareAgainstCommittedLedger(t *testing.T) {
 			t.Fatalf("BENCH_9.json lacks %s/after", name)
 		}
 	}
-	found := false
-	for name, labels := range f.Benchmarks {
-		if strings.HasPrefix(name, "BenchmarkPipelineParallelism") {
-			if r, ok := labels["after"]; ok && r.Metrics["similarity-ms/op"] > 0 {
-				found = true
+	for _, metric := range []string{"similarity-ms/op", "cluster-ms/op", "balance-ms/op"} {
+		found := false
+		for name, labels := range f.Benchmarks {
+			if strings.HasPrefix(name, "BenchmarkPipelineParallelism") {
+				if r, ok := labels["after"]; ok && r.Metrics[metric] > 0 {
+					found = true
+				}
 			}
 		}
-	}
-	if !found {
-		t.Fatal("BENCH_9.json lacks a pipeline similarity-ms/op entry under after")
+		if !found {
+			t.Fatalf("BENCH_9.json lacks a pipeline %s entry under after", metric)
+		}
 	}
 }
 

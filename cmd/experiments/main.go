@@ -305,9 +305,10 @@ func printOverhead(cfg experiments.Config) error {
 		return err
 	}
 	w := tw()
-	fmt.Fprintln(w, "app\titer chunks\ttags (ms)\tcluster (ms)\tschedule (ms)")
+	fmt.Fprintln(w, "app\titer chunks\ttags (ms)\tsimilarity (ms)\tcluster (ms)\tbalance (ms)\tschedule (ms)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.1f\n", r.App, r.Chunks, r.TagMS, r.ClusterMS, r.ScheduleMS)
+		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", r.App, r.Chunks,
+			r.TagMS, r.SimilarityMS, r.ClusterMS, r.BalanceMS, r.ScheduleMS)
 	}
 	w.Flush()
 	a, b, err := experiments.MappingWorkFactor(cfg, cfg.ChunkBytes, cfg.ChunkBytes/4)

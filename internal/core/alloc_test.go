@@ -28,9 +28,9 @@ func allocTags(rr *rand.Rand, r, n int) []bitvec.Vector {
 }
 
 // TestAllocSparsePairsWarm: with a warm distScratch and warm per-worker
-// scratch pool, single-worker pair generation plus adjacency construction
-// allocates nothing — pairs land in the recycled heap backing, adjacency in
-// the recycled degree/header/backing tables.
+// scratch pool, single-worker pair generation allocates nothing — pairs
+// land in the recycled heap backing, the inverted index in the scratch's
+// recycled posting tables.
 func TestAllocSparsePairsWarm(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; the alloc gate runs without -race")

@@ -51,11 +51,6 @@ type Options struct {
 	// similarity pair-generation counts.
 	Clock PhaseClock
 
-	// denseSimilarity forces the O(n²) reference similarity seeding; the
-	// sparse engine is plan-identical to it (property-tested), so this
-	// exists only for the equivalence tests.
-	denseSimilarity bool
-
 	// slackExtra widens every balance slot's slack by a flat iteration
 	// count. Zero in full runs; RebalanceClusters sets it to absorb the
 	// per-level minimum slack a hierarchical run legitimately accumulates,
@@ -174,17 +169,18 @@ func (a *bump[T]) reset() {
 // while the bumps rewind only on release, because cluster structs and
 // pointer tables of one level are still read while the children recurse.
 type distScratch struct {
-	tags      bitvec.Arena    // cluster tags, merge newbits, counted OR views
-	tagOf     []bitvec.Vector // tag view handed to sparsePairs
-	active    []bool          // per-node liveness in the merge loop
-	parent    []int32         // owner union-find
-	mark      []int32         // generation stamps for neighbor dedup
-	neighbors []int32         // merged-cluster neighbor accumulator
-	chainHead []int32         // first-child links of the merge tree
-	chainNext []int32         // next-sibling links
-	chainTail []int32         // last child, for O(1) appends
-	frames    []chainFrame    // pre-order walk stack
-	byWeight  []ranked        // split's child-rank table
+	tags      bitvec.Arena        // cluster tags, merge newbits, counted OR views
+	tagOf     []bitvec.Vector     // tag view handed to sparsePairs
+	postings  bitvec.PostingIndex // similarity inverted index, walked by the merge loop
+	active    []bool              // per-node liveness in the merge loop
+	parent    []int32             // owner union-find
+	mark      []int32             // generation stamps for push dedup
+	newBits   []int32             // set bits of the absorbed half's new bits
+	chainHead []int32             // first-child links of the merge tree
+	chainNext []int32             // next-sibling links
+	chainTail []int32             // last child, for O(1) appends
+	frames    []chainFrame        // pre-order walk stack
+	byWeight  []ranked            // split's child-rank table
 
 	clusters bump[Cluster]        // cluster structs (Stage 0 slabs + splits)
 	ptrs     bump[*Cluster]       // cluster pointer tables
@@ -192,10 +188,8 @@ type distScratch struct {
 	counts32 bump[int32]          // counted-tag reference counts
 	counted  bump[bitvec.Counted] // counted-tag structs
 	order    []int                // balance rank order
+	rows     donorRows            // balance's per-donor dot-row cache
 	heap     []mergePair          // merge-heap backing (also sparsePairs output)
-	adjDeg   []int32              // similarity adjacency degrees
-	adjLists [][]int32            // similarity adjacency headers
-	adjBack  []int32              // similarity adjacency flat backing
 }
 
 var distScratchPool = sync.Pool{New: func() any { return new(distScratch) }}
@@ -299,23 +293,6 @@ func (c *Cluster) removeAt(i int, scr *distScratch) *tags.IterationChunk {
 	return ic
 }
 
-// absorb merges o into c.
-func (c *Cluster) absorb(o *Cluster) {
-	c.Members = append(c.Members, o.Members...)
-	c.sizes = append(c.sizes, o.sizes...)
-	switch {
-	case c.counts == nil:
-		c.Tag.OrInPlace(o.Tag)
-	case o.counts != nil:
-		c.counts.AddCounted(o.counts)
-	default:
-		for _, m := range o.Members {
-			c.counts.AddVec(m.Tag)
-		}
-	}
-	c.Size += o.Size
-}
-
 // memberKey is the deterministic ordering identity of one cluster member:
 // its first iteration, disambiguated by nest. (Unlike schedule.go's
 // chunkKey, an empty chunk sorts last so it never defines a cluster's
@@ -387,14 +364,6 @@ type distributor struct {
 	tree *hierarchy.Tree
 	r    int
 	scr  *distScratch // lazily acquired recycled scratch; see scratch()
-}
-
-// startPhase notifies the configured PhaseClock, if any.
-func (d *distributor) startPhase(name string) func() {
-	if d.opts.Clock == nil {
-		return func() {}
-	}
-	return d.opts.Clock.StartPhase(name)
 }
 
 // phase is a value-typed in-flight phase measurement: beginPhase/end avoid
@@ -546,19 +515,27 @@ const ctxCheckInterval = 1024
 // The heap is maintained with push-on-increase semantics: cluster tags only
 // gain bits, so a live pair's weight is nondecreasing and a heap entry can
 // only ever underestimate it. After an absorb, a fresh entry is pushed only
-// for the pairs whose weight actually changed — the merged cluster's graph
-// neighbors that overlap the bits the absorbed half newly contributed
-// (newbits = Λb ∖ Λa). Every live pair therefore always has one entry
-// carrying its true weight, plus possibly stale underestimates; the heap
-// maximum over entries with both endpoints alive is always a true-weight
-// entry of the true maximum pair (an underestimate of the same pair ranks
-// below its own true entry), so the pop order — and the plan — is identical
-// to the dense reference, while merges that add no new bits push nothing.
-// Entries whose endpoints died are discarded on pop.
+// for the pairs whose weight actually changed: the live clusters whose tags
+// overlap the bits the absorbed half newly contributed (newbits = Λb ∖ Λa).
+// Every live pair therefore always has one entry carrying its true weight,
+// plus possibly stale underestimates; the heap maximum over entries with
+// both endpoints alive is always a true-weight entry of the true maximum
+// pair (an underestimate of the same pair ranks below its own true entry),
+// so the pop order — and the plan — is identical to the dense reference,
+// while merges that add no new bits push nothing. Entries whose endpoints
+// died are discarded on pop. The heap keeps its total order (dot, a, b), so
+// the order in which one merge's entries are pushed cannot change a pop.
+//
+// Finding the pairs to push costs what the merge changed. A live cluster's
+// tag is the OR of its original members' tags, so live j gains weight with
+// a exactly when one of j's original members has a bit in newbits. The similarity index lists, per bit, the
+// original members holding it; walking the lists of newbits' (typically
+// one or two) bits and resolving each entry through the owner union-find
+// yields exactly that set. Where sparsePairs built no index — n ≤ 32, or
+// crowded postings where the dense-tag fallback ran — a scan of the live
+// clusters with Intersects(newbits) yields the same set, so the choice is
+// invisible to the plan, like sparsePairs' own hybrid.
 func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, error) {
-	if d.opts.denseSimilarity {
-		return d.mergeClustersDense(clusters, k)
-	}
 	n := len(clusters)
 	if n <= k {
 		return clusters, nil
@@ -576,7 +553,7 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 	for i, c := range clusters {
 		tagOf[i] = c.Tag
 	}
-	pairs, adj, err := sparsePairs(d.ctx, tagOf, d.r, d.opts.Workers, scr)
+	pairs, posts, err := sparsePairs(d.ctx, tagOf, d.r, d.opts.Workers, scr)
 	if err != nil {
 		simPhase.end(d)
 		return nil, err
@@ -595,8 +572,8 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 	clusterPhase := d.beginPhase("cluster")
 	defer func() { clusterPhase.end(d) }()
 
-	// owner union-find: adjacency lists hold original cluster indices;
-	// find resolves them to the absorbing cluster they now belong to.
+	// owner union-find: posting lists hold original cluster indices; find
+	// resolves them to the absorbing cluster they now belong to.
 	parent := grow32(scr.parent, n)
 	for i := range parent {
 		parent[i] = int32(i)
@@ -608,11 +585,11 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		}
 		return x
 	}
-	mark := grow32(scr.mark, n) // generation stamps for neighbor dedup
+	mark := grow32(scr.mark, n) // generation stamps for push dedup
 	clear(mark)                 // stale stamps from a previous run could collide
 	var gen int32
-	neighbors := scr.neighbors[:0]
 	newbits := scr.tags.Vec(d.r) // bits the absorbed half newly contributes
+	bits := scr.newBits[:0]
 
 	// Member lists are NOT concatenated during the merge loop: an eager
 	// absorb re-copies the growing list on every merge (two small
@@ -638,6 +615,12 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		}
 		chainTail[a] = b
 	}
+	push := func(a, b int32) {
+		if b < a {
+			a, b = b, a
+		}
+		h.push(mergePair{dot: int64(clusters[a].Tag.AndPopCount(clusters[b].Tag)), a: a, b: b})
+	}
 
 	remaining := n
 	var since int
@@ -662,44 +645,33 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		active[p.b] = false
 		parent[p.b] = p.a
 		remaining--
-		// The merged cluster's neighbors are the union of both halves'
-		// neighbors, resolved to current owners; the OR'd tag keeps every
-		// previously shared bit, so each of these pairs still weighs ≥ 1,
-		// and every non-neighbor still weighs 0 and stays lazy.
+		// If the absorbed tag was a subset (no new bits), every existing
+		// entry keeps its true weight and nothing is pushed.
+		if !hasNew {
+			continue
+		}
+		if posts == nil {
+			for j := range int32(n) {
+				if active[j] && j != p.a && newbits.Intersects(clusters[j].Tag) {
+					push(p.a, j)
+				}
+			}
+			continue
+		}
 		gen++
-		neighbors = neighbors[:0]
-		for _, refs := range [2][]int32{adj[p.a], adj[p.b]} {
-			for _, e := range refs {
-				j := find(e)
+		bits = newbits.AppendSetBits(bits[:0])
+		for _, b := range bits {
+			for _, i := range posts[b] {
+				j := find(i)
 				if j == p.a || mark[j] == gen {
 					continue
 				}
 				mark[j] = gen
-				neighbors = append(neighbors, j)
-			}
-		}
-		adj[p.a] = append(adj[p.a][:0], neighbors...)
-		adj[p.b] = nil
-		// Push fresh entries only for the pairs whose weight changed: the
-		// neighbors overlapping the newly contributed bits. If the absorbed
-		// tag was a subset (no new bits), every existing entry keeps its
-		// true weight and nothing is pushed.
-		if hasNew {
-			for _, j32 := range neighbors {
-				if !newbits.Intersects(clusters[j32].Tag) {
-					continue
-				}
-				a, b := p.a, j32
-				if b < a {
-					a, b = b, a
-				}
-				h.push(mergePair{
-					dot: int64(clusters[a].Tag.AndPopCount(clusters[b].Tag)),
-					a:   a, b: b,
-				})
+				push(p.a, j)
 			}
 		}
 	}
+	scr.newBits = bits
 	// Lazy zero-weight drain: the dense heap would now pop (0, a, b)
 	// entries in lexicographic order, which makes the smallest active
 	// index absorb the next smallest until k clusters remain.
@@ -726,7 +698,6 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 			remaining--
 		}
 	}
-	scr.neighbors = neighbors
 	scr.heap = h.items[:0] // keep any growth from push-on-increase entries
 	// Materialize the deferred member lists: pre-order over each surviving
 	// cluster's merge tree, children in absorb order.
@@ -778,151 +749,6 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		out = append(out, c)
 	}
 	return out, nil
-}
-
-// mergeClustersDense is the original O(n²) reference implementation: the
-// heap is seeded with every pair, zero-weight ones included, and every
-// active cluster is re-pushed after an absorb. The equivalence property
-// tests assert the sparse path reproduces it exactly.
-func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster, error) {
-	n := len(clusters)
-	if n <= k {
-		return clusters, nil
-	}
-	active := make([]bool, n)
-	version := make([]int, n)
-	for i := range active {
-		active[i] = true
-	}
-	stopSim := d.startPhase("similarity")
-	dots, err := d.pairDots(clusters)
-	if err != nil {
-		stopSim()
-		return nil, err
-	}
-	h := make(denseHeap, 0, len(dots))
-	idx := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			h = append(h, densePair{dot: dots[idx], a: i, b: j})
-			idx++
-		}
-	}
-	heap.Init(&h)
-	stopSim()
-
-	stopCluster := d.startPhase("cluster")
-	defer stopCluster()
-	push := func(a, b int) {
-		heap.Push(&h, densePair{
-			dot: int64(clusters[a].Tag.AndPopCount(clusters[b].Tag)),
-			a:   a, b: b,
-			va: version[a], vb: version[b],
-		})
-	}
-	remaining := n
-	var since int
-	for remaining > k {
-		if since++; since >= ctxCheckInterval {
-			since = 0
-			if err := d.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if h.Len() == 0 {
-			break
-		}
-		p := heap.Pop(&h).(densePair)
-		if !active[p.a] || !active[p.b] || version[p.a] != p.va || version[p.b] != p.vb {
-			continue
-		}
-		clusters[p.a].absorb(clusters[p.b])
-		active[p.b] = false
-		version[p.a]++
-		remaining--
-		for j := 0; j < n; j++ {
-			if j != p.a && active[j] {
-				a, b := p.a, j
-				if b < a {
-					a, b = b, a
-				}
-				push(a, b)
-			}
-		}
-	}
-	out := make([]*Cluster, 0, remaining)
-	for i, c := range clusters {
-		if active[i] {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
-// pairDots computes the dot product of every cluster pair (i, j), i < j,
-// flattened in row-major order, sharding rows across Options.Workers
-// goroutines. Each worker checks ctx between rows.
-func (d *distributor) pairDots(clusters []*Cluster) ([]int64, error) {
-	n := len(clusters)
-	total := n * (n - 1) / 2
-	dots := make([]int64, total)
-	// rowStart[i] is the flattened offset of pair (i, i+1).
-	rowStart := make([]int, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		rowStart[i] = off
-		off += n - 1 - i
-	}
-	workers := d.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	fill := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if d.ctx.Err() != nil {
-				return d.ctx.Err()
-			}
-			off := rowStart[i]
-			ti := clusters[i].Tag
-			for j := i + 1; j < n; j++ {
-				dots[off] = int64(ti.AndPopCount(clusters[j].Tag))
-				off++
-			}
-		}
-		return nil
-	}
-	if workers == 1 {
-		return dots, fill(0, n)
-	}
-	// Static row-block split; later rows are shorter, but the imbalance
-	// is bounded and the assignment deterministic.
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	step := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*step, (w+1)*step
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = fill(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dots, nil
 }
 
 // splitEntry keys a cluster for splitUpTo's max-heap: largest size first,
@@ -1022,6 +848,12 @@ func (d *distributor) breakCluster(c *Cluster) (*Cluster, *Cluster) {
 // under-full clusters maximizing the dot product of the evicted chunk's
 // tag with the recipient cluster's tag; chunks are split when no whole
 // chunk satisfies the limits.
+//
+// A round costs what the round changes. Only the donor and the recipient
+// change between rounds, so the rank order is kept by an insertion pass
+// that re-positions just their two slots, and the donor's members are
+// scored from cached per-recipient dot rows (see donorRows) instead of a
+// full-width AndPopCount per member per round.
 func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	ph := d.beginPhase("balance")
 	defer func() { ph.end(d) }()
@@ -1067,11 +899,11 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	for _, c := range clusters {
 		nMembers += len(c.Members)
 	}
-	// The rank order is re-sorted every round, but only the donor and
-	// recipient change between rounds; the order slice and the firstIter
-	// cache (an O(|members|) scan otherwise repeated per comparison) are
-	// hoisted and maintained incrementally. scr.order is shared with split's
-	// final ranking, which runs only after balance returns.
+	// Slots rank clusters by size (descending), then first iteration. The
+	// order slice and the firstIter cache (an O(|members|) scan otherwise
+	// repeated per comparison) are maintained incrementally. scr.order is
+	// shared with split's final ranking, which runs only after balance
+	// returns.
 	if cap(scr.order) < k {
 		scr.order = make([]int, k)
 	}
@@ -1081,6 +913,16 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 		order[i] = i
 		firsts[i] = clusters[i].firstIter()
 	}
+	rankCmp := func(a, b int) int {
+		ca, cb := clusters[a], clusters[b]
+		if ca.Size != cb.Size {
+			return cmp.Compare(cb.Size, ca.Size)
+		}
+		return cmp.Compare(firsts[a], firsts[b])
+	}
+	slices.SortStableFunc(order, rankCmp)
+	rows := &scr.rows
+	rows.reset(k, d.r)
 	maxRounds := 4 * (nMembers + k + 4)
 	for round := 0; round < maxRounds; round++ {
 		if round%ctxCheckInterval == ctxCheckInterval-1 {
@@ -1088,13 +930,6 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 				return err
 			}
 		}
-		slices.SortStableFunc(order, func(a, b int) int {
-			ca, cb := clusters[a], clusters[b]
-			if ca.Size != cb.Size {
-				return cmp.Compare(cb.Size, ca.Size)
-			}
-			return cmp.Compare(firsts[a], firsts[b])
-		})
 		// Find a donor: a slot whose cluster exceeds its upper limit.
 		donorSlot := -1
 		for slot := 0; slot < k; slot++ {
@@ -1124,8 +959,11 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 		if recipSlot < 0 {
 			return nil
 		}
-		recip := clusters[order[recipSlot]]
-		moved, whole, ok := d.evict(donor, recip, lLim[donorSlot], uLim[recipSlot], target[donorSlot], target[recipSlot])
+		di, ri := order[donorSlot], order[recipSlot]
+		if rows.donor != donor {
+			rows.setDonor(donor)
+		}
+		moved, whole, ok := d.evict(rows, donor, clusters[ri], ri, lLim[donorSlot], uLim[recipSlot], target[donorSlot], target[recipSlot])
 		if !ok {
 			return nil // no progress possible
 		}
@@ -1133,41 +971,50 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 		// can only be lowered by the arriving chunk; the donor's changes
 		// only if the chunk that attained it left whole (a split keeps the
 		// leading iterations in the donor).
-		k := memberKey(moved)
-		di, ri := order[donorSlot], order[recipSlot]
-		if whole && k == firsts[di] {
+		key := memberKey(moved)
+		if whole && key == firsts[di] {
 			firsts[di] = donor.firstIter()
 		}
-		if k < firsts[ri] {
-			firsts[ri] = k
+		if key < firsts[ri] {
+			firsts[ri] = key
+		}
+		// Re-rank. Only the donor's and the recipient's keys changed, so an
+		// insertion pass moves just those two slots, in O(k) compares. It is
+		// stable, so it yields exactly the order a full stable re-sort of
+		// the previous order would.
+		for i := 1; i < k; i++ {
+			for j := i; j > 0 && rankCmp(order[j], order[j-1]) < 0; j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
 		}
 	}
 	return nil
 }
 
-// evict moves one (possibly split) chunk from donor to recip, choosing the
-// chunk whose tag has maximal dot product with the recipient's tag. It
-// returns the chunk that arrived at the recipient and whether it left the
-// donor whole (false: the donor kept the leading part of a split); ok is
-// false when no move is possible.
-func (d *distributor) evict(donor, recip *Cluster, donorLLim, recipULim, donorTarget, recipTarget int64) (moved *tags.IterationChunk, whole, ok bool) {
+// evict moves one (possibly split) chunk from donor to recip (cluster index
+// ri), choosing the chunk whose tag has maximal dot product with the
+// recipient's tag; on equal dots the first position in donor.Members wins.
+// It returns the chunk that arrived at the recipient and whether it left
+// the donor whole (false: the donor kept the leading part of a split); ok
+// is false when no move is possible. rows must hold donor's tenure.
+func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, donorLLim, recipULim, donorTarget, recipTarget int64) (moved *tags.IterationChunk, whole, ok bool) {
+	row := rows.row(ri, recip)
+	// A whole chunk fits iff it keeps the donor at or above its lower
+	// limit and the recipient at or below its upper limit.
+	fits := min(donor.Size-donorLLim, recipULim-recip.Size)
 	bestIdx := -1
-	var bestDot int64 = -1
-	for i, m := range donor.Members {
-		cnt := donor.sizes[i]
-		if cnt == 0 {
+	var bestDot int32 = -1
+	for i, cnt := range donor.sizes {
+		if cnt == 0 || cnt > fits {
 			continue
 		}
-		if donor.Size-cnt < donorLLim || recip.Size+cnt > recipULim {
-			continue
-		}
-		dot := int64(recip.Tag.AndPopCount(m.Tag))
-		if dot > bestDot {
+		if dot := row[rows.ids[i]]; dot > bestDot {
 			bestDot, bestIdx = dot, i
 		}
 	}
 	if bestIdx >= 0 {
-		m := donor.removeAt(bestIdx, d.scratch())
+		m := rows.remove(donor, bestIdx, d.scratch())
+		rows.gain(row, recip.Tag, m.Tag)
 		recip.add(m)
 		return m, true, true
 	}
@@ -1183,24 +1030,162 @@ func (d *distributor) evict(donor, recip *Cluster, donorLLim, recipULim, donorTa
 	if move < 1 {
 		return nil, false, false
 	}
-	bestIdx = -1
-	bestDot = -1
-	for i, m := range donor.Members {
-		if donor.sizes[i] > move {
-			dot := int64(recip.Tag.AndPopCount(m.Tag))
-			if dot > bestDot {
-				bestDot, bestIdx = dot, i
-			}
+	bestIdx, bestDot = -1, -1
+	for i, cnt := range donor.sizes {
+		if cnt <= move {
+			continue
+		}
+		if dot := row[rows.ids[i]]; dot > bestDot {
+			bestDot, bestIdx = dot, i
 		}
 	}
 	if bestIdx < 0 {
 		return nil, false, false
 	}
-	m := donor.removeAt(bestIdx, d.scratch())
+	id := rows.ids[bestIdx]
+	m := rows.remove(donor, bestIdx, d.scratch())
 	keep, give := m.Split(m.Count() - move)
+	// keep shares m's tag, so the donor's tag is unchanged and keep
+	// inherits m's row id (and with it every cached dot).
 	donor.add(keep)
+	rows.ids = append(rows.ids, id)
+	rows.gain(row, recip.Tag, give.Tag)
 	recip.add(give)
 	return give, false, true
+}
+
+// donorRows is balance's cache of dot products for the current donor: for
+// each recipient chosen during the donor's tenure, a row holding
+// popcount(recipient.Tag ∧ member.Tag) for every donor member. A round then
+// scores the donor in O(|donor|) integer compares instead of one
+// full-width AndPopCount per member.
+//
+// The rows stay exact while one cluster stays the donor because:
+//   - Only the donor loses members; every other cluster only gains them, so
+//     a recipient's tag only gains bits. A move that adds bits B to the
+//     recipient raises row[id] by |B ∧ member.Tag|, which the donor's
+//     posting lists (tag bit → donor member ids) yield by walking just the
+//     lists of B — typically about one bit per move.
+//   - A split evict leaves the donor's tag unchanged: keep and give share
+//     the split chunk's tag, so keep takes over the chunk's row id.
+//   - ids are handed out in donor.Members order and scans walk
+//     donor.Members by position, reading rows through ids, so on equal
+//     best dots the first position in donor.Members still wins.
+//
+// A new donor discards every row and rebuilds the postings in O(set bits of
+// the donor's members), never O(r): list heads are generation-stamped, so
+// heads left over from earlier donors read as empty lists. All tables are
+// recycled with the run's scratch.
+type donorRows struct {
+	donor *Cluster
+	ids   []int32 // row id of donor.Members[i]
+	width int     // row length: the donor's member count at tenure start
+	rowAt []int32 // per cluster index: offset of its row in rows, -1 if none
+	rows  []int32 // the built rows, width entries each
+
+	head  []int32  // per tag bit: first posting node, valid iff stamp == gen
+	stamp []uint32 // per tag bit: tenure generation that wrote head
+	gen   uint32
+	node  []int32 // posting node → donor member id
+	next  []int32 // posting node → next node for the same bit, -1 ends
+	bits  []int32 // set-bit scratch
+}
+
+// reset starts a balance over k clusters with r-bit tags: no donor yet.
+// Stamps past the old length keep values from earlier generations, which
+// can never equal a future one, so growing within capacity needs no clear.
+func (dr *donorRows) reset(k, r int) {
+	dr.donor = nil
+	dr.rowAt = grow32(dr.rowAt, k)
+	if cap(dr.head) < r {
+		dr.head = make([]int32, r)
+		dr.stamp = make([]uint32, r)
+	}
+	dr.head, dr.stamp = dr.head[:r], dr.stamp[:r]
+}
+
+// setDonor starts donor's tenure: fresh ids in member order, the donor's
+// posting lists, and no rows.
+func (dr *donorRows) setDonor(donor *Cluster) {
+	dr.donor = donor
+	if dr.gen++; dr.gen == 0 {
+		clear(dr.stamp[:cap(dr.stamp)])
+		dr.gen = 1
+	}
+	dr.ids, dr.node, dr.next, dr.rows = dr.ids[:0], dr.node[:0], dr.next[:0], dr.rows[:0]
+	for i := range dr.rowAt {
+		dr.rowAt[i] = -1
+	}
+	for i, m := range donor.Members {
+		dr.ids = append(dr.ids, int32(i))
+		dr.bits = m.Tag.AppendSetBits(dr.bits[:0])
+		for _, b := range dr.bits {
+			if dr.stamp[b] != dr.gen {
+				dr.stamp[b], dr.head[b] = dr.gen, -1
+			}
+			dr.node = append(dr.node, int32(i))
+			dr.next = append(dr.next, dr.head[b])
+			dr.head[b] = int32(len(dr.node) - 1)
+		}
+	}
+	dr.width = len(donor.Members)
+}
+
+// rowBudget bounds the cached rows of one tenure, in entries (4 MiB): a
+// wide node whose huge donor feeds many recipients would otherwise hold
+// (k−1)·|donor| dots. Past it the cache forgets every row and rebuilds
+// each on its next use, which is exact either way.
+const rowBudget = 1 << 20
+
+// row returns the dot row of recipient recip (cluster index ri), building
+// it from recip's set bits on its first use in this tenure.
+func (dr *donorRows) row(ri int, recip *Cluster) []int32 {
+	off := int(dr.rowAt[ri])
+	if off < 0 {
+		if len(dr.rows) > 0 && len(dr.rows)+dr.width > rowBudget {
+			dr.rows = dr.rows[:0]
+			for i := range dr.rowAt {
+				dr.rowAt[i] = -1
+			}
+		}
+		off = len(dr.rows)
+		dr.rows = slices.Grow(dr.rows, dr.width)[:off+dr.width]
+		clear(dr.rows[off:])
+		dr.rowAt[ri] = int32(off)
+		row := dr.rows[off:]
+		dr.bits = recip.Tag.AppendSetBits(dr.bits[:0])
+		for _, b := range dr.bits {
+			dr.count(row, b)
+		}
+	}
+	return dr.rows[off : off+dr.width]
+}
+
+// count adds one to row[id] for every donor member id whose tag has bit b.
+func (dr *donorRows) count(row []int32, b int32) {
+	if dr.stamp[b] != dr.gen {
+		return
+	}
+	for e := dr.head[b]; e >= 0; e = dr.next[e] {
+		row[dr.node[e]]++
+	}
+}
+
+// gain updates a recipient's row for a chunk tag t it is about to absorb:
+// only the bits of t the recipient's tag still lacks raise any dot.
+func (dr *donorRows) gain(row []int32, recipTag, t bitvec.Vector) {
+	dr.bits = t.AppendSetBits(dr.bits[:0])
+	for _, b := range dr.bits {
+		if !recipTag.Get(int(b)) {
+			dr.count(row, b)
+		}
+	}
+}
+
+// remove detaches donor member i, keeping ids aligned with donor.Members.
+func (dr *donorRows) remove(donor *Cluster, i int, scr *distScratch) *tags.IterationChunk {
+	dr.ids = append(dr.ids[:i], dr.ids[i+1:]...)
+	return donor.removeAt(i, scr)
 }
 
 // mergePair is a candidate merge in the Stage 1 heap. It is kept to 16
@@ -1209,15 +1194,6 @@ func (d *distributor) evict(donor, recip *Cluster, donorLLim, recipULim, donorTa
 type mergePair struct {
 	dot  int64
 	a, b int32
-}
-
-// densePair is the dense reference engine's heap entry; it additionally
-// carries the endpoint version stamps that invalidate superseded entries
-// (the sparse engine replaces stamps with push-on-increase semantics).
-type densePair struct {
-	dot    int64
-	a, b   int
-	va, vb int
 }
 
 // pairHeap is a max-heap on (dot, then smaller indices first) for
@@ -1301,27 +1277,4 @@ func (h *pairHeap) pop() (mergePair, bool) {
 	h.items = h.items[:last]
 	h.siftDown(0)
 	return top, true
-}
-
-// denseHeap is the dense reference engine's max-heap over densePair, with
-// the same (dot desc, a asc, b asc) order as pairHeap.
-type denseHeap []densePair
-
-func (h denseHeap) Len() int { return len(h) }
-func (h denseHeap) Less(i, j int) bool {
-	if h[i].dot != h[j].dot {
-		return h[i].dot > h[j].dot
-	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a
-	}
-	return h[i].b < h[j].b
-}
-func (h denseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *denseHeap) Push(x any)   { *h = append(*h, x.(densePair)) }
-func (h *denseHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
 }

@@ -80,25 +80,24 @@ func getSimScratch(n, r int) *simScratch {
 
 func putSimScratch(s *simScratch) { simScratchPool.Put(s) }
 
-// simPostingsPool recycles the inverted-index storage across sparsePairs
-// calls; the lists alias the index's backing, so the index is returned only
-// after the last shard finishes reading posts.
+// simPostingsPool recycles the inverted-index storage of sparsePairs calls
+// made outside a distribution run; the lists alias the index's backing, so
+// the index is returned only after the last shard finishes reading posts.
 var simPostingsPool = sync.Pool{New: func() any { return new(bitvec.PostingIndex) }}
 
 // sparsePairs generates every pair (i, j), i < j, whose tags share at least
-// one "1" bit, with its similarity weight, in row-major order. It also
-// returns the adjacency lists of the sparse graph (adj[i] = the js of i's
-// generated pairs, both directions), which the merge loop uses to re-push
-// only reachable pairs after an absorb. Rows are sharded across workers;
-// the shard outputs concatenate in row order, so the result is
-// byte-identical at any worker count.
+// one "1" bit, with its similarity weight, in row-major order. Rows are
+// sharded across workers; the shard outputs concatenate in row order, so
+// the result is byte-identical at any worker count.
 //
-// With a non-nil scr, the pair list and adjacency storage come from the
+// With a non-nil scr, the pair list and the inverted index come from the
 // run's recycled scratch: pairs land in scr.heap with the merge heap's
 // push headroom already reserved (so mergeClusters' slices.Grow no-ops),
-// and the adjacency tables reuse scr.adjDeg/adjLists/adjBack. Both outputs
-// are consumed before the run releases its scratch.
-func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr *distScratch) ([]mergePair, [][]int32, error) {
+// and the index is built in scr.postings and returned as posts, which the
+// merge loop walks after every absorb. posts is nil when the row-scan
+// generator ran instead of the counting pass (n ≤ 32 or crowded postings),
+// and always nil without scr.
+func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr *distScratch) (pairs []mergePair, posts [][]int32, err error) {
 	n := len(tagOf)
 	if workers < 1 {
 		workers = 1
@@ -115,11 +114,15 @@ func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr
 	// engine's popcounts; estimate both and fall back likewise. Either
 	// generator emits the identical weight ≥ 1 pair list, so the choice is
 	// invisible to the plan.
-	var posts [][]int32
 	useCounting := false
 	if n > 32 {
-		ix := simPostingsPool.Get().(*bitvec.PostingIndex)
-		defer simPostingsPool.Put(ix)
+		var ix *bitvec.PostingIndex
+		if scr != nil {
+			ix = &scr.postings
+		} else {
+			ix = simPostingsPool.Get().(*bitvec.PostingIndex)
+			defer simPostingsPool.Put(ix)
+		}
 		posts = ix.Build(r, tagOf)
 		var postWork int64
 		for _, p := range posts {
@@ -160,7 +163,6 @@ func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr
 	for _, s := range shards {
 		total += len(s.pairs)
 	}
-	var pairs []mergePair
 	if scr != nil {
 		// Land the concatenation in scr.heap with the merge heap's push
 		// headroom pre-reserved, so the caller's slices.Grow is a no-op.
@@ -176,44 +178,10 @@ func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr
 		pairs = append(pairs, s.pairs...)
 		putSimScratch(s)
 	}
-	// Adjacency lists in one flat backing array: size by degree first, so
-	// the whole graph costs two allocations instead of per-list growth —
-	// and zero once the recycled scratch tables are warm.
-	var deg []int32
-	var adj [][]int32
-	var backing []int32
-	if scr != nil {
-		deg = grow32(scr.adjDeg, n)
-		clear(deg)
-		if cap(scr.adjLists) < n {
-			scr.adjLists = make([][]int32, n)
-		}
-		adj = scr.adjLists[:n]
-		backing = grow32(scr.adjBack, 2*total)
-		scr.adjDeg, scr.adjBack = deg, backing
-	} else {
-		deg = make([]int32, n)
-		adj = make([][]int32, n)
-		backing = make([]int32, 2*total)
+	if !useCounting || scr == nil {
+		posts = nil
 	}
-	for _, p := range pairs {
-		deg[p.a]++
-		deg[p.b]++
-	}
-	off := 0
-	for i, dg := range deg {
-		if dg > 0 {
-			adj[i] = backing[off : off : off+int(dg)]
-			off += int(dg)
-		} else {
-			adj[i] = nil // clear a stale recycled header
-		}
-	}
-	for _, p := range pairs {
-		adj[p.a] = append(adj[p.a], p.b)
-		adj[p.b] = append(adj[p.b], p.a)
-	}
-	return pairs, adj, nil
+	return pairs, posts, nil
 }
 
 // simFillParallel shards the pair-generation pass over workers goroutines,

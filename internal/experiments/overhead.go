@@ -12,13 +12,18 @@ import (
 // application: the paper reports that including the approach increased
 // compilation times by 46–87%, and that shrinking the data chunk from
 // 64 KB to 16 KB increased compilation time by more than 75% (Section 5.3).
+//
+// The per-phase columns are the pipeline's own stage names, so a row reads
+// like the daemon's stage ledger.
 type OverheadRow struct {
-	App        string
-	Chunks     int           // iteration chunks fed to the distributor
-	TagMS      float64       // iteration chunk formation
-	ClusterMS  float64       // Figure 5 distribution (similarity+cluster+balance)
-	ScheduleMS float64       // Figure 15 scheduling
-	Total      time.Duration // end-to-end mapping time
+	App          string
+	Chunks       int           // iteration chunks fed to the distributor
+	TagMS        float64       // tags: iteration chunk formation
+	SimilarityMS float64       // similarity: Figure 5 similarity graph seeding
+	ClusterMS    float64       // cluster: Figure 5 Stage 1 merge loop
+	BalanceMS    float64       // balance: Figure 5 Stage 2 load balancing
+	ScheduleMS   float64       // schedule: Figure 15 scheduling
+	Total        time.Duration // end-to-end mapping time
 }
 
 // OverheadStudy times each mapping phase per application by reading the
@@ -52,8 +57,12 @@ func OverheadStudy(base Config, chunkBytes int64) ([]OverheadRow, error) {
 			switch st.Stage {
 			case pipeline.StageTags:
 				row.TagMS += st.DurationMS
-			case pipeline.StageSimilarity, pipeline.StageCluster, pipeline.StageBalance:
+			case pipeline.StageSimilarity:
+				row.SimilarityMS += st.DurationMS
+			case pipeline.StageCluster:
 				row.ClusterMS += st.DurationMS
+			case pipeline.StageBalance:
+				row.BalanceMS += st.DurationMS
 			case pipeline.StageSchedule:
 				row.ScheduleMS += st.DurationMS
 			}

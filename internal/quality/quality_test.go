@@ -184,8 +184,11 @@ func TestOfferShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestSamplerDeterministicAcrossRuns(t *testing.T) {
+	// The queue holds all 200 offers, so Offer's answer is the seeded draw
+	// alone: with the default 64 slots an overflow would report false, and
+	// how many overflow depends on how fast the worker drains the queue.
 	run := func(seed uint64) []bool {
-		s := NewSampler(Config{Rate: 0.5, Seed: seed})
+		s := NewSampler(Config{Rate: 0.5, Seed: seed, QueueCap: 256})
 		defer s.Close()
 		out := make([]bool, 200)
 		for i := range out {
