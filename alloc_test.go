@@ -23,7 +23,7 @@ func TestAllocPlanCacheHit(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops Puts by design; the alloc gate runs without -race")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	svc := NewService(ServiceConfig{})
+	svc := newTestService(t, ServiceConfig{})
 	req := MapRequest{
 		Workload: WorkloadSpec{Synth: &SynthSpec{
 			Name:    "allocgate",

@@ -424,7 +424,7 @@ func BenchmarkPostings(b *testing.B) {
 // allocs/op figure gates the steady-state serving cost (the hit path reuses
 // pooled encode buffers; what remains is net/http per-request overhead).
 func BenchmarkCacheHitServe(b *testing.B) {
-	svc := NewService(ServiceConfig{})
+	svc := newTestService(b, ServiceConfig{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	body, err := json.Marshal(MapRequest{
@@ -555,7 +555,7 @@ func BenchmarkPlanCache(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		svc := NewService(ServiceConfig{})
+		svc := newTestService(b, ServiceConfig{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			mr, err := svc.ComputePlan(req(fmt.Sprintf("cold%d", i)))
@@ -568,7 +568,7 @@ func BenchmarkPlanCache(b *testing.B) {
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		svc := NewService(ServiceConfig{})
+		svc := newTestService(b, ServiceConfig{})
 		if _, err := svc.ComputePlan(req("hot")); err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package cachemap
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -198,5 +200,31 @@ func TestPublicIndirectRef(t *testing.T) {
 	}
 	if r.IsAffine() {
 		t.Fatal("indirect ref reported affine")
+	}
+}
+
+// newTestService builds a Service from cfg, failing tb on error.
+func newTestService(tb testing.TB, cfg ServiceConfig) *Service {
+	tb.Helper()
+	svc, err := NewService(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return svc
+}
+
+// TestNewServiceRejectsUnusableStoreDir: a plan store directory that
+// cannot exist (its parent is a regular file) is an error from NewService,
+// not a panic.
+func TestNewServiceRejectsUnusableStoreDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "regular-file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cfg ServiceConfig
+	cfg.Store.Dir = filepath.Join(file, "plans")
+	svc, err := NewService(cfg)
+	if err == nil || svc != nil {
+		t.Fatalf("NewService with a store dir under a regular file = %v, %v; want an error", svc, err)
 	}
 }

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Lightweight CI: formatting, build, vet, linters, race-enabled tests, the
-# short-mode reproduction-fidelity gate, the bench regression gate, and
-# end-to-end daemon smoke tests (tracing, overload/chaos, and the 3-node
-# ring) — the tier-1 gate. Run by .github/workflows/ci.yml and locally as
-# ./ci.sh.
+# short-mode reproduction-fidelity gate, the bench regression gates, and
+# end-to-end daemon smoke tests (tracing, batch repair, overload/chaos,
+# quality telemetry, kill/restart persistence) — the tier-1 gate. The
+# 3-node ring runs as TestRingCluster inside the race-enabled tests. Run
+# by .github/workflows/ci.yml and locally as ./ci.sh.
 set -eu
 
 echo "==> gofmt"
@@ -67,10 +68,6 @@ go test -race ./...
 echo "==> go test -short -run TestShapeClaims ./internal/experiments"
 go test -short -run TestShapeClaims ./internal/experiments
 
-echo "==> sparse similarity engine smoke (sparse path selected, pairs_generated <= pairs_dense)"
-go test -short -count=1 -run TestSparseSimilaritySmoke ./internal/core
-go test -short -count=1 -run TestMapSimilarityPairLedger ./internal/pipeline
-
 echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # The pooled hot paths — posting-index transpose, arena carving, warm
 # sparse pair generation, the full distribution run, the plan-cache hit
@@ -89,8 +86,7 @@ echo "==> bench regression gate (vs BENCH_9.json)"
 # O(n^2) relapses).
 tmp=$(mktemp -d)
 daemon_pid=
-ring_pids=
-trap 'if [ -n "$daemon_pid" ]; then kill $daemon_pid 2>/dev/null || true; fi; if [ -n "$ring_pids" ]; then kill $ring_pids 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
+trap 'if [ -n "$daemon_pid" ]; then kill $daemon_pid 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
 # Bench raw output and comparison verdicts land in BENCH_ARTIFACTS when CI
 # sets it (uploaded as a workflow artifact on bench-gate failure); locally
 # they stay in the run's temp dir.
@@ -162,54 +158,57 @@ echo "==> cachemapd trace smoke test"
 # renders, and pprof answers on the private debug listener.
 go build -o "$tmp/cachemapd" ./cmd/cachemapd
 go build -o "$tmp/loadgen" ./cmd/loadgen
-"$tmp/cachemapd" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
-	-mutex-fraction 5 -slow 1us 2>"$tmp/daemon.log" &
-daemon_pid=$!
 
 # parse_addr <log> <msg>: the actual bound address a "listening" log line
 # reports (the daemon binds :0, so only the log knows the port).
 parse_addr() {
 	sed -n "s/.*msg=$2 addr=\([0-9.:]*\).*/\1/p" "$1" | head -n 1
 }
-i=0
-addr=
-while [ -z "$addr" ]; do
-	addr=$(parse_addr "$tmp/daemon.log" listening)
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "cachemapd never logged its listen address" >&2
-		cat "$tmp/daemon.log" >&2
+# start_daemon <log> [flags...]: boot cachemapd on an ephemeral port with
+# its log in <log>, then wait until it has logged its bound address and
+# answers /healthz. Sets daemon_pid, daemon_log and addr.
+start_daemon() {
+	daemon_log=$1
+	shift
+	"$tmp/cachemapd" -addr 127.0.0.1:0 "$@" 2>"$daemon_log" &
+	daemon_pid=$!
+	addr=
+	i=0
+	until [ -n "$addr" ] && curl -fsS -o /dev/null "http://$addr/healthz" 2>/dev/null; do
+		i=$((i + 1))
+		if [ "$i" -gt 100 ]; then
+			echo "cachemapd $* never came up (listen address: ${addr:-none}):" >&2
+			cat "$daemon_log" >&2
+			exit 1
+		fi
+		sleep 0.1
+		addr=$(parse_addr "$daemon_log" listening)
+	done
+}
+# stop_daemon [signal]: stop the running daemon (SIGTERM by default) and
+# reap it.
+stop_daemon() {
+	kill -s "${1:-TERM}" "$daemon_pid"
+	wait "$daemon_pid" 2>/dev/null || true
+	daemon_pid=
+}
+# ccurl: curl that dumps the daemon log on any failure, so a CI break
+# shows the server side, not just an opaque exit code.
+ccurl() {
+	if ! curl -fsS "$@"; then
+		echo "curl $* failed; daemon log:" >&2
+		cat "$daemon_log" >&2
 		exit 1
 	fi
-	[ -n "$addr" ] || sleep 0.1
-done
+}
+
+start_daemon "$tmp/daemon.log" -debug-addr 127.0.0.1:0 -mutex-fraction 5 -slow 1us
 debug_addr=$(parse_addr "$tmp/daemon.log" '"pprof listening"')
 if [ -z "$debug_addr" ]; then
 	echo "cachemapd never logged its pprof address" >&2
 	cat "$tmp/daemon.log" >&2
 	exit 1
 fi
-
-# ccurl: curl that dumps the daemon log on any failure, so a CI break
-# shows the server side, not just an opaque exit code.
-ccurl() {
-	if ! curl -fsS "$@"; then
-		echo "curl $* failed; daemon log:" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-}
-
-i=0
-until curl -fsS -o /dev/null "http://$addr/healthz" 2>/dev/null; do
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "cachemapd did not become healthy" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
 
 trace_id=4bf92f3577b34da6a3ce929d0e0e4736
 ccurl -D "$tmp/headers" -o "$tmp/plan.json" \
@@ -238,9 +237,7 @@ grep "slow request" "$tmp/daemon.log" >/dev/null || {
 	cat "$tmp/daemon.log" >&2
 	exit 1
 }
-kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=
+stop_daemon
 
 echo "==> batch + incremental re-planning smoke (one pipeline-prefix run per family)"
 # A batch of 8 specs of one workload family — same program, topologies
@@ -249,30 +246,7 @@ echo "==> batch + incremental re-planning smoke (one pipeline-prefix run per fam
 # full, six near-miss siblings repair its clustering, and the duplicate of
 # the leader is a plain cache hit. The stage counters prove it: tags and
 # similarity ran once for the whole batch.
-"$tmp/cachemapd" -addr 127.0.0.1:0 -repair 2>"$tmp/daemon.log" &
-daemon_pid=$!
-i=0
-addr=
-while [ -z "$addr" ]; do
-	addr=$(parse_addr "$tmp/daemon.log" listening)
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "batch cachemapd never logged its listen address" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	[ -n "$addr" ] || sleep 0.1
-done
-i=0
-until curl -fsS -o /dev/null "http://$addr/healthz" 2>/dev/null; do
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "batch cachemapd did not become healthy" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+start_daemon "$tmp/daemon.log" -repair
 batch_reqs=
 for topo in '2/4/8@16,8,4' '2/4/8@16,8,5' '2/4/8@16,8,3' '2/4/8@16,9,4' \
 	'2/4/8@16,7,4' '2/4/8@14,8,4' '2/4/10@16,8,4' '2/4/8@16,8,4'; do
@@ -315,31 +289,16 @@ if [ "${incr:-0}" -lt 7 ]; then
 	cat "$tmp/daemon.log" >&2
 	exit 1
 fi
-kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=
+stop_daemon
 
 echo "==> overload & chaos smoke (admission control, degraded serving, fault injection)"
 # A deliberately overloadable daemon: 2 workers, a tiny admission queue,
 # degraded serving on, and the deterministic fault injector armed. The
 # chaos client floods it and fails on any outcome outside the overload
 # contract (non-429/503/504 errors) or an unbounded p99.
-"$tmp/cachemapd" -addr 127.0.0.1:0 -workers 2 -queue 8 -timeout 5s \
+start_daemon "$tmp/daemon.log" -workers 2 -queue 8 -timeout 5s \
 	-degraded -faults 'latency:pipeline/tags:0.1:20ms;error:pipeline/cluster:0.05;crash:plancache/leader:0.05' \
-	-fault-seed 42 2>"$tmp/daemon.log" &
-daemon_pid=$!
-i=0
-addr=
-while [ -z "$addr" ]; do
-	addr=$(parse_addr "$tmp/daemon.log" listening)
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "chaos cachemapd never logged its listen address" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	[ -n "$addr" ] || sleep 0.1
-done
+	-fault-seed 42
 "$tmp/loadgen" -chaos -base "http://$addr" -n 200 -c 16 -p99-budget 30s || {
 	echo "chaos run failed; daemon log:" >&2
 	cat "$tmp/daemon.log" >&2
@@ -353,40 +312,14 @@ grep -E '"fired":[1-9]' "$tmp/faults.json" >/dev/null || {
 	cat "$tmp/faults.json" >&2
 	exit 1
 }
-kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=
+stop_daemon
 
 echo "==> plan-quality telemetry smoke (shadow sampling, wide events, exemplars)"
 # A -repair daemon sampling every served plan: a drifting load must leave a
 # ledger with at least two serve modes carrying finite miss rates, wide
 # events backfilled with quality verdicts, and a request-duration exemplar
 # whose trace ID resolves in /debug/traces/{id}.
-"$tmp/cachemapd" -addr 127.0.0.1:0 -repair -quality-sample 1.0 -log-sample 0.1 \
-	2>"$tmp/daemon.log" &
-daemon_pid=$!
-i=0
-addr=
-while [ -z "$addr" ]; do
-	addr=$(parse_addr "$tmp/daemon.log" listening)
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "quality cachemapd never logged its listen address" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	[ -n "$addr" ] || sleep 0.1
-done
-i=0
-until curl -fsS -o /dev/null "http://$addr/healthz" 2>/dev/null; do
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "quality cachemapd did not become healthy" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+start_daemon "$tmp/daemon.log" -repair -quality-sample 1.0 -log-sample 0.1
 "$tmp/loadgen" -drift 0.2 -base "http://$addr" -n 80 -c 8 -specs 4 -quality >"$tmp/quality.out" 2>&1 || {
 	echo "loadgen -drift -quality failed:" >&2
 	cat "$tmp/quality.out" >&2
@@ -445,9 +378,7 @@ if [ "${req_lines:-0}" -gt 60 ]; then
 	echo "access log has $req_lines request lines for ~88 requests despite -log-sample 0.1" >&2
 	exit 1
 fi
-kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=
+stop_daemon
 echo "quality smoke: $modes serve modes in the ledger; exemplar trace $ex_trace resolved; $req_lines sampled access-log lines"
 
 echo "==> kill/restart persistence smoke (warm start, torn-tail recovery, snapshot)"
@@ -458,30 +389,7 @@ echo "==> kill/restart persistence smoke (warm start, torn-tail recovery, snapsh
 # as a cache hit with zero pipeline computes, and (c) emit a compacted
 # snapshot on demand.
 store_dir="$tmp/planstore"
-"$tmp/cachemapd" -addr 127.0.0.1:0 -store-dir "$store_dir" 2>"$tmp/daemon.log" &
-daemon_pid=$!
-i=0
-addr=
-while [ -z "$addr" ]; do
-	addr=$(parse_addr "$tmp/daemon.log" listening)
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "persist cachemapd never logged its listen address" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	[ -n "$addr" ] || sleep 0.1
-done
-i=0
-until curl -fsS -o /dev/null "http://$addr/healthz" 2>/dev/null; do
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "persist cachemapd did not become healthy" >&2
-		cat "$tmp/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+start_daemon "$tmp/daemon.log" -store-dir "$store_dir"
 persist_spec='{"workload":{"synth":{"name":"persist-ci","passes":2,"extent":256,"streams":[{"stride":1}]}},"topology":"2/4/8@16,8,4","scheme":"inter"}'
 tail_spec='{"workload":{"synth":{"name":"persist-ci","passes":2,"extent":256,"streams":[{"stride":1}]}},"topology":"2/4/8@16,8,5","scheme":"inter"}'
 ccurl -o "$tmp/persist1.json" -H 'Content-Type: application/json' \
@@ -509,38 +417,13 @@ while [ "${records:-0}" -lt 2 ]; do
 	fi
 	[ "${records:-0}" -ge 2 ] || sleep 0.1
 done
-kill -9 "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=
+stop_daemon KILL
 # Tear the log mid-record: drop the last 17 bytes, slicing into the second
 # spec's record — a crash during its append.
 log_size=$(wc -c <"$store_dir/plans.log")
 truncate -s $((log_size - 17)) "$store_dir/plans.log"
 
-"$tmp/cachemapd" -addr 127.0.0.1:0 -store-dir "$store_dir" 2>"$tmp/daemon2.log" &
-daemon_pid=$!
-i=0
-addr=
-while [ -z "$addr" ]; do
-	addr=$(parse_addr "$tmp/daemon2.log" listening)
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "restarted cachemapd never logged its listen address" >&2
-		cat "$tmp/daemon2.log" >&2
-		exit 1
-	fi
-	[ -n "$addr" ] || sleep 0.1
-done
-i=0
-until curl -fsS -o /dev/null "http://$addr/healthz" 2>/dev/null; do
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "restarted cachemapd did not become healthy" >&2
-		cat "$tmp/daemon2.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+start_daemon "$tmp/daemon2.log" -store-dir "$store_dir"
 skipped=$(ccurl "http://$addr/metrics" | sed -n 's/^cachemapd_planstore_skipped_records_total //p')
 if [ "${skipped:-0}" -lt 1 ]; then
 	echo "torn log tail not skipped: cachemapd_planstore_skipped_records_total = ${skipped:-0}" >&2
@@ -581,176 +464,7 @@ grep '"compacted":true' "$tmp/snapshot.json" >/dev/null || {
 	cat "$tmp/snapshot.json" >&2
 	exit 1
 }
-kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=
+stop_daemon
 echo "persist smoke: torn tail skipped ($skipped), $warm records warm-scanned, hit served with 0 computes"
-
-echo "==> 3-node ring smoke (peer fill, fleet-wide singleflight, owner kill, degraded stale)"
-# Boot a 3-node consistent-hash ring and prove the distributed plan cache
-# end to end: one spec posted through every node computes exactly once
-# fleet-wide (the misses peer-fill from the key's owner), killing the
-# owner mid-load leaves only contract outcomes, and a survivor then
-# serves the workload degraded-stale from the replica its fill created.
-go build -o "$tmp/freeport" ./cmd/freeport
-ring_ports=$("$tmp/freeport" -n 3)
-ra0="127.0.0.1:$(echo "$ring_ports" | sed -n 1p)"
-ra1="127.0.0.1:$(echo "$ring_ports" | sed -n 2p)"
-ra2="127.0.0.1:$(echo "$ring_ports" | sed -n 3p)"
-ring_peers="$ra0,$ra1,$ra2"
-
-dump_ring_logs() {
-	for ri in 0 1 2; do
-		echo "--- ring node $ri log ---" >&2
-		cat "$tmp/ring$ri.log" >&2 || true
-	done
-}
-# rcurl: curl that dumps all three ring logs on failure.
-rcurl() {
-	if ! curl -fsS "$@"; then
-		echo "curl $* failed; ring logs:" >&2
-		dump_ring_logs
-		exit 1
-	fi
-}
-
-ri=0
-for ra in "$ra0" "$ra1" "$ra2"; do
-	# A zero-probability rule arms the injector so POST /debug/faults is
-	# live for the degraded-stale step without perturbing the load phase.
-	"$tmp/cachemapd" -addr "$ra" -self "$ra" -peers "$ring_peers" \
-		-degraded -faults 'error:pipeline/tags:0' -fault-seed 7 \
-		2>"$tmp/ring$ri.log" &
-	ring_pids="$ring_pids $!"
-	eval "ring_pid$ri=$!"
-	ri=$((ri + 1))
-done
-for ra in "$ra0" "$ra1" "$ra2"; do
-	i=0
-	until curl -fsS -o /dev/null "http://$ra/healthz" 2>/dev/null; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "ring node $ra did not become healthy" >&2
-			dump_ring_logs
-			exit 1
-		fi
-		sleep 0.1
-	done
-done
-
-ring_spec='{"workload":{"synth":{"name":"ring-ci","passes":2,"extent":320,"streams":[{"stride":1}]}},"topology":"2/4/8@16,8,4","scheme":"inter"}'
-ri=0
-for ra in "$ra0" "$ra1" "$ra2"; do
-	rcurl -o "$tmp/ring-resp$ri.json" -H 'Content-Type: application/json' \
-		-d "$ring_spec" "http://$ra/v1/map"
-	ri=$((ri + 1))
-done
-
-# Exactly one pipeline compute fleet-wide: the two non-owner nodes must
-# have peer-filled instead of computing.
-computes_total=0
-owner_idx=
-ri=0
-for ra in "$ra0" "$ra1" "$ra2"; do
-	c=$(rcurl "http://$ra/metrics" | sed -n 's/^cachemapd_pipeline_computes_total //p')
-	computes_total=$((computes_total + ${c:-0}))
-	if [ "${c:-0}" -eq 1 ]; then
-		owner_idx=$ri
-	fi
-	ri=$((ri + 1))
-done
-if [ "$computes_total" -ne 1 ] || [ -z "$owner_idx" ]; then
-	echo "fleet ran $computes_total pipeline computes for one spec (want 1)" >&2
-	dump_ring_logs
-	exit 1
-fi
-grep -h '"filled_from":"' "$tmp/ring-resp0.json" "$tmp/ring-resp1.json" "$tmp/ring-resp2.json" >/dev/null || {
-	echo "no response carries peer-fill provenance (filled_from)" >&2
-	dump_ring_logs
-	exit 1
-}
-fills_total=0
-for ra in "$ra0" "$ra1" "$ra2"; do
-	f=$(rcurl "http://$ra/metrics" | sed -n 's/^cachemapd_peer_fill_total{outcome="hit"} //p')
-	fills_total=$((fills_total + ${f:-0}))
-done
-if [ "$fills_total" -lt 1 ]; then
-	echo "no peer fill hit recorded in cachemapd_peer_fill_total" >&2
-	dump_ring_logs
-	exit 1
-fi
-# The same plan, byte for byte, from every serving path.
-k0=$(grep -o '"cache_key":"[0-9a-f]*"' "$tmp/ring-resp0.json")
-k1=$(grep -o '"cache_key":"[0-9a-f]*"' "$tmp/ring-resp1.json")
-k2=$(grep -o '"cache_key":"[0-9a-f]*"' "$tmp/ring-resp2.json")
-p0=$(sed -n 's/.*"plan":\(.*\),"stages".*/\1/p' "$tmp/ring-resp0.json")
-p1=$(sed -n 's/.*"plan":\(.*\),"stages".*/\1/p' "$tmp/ring-resp1.json")
-p2=$(sed -n 's/.*"plan":\(.*\),"stages".*/\1/p' "$tmp/ring-resp2.json")
-if [ "$k0" != "$k1" ] || [ "$k1" != "$k2" ] || [ -z "$k0" ] ||
-	[ "$p0" != "$p1" ] || [ "$p1" != "$p2" ]; then
-	echo "plan or cache key diverged across ring nodes" >&2
-	dump_ring_logs
-	exit 1
-fi
-# The fill fetch ran under a cluster.fetch span on some requester.
-found_span=
-for ra in "$ra0" "$ra1" "$ra2"; do
-	if rcurl "http://$ra/debug/traces" | grep -q 'cluster.fetch'; then
-		found_span=1
-	fi
-done
-if [ -z "$found_span" ]; then
-	echo "no cluster.fetch span in any node's /debug/traces" >&2
-	dump_ring_logs
-	exit 1
-fi
-
-# Kill the owner mid-load: the ring loadgen must see only contract
-# outcomes (200 incl. degraded, 429, 503/504, or unreachable).
-"$tmp/loadgen" -ring "$ring_peers" -n 400 -c 8 -pace 10ms >"$tmp/ring-loadgen.out" 2>&1 &
-lg_pid=$!
-sleep 0.5
-eval "owner_pid=\$ring_pid$owner_idx"
-kill -9 "$owner_pid" 2>/dev/null || true
-if ! wait "$lg_pid"; then
-	echo "ring loadgen failed across an owner kill:" >&2
-	cat "$tmp/ring-loadgen.out" >&2
-	dump_ring_logs
-	exit 1
-fi
-grep 'ring:        PASS' "$tmp/ring-loadgen.out" >/dev/null || {
-	cat "$tmp/ring-loadgen.out" >&2
-	exit 1
-}
-
-# A survivor must keep serving the workload degraded when both its fill
-# path and its own pipeline are broken: the stale replica the peer fill
-# (or its own serve) created answers a drifted-topology request.
-survivor_idx=$(((owner_idx + 1) % 3))
-eval "survivor=\$ra$survivor_idx"
-rcurl -o /dev/null -H 'Content-Type: application/json' \
-	-d '[{"kind":"error","site":"pipeline/tags","prob":1},{"kind":"error","site":"cluster/fetch","prob":1}]' \
-	"http://$survivor/debug/faults"
-drifted_spec='{"workload":{"synth":{"name":"ring-ci","passes":2,"extent":320,"streams":[{"stride":1}]}},"topology":"2/4/7@16,8,4","scheme":"inter"}'
-rcurl -o "$tmp/ring-stale.json" -H 'Content-Type: application/json' \
-	-d "$drifted_spec" "http://$survivor/v1/map"
-grep '"degraded":"stale"' "$tmp/ring-stale.json" >/dev/null || {
-	echo "survivor did not serve degraded-stale from its replica:" >&2
-	cat "$tmp/ring-stale.json" >&2
-	dump_ring_logs
-	exit 1
-}
-# The dead owner must be visible in the survivor's ring health.
-rcurl "http://$survivor/healthz" | grep -q '"state":"down"' || {
-	echo "dead owner not reported down in the survivor's /healthz" >&2
-	dump_ring_logs
-	exit 1
-}
-echo "ring smoke: node $owner_idx owned the spec (1 fleet-wide compute, $fills_total peer fills); loadgen survived its kill; degraded-stale served from node $survivor_idx"
-kill $ring_pids 2>/dev/null || true
-for rp in $ring_pids; do
-	wait "$rp" 2>/dev/null || true
-done
-ring_pids=
 
 echo "==> ci ok"

@@ -24,9 +24,9 @@
 //	POST /internal/plan/{key} peer-fill protocol between ring members
 //	GET  /healthz             liveness, admission-queue and ring health (JSON)
 //	GET  /metrics             Prometheus text exposition
-//	GET  /debug/traces        recent request traces as JSON (?min_ms=N, ?limit=N to filter)
-//	GET  /debug/traces/{id}   one trace in Chrome trace_event format
 //	GET  /debug/events        wide per-request events (?family=, ?mode=, ?min_ms=, ?limit=)
+//	GET  /debug/traces        the same requests' traces as JSON (same filters)
+//	GET  /debug/traces/{id}   one trace in Chrome trace_event format
 //	GET  /debug/quality       plan-quality ledger; on a ring, the fleet-wide view
 //	GET  /debug/faults        armed fault rules with evaluation counters (with -faults)
 //	POST /debug/faults        replace the armed fault rules (JSON array)
@@ -40,9 +40,10 @@
 // mode (full, cached, incremental, degraded) into the ledger behind
 // /debug/quality and the cachemapd_plan_quality_missrate gauges. Every
 // request also emits one wide event (trace ID, family, serve mode, reused
-// stages, admission wait, stage timings, sampled quality verdict) into the
-// ring behind /debug/events; -log-sample thins the 200-OK access-log lines
-// without touching error/degraded/slow logging.
+// stages, admission wait, stage timings, its trace, sampled quality
+// verdict) into the one per-request ring behind /debug/events and
+// /debug/traces, bounded by -events; -log-sample thins the 200-OK
+// access-log lines without touching error/degraded/slow logging.
 //
 // Overload behaviour: a bounded admission queue (-queue, -queue-cost)
 // fronts the worker pool; saturated arrivals are shed with 429 and a
@@ -78,10 +79,11 @@
 // -store-compact the dead-byte ratio that triggers compaction. See the
 // /debug/cache/snapshot endpoints and README "Persistent plan store".
 //
-// Every request runs under a trace span; callers may propagate W3C
-// trace-context via the traceparent header and correlate responses through
-// X-Trace-Id. With -debug-addr set, net/http/pprof is served on a second,
-// private listener so profiling endpoints never share the public address.
+// Every request runs under a trace span (unless -events 0 turns the ring
+// and tracing off); callers may propagate W3C trace-context via the
+// traceparent header and correlate responses through X-Trace-Id. With
+// -debug-addr set, net/http/pprof is served on a second, private listener
+// so profiling endpoints never share the public address.
 //
 // The daemon drains gracefully: on SIGTERM/SIGINT it stops accepting
 // connections, lets in-flight requests finish (up to -drain), then exits.
@@ -116,7 +118,6 @@ func main() {
 	cacheSize := flag.Int("cache", 512, "plan cache capacity (plans)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (queueing + computation)")
 	drain := flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
-	traces := flag.Int("traces", 256, "request traces retained for /debug/traces (0 disables tracing)")
 	slow := flag.Duration("slow", 0, "log a warning with a span breakdown for requests slower than this (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	mutexFraction := flag.Int("mutex-fraction", 0, "runtime mutex profile fraction (0 leaves profiling off)")
@@ -137,7 +138,7 @@ func main() {
 	qualitySample := flag.Float64("quality-sample", 0, "fraction of served /v1/map responses shadow-simulated off the request path into the /debug/quality ledger (0 disables)")
 	qualitySeed := flag.Uint64("quality-seed", 1, "seed for the deterministic shadow-sampling draw")
 	logSample := flag.Float64("log-sample", 1, "fraction of 200-OK fast-path access-log lines emitted; errors, degraded and slow requests always log")
-	events := flag.Int("events", 256, "wide per-request events retained for /debug/events (0 disables the ring)")
+	events := flag.Int("events", 256, "requests retained, with their traces, for /debug/events and /debug/traces (0 disables the ring and tracing)")
 	storeDir := flag.String("store-dir", "", "persistent plan store directory; restarts warm-scan it and serve prior plans as hits (empty disables)")
 	storeCap := flag.Int("store-cap", 4096, "persistent plan store capacity, in plans (LRU-evicted beyond it)")
 	storeFsync := flag.String("store-fsync", "batch", "plan log durability policy: always, batch or never")
@@ -201,13 +202,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	traceBuf := *traces
-	if traceBuf == 0 {
-		traceBuf = -1 // Config treats 0 as "default"; negative disables.
-	}
 	eventBuf := *events
 	if eventBuf == 0 {
-		eventBuf = -1
+		eventBuf = -1 // Config treats 0 as "default"; negative disables.
 	}
 	logRate := *logSample
 	if logRate <= 0 {
@@ -223,7 +220,6 @@ func main() {
 		Workers:              *workers,
 		PlanCacheSize:        *cacheSize,
 		RequestTimeout:       *timeout,
-		TraceBufferSize:      traceBuf,
 		Logger:               logger,
 		SlowRequestThreshold: *slow,
 		AdmissionQueueDepth:  *queue,
@@ -281,7 +277,7 @@ func main() {
 	go func() { errCh <- hs.Serve(ln) }()
 	logger.Info("listening",
 		"addr", ln.Addr().String(), "workers", *workers, "cache", *cacheSize,
-		"timeout", *timeout, "traces", *traces,
+		"timeout", *timeout, "events", *events,
 		"queue", *queue, "degraded", *degraded)
 
 	// pprof on its own listener: an explicit mux, so nothing inherits the

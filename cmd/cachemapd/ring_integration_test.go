@@ -3,8 +3,9 @@ package main
 // Multi-process ring integration test: builds the real cachemapd binary,
 // boots a 3-node ring on ephemeral ports, and proves the distributed
 // plan cache end to end — peer fill, fleet-wide singleflight, owner-kill
-// failover to local compute, and degraded-stale serving from a replica
-// that only ever saw the plan via a fill.
+// failover to local compute, degraded-stale serving from a replica that
+// only ever saw the plan via a fill, and a loadgen -ring run that
+// survives a node kill.
 
 import (
 	"bytes"
@@ -288,6 +289,10 @@ func TestRingCluster(t *testing.T) {
 		if mrOwner.FilledFrom != "" || !mrOwner.Cached {
 			t.Fatalf("owner self-serve: filled_from=%q cached=%v", mrOwner.FilledFrom, mrOwner.Cached)
 		}
+		if mr.CacheKey == "" || mr.CacheKey != mrOwner.CacheKey || mr.CacheKey != mrThird.CacheKey {
+			t.Fatalf("cache keys diverged across nodes: filled %q, owner %q, third %q",
+				mr.CacheKey, mrOwner.CacheKey, mrThird.CacheKey)
+		}
 
 		// The fill fetch ran under a cluster.fetch span on the requester.
 		resp, err := http.Get("http://" + f.addrs[replica] + "/debug/traces")
@@ -388,6 +393,34 @@ func TestRingCluster(t *testing.T) {
 		}
 		if mr.Degraded != "stale" {
 			t.Fatalf("degraded = %q (cause %q), want stale: %s", mr.Degraded, mr.DegradedCause, body)
+		}
+	})
+
+	t.Run("LoadgenSurvivesNodeKill", func(t *testing.T) {
+		// Last, so the kill cannot disturb the exact compute counts above:
+		// round-robin load across the whole peer list (node 0 is already
+		// dead) while node 2 is killed mid-run must see only contract
+		// outcomes.
+		lg := filepath.Join(t.TempDir(), "loadgen")
+		build := exec.Command("go", "build", "-o", lg, "repro/cmd/loadgen")
+		if out, err := build.CombinedOutput(); err != nil {
+			t.Fatalf("building loadgen: %v\n%s", err, out)
+		}
+		var out bytes.Buffer
+		run := exec.Command(lg, "-ring", strings.Join(f.addrs, ","), "-n", "400", "-c", "8", "-pace", "10ms")
+		run.Stdout = &out
+		run.Stderr = &out
+		if err := run.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(500 * time.Millisecond)
+		f.cmds[2].Process.Kill()
+		f.cmds[2].Wait()
+		if err := run.Wait(); err != nil {
+			t.Fatalf("loadgen -ring across a node kill: %v\n%s", err, out.String())
+		}
+		if !strings.Contains(out.String(), "ring:        PASS") {
+			t.Fatalf("loadgen -ring printed no PASS line:\n%s", out.String())
 		}
 	})
 }

@@ -76,7 +76,10 @@ func Example_simulate() {
 // an executable assignment. Repeating the identical spec hits the
 // content-addressed plan cache.
 func Example_service() {
-	svc := cachemap.NewService(cachemap.ServiceConfig{})
+	svc, err := cachemap.NewService(cachemap.ServiceConfig{})
+	if err != nil {
+		panic(err)
+	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 

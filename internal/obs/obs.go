@@ -1,18 +1,20 @@
 // Package obs is a dependency-free request-tracing layer for the serving
 // subsystem: spans (name, attributes, start/end, parent), context
-// propagation, W3C traceparent interop, and a fixed-size ring buffer of
-// completed traces that the daemon serves at /debug/traces.
+// propagation, W3C traceparent interop, and the Chrome trace_event export
+// of a completed trace. It retains nothing: the server keeps each
+// request's trace on that request's wide event, in the one per-request
+// ring behind /debug/events and /debug/traces.
 //
 // The design optimizes for the disabled case: code under instrumentation
 // calls StartSpan / Record unconditionally, and when the context carries
-// no active span (no tracer, or an untraced entry point) those calls are
+// no active span (tracing off, or an untraced entry point) those calls are
 // a single context.Value lookup — zero allocations on the hot path. A
 // *Span may therefore be nil; all its methods are nil-safe no-ops.
 //
-// A trace is assembled incrementally: the root span (minted by
-// Tracer.StartRoot, once per request) owns a per-trace accumulator, child
-// spans append themselves to it when they end, and when the root span
-// ends the completed trace is published to the tracer's SpanStore.
+// A trace is assembled incrementally: the root span (minted by StartRoot,
+// once per request) owns a per-trace accumulator, child spans append
+// themselves to it when they end, and ending the root span returns the
+// completed trace.
 package obs
 
 import (
@@ -123,13 +125,12 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 type trace struct {
 	mu    sync.Mutex
 	id    TraceID
-	store *SpanStore
 	spans []SpanData
 	root  *Span
 	done  bool
 }
 
-// finish publishes the completed trace; caller holds t.mu.
+// finish seals the completed trace; caller holds t.mu.
 func (t *trace) finish() *Trace {
 	t.done = true
 	root := t.spans[len(t.spans)-1] // the root span ends last by construction
@@ -179,17 +180,14 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// End completes the span at time.Now. Ending the root span publishes the
-// whole trace to the tracer's SpanStore; spans ending after their root
-// are dropped. Nil-safe.
-func (s *Span) End() {
+// End completes the span at time.Now. Ending the root span returns the
+// whole trace, which is immutable from then on; every other span returns
+// nil, and spans ending after their root are dropped. Nil-safe.
+func (s *Span) End() *Trace {
 	if s == nil {
-		return
+		return nil
 	}
-	s.endAt(time.Now())
-}
-
-func (s *Span) endAt(end time.Time) {
+	end := time.Now()
 	t := s.t
 	sd := SpanData{
 		Name:       s.name,
@@ -210,9 +208,7 @@ func (s *Span) endAt(end time.Time) {
 		}
 	}
 	t.mu.Unlock()
-	if done != nil && t.store != nil {
-		t.store.Add(done)
-	}
+	return done
 }
 
 type spanKey struct{}
@@ -272,32 +268,11 @@ func Record(ctx context.Context, name string, start time.Time, d time.Duration, 
 	t.mu.Unlock()
 }
 
-// Tracer mints root spans and publishes completed traces to its store. A
-// nil *Tracer is valid and disables tracing entirely.
-type Tracer struct {
-	store *SpanStore
-}
-
-// NewTracer returns a tracer publishing completed traces to store (which
-// may be nil to trace without retention).
-func NewTracer(store *SpanStore) *Tracer { return &Tracer{store: store} }
-
-// Store returns the tracer's span store (nil for a nil tracer).
-func (t *Tracer) Store() *SpanStore {
-	if t == nil {
-		return nil
-	}
-	return t.store
-}
-
 // StartRoot begins a new trace rooted at name. With a valid remote
 // context (an ingested traceparent) the trace adopts the remote trace ID
 // and the root span records the remote span as its parent; otherwise a
-// fresh trace ID is minted. On a nil tracer it returns (ctx, nil).
-func (t *Tracer) StartRoot(ctx context.Context, name string, remote TraceContext) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
+// fresh trace ID is minted.
+func StartRoot(ctx context.Context, name string, remote TraceContext) (context.Context, *Span) {
 	id := remote.TraceID
 	var parent SpanID
 	if id.IsZero() {
@@ -305,7 +280,7 @@ func (t *Tracer) StartRoot(ctx context.Context, name string, remote TraceContext
 	} else {
 		parent = remote.SpanID
 	}
-	tr := &trace{id: id, store: t.store}
+	tr := &trace{id: id}
 	sp := &Span{
 		t:      tr,
 		name:   name,

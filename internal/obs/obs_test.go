@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -47,10 +46,7 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 }
 
 func TestRootAndChildSpansPublishOneTrace(t *testing.T) {
-	store := NewSpanStore(4)
-	tr := NewTracer(store)
-
-	ctx, root := tr.StartRoot(context.Background(), "req", TraceContext{})
+	ctx, root := StartRoot(context.Background(), "req", TraceContext{})
 	if root == nil {
 		t.Fatal("nil root span")
 	}
@@ -58,20 +54,17 @@ func TestRootAndChildSpansPublishOneTrace(t *testing.T) {
 
 	cctx, child := StartSpan(ctx, "child")
 	_, grand := StartSpan(cctx, "grandchild")
-	grand.End()
-	child.End()
+	if grand.End() != nil || child.End() != nil {
+		t.Fatal("a non-root span published the trace")
+	}
 	Record(cctx, "ledger", time.Now().Add(-time.Millisecond), time.Millisecond, String("phase", "x"))
 
-	if store.Len() != 0 {
-		t.Fatalf("trace published before root ended: %d", store.Len())
+	trace := root.End()
+	if trace == nil {
+		t.Fatal("ending the root span returned no trace")
 	}
-	root.End()
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d traces, want 1", store.Len())
-	}
-	trace, ok := store.Get(root.TraceID().String())
-	if !ok {
-		t.Fatal("trace not retrievable by ID")
+	if trace.TraceID != root.TraceID().String() {
+		t.Fatalf("trace id %s, want the root's %s", trace.TraceID, root.TraceID())
 	}
 	if trace.Root != "req" {
 		t.Fatalf("root name %q", trace.Root)
@@ -107,31 +100,26 @@ func TestRootAndChildSpansPublishOneTrace(t *testing.T) {
 
 func TestStartRootAdoptsRemoteContext(t *testing.T) {
 	remote, _ := ParseTraceParent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	store := NewSpanStore(1)
-	_, root := NewTracer(store).StartRoot(context.Background(), "req", remote)
+	_, root := StartRoot(context.Background(), "req", remote)
 	if got := root.TraceID().String(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("trace id %s", got)
 	}
-	root.End()
-	trace, _ := store.Get("4bf92f3577b34da6a3ce929d0e0e4736")
+	trace := root.End()
 	if trace.Spans[0].ParentID != "00f067aa0ba902b7" {
 		t.Fatalf("root parent %q, want the remote span", trace.Spans[0].ParentID)
 	}
 }
 
 // TestDisabledTracingZeroAlloc is the hot-path bound: with no active span
-// in the context (tracer disabled), starting/ending spans and recording
+// in the context (tracing off), starting/ending spans and recording
 // ledger spans must not allocate.
 func TestDisabledTracingZeroAlloc(t *testing.T) {
 	ctx := context.Background()
-	var nilTracer *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
 		c2, sp := StartSpan(ctx, "x")
 		sp.SetAttr("k", "v")
 		sp.End()
 		Record(c2, "y", time.Time{}, time.Millisecond)
-		_, rp := nilTracer.StartRoot(ctx, "r", TraceContext{})
-		rp.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %.1f per op, want 0", allocs)
@@ -149,8 +137,7 @@ func BenchmarkDisabledSpanStartEnd(b *testing.B) {
 }
 
 func BenchmarkEnabledSpanStartEnd(b *testing.B) {
-	tr := NewTracer(NewSpanStore(16))
-	ctx, root := tr.StartRoot(context.Background(), "req", TraceContext{})
+	ctx, root := StartRoot(context.Background(), "req", TraceContext{})
 	defer root.End()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -160,60 +147,15 @@ func BenchmarkEnabledSpanStartEnd(b *testing.B) {
 	}
 }
 
-// TestSpanStoreBounded drives 10× the ring capacity through the store and
-// requires retention (and therefore memory) to stay capped, keeping the
-// newest traces.
-func TestSpanStoreBounded(t *testing.T) {
-	const capacity = 16
-	store := NewSpanStore(capacity)
-	tr := NewTracer(store)
-	for i := 0; i < 10*capacity; i++ {
-		_, root := tr.StartRoot(context.Background(), fmt.Sprintf("req-%d", i), TraceContext{})
-		root.End()
-	}
-	if store.Len() != capacity {
-		t.Fatalf("store len %d, want %d", store.Len(), capacity)
-	}
-	if store.TotalAdded() != 10*capacity {
-		t.Fatalf("total added %d", store.TotalAdded())
-	}
-	got := store.Traces(0)
-	if len(got) != capacity {
-		t.Fatalf("Traces returned %d", len(got))
-	}
-	// Newest first, and only the last `capacity` survive.
-	for i, tc := range got {
-		want := fmt.Sprintf("req-%d", 10*capacity-1-i)
-		if tc.Root != want {
-			t.Fatalf("Traces[%d] = %s, want %s", i, tc.Root, want)
-		}
-	}
-}
-
-func TestTracesMinDurationFilter(t *testing.T) {
-	store := NewSpanStore(8)
-	slow := &Trace{TraceID: "a", Root: "slow", DurationNS: (50 * time.Millisecond).Nanoseconds()}
-	fast := &Trace{TraceID: "b", Root: "fast", DurationNS: (1 * time.Millisecond).Nanoseconds()}
-	store.Add(slow)
-	store.Add(fast)
-	got := store.Traces(10 * time.Millisecond)
-	if len(got) != 1 || got[0].Root != "slow" {
-		t.Fatalf("filtered traces: %+v", got)
-	}
-}
-
 func TestChromeExportParsesAndNests(t *testing.T) {
-	store := NewSpanStore(1)
-	tr := NewTracer(store)
-	ctx, root := tr.StartRoot(context.Background(), "req", TraceContext{})
+	ctx, root := StartRoot(context.Background(), "req", TraceContext{})
 	cctx, child := StartSpan(ctx, "child")
 	_, grand := StartSpan(cctx, "grand")
 	time.Sleep(time.Millisecond)
 	grand.End()
 	child.End()
-	root.End()
+	trace := root.End()
 
-	trace, _ := store.Get(root.TraceID().String())
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -258,16 +200,13 @@ func TestChromeExportParsesAndNests(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var sp *Span
 	sp.SetAttr("k", "v")
-	sp.End()
+	if sp.End() != nil {
+		t.Fatal("nil span ended with a trace")
+	}
 	if !sp.TraceID().IsZero() || !sp.SpanID().IsZero() {
 		t.Fatal("nil span has non-zero IDs")
 	}
-	var tr *Tracer
-	if tr.Store() != nil {
-		t.Fatal("nil tracer has a store")
-	}
-	ctx, root := tr.StartRoot(context.Background(), "r", TraceContext{})
-	if root != nil || SpanFromContext(ctx) != nil {
-		t.Fatal("nil tracer minted a span")
+	if SpanFromContext(context.Background()) != nil {
+		t.Fatal("an untraced context carries a span")
 	}
 }

@@ -4,11 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
-// SpanData is one completed span as retained and served by the store.
+// SpanData is one completed span of a Trace.
 type SpanData struct {
 	Name     string    `json:"name"`
 	SpanID   string    `json:"span_id"`
@@ -28,86 +27,6 @@ type Trace struct {
 	// DurationNS is the root span's wall time in nanoseconds.
 	DurationNS int64      `json:"duration_ns"`
 	Spans      []SpanData `json:"spans"`
-}
-
-// SpanStore retains the most recent completed traces in a fixed-size ring
-// buffer: memory stays bounded regardless of request volume, old traces
-// are overwritten in arrival order. Safe for concurrent use.
-type SpanStore struct {
-	mu    sync.Mutex
-	buf   []*Trace
-	next  int
-	total uint64
-}
-
-// NewSpanStore returns a store retaining up to capacity traces
-// (capacity < 1 is raised to 1).
-func NewSpanStore(capacity int) *SpanStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanStore{buf: make([]*Trace, 0, capacity)}
-}
-
-// Add retains t, evicting the oldest retained trace when full.
-func (s *SpanStore) Add(t *Trace) {
-	s.mu.Lock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, t)
-	} else {
-		s.buf[s.next] = t
-		s.next = (s.next + 1) % cap(s.buf)
-	}
-	s.total++
-	s.mu.Unlock()
-}
-
-// Capacity returns the maximum number of retained traces.
-func (s *SpanStore) Capacity() int { return cap(s.buf) }
-
-// Len returns the number of currently retained traces.
-func (s *SpanStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.buf)
-}
-
-// TotalAdded returns the cumulative number of traces ever added.
-func (s *SpanStore) TotalAdded() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Traces returns the retained traces with duration >= min, newest first.
-func (s *SpanStore) Traces(min time.Duration) []*Trace {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Trace, 0, len(s.buf))
-	// Newest-first: walk backward from the slot before next.
-	for i := 0; i < len(s.buf); i++ {
-		j := (s.next - 1 - i + 2*len(s.buf)) % len(s.buf)
-		if len(s.buf) < cap(s.buf) {
-			// Not yet wrapped: buf[0:len] is oldest→newest.
-			j = len(s.buf) - 1 - i
-		}
-		if t := s.buf[j]; t.DurationNS >= min.Nanoseconds() {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Get returns the retained trace with the given ID.
-func (s *SpanStore) Get(traceID string) (*Trace, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.buf {
-		if t.TraceID == traceID {
-			return t, true
-		}
-	}
-	return nil, false
 }
 
 // chromeEvent is one Chrome trace_event "complete" (ph=X) event.

@@ -382,14 +382,9 @@ func TestDoEmitsSpans(t *testing.T) {
 	k := key(t, "spans")
 
 	spansOf := func(drive func(ctx context.Context)) map[string][]obs.SpanData {
-		store := obs.NewSpanStore(1)
-		ctx, root := obs.NewTracer(store).StartRoot(context.Background(), "test", obs.TraceContext{})
+		ctx, root := obs.StartRoot(context.Background(), "test", obs.TraceContext{})
 		drive(ctx)
-		root.End()
-		tr, ok := store.Get(root.TraceID().String())
-		if !ok {
-			t.Fatal("no trace published")
-		}
+		tr := root.End()
 		out := map[string][]obs.SpanData{}
 		for _, sp := range tr.Spans {
 			out[sp.Name] = append(out[sp.Name], sp)

@@ -54,13 +54,13 @@ func within(x, y int, tol float64) bool {
 	return float64(d) <= tol*float64(m)
 }
 
-// StaleTier is the degraded-serving side channel of the plan cache: a
+// StaleTier is the drift-tolerant side channel of the plan cache: a
 // bounded LRU keyed by a workload-only content hash (the plan key with the
 // topology erased), remembering the most recent good plan per workload
-// together with the topology it was computed for. Under overload the
-// server consults it for a stale-but-valid plan whose topology drifts from
-// the requested one within a tolerance, instead of shedding the request
-// outright.
+// together with the topology it was computed for. The server consults it
+// for two decisions under different tolerances: serving a stale-but-valid
+// plan unmodified under overload, and repairing a cached clustering for a
+// near-miss topology. Each caller counts its own hits and misses.
 //
 // The tier is deliberately lossy — one entry per workload key, refreshed
 // on every successful computation — and safe for concurrent use.
@@ -69,12 +69,6 @@ type StaleTier[V any] struct {
 	capacity int
 	ll       *list.List // front = most recently used
 	entries  map[Key]*list.Element
-	hits     int64
-	misses   int64
-	// Repair lookups (incremental re-planning) are counted separately from
-	// Get (degraded serving): the two paths have different SLOs.
-	repairHits   int64
-	repairMisses int64
 }
 
 type staleEntry[V any] struct {
@@ -116,54 +110,22 @@ func (s *StaleTier[V]) Put(k Key, sig TopoSig, v V) {
 	}
 }
 
-// Get returns the stale plan for workload key k if one exists and its
-// recorded topology drifts from sig within tol, along with the plan's age.
+// Get returns the entry for workload key k if its recorded topology drifts
+// from sig within tol: the value, the exact signature it was computed for
+// (so a repair can tell zero drift from a genuine adaptation) and its age.
 // A usable entry refreshes its recency.
-func (s *StaleTier[V]) Get(k Key, sig TopoSig, tol float64) (v V, age time.Duration, ok bool) {
+func (s *StaleTier[V]) Get(k Key, sig TopoSig, tol float64) (v V, cached TopoSig, age time.Duration, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, found := s.entries[k]
 	if !found {
-		s.misses++
-		var zero V
-		return zero, 0, false
+		return v, TopoSig{}, 0, false
 	}
 	e := el.Value.(*staleEntry[V])
 	if !e.sig.DriftWithin(sig, tol) {
-		s.misses++
-		var zero V
-		return zero, 0, false
+		return v, TopoSig{}, 0, false
 	}
 	s.ll.MoveToFront(el)
-	s.hits++
-	return e.val, time.Since(e.stored), true
-}
-
-// Repair returns the tier's entry for workload key k if its recorded
-// topology drifts from sig within tol — like Get, but for incremental
-// re-planning rather than degraded serving: alongside the cached value it
-// returns the exact topology signature the value was computed for, so the
-// caller can distinguish zero drift (the repaired plan is byte-identical
-// to a full compute) from a genuine adaptation. Repair lookups keep their
-// own hit/miss counters (RepairStats) and, like Get, refresh the entry's
-// recency on a usable hit.
-func (s *StaleTier[V]) Repair(k Key, sig TopoSig, tol float64) (v V, cached TopoSig, age time.Duration, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, found := s.entries[k]
-	if !found {
-		s.repairMisses++
-		var zero V
-		return zero, TopoSig{}, 0, false
-	}
-	e := el.Value.(*staleEntry[V])
-	if !e.sig.DriftWithin(sig, tol) {
-		s.repairMisses++
-		var zero V
-		return zero, TopoSig{}, 0, false
-	}
-	s.ll.MoveToFront(el)
-	s.repairHits++
 	return e.val, e.sig, time.Since(e.stored), true
 }
 
@@ -172,18 +134,4 @@ func (s *StaleTier[V]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ll.Len()
-}
-
-// Stats returns cumulative usable-hit and miss counts.
-func (s *StaleTier[V]) Stats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
-}
-
-// RepairStats returns cumulative Repair usable-hit and miss counts.
-func (s *StaleTier[V]) RepairStats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repairHits, s.repairMisses
 }

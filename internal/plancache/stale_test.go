@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func sig(levels ...[2]int) TopoSig {
@@ -59,34 +60,30 @@ func TestStaleTierGetPut(t *testing.T) {
 	sigDrift := sig([2]int{2, 16}, [2]int{5, 8})
 	sigFar := sig([2]int{2, 16}, [2]int{16, 8})
 
-	if _, _, ok := st.Get(k, sigA, 0.25); ok {
+	if _, _, _, ok := st.Get(k, sigA, 0.25); ok {
 		t.Fatal("empty tier returned a value")
 	}
 	st.Put(k, sigA, "plan-1")
-	if v, age, ok := st.Get(k, sigA, 0); !ok || v != "plan-1" || age < 0 {
+	if v, _, age, ok := st.Get(k, sigA, 0); !ok || v != "plan-1" || age < 0 {
 		t.Fatalf("exact lookup: %q %v %v", v, age, ok)
 	}
-	if v, _, ok := st.Get(k, sigDrift, 0.25); !ok || v != "plan-1" {
+	if v, _, _, ok := st.Get(k, sigDrift, 0.25); !ok || v != "plan-1" {
 		t.Fatalf("drift-within lookup failed: %q %v", v, ok)
 	}
-	if _, _, ok := st.Get(k, sigFar, 0.25); ok {
+	if _, _, _, ok := st.Get(k, sigFar, 0.25); ok {
 		t.Fatal("far topology served a stale plan")
 	}
-	if _, _, ok := st.Get(keyOf(t, "workload-b"), sigA, 1); ok {
+	if _, _, _, ok := st.Get(keyOf(t, "workload-b"), sigA, 1); ok {
 		t.Fatal("unknown workload served a stale plan")
 	}
 
 	// Put for the same workload replaces the entry.
 	st.Put(k, sigFar, "plan-2")
-	if v, _, ok := st.Get(k, sigFar, 0); !ok || v != "plan-2" {
+	if v, _, _, ok := st.Get(k, sigFar, 0); !ok || v != "plan-2" {
 		t.Fatalf("refresh lookup: %q %v", v, ok)
 	}
 	if st.Len() != 1 {
 		t.Fatalf("Len = %d after refresh", st.Len())
-	}
-	hits, misses := st.Stats()
-	if hits != 3 || misses != 3 {
-		t.Errorf("stats = %d/%d, want 3 hits / 3 misses", hits, misses)
 	}
 }
 
@@ -103,20 +100,20 @@ func TestStaleTierBounded(t *testing.T) {
 	}
 	// The two oldest workloads were evicted.
 	for i := 0; i < 2; i++ {
-		if _, _, ok := st.Get(keys[i], s, 0); ok {
+		if _, _, _, ok := st.Get(keys[i], s, 0); ok {
 			t.Errorf("evicted key %d still present", i)
 		}
 	}
 	// A Get refreshes recency: touch key 2, insert two more, key 2 stays.
-	if _, _, ok := st.Get(keys[2], s, 0); !ok {
+	if _, _, _, ok := st.Get(keys[2], s, 0); !ok {
 		t.Fatal("key 2 missing")
 	}
 	st.Put(keyOf(t, "w5"), s, 5)
 	st.Put(keyOf(t, "w6"), s, 6)
-	if _, _, ok := st.Get(keys[2], s, 0); !ok {
+	if _, _, _, ok := st.Get(keys[2], s, 0); !ok {
 		t.Error("recently used key 2 was evicted")
 	}
-	if _, _, ok := st.Get(keys[3], s, 0); ok {
+	if _, _, _, ok := st.Get(keys[3], s, 0); ok {
 		t.Error("least recently used key 3 survived")
 	}
 }
@@ -149,6 +146,9 @@ func TestStaleTierConcurrent(t *testing.T) {
 	}
 }
 
+// TestStaleTierRepair pins what the repair path needs from Get: the exact
+// signature the entry was computed for, not the probe, so a caller can
+// tell zero drift from a genuine adaptation.
 func TestStaleTierRepair(t *testing.T) {
 	st := NewStaleTier[string](4)
 	k := keyOf(t, "workload-a")
@@ -156,14 +156,12 @@ func TestStaleTierRepair(t *testing.T) {
 	sigDrift := sig([2]int{2, 16}, [2]int{5, 8})
 	sigFar := sig([2]int{2, 16}, [2]int{16, 8})
 
-	if _, _, _, ok := st.Repair(k, sigA, 0.25); ok {
+	if _, _, _, ok := st.Get(k, sigA, 0.25); ok {
 		t.Fatal("empty tier repaired")
 	}
 	st.Put(k, sigA, "clustering-1")
 
-	// Exact lookup returns the recorded signature so the caller can detect
-	// zero drift.
-	v, cached, age, ok := st.Repair(k, sigA, 0.25)
+	v, cached, age, ok := st.Get(k, sigA, 0.25)
 	if !ok || v != "clustering-1" || age < 0 {
 		t.Fatalf("exact repair lookup: %q %v %v", v, age, ok)
 	}
@@ -172,41 +170,54 @@ func TestStaleTierRepair(t *testing.T) {
 	}
 	// Drift within tolerance: still usable, and the recorded signature is
 	// the ORIGINAL one, not the probe.
-	v, cached, _, ok = st.Repair(k, sigDrift, 0.25)
+	v, cached, _, ok = st.Get(k, sigDrift, 0.25)
 	if !ok || v != "clustering-1" {
 		t.Fatalf("drift-within repair failed: %q %v", v, ok)
 	}
 	if cached.DriftWithin(sigDrift, 0) {
-		t.Fatal("Repair returned the probe signature instead of the recorded one")
+		t.Fatal("Get returned the probe signature instead of the recorded one")
 	}
-	if _, _, _, ok := st.Repair(k, sigFar, 0.25); ok {
+	if _, _, _, ok := st.Get(k, sigFar, 0.25); ok {
 		t.Fatal("far topology repaired")
-	}
-
-	// Repair and Get keep separate counters.
-	hits, misses := st.RepairStats()
-	if hits != 2 || misses != 2 {
-		t.Errorf("repair stats = %d/%d, want 2 hits / 2 misses", hits, misses)
-	}
-	if h, m := st.Stats(); h != 0 || m != 0 {
-		t.Errorf("Get stats polluted by Repair: %d/%d", h, m)
 	}
 }
 
-func TestStaleTierRepairRefreshesRecency(t *testing.T) {
-	st := NewStaleTier[int](2)
-	s := sig([2]int{1, 1})
-	a, b, c := keyOf(t, "a"), keyOf(t, "b"), keyOf(t, "c")
-	st.Put(a, s, 1)
-	st.Put(b, s, 2)
-	if _, _, _, ok := st.Repair(a, s, 0); !ok {
-		t.Fatal("a missing")
-	}
-	st.Put(c, s, 3) // evicts b, not the repair-touched a
-	if _, _, _, ok := st.Repair(a, s, 0); !ok {
-		t.Error("repair-touched entry evicted")
-	}
-	if _, _, _, ok := st.Repair(b, s, 0); ok {
-		t.Error("least recently used entry survived")
-	}
+// TestStaleTierConformance holds the stale-tier contract cases that
+// TestStaleTierGetPut and TestStaleTierBounded do not already pin.
+func TestStaleTierConformance(t *testing.T) {
+	t.Run("StaleTier/DriftTolerance", func(t *testing.T) {
+		st := NewStaleTier[string](4)
+		k := keyOf(t, "workload-a")
+		st.Put(k, sig([2]int{8, 32}, [2]int{16, 64}), "plan-1")
+		if _, _, _, ok := st.Get(k, sig([2]int{8, 32}), 1); ok {
+			t.Fatal("different-depth Get reported a usable plan")
+		}
+	})
+
+	t.Run("StaleTier/Replace", func(t *testing.T) {
+		st := NewStaleTier[string](4)
+		k := keyOf(t, "workload-a")
+		st.Put(k, sig([2]int{8, 32}), "old")
+		st.Put(k, sig([2]int{32, 128}), "new")
+		if _, _, _, ok := st.Get(k, sig([2]int{8, 32}), 0); ok {
+			t.Fatal("replaced entry still serves its old signature exactly")
+		}
+	})
+
+	t.Run("StaleTier/CapacityAndAge", func(t *testing.T) {
+		const limit = 3
+		st := NewStaleTier[string](limit)
+		s := sig([2]int{8, 32})
+		before := time.Now()
+		for i := 0; i < 2*limit; i++ {
+			st.Put(keyOf(t, fmt.Sprintf("w%d", i)), s, fmt.Sprintf("p%d", i))
+		}
+		v, _, age, ok := st.Get(keyOf(t, fmt.Sprintf("w%d", 2*limit-1)), s, 0)
+		if !ok || v != fmt.Sprintf("p%d", 2*limit-1) {
+			t.Fatalf("most recent entry: Get = %q, %v", v, ok)
+		}
+		if age < 0 || age > time.Since(before)+time.Second {
+			t.Fatalf("implausible stale age %v", age)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package plancache
 import (
 	"container/list"
 	"sync"
-	"time"
 )
 
 // Store is the pluggable storage tier under the cache's memoization layer:
@@ -32,27 +31,7 @@ type Evicted[V any] struct {
 	Val V
 }
 
-var (
-	_ Store[int]      = (*MemStore[int])(nil)
-	_ StaleStore[int] = (*StaleTier[int])(nil)
-)
-
-// StaleStore is the seam for the degraded-serving side tier: the latest
-// good plan per workload-only key, together with the topology signature it
-// was computed for. Implementations must be safe for concurrent use; the
-// in-memory implementation is StaleTier.
-type StaleStore[V any] interface {
-	// Put records v as the latest good plan for workload key k, computed
-	// for the topology summarized by sig, replacing any previous entry.
-	Put(k Key, sig TopoSig, v V)
-	// Get returns the plan for k if its recorded topology drifts from sig
-	// within tol, along with the plan's age.
-	Get(k Key, sig TopoSig, tol float64) (v V, age time.Duration, ok bool)
-	// Len returns the number of retained workload entries.
-	Len() int
-	// Stats returns cumulative usable-hit and miss counts.
-	Stats() (hits, misses int64)
-}
+var _ Store[int] = (*MemStore[int])(nil)
 
 // MemStore is the in-memory Store: a bounded LRU map. Safe for concurrent
 // use.

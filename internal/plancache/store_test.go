@@ -22,12 +22,6 @@ func TestMemStoreConformance(t *testing.T) {
 	})
 }
 
-func TestStaleTierConformance(t *testing.T) {
-	storetest.RunStaleStore(t, "StaleTier", func(capacity int) plancache.StaleStore[string] {
-		return plancache.NewStaleTier[string](capacity)
-	})
-}
-
 // fifoStore is a minimal alternative Store: bounded, evicting in insertion
 // order, with none of MemStore's recency machinery.
 type fifoStore[V any] struct {

@@ -1,10 +1,9 @@
 // Package storetest is the shared conformance suite for implementations of
-// the plancache Store and StaleStore seams. Any storage tier — the
-// in-memory LRU, the ROADMAP's disk-backed warm-start tier, a remote tier —
-// must pass RunStore / RunStaleStore unchanged; the suite asserts the
-// contract the cache's memoization layer depends on, not implementation
-// details such as eviction order (LRU vs FIFO vs cost-based are all
-// conforming).
+// the plancache Store seam. Any storage tier — the in-memory LRU, the
+// disk-backed plan log, a remote tier — must pass RunStore unchanged; the
+// suite asserts the contract the cache's memoization layer depends on, not
+// implementation details such as eviction order (LRU vs FIFO vs
+// cost-based are all conforming).
 package storetest
 
 import (
@@ -12,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/plancache"
 )
@@ -118,114 +116,6 @@ func RunStore(t *testing.T, name string, mk func(capacity int) plancache.Store[s
 		}
 		wg.Wait()
 		if s.Len() > 32 {
-			t.Fatalf("Len = %d exceeds capacity after concurrent churn", s.Len())
-		}
-	})
-}
-
-// RunStaleStore runs the StaleStore conformance suite against stores built
-// by mk. mk is called with the store's workload-entry capacity.
-func RunStaleStore(t *testing.T, name string, mk func(capacity int) plancache.StaleStore[string]) {
-	sig := func(nodes ...int) plancache.TopoSig {
-		s := plancache.TopoSig{}
-		for _, n := range nodes {
-			s.Levels = append(s.Levels, plancache.TopoLevel{Nodes: n, CacheChunks: 4 * n})
-		}
-		return s
-	}
-
-	t.Run(name+"/DriftTolerance", func(t *testing.T) {
-		s := mk(4)
-		k := Key("workload-a")
-		if _, _, ok := s.Get(k, sig(8, 16), 1); ok {
-			t.Fatal("Get on an empty stale store reported a hit")
-		}
-		s.Put(k, sig(8, 16), "plan-1")
-		if v, age, ok := s.Get(k, sig(8, 16), 0); !ok || v != "plan-1" || age < 0 {
-			t.Fatalf("exact-signature Get = %q, %v, age %v", v, ok, age)
-		}
-		if v, _, ok := s.Get(k, sig(7, 14), 0.25); !ok || v != "plan-1" {
-			t.Fatalf("within-tolerance Get = %q, %v; want plan-1, true", v, ok)
-		}
-		if _, _, ok := s.Get(k, sig(1, 2), 0.25); ok {
-			t.Fatal("far-drift Get reported a usable plan")
-		}
-		if _, _, ok := s.Get(k, sig(8), 1); ok {
-			t.Fatal("different-depth Get reported a usable plan")
-		}
-		if _, _, ok := s.Get(Key("workload-b"), sig(8, 16), 1); ok {
-			t.Fatal("Get for an unknown workload reported a hit")
-		}
-	})
-
-	t.Run(name+"/Replace", func(t *testing.T) {
-		s := mk(4)
-		k := Key("workload-a")
-		s.Put(k, sig(8), "old")
-		s.Put(k, sig(32), "new")
-		if v, _, ok := s.Get(k, sig(32), 0); !ok || v != "new" {
-			t.Fatalf("Get after replace = %q, %v; want new, true", v, ok)
-		}
-		if _, _, ok := s.Get(k, sig(8), 0); ok {
-			t.Fatal("replaced entry still serves its old signature exactly")
-		}
-		if s.Len() != 1 {
-			t.Fatalf("Len after replace = %d, want 1", s.Len())
-		}
-	})
-
-	t.Run(name+"/CapacityAndAge", func(t *testing.T) {
-		const limit = 3
-		s := mk(limit)
-		before := time.Now()
-		for i := 0; i < 2*limit; i++ {
-			s.Put(Key(fmt.Sprintf("w%d", i)), sig(8), fmt.Sprintf("p%d", i))
-		}
-		if s.Len() > limit {
-			t.Fatalf("Len = %d exceeds capacity %d", s.Len(), limit)
-		}
-		// The most recent insert must always survive.
-		v, age, ok := s.Get(Key(fmt.Sprintf("w%d", 2*limit-1)), sig(8), 0)
-		if !ok || v != fmt.Sprintf("p%d", 2*limit-1) {
-			t.Fatalf("most recent entry: Get = %q, %v", v, ok)
-		}
-		if age < 0 || age > time.Since(before)+time.Second {
-			t.Fatalf("implausible stale age %v", age)
-		}
-	})
-
-	t.Run(name+"/Stats", func(t *testing.T) {
-		s := mk(4)
-		k := Key("workload-a")
-		s.Get(k, sig(8), 0) // miss
-		s.Put(k, sig(8), "p")
-		s.Get(k, sig(8), 0)    // hit
-		s.Get(k, sig(1), 0.01) // drift miss
-		hits, misses := s.Stats()
-		if hits != 1 || misses != 2 {
-			t.Fatalf("Stats = %d hits, %d misses; want 1, 2", hits, misses)
-		}
-	})
-
-	t.Run(name+"/Concurrent", func(t *testing.T) {
-		s := mk(16)
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					k := Key(fmt.Sprintf("w%d", (g+i)%24))
-					if i%2 == 0 {
-						s.Put(k, sig(8), fmt.Sprintf("g%d", g))
-					} else {
-						s.Get(k, sig(8), 0.25)
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if s.Len() > 16 {
 			t.Fatalf("Len = %d exceeds capacity after concurrent churn", s.Len())
 		}
 	})

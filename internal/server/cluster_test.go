@@ -47,7 +47,7 @@ func newTestRing(t *testing.T, n int, mutate func(i int, cfg *Config)) *testRing
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		s := New(cfg)
+		s := newTestServer(t, cfg)
 		r.servers = append(r.servers, s)
 		r.https[i].Config.Handler = s.Handler()
 		r.https[i].Start()
@@ -275,7 +275,7 @@ func TestClusterInternalPlanEndpoint(t *testing.T) {
 	}
 
 	// Unclustered servers refuse the protocol outright.
-	solo := httptest.NewServer(New(Config{}).Handler())
+	solo := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer solo.Close()
 	resp, err = http.Post(solo.URL+"/internal/plan/"+key.String(), "application/json", bytes.NewReader(b))
 	if err != nil {

@@ -4,90 +4,10 @@ import (
 	"fmt"
 	"net/http"
 	rtmetrics "runtime/metrics"
-	"strconv"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
-
-// tracesResponse is the body of GET /debug/traces.
-type tracesResponse struct {
-	// Count is the number of traces returned (after filtering).
-	Count int `json:"count"`
-	// Capacity is the ring buffer bound; at most this many recent traces
-	// are retained regardless of request volume.
-	Capacity int `json:"capacity"`
-	// TotalRecorded counts every trace ever recorded, including those the
-	// ring has since overwritten.
-	TotalRecorded uint64 `json:"total_recorded"`
-	// Truncated marks a response cut by ?limit= or the hard size bound.
-	Truncated bool         `json:"truncated,omitempty"`
-	Traces    []*obs.Trace `json:"traces"`
-}
-
-// handleTraces serves recent request traces as JSON, newest first.
-// ?min_ms=N keeps only traces at least that slow; ?limit=N caps the
-// count. The response payload is additionally capped by the hard debug
-// size bound, so scraping a long-running daemon stays cheap.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	store := s.tracer.Store()
-	if store == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
-		return
-	}
-	var min time.Duration
-	if q := r.URL.Query().Get("min_ms"); q != "" {
-		ms, err := strconv.ParseFloat(q, 64)
-		if err != nil || ms < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad min_ms %q", q))
-			return
-		}
-		min = time.Duration(ms * float64(time.Millisecond))
-	}
-	limit, err := parseLimit(r.URL.Query().Get("limit"))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	traces := store.Traces(min)
-	limited := limit > 0 && len(traces) > limit
-	if limited {
-		traces = traces[:limit]
-	}
-	resp := tracesResponse{
-		Capacity:      store.Capacity(),
-		TotalRecorded: store.TotalAdded(),
-	}
-	var cut bool
-	resp.Traces, cut = boundJSONList(traces, maxDebugResponseBytes)
-	resp.Truncated = limited || cut
-	resp.Count = len(resp.Traces)
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleTraceByID renders one trace in the Chrome trace_event JSON format,
-// loadable in chrome://tracing or https://ui.perfetto.dev.
-func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	store := s.tracer.Store()
-	if store == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
-		return
-	}
-	id := r.PathValue("id")
-	t, ok := store.Get(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no retained trace %q", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("inline; filename=%q", "trace-"+id+".json"))
-	if err := t.WriteChrome(w); err != nil {
-		// Headers are gone; nothing sensible left to do.
-		return
-	}
-}
 
 // faultsResponse is the body of GET/POST /debug/faults: the injector's
 // seed plus every armed rule with its evaluation counters.
@@ -113,7 +33,7 @@ func (s *Server) handleFaultsSet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("fault injection disabled (run with -faults)"))
 		return
 	}
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := readBody(w, r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

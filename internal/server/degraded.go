@@ -35,24 +35,21 @@ type DegradedConfig struct {
 	// StaleTolerance is the relative per-layer topology drift under which
 	// a stale plan still serves (default 0.25; see plancache.TopoSig).
 	StaleTolerance float64
-	// StaleTierSize bounds the stale tier, in workloads (default 128).
-	StaleTierSize int
-	// FallbackGrace bounds the inline fallback computation when the
-	// request deadline has already expired (default 2s).
-	FallbackGrace time.Duration
 }
 
 func (c *DegradedConfig) applyDefaults() {
 	if c.StaleTolerance <= 0 {
 		c.StaleTolerance = 0.25
 	}
-	if c.StaleTierSize <= 0 {
-		c.StaleTierSize = 128
-	}
-	if c.FallbackGrace <= 0 {
-		c.FallbackGrace = 2 * time.Second
-	}
 }
+
+const (
+	// staleTierSize bounds the stale tier, in workloads.
+	staleTierSize = 128
+	// fallbackGrace bounds the inline fallback computation when the
+	// request deadline has already expired.
+	fallbackGrace = 2 * time.Second
+)
 
 // staleValue is the stale tier's payload: the cached plan plus the content
 // address it was computed under.
@@ -114,7 +111,8 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed fu
 		return nil, false
 	}
 
-	if v, age, ok := s.stale.Get(j.wkKey, j.topoSig, s.cfg.Degraded.StaleTolerance); ok {
+	if v, _, age, ok := s.stale.Get(j.wkKey, j.topoSig, s.cfg.Degraded.StaleTolerance); ok {
+		s.staleHits.Inc()
 		s.markDegraded(ctx, DegradedStale, why)
 		s.replans.Inc(ReplanStaleServed)
 		return &MapResponse{
@@ -128,6 +126,7 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed fu
 			ElapsedMS:     elapsed(),
 		}, true
 	}
+	s.staleMisses.Inc()
 
 	// Fallback: the original (lexicographic) mapping is O(iterations) with
 	// tiny constants, so it runs inline on the connection goroutine — a
@@ -137,7 +136,7 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed fu
 	fctx := ctx
 	if ctx.Err() != nil {
 		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), s.cfg.Degraded.FallbackGrace)
+		fctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), fallbackGrace)
 		defer cancel()
 	}
 	cfg := j.cfg

@@ -4,20 +4,25 @@ package server
 // access-log lines, span attributes and counters, the server emits one
 // canonical structured event per API request — trace ID, plan key, workload
 // family, serve mode, reused stages, admission wait, per-stage durations,
-// and (when the response was shadow-sampled) the quality verdict, backfilled
-// asynchronously by the sampler worker. Events flow through slog and are
-// retained in a fixed-size ring behind GET /debug/events, the joinable
-// record linking /metrics exemplars, /debug/traces and /debug/quality.
+// the request's completed trace, and (when the response was shadow-sampled)
+// the quality verdict, backfilled asynchronously by the sampler worker.
+// Events are retained in one fixed-size ring, the only per-request store:
+// GET /debug/events serves the events, GET /debug/traces their traces, both
+// through the same filters and bounds, and the ring's trace-ID index joins
+// /metrics exemplars, /debug/traces/{id} and the quality backfill.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/quality"
 )
 
@@ -51,6 +56,9 @@ type Event struct {
 	// until then — poll /debug/events to see it land).
 	QualitySampled bool            `json:"quality_sampled,omitempty"`
 	Quality        *quality.Record `json:"quality,omitempty"`
+	// Trace is the request's completed trace, served by /debug/traces
+	// rather than inline here.
+	Trace *obs.Trace `json:"-"`
 
 	// sample is the pending shadow-simulation sample for this request's
 	// served plan, set by the handler and offered by serve only after the
@@ -77,8 +85,8 @@ func eventFrom(ctx context.Context) *Event {
 }
 
 // EventLog is a fixed-size ring of the most recent request events, with a
-// trace-ID index for asynchronous quality backfill. Safe for concurrent
-// use.
+// trace-ID index (newest event per ID) for trace lookups and asynchronous
+// quality backfill. Safe for concurrent use.
 type EventLog struct {
 	mu      sync.Mutex
 	buf     []*Event
@@ -153,6 +161,17 @@ func (l *EventLog) AttachQuality(traceID string, rec quality.Record) {
 	}
 }
 
+// Trace returns the trace of the newest retained request with the given
+// trace ID.
+func (l *EventLog) Trace(traceID string) (*obs.Trace, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if ev, ok := l.byTrace[traceID]; ok {
+		return ev.Trace, true
+	}
+	return nil, false
+}
+
 // Events returns up to limit retained events matching filter, newest
 // first (limit <= 0: all retained). The returned events are copies, safe
 // to use without further locking.
@@ -175,72 +194,141 @@ func (l *EventLog) Events(filter func(*Event) bool, limit int) []Event {
 }
 
 // maxDebugResponseBytes is the hard bound on /debug/events and
-// /debug/traces response payloads: however large the rings grow, a debug
-// scrape of a long-running daemon stays bounded. Responses cut by the
-// bound set truncated:true.
+// /debug/traces response payloads: however large the ring grows, a debug
+// scrape of a long-running daemon stays bounded.
 const maxDebugResponseBytes = 1 << 20
+
+var errRingDisabled = errors.New("request events and tracing disabled")
+
+// ringList is the envelope both list endpoints share.
+type ringList struct {
+	// Count is the number of items returned (after filtering).
+	Count int `json:"count"`
+	// Capacity is the ring bound; at most this many recent requests are
+	// retained regardless of request volume.
+	Capacity int `json:"capacity"`
+	// Total counts every request ever recorded, including those the ring
+	// has since overwritten.
+	Total uint64 `json:"total_recorded"`
+	// Truncated marks a response cut by ?limit= or the hard size bound.
+	Truncated bool `json:"truncated,omitempty"`
+}
 
 // eventsResponse is the body of GET /debug/events.
 type eventsResponse struct {
-	Count    int    `json:"count"`
-	Capacity int    `json:"capacity"`
-	Total    uint64 `json:"total_recorded"`
-	// Truncated marks a response cut by the hard size bound.
-	Truncated bool    `json:"truncated,omitempty"`
-	Events    []Event `json:"events"`
+	ringList
+	Events []Event `json:"events"`
 }
 
-// handleEvents serves the request-event ring as JSON, newest first.
-// Filters: ?family=, ?mode=, ?min_ms= (at least this slow), ?limit=.
+// tracesResponse is the body of GET /debug/traces.
+type tracesResponse struct {
+	ringList
+	Traces []*obs.Trace `json:"traces"`
+}
+
+// handleEvents serves the retained request events as JSON, newest first.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	events, head, ok := ringQuery(s, w, r, func(ev Event) Event { return ev })
+	if ok {
+		s.writeJSON(w, http.StatusOK, eventsResponse{head, events})
+	}
+}
+
+// handleTraces serves the retained requests' traces as JSON, newest first.
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	traces, head, ok := ringQuery(s, w, r, func(ev Event) *obs.Trace { return ev.Trace })
+	if ok {
+		s.writeJSON(w, http.StatusOK, tracesResponse{head, traces})
+	}
+}
+
+// handleTraceByID renders one trace in the Chrome trace_event JSON format,
+// loadable in chrome://tracing or https://ui.perfetto.dev. A trace ID sent
+// by several requests (a repeated traceparent) resolves to the newest.
+func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	if s.events == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("request events disabled"))
+		s.writeError(w, http.StatusNotFound, errRingDisabled)
 		return
 	}
-	q := r.URL.Query()
-	limit, err := parseLimit(q.Get("limit"))
+	id := r.PathValue("id")
+	t, ok := s.events.Trace(id)
+	if !ok {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("no retained trace %q", id))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Disposition", fmt.Sprintf("inline; filename=%q", "trace-"+id+".json"))
+	_ = t.WriteChrome(w) // on an encode error the headers are gone: nothing left to report
+}
+
+// ringQuery answers a list endpoint from the ring: the retained events
+// passing the request's filters, newest first, each rendered by item, and
+// the envelope. ?limit= and the hard size bound both cut the list and set
+// truncated. On a bad query or a disabled ring it writes the error
+// response itself and reports false.
+func ringQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, item func(Event) T) ([]T, ringList, bool) {
+	if s.events == nil {
+		s.writeError(w, http.StatusNotFound, errRingDisabled)
+		return nil, ringList{}, false
+	}
+	q, err := parseRingFilter(r.URL.Query())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, ringList{}, false
 	}
-	var minMS float64
-	if v := q.Get("min_ms"); v != "" {
-		minMS, err = strconv.ParseFloat(v, 64)
-		if err != nil || minMS < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad min_ms %q", v))
-			return
-		}
+	n := q.limit
+	if n > 0 {
+		n++ // one more than asked shows whether the limit cut anything
 	}
-	family, mode := q.Get("family"), q.Get("mode")
-	events := s.events.Events(func(ev *Event) bool {
-		if family != "" && ev.Family != family {
-			return false
-		}
-		if mode != "" && ev.Mode != mode {
-			return false
-		}
-		return ev.DurationMS >= minMS
-	}, limit)
-
-	resp := eventsResponse{
-		Capacity: s.events.Capacity(),
-		Total:    s.events.Total(),
+	events := s.events.Events(q.match, n)
+	limited := q.limit > 0 && len(events) > q.limit
+	if limited {
+		events = events[:q.limit]
 	}
-	resp.Events, resp.Truncated = boundJSONList(events, maxDebugResponseBytes)
-	resp.Count = len(resp.Events)
-	s.writeJSON(w, http.StatusOK, resp)
+	items := make([]T, len(events))
+	for i, ev := range events {
+		items[i] = item(ev)
+	}
+	items, cut := boundJSONList(items, maxDebugResponseBytes)
+	return items, ringList{
+		Count:     len(items),
+		Capacity:  s.events.Capacity(),
+		Total:     s.events.Total(),
+		Truncated: limited || cut,
+	}, true
 }
 
-// parseLimit parses a ?limit= value (empty: 0, meaning unlimited).
-func parseLimit(v string) (int, error) {
-	if v == "" {
-		return 0, nil
+// ringFilter is the query both list endpoints take: ?family=, ?mode=,
+// ?min_ms= (at least this slow) and ?limit= (0: no limit).
+type ringFilter struct {
+	family, mode string
+	minMS        float64
+	limit        int
+}
+
+func parseRingFilter(q url.Values) (ringFilter, error) {
+	f := ringFilter{family: q.Get("family"), mode: q.Get("mode")}
+	if v := q.Get("min_ms"); v != "" {
+		ms, err := strconv.ParseFloat(v, 64)
+		if err != nil || ms < 0 {
+			return f, fmt.Errorf("bad min_ms %q", v)
+		}
+		f.minMS = ms
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad limit %q", v)
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return f, fmt.Errorf("bad limit %q", v)
+		}
+		f.limit = n
 	}
-	return n, nil
+	return f, nil
+}
+
+func (f ringFilter) match(ev *Event) bool {
+	return (f.family == "" || ev.Family == f.family) &&
+		(f.mode == "" || ev.Mode == f.mode) &&
+		ev.DurationMS >= f.minMS
 }
 
 // boundJSONList trims items so their summed JSON encodings stay under

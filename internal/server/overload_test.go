@@ -25,7 +25,7 @@ func overloadServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func()
 	var blocking atomic.Bool
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	s := New(cfg)
+	s := newTestServer(t, cfg)
 	s.onJobStart = func() {
 		if !blocking.Load() {
 			return
@@ -163,7 +163,7 @@ func tsServerAdm(ts *httptest.Server, t *testing.T) (queued int, cost int64) {
 // control is that rejection costs nothing.
 func TestShedNeverReachesWorker(t *testing.T) {
 	var jobs atomic.Int64
-	s := New(Config{Workers: 1, AdmissionQueueDepth: -1})
+	s := newTestServer(t, Config{Workers: 1, AdmissionQueueDepth: -1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	first := make(chan struct{}, 1)
@@ -284,6 +284,18 @@ func TestDegradedStale(t *testing.T) {
 	if fr.Degraded != DegradedFallback {
 		t.Fatalf("far-drift degraded = %q, want %q", fr.Degraded, DegradedFallback)
 	}
+	// Each degraded lookup counts under the stale-tier metrics, never the
+	// repair ones: the drift-within hit and the far-drift miss.
+	for series, want := range map[string]float64{
+		"cachemapd_stale_tier_hits_total":      1,
+		"cachemapd_stale_tier_misses_total":    1,
+		"cachemapd_repair_lookup_hits_total":   0,
+		"cachemapd_repair_lookup_misses_total": 0,
+	} {
+		if got := metricValue(t, ts, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
 }
 
 // TestDegradedFallback: a shed request with no usable stale plan is
@@ -329,7 +341,7 @@ func TestDegradedFallback(t *testing.T) {
 // worker degrades too (cause "deadline"), computed under the fallback
 // grace budget even though the request context is already dead.
 func TestDegradedDeadline(t *testing.T) {
-	s := New(Config{
+	s := newTestServer(t, Config{
 		Workers:        1,
 		RequestTimeout: 50 * time.Millisecond,
 		Degraded:       DegradedConfig{Enabled: true},
@@ -376,7 +388,7 @@ func TestFaultsEndpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Faults: inj})
+	s := newTestServer(t, Config{Faults: inj})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -426,7 +438,7 @@ func TestFaultsEndpoint(t *testing.T) {
 	}
 
 	// No injector → 404.
-	plain := httptest.NewServer(New(Config{}).Handler())
+	plain := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer plain.Close()
 	resp2, err := plain.Client().Get(plain.URL + "/debug/faults")
 	if err != nil {
@@ -448,7 +460,7 @@ func TestInjectedStageError(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Faults: inj})
+	s := newTestServer(t, Config{Faults: inj})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -465,7 +477,7 @@ func TestInjectedStageError(t *testing.T) {
 
 	// Same fault, degraded serving on: absorbed into a fallback. The
 	// fallback pipeline itself runs unhooked, so it cannot re-fire.
-	s2 := New(Config{Faults: inj, Degraded: DegradedConfig{Enabled: true}})
+	s2 := newTestServer(t, Config{Faults: inj, Degraded: DegradedConfig{Enabled: true}})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	resp, body = postJSON(t, ts2.Client(), ts2.URL+"/v1/map", synthReq(64))
@@ -486,7 +498,7 @@ func TestInjectedStageError(t *testing.T) {
 // primed stale tier the same crash is absorbed into a stale response.
 func TestInjectedLeaderCrash(t *testing.T) {
 	inj := faults.New(11)
-	s := New(Config{Faults: inj, Degraded: DegradedConfig{Enabled: true}})
+	s := newTestServer(t, Config{Faults: inj, Degraded: DegradedConfig{Enabled: true}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -522,7 +534,7 @@ func TestInjectedLeaderCrash(t *testing.T) {
 	}
 
 	// Without degradation the crash surfaces as 503.
-	s2 := New(Config{Faults: inj})
+	s2 := newTestServer(t, Config{Faults: inj})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	resp, body = postJSON(t, ts2.Client(), ts2.URL+"/v1/map", synthReq(256))
@@ -547,7 +559,7 @@ func TestFaultDeterminism(t *testing.T) {
 		if err := inj.SetRules(rules); err != nil {
 			t.Fatal(err)
 		}
-		s := New(Config{Faults: inj, PlanCacheSize: 4})
+		s := newTestServer(t, Config{Faults: inj, PlanCacheSize: 4})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		for i := 0; i < 12; i++ {

@@ -121,7 +121,7 @@ func TestPersistentDiskHitAfterMemEviction(t *testing.T) {
 // a store, stats on GET, flush+compact on POST.
 func TestSnapshotEndpoints(t *testing.T) {
 	t.Run("NoStore", func(t *testing.T) {
-		s := New(Config{})
+		s := newTestServer(t, Config{})
 		defer s.Close()
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()

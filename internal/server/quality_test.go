@@ -65,7 +65,7 @@ func waitForQuality(t *testing.T, base string, n int) []Event {
 }
 
 func TestQualityTelemetryEndToEnd(t *testing.T) {
-	s := New(Config{Quality: quality.Config{Rate: 1, Seed: 7}})
+	s := newTestServer(t, Config{Quality: quality.Config{Rate: 1, Seed: 7}})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -159,7 +159,7 @@ func TestQualityTelemetryEndToEnd(t *testing.T) {
 func TestQualityDegradedModeSampled(t *testing.T) {
 	// Shed everything after warming the stale tier: the degraded fallback
 	// path must feed the ledger under its own mode.
-	s := New(Config{
+	s := newTestServer(t, Config{
 		Workers:             1,
 		Degraded:            DegradedConfig{Enabled: true},
 		AdmissionQueueDepth: -1,
@@ -231,7 +231,7 @@ func TestQualityDegradedModeSampled(t *testing.T) {
 }
 
 func TestQualityDisabledIsInert(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -259,7 +259,7 @@ func TestQualityDisabledIsInert(t *testing.T) {
 }
 
 func TestDebugEventsFiltersAndLimit(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -275,8 +275,13 @@ func TestDebugEventsFiltersAndLimit(t *testing.T) {
 		t.Fatalf("family filter: %d events, want 3", er.Count)
 	}
 	getDebugJSON(t, ts.URL+"/debug/events?family=fa&limit=2", &er)
-	if er.Count != 2 {
-		t.Fatalf("limit: %d events, want 2", er.Count)
+	if er.Count != 2 || !er.Truncated {
+		t.Fatalf("limit: %d events, truncated %v; want 2, true", er.Count, er.Truncated)
+	}
+	er = eventsResponse{}
+	getDebugJSON(t, ts.URL+"/debug/events?family=fa&limit=3", &er)
+	if er.Count != 3 || er.Truncated {
+		t.Fatalf("limit that cuts nothing: %d events, truncated %v; want 3, false", er.Count, er.Truncated)
 	}
 	getDebugJSON(t, ts.URL+"/debug/events?mode=cached", &er)
 	if er.Count != 2 { // two repeat requests hit the cache
@@ -306,7 +311,7 @@ func TestDebugEventsFiltersAndLimit(t *testing.T) {
 }
 
 func TestDebugTracesLimitAndBound(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -314,6 +319,8 @@ func TestDebugTracesLimitAndBound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		postJSON(t, ts.Client(), ts.URL+"/v1/map", synthReq(64))
 	}
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/map", namedSynthReq("other", 64))
+	otherID := resp.Header.Get("X-Trace-Id")
 	var limited tracesResponse
 	getDebugJSON(t, ts.URL+"/debug/traces?limit=2", &limited)
 	if limited.Count != 2 || !limited.Truncated {
@@ -323,6 +330,12 @@ func TestDebugTracesLimitAndBound(t *testing.T) {
 	getDebugJSON(t, ts.URL+"/debug/traces", &full)
 	if full.Count < 4 || full.Truncated {
 		t.Fatalf("unlimited: count %d truncated %v", full.Count, full.Truncated)
+	}
+	// Traces take the event filters: the family picks one request's trace.
+	var family tracesResponse
+	getDebugJSON(t, ts.URL+"/debug/traces?family=other", &family)
+	if family.Count != 1 || family.Traces[0].TraceID != otherID {
+		t.Fatalf("family=other: count %d, want the one trace %s: %+v", family.Count, otherID, family.Traces)
 	}
 }
 
@@ -351,7 +364,7 @@ func TestLogSampling(t *testing.T) {
 		return len(p), nil
 	}), nil))
 
-	s := New(Config{Logger: logger, LogSampleRate: -1}) // sample no OK lines
+	s := newTestServer(t, Config{Logger: logger, LogSampleRate: -1}) // sample no OK lines
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -34,7 +34,7 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
 // answered by incremental re-planning — balance/schedule/encode only — and
 // says so in the response and the replan counter.
 func TestRepairFastPath(t *testing.T) {
-	s := New(Config{Repair: RepairConfig{Enabled: true}})
+	s := newTestServer(t, Config{Repair: RepairConfig{Enabled: true}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -94,7 +94,7 @@ func TestRepairFastPath(t *testing.T) {
 	// The drifted topology has the same tree structure (node counts), and
 	// clustering keys on structure alone — so the repaired plan must be
 	// byte-identical to what a full compute for the same spec produces.
-	fresh := New(Config{})
+	fresh := newTestServer(t, Config{})
 	full, err := fresh.ComputePlan(req)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRepairFastPath(t *testing.T) {
 // TestRepairOffByDefault: without the switch, a drifted near-miss runs the
 // full pipeline — byte-exact serving stays the default contract.
 func TestRepairOffByDefault(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -167,7 +167,7 @@ func TestRepairOffByDefault(t *testing.T) {
 // repair — the clustering would be a poor fit — and falls through to the
 // full pipeline.
 func TestRepairBeyondToleranceFullCompute(t *testing.T) {
-	s := New(Config{Repair: RepairConfig{Enabled: true, Tolerance: 0.1}})
+	s := newTestServer(t, Config{Repair: RepairConfig{Enabled: true, Tolerance: 0.1}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -187,15 +187,19 @@ func TestRepairBeyondToleranceFullCompute(t *testing.T) {
 	}
 	// Two misses: the prime's own lookup against the empty tier, then the
 	// far-drift rejection.
-	if hits, misses := s.stale.RepairStats(); hits != 0 || misses != 2 {
+	if hits, misses := s.repairHits.Value(), s.repairMisses.Value(); hits != 0 || misses != 2 {
 		t.Errorf("repair stats = %d/%d, want 0 hits / 2 misses", hits, misses)
+	}
+	// Repair lookups count under their own metrics, not the degraded ones.
+	if hits, misses := s.staleHits.Value(), s.staleMisses.Value(); hits != 0 || misses != 0 {
+		t.Errorf("stale-tier stats = %d/%d after repair lookups only, want 0/0", hits, misses)
 	}
 }
 
 // TestRepairSchemeGate: non-resumable schemes (and dependence-aware modes)
 // never repair, even when a resumable clustering for the workload exists.
 func TestRepairSchemeGate(t *testing.T) {
-	s := New(Config{Repair: RepairConfig{Enabled: true}})
+	s := newTestServer(t, Config{Repair: RepairConfig{Enabled: true}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -241,7 +245,7 @@ func batchOf(reqs ...MapRequest) BatchMapRequest {
 // compute, 7 incremental repairs — regardless of the server-wide repair
 // switch.
 func TestBatchSharedFamily(t *testing.T) {
-	s := New(Config{Workers: 4})
+	s := newTestServer(t, Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -324,7 +328,7 @@ func TestBatchSharedFamily(t *testing.T) {
 // independent — each runs its own full compute and repairs its own
 // siblings.
 func TestBatchMixedFamilies(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -356,7 +360,7 @@ func TestBatchMixedFamilies(t *testing.T) {
 // TestBatchValidation: malformed bodies and bad specs fail the whole batch
 // with 400 and a per-spec index in the error.
 func TestBatchValidation(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -391,7 +395,7 @@ func TestBatchValidation(t *testing.T) {
 // per-batch Retry-After, runs no job function, and leaves no goroutines.
 func TestBatchShedNeverReachesWorker(t *testing.T) {
 	var jobs atomic.Int64
-	s := New(Config{Workers: 1, AdmissionQueueDepth: -1})
+	s := newTestServer(t, Config{Workers: 1, AdmissionQueueDepth: -1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	first := make(chan struct{}, 1)

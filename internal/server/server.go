@@ -10,14 +10,16 @@
 //	POST /internal/plan/{key} peer-fill protocol between ring members (see cluster.go)
 //	GET  /healthz           liveness + admission-queue and ring health, as JSON
 //	GET  /metrics           Prometheus text exposition
-//	GET  /debug/traces      recent request traces as JSON (?min_ms= filters by duration)
+//	GET  /debug/events      wide per-request events as JSON (?family=, ?mode=, ?min_ms=, ?limit=)
+//	GET  /debug/traces      the same requests' traces as JSON (same filters)
 //	GET  /debug/traces/{id} one trace in Chrome trace_event format (chrome://tracing, Perfetto)
 //
 // Observability: every API request runs under a root span (ingesting a
 // W3C `traceparent` header when present, minting a trace ID otherwise)
 // whose ID is echoed in the `X-Trace-Id` response header; the plan cache,
-// pipeline stages and simulator record child spans, and completed traces
-// land in a bounded ring buffer served by /debug/traces. When a Logger is
+// pipeline stages and simulator record child spans. The completed trace
+// rides the request's wide event into one bounded ring (see events.go),
+// which serves both /debug/events and /debug/traces. When a Logger is
 // configured, every request is access-logged, and requests slower than
 // SlowRequestThreshold additionally log their per-span breakdown.
 //
@@ -82,13 +84,8 @@ type Config struct {
 	// RequestTimeout is the per-request deadline, covering both queueing
 	// and computation (default 30s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// Registry receives the server's instruments (default: a fresh one).
 	Registry *metrics.Registry
-	// TraceBufferSize bounds the ring buffer of completed request traces
-	// served by /debug/traces (default 256; negative disables tracing).
-	TraceBufferSize int
 	// Logger receives the structured access log (nil: no access logging).
 	Logger *slog.Logger
 	// SlowRequestThreshold: requests at least this slow are logged at Warn
@@ -120,16 +117,15 @@ type Config struct {
 	// first ask the key's owner over the internal fill protocol before
 	// computing (see cluster.go).
 	Cluster *cluster.Node
-	// EventBufferSize bounds the ring of wide per-request events served by
-	// GET /debug/events (default 256; negative disables the ring — events
-	// still flow to the access log).
+	// EventBufferSize bounds the one per-request ring: the wide events and
+	// their traces served by /debug/events and /debug/traces (default
+	// 256; negative disables both the ring and tracing — events still flow
+	// to the access log).
 	EventBufferSize int
 	// LogSampleRate is the sampled fraction of 200-OK fast-path access-log
 	// lines (default 1: log every request; negative: none). Errors,
 	// degraded responses and slow requests always log, whatever the rate.
 	LogSampleRate float64
-	// LogSampleSeed seeds the deterministic log-sampling draw (default 1).
-	LogSampleSeed uint64
 	// Store configures the persistent plan store (see persist.go): with a
 	// non-empty Store.Dir the plan cache grows a disk-backed second tier —
 	// reads hit the in-memory LRU first, a miss consults the append-only
@@ -145,6 +141,12 @@ type Config struct {
 	Quality quality.Config
 }
 
+// maxBodyBytes bounds request bodies: an input-safety limit, not a knob.
+const maxBodyBytes = 1 << 20
+
+// logSampleSeed seeds the deterministic access-log sampling draw.
+const logSampleSeed = 1
+
 func (c *Config) applyDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -155,14 +157,8 @@ func (c *Config) applyDefaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
-	}
-	if c.TraceBufferSize == 0 {
-		c.TraceBufferSize = 256
 	}
 	if c.AdmissionQueueDepth == 0 {
 		c.AdmissionQueueDepth = 64
@@ -175,9 +171,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LogSampleRate == 0 {
 		c.LogSampleRate = 1
-	}
-	if c.LogSampleSeed == 0 {
-		c.LogSampleSeed = 1
 	}
 	c.Degraded.applyDefaults()
 	c.Repair.applyDefaults()
@@ -217,8 +210,8 @@ const (
 	ReplanStaleServed = "stale_served"
 )
 
-// Server is the mapping-as-a-service daemon core. Create with New; it is
-// safe for concurrent use.
+// Server is the mapping-as-a-service daemon core. Create with NewServer;
+// it is safe for concurrent use.
 type Server struct {
 	cfg     Config
 	reg     *metrics.Registry
@@ -228,10 +221,9 @@ type Server struct {
 	adm     admission
 	jobs    jobClock
 	faults  *faults.Injector
-	tracer  *obs.Tracer
 	cluster *cluster.Node
 	sampler *quality.Sampler
-	events  *EventLog
+	events  *EventLog                          // nil with the ring (and tracing) disabled
 	planLog *planstore.Log[cachedPlan]         // nil without -store-dir
 	planWB  *planstore.WriteBehind[cachedPlan] // nil without -store-dir
 	logN    atomic.Uint64                      // access-log sampling arrival counter
@@ -262,22 +254,14 @@ type Server struct {
 	reqDur         *metrics.Histogram
 	stageDur       *metrics.HistogramVec
 	missRate       *metrics.GaugeVec
+	staleHits      *metrics.Counter
+	staleMisses    *metrics.Counter
+	repairHits     *metrics.Counter
+	repairMisses   *metrics.Counter
 
 	// onJobStart, when non-nil, runs at the start of every admitted
 	// mapping job (test synchronization hook).
 	onJobStart func()
-}
-
-// New builds a Server from the configuration. It panics if the
-// configuration cannot be realized, which only a persistent store that
-// fails to open can cause — callers enabling Store.Dir should prefer
-// NewServer and handle the error.
-func New(cfg Config) *Server {
-	s, err := NewServer(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // NewServer builds a Server from the configuration. The only fallible
@@ -289,7 +273,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
-		stale:   plancache.NewStaleTier[staleValue](cfg.Degraded.StaleTierSize),
+		stale:   plancache.NewStaleTier[staleValue](staleTierSize),
 		sem:     make(chan struct{}, cfg.Workers),
 		adm:     admission{depth: cfg.AdmissionQueueDepth, maxCost: cfg.AdmissionQueueCost},
 		faults:  cfg.Faults,
@@ -366,26 +350,19 @@ func NewServer(cfg Config) (*Server, error) {
 	s.reg.GaugeFunc("cachemapd_admission_queue_limit",
 		"configured admission queue depth bound",
 		func() float64 { return float64(s.adm.depth) })
-	s.reg.CounterFunc("cachemapd_stale_tier_hits_total",
-		"degraded lookups answered by the stale plan tier",
-		func() float64 { h, _ := s.stale.Stats(); return float64(h) })
-	s.reg.CounterFunc("cachemapd_stale_tier_misses_total",
-		"degraded lookups the stale plan tier could not answer (missing workload or topology drift beyond tolerance)",
-		func() float64 { _, m := s.stale.Stats(); return float64(m) })
-	s.reg.CounterFunc("cachemapd_repair_lookup_hits_total",
-		"repair lookups answered by the stale tier with a resumable clustering within tolerance",
-		func() float64 { h, _ := s.stale.RepairStats(); return float64(h) })
-	s.reg.CounterFunc("cachemapd_repair_lookup_misses_total",
-		"repair lookups the stale tier could not answer",
-		func() float64 { _, m := s.stale.RepairStats(); return float64(m) })
+	s.staleHits = s.reg.Counter("cachemapd_stale_tier_hits_total",
+		"degraded lookups answered by the stale plan tier")
+	s.staleMisses = s.reg.Counter("cachemapd_stale_tier_misses_total",
+		"degraded lookups the stale plan tier could not answer (missing workload or topology drift beyond tolerance)")
+	s.repairHits = s.reg.Counter("cachemapd_repair_lookup_hits_total",
+		"repair lookups answered by the stale tier with a resumable clustering within tolerance")
+	s.repairMisses = s.reg.Counter("cachemapd_repair_lookup_misses_total",
+		"repair lookups the stale tier could not answer")
 	s.cache.OnHit = s.cacheHits.Inc
 	s.cache.OnMiss = s.cacheMisses.Inc
 	s.cache.OnEvict = func(plancache.Key, cachedPlan) { s.cacheEvictions.Inc() }
 	s.cache.OnCoalesced = s.cacheCoalesced.Inc
 	s.cache.OnReelect = s.cacheReelect.Inc
-	if cfg.TraceBufferSize > 0 {
-		s.tracer = obs.NewTracer(obs.NewSpanStore(cfg.TraceBufferSize))
-	}
 	if cfg.EventBufferSize > 0 {
 		s.events = NewEventLog(cfg.EventBufferSize)
 	}
@@ -432,9 +409,6 @@ func (s *Server) onQualityRecord(rec quality.Record) {
 		s.events.AttachQuality(rec.TraceID, rec)
 	}
 }
-
-// Tracer returns the server's tracer (nil when tracing is disabled).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
@@ -631,8 +605,13 @@ func (s *Server) tryRepair(ctx context.Context, j *job) (cachedPlan, bool) {
 	if j.scheme != pipeline.InterProcessor && j.scheme != pipeline.InterProcessorSched {
 		return cachedPlan{}, false
 	}
-	v, _, _, ok := s.stale.Repair(j.wkKey, j.topoSig, s.cfg.Repair.Tolerance)
-	if !ok || v.plan.state == nil || v.plan.state.Scheme != j.scheme {
+	v, _, _, ok := s.stale.Get(j.wkKey, j.topoSig, s.cfg.Repair.Tolerance)
+	if !ok {
+		s.repairMisses.Inc()
+		return cachedPlan{}, false
+	}
+	s.repairHits.Inc()
+	if v.plan.state == nil || v.plan.state.Scheme != j.scheme {
 		return cachedPlan{}, false
 	}
 	cfg := j.cfg
@@ -926,33 +905,34 @@ func badRequest(err error) error { return &httpError{status: http.StatusBadReque
 
 // serve is the shared request scaffold: accounting, the request root span
 // (ingesting `traceparent`, echoing `X-Trace-Id`), body limits, deadline,
-// dispatch, JSON encoding of the result or error, and the access log.
+// dispatch, JSON encoding of the result or error, the wide event and the
+// access log. Tracing runs exactly when the event ring does: a trace is
+// only ever kept on its request's event.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context, body []byte) (any, error)) {
 	s.reqTotal.Inc()
 	s.inFlight.Inc()
 	defer s.inFlight.Dec()
 	start := time.Now()
 
-	remote, _ := obs.ParseTraceParent(r.Header.Get("traceparent"))
-	rctx, span := s.tracer.StartRoot(r.Context(), r.Method+" "+r.URL.Path, remote)
-	if span != nil {
-		w.Header().Set("X-Trace-Id", span.TraceID().String())
-		span.SetAttr("http.method", r.Method)
-		span.SetAttr("http.path", r.URL.Path)
-	}
-
 	// The request's wide event rides the context so deeper layers
 	// (admission wait, serve-mode classification) annotate it in place;
 	// serve publishes a copy once the response is out.
 	ev := &Event{Time: start, Method: r.Method, Path: r.URL.Path}
-	if span != nil {
+	rctx := r.Context()
+	var span *obs.Span
+	if s.events != nil {
+		remote, _ := obs.ParseTraceParent(r.Header.Get("traceparent"))
+		rctx, span = obs.StartRoot(rctx, r.Method+" "+r.URL.Path, remote)
 		ev.TraceID = span.TraceID().String()
+		w.Header().Set("X-Trace-Id", ev.TraceID)
+		span.SetAttr("http.method", r.Method)
+		span.SetAttr("http.path", r.URL.Path)
 	}
 	rctx = withEvent(rctx, ev)
 
 	status := http.StatusOK
 	v, err := func() (any, error) {
-		body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+		body, err := readBody(w, r)
 		if err != nil {
 			return nil, badRequest(err)
 		}
@@ -989,19 +969,17 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	// The exemplar ties the bucket's most recent observation back to its
 	// trace, so a latency spike in /metrics links to /debug/traces/{id}.
 	s.reqDur.ObserveWithExemplar(d.Seconds(), ev.TraceID)
-	if span != nil {
-		span.SetAttr("http.status", strconv.Itoa(status))
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End() // publishes the trace to the span store
-	}
 	ev.Status = status
 	ev.DurationMS = float64(d) / float64(time.Millisecond)
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	if s.events != nil {
+	if span != nil {
+		span.SetAttr("http.status", strconv.Itoa(status))
+		if err != nil {
+			span.SetAttr("error", ev.Error)
+		}
+		ev.Trace = span.End()
 		s.events.Add(*ev)
 	}
 	// Offer the served plan for shadow simulation only after the event is
@@ -1010,15 +988,15 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	if ev.sample != nil && s.sampler.Offer(*ev.sample) && s.events != nil {
 		s.events.markSampled(ev.TraceID)
 	}
-	s.logRequest(r, status, d, span, ev)
+	s.logRequest(r, status, d, ev)
 }
 
 // logRequest emits the structured access log line and, above the
 // slow-request threshold, a Warn line carrying the request's span
-// breakdown (from the just-published trace). 200-OK fast-path lines are
+// breakdown (from the event's own trace). 200-OK fast-path lines are
 // sampled down by LogSampleRate; errors, degraded responses and slow
 // requests always log — a quiet log never hides a misbehaving request.
-func (s *Server) logRequest(r *http.Request, status int, d time.Duration, span *obs.Span, ev *Event) {
+func (s *Server) logRequest(r *http.Request, status int, d time.Duration, ev *Event) {
 	slow := s.cfg.SlowRequestThreshold > 0 && d >= s.cfg.SlowRequestThreshold
 	if slow {
 		s.slowRequests.Inc()
@@ -1027,12 +1005,8 @@ func (s *Server) logRequest(r *http.Request, status int, d time.Duration, span *
 		return
 	}
 	mundane := status < 300 && !slow && ev.DegradedCause == ""
-	if mundane && !quality.Drawn(s.cfg.LogSampleSeed, s.logN.Add(1), s.cfg.LogSampleRate) {
+	if mundane && !quality.Drawn(logSampleSeed, s.logN.Add(1), s.cfg.LogSampleRate) {
 		return
-	}
-	traceID := ""
-	if span != nil {
-		traceID = span.TraceID().String()
 	}
 	attrs := []slog.Attr{
 		slog.String("method", r.Method),
@@ -1041,8 +1015,8 @@ func (s *Server) logRequest(r *http.Request, status int, d time.Duration, span *
 		slog.Duration("duration", d),
 		slog.String("remote", r.RemoteAddr),
 	}
-	if traceID != "" {
-		attrs = append(attrs, slog.String("trace_id", traceID))
+	if ev.TraceID != "" {
+		attrs = append(attrs, slog.String("trace_id", ev.TraceID))
 	}
 	if ev.Mode != "" {
 		attrs = append(attrs, slog.String("mode", ev.Mode))
@@ -1052,10 +1026,8 @@ func (s *Server) logRequest(r *http.Request, status int, d time.Duration, span *
 	}
 	s.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
 	if slow {
-		if traceID != "" {
-			if t, ok := s.tracer.Store().Get(traceID); ok {
-				attrs = append(attrs, slog.String("spans", spanBreakdown(t)))
-			}
+		if ev.Trace != nil {
+			attrs = append(attrs, slog.String("spans", spanBreakdown(ev.Trace)))
 		}
 		attrs = append(attrs, slog.Duration("threshold", s.cfg.SlowRequestThreshold))
 		s.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request", attrs...)
@@ -1078,9 +1050,9 @@ func spanBreakdown(t *obs.Trace) string {
 	return b.String()
 }
 
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	defer r.Body.Close()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, fmt.Errorf("reading body: %w", err)
 	}

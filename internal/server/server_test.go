@@ -50,8 +50,18 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 	return resp, out
 }
 
+// newTestServer builds a Server from cfg, failing the test on error.
+func newTestServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestMapEndpoint(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -127,7 +137,7 @@ func TestMapEndpoint(t *testing.T) {
 }
 
 func TestMapEndpointErrors(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -175,7 +185,7 @@ func TestMapEndpointErrors(t *testing.T) {
 }
 
 func TestSimulateEndpoint(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -227,7 +237,7 @@ func TestSimulateEndpoint(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -309,7 +319,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 // TestConcurrentMapRequests drives 64 concurrent mixed-spec requests — the
 // acceptance bar for the daemon — and requires zero errors.
 func TestConcurrentMapRequests(t *testing.T) {
-	s := New(Config{Workers: 4, PlanCacheSize: 64})
+	s := newTestServer(t, Config{Workers: 4, PlanCacheSize: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	ts.Client().Transport.(*http.Transport).MaxConnsPerHost = 0
@@ -362,7 +372,7 @@ func TestConcurrentMapRequests(t *testing.T) {
 // fail fast with 503 when the deadline expires before admission.
 func TestQueueBusy503(t *testing.T) {
 	block := make(chan struct{})
-	s := New(Config{Workers: 1, RequestTimeout: 200 * time.Millisecond})
+	s := newTestServer(t, Config{Workers: 1, RequestTimeout: 200 * time.Millisecond})
 	started := make(chan struct{}, 8)
 	s.onJobStart = func() {
 		started <- struct{}{}
@@ -397,7 +407,7 @@ func TestQueueBusy503(t *testing.T) {
 func TestGracefulShutdownDrains(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s := New(Config{Workers: 2})
+	s := newTestServer(t, Config{Workers: 2})
 	s.onJobStart = func() {
 		select {
 		case started <- struct{}{}:
@@ -476,7 +486,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 func TestComputePlanInProcess(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	mr, err := s.ComputePlan(synthReq(128))
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +515,7 @@ func TestComputePlanInProcess(t *testing.T) {
 // cooperatively and free the worker, so 50 timed-out requests leave the
 // goroutine count where it started instead of stranding 50 clustering jobs.
 func TestTimeoutReleasesWorkers(t *testing.T) {
-	s := New(Config{Workers: 50, RequestTimeout: 20 * time.Millisecond})
+	s := newTestServer(t, Config{Workers: 50, RequestTimeout: 20 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

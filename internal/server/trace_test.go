@@ -47,7 +47,7 @@ func spansByName(tr *obs.Trace) map[string][]obs.SpanData {
 // durations agree exactly with the response's "stages" breakdown; the
 // Chrome trace_event export parses as JSON with correct ts/dur nesting.
 func TestTraceColdMapRequest(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -184,7 +184,7 @@ func TestTraceColdMapRequest(t *testing.T) {
 // onto the leader's computation and its trace shows a singleflight-wait
 // span instead of a compute span.
 func TestTraceCoalescedFollower(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := newTestServer(t, Config{Workers: 2})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	s.onJobStart = func() {
@@ -239,9 +239,8 @@ func TestTraceCoalescedFollower(t *testing.T) {
 		t.Fatal("neither request was served from the shared computation")
 	}
 
-	store := s.Tracer().Store()
-	leaderTrace, ok1 := store.Get(leader.TraceID.String())
-	followerTrace, ok2 := store.Get(follower.TraceID.String())
+	leaderTrace, ok1 := s.events.Trace(leader.TraceID.String())
+	followerTrace, ok2 := s.events.Trace(follower.TraceID.String())
 	if !ok1 || !ok2 {
 		t.Fatalf("traces retained: leader=%v follower=%v", ok1, ok2)
 	}
@@ -271,7 +270,7 @@ func TestTraceCoalescedFollower(t *testing.T) {
 // TestTraceSimulateHasIosimSpan: /v1/simulate traces include the
 // simulator run as its own span.
 func TestTraceSimulateHasIosimSpan(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -288,7 +287,7 @@ func TestTraceSimulateHasIosimSpan(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	trace, ok := s.Tracer().Store().Get(tc.TraceID.String())
+	trace, ok := s.events.Trace(tc.TraceID.String())
 	if !ok {
 		t.Fatal("simulate trace not retained")
 	}
@@ -305,7 +304,7 @@ func TestTraceSimulateHasIosimSpan(t *testing.T) {
 // surface: min_ms filtering, bad parameters, unknown trace IDs, and the
 // disabled-tracing 404.
 func TestTraceMinDurationFilterAndErrors(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -334,8 +333,9 @@ func TestTraceMinDurationFilterAndErrors(t *testing.T) {
 		}
 	}
 
-	// Tracing disabled: debug endpoints 404, no X-Trace-Id header.
-	off := New(Config{TraceBufferSize: -1})
+	// Ring disabled, and tracing with it: debug endpoints 404, no
+	// X-Trace-Id header.
+	off := newTestServer(t, Config{EventBufferSize: -1})
 	tsOff := httptest.NewServer(off.Handler())
 	defer tsOff.Close()
 	resp, body := postJSON(t, tsOff.Client(), tsOff.URL+"/v1/map", synthReq(64))
@@ -355,6 +355,88 @@ func TestTraceMinDurationFilterAndErrors(t *testing.T) {
 	}
 }
 
+// postTraced posts req to path under the caller-minted trace context tc.
+func postTraced(t *testing.T, ts *httptest.Server, path string, tc obs.TraceContext, req any) {
+	t.Helper()
+	b, _ := json.Marshal(req)
+	hreq, _ := http.NewRequest("POST", ts.URL+path, bytes.NewReader(b))
+	hreq.Header.Set("traceparent", tc.TraceParent())
+	resp, err := ts.Client().Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, body)
+	}
+}
+
+// TestEventRingBounded drives 10× the ring capacity through the server:
+// both list endpoints keep only the newest requests, newest first, count
+// every request ever recorded, and the trace-ID index stays as bounded as
+// the ring.
+func TestEventRingBounded(t *testing.T) {
+	const capacity = 16
+	s := newTestServer(t, Config{EventBufferSize: capacity})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ids := make([]string, 10*capacity)
+	for i := range ids {
+		tc := obs.NewTraceContext()
+		ids[i] = tc.TraceID.String()
+		postTraced(t, ts, "/v1/map", tc, synthReq(64))
+		s.events.mu.Lock()
+		indexed := len(s.events.byTrace)
+		s.events.mu.Unlock()
+		if indexed > capacity {
+			t.Fatalf("after %d requests the trace-ID index holds %d entries, want <= %d", i+1, indexed, capacity)
+		}
+	}
+
+	var er eventsResponse
+	getJSON(t, ts.Client(), ts.URL+"/debug/events", &er)
+	var tl tracesResponse
+	getJSON(t, ts.Client(), ts.URL+"/debug/traces", &tl)
+	for _, got := range []ringList{er.ringList, tl.ringList} {
+		if got.Count != capacity || got.Capacity != capacity || got.Total != 10*capacity || got.Truncated {
+			t.Fatalf("ring envelope %+v, want count %d of %d recorded", got, capacity, 10*capacity)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		want := ids[len(ids)-1-i]
+		if er.Events[i].TraceID != want || tl.Traces[i].TraceID != want {
+			t.Fatalf("entry %d: event %s, trace %s; want the newest-first %s",
+				i, er.Events[i].TraceID, tl.Traces[i].TraceID, want)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/debug/traces/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("oldest, overwritten trace: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestTraceByIDNewestWins: two requests sharing one traceparent resolve
+// to the newer one's trace.
+func TestTraceByIDNewestWins(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	tc := obs.NewTraceContext()
+	postTraced(t, ts, "/v1/map", tc, synthReq(64))
+	postTraced(t, ts, "/v1/simulate", tc, SimRequest{MapRequest: synthReq(64)})
+	trace, ok := s.events.Trace(tc.TraceID.String())
+	if !ok || trace.Root != "POST /v1/simulate" {
+		t.Fatalf("trace for a repeated ID = %+v, %v; want the newer simulate request", trace, ok)
+	}
+}
+
 // TestAccessAndSlowRequestLog: the structured access log carries the
 // trace ID, and requests above the slow threshold log a Warn line with
 // the span breakdown.
@@ -362,7 +444,7 @@ func TestAccessAndSlowRequestLog(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&syncWriter{mu: &mu, w: &buf}, nil))
-	s := New(Config{Logger: logger, SlowRequestThreshold: time.Nanosecond})
+	s := newTestServer(t, Config{Logger: logger, SlowRequestThreshold: time.Nanosecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -403,7 +485,7 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // TestMetricsIncludeRuntimeAndCacheCounters: the exposition carries the
 // lazily sampled runtime gauges and the new plan-cache counters.
 func TestMetricsIncludeRuntimeAndCacheCounters(t *testing.T) {
-	s := New(Config{})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

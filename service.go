@@ -47,9 +47,15 @@ type Service struct {
 }
 
 // NewService builds a service; the zero ServiceConfig uses production
-// defaults (GOMAXPROCS workers, 512-plan cache, 30s request deadline).
-func NewService(cfg ServiceConfig) *Service {
-	return &Service{srv: server.New(cfg)}
+// defaults (GOMAXPROCS workers, 512-plan cache, 30s request deadline). It
+// fails only when the persistent plan store directory (Store.Dir) is
+// unusable.
+func NewService(cfg ServiceConfig) (*Service, error) {
+	srv, err := server.NewServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Service{srv: srv}, nil
 }
 
 // Handler returns the HTTP handler serving POST /v1/map, POST
