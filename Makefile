@@ -14,15 +14,16 @@ test:
 
 # One pass over every benchmark (the full suite regenerates the paper's
 # tables and figures; -benchtime=1x keeps it bounded). Results stream to
-# the terminal and are folded into BENCH_9.json under the "after" label —
+# the terminal and are folded into BENCH.json under the "after" label —
 # with -benchmem, so the ledger also carries the B/op and allocs/op the
-# ci.sh alloc gate compares against (pipe the output of a pre-change run
-# through `go run ./cmd/benchjson -o BENCH_9.json -label before` to build
+# ci.sh bench gate compares against (pipe the output of a pre-change run
+# through `go run ./cmd/benchjson -o BENCH.json -label before` to build
 # the comparison side).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_9.json -label after
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH.json -label after
 
-ci: build vet test
+ci:
+	./ci.sh
 
 clean:
 	$(GO) clean ./...

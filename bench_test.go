@@ -594,7 +594,7 @@ func BenchmarkPlanCache(b *testing.B) {
 // divided by its own — and skips itself on a single-CPU host, where it
 // would measure the identical configuration twice. It also reports the
 // sequential cluster and balance stages from the same run ledger, the
-// bulk of a cold plan, so the BENCH_9 gate covers them too.
+// bulk of a cold plan, so the BENCH.json gate covers them too.
 func BenchmarkPipelineParallelism(b *testing.B) {
 	w, err := workloads.Synthesize(workloads.SynthSpec{
 		Name:   "parbench",

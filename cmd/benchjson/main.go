@@ -3,14 +3,14 @@
 // any custom metrics}, keyed under a label (typically "before" or
 // "after"). When the output file already exists, new results are merged
 // into it, so successive runs under different labels build a
-// before/after comparison (see BENCH_4.json at the repository root).
+// before/after comparison (see BENCH.json at the repository root).
 // Repeated samples of one benchmark within a single run (go test
 // -count=N) are folded to the per-metric minimum, exactly as compare
 // mode folds them, so the ledger anchors the cleanest sample.
 //
 // Input lines are echoed to stdout, so the command composes as a filter:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_4.json -label after
+//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH.json -label after
 //
 // Compare mode turns a committed ledger into a regression gate: instead of
 // writing a file, fresh results on stdin are compared against the ledger's
@@ -20,7 +20,7 @@
 // -count=N) are folded by taking the per-metric minimum before comparing,
 // so a single noisy sample on a busy machine does not trip the gate:
 //
-//	go test -run '^$' -bench BenchmarkDistribute -count 3 ./internal/core | benchjson -compare BENCH_4.json -tolerance 25
+//	go test -run '^$' -bench BenchmarkDistribute -count 3 ./internal/core | benchjson -compare BENCH.json -tolerance 25
 //
 // Custom metrics whose unit ends in "-floor" invert the gate: the ledger
 // value is a hard lower bound the measurement must meet or exceed (e.g. a

@@ -290,33 +290,36 @@ func TestCompareSkipsUnknownAndRequiresOverlap(t *testing.T) {
 }
 
 // TestCompareAgainstCommittedLedger keeps the CI gate honest: the
-// committed BENCH_9.json must contain the entries ci.sh gates on,
+// committed BENCH.json must contain the entries ci.sh gates on,
 // including the allocation stats the alloc side of the gate compares, the
-// sub-1ms BenchmarkDistribute steady state, and the per-stage pipeline
-// times (similarity, cluster, balance).
+// sub-1ms BenchmarkDistribute steady state, the per-stage pipeline times
+// (similarity, cluster, balance), the incremental re-planning speedup
+// floor and the plan store's warm scan.
 func TestCompareAgainstCommittedLedger(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_9.json")
+	raw, err := os.ReadFile("../../BENCH.json")
 	if err != nil {
 		t.Skipf("no committed ledger: %v", err)
 	}
 	var f File
 	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatalf("BENCH_9.json does not parse: %v", err)
+		t.Fatalf("BENCH.json does not parse: %v", err)
 	}
 	d, ok := f.Benchmarks["BenchmarkDistribute"]["after"]
 	if !ok || d.NsPerOp <= 0 {
-		t.Fatal("BENCH_9.json lacks BenchmarkDistribute/after")
+		t.Fatal("BENCH.json lacks BenchmarkDistribute/after")
 	}
 	if d.NsPerOp >= 1e6 {
 		t.Fatalf("BenchmarkDistribute/after anchors at %.0f ns/op, want < 1ms", d.NsPerOp)
 	}
-	if d.BytesPerOp == nil || d.AllocsPerOp == nil {
-		t.Fatal("BenchmarkDistribute/after lacks the B/op + allocs/op entries the alloc gate needs")
+	for _, name := range []string{"BenchmarkDistribute", "BenchmarkWarmScan"} {
+		if r := f.Benchmarks[name]["after"]; r == nil || r.BytesPerOp == nil || r.AllocsPerOp == nil {
+			t.Fatalf("%s/after lacks the B/op + allocs/op entries the alloc gate needs", name)
+		}
 	}
-	for _, name := range []string{"BenchmarkPostings", "BenchmarkCacheHitServe"} {
+	for _, name := range []string{"BenchmarkPostings", "BenchmarkCacheHitServe", "BenchmarkWarmScan"} {
 		r, ok := f.Benchmarks[name]["after"]
 		if !ok || r.NsPerOp <= 0 {
-			t.Fatalf("BENCH_9.json lacks %s/after", name)
+			t.Fatalf("BENCH.json lacks %s/after", name)
 		}
 	}
 	for _, metric := range []string{"similarity-ms/op", "cluster-ms/op", "balance-ms/op"} {
@@ -329,8 +332,11 @@ func TestCompareAgainstCommittedLedger(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("BENCH_9.json lacks a pipeline %s entry under after", metric)
+			t.Fatalf("BENCH.json lacks a pipeline %s entry under after", metric)
 		}
+	}
+	if r := f.Benchmarks["BenchmarkReplanIncremental"]["after"]; r == nil || r.Metrics["speedup-floor"] < 5 {
+		t.Fatal("BENCH.json lacks BenchmarkReplanIncremental's 5x speedup-floor under after")
 	}
 }
 

@@ -64,29 +64,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		// Derive the per-layer view of the parsed tree for the config.
-		cfg.Clients = tr.NumClients()
-		cfg.CacheL1 = tr.Client(0).CacheChunks
-		if p := tr.Client(0).Parent; p != nil {
-			cfg.CacheL2 = p.CacheChunks
-			nIO := 0
-			for _, n := range tr.Nodes() {
-				if n.Level == p.Level {
-					nIO++
-				}
-			}
-			cfg.IONodes = nIO
-			if g := p.Parent; g != nil && g.Level > 0 {
-				cfg.CacheL3 = g.CacheChunks
-				nSN := 0
-				for _, n := range tr.Nodes() {
-					if n.Level == g.Level {
-						nSN++
-					}
-				}
-				cfg.StorageNodes = nSN
-			}
-		}
+		topoConfig(&cfg, tr)
 	}
 
 	w, err := workloads.Get(*app, *scale)
@@ -154,4 +132,24 @@ func main() {
 		}
 		stw.Flush()
 	}
+}
+
+// topoConfig sets cfg's client, I/O and storage layers from a parsed
+// topology, walking up from client 0: a lone storage node is the tree's
+// root, and the cache-less dummy root above a two-layer spec's I/O nodes
+// stands in for its storage layer. A layer the tree lacks becomes one
+// cache-less node, which rebuilds the same tree.
+func topoConfig(cfg *experiments.Config, tr *hierarchy.Tree) {
+	counts, caps := [3]int{1, 1, 1}, [3]int{}
+	n := tr.Client(0)
+	for i := 0; i < 3 && n != nil; i, n = i+1, n.Parent {
+		counts[i], caps[i] = 0, n.CacheChunks
+		for _, m := range tr.Nodes() {
+			if m.Level == n.Level {
+				counts[i]++
+			}
+		}
+	}
+	cfg.Clients, cfg.IONodes, cfg.StorageNodes = counts[0], counts[1], counts[2]
+	cfg.CacheL1, cfg.CacheL2, cfg.CacheL3 = caps[0], caps[1], caps[2]
 }

@@ -7,11 +7,11 @@
 //	cachemapd                          # listen on :8642
 //	cachemapd -addr :9000 -workers 8 -cache 1024 -timeout 10s
 //	cachemapd -addr :0                 # ephemeral port; read it from the "listening" log line
-//	cachemapd -debug-addr 127.0.0.1:8643 -mutex-fraction 5 -block-rate 10000
-//	cachemapd -queue 128 -degraded -stale-tolerance 0.3
-//	cachemapd -repair -repair-tolerance 0.25
+//	cachemapd -debug-addr 127.0.0.1:8643 -mutex-fraction 5
+//	cachemapd -queue 128 -queue-cost 1000000 -degraded
+//	cachemapd -repair
 //	cachemapd -faults 'latency:pipeline/tags:0.2:50ms;crash:plancache/leader:0.05' -fault-seed 42
-//	cachemapd -store-dir /var/lib/cachemapd -store-fsync batch -store-cap 4096
+//	cachemapd -store-dir /var/lib/cachemapd -store-fsync always
 //	cachemapd -addr :8642 -self 127.0.0.1:8642 \
 //	          -peers 127.0.0.1:8642,127.0.0.1:8643,127.0.0.1:8644
 //
@@ -49,12 +49,12 @@
 // fronts the worker pool; saturated arrivals are shed with 429 and a
 // Retry-After hint. With -degraded, shed and timed-out requests are
 // instead answered by a stale-but-valid plan (same workload, topology
-// drift within -stale-tolerance) or the cheap lexicographic fallback,
+// drift within 25% per layer) or the cheap lexicographic fallback,
 // marked in the response. -faults arms the deterministic fault injector
 // (kind:site:prob[:delay] rules, seeded by -fault-seed) for chaos testing.
 //
 // Incremental re-planning: with -repair, a /v1/map miss whose workload has
-// a cached clustering under a topology within -repair-tolerance re-enters
+// a cached clustering under a topology within 25% per layer re-enters
 // the pipeline at the balance stage instead of recomputing from tags; the
 // response reports replanned:"incremental" and the reused stages. Batch
 // requests always repair within their own family, regardless of -repair.
@@ -75,9 +75,9 @@
 // tail, dropping schema-mismatched records) and serves previously
 // computed plans with zero recomputation. Writes are write-behind off
 // the request path; -store-fsync (batch|always|never) picks the
-// durability point, -store-cap bounds the on-disk entry count and
-// -store-compact the dead-byte ratio that triggers compaction. See the
-// /debug/cache/snapshot endpoints and README "Persistent plan store".
+// durability point. The log holds at most 4096 plans and compacts once
+// half its bytes are dead. See the /debug/cache/snapshot endpoints and
+// README "Persistent plan store".
 //
 // Every request runs under a trace span (unless -events 0 turns the ring
 // and tracing off); callers may propagate W3C trace-context via the
@@ -108,7 +108,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/planstore"
-	"repro/internal/quality"
 	"repro/internal/server"
 )
 
@@ -121,13 +120,10 @@ func main() {
 	slow := flag.Duration("slow", 0, "log a warning with a span breakdown for requests slower than this (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	mutexFraction := flag.Int("mutex-fraction", 0, "runtime mutex profile fraction (0 leaves profiling off)")
-	blockRate := flag.Int("block-rate", 0, "runtime block profile rate in ns (0 leaves profiling off)")
 	queue := flag.Int("queue", 64, "admission queue depth; beyond it requests are shed with 429 (negative: shed whenever no worker is free)")
 	queueCost := flag.Int64("queue-cost", 0, "admission queue summed-cost bound, in iterations x topology nodes (0 = unbounded)")
 	degraded := flag.Bool("degraded", false, "serve stale or fallback plans instead of failing shed/timed-out requests")
-	staleTol := flag.Float64("stale-tolerance", 0.25, "relative per-layer topology drift under which a stale plan still serves")
 	repair := flag.Bool("repair", false, "answer near-miss /v1/map requests by incrementally re-planning a cached clustering of the same workload")
-	repairTol := flag.Float64("repair-tolerance", 0.25, "relative per-layer topology drift under which a cached clustering is repaired instead of recomputed")
 	faultSpec := flag.String("faults", "", "arm the fault injector: semicolon-separated kind:site:prob[:delay] rules")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
 	peers := flag.String("peers", "", "comma-separated ring peer addresses, identical fleet-wide (empty: standalone)")
@@ -136,14 +132,10 @@ func main() {
 	ringSeed := flag.Uint64("ring-seed", 1, "ring placement seed, identical fleet-wide")
 	fillTimeout := flag.Duration("fill-timeout", 10*time.Second, "deadline for one peer-fill fetch")
 	qualitySample := flag.Float64("quality-sample", 0, "fraction of served /v1/map responses shadow-simulated off the request path into the /debug/quality ledger (0 disables)")
-	qualitySeed := flag.Uint64("quality-seed", 1, "seed for the deterministic shadow-sampling draw")
 	logSample := flag.Float64("log-sample", 1, "fraction of 200-OK fast-path access-log lines emitted; errors, degraded and slow requests always log")
 	events := flag.Int("events", 256, "requests retained, with their traces, for /debug/events and /debug/traces (0 disables the ring and tracing)")
 	storeDir := flag.String("store-dir", "", "persistent plan store directory; restarts warm-scan it and serve prior plans as hits (empty disables)")
-	storeCap := flag.Int("store-cap", 4096, "persistent plan store capacity, in plans (LRU-evicted beyond it)")
 	storeFsync := flag.String("store-fsync", "batch", "plan log durability policy: always, batch or never")
-	storeQueue := flag.Int("store-queue", 256, "write-behind queue depth between the request path and the plan log writer")
-	storeCompact := flag.Float64("store-compact", 0.5, "dead-byte ratio above which the plan log compacts (negative disables auto-compaction)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -165,9 +157,6 @@ func main() {
 
 	if *mutexFraction > 0 {
 		runtime.SetMutexProfileFraction(*mutexFraction)
-	}
-	if *blockRate > 0 {
-		runtime.SetBlockProfileRate(*blockRate)
 	}
 
 	// One registry shared by the server and the cluster node, so ring
@@ -224,37 +213,21 @@ func main() {
 		SlowRequestThreshold: *slow,
 		AdmissionQueueDepth:  *queue,
 		AdmissionQueueCost:   *queueCost,
-		Degraded: server.DegradedConfig{
-			Enabled:        *degraded,
-			StaleTolerance: *staleTol,
-		},
-		Repair: server.RepairConfig{
-			Enabled:   *repair,
-			Tolerance: *repairTol,
-		},
-		Faults:          injector,
-		Cluster:         node,
-		EventBufferSize: eventBuf,
-		LogSampleRate:   logRate,
-		Quality: quality.Config{
-			Rate: *qualitySample,
-			Seed: *qualitySeed,
-		},
-		Store: server.StoreConfig{
-			Dir:          *storeDir,
-			Capacity:     *storeCap,
-			QueueLen:     *storeQueue,
-			Fsync:        fsyncPolicy,
-			CompactRatio: *storeCompact,
-		},
+		Degraded:             *degraded,
+		Repair:               server.RepairConfig{Enabled: *repair},
+		Faults:               injector,
+		Cluster:              node,
+		EventBufferSize:      eventBuf,
+		LogSampleRate:        logRate,
+		QualitySampleRate:    *qualitySample,
+		Store:                server.StoreConfig{Dir: *storeDir, Fsync: fsyncPolicy},
 	})
 	if err != nil {
 		logger.Error("starting server", "err", err)
 		os.Exit(1)
 	}
 	if *storeDir != "" {
-		logger.Info("plan store open", "dir", *storeDir, "cap", *storeCap,
-			"fsync", fsyncPolicy.String(), "queue", *storeQueue)
+		logger.Info("plan store open", "dir", *storeDir, "fsync", fsyncPolicy.String())
 	}
 	defer srv.Close()
 	hs := &http.Server{
@@ -267,7 +240,8 @@ func main() {
 
 	// Listen explicitly (rather than ListenAndServe) so -addr :0 works for
 	// test harnesses: the "listening" log line always carries the actual
-	// bound address, which ci.sh parses to find the ephemeral port.
+	// bound address, which the process tests parse to find the ephemeral
+	// port.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Error("listen", "addr", *addr, "err", err)
@@ -302,7 +276,7 @@ func main() {
 			}
 		}()
 		logger.Info("pprof listening", "addr", dln.Addr().String(),
-			"mutex_fraction", *mutexFraction, "block_rate", *blockRate)
+			"mutex_fraction", *mutexFraction)
 	}
 
 	select {

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,7 +24,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/server"
-	"repro/internal/workloads"
 )
 
 const (
@@ -35,37 +33,16 @@ const (
 )
 
 type ringFleet struct {
-	addrs   []string
-	cmds    []*exec.Cmd
-	logs    []string // one log file per node
-	dumped  bool
-	baseReq func(extent int64) server.MapRequest
+	addrs []string
+	nodes []*daemon
 }
 
-func synthMapReq(extent int64) server.MapRequest {
-	return server.MapRequest{
-		Workload: server.WorkloadSpec{Synth: &workloads.SynthSpec{
-			Name:    "ring",
-			Passes:  2,
-			Extent:  extent,
-			Streams: []workloads.StreamSpec{{Stride: 1}},
-		}},
-		Topology: ringTopo,
-	}
-}
-
-// startFleet builds the binary once and boots n daemons that all know the
-// full peer list. Ports are reserved with :0 listeners and released just
-// before spawning, so the fleet addresses are known up front.
+// startFleet boots n daemons that all know the full peer list. Ports are
+// reserved with :0 listeners and each is released just before its node
+// starts, so the fleet addresses are known up front.
 func startFleet(t *testing.T, n int) *ringFleet {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "cachemapd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building cachemapd: %v\n%s", err, out)
-	}
-
-	f := &ringFleet{baseReq: synthMapReq}
+	f := &ringFleet{}
 	lns := make([]net.Listener, n)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -78,12 +55,7 @@ func startFleet(t *testing.T, n int) *ringFleet {
 	peers := strings.Join(f.addrs, ",")
 	for i, ln := range lns {
 		ln.Close()
-		logPath := filepath.Join(t.TempDir(), fmt.Sprintf("node%d.log", i))
-		logFile, err := os.Create(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmd := exec.Command(bin,
+		f.nodes = append(f.nodes, startDaemon(t,
 			"-addr", f.addrs[i],
 			"-self", f.addrs[i],
 			"-peers", peers,
@@ -95,59 +67,9 @@ func startFleet(t *testing.T, n int) *ringFleet {
 			// is live without perturbing anything until a scenario uses it.
 			"-faults", "error:pipeline/tags:0",
 			"-fault-seed", "7",
-		)
-		cmd.Stdout = logFile
-		cmd.Stderr = logFile
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		f.cmds = append(f.cmds, cmd)
-		f.logs = append(f.logs, logPath)
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-			logFile.Close()
-		})
+		))
 	}
-	for i := range f.addrs {
-		f.waitUp(t, i)
-	}
-	t.Cleanup(func() {
-		if t.Failed() {
-			f.dumpLogs(t)
-		}
-	})
 	return f
-}
-
-func (f *ringFleet) waitUp(t *testing.T, i int) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + f.addrs[i] + "/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	f.dumpLogs(t)
-	t.Fatalf("node %d (%s) never became healthy", i, f.addrs[i])
-}
-
-func (f *ringFleet) dumpLogs(t *testing.T) {
-	t.Helper()
-	if f.dumped {
-		return
-	}
-	f.dumped = true
-	for i, p := range f.logs {
-		b, _ := os.ReadFile(p)
-		t.Logf("--- node %d (%s) log ---\n%s", i, f.addrs[i], b)
-	}
 }
 
 // ownerIndex resolves which fleet member owns req's plan key, using the
@@ -180,7 +102,7 @@ func (f *ringFleet) reqOwnedBy(t *testing.T, want int, taken map[int64]bool) ser
 		if taken[ext] {
 			continue
 		}
-		req := f.baseReq(ext)
+		req := synthReq("ring", ringTopo, ext)
 		if f.ownerIndex(t, req) == want {
 			taken[ext] = true
 			return req
@@ -211,27 +133,6 @@ func (f *ringFleet) postMap(t *testing.T, i int, req server.MapRequest) (int, se
 	return resp.StatusCode, mr, body
 }
 
-// metric scrapes one exposition value from a node; series absent = 0.
-func (f *ringFleet) metric(t *testing.T, i int, series string) float64 {
-	t.Helper()
-	resp, err := http.Get("http://" + f.addrs[i] + "/metrics")
-	if err != nil {
-		t.Fatalf("scraping node %d: %v", i, err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, series+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				t.Fatalf("bad sample %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	return 0
-}
-
 func (f *ringFleet) fleetComputes(t *testing.T, skip int) float64 {
 	t.Helper()
 	var total float64
@@ -239,15 +140,12 @@ func (f *ringFleet) fleetComputes(t *testing.T, skip int) float64 {
 		if i == skip {
 			continue
 		}
-		total += f.metric(t, i, "cachemapd_pipeline_computes_total")
+		total += f.nodes[i].metric(t, "cachemapd_pipeline_computes_total")
 	}
 	return total
 }
 
 func TestRingCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process test")
-	}
 	f := startFleet(t, 3)
 	taken := map[int64]bool{}
 
@@ -265,13 +163,13 @@ func TestRingCluster(t *testing.T) {
 		if mr.FilledFrom != f.addrs[fillOwner] {
 			t.Fatalf("filled_from = %q, want owner %q", mr.FilledFrom, f.addrs[fillOwner])
 		}
-		if got := f.metric(t, fillOwner, "cachemapd_pipeline_computes_total"); got != 1 {
+		if got := f.nodes[fillOwner].metric(t, "cachemapd_pipeline_computes_total"); got != 1 {
 			t.Fatalf("owner computes = %v, want 1", got)
 		}
-		if got := f.metric(t, replica, "cachemapd_pipeline_computes_total"); got != 0 {
+		if got := f.nodes[replica].metric(t, "cachemapd_pipeline_computes_total"); got != 0 {
 			t.Fatalf("replica computed locally: %v", got)
 		}
-		if got := f.metric(t, replica, `cachemapd_peer_fill_total{outcome="hit"}`); got != 1 {
+		if got := f.nodes[replica].metric(t, `cachemapd_peer_fill_total{outcome="hit"}`); got != 1 {
 			t.Fatalf("peer_fill hit = %v, want 1", got)
 		}
 
@@ -336,10 +234,7 @@ func TestRingCluster(t *testing.T) {
 		// A key owned by the node we are about to kill, not yet cached
 		// anywhere.
 		req := f.reqOwnedBy(t, fillOwner, taken)
-		if err := f.cmds[fillOwner].Process.Kill(); err != nil {
-			t.Fatal(err)
-		}
-		f.cmds[fillOwner].Wait()
+		f.nodes[fillOwner].stop(t, os.Kill)
 
 		status, mr, body := f.postMap(t, replica, req)
 		if status != http.StatusOK {
@@ -348,10 +243,10 @@ func TestRingCluster(t *testing.T) {
 		if mr.FilledFrom != "" || mr.Degraded != "" {
 			t.Fatalf("failover mislabeled: filled_from=%q degraded=%q", mr.FilledFrom, mr.Degraded)
 		}
-		if got := f.metric(t, replica, "cachemapd_pipeline_computes_total"); got != 1 {
+		if got := f.nodes[replica].metric(t, "cachemapd_pipeline_computes_total"); got != 1 {
 			t.Fatalf("replica computes = %v, want 1 (local failover)", got)
 		}
-		if got := f.metric(t, replica, `cachemapd_peer_fill_total{outcome="error"}`); got != 1 {
+		if got := f.nodes[replica].metric(t, `cachemapd_peer_fill_total{outcome="error"}`); got != 1 {
 			t.Fatalf("peer_fill error = %v, want 1", got)
 		}
 
@@ -401,21 +296,15 @@ func TestRingCluster(t *testing.T) {
 		// round-robin load across the whole peer list (node 0 is already
 		// dead) while node 2 is killed mid-run must see only contract
 		// outcomes.
-		lg := filepath.Join(t.TempDir(), "loadgen")
-		build := exec.Command("go", "build", "-o", lg, "repro/cmd/loadgen")
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("building loadgen: %v\n%s", err, out)
-		}
 		var out bytes.Buffer
-		run := exec.Command(lg, "-ring", strings.Join(f.addrs, ","), "-n", "400", "-c", "8", "-pace", "10ms")
+		run := exec.Command(binary(t, "loadgen"), "-ring", strings.Join(f.addrs, ","), "-n", "400", "-c", "8", "-pace", "10ms")
 		run.Stdout = &out
 		run.Stderr = &out
 		if err := run.Start(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(500 * time.Millisecond)
-		f.cmds[2].Process.Kill()
-		f.cmds[2].Wait()
+		f.nodes[2].stop(t, os.Kill)
 		if err := run.Wait(); err != nil {
 			t.Fatalf("loadgen -ring across a node kill: %v\n%s", err, out.String())
 		}

@@ -75,7 +75,7 @@ func TestAllocDistributeWarmBound(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, run)
 	// cloneChunks contributes ~2 allocs per chunk on top of the run itself;
 	// the distribution run proper measures ~700 on the contour benchmark
-	// shape (see BENCH_9.json). Anything past the bound means a recycled
+	// shape (see BENCH.json). Anything past the bound means a recycled
 	// path started allocating per call.
 	const bound = 2500
 	if allocs > bound {

@@ -292,7 +292,7 @@ func TestClusterFillReplicatesStaleTier(t *testing.T) {
 	// A peer fill must land in the requester's stale tier so the requester
 	// can serve the workload degraded once the owner is gone.
 	r := newTestRing(t, 3, func(i int, cfg *Config) {
-		cfg.Degraded = DegradedConfig{Enabled: true}
+		cfg.Degraded = true
 	})
 	req := synthReq(96)
 	owner := r.ownerOf(t, req)

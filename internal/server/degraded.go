@@ -17,33 +17,18 @@ import (
 // cachemapd_degraded_responses_total{mode} counter.
 const (
 	// DegradedStale serves a previously computed plan for the same
-	// workload whose topology drifts from the requested one within the
-	// configured tolerance.
+	// workload whose topology drifts from the requested one within
+	// staleTolerance.
 	DegradedStale = "stale"
 	// DegradedFallback serves the cheap lexicographic "original" mapping
 	// computed inline, bypassing the worker pool.
 	DegradedFallback = "fallback"
 )
 
-// DegradedConfig controls graceful degradation under overload: instead of
-// failing a request that was shed at admission, timed out, or hit an
-// injected fault, the server may answer with a stale-but-valid or
-// deliberately cheap plan, marked as such.
-type DegradedConfig struct {
-	// Enabled turns degraded serving on.
-	Enabled bool
-	// StaleTolerance is the relative per-layer topology drift under which
-	// a stale plan still serves (default 0.25; see plancache.TopoSig).
-	StaleTolerance float64
-}
-
-func (c *DegradedConfig) applyDefaults() {
-	if c.StaleTolerance <= 0 {
-		c.StaleTolerance = 0.25
-	}
-}
-
 const (
+	// staleTolerance is the relative per-layer topology drift under which
+	// a stale plan still serves (see plancache.TopoSig).
+	staleTolerance = 0.25
 	// staleTierSize bounds the stale tier, in workloads.
 	staleTierSize = 128
 	// fallbackGrace bounds the inline fallback computation when the
@@ -103,7 +88,7 @@ func degradeCause(err error) string {
 // returns false when degradation is disabled, the error is not an
 // overload symptom, or every degraded route failed too.
 func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed func() float64) (*MapResponse, bool) {
-	if !s.cfg.Degraded.Enabled {
+	if !s.cfg.Degraded {
 		return nil, false
 	}
 	why := degradeCause(cause)
@@ -111,7 +96,7 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed fu
 		return nil, false
 	}
 
-	if v, _, age, ok := s.stale.Get(j.wkKey, j.topoSig, s.cfg.Degraded.StaleTolerance); ok {
+	if v, _, age, ok := s.stale.Get(j.wkKey, j.topoSig, staleTolerance); ok {
 		s.staleHits.Inc()
 		s.markDegraded(ctx, DegradedStale, why)
 		s.replans.Inc(ReplanStaleServed)

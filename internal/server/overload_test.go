@@ -218,7 +218,7 @@ func TestShedNeverReachesWorker(t *testing.T) {
 func TestDegradedStale(t *testing.T) {
 	s, ts, park := overloadServer(t, Config{
 		AdmissionQueueDepth: -1,
-		Degraded:            DegradedConfig{Enabled: true},
+		Degraded:            true,
 	})
 
 	// Prime: compute the plan under topology A (worker free).
@@ -304,7 +304,7 @@ func TestDegradedStale(t *testing.T) {
 func TestDegradedFallback(t *testing.T) {
 	s, ts, park := overloadServer(t, Config{
 		AdmissionQueueDepth: -1,
-		Degraded:            DegradedConfig{Enabled: true},
+		Degraded:            true,
 	})
 	unpark := park()
 	defer unpark()
@@ -344,7 +344,7 @@ func TestDegradedDeadline(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers:        1,
 		RequestTimeout: 50 * time.Millisecond,
-		Degraded:       DegradedConfig{Enabled: true},
+		Degraded:       true,
 	})
 	s.onJobStart = func() { time.Sleep(120 * time.Millisecond) }
 	ts := httptest.NewServer(s.Handler())
@@ -477,7 +477,7 @@ func TestInjectedStageError(t *testing.T) {
 
 	// Same fault, degraded serving on: absorbed into a fallback. The
 	// fallback pipeline itself runs unhooked, so it cannot re-fire.
-	s2 := newTestServer(t, Config{Faults: inj, Degraded: DegradedConfig{Enabled: true}})
+	s2 := newTestServer(t, Config{Faults: inj, Degraded: true})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	resp, body = postJSON(t, ts2.Client(), ts2.URL+"/v1/map", synthReq(64))
@@ -498,7 +498,7 @@ func TestInjectedStageError(t *testing.T) {
 // primed stale tier the same crash is absorbed into a stale response.
 func TestInjectedLeaderCrash(t *testing.T) {
 	inj := faults.New(11)
-	s := newTestServer(t, Config{Faults: inj, Degraded: DegradedConfig{Enabled: true}})
+	s := newTestServer(t, Config{Faults: inj, Degraded: true})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -20,28 +20,19 @@ import (
 type StoreConfig struct {
 	// Dir is the store directory; non-empty enables the disk tier.
 	Dir string
-	// Capacity bounds live records on disk (default 4096; the in-memory
-	// LRU in front stays at PlanCacheSize).
-	Capacity int
-	// QueueLen bounds the write-behind queue between the request path and
-	// the disk writer (default 256); a full queue drops the disk write
-	// rather than blocking the request.
-	QueueLen int
 	// Fsync selects the log's durability policy (default batch).
 	Fsync planstore.FsyncPolicy
-	// CompactRatio is the dead-byte ratio that triggers compaction
-	// (0 = planstore's default 0.5; negative disables auto-compaction).
-	CompactRatio float64
 }
 
-func (c *StoreConfig) applyDefaults() {
-	if c.Capacity <= 0 {
-		c.Capacity = 4096
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 256
-	}
-}
+const (
+	// storeCapacity bounds live records on disk; the in-memory LRU in
+	// front stays at PlanCacheSize.
+	storeCapacity = 4096
+	// storeQueueLen bounds the write-behind queue between the request path
+	// and the disk writer; a full queue drops the disk write rather than
+	// blocking the request.
+	storeQueueLen = 256
+)
 
 // persistedPlan is the disk image of a cachedPlan: everything except the
 // unexported resumable pipeline state, which is process-local by design —

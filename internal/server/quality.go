@@ -52,7 +52,7 @@ type qualityResponse struct {
 // localQuality snapshots this node's quality view.
 func (s *Server) localQuality() qualityNode {
 	n := qualityNode{
-		SampleRate: s.cfg.Quality.Rate,
+		SampleRate: s.cfg.QualitySampleRate,
 		Sampler:    s.sampler.Counts(),
 		Ledger:     s.sampler.Ledger().Snapshot(),
 	}

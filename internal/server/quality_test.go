@@ -65,7 +65,7 @@ func waitForQuality(t *testing.T, base string, n int) []Event {
 }
 
 func TestQualityTelemetryEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{Quality: quality.Config{Rate: 1, Seed: 7}})
+	s := newTestServer(t, Config{QualitySampleRate: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -161,9 +161,9 @@ func TestQualityDegradedModeSampled(t *testing.T) {
 	// path must feed the ledger under its own mode.
 	s := newTestServer(t, Config{
 		Workers:             1,
-		Degraded:            DegradedConfig{Enabled: true},
+		Degraded:            true,
 		AdmissionQueueDepth: -1,
-		Quality:             quality.Config{Rate: 1, Seed: 7},
+		QualitySampleRate:   1,
 	})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -396,7 +396,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestQualityFleetView(t *testing.T) {
 	r := newTestRing(t, 3, func(i int, cfg *Config) {
-		cfg.Quality = quality.Config{Rate: 1, Seed: uint64(i + 1)}
+		cfg.QualitySampleRate = 1
 	})
 	for _, s := range r.servers {
 		defer s.Close()

@@ -99,8 +99,11 @@ type Config struct {
 	// × topology size) of queued requests (0 = unbounded). An empty queue
 	// always accepts one waiter regardless of cost.
 	AdmissionQueueCost int64
-	// Degraded configures graceful degradation under overload.
-	Degraded DegradedConfig
+	// Degraded turns on graceful degradation under overload: instead of
+	// failing a request that was shed at admission, timed out, or hit an
+	// injected fault, the server answers with a stale-but-valid or
+	// deliberately cheap plan, marked as such (see degraded.go).
+	Degraded bool
 	// Repair configures transparent incremental re-planning on POST
 	// /v1/map: a request whose workload matches a cached clustering and
 	// whose topology drifts within tolerance re-enters the pipeline at the
@@ -133,19 +136,21 @@ type Config struct {
 	// bounded write-behind queue. A restarted server warm-scans the log
 	// and serves previously computed plans as hits.
 	Store StoreConfig
-	// Quality configures shadow-simulation sampling of served plans (see
-	// internal/quality): at Quality.Rate > 0 a deterministic fraction of
-	// /v1/map responses is re-simulated off the request path and recorded
-	// in the per-family quality ledger behind GET /debug/quality. The
-	// Quality.OnRecord hook is owned by the server and must be left nil.
-	Quality quality.Config
+	// QualitySampleRate is the fraction of /v1/map responses shadow-
+	// simulated off the request path into the per-family quality ledger
+	// behind GET /debug/quality (see internal/quality; 0 disables).
+	QualitySampleRate float64
 }
 
 // maxBodyBytes bounds request bodies: an input-safety limit, not a knob.
 const maxBodyBytes = 1 << 20
 
-// logSampleSeed seeds the deterministic access-log sampling draw.
-const logSampleSeed = 1
+// logSampleSeed and qualitySampleSeed seed the deterministic access-log
+// and shadow-simulation sampling draws.
+const (
+	logSampleSeed     = 1
+	qualitySampleSeed = 1
+)
 
 func (c *Config) applyDefaults() {
 	if c.Workers <= 0 {
@@ -172,9 +177,7 @@ func (c *Config) applyDefaults() {
 	if c.LogSampleRate == 0 {
 		c.LogSampleRate = 1
 	}
-	c.Degraded.applyDefaults()
 	c.Repair.applyDefaults()
-	c.Store.applyDefaults()
 }
 
 // RepairConfig controls the incremental re-planning fast-path.
@@ -187,7 +190,7 @@ type RepairConfig struct {
 	Enabled bool
 	// Tolerance is the relative per-layer topology drift under which a
 	// cached clustering is repaired instead of recomputed (default 0.25,
-	// matching the degraded stale tolerance; see plancache.TopoSig).
+	// matching staleTolerance; see plancache.TopoSig).
 	Tolerance float64
 }
 
@@ -281,18 +284,17 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Store.Dir != "" {
 		log, err := planstore.Open[cachedPlan](planstore.Options{
-			Dir:          cfg.Store.Dir,
-			Capacity:     cfg.Store.Capacity,
-			Schema:       uint32(mapping.PlanSchemaVersion),
-			Fsync:        cfg.Store.Fsync,
-			CompactRatio: cfg.Store.CompactRatio,
+			Dir:      cfg.Store.Dir,
+			Capacity: storeCapacity,
+			Schema:   uint32(mapping.PlanSchemaVersion),
+			Fsync:    cfg.Store.Fsync,
 		}, planCodec())
 		if err != nil {
 			return nil, fmt.Errorf("opening plan store: %w", err)
 		}
 		s.planLog = log
 		s.planWB = planstore.NewWriteBehind[cachedPlan](
-			plancache.NewMemStore[cachedPlan](cfg.PlanCacheSize), log, cfg.Store.QueueLen)
+			plancache.NewMemStore[cachedPlan](cfg.PlanCacheSize), log, storeQueueLen)
 		s.cache = plancache.NewWithStore[cachedPlan](s.planWB)
 		s.registerPlanstoreMetrics()
 	} else {
@@ -369,9 +371,11 @@ func NewServer(cfg Config) (*Server, error) {
 	s.missRate = s.reg.GaugeVec("cachemapd_plan_quality_missrate",
 		"shadow-simulated miss rate of the most recently sampled served plan, by paper cache level (L1 = client caches) and serve mode",
 		"level", "mode")
-	qcfg := cfg.Quality
-	qcfg.OnRecord = s.onQualityRecord
-	s.sampler = quality.NewSampler(qcfg)
+	s.sampler = quality.NewSampler(quality.Config{
+		Rate:     cfg.QualitySampleRate,
+		Seed:     qualitySampleSeed,
+		OnRecord: s.onQualityRecord,
+	})
 	s.reg.CounterFunc("cachemapd_quality_sampled_total",
 		"served responses enqueued for shadow simulation",
 		func() float64 { return float64(s.sampler.Counts().Sampled) })
