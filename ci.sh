@@ -1,11 +1,12 @@
 #!/bin/sh
 # Lightweight CI, the tier-1 gate: formatting, build, vet, linters,
 # race-enabled tests, the short-mode reproduction-fidelity gate, the
-# zero-alloc gate and the bench regression gate. The race-enabled tests
-# include cmd/cachemapd's process tests, which boot the real daemon:
-# tracing, batch repair, overload/chaos, quality telemetry, kill/restart
-# persistence, drain, flag checks and the 3-node ring. Run by
-# .github/workflows/ci.yml and locally as ./ci.sh (or `make ci`).
+# zero-alloc gate, a short balance fuzz run and the bench regression gate.
+# The race-enabled tests include cmd/cachemapd's process tests, which boot
+# the real daemon: tracing, batch repair, overload/chaos, quality
+# telemetry, kill/restart persistence, drain, flag checks and the 3-node
+# ring. Run by .github/workflows/ci.yml and locally as ./ci.sh (or
+# `make ci`).
 set -eu
 
 echo "==> gofmt"
@@ -76,6 +77,12 @@ echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # constants) once warm. GOGC=off pins sync.Pool contents for the whole
 # run, so a GC-timed pool eviction can never fake a regression.
 GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec
+
+echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
+# Plain `go test` above already replays the seed corpus and any committed
+# crasher under internal/core/testdata/fuzz; this explores new shapes
+# against the reference balance loop for a short, fixed time.
+go test -run '^$' -fuzz '^FuzzBalanceMatchesReference$' -fuzztime 15s ./internal/core
 
 echo "==> bench regression gate (vs BENCH.json)"
 # Short mode: fixed iteration counts keep this quick; three samples per

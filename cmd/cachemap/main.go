@@ -12,10 +12,11 @@ package main
 
 import (
 	"context"
-
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"text/tabwriter"
 
 	"repro/internal/codegen"
@@ -123,15 +124,28 @@ func main() {
 
 	if *verbose {
 		fmt.Println("\nplanner pipeline stage timings:")
-		stw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(stw, "scheme\tstage\tduration (ms)\talloc (KB)")
-		for _, s := range schemes {
-			for _, st := range stageRows[s] {
-				fmt.Fprintf(stw, "%s\t%s\t%.3f\t%d\n", s, st.Stage, st.DurationMS, st.AllocBytes/1024)
-			}
-		}
-		stw.Flush()
+		stageTable(os.Stdout, schemes, stageRows)
 	}
+}
+
+// stageTable writes the -v per-stage breakdown. Only the stages the
+// pipeline drives itself measure allocation; the distributor reports
+// similarity, cluster and balance as phases, which carry none, so their
+// alloc cell reads "-" rather than a false 0.
+func stageTable(w io.Writer, schemes []pipeline.Scheme, rows map[pipeline.Scheme][]pipeline.StageTiming) {
+	stw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(stw, "scheme\tstage\tduration (ms)\talloc (KB)")
+	for _, s := range schemes {
+		for _, st := range rows[s] {
+			alloc := strconv.FormatUint(st.AllocBytes/1024, 10)
+			switch st.Stage {
+			case pipeline.StageSimilarity, pipeline.StageCluster, pipeline.StageBalance:
+				alloc = "-"
+			}
+			fmt.Fprintf(stw, "%s\t%s\t%.3f\t%s\n", s, st.Stage, st.DurationMS, alloc)
+		}
+	}
+	stw.Flush()
 }
 
 // topoConfig sets cfg's client, I/O and storage layers from a parsed

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/hierarchy"
+	"repro/internal/pipeline"
+	"repro/internal/workloads"
 )
 
 // levels summarizes a tree per level: node count and cache capacity.
@@ -48,5 +54,51 @@ func TestTopoConfig(t *testing.T) {
 		if want, rebuilt := levels(tr), levels(cfg.Tree()); !slices.Equal(want, rebuilt) {
 			t.Errorf("%s: rebuilt tree has levels %v, want %v", tc.spec, rebuilt, want)
 		}
+	}
+}
+
+// TestStageTable: the -v table prints "-" in the alloc column for the
+// distributor's similarity, cluster and balance phases, which measure no
+// allocation, and a number for every stage the pipeline measures itself.
+// It once printed 0 for all three, which reads as "allocation-free".
+func TestStageTable(t *testing.T) {
+	w, err := workloads.Get("apsi", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := hierarchy.Parse("2/4/8@16,8,4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipeline.Map(context.Background(), pipeline.InterProcessor, w.Prog, pipeline.Config{Tree: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	schemes := []pipeline.Scheme{pipeline.InterProcessor}
+	stageTable(&buf, schemes, map[pipeline.Scheme][]pipeline.StageTiming{pipeline.InterProcessor: res.Stages})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if got := strings.Fields(lines[0]); len(got) != 6 || got[4] != "alloc" {
+		t.Fatalf("header %q", lines[0])
+	}
+	unmeasured := map[string]bool{pipeline.StageSimilarity: true, pipeline.StageCluster: true, pipeline.StageBalance: true}
+	seen := 0
+	for _, line := range lines[1:] {
+		f := strings.Fields(line)
+		if len(f) != 4 {
+			t.Fatalf("row %q: %d cells, want 4", line, len(f))
+		}
+		stage, alloc := f[1], f[3]
+		if unmeasured[stage] {
+			seen++
+			if alloc != "-" {
+				t.Errorf("%s alloc %q, want -", stage, alloc)
+			}
+		} else if _, err := strconv.ParseUint(alloc, 10, 64); err != nil {
+			t.Errorf("%s alloc %q, want a KB count", stage, alloc)
+		}
+	}
+	if seen != len(unmeasured) {
+		t.Fatalf("table has %d of the similarity, cluster and balance rows:\n%s", seen, buf.String())
 	}
 }

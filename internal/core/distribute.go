@@ -87,11 +87,11 @@ type Cluster struct {
 	// balancing stage's per-round donor scans read a slice instead of
 	// re-walking each member's iteration-set runs.
 	sizes []int64
-	// counts, once materialized by the first removeAt, carries per-bit
-	// reference counts of the member tags so later removals decrement in
-	// O(popcount(member)) instead of re-OR-ing every remaining member.
-	// While counts is non-nil, Tag aliases counts.Vec(). The merge stage
-	// never pays for it: counts stays nil until load balancing evicts.
+	// counts, once materialized by the cluster's first balance eviction,
+	// carries per-bit reference counts of the member tags so removals
+	// decrement in O(popcount(member)) instead of re-OR-ing every remaining
+	// member. While counts is non-nil, Tag aliases counts.Vec(). The merge
+	// stage never pays for it: counts stays nil until load balancing evicts.
 	counts *bitvec.Counted
 }
 
@@ -259,38 +259,22 @@ func (c *Cluster) add(ic *tags.IterationChunk) {
 	c.Size += cnt
 }
 
-// ensureCounts materializes the counted tag from the current members. With a
-// non-nil scr the struct, count table and OR view come from the run's
-// recycled storage (the view from the split-scoped tag arena is safe: counts
-// are only used by balance, which finishes before the next split resets it);
-// nil falls back to plain allocation for callers outside a run.
+// ensureCounts materializes the counted tag from the current members. The
+// struct, count table and OR view come from the run's recycled storage (the
+// view from the split-scoped tag arena is safe: counts are only used by
+// balance, which finishes before the next split resets it).
 func (c *Cluster) ensureCounts(scr *distScratch) {
 	if c.counts != nil {
 		return
 	}
 	n := c.Tag.Len()
-	if scr != nil {
-		ct := &scr.counted.take(1)[0]
-		bitvec.InitCounted(ct, scr.tags.Vec(n), scr.counts32.take(n))
-		c.counts = ct
-	} else {
-		c.counts = bitvec.NewCounted(n)
-	}
+	ct := &scr.counted.take(1)[0]
+	bitvec.InitCounted(ct, scr.tags.Vec(n), scr.counts32.take(n))
+	c.counts = ct
 	for _, m := range c.Members {
 		c.counts.AddVec(m.Tag)
 	}
 	c.Tag = c.counts.Vec()
-}
-
-// removeAt detaches member i, decrementing the counted aggregate tag.
-func (c *Cluster) removeAt(i int, scr *distScratch) *tags.IterationChunk {
-	c.ensureCounts(scr)
-	ic := c.Members[i]
-	c.Members = append(c.Members[:i], c.Members[i+1:]...)
-	c.Size -= c.sizes[i]
-	c.sizes = append(c.sizes[:i], c.sizes[i+1:]...)
-	c.counts.SubVec(ic.Tag)
-	return ic
 }
 
 // memberKey is the deterministic ordering identity of one cluster member:
@@ -304,10 +288,14 @@ func memberKey(m *tags.IterationChunk) int64 {
 	return m.Iters.Min() + int64(m.Nest)<<40
 }
 
-// firstIter is a deterministic identity for ordering clusters.
+// firstIter is a deterministic identity for ordering clusters. It skips
+// the tombstones a balance donor holds during its tenure (see donorRows).
 func (c *Cluster) firstIter() int64 {
 	v := int64(1) << 62
 	for _, m := range c.Members {
+		if m == nil {
+			continue
+		}
 		if key := memberKey(m); key < v {
 			v = key
 		}
@@ -851,9 +839,9 @@ func (d *distributor) breakCluster(c *Cluster) (*Cluster, *Cluster) {
 //
 // A round costs what the round changes. Only the donor and the recipient
 // change between rounds, so the rank order is kept by an insertion pass
-// that re-positions just their two slots, and the donor's members are
-// scored from cached per-recipient dot rows (see donorRows) instead of a
-// full-width AndPopCount per member per round.
+// that re-positions just their two slots, and the donor's best member is
+// read from a cached per-recipient max tree of dots (see donorRows) instead
+// of a full-width AndPopCount per member per round.
 func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	ph := d.beginPhase("balance")
 	defer func() { ph.end(d) }()
@@ -923,6 +911,7 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	slices.SortStableFunc(order, rankCmp)
 	rows := &scr.rows
 	rows.reset(k, d.r)
+	defer rows.endTenure()
 	maxRounds := 4 * (nMembers + k + 4)
 	for round := 0; round < maxRounds; round++ {
 		if round%ctxCheckInterval == ctxCheckInterval-1 {
@@ -998,23 +987,28 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 // the donor whole (false: the donor kept the leading part of a split); ok
 // is false when no move is possible. rows must hold donor's tenure.
 func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, donorLLim, recipULim, donorTarget, recipTarget int64) (moved *tags.IterationChunk, whole, ok bool) {
-	row := rows.row(ri, recip)
+	t := rows.tree(ri, recip)
 	// A whole chunk fits iff it keeps the donor at or above its lower
-	// limit and the recipient at or below its upper limit.
+	// limit and the recipient at or below its upper limit. The tree's best
+	// member is the answer unless it is too big; only then are the members
+	// scanned for the best one that fits.
 	fits := min(donor.Size-donorLLim, recipULim-recip.Size)
-	bestIdx := -1
-	var bestDot int32 = -1
-	for i, cnt := range donor.sizes {
-		if cnt == 0 || cnt > fits {
-			continue
-		}
-		if dot := row[rows.ids[i]]; dot > bestDot {
-			bestDot, bestIdx = dot, i
+	bestIdx := rows.best(t)
+	if bestIdx >= 0 && donor.sizes[bestIdx] > fits {
+		bestIdx = -1
+		var bestDot int32 = -1
+		for i, cnt := range donor.sizes {
+			if cnt == 0 || cnt > fits {
+				continue
+			}
+			if dot := t[i]; dot > bestDot {
+				bestDot, bestIdx = dot, i
+			}
 		}
 	}
 	if bestIdx >= 0 {
-		m := rows.remove(donor, bestIdx, d.scratch())
-		rows.gain(row, recip.Tag, m.Tag)
+		m := rows.remove(bestIdx, d.scratch())
+		rows.gain(t, recip.Tag, m.Tag)
 		recip.add(m)
 		return m, true, true
 	}
@@ -1030,63 +1024,69 @@ func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, dono
 	if move < 1 {
 		return nil, false, false
 	}
-	bestIdx, bestDot = -1, -1
+	var bestDot int32 = -1
 	for i, cnt := range donor.sizes {
 		if cnt <= move {
 			continue
 		}
-		if dot := row[rows.ids[i]]; dot > bestDot {
+		if dot := t[i]; dot > bestDot {
 			bestDot, bestIdx = dot, i
 		}
 	}
 	if bestIdx < 0 {
 		return nil, false, false
 	}
-	id := rows.ids[bestIdx]
-	m := rows.remove(donor, bestIdx, d.scratch())
+	m := donor.Members[bestIdx]
 	keep, give := m.Split(m.Count() - move)
-	// keep shares m's tag, so the donor's tag is unchanged and keep
-	// inherits m's row id (and with it every cached dot).
-	donor.add(keep)
-	rows.ids = append(rows.ids, id)
-	rows.gain(row, recip.Tag, give.Tag)
+	rows.split(bestIdx, keep, d.scratch())
+	rows.gain(rows.tree(ri, recip), recip.Tag, give.Tag)
 	recip.add(give)
 	return give, false, true
 }
 
 // donorRows is balance's cache of dot products for the current donor: for
-// each recipient chosen during the donor's tenure, a row holding
-// popcount(recipient.Tag ∧ member.Tag) for every donor member. A round then
-// scores the donor in O(|donor|) integer compares instead of one
-// full-width AndPopCount per member.
+// each recipient chosen during the donor's tenure, a max tree whose leaves
+// hold popcount(recipient.Tag ∧ member.Tag) for every donor position. A
+// round reads the donor's best member off the tree's root in O(log |donor|)
+// instead of scoring every member. The trees are treeFan-way, so a tree is
+// barely larger than its leaves.
 //
-// The rows stay exact while one cluster stays the donor because:
+// The trees stay exact while one cluster stays the donor because:
 //   - Only the donor loses members; every other cluster only gains them, so
 //     a recipient's tag only gains bits. A move that adds bits B to the
-//     recipient raises row[id] by |B ∧ member.Tag|, which the donor's
-//     posting lists (tag bit → donor member ids) yield by walking just the
-//     lists of B — typically about one bit per move.
+//     recipient raises a member's dot by |B ∧ member.Tag|, which the donor's
+//     posting lists (tag bit → donor positions) yield by walking just the
+//     lists of B — typically about one bit per move — each raise a point
+//     update of the leaf and its ancestors.
+//   - Positions never shift during a tenure. A member that leaves becomes a
+//     tombstone: a nil member of size 0 whose leaf is −1 in every tree. The
+//     donor's lists are compacted, in order, when the tenure ends.
 //   - A split evict leaves the donor's tag unchanged: keep and give share
-//     the split chunk's tag, so keep takes over the chunk's row id.
-//   - ids are handed out in donor.Members order and scans walk
-//     donor.Members by position, reading rows through ids, so on equal
-//     best dots the first position in donor.Members still wins.
+//     the split chunk's tag, so keep takes a new last position with the
+//     chunk's dot in every tree, and the chunk's posting nodes are
+//     repointed at it. Trees that keep outgrows are dropped and rebuilt at
+//     twice the size on their next use.
+//   - An inner node holds the largest of its children, and the descent
+//     takes the first child holding the root's value, so on equal best dots
+//     the first position in donor.Members still wins. Empty members read −1
+//     like tombstones: neither pick ever moves them.
 //
-// A new donor discards every row and rebuilds the postings in O(set bits of
-// the donor's members), never O(r): list heads are generation-stamped, so
-// heads left over from earlier donors read as empty lists. All tables are
-// recycled with the run's scratch.
+// A new donor discards every tree and rebuilds the postings in O(set bits
+// of the donor's members), never O(r): list heads are generation-stamped,
+// so heads left over from earlier donors read as empty lists. All tables
+// are recycled with the run's scratch.
 type donorRows struct {
-	donor *Cluster
-	ids   []int32 // row id of donor.Members[i]
-	width int     // row length: the donor's member count at tenure start
-	rowAt []int32 // per cluster index: offset of its row in rows, -1 if none
-	rows  []int32 // the built rows, width entries each
+	donor  *Cluster
+	leaves int     // positions a tree holds: at least one past the donor's
+	levels []int   // offset of each tree level, leaves (0) first, the root last
+	span   int     // entries per tree; the root is the last
+	rowAt  []int32 // per cluster index: offset of its tree in rows, -1 if none
+	rows   []int32 // the built trees, span entries each
 
 	head  []int32  // per tag bit: first posting node, valid iff stamp == gen
 	stamp []uint32 // per tag bit: tenure generation that wrote head
 	gen   uint32
-	node  []int32 // posting node → donor member id
+	node  []int32 // posting node → donor position
 	next  []int32 // posting node → next node for the same bit, -1 ends
 	bits  []int32 // set-bit scratch
 }
@@ -1104,20 +1104,18 @@ func (dr *donorRows) reset(k, r int) {
 	dr.head, dr.stamp = dr.head[:r], dr.stamp[:r]
 }
 
-// setDonor starts donor's tenure: fresh ids in member order, the donor's
-// posting lists, and no rows.
+// setDonor ends the previous tenure and starts donor's: the donor's posting
+// lists, and no trees.
 func (dr *donorRows) setDonor(donor *Cluster) {
+	dr.endTenure()
 	dr.donor = donor
 	if dr.gen++; dr.gen == 0 {
 		clear(dr.stamp[:cap(dr.stamp)])
 		dr.gen = 1
 	}
-	dr.ids, dr.node, dr.next, dr.rows = dr.ids[:0], dr.node[:0], dr.next[:0], dr.rows[:0]
-	for i := range dr.rowAt {
-		dr.rowAt[i] = -1
-	}
+	dr.node, dr.next = dr.node[:0], dr.next[:0]
+	dr.dropTrees()
 	for i, m := range donor.Members {
-		dr.ids = append(dr.ids, int32(i))
 		dr.bits = m.Tag.AppendSetBits(dr.bits[:0])
 		for _, b := range dr.bits {
 			if dr.stamp[b] != dr.gen {
@@ -1128,64 +1126,210 @@ func (dr *donorRows) setDonor(donor *Cluster) {
 			dr.head[b] = int32(len(dr.node) - 1)
 		}
 	}
-	dr.width = len(donor.Members)
+	dr.shape(len(donor.Members) + 1)
 }
 
-// rowBudget bounds the cached rows of one tenure, in entries (4 MiB): a
-// wide node whose huge donor feeds many recipients would otherwise hold
-// (k−1)·|donor| dots. Past it the cache forgets every row and rebuilds
-// each on its next use, which is exact either way.
-const rowBudget = 1 << 20
+// treeFan is the trees' fan-out: an inner node holds the largest of up to
+// treeFan entries of the level below, one 64-byte cache line of them.
+const treeFan = 16
 
-// row returns the dot row of recipient recip (cluster index ri), building
-// it from recip's set bits on its first use in this tenure.
-func (dr *donorRows) row(ri int, recip *Cluster) []int32 {
-	off := int(dr.rowAt[ri])
-	if off < 0 {
-		if len(dr.rows) > 0 && len(dr.rows)+dr.width > rowBudget {
-			dr.rows = dr.rows[:0]
-			for i := range dr.rowAt {
-				dr.rowAt[i] = -1
-			}
-		}
-		off = len(dr.rows)
-		dr.rows = slices.Grow(dr.rows, dr.width)[:off+dr.width]
-		clear(dr.rows[off:])
-		dr.rowAt[ri] = int32(off)
-		row := dr.rows[off:]
-		dr.bits = recip.Tag.AppendSetBits(dr.bits[:0])
-		for _, b := range dr.bits {
-			dr.count(row, b)
+// shape lays out trees of n leaves: level 0 is the leaves, by position,
+// and each level above has one node per treeFan entries below, up to a
+// single root.
+func (dr *donorRows) shape(n int) {
+	dr.leaves = n
+	dr.levels = append(dr.levels[:0], 0)
+	for off := n; n > 1; off += n {
+		n = (n + treeFan - 1) / treeFan
+		dr.levels = append(dr.levels, off)
+	}
+	dr.span = dr.levels[len(dr.levels)-1] + 1
+}
+
+// level returns level l of tree t.
+func (dr *donorRows) level(t []int32, l int) []int32 {
+	if l+1 < len(dr.levels) {
+		return t[dr.levels[l]:dr.levels[l+1]]
+	}
+	return t[dr.levels[l]:dr.span]
+}
+
+// children returns the entries of level l below node j of level l+1.
+func (dr *donorRows) children(t []int32, l, j int) []int32 {
+	below := dr.level(t, l)
+	return below[j*treeFan : min(j*treeFan+treeFan, len(below))]
+}
+
+// endTenure compacts the donor's lists, dropping its tombstones in order.
+func (dr *donorRows) endTenure() {
+	c := dr.donor
+	if c == nil {
+		return
+	}
+	n := 0
+	for i, m := range c.Members {
+		if m != nil {
+			c.Members[n], c.sizes[n] = m, c.sizes[i]
+			n++
 		}
 	}
-	return dr.rows[off : off+dr.width]
+	clear(c.Members[n:])
+	c.Members, c.sizes = c.Members[:n], c.sizes[:n]
+	dr.donor = nil
 }
 
-// count adds one to row[id] for every donor member id whose tag has bit b.
-func (dr *donorRows) count(row []int32, b int32) {
+// dropTrees forgets every built tree.
+func (dr *donorRows) dropTrees() {
+	dr.rows = dr.rows[:0]
+	for i := range dr.rowAt {
+		dr.rowAt[i] = -1
+	}
+}
+
+// rowBudget bounds the cached trees of one tenure, in entries (4 MiB): a
+// wide node whose huge donor feeds many recipients would otherwise hold
+// (k−1)·span dots and inner nodes. Past it the cache forgets every tree
+// and rebuilds each on its next use, which is exact either way.
+const rowBudget = 1 << 20
+
+// tree returns the max tree of recipient recip (cluster index ri),
+// building it from recip's set bits on its first use in this tenure.
+func (dr *donorRows) tree(ri int, recip *Cluster) []int32 {
+	n := dr.span
+	off := int(dr.rowAt[ri])
+	if off < 0 {
+		if len(dr.rows) > 0 && len(dr.rows)+n > rowBudget {
+			dr.dropTrees()
+		}
+		off = len(dr.rows)
+		dr.rows = slices.Grow(dr.rows, n)[:off+n]
+		dr.rowAt[ri] = int32(off)
+		t := dr.rows[off : off+n]
+		sizes := dr.donor.sizes
+		for p := range dr.leaves {
+			t[p] = -1 // padding, tombstone or empty member
+			if p < len(sizes) && sizes[p] > 0 {
+				t[p] = 0
+			}
+		}
+		dr.bits = recip.Tag.AppendSetBits(dr.bits[:0])
+		for _, b := range dr.bits {
+			dr.count(t, b, false)
+		}
+		for l := 1; l < len(dr.levels); l++ {
+			nodes := dr.level(t, l)
+			for j := range nodes {
+				nodes[j] = slices.Max(dr.children(t, l-1, j))
+			}
+		}
+	}
+	return dr.rows[off : off+n]
+}
+
+// count raises by one the leaf of every live donor member whose tag has
+// bit b; with fix it also updates each raised leaf's ancestors.
+func (dr *donorRows) count(t []int32, b int32, fix bool) {
 	if dr.stamp[b] != dr.gen {
 		return
 	}
 	for e := dr.head[b]; e >= 0; e = dr.next[e] {
-		row[dr.node[e]]++
-	}
-}
-
-// gain updates a recipient's row for a chunk tag t it is about to absorb:
-// only the bits of t the recipient's tag still lacks raise any dot.
-func (dr *donorRows) gain(row []int32, recipTag, t bitvec.Vector) {
-	dr.bits = t.AppendSetBits(dr.bits[:0])
-	for _, b := range dr.bits {
-		if !recipTag.Get(int(b)) {
-			dr.count(row, b)
+		p := int(dr.node[e])
+		switch v := t[p]; {
+		case v < 0: // tombstone or empty member
+		case fix:
+			dr.set(t, p, v+1)
+		default:
+			t[p] = v + 1
 		}
 	}
 }
 
-// remove detaches donor member i, keeping ids aligned with donor.Members.
-func (dr *donorRows) remove(donor *Cluster, i int, scr *distScratch) *tags.IterationChunk {
-	dr.ids = append(dr.ids[:i], dr.ids[i+1:]...)
-	return donor.removeAt(i, scr)
+// set writes position p's leaf of tree t and updates its ancestors, up to
+// the first whose maximum does not change. A raised entry lifts its parent
+// without a look at the siblings; only a lowered maximum rescans them.
+func (dr *donorRows) set(t []int32, p int, v int32) {
+	old := t[p]
+	t[p] = v
+	for l, j := 1, p/treeFan; l < len(dr.levels); l, j = l+1, j/treeFan {
+		node := &dr.level(t, l)[j]
+		cur := *node
+		switch {
+		case v > cur:
+		case v < old && old == cur:
+			if v = slices.Max(dr.children(t, l-1, j)); v == cur {
+				return
+			}
+		default:
+			return
+		}
+		*node, old = v, cur
+	}
+}
+
+// best returns the first position holding tree t's largest dot, or −1 when
+// no position holds a live, non-empty member: from the root down, the
+// first child holding the root's value.
+func (dr *donorRows) best(t []int32) int {
+	top := t[dr.span-1]
+	if top < 0 {
+		return -1
+	}
+	j := 0
+	for l := len(dr.levels) - 2; l >= 0; l-- {
+		j = j*treeFan + slices.Index(dr.children(t, l, j), top)
+	}
+	return j
+}
+
+// gain updates a recipient's tree for a chunk tag t it is about to absorb:
+// only the bits of t the recipient's tag still lacks raise any dot.
+func (dr *donorRows) gain(tree []int32, recipTag, t bitvec.Vector) {
+	dr.bits = t.AppendSetBits(dr.bits[:0])
+	for _, b := range dr.bits {
+		if !recipTag.Get(int(b)) {
+			dr.count(tree, b, true)
+		}
+	}
+}
+
+// remove detaches the donor's member at position p, leaving a tombstone
+// that reads −1 in every tree.
+func (dr *donorRows) remove(p int, scr *distScratch) *tags.IterationChunk {
+	c := dr.donor
+	c.ensureCounts(scr)
+	m := c.Members[p]
+	c.counts.SubVec(m.Tag)
+	c.Size -= c.sizes[p]
+	c.Members[p], c.sizes[p] = nil, 0
+	for off := 0; off < len(dr.rows); off += dr.span {
+		dr.set(dr.rows[off:off+dr.span], p, -1)
+	}
+	return m
+}
+
+// split replaces the donor's member at position p, which split into keep
+// (staying) and a part about to leave, with keep at a new last position
+// that takes over the member's dot in every tree and its posting nodes.
+func (dr *donorRows) split(p int, keep *tags.IterationChunk, scr *distScratch) {
+	np := len(dr.donor.Members)
+	if np == dr.leaves {
+		dr.shape(2 * np)
+		dr.dropTrees()
+	}
+	for off := 0; off < len(dr.rows); off += dr.span {
+		t := dr.rows[off : off+dr.span]
+		dr.set(t, np, t[p])
+	}
+	dr.bits = keep.Tag.AppendSetBits(dr.bits[:0])
+	for _, b := range dr.bits {
+		for e := dr.head[b]; e >= 0; e = dr.next[e] {
+			if dr.node[e] == int32(p) {
+				dr.node[e] = int32(np)
+			}
+		}
+	}
+	dr.remove(p, scr)
+	dr.donor.add(keep)
 }
 
 // mergePair is a candidate merge in the Stage 1 heap. It is kept to 16

@@ -309,6 +309,28 @@ func TestBalanceMatchesReference(t *testing.T) {
 	}
 }
 
+// balanceBoth runs the production balance loop and the reference loop on
+// clusters built from groups and returns the difference ("" when
+// identical).
+func balanceBoth(opts Options, r int, groups [][]*tags.IterationChunk, weights []int64) (string, error) {
+	return compareRuns(opts, r, func(d *distributor, ref bool) ([]*Cluster, error) {
+		clusters := buildClusters(r, groups)
+		if ref {
+			return clusters, d.balanceRef(clusters, weights)
+		}
+		return clusters, d.balance(clusters, weights)
+	})
+}
+
+// unitWeights returns k equal child weights.
+func unitWeights(k int) []int64 {
+	w := make([]int64, k)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
 // TestBalanceRowBudget drives one donor tenure through more recipients
 // than the row cache may hold at once ((k−1)·|donor| > rowBudget), so the
 // cache must drop and rebuild rows mid-tenure, and still match the
@@ -325,21 +347,74 @@ func TestBalanceRowBudget(t *testing.T) {
 	for i := 1; i < k; i++ {
 		groups[i] = chunks[donorMembers+i-1 : donorMembers+i]
 	}
-	weights := make([]int64, k)
-	for i := range weights {
-		weights[i] = 1
-	}
-	diff, err := compareRuns(DefaultOptions(), r, func(d *distributor, ref bool) ([]*Cluster, error) {
-		clusters := buildClusters(r, groups)
-		if ref {
-			return clusters, d.balanceRef(clusters, weights)
-		}
-		return clusters, d.balance(clusters, weights)
-	})
+	diff, err := balanceBoth(DefaultOptions(), r, groups, unitWeights(k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff != "" {
 		t.Fatal(diff)
+	}
+}
+
+// shapedGroups builds hand-shaped clusters over 8-bit tags: groups[g][i]
+// is member i of cluster g, its iteration count followed by its tag bits.
+// Iteration ranges are consecutive in listing order.
+func shapedGroups(groups [][][]int) [][]*tags.IterationChunk {
+	out := make([][]*tags.IterationChunk, len(groups))
+	var cursor int64
+	for g, members := range groups {
+		for _, m := range members {
+			cnt := int64(m[0])
+			ic := &tags.IterationChunk{Tag: bitvec.FromIndices(8, m[1:]...), Iters: itset.Interval(cursor, cursor+cnt)}
+			out[g] = append(out[g], ic)
+			cursor += cnt
+		}
+	}
+	return out
+}
+
+// TestBalanceShapes pins two paths of the tree-driven balance loop that
+// cold plans never take, on hand-shaped clusters, against the reference
+// loop.
+func TestBalanceShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		groups [][][]int
+	}{
+		// The donor member with the highest dot is larger than a whole
+		// move may be, while lower-dot members fit. The donor holds 110 of
+		// 120 iterations (limits 54–66 per cluster), so a whole move may
+		// take at most 56: the 60-iteration chunk {0,1,2} tops the
+		// recipient's dots every round, and the picks must fall back to
+		// the best member that fits — first the 10-iteration {0} (dot 1),
+		// then the 40-iteration {5} (dot 0) — instead of splitting or
+		// moving the top one.
+		{"top-dot-too-big", [][][]int{
+			{{60, 0, 1, 2}, {40, 5}, {10, 0}},
+			{{10, 0, 1, 2}},
+		}},
+		// One donor tenure splits three times. The donor's seven members
+		// fill seven of its trees' eight leaves. The 356-iteration chunk
+		// splits first: its keep takes the last free leaf, and a later
+		// round moves that keep whole past a top-dot member too big to
+		// move. The 359-iteration chunk's keep then outgrows the trees,
+		// and its own split reads trees rebuilt at sixteen leaves from
+		// posting nodes repointed at each keep.
+		{"splits-outgrow-tree", [][][]int{
+			{{28, 1}, {356, 1, 2, 3}, {29, 2, 6}, {359, 0, 1, 5}, {46, 3, 4}, {30, 3, 4, 5}, {279, 5}},
+			{{59, 0, 4}},
+			{{98, 3, 4, 5}},
+			{{32, 0, 2}, {55, 1}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diff, err := balanceBoth(DefaultOptions(), 8, shapedGroups(tc.groups), unitWeights(len(tc.groups)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff != "" {
+				t.Fatal(diff)
+			}
+		})
 	}
 }

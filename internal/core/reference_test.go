@@ -314,6 +314,19 @@ func (d *distributor) balanceRef(clusters []*Cluster, weights []int64) error {
 	return nil
 }
 
+// removeAt detaches member i, shifting the later members down and
+// decrementing the counted aggregate tag (production balance tombstones
+// instead; see donorRows).
+func (c *Cluster) removeAt(i int, scr *distScratch) *tags.IterationChunk {
+	c.ensureCounts(scr)
+	ic := c.Members[i]
+	c.Members = append(c.Members[:i], c.Members[i+1:]...)
+	c.Size -= c.sizes[i]
+	c.sizes = append(c.sizes[:i], c.sizes[i+1:]...)
+	c.counts.SubVec(ic.Tag)
+	return ic
+}
+
 // evictRef moves one (possibly split) chunk from donor to recip, choosing the
 // chunk whose tag has maximal dot product with the recipient's tag. It
 // returns the chunk that arrived at the recipient and whether it left the

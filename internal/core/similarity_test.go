@@ -260,7 +260,8 @@ func TestClusterCountedTagRemoval(t *testing.T) {
 	c.add(a)
 	c.add(b)
 	c.add(d)
-	got := c.removeAt(1, nil) // drop b
+	scr := new(distScratch)
+	got := c.removeAt(1, scr) // drop b
 	if got != b {
 		t.Fatal("removeAt returned the wrong member")
 	}
@@ -268,7 +269,7 @@ func TestClusterCountedTagRemoval(t *testing.T) {
 	if want := bitvec.FromIndices(r, 0, 1, 2, 3, 9); !c.Tag.Equal(want) {
 		t.Fatalf("tag after removal = %s, want %s", c.Tag, want)
 	}
-	c.removeAt(1, nil) // drop d
+	c.removeAt(1, scr) // drop d
 	if want := bitvec.FromIndices(r, 0, 1, 2); !c.Tag.Equal(want) {
 		t.Fatalf("tag after second removal = %s, want %s", c.Tag, want)
 	}
