@@ -1,7 +1,8 @@
 #!/bin/sh
-# Lightweight CI, the tier-1 gate: formatting, build, vet, linters,
-# race-enabled tests, the short-mode reproduction-fidelity gate, the
-# zero-alloc gate, a short balance fuzz run and the bench regression gate.
+# Lightweight CI, the tier-1 gate: formatting, build, vet (of this module
+# and of the perfbench benchmark module), linters, race-enabled tests, the
+# short-mode reproduction-fidelity gate, the zero-alloc gate, a short
+# balance fuzz run and the bench regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -22,6 +23,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+# perfbench is its own module, so `go build ./...` above never compiles
+# it; vetting it type-checks every API the benchmark drives
+# (pipeline.State, core.PhaseClock, Server.ComputePlan, ...) now rather
+# than at the next benchmark run. Read-only: it writes nothing under
+# perfbench/.
+echo "==> (cd perfbench && go vet ./...)"
+(cd perfbench && go vet ./...)
 
 # Optional linters: pinned installs when absent; offline environments skip
 # them gracefully (the pinned `go install` needs the module proxy). The

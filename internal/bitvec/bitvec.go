@@ -2,9 +2,10 @@
 //
 // A tag Λ = λ0λ1…λ(r−1) marks which of the r data chunks an iteration (or an
 // iteration chunk) accesses: bit k is set iff data chunk π_k is touched.
-// The package provides the operations the mapping algorithm needs: bitwise
-// AND/OR, population counts, the popcount-of-AND edge weight used by the
-// similarity graph, and Hamming distance.
+// The package provides the operations the mapping algorithm needs: OR
+// accumulation, population counts, the popcount-of-AND edge weight used by
+// the similarity graph, the posting-list transpose the sparse similarity
+// engine seeds from, and per-bit reference-counted cluster tags.
 package bitvec
 
 import (
@@ -103,29 +104,11 @@ func (a *Arena) Vec(n int) Vector {
 	}
 }
 
-// Clone carves a copy of v from the arena.
-func (a *Arena) Clone(v Vector) Vector {
-	w := a.Vec(v.n)
-	copy(w.words, v.words)
-	return w
-}
-
 // Reset rewinds the arena so all blocks are available for re-carving. Every
 // Vector previously carved from the arena becomes invalid: its storage will
 // be handed out again.
 func (a *Arena) Reset() {
 	a.cur, a.off = 0, 0
-}
-
-// FromBits builds a Vector from a slice of booleans, bit i taken from bits[i].
-func FromBits(bitsIn []bool) Vector {
-	v := New(len(bitsIn))
-	for i, b := range bitsIn {
-		if b {
-			v.Set(i)
-		}
-	}
-	return v
 }
 
 // FromIndices builds an n-bit Vector with the given bit positions set.
@@ -135,23 +118,6 @@ func FromIndices(n int, indices ...int) Vector {
 		v.Set(i)
 	}
 	return v
-}
-
-// ParseString parses a string of '0' and '1' runes (most significant bit
-// first is NOT assumed: character i corresponds to bit i, matching the
-// paper's λ0λ1…λ(r−1) notation).
-func ParseString(s string) (Vector, error) {
-	v := New(len(s))
-	for i, c := range s {
-		switch c {
-		case '1':
-			v.Set(i)
-		case '0':
-		default:
-			return Vector{}, fmt.Errorf("bitvec: invalid character %q at position %d", c, i)
-		}
-	}
-	return v, nil
 }
 
 // Len returns the number of bits in the vector.
@@ -186,44 +152,6 @@ func (v Vector) Clone() Vector {
 	w := Vector{n: v.n, words: make([]uint64, len(v.words))}
 	copy(w.words, v.words)
 	return w
-}
-
-// CopyFrom overwrites v's bits with o's. Both vectors must have the same
-// length. It is the allocation-free sibling of Clone for hot loops that
-// reuse a destination vector.
-func (v Vector) CopyFrom(o Vector) {
-	v.match(o)
-	copy(v.words, o.words)
-}
-
-// And returns v ∧ o. Both vectors must have the same length.
-func (v Vector) And(o Vector) Vector {
-	v.match(o)
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = v.words[i] & o.words[i]
-	}
-	return out
-}
-
-// Or returns v ∨ o. Both vectors must have the same length.
-func (v Vector) Or(o Vector) Vector {
-	v.match(o)
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = v.words[i] | o.words[i]
-	}
-	return out
-}
-
-// Xor returns v ⊕ o. Both vectors must have the same length.
-func (v Vector) Xor(o Vector) Vector {
-	v.match(o)
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = v.words[i] ^ o.words[i]
-	}
-	return out
 }
 
 // OrInPlace sets v = v ∨ o, avoiding an allocation.
@@ -285,16 +213,6 @@ func (v Vector) AndNotInto(a, b Vector) bool {
 		any |= w
 	}
 	return any != 0
-}
-
-// HammingDistance returns the number of bit positions where v and o differ.
-func (v Vector) HammingDistance(o Vector) int {
-	v.match(o)
-	total := 0
-	for i := range v.words {
-		total += bits.OnesCount64(v.words[i] ^ o.words[i])
-	}
-	return total
 }
 
 // IsZero reports whether no bit is set.
@@ -497,13 +415,8 @@ type Counted struct {
 	counts []int32
 }
 
-// NewCounted returns an all-zero counted vector of width n.
-func NewCounted(n int) *Counted {
-	return &Counted{vec: New(n), counts: make([]int32, n)}
-}
-
-// InitCounted initializes c with caller-provided storage — the arena-backed
-// sibling of NewCounted for hot paths that recycle counted vectors. vec and
+// InitCounted initializes c with caller-provided storage (typically carved
+// from an arena, for hot paths that recycle counted vectors). vec and
 // counts must both be zeroed, with len(counts) == vec.Len(); c takes
 // ownership of both.
 func InitCounted(c *Counted, vec Vector, counts []int32) {
@@ -518,9 +431,6 @@ func InitCounted(c *Counted, vec Vector, counts []int32) {
 // Counted; callers must treat it as read-only and must not mutate it except
 // through AddVec/SubVec.
 func (c *Counted) Vec() Vector { return c.vec }
-
-// Len returns the width in bits.
-func (c *Counted) Len() int { return c.vec.Len() }
 
 // AddVec increments the count of every bit set in v, setting bits in the OR
 // view on 0→1 transitions.
@@ -568,88 +478,4 @@ func (c *Counted) AddCounted(o *Counted) {
 		}
 		c.counts[i] += n
 	}
-}
-
-// Count returns the reference count of bit i.
-func (c *Counted) Count(i int) int32 { return c.counts[i] }
-
-// CountTag is a per-position integer tag: the "bitwise sum" of member bit
-// tags used as a cluster tag by the Figure 5 algorithm. Position k counts
-// how many member iteration chunks access data chunk π_k.
-type CountTag []int64
-
-// NewCountTag returns an all-zero CountTag of width n.
-func NewCountTag(n int) CountTag { return make(CountTag, n) }
-
-// CountTagOf converts a bit vector to a CountTag (0/1 entries).
-func CountTagOf(v Vector) CountTag {
-	t := NewCountTag(v.Len())
-	v.ForEach(func(i int) { t[i] = 1 })
-	return t
-}
-
-// Add accumulates the bits of v into t (per-position sum).
-func (t CountTag) Add(v Vector) {
-	if len(t) != v.Len() {
-		panic(fmt.Sprintf("bitvec: counttag length mismatch %d vs %d", len(t), v.Len()))
-	}
-	v.ForEach(func(i int) { t[i]++ })
-}
-
-// Sub removes the bits of v from t.
-func (t CountTag) Sub(v Vector) {
-	if len(t) != v.Len() {
-		panic(fmt.Sprintf("bitvec: counttag length mismatch %d vs %d", len(t), v.Len()))
-	}
-	v.ForEach(func(i int) { t[i]-- })
-}
-
-// AddTag accumulates another CountTag into t.
-func (t CountTag) AddTag(o CountTag) {
-	if len(t) != len(o) {
-		panic(fmt.Sprintf("bitvec: counttag length mismatch %d vs %d", len(t), len(o)))
-	}
-	for i, c := range o {
-		t[i] += c
-	}
-}
-
-// Dot returns the dot product t·o, the paper's cluster-affinity measure.
-func (t CountTag) Dot(o CountTag) int64 {
-	if len(t) != len(o) {
-		panic(fmt.Sprintf("bitvec: counttag length mismatch %d vs %d", len(t), len(o)))
-	}
-	var sum int64
-	for i, c := range t {
-		sum += c * o[i]
-	}
-	return sum
-}
-
-// DotVec returns the dot product of t with the 0/1 expansion of v
-// (used when weighing an iteration chunk's bit tag against a cluster tag).
-func (t CountTag) DotVec(v Vector) int64 {
-	if len(t) != v.Len() {
-		panic(fmt.Sprintf("bitvec: counttag length mismatch %d vs %d", len(t), v.Len()))
-	}
-	var sum int64
-	v.ForEach(func(i int) { sum += t[i] })
-	return sum
-}
-
-// Clone returns an independent copy of t.
-func (t CountTag) Clone() CountTag {
-	o := make(CountTag, len(t))
-	copy(o, t)
-	return o
-}
-
-// IsZero reports whether every position is zero.
-func (t CountTag) IsZero() bool {
-	for _, c := range t {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -66,65 +66,23 @@ func TestLengthMismatchPanics(t *testing.T) {
 	a, b := New(10), New(11)
 	defer func() {
 		if recover() == nil {
-			t.Error("And with mismatched lengths did not panic")
+			t.Error("AndPopCount with mismatched lengths did not panic")
 		}
 	}()
-	a.And(b)
-}
-
-func TestParseStringRoundTrip(t *testing.T) {
-	s := "0011010011"
-	v, err := ParseString(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.String() != s {
-		t.Fatalf("round trip got %q, want %q", v.String(), s)
-	}
-}
-
-func TestParseStringInvalid(t *testing.T) {
-	if _, err := ParseString("01x"); err == nil {
-		t.Fatal("expected error for invalid character")
-	}
-}
-
-func TestAndOrXor(t *testing.T) {
-	a, _ := ParseString("1100")
-	b, _ := ParseString("1010")
-	if got := a.And(b).String(); got != "1000" {
-		t.Errorf("And = %s, want 1000", got)
-	}
-	if got := a.Or(b).String(); got != "1110" {
-		t.Errorf("Or = %s, want 1110", got)
-	}
-	if got := a.Xor(b).String(); got != "0110" {
-		t.Errorf("Xor = %s, want 0110", got)
-	}
+	a.AndPopCount(b)
 }
 
 func TestAndPopCountMatchesPaperExample(t *testing.T) {
 	// Paper Figure 8: tags of γ1 and γ3 share 3 chunk bits.
-	g1, _ := ParseString("101010000000")
-	g3, _ := ParseString("101010100000")
+	g1 := FromIndices(12, 0, 2, 4)
+	g3 := FromIndices(12, 0, 2, 4, 6)
 	if w := g1.AndPopCount(g3); w != 3 {
 		t.Fatalf("edge weight = %d, want 3", w)
 	}
 	// γ1 and γ5 share 2 bits.
-	g5, _ := ParseString("100010101000")
+	g5 := FromIndices(12, 0, 4, 6, 8)
 	if w := g1.AndPopCount(g5); w != 2 {
 		t.Fatalf("edge weight = %d, want 2", w)
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	a, _ := ParseString("1010")
-	b, _ := ParseString("0110")
-	if d := a.HammingDistance(b); d != 2 {
-		t.Fatalf("Hamming = %d, want 2", d)
-	}
-	if d := a.HammingDistance(a); d != 0 {
-		t.Fatalf("self Hamming = %d, want 0", d)
 	}
 }
 
@@ -180,56 +138,6 @@ func TestOrInPlace(t *testing.T) {
 	}
 }
 
-func TestFromBits(t *testing.T) {
-	v := FromBits([]bool{true, false, true})
-	if v.String() != "101" {
-		t.Fatalf("FromBits got %s", v.String())
-	}
-}
-
-func TestCountTagAddSubDot(t *testing.T) {
-	a, _ := ParseString("1100")
-	b, _ := ParseString("0110")
-	t1 := NewCountTag(4)
-	t1.Add(a)
-	t1.Add(b) // counts: 1,2,1,0
-	t2 := CountTagOf(b)
-	if got := t1.Dot(t2); got != 3 { // 0*... 2*1 + 1*1
-		t.Fatalf("Dot = %d, want 3", got)
-	}
-	if got := t1.DotVec(a); got != 3 { // positions 0,1 -> 1+2
-		t.Fatalf("DotVec = %d, want 3", got)
-	}
-	t1.Sub(a)
-	if t1[0] != 0 || t1[1] != 1 {
-		t.Fatalf("after Sub got %v", t1)
-	}
-}
-
-func TestCountTagAddTagClone(t *testing.T) {
-	a := CountTag{1, 2, 3}
-	b := a.Clone()
-	b.AddTag(CountTag{1, 1, 1})
-	if a[0] != 1 || b[0] != 2 {
-		t.Fatalf("Clone/AddTag aliasing: a=%v b=%v", a, b)
-	}
-	if a.IsZero() {
-		t.Fatal("non-zero tag reported zero")
-	}
-	if !NewCountTag(3).IsZero() {
-		t.Fatal("zero tag reported non-zero")
-	}
-}
-
-func TestCountTagMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot with mismatched lengths did not panic")
-		}
-	}()
-	CountTag{1}.Dot(CountTag{1, 2})
-}
-
 func randomVector(r *rand.Rand, n int) Vector {
 	v := New(n)
 	for i := 0; i < n; i++ {
@@ -240,35 +148,21 @@ func randomVector(r *rand.Rand, n int) Vector {
 	return v
 }
 
-// Property: AndPopCount(a,b) == popcount(a.And(b)) and is symmetric.
+// Property: AndPopCount(a,b) counts the positions set in both and is
+// symmetric.
 func TestPropertyAndPopCount(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := 1 + rr.Intn(300)
 		a, b := randomVector(r, n), randomVector(r, n)
-		return a.AndPopCount(b) == a.And(b).PopCount() &&
-			a.AndPopCount(b) == b.AndPopCount(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Hamming distance is a metric on random vectors
-// (identity, symmetry, triangle inequality).
-func TestPropertyHammingMetric(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		n := 1 + rr.Intn(200)
-		a, b, c := randomVector(rr, n), randomVector(rr, n), randomVector(rr, n)
-		if a.HammingDistance(a) != 0 {
-			return false
+		both := 0
+		for i := 0; i < n; i++ {
+			if a.Get(i) && b.Get(i) {
+				both++
+			}
 		}
-		if a.HammingDistance(b) != b.HammingDistance(a) {
-			return false
-		}
-		return a.HammingDistance(c) <= a.HammingDistance(b)+b.HammingDistance(c)
+		return a.AndPopCount(b) == both && a.AndPopCount(b) == b.AndPopCount(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -281,45 +175,32 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		n := 1 + rr.Intn(500)
 		a, b := randomVector(rr, n), randomVector(rr, n)
-		return a.PopCount()+b.PopCount() == a.And(b).PopCount()+a.Or(b).PopCount()
+		or := a.Clone()
+		or.OrInPlace(b)
+		return a.PopCount()+b.PopCount() == a.AndPopCount(b)+or.PopCount()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: CountTag accumulated from bit vectors dots consistently with
-// expanding the sum manually.
-func TestPropertyCountTagDot(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		n := 1 + rr.Intn(100)
-		vs := make([]Vector, 1+rr.Intn(5))
-		tag := NewCountTag(n)
-		for i := range vs {
-			vs[i] = randomVector(rr, n)
-			tag.Add(vs[i])
-		}
-		probe := randomVector(rr, n)
-		var want int64
-		for _, v := range vs {
-			want += int64(v.AndPopCount(probe))
-		}
-		return tag.DotVec(probe) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: String/ParseString round-trips.
+// Property: String renders bit i as character i, in the paper's
+// λ0λ1…λ(r−1) order.
 func TestPropertyStringRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := rr.Intn(200)
 		v := randomVector(rr, n)
-		got, err := ParseString(v.String())
-		return err == nil && got.Equal(v)
+		s := v.String()
+		if len(s) != n {
+			return false
+		}
+		for i := 0; i < n; i++ {
+			if (s[i] == '1') != v.Get(i) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -420,7 +301,8 @@ func TestPostingsWidthMismatchPanics(t *testing.T) {
 }
 
 func TestCountedAddSub(t *testing.T) {
-	c := NewCounted(8)
+	var c Counted
+	InitCounted(&c, New(8), make([]int32, 8))
 	a := FromIndices(8, 0, 1, 2)
 	b := FromIndices(8, 2, 3)
 	c.AddVec(a)
@@ -428,7 +310,7 @@ func TestCountedAddSub(t *testing.T) {
 	if want := FromIndices(8, 0, 1, 2, 3); !c.Vec().Equal(want) {
 		t.Fatalf("vec = %s, want %s", c.Vec(), want)
 	}
-	if c.Count(2) != 2 || c.Count(0) != 1 || c.Count(4) != 0 {
+	if c.counts[2] != 2 || c.counts[0] != 1 || c.counts[4] != 0 {
 		t.Fatal("wrong refcounts")
 	}
 	c.SubVec(a)
@@ -443,13 +325,14 @@ func TestCountedAddSub(t *testing.T) {
 }
 
 func TestCountedAddCounted(t *testing.T) {
-	a := NewCounted(8)
+	var a, b Counted
+	InitCounted(&a, New(8), make([]int32, 8))
+	InitCounted(&b, New(8), make([]int32, 8))
 	a.AddVec(FromIndices(8, 0, 1))
 	a.AddVec(FromIndices(8, 1, 2))
-	b := NewCounted(8)
 	b.AddVec(FromIndices(8, 1, 7))
-	a.AddCounted(b)
-	if a.Count(1) != 3 || a.Count(7) != 1 || a.Count(0) != 1 {
+	a.AddCounted(&b)
+	if a.counts[1] != 3 || a.counts[7] != 1 || a.counts[0] != 1 {
 		t.Fatal("wrong merged refcounts")
 	}
 	if want := FromIndices(8, 0, 1, 2, 7); !a.Vec().Equal(want) {
@@ -457,7 +340,7 @@ func TestCountedAddCounted(t *testing.T) {
 	}
 	a.SubVec(FromIndices(8, 1))
 	a.SubVec(FromIndices(8, 1))
-	if a.Count(1) != 1 || !a.Vec().Get(1) {
+	if a.counts[1] != 1 || !a.Vec().Get(1) {
 		t.Fatal("bit 1 should survive two of three removals")
 	}
 }
@@ -468,7 +351,8 @@ func TestCountedUnderflowPanics(t *testing.T) {
 			t.Fatal("expected panic on refcount underflow")
 		}
 	}()
-	c := NewCounted(8)
+	var c Counted
+	InitCounted(&c, New(8), make([]int32, 8))
 	c.SubVec(FromIndices(8, 3))
 }
 
@@ -478,7 +362,8 @@ func TestPropertyCountedMatchesOR(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := 1 + rr.Intn(120)
-		c := NewCounted(n)
+		var c Counted
+		InitCounted(&c, New(n), make([]int32, n))
 		var held []Vector
 		for step := 0; step < 60; step++ {
 			if len(held) > 0 && rr.Intn(3) == 0 {
@@ -503,28 +388,6 @@ func TestPropertyCountedMatchesOR(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	src := FromIndices(130, 0, 64, 129)
-	dst := FromIndices(130, 1, 2, 3)
-	dst.CopyFrom(src)
-	if dst.String() != src.String() {
-		t.Fatalf("dst = %s, want %s", dst, src)
-	}
-	src.Clear(64)
-	if !dst.Get(64) {
-		t.Fatal("CopyFrom aliased the source storage")
-	}
-}
-
-func TestCopyFromMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	New(8).CopyFrom(New(16))
 }
 
 func TestArenaCarveAndReset(t *testing.T) {
@@ -568,11 +431,11 @@ func TestArenaOversizedVector(t *testing.T) {
 	if v.PopCount() != 1 {
 		t.Fatal("oversized carve corrupt")
 	}
-	// Clone carves an independent copy.
-	c := a.Clone(v)
-	v.Clear(n - 1)
-	if !c.Get(n - 1) {
-		t.Fatal("Clone aliased the source")
+	// A later carve lands in a fresh block, clear of the oversized one.
+	w := a.Vec(64)
+	w.Set(0)
+	if !v.Get(n-1) || v.PopCount() != 1 {
+		t.Fatal("carve after an oversized vector overlapped it")
 	}
 	if a.Vec(0).Len() != 0 {
 		t.Fatal("zero-width carve")
@@ -666,22 +529,20 @@ func TestAllocArenaWarmCarve(t *testing.T) {
 }
 
 func TestInitCounted(t *testing.T) {
-	ref := NewCounted(70)
 	var c Counted
-	InitCounted(&c, New(70), make([]int32, 70))
+	vec, counts := New(70), make([]int32, 70)
+	InitCounted(&c, vec, counts)
 	a := FromIndices(70, 1, 64)
 	b := FromIndices(70, 1, 3)
-	for _, add := range []Vector{a, b} {
-		ref.AddVec(add)
-		c.AddVec(add)
-	}
-	ref.SubVec(a)
+	c.AddVec(a)
+	c.AddVec(b)
 	c.SubVec(a)
-	if c.Vec().String() != ref.Vec().String() {
-		t.Fatalf("init-counted view %s != reference %s", c.Vec(), ref.Vec())
+	if want := FromIndices(70, 1, 3); !c.Vec().Equal(want) {
+		t.Fatalf("init-counted view %s, want %s", c.Vec(), want)
 	}
-	if c.Len() != 70 {
-		t.Fatalf("Len = %d", c.Len())
+	// c owns the caller's storage: the view and counts are the slices passed in.
+	if !vec.Get(3) || counts[1] != 1 || counts[64] != 0 {
+		t.Fatal("InitCounted did not adopt the caller-provided storage")
 	}
 }
 

@@ -23,14 +23,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses()) / float64(s.Accesses)
 }
 
-// HitRate returns hits/accesses, or 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // Add merges another Stats into s.
 func (s *Stats) Add(o Stats) {
 	s.Accesses += o.Accesses

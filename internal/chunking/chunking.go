@@ -87,9 +87,6 @@ func NewDataSpace(chunkBytes int64, arrays ...Array) *DataSpace {
 // NumChunks returns r, the total number of data chunks across all arrays.
 func (ds *DataSpace) NumChunks() int { return ds.numChunks }
 
-// ArrayChunks returns the number of chunks of array t.
-func (ds *DataSpace) ArrayChunks(t int) int { return ds.chunkBase[t+1] - ds.chunkBase[t] }
-
 // ChunkBase returns the global id of the first chunk of array t.
 func (ds *DataSpace) ChunkBase(t int) int { return ds.chunkBase[t] }
 
@@ -111,31 +108,6 @@ func (ds *DataSpace) ChunkOf(t int, subs []int64) int {
 	byteOff := a.LinearIndex(subs) * a.ElemSize
 	local := int(byteOff / ds.ChunkBytes)
 	return ds.chunkBase[t] + local
-}
-
-// ChunkOfElem maps (array t, linear element index) to the global chunk id.
-func (ds *DataSpace) ChunkOfElem(t int, elem int64) int {
-	a := ds.Arrays[t]
-	if elem < 0 {
-		elem = 0
-	} else if n := a.NumElems(); elem >= n {
-		elem = n - 1
-	}
-	return ds.chunkBase[t] + int(elem*a.ElemSize/ds.ChunkBytes)
-}
-
-// ArrayOfChunk returns which array a global chunk id belongs to.
-func (ds *DataSpace) ArrayOfChunk(chunk int) int {
-	if chunk < 0 || chunk >= ds.numChunks {
-		panic(fmt.Sprintf("chunking: chunk %d out of range [0,%d)", chunk, ds.numChunks))
-	}
-	// Linear scan: the array count is tiny.
-	for t := 0; t < len(ds.Arrays); t++ {
-		if chunk < ds.chunkBase[t+1] {
-			return t
-		}
-	}
-	panic("unreachable")
 }
 
 // Rescale returns a new DataSpace over the same arrays with a different

@@ -58,7 +58,7 @@ func TestDataSpaceChunkNumbering(t *testing.T) {
 	if ds.NumChunks() != 4 {
 		t.Fatalf("NumChunks = %d, want 4", ds.NumChunks())
 	}
-	if ds.ArrayChunks(0) != 3 || ds.ArrayChunks(1) != 1 {
+	if ds.ChunkBase(1)-ds.ChunkBase(0) != 3 || ds.NumChunks()-ds.ChunkBase(1) != 1 {
 		t.Fatal("per-array chunk counts wrong")
 	}
 	if ds.ChunkBase(0) != 0 || ds.ChunkBase(1) != 3 {
@@ -80,38 +80,18 @@ func TestDataSpaceChunkNumbering(t *testing.T) {
 
 func TestChunkOfElem(t *testing.T) {
 	ds := NewDataSpace(16, Array{Name: "A", Dims: []int64{10}, ElemSize: 8})
-	if got := ds.ChunkOfElem(0, 0); got != 0 {
+	if got := ds.ChunkOf(0, []int64{0}); got != 0 {
 		t.Fatalf("elem 0 -> %d", got)
 	}
-	if got := ds.ChunkOfElem(0, 2); got != 1 {
+	if got := ds.ChunkOf(0, []int64{2}); got != 1 {
 		t.Fatalf("elem 2 -> %d, want 1", got)
 	}
-	if got := ds.ChunkOfElem(0, -5); got != 0 {
+	if got := ds.ChunkOf(0, []int64{-5}); got != 0 {
 		t.Fatalf("clamped low -> %d", got)
 	}
-	if got := ds.ChunkOfElem(0, 99); got != ds.NumChunks()-1 {
+	if got := ds.ChunkOf(0, []int64{99}); got != ds.NumChunks()-1 {
 		t.Fatalf("clamped high -> %d", got)
 	}
-}
-
-func TestArrayOfChunk(t *testing.T) {
-	ds := NewDataSpace(32,
-		Array{Name: "A", Dims: []int64{10}, ElemSize: 8},
-		Array{Name: "B", Dims: []int64{8}, ElemSize: 4},
-	)
-	if ds.ArrayOfChunk(0) != 0 || ds.ArrayOfChunk(2) != 0 || ds.ArrayOfChunk(3) != 1 {
-		t.Fatal("ArrayOfChunk wrong")
-	}
-}
-
-func TestArrayOfChunkPanics(t *testing.T) {
-	ds := NewDataSpace(32, Array{Name: "A", Dims: []int64{4}, ElemSize: 8})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range chunk did not panic")
-		}
-	}()
-	ds.ArrayOfChunk(99)
 }
 
 func TestRaggedLastChunk(t *testing.T) {
@@ -165,7 +145,7 @@ func TestTotalBytes(t *testing.T) {
 }
 
 // Property: chunk ids are within the owning array's range, monotone in the
-// element index, and ChunkOf agrees with ChunkOfElem.
+// element index, and the next array's chunks start at its ChunkBase.
 func TestPropertyChunkMapping(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -179,10 +159,6 @@ func TestPropertyChunkMapping(t *testing.T) {
 		for e := int64(0); e < a.NumElems(); e++ {
 			subs := []int64{e / dims[1], e % dims[1]}
 			c1 := ds.ChunkOf(0, subs)
-			c2 := ds.ChunkOfElem(0, e)
-			if c1 != c2 {
-				return false
-			}
 			if c1 < 0 || c1 >= ds.ChunkBase(1) {
 				return false
 			}
@@ -191,9 +167,10 @@ func TestPropertyChunkMapping(t *testing.T) {
 			}
 			prev = c1
 		}
-		// Array B's chunks start exactly at ChunkBase(1).
-		return ds.ChunkOfElem(1, 0) == ds.ChunkBase(1) &&
-			ds.ArrayOfChunk(ds.NumChunks()-1) == 1
+		// Array B's chunks start exactly at ChunkBase(1), and the last
+		// chunk of the space is B's.
+		return ds.ChunkOf(1, []int64{0}) == ds.ChunkBase(1) &&
+			ds.NumChunks()-1 >= ds.ChunkBase(1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -68,8 +68,6 @@ type Config struct {
 type Node struct {
 	self        string
 	ring        *Ring
-	vnodes      int
-	seed        uint64
 	fillTimeout time.Duration
 	client      *http.Client
 	faults      *faults.Injector
@@ -122,8 +120,6 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		self:        cfg.Self,
 		ring:        ring,
-		vnodes:      cfg.VNodes,
-		seed:        cfg.Seed,
 		fillTimeout: cfg.FillTimeout,
 		client:      cfg.Client,
 		faults:      cfg.Faults,
@@ -150,20 +146,11 @@ func (n *Node) Self() string { return n.self }
 // Peers returns the ring's peers in declaration order.
 func (n *Node) Peers() []string { return n.ring.Peers() }
 
-// VNodes returns the configured virtual points per peer.
-func (n *Node) VNodes() int { return n.vnodes }
-
-// Seed returns the ring placement seed.
-func (n *Node) Seed() uint64 { return n.seed }
-
 // Owner resolves k's owner and whether it is this node.
 func (n *Node) Owner(k plancache.Key) (addr string, self bool) {
 	addr = n.ring.Owner(k)
 	return addr, addr == n.self
 }
-
-// FillTimeout returns the per-fetch deadline bound.
-func (n *Node) FillTimeout() time.Duration { return n.fillTimeout }
 
 // BaseURL renders a peer address as an HTTP base URL ("host:port" gets an
 // http:// scheme; addresses that already carry one pass through).

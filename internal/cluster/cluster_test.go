@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,8 +36,19 @@ func TestNodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.VNodes() != 64 || n.Seed() != 1 || n.FillTimeout() != 10*time.Second {
-		t.Errorf("defaults: vnodes %d seed %d fill %v", n.VNodes(), n.Seed(), n.FillTimeout())
+	if n.fillTimeout != 10*time.Second {
+		t.Errorf("default fill timeout %v, want 10s", n.fillTimeout)
+	}
+	// The default ring places keys as 64 vnodes per peer under seed 1 do.
+	want, err := NewRing([]string{"a:1", "b:2"}, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		k := storeKey(t, fmt.Sprintf("k%d", i))
+		if got, _ := n.Owner(k); got != want.Owner(k) {
+			t.Fatalf("default ring owner of k%d = %s, want %s (vnodes 64, seed 1)", i, got, want.Owner(k))
+		}
 	}
 }
 

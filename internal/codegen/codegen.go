@@ -21,12 +21,6 @@ import (
 	"repro/internal/tags"
 )
 
-// Fragment is one contiguous piece of generated code: a loop nest over the
-// iterations [Start, End) of the lexicographic box order.
-type Fragment struct {
-	Start, End int64
-}
-
 // Render produces the loop code that enumerates the given iteration set of
 // a nest, one fragment per run. Iterator names default to i0, i1, … unless
 // names are supplied.
@@ -181,16 +175,4 @@ func vecString(iter []int64, names []string) string {
 		parts[k] = fmt.Sprintf("%s=%d", iterName(names, k), v)
 	}
 	return strings.Join(parts, ", ")
-}
-
-// Enumerate returns the iterations a rendered set covers, for verification:
-// it simply walks the set and decodes each index. Generated code is correct
-// iff Enumerate(set) equals the chunk's iterations — asserted by tests.
-func Enumerate(nest *polyhedral.Nest, set itset.Set) [][]int64 {
-	var out [][]int64
-	set.ForEach(func(idx int64) bool {
-		out = append(out, nest.IndexToIter(idx, nil))
-		return true
-	})
-	return out
 }

@@ -198,15 +198,3 @@ func TestPropertyCodegenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEnumerateMatchesSet(t *testing.T) {
-	n := polyhedral.NewNest("t", []int64{0, 0}, []int64{3, 3})
-	set := itset.FromRuns(itset.Run{Start: 2, End: 6}, itset.Run{Start: 10, End: 12})
-	iters := Enumerate(n, set)
-	if int64(len(iters)) != set.Count() {
-		t.Fatalf("Enumerate returned %d iterations", len(iters))
-	}
-	if n.IterToIndex(iters[0]) != 2 {
-		t.Fatalf("first iteration wrong: %v", iters[0])
-	}
-}

@@ -58,19 +58,11 @@ type Options struct {
 	slackExtra int64
 }
 
-// PhaseClock receives start callbacks for named algorithm phases; the
-// returned stop function is called when the phase ends. A nil PhaseClock
-// in Options disables instrumentation.
+// PhaseClock observes the distributor's named algorithm phases. Each phase
+// is reported after the fact as one (name, start, duration) call, so the
+// steady-state path allocates nothing per phase per hierarchy node. A nil
+// PhaseClock in Options disables instrumentation.
 type PhaseClock interface {
-	StartPhase(name string) (stop func())
-}
-
-// PhaseRecorder is optionally implemented by Options.Clock: when it is,
-// the distributor reports each phase as one (name, start, duration) call
-// after the fact instead of requesting a stop closure up front — the
-// closure allocation per phase per hierarchy node is measurable on the
-// steady-state path. Semantics are identical to StartPhase.
-type PhaseRecorder interface {
 	RecordPhase(name string, start time.Time, d time.Duration)
 }
 
@@ -354,31 +346,23 @@ type distributor struct {
 	scr  *distScratch // lazily acquired recycled scratch; see scratch()
 }
 
-// phase is a value-typed in-flight phase measurement: beginPhase/end avoid
-// the per-phase closure allocation when the clock implements PhaseRecorder,
-// and fall back to StartPhase otherwise.
+// phase is a value-typed in-flight phase measurement; end reports it to
+// the clock. The zero phase (no clock) reports nothing.
 type phase struct {
 	name  string
 	start time.Time
-	stop  func()
 }
 
 func (d *distributor) beginPhase(name string) phase {
 	if d.opts.Clock == nil {
 		return phase{}
 	}
-	if _, ok := d.opts.Clock.(PhaseRecorder); ok {
-		return phase{name: name, start: time.Now()}
-	}
-	return phase{stop: d.opts.Clock.StartPhase(name)}
+	return phase{name: name, start: time.Now()}
 }
 
 func (p phase) end(d *distributor) {
-	switch {
-	case p.stop != nil:
-		p.stop()
-	case p.name != "":
-		d.opts.Clock.(PhaseRecorder).RecordPhase(p.name, p.start, time.Since(p.start))
+	if p.name != "" {
+		d.opts.Clock.RecordPhase(p.name, p.start, time.Since(p.start))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/chunking"
@@ -529,14 +530,13 @@ type phaseRecorder struct {
 	starts map[string]int
 }
 
-func (p *phaseRecorder) StartPhase(name string) func() {
+func (p *phaseRecorder) RecordPhase(name string, _ time.Time, _ time.Duration) {
 	p.mu.Lock()
 	if p.starts == nil {
 		p.starts = make(map[string]int)
 	}
 	p.starts[name]++
 	p.mu.Unlock()
-	return func() {}
 }
 
 func TestDistributePhaseClock(t *testing.T) {

@@ -16,14 +16,6 @@ import (
 	"repro/internal/tags"
 )
 
-// startPhase notifies the configured PhaseClock, if any.
-func (d *distributor) startPhase(name string) func() {
-	if d.opts.Clock == nil {
-		return func() {}
-	}
-	return d.opts.Clock.StartPhase(name)
-}
-
 // absorb merges o into c, eagerly concatenating member lists (the
 // production merge loop defers that to one pass after merging).
 func (c *Cluster) absorb(o *Cluster) {
@@ -56,10 +48,10 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 	for i := range active {
 		active[i] = true
 	}
-	stopSim := d.startPhase("similarity")
+	simPhase := d.beginPhase("similarity")
 	dots, err := d.pairDots(clusters)
 	if err != nil {
-		stopSim()
+		simPhase.end(d)
 		return nil, err
 	}
 	h := make(denseHeap, 0, len(dots))
@@ -71,10 +63,10 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 		}
 	}
 	heap.Init(&h)
-	stopSim()
+	simPhase.end(d)
 
-	stopCluster := d.startPhase("cluster")
-	defer stopCluster()
+	clusterPhase := d.beginPhase("cluster")
+	defer func() { clusterPhase.end(d) }()
 	push := func(a, b int) {
 		heap.Push(&h, densePair{
 			dot: int64(clusters[a].Tag.AndPopCount(clusters[b].Tag)),

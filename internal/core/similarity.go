@@ -22,12 +22,6 @@ import (
 	"repro/internal/bitvec"
 )
 
-// simPairStats quantifies the sparsity win of one similarity seeding.
-type simPairStats struct {
-	generated int64 // pairs materialized (weight ≥ 1)
-	dense     int64 // n(n−1)/2, what the dense engine would enumerate
-}
-
 // PairStatsRecorder is optionally implemented by Options.Clock; when it is,
 // the distributor reports how many similarity pairs were generated versus
 // the dense bound, accumulated across the recursive hierarchy walk.

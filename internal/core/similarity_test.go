@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/hierarchy"
@@ -56,7 +57,7 @@ type pairStatsClock struct {
 	dense     int64
 }
 
-func (p *pairStatsClock) StartPhase(string) func() { return func() {} }
+func (p *pairStatsClock) RecordPhase(string, time.Time, time.Duration) {}
 
 func (p *pairStatsClock) RecordSimilarityPairs(generated, dense int64) {
 	p.mu.Lock()

@@ -86,9 +86,6 @@ func NewArray(params Params, numDisks int, chunkBytes int64) *Array {
 		nextFree: make([]float64, numDisks), heads: heads, headPos: make([]int, numDisks)}
 }
 
-// NumDisks returns the number of disks in the array.
-func (a *Array) NumDisks() int { return a.nDisks }
-
 // DiskOf returns the disk holding a chunk.
 func (a *Array) DiskOf(chunk int) int {
 	if chunk < 0 {
@@ -180,14 +177,4 @@ func (a *Array) Writeback(chunk int, nowMS float64) {
 	a.nextFree[d] = start + svc
 	a.Writebacks++
 	a.BusyMS += svc
-}
-
-// Reset clears queue state and counters.
-func (a *Array) Reset() {
-	for i := range a.nextFree {
-		a.nextFree[i] = 0
-		a.heads[i] = a.heads[i][:0]
-		a.headPos[i] = 0
-	}
-	a.Reads, a.Writebacks, a.BusyMS = 0, 0, 0
 }

@@ -131,21 +131,6 @@ func TestWritebackKeepsDiskBusy(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	a := NewArray(DefaultParams(), 2, 64<<10)
-	a.Read(0, 0)
-	a.Writeback(1, 0)
-	a.Reset()
-	if a.Reads != 0 || a.Writebacks != 0 || a.BusyMS != 0 {
-		t.Fatal("Reset did not clear counters")
-	}
-	// Queue state cleared: a read at t=0 completes at base service time.
-	p := DefaultParams()
-	if got := a.Read(0, 0); !almost(got, p.SeekMS+p.RotationalMS()+p.TransferMS(64<<10)) {
-		t.Fatalf("post-reset read at %v", got)
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"disks": func() { NewArray(DefaultParams(), 0, 64) },

@@ -12,10 +12,8 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/hierarchy"
 	"repro/internal/iosim"
 	"repro/internal/pipeline"
@@ -184,6 +182,3 @@ func GeoMeanImprovement(normalized []float64) float64 {
 	}
 	return (1 - sum/float64(len(normalized))) * 100
 }
-
-// Policy returns the cache policy label of the config.
-func (c Config) Policy() cache.PolicyKind { return c.Params.Policy }

@@ -27,7 +27,7 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.BalanceThreshold != 0.10 {
 		t.Fatalf("default balance threshold = %v", cfg.BalanceThreshold)
 	}
-	if cfg.Policy() != cache.LRU {
+	if cfg.Params.Policy != cache.LRU {
 		t.Fatal("default policy is not LRU")
 	}
 	tree := cfg.Tree()

@@ -180,20 +180,6 @@ func (i *Injector) SetRules(rules []Rule) error {
 	return nil
 }
 
-// Rules returns the armed rules.
-func (i *Injector) Rules() []Rule {
-	if i == nil {
-		return nil
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make([]Rule, len(i.rules))
-	for j, rs := range i.rules {
-		out[j] = rs.Rule
-	}
-	return out
-}
-
 // Evaluate draws every rule armed at site once and returns the combined
 // decision. Each rule's draw is deterministic in (seed, site, kind, call
 // number). A nil injector returns the zero decision.

@@ -127,17 +127,6 @@ func layerLabel(l LayerSpec, i int) string {
 	return fmt.Sprintf("%s%d", l.Label, i)
 }
 
-// NewPaperDefault builds the paper's default (64 clients, 32 I/O, 16
-// storage) topology with the given per-layer cache capacities in chunks
-// (storage, I/O, client order).
-func NewPaperDefault(storageChunks, ioChunks, clientChunks int) *Tree {
-	return NewLayered(
-		LayerSpec{Count: 16, CacheChunks: storageChunks, Label: "SN"},
-		LayerSpec{Count: 32, CacheChunks: ioChunks, Label: "IO"},
-		LayerSpec{Count: 64, CacheChunks: clientChunks, Label: "CN"},
-	)
-}
-
 // NumClients returns k, the number of client (leaf) nodes.
 func (t *Tree) NumClients() int { return len(t.leaves) }
 
@@ -176,56 +165,6 @@ func AncestorAt(n *Node, level int) *Node {
 		return n
 	}
 	return nil
-}
-
-// LCA returns the lowest common ancestor of two nodes.
-func LCA(a, b *Node) *Node {
-	for a.Level > b.Level {
-		a = a.Parent
-	}
-	for b.Level > a.Level {
-		b = b.Parent
-	}
-	for a != b {
-		a = a.Parent
-		b = b.Parent
-	}
-	return a
-}
-
-// HaveAffinityAt reports whether clients a and b have affinity at some
-// storage cache at the given level — the paper's definition: both have
-// access to the same cache there. Cache-less nodes (CacheChunks == 0) do
-// not create affinity.
-func (t *Tree) HaveAffinityAt(a, b int, level int) bool {
-	na := AncestorAt(t.Client(a), level)
-	nb := AncestorAt(t.Client(b), level)
-	return na != nil && na == nb && na.CacheChunks > 0
-}
-
-// SharedCacheLevel returns the deepest level at which clients a and b share
-// a cache-bearing node, or −1 if they share none (distinct clients always
-// share the root, but it may be cache-less).
-func (t *Tree) SharedCacheLevel(a, b int) int {
-	n := LCA(t.Client(a), t.Client(b))
-	for n != nil {
-		if n.CacheChunks > 0 {
-			return n.Level
-		}
-		n = n.Parent
-	}
-	return -1
-}
-
-// LeavesUnder returns the client numbers beneath node n, in client order.
-func (t *Tree) LeavesUnder(n *Node) []int {
-	var out []int
-	for i, leaf := range t.leaves {
-		if AncestorAt(leaf, n.Level) == n {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // NumLeavesUnder reports how many clients are beneath node n without

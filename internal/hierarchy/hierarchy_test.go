@@ -41,20 +41,15 @@ func TestFigure7Shape(t *testing.T) {
 func TestFigure7Affinity(t *testing.T) {
 	tr := figure7()
 	// Clients 0,1 share IO0 (level 1); clients 0,2 share only the root.
-	if !tr.HaveAffinityAt(0, 1, 1) {
+	c0, c1, c2 := tr.Client(0), tr.Client(1), tr.Client(2)
+	if io := AncestorAt(c0, 1); io != AncestorAt(c1, 1) || io.CacheChunks == 0 {
 		t.Fatal("clients 0,1 should share an I/O cache")
 	}
-	if tr.HaveAffinityAt(0, 2, 1) {
+	if AncestorAt(c0, 1) == AncestorAt(c2, 1) {
 		t.Fatal("clients 0,2 should not share an I/O cache")
 	}
-	if !tr.HaveAffinityAt(0, 2, 0) {
+	if sn := AncestorAt(c0, 0); sn != AncestorAt(c2, 0) || sn.CacheChunks == 0 {
 		t.Fatal("all clients share the storage cache")
-	}
-	if got := tr.SharedCacheLevel(0, 1); got != 1 {
-		t.Fatalf("SharedCacheLevel(0,1) = %d", got)
-	}
-	if got := tr.SharedCacheLevel(1, 2); got != 0 {
-		t.Fatalf("SharedCacheLevel(1,2) = %d", got)
 	}
 }
 
@@ -75,13 +70,17 @@ func TestDummyRootInserted(t *testing.T) {
 	}
 	// Clients under different storage nodes share only the dummy root,
 	// which holds no cache.
-	if got := tr.SharedCacheLevel(0, 7); got != -1 {
-		t.Fatalf("SharedCacheLevel across storage nodes = %d, want -1", got)
+	if AncestorAt(tr.Client(0), 1) == AncestorAt(tr.Client(7), 1) {
+		t.Fatal("clients 0 and 7 should sit under different storage nodes")
 	}
 }
 
 func TestPaperDefaultTopology(t *testing.T) {
-	tr := NewPaperDefault(1000, 1000, 1000)
+	tr := NewLayered(
+		LayerSpec{Count: 16, CacheChunks: 1000, Label: "SN"},
+		LayerSpec{Count: 32, CacheChunks: 1000, Label: "IO"},
+		LayerSpec{Count: 64, CacheChunks: 1000, Label: "CN"},
+	)
 	if tr.NumClients() != 64 {
 		t.Fatalf("NumClients = %d", tr.NumClients())
 	}
@@ -104,13 +103,11 @@ func TestPaperDefaultTopology(t *testing.T) {
 func TestLeavesUnderAndPath(t *testing.T) {
 	tr := figure7()
 	io0 := tr.Root.Children[0]
-	got := tr.LeavesUnder(io0)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("LeavesUnder(IO0) = %v", got)
+	if got := tr.NumLeavesUnder(io0); got != 2 || AncestorAt(tr.Client(0), 1) != io0 || AncestorAt(tr.Client(1), 1) != io0 {
+		t.Fatalf("NumLeavesUnder(IO0) = %d, want clients 0 and 1", got)
 	}
-	all := tr.LeavesUnder(tr.Root)
-	if len(all) != 4 {
-		t.Fatalf("LeavesUnder(root) = %v", all)
+	if all := tr.NumLeavesUnder(tr.Root); all != 4 {
+		t.Fatalf("NumLeavesUnder(root) = %d", all)
 	}
 	path := tr.PathToRoot(3)
 	if len(path) != 3 || path[0] != tr.Client(3) || path[2] != tr.Root {
@@ -130,14 +127,11 @@ func TestAncestorAtAndLCA(t *testing.T) {
 	if AncestorAt(tr.Root, 2) != nil {
 		t.Fatal("AncestorAt below a node should be nil")
 	}
-	if LCA(tr.Client(0), tr.Client(1)).Label != "IO0" {
-		t.Fatalf("LCA(0,1) = %s", LCA(tr.Client(0), tr.Client(1)).Label)
+	if got := AncestorAt(tr.Client(1), 1); got.Label != "IO0" || got != AncestorAt(c0, 1) {
+		t.Fatalf("clients 0,1 meet at %s, want IO0", got.Label)
 	}
-	if LCA(tr.Client(0), tr.Client(3)) != tr.Root {
-		t.Fatal("LCA(0,3) should be root")
-	}
-	if LCA(c0, c0) != c0 {
-		t.Fatal("LCA(x,x) should be x")
+	if AncestorAt(tr.Client(3), 1) == AncestorAt(c0, 1) {
+		t.Fatal("clients 0,3 should meet only at the root")
 	}
 }
 
@@ -202,7 +196,7 @@ func TestCustomTreeBuild(t *testing.T) {
 	if tr.NumClients() != 4 {
 		t.Fatalf("NumClients = %d", tr.NumClients())
 	}
-	if !tr.HaveAffinityAt(0, 2, 1) || tr.HaveAffinityAt(2, 3, 1) {
+	if AncestorAt(tr.Client(0), 1) != AncestorAt(tr.Client(2), 1) || AncestorAt(tr.Client(2), 1) == AncestorAt(tr.Client(3), 1) {
 		t.Fatal("custom tree affinity wrong")
 	}
 }
@@ -221,9 +215,9 @@ func TestValidateCatchesNegativeCapacity(t *testing.T) {
 	}
 }
 
-// Property: for random layered trees, every pair of clients has a unique
-// LCA whose leaf set contains both, and SharedCacheLevel is symmetric and
-// no deeper than the levels of both clients.
+// Property: for random layered trees, two clients share an ancestor at a
+// level iff they share it at every level above, and NumLeavesUnder of a
+// shared ancestor counts both.
 func TestPropertyAffinityConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -239,18 +233,21 @@ func TestPropertyAffinityConsistency(t *testing.T) {
 			return false
 		}
 		for trial := 0; trial < 10; trial++ {
-			a, b := r.Intn(cn), r.Intn(cn)
-			if tr.SharedCacheLevel(a, b) != tr.SharedCacheLevel(b, a) {
-				return false
+			a, b := tr.Client(r.Intn(cn)), tr.Client(r.Intn(cn))
+			shared := false
+			for level := tr.Height(); level >= 0; level-- {
+				na, nb := AncestorAt(a, level), AncestorAt(b, level)
+				if shared && na != nb {
+					return false
+				}
+				if na == nb {
+					shared = true
+					if tr.NumLeavesUnder(na) < 1 || (a != b && tr.NumLeavesUnder(na) < 2) {
+						return false
+					}
+				}
 			}
-			l := LCA(tr.Client(a), tr.Client(b))
-			under := tr.LeavesUnder(l)
-			foundA, foundB := false, false
-			for _, c := range under {
-				foundA = foundA || c == a
-				foundB = foundB || c == b
-			}
-			if !foundA || !foundB {
+			if !shared {
 				return false
 			}
 		}

@@ -15,7 +15,6 @@ package iosim
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -229,29 +228,6 @@ func (m *Metrics) ExecTimeMS() float64 {
 	return v
 }
 
-// AvgIOMS returns the mean per-client I/O time.
-func (m *Metrics) AvgIOMS() float64 {
-	if len(m.ClientIOMS) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range m.ClientIOMS {
-		sum += x
-	}
-	return sum / float64(len(m.ClientIOMS))
-}
-
-// PercentileIOMS returns the p-quantile (0 <= p <= 1) of per-client I/O
-// times using nearest-rank on the sorted values.
-func (m *Metrics) PercentileIOMS(p float64) float64 {
-	return percentile(m.ClientIOMS, p)
-}
-
-// PercentileExecMS returns the p-quantile of per-client finish times.
-func (m *Metrics) PercentileExecMS(p float64) float64 {
-	return percentile(m.ClientExecMS, p)
-}
-
 // Imbalance returns (max − min)/mean of per-client finish times — the load
 // imbalance the distribution algorithm's balance threshold controls.
 func (m *Metrics) Imbalance() float64 {
@@ -273,28 +249,6 @@ func (m *Metrics) Imbalance() float64 {
 		return 0
 	}
 	return (hi - lo) / mean
-}
-
-func percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // client is the simulator state of one compute node.

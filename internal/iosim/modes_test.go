@@ -246,21 +246,12 @@ func TestMetricsPercentilesAndImbalance(t *testing.T) {
 		ClientIOMS:   []float64{1, 2, 3, 4},
 		ClientExecMS: []float64{2, 4, 6, 8},
 	}
-	if got := m.PercentileIOMS(0.5); got != 2 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := m.PercentileIOMS(1.0); got != 4 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := m.PercentileIOMS(0); got != 1 {
-		t.Fatalf("P0 = %v", got)
-	}
 	// Imbalance = (8-2)/5 = 1.2.
 	if got := m.Imbalance(); got < 1.199 || got > 1.201 {
 		t.Fatalf("Imbalance = %v", got)
 	}
 	var empty Metrics
-	if empty.PercentileIOMS(0.5) != 0 || empty.Imbalance() != 0 {
+	if empty.Imbalance() != 0 {
 		t.Fatal("empty metrics should be zero")
 	}
 }

@@ -121,9 +121,6 @@ func (s Set) Runs() []Run {
 	return out
 }
 
-// NumRuns returns the number of runs (useful for compression diagnostics).
-func (s Set) NumRuns() int { return len(s.runs) }
-
 // Contains reports whether index i is in the set.
 func (s Set) Contains(i int64) bool {
 	lo, hi := 0, len(s.runs)
@@ -201,34 +198,6 @@ func (s Set) Intersect(o Set) Set {
 			i++
 		} else {
 			j++
-		}
-	}
-	return out
-}
-
-// Difference returns s \ o.
-func (s Set) Difference(o Set) Set {
-	var out Set
-	j := 0
-	for _, a := range s.runs {
-		cur := a.Start
-		for j < len(o.runs) && o.runs[j].End <= cur {
-			j++
-		}
-		k := j
-		for cur < a.End {
-			if k >= len(o.runs) || o.runs[k].Start >= a.End {
-				out.Append(cur, a.End)
-				break
-			}
-			b := o.runs[k]
-			if b.Start > cur {
-				out.Append(cur, b.Start)
-			}
-			if b.End > cur {
-				cur = b.End
-			}
-			k++
 		}
 	}
 	return out

@@ -182,12 +182,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Add adds delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -291,18 +285,6 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 	h.Observe(v)
 }
 
-// BucketExemplar returns the retained exemplar of the bucket that values
-// <= bound fall into (math.Inf(1) addresses the overflow bucket), or ok =
-// false when the bucket has not retained one.
-func (h *Histogram) BucketExemplar(bound float64) (Exemplar, bool) {
-	i := sort.SearchFloat64s(h.bounds, bound)
-	e := h.exemplars[i].Load()
-	if e == nil {
-		return Exemplar{}, false
-	}
-	return *e, true
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -374,17 +356,6 @@ func (cv *CounterVec) With(value string) *Counter {
 // Inc adds one under the given label value.
 func (cv *CounterVec) Inc(value string) { cv.With(value).Inc() }
 
-// Total sums the counts across all label values.
-func (cv *CounterVec) Total() int64 {
-	cv.mu.RLock()
-	defer cv.mu.RUnlock()
-	var sum int64
-	for _, c := range cv.curves {
-		sum += c.Value()
-	}
-	return sum
-}
-
 func (cv *CounterVec) helpText() string { return cv.help }
 
 func (cv *CounterVec) write(w io.Writer, name, help string) {
@@ -447,12 +418,6 @@ func (hv *HistogramVec) With(value string) *Histogram {
 
 // Observe records one value under the given label value.
 func (hv *HistogramVec) Observe(value string, v float64) { hv.With(value).Observe(v) }
-
-// ObserveWithExemplar records one value under the given label value,
-// retaining (traceID, v) as the bucket's exemplar.
-func (hv *HistogramVec) ObserveWithExemplar(value string, v float64, traceID string) {
-	hv.With(value).ObserveWithExemplar(v, traceID)
-}
 
 func (hv *HistogramVec) helpText() string { return hv.help }
 
@@ -530,17 +495,6 @@ func (gv *GaugeVec) Set(v float64, labelValues ...string) {
 		gv.mu.Unlock()
 	}
 	g.set(v)
-}
-
-// Value returns the current value for the given label tuple (0 when the
-// series has not materialized).
-func (gv *GaugeVec) Value(labelValues ...string) float64 {
-	gv.mu.RLock()
-	defer gv.mu.RUnlock()
-	if g, ok := gv.curves[tupleKey(labelValues)]; ok {
-		return g.value()
-	}
-	return 0
 }
 
 func (gv *GaugeVec) helpText() string { return gv.help }

@@ -49,7 +49,8 @@ func TestWritePrometheus(t *testing.T) {
 	c := r.Counter("cachemapd_requests_total", "requests served")
 	c.Add(7)
 	g := r.Gauge("cachemapd_in_flight", "in-flight")
-	g.Set(2)
+	g.Inc()
+	g.Inc()
 	h := r.Histogram("cachemapd_latency_seconds", "latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -155,8 +156,8 @@ func TestCounterVec(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if cv.Total() != 5 {
-		t.Errorf("Total = %d, want 5", cv.Total())
+	if sum := cv.With("stale").Value() + cv.With("fallback").Value(); sum != 5 {
+		t.Errorf("sum = %d, want 5", sum)
 	}
 	if cv.With("stale") != cv.With("stale") {
 		t.Error("With not idempotent")
@@ -180,8 +181,12 @@ func TestCounterVecConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if cv.Total() != 8*500 {
-		t.Fatalf("total = %d, want %d", cv.Total(), 8*500)
+	var total int64
+	for i := 0; i < 4; i++ {
+		total += cv.With(fmt.Sprintf("v%d", i)).Value()
+	}
+	if total != 8*500 {
+		t.Fatalf("total = %d, want %d", total, 8*500)
 	}
 }
 
@@ -288,7 +293,7 @@ func TestScrapeDuringObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				h.Observe(float64(i) / 100)
 				hv.Observe(fmt.Sprintf("s%d", w%3), 0.5)
 			}
@@ -323,8 +328,10 @@ func TestScrapeDuringObserve(t *testing.T) {
 func TestHistogramExemplar(t *testing.T) {
 	h := newHistogram("latency", []float64{0.1, 1})
 	h.Observe(0.05) // no exemplar
-	if _, ok := h.BucketExemplar(0.1); ok {
-		t.Fatal("plain Observe retained an exemplar")
+	var plain bytes.Buffer
+	h.write(&plain, "lat", "latency")
+	if strings.Contains(plain.String(), "trace_id") {
+		t.Fatalf("plain Observe retained an exemplar:\n%s", plain.String())
 	}
 	h.ObserveWithExemplar(0.05, "aaaa")
 	h.ObserveWithExemplar(0.07, "bbbb") // replaces aaaa in the same bucket
@@ -332,26 +339,19 @@ func TestHistogramExemplar(t *testing.T) {
 	h.ObserveWithExemplar(5, "dddd") // overflow bucket
 	h.ObserveWithExemplar(9, "")     // empty trace ID: plain observation
 
-	e, ok := h.BucketExemplar(0.1)
-	if !ok || e.TraceID != "bbbb" || e.Value != 0.07 {
-		t.Fatalf("bucket 0.1 exemplar = %+v, want most recent (bbbb, 0.07)", e)
-	}
-	if e, ok = h.BucketExemplar(1); !ok || e.TraceID != "cccc" {
-		t.Fatalf("bucket 1 exemplar = %+v, want cccc", e)
-	}
-	if e, ok = h.BucketExemplar(math.Inf(1)); !ok || e.TraceID != "dddd" {
-		t.Fatalf("+Inf bucket exemplar = %+v, want dddd (empty-ID observe must not replace it)", e)
-	}
-
 	var buf bytes.Buffer
 	h.write(&buf, "lat", "latency")
 	out := buf.String()
-	want := `lat_bucket{le="0.1"} 3 # {trace_id="bbbb"} 0.07`
-	if !strings.Contains(out, want) {
-		t.Fatalf("exposition missing OpenMetrics exemplar %q:\n%s", want, out)
-	}
-	if !strings.Contains(out, `lat_bucket{le="+Inf"} 6 # {trace_id="dddd"} 5`) {
-		t.Fatalf("exposition missing +Inf exemplar:\n%s", out)
+	for _, want := range []string{
+		// The bucket keeps its most recent exemplar, (bbbb, 0.07).
+		`lat_bucket{le="0.1"} 3 # {trace_id="bbbb"} 0.07`,
+		`lat_bucket{le="1"} 4 # {trace_id="cccc"} 0.5`,
+		// The empty-ID observe must not replace dddd.
+		`lat_bucket{le="+Inf"} 6 # {trace_id="dddd"} 5`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing OpenMetrics exemplar %q:\n%s", want, out)
+		}
 	}
 	if !strings.Contains(out, "lat_count 6") {
 		t.Fatalf("exemplar observes not counted:\n%s", out)
@@ -364,15 +364,12 @@ func TestGaugeVec(t *testing.T) {
 	gv.Set(0.25, "L1", "full")
 	gv.Set(0.75, "L2", "degraded_stale")
 	gv.Set(0.5, "L1", "full") // overwrite
-	if v := gv.Value("L1", "full"); v != 0.5 {
-		t.Fatalf("Value(L1, full) = %g, want 0.5", v)
-	}
-	if v := gv.Value("L9", "nope"); v != 0 {
-		t.Fatalf("unmaterialized tuple = %g, want 0", v)
-	}
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
 	out := buf.String()
+	if strings.Contains(out, `level="L9"`) || strings.Contains(out, `missrate{level="L1",mode="full"} 0.25`) {
+		t.Fatalf("exposition shows an unset tuple or a replaced value:\n%s", out)
+	}
 	for _, want := range []string{
 		"# TYPE missrate gauge",
 		`missrate{level="L1",mode="full"} 0.5`,
@@ -402,7 +399,7 @@ func TestExemplarScrapeDuringObserve(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				id := fmt.Sprintf("%04x%04x", w, i)
 				h.ObserveWithExemplar(float64(i)/100, id)
-				hv.ObserveWithExemplar(fmt.Sprintf("s%d", w%3), 0.5, id)
+				hv.With(fmt.Sprintf("s%d", w%3)).ObserveWithExemplar(0.5, id)
 				gv.Set(float64(i), fmt.Sprintf("L%d", w%4), "full")
 			}
 		}(w)

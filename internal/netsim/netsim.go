@@ -28,11 +28,6 @@ type Fabric struct {
 	levels []Link
 }
 
-// NewFabric builds a fabric from top-of-tree to leaves.
-func NewFabric(levels ...Link) *Fabric {
-	return &Fabric{levels: levels}
-}
-
 // Uniform builds a fabric with h identical link levels.
 func Uniform(h int, link Link) *Fabric {
 	levels := make([]Link, h)

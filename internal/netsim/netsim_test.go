@@ -23,7 +23,7 @@ func TestLinkTransfer(t *testing.T) {
 }
 
 func TestFabricLevels(t *testing.T) {
-	f := NewFabric(Link{LatencyMS: 1}, Link{LatencyMS: 2})
+	f := &Fabric{levels: []Link{{LatencyMS: 1}, {LatencyMS: 2}}}
 	if f.Height() != 2 {
 		t.Fatalf("Height = %d", f.Height())
 	}
@@ -58,7 +58,7 @@ func TestUniformAndDefault(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	// Two link levels, leaf at level 2, provider at level 0: the payload
 	// crosses both levels once each way.
-	f := NewFabric(Link{LatencyMS: 1, BandwidthMBps: 0}, Link{LatencyMS: 2, BandwidthMBps: 0})
+	f := &Fabric{levels: []Link{{LatencyMS: 1, BandwidthMBps: 0}, {LatencyMS: 2, BandwidthMBps: 0}}}
 	got := f.RoundTripMS(0, 2, 64<<10)
 	if !almost(got, 2*(1+2)) {
 		t.Fatalf("RoundTripMS = %v, want 6", got)

@@ -78,7 +78,7 @@ type StageStats struct {
 	// AllocBytes is the heap allocation delta observed across top-level
 	// stage executions. It is process-global (concurrent runs bleed into
 	// each other's numbers) and recorded only for stages the pipeline
-	// drives directly, not for sub-phases reported via StartPhase.
+	// drives directly, not for sub-phases reported via RecordPhase.
 	AllocBytes uint64
 	// PairsGenerated and PairsDense quantify the sparse similarity
 	// engine's work on the similarity stage: pairs actually materialized
@@ -145,24 +145,11 @@ func (r *Run) add(stage string, d time.Duration, alloc uint64) {
 	r.mu.Unlock()
 }
 
-// StartPhase implements core.PhaseClock: wall time between the call and
-// the returned stop lands on the named stage. The measured interval is
-// also recorded as a span under the run's context (when traced), so a
-// request trace shows each phase with exactly the ledger's duration.
-func (r *Run) StartPhase(name string) (stop func()) {
-	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		r.add(name, d, 0)
-		obs.Record(r.ctx, name, start, d)
-	}
-}
-
-// RecordPhase implements core.PhaseRecorder: the distributor reports each
-// phase as one after-the-fact (name, start, duration) call instead of
-// requesting a stop closure per phase per hierarchy node, which keeps the
-// steady-state distribution path free of closure allocations. Semantically
-// identical to StartPhase.
+// RecordPhase implements core.PhaseClock: the distributor reports each
+// phase as one after-the-fact (name, start, duration) call, which lands on
+// the named stage. The interval is also recorded as a span under the run's
+// context (when traced), so a request trace shows each phase with exactly
+// the ledger's duration.
 func (r *Run) RecordPhase(name string, start time.Time, d time.Duration) {
 	r.add(name, d, 0)
 	obs.Record(r.ctx, name, start, d)
@@ -229,17 +216,6 @@ func (r *Run) stage(name string, fn func(ctx context.Context) error) error {
 		return &StageError{Stage: name, Err: err}
 	}
 	return nil
-}
-
-// Stats returns a copy of the per-stage stats accumulated so far.
-func (r *Run) Stats() map[string]StageStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]StageStats, len(r.stats))
-	for k, v := range r.stats {
-		out[k] = *v
-	}
-	return out
 }
 
 // Timings returns the per-stage breakdown in canonical stage order,

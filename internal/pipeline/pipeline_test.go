@@ -46,13 +46,11 @@ func TestStageErrorIdentifiesStage(t *testing.T) {
 func TestRunAccumulatesPhases(t *testing.T) {
 	r := NewRun(context.Background())
 	for i := 0; i < 3; i++ {
-		stop := r.StartPhase(StageSimilarity)
-		time.Sleep(time.Millisecond)
-		stop()
+		r.RecordPhase(StageSimilarity, time.Now(), time.Millisecond)
 	}
-	stats := r.Stats()
-	if stats[StageSimilarity].Duration < 3*time.Millisecond {
-		t.Fatalf("similarity duration %v, want >= 3ms", stats[StageSimilarity].Duration)
+	sts := r.Timings()
+	if len(sts) != 1 || sts[0].Stage != StageSimilarity || sts[0].DurationMS != 3 {
+		t.Fatalf("timings = %+v, want one similarity entry of 3ms", sts)
 	}
 }
 

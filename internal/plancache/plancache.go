@@ -6,8 +6,8 @@
 // and repeated requests are served from memory in microseconds instead of
 // re-running hierarchical clustering.
 //
-// The package is layered: a Cache owns memoization concerns — counters,
-// instrumentation hooks, and deduplication of concurrent misses for the
+// The package is layered: a Cache owns memoization concerns —
+// instrumentation hooks and deduplication of concurrent misses for the
 // same key ("singleflight": when n requests race on a cold key, one
 // computes and the other n−1 wait for its result) — while the entries
 // themselves live in a pluggable Store (see store.go). The default Store
@@ -36,18 +36,6 @@ type Key [sha256.Size]byte
 // String returns the hexadecimal form of the key.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// ParseKey parses the hexadecimal form produced by Key.String.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	if len(s) != 2*sha256.Size {
-		return k, fmt.Errorf("plancache: bad key %q: want %d hex chars", s, 2*sha256.Size)
-	}
-	if _, err := hex.Decode(k[:], []byte(s)); err != nil {
-		return k, fmt.Errorf("plancache: bad key %q: %w", s, err)
-	}
-	return k, nil
-}
-
 // KeyOf computes the content address of spec. The spec is canonicalized by
 // JSON encoding (struct fields encode in declaration order, so equal specs
 // hash equally); it must therefore be JSON-encodable.
@@ -60,49 +48,29 @@ func KeyOf(spec any) (Key, error) {
 }
 
 // Cache is the memoization layer over a Store: bounded storage (delegated
-// to the store), per-event counters and singleflight deduplication of
-// concurrent misses.
+// to the store), per-event instrumentation hooks and singleflight
+// deduplication of concurrent misses. The hooks are the cache's only
+// counters: the server wires them to its metrics registry.
 type Cache[V any] struct {
-	// mu guards the inflight table and the counters. Store calls made
-	// while holding it keep lookup-vs-publish atomic: a concurrent Do
-	// either sees the stored entry or the in-flight call, never neither.
+	// mu guards the inflight table. Store calls made while holding it keep
+	// lookup-vs-publish atomic: a concurrent Do either sees the stored
+	// entry or the in-flight call, never neither.
 	mu       sync.Mutex
 	store    Store[V]
 	inflight map[Key]*call[V]
-	hits     int64
-	misses   int64
-	// evictions counts entries the store displaced by capacity pressure.
-	evictions int64
-	// coalesced counts Do callers that attached to another caller's
-	// in-flight computation instead of computing themselves.
-	coalesced int64
-	// reelections counts waiters that observed an abandoned (canceled)
-	// leader and went back to elect a successor.
-	reelections int64
-	// OnHit and OnMiss, when non-nil, are invoked (outside the lock) once
-	// per Get/Do resolution — the instrumentation hooks the server wires to
-	// its metrics registry.
+	// The hooks are set before the cache is shared and read without the
+	// lock. OnHit and OnMiss, when non-nil, are invoked once per Do
+	// resolution.
 	OnHit  func()
 	OnMiss func()
 	// OnEvict, when non-nil, is invoked for every evicted value.
 	OnEvict func(Key, V)
-	// OnCoalesced, when non-nil, is invoked (outside the lock) whenever a
-	// Do caller becomes a waiter on an in-flight computation.
+	// OnCoalesced, when non-nil, is invoked whenever a Do caller becomes a
+	// waiter on an in-flight computation.
 	OnCoalesced func()
-	// OnReelect, when non-nil, is invoked (outside the lock) whenever a
-	// waiter re-enters leader election after its leader was canceled.
+	// OnReelect, when non-nil, is invoked whenever a waiter re-enters
+	// leader election after its leader was canceled.
 	OnReelect func()
-}
-
-// Counters is a snapshot of the cache's cumulative event counts.
-type Counters struct {
-	Hits, Misses, Evictions int64
-	// CoalescedWaiters counts Do callers whose work was deduplicated onto
-	// another caller's in-flight computation.
-	CoalescedWaiters int64
-	// LeaderReelections counts waiters that had to re-elect a leader after
-	// the previous one abandoned the key (its context was canceled).
-	LeaderReelections int64
 }
 
 type call[V any] struct {
@@ -130,48 +98,10 @@ func NewWithStore[V any](store Store[V]) *Cache[V] {
 	}
 }
 
-// Store returns the storage tier under the cache.
-func (c *Cache[V]) Store() Store[V] { return c.store }
-
-// Get returns the cached value for k, if present, refreshing its recency.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	c.mu.Lock()
-	v, ok := c.store.Get(k)
-	if !ok {
-		c.misses++
-		onMiss := c.OnMiss
-		c.mu.Unlock()
-		if onMiss != nil {
-			onMiss()
-		}
-		var zero V
-		return zero, false
-	}
-	c.hits++
-	onHit := c.OnHit
-	c.mu.Unlock()
-	if onHit != nil {
-		onHit()
-	}
-	return v, true
-}
-
-// Put inserts (or refreshes) k → v, evicting stored entries when the store
-// is over capacity.
-func (c *Cache[V]) Put(k Key, v V) {
-	c.mu.Lock()
-	evicted, cb := c.put(k, v)
-	c.mu.Unlock()
-	for _, e := range evicted {
-		cb(e.Key, e.Val)
-	}
-}
-
 // put inserts under the lock and returns any evicted entries plus the
 // eviction callback to run outside it (nil callback ⇒ empty slice).
 func (c *Cache[V]) put(k Key, v V) ([]Evicted[V], func(Key, V)) {
 	evicted := c.store.Put(k, v)
-	c.evictions += int64(len(evicted))
 	if len(evicted) == 0 || c.OnEvict == nil {
 		return nil, nil
 	}
@@ -201,25 +131,21 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 		lookupStart := time.Now()
 		c.mu.Lock()
 		if v, ok := c.store.Get(k); ok {
-			c.hits++
-			onHit := c.OnHit
 			c.mu.Unlock()
 			if traced {
 				obs.Record(ctx, "plancache.lookup", lookupStart, time.Since(lookupStart),
 					obs.String("result", "hit"))
 			}
-			if onHit != nil {
-				onHit()
+			if c.OnHit != nil {
+				c.OnHit()
 			}
 			return v, true, nil
 		}
 		if cl, ok := c.inflight[k]; ok {
 			// Someone is computing this key; wait for their answer.
-			c.coalesced++
-			onCoalesced := c.OnCoalesced
 			c.mu.Unlock()
-			if onCoalesced != nil {
-				onCoalesced()
+			if c.OnCoalesced != nil {
+				c.OnCoalesced()
 			}
 			waitStart := time.Now()
 			select {
@@ -233,16 +159,12 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 			}
 			if cl.canceled {
 				// Leader abandoned the key; elect a successor.
-				c.mu.Lock()
-				c.reelections++
-				onReelect := c.OnReelect
-				c.mu.Unlock()
 				if traced {
 					obs.Record(ctx, "plancache.wait", waitStart, time.Since(waitStart),
 						obs.String("outcome", "reelect"))
 				}
-				if onReelect != nil {
-					onReelect()
+				if c.OnReelect != nil {
+					c.OnReelect()
 				}
 				continue
 			}
@@ -251,22 +173,16 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 					obs.String("outcome", "shared"))
 			}
 			// Counted as a hit: the work was shared, not repeated.
-			c.mu.Lock()
-			c.hits++
-			onHit := c.OnHit
-			c.mu.Unlock()
-			if onHit != nil {
-				onHit()
+			if c.OnHit != nil {
+				c.OnHit()
 			}
 			return cl.val, true, cl.err
 		}
 		cl := &call[V]{done: make(chan struct{})}
 		c.inflight[k] = cl
-		c.misses++
-		onMiss := c.OnMiss
 		c.mu.Unlock()
-		if onMiss != nil {
-			onMiss()
+		if c.OnMiss != nil {
+			c.OnMiss()
 		}
 
 		cctx, csp := obs.StartSpan(ctx, "plancache.compute")
@@ -306,30 +222,5 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 			return zero, false, ctx.Err()
 		}
 		return cl.val, false, cl.err
-	}
-}
-
-// Len returns the number of cached entries.
-func (c *Cache[V]) Len() int {
-	return c.store.Len()
-}
-
-// Stats returns cumulative hit and miss counts.
-func (c *Cache[V]) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// CounterSnapshot returns all cumulative event counts.
-func (c *Cache[V]) CounterSnapshot() Counters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Counters{
-		Hits:              c.hits,
-		Misses:            c.misses,
-		Evictions:         c.evictions,
-		CoalescedWaiters:  c.coalesced,
-		LeaderReelections: c.reelections,
 	}
 }

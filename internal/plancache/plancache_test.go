@@ -41,30 +41,38 @@ func TestKeyOfCanonical(t *testing.T) {
 	}
 }
 
+// value returns a Do computation that yields v.
+func value[V any](v V) func(context.Context) (V, error) {
+	return func(context.Context) (V, error) { return v, nil }
+}
+
 func TestGetPutLRU(t *testing.T) {
 	c := New[int](2)
+	var hits, misses int
+	c.OnHit = func() { hits++ }
+	c.OnMiss = func() { misses++ }
+	ctx := context.Background()
 	k1, k2, k3 := key(t, 1), key(t, 2), key(t, 3)
-	c.Put(k1, 10)
-	c.Put(k2, 20)
-	if v, ok := c.Get(k1); !ok || v != 10 {
-		t.Fatalf("Get(k1) = %d, %v", v, ok)
+	c.Do(ctx, k1, value(10))
+	c.Do(ctx, k2, value(20))
+	if v, hit, _ := c.Do(ctx, k1, value(-1)); !hit || v != 10 {
+		t.Fatalf("Do(k1) = %d, hit %v", v, hit)
 	}
-	c.Put(k3, 30) // evicts k2, the least recently used
-	if _, ok := c.Get(k2); ok {
+	c.Do(ctx, k3, value(30)) // evicts k2, the least recently used
+	if _, ok := c.store.Get(k2); ok {
 		t.Fatal("k2 survived eviction")
 	}
-	if v, ok := c.Get(k1); !ok || v != 10 {
+	if v, ok := c.store.Get(k1); !ok || v != 10 {
 		t.Fatalf("k1 lost: %d, %v", v, ok)
 	}
-	if v, ok := c.Get(k3); !ok || v != 30 {
+	if v, ok := c.store.Get(k3); !ok || v != 30 {
 		t.Fatalf("k3 lost: %d, %v", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if n := c.store.Len(); n != 2 {
+		t.Fatalf("store holds %d entries, want 2", n)
 	}
-	hits, misses := c.Stats()
-	if hits != 3 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses", hits, misses)
+	if hits != 1 || misses != 3 {
+		t.Fatalf("hooks saw %d hits, %d misses; want 1, 3", hits, misses)
 	}
 }
 
@@ -72,9 +80,10 @@ func TestOnEvict(t *testing.T) {
 	c := New[string](1)
 	var evicted []string
 	c.OnEvict = func(_ Key, v string) { evicted = append(evicted, v) }
-	c.Put(key(t, "a"), "A")
-	c.Put(key(t, "b"), "B")
-	c.Put(key(t, "c"), "C")
+	ctx := context.Background()
+	c.Do(ctx, key(t, "a"), value("A"))
+	c.Do(ctx, key(t, "b"), value("B"))
+	c.Do(ctx, key(t, "c"), value("C"))
 	if len(evicted) != 2 || evicted[0] != "A" || evicted[1] != "B" {
 		t.Fatalf("evicted = %v", evicted)
 	}
@@ -219,7 +228,7 @@ func TestDoCanceledLeaderDoesNotPoison(t *testing.T) {
 		t.Fatalf("no successor leader recomputed the value")
 	}
 	// The abandoned leader result must not be cached; the successor's is.
-	if v, ok := c.Get(k); !ok || v != 99 {
+	if v, ok := c.store.Get(k); !ok || v != 99 {
 		t.Fatalf("cached = %d, %v; want 99, true", v, ok)
 	}
 }
@@ -255,20 +264,22 @@ func TestDoFollowerCancellation(t *testing.T) {
 	if v := <-done; v != 7 {
 		t.Fatalf("leader v = %d, want 7", v)
 	}
-	if v, ok := c.Get(k); !ok || v != 7 {
+	if v, ok := c.store.Get(k); !ok || v != 7 {
 		t.Fatalf("cached = %d, %v", v, ok)
 	}
 }
 
 // TestCountersMoveUnderConcurrentLoad drives the cache through coalesced
 // waits, capacity evictions and a leader re-election, and requires the
-// corresponding counters (and their callback hooks) to move.
+// corresponding hooks (the cache's only counters) to fire.
 func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
 	c := New[int](2)
-	var hookCoalesced, hookReelect, hookEvict atomic.Int64
+	var hookCoalesced, hookReelect, hookEvict, hookHit, hookMiss atomic.Int64
 	c.OnCoalesced = func() { hookCoalesced.Add(1) }
 	c.OnReelect = func() { hookReelect.Add(1) }
 	c.OnEvict = func(Key, int) { hookEvict.Add(1) }
+	c.OnHit = func() { hookHit.Add(1) }
+	c.OnMiss = func() { hookMiss.Add(1) }
 
 	// Phase 1: 7 followers coalesce onto one in-flight leader. The
 	// OnCoalesced hook doubles as the synchronization point: the leader is
@@ -350,26 +361,16 @@ func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
 	close(release3)
 	wg3.Wait()
 
-	got := c.CounterSnapshot()
-	if got.CoalescedWaiters < followers+1 {
-		t.Errorf("coalesced waiters = %d, want >= %d", got.CoalescedWaiters, followers+1)
+	if n := hookCoalesced.Load(); n < followers+1 {
+		t.Errorf("coalesced waiters = %d, want >= %d", n, followers+1)
 	}
-	if got.Evictions < 6 {
-		t.Errorf("evictions = %d, want >= 6 (8 cold keys + 2 earlier in a 2-entry cache)", got.Evictions)
+	if n := hookEvict.Load(); n < 6 {
+		t.Errorf("evictions = %d, want >= 6 (8 cold keys + 2 earlier in a 2-entry cache)", n)
 	}
-	if got.LeaderReelections < 1 {
-		t.Errorf("leader re-elections = %d, want >= 1", got.LeaderReelections)
+	if n := hookReelect.Load(); n < 1 {
+		t.Errorf("leader re-elections = %d, want >= 1", n)
 	}
-	if hookCoalesced.Load() != got.CoalescedWaiters {
-		t.Errorf("OnCoalesced fired %d times, counter %d", hookCoalesced.Load(), got.CoalescedWaiters)
-	}
-	if hookReelect.Load() != got.LeaderReelections {
-		t.Errorf("OnReelect fired %d times, counter %d", hookReelect.Load(), got.LeaderReelections)
-	}
-	if hookEvict.Load() != got.Evictions {
-		t.Errorf("OnEvict fired %d times, counter %d", hookEvict.Load(), got.Evictions)
-	}
-	if got.Hits+got.Misses == 0 {
+	if hookHit.Load()+hookMiss.Load() == 0 {
 		t.Error("no hits or misses recorded")
 	}
 }

@@ -128,10 +128,3 @@ func (s *StaleTier[V]) Get(k Key, sig TopoSig, tol float64) (v V, cached TopoSig
 	s.ll.MoveToFront(el)
 	return e.val, e.sig, time.Since(e.stored), true
 }
-
-// Len returns the number of retained workload entries.
-func (s *StaleTier[V]) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}

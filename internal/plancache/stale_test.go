@@ -82,8 +82,8 @@ func TestStaleTierGetPut(t *testing.T) {
 	if v, _, _, ok := st.Get(k, sigFar, 0); !ok || v != "plan-2" {
 		t.Fatalf("refresh lookup: %q %v", v, ok)
 	}
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d after refresh", st.Len())
+	if n := st.ll.Len(); n != 1 {
+		t.Fatalf("%d entries after refresh, want 1", n)
 	}
 }
 
@@ -95,8 +95,8 @@ func TestStaleTierBounded(t *testing.T) {
 		keys[i] = keyOf(t, fmt.Sprintf("w%d", i))
 		st.Put(keys[i], s, i)
 	}
-	if st.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", st.Len())
+	if n := st.ll.Len(); n != 3 {
+		t.Fatalf("%d entries, want 3", n)
 	}
 	// The two oldest workloads were evicted.
 	for i := 0; i < 2; i++ {
@@ -141,8 +141,8 @@ func TestStaleTierConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st.Len() > 16 {
-		t.Fatalf("Len = %d exceeds capacity", st.Len())
+	if n := st.ll.Len(); n > 16 {
+		t.Fatalf("%d entries exceed capacity", n)
 	}
 }
 

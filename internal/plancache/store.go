@@ -6,9 +6,9 @@ import (
 )
 
 // Store is the pluggable storage tier under the cache's memoization layer:
-// a bounded key→value map. The Cache owns singleflight, counters and
-// instrumentation; a Store only holds entries. Implementations must be
-// safe for concurrent use.
+// a bounded key→value map. The Cache owns singleflight and the
+// instrumentation hooks; a Store only holds entries. Implementations must
+// be safe for concurrent use.
 //
 // The in-memory implementation is MemStore (an LRU); the ROADMAP's
 // disk-backed warm-start tier plugs in behind the same interface. The

@@ -77,17 +77,15 @@ func TestFIFOStoreConformance(t *testing.T) {
 }
 
 // TestCacheOverCustomStore proves the memoization layer is store-agnostic:
-// singleflight, counters and eviction callbacks behave identically when
-// the Cache runs over the FIFO double instead of the default LRU.
+// singleflight, hooks and eviction callbacks behave identically when the
+// Cache runs over the FIFO double instead of the default LRU.
 func TestCacheOverCustomStore(t *testing.T) {
 	st := newFIFOStore[int](2)
 	c := plancache.NewWithStore[int](st)
-	if c.Store() != plancache.Store[int](st) {
-		t.Fatal("Store() does not return the injected store")
-	}
 
-	var evictions atomic.Int64
+	var evictions, coalesced atomic.Int64
 	c.OnEvict = func(plancache.Key, int) { evictions.Add(1) }
+	c.OnCoalesced = func() { coalesced.Add(1) }
 
 	k1, k2, k3 := storetest.Key("a"), storetest.Key("b"), storetest.Key("c")
 	var computes atomic.Int64
@@ -123,7 +121,7 @@ func TestCacheOverCustomStore(t *testing.T) {
 			}
 		}()
 	}
-	for c.CounterSnapshot().CoalescedWaiters < 7 {
+	for coalesced.Load() < 7 {
 		runtime.Gosched() // spin until every follower attached
 	}
 	close(release)
@@ -132,28 +130,13 @@ func TestCacheOverCustomStore(t *testing.T) {
 		t.Fatalf("computes after singleflight = %d, want 2", got)
 	}
 
-	// FIFO eviction propagates through the cache's counters and callback.
-	c.Put(k2, 2)
-	c.Put(k3, 3)
-	snap := c.CounterSnapshot()
-	if snap.Evictions != 2 || evictions.Load() != 2 {
-		t.Fatalf("evictions = %d (callback %d), want 2 after overflowing capacity 2 with 4 keys",
-			snap.Evictions, evictions.Load())
+	// FIFO eviction propagates through the cache's eviction callback.
+	c.Do(context.Background(), k2, compute(2))
+	c.Do(context.Background(), k3, compute(3))
+	if evictions.Load() != 2 {
+		t.Fatalf("evictions = %d, want 2 after overflowing capacity 2 with 4 keys", evictions.Load())
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-}
-
-func TestParseKey(t *testing.T) {
-	k := storetest.Key("round-trip")
-	got, err := plancache.ParseKey(k.String())
-	if err != nil || got != k {
-		t.Fatalf("ParseKey(%q) = %v, %v", k.String(), got, err)
-	}
-	for _, bad := range []string{"", "xyz", k.String()[:10], k.String() + "00", "zz" + k.String()[2:]} {
-		if _, err := plancache.ParseKey(bad); err == nil {
-			t.Errorf("ParseKey(%q) accepted a malformed key", bad)
-		}
+	if st.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", st.Len())
 	}
 }

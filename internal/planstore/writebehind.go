@@ -134,9 +134,6 @@ func (w *WriteBehind[V]) Put(k plancache.Key, v V) []plancache.Evicted[V] {
 // queued writes).
 func (w *WriteBehind[V]) Len() int { return w.back.Len() }
 
-// Log exposes the disk tier (for stats, compaction and snapshots).
-func (w *WriteBehind[V]) Log() *Log[V] { return w.back }
-
 // Stats reports the write-behind tier's own counters.
 func (w *WriteBehind[V]) Stats() (promotions, dropped, enqueued int64, depth int) {
 	w.cmu.Lock()

@@ -223,32 +223,6 @@ func coeff(e RefExpr, k int) int64 {
 	return e.Coeffs[k]
 }
 
-// ParallelLoop implements the paper's default parallelization strategy
-// (Section 3): pick the outermost loop that carries no dependence. It
-// returns the loop level, or −1 if every loop carries a dependence.
-func ParallelLoop(nest *Nest, deps []Dependence) int {
-	for level := 0; level < nest.Depth(); level++ {
-		carried := false
-		for _, d := range deps {
-			c := d.Carried()
-			if c == level {
-				carried = true
-				break
-			}
-			// An unknown-prefix dependence may be carried anywhere up to
-			// the first unknown dimension.
-			if c >= 0 && !d.Known[c] && c <= level {
-				carried = true
-				break
-			}
-		}
-		if !carried {
-			return level
-		}
-	}
-	return -1
-}
-
 // LegalPermutation reports whether reordering the loops by perm keeps every
 // dependence lexicographically non-negative (the classical permutation
 // legality test). Unknown distance entries are treated as "any value", which

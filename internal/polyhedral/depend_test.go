@@ -77,21 +77,6 @@ func TestAnalyzeInnerDependenceOnly(t *testing.T) {
 	if len(deps) != 1 || deps[0].Carried() != 1 {
 		t.Fatalf("deps = %v", deps)
 	}
-	if got := ParallelLoop(n, deps); got != 0 {
-		t.Fatalf("ParallelLoop = %d, want 0", got)
-	}
-}
-
-func TestParallelLoopSkipsCarriedOuter(t *testing.T) {
-	n := NewNest("t", []int64{0, 0}, []int64{9, 9})
-	refs := []Ref{
-		SimpleRef(0, 2, []int{0, 1}, []int64{0, 0}, Write),
-		SimpleRef(0, 2, []int{0, 1}, []int64{-1, 0}, Read), // carried by loop 0
-	}
-	deps := Analyze(n, refs)
-	if got := ParallelLoop(n, deps); got != 1 {
-		t.Fatalf("ParallelLoop = %d, want 1", got)
-	}
 }
 
 func TestAnalyzeFreeDimensionUnknown(t *testing.T) {

@@ -87,24 +87,6 @@ func (n *Nest) BoxSize() int64 {
 	return total
 }
 
-// Valid reports whether iteration it satisfies all bounds and guards.
-func (n *Nest) Valid(it []int64) bool {
-	if len(it) != n.Depth() {
-		return false
-	}
-	for k, v := range it {
-		if v < n.Lower[k] || v > n.Upper[k] {
-			return false
-		}
-	}
-	for _, g := range n.Guards {
-		if g.Eval(it) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Size returns the number of iterations that actually execute (box points
 // satisfying all guards). Without guards this is BoxSize and costs O(1).
 func (n *Nest) Size() int64 {

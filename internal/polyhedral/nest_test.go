@@ -93,12 +93,6 @@ func TestGuardsTriangular(t *testing.T) {
 	if n.Size() != 55 {
 		t.Fatalf("triangular Size = %d, want 55", n.Size())
 	}
-	if n.Valid([]int64{3, 5}) {
-		t.Fatal("guard not enforced in Valid")
-	}
-	if !n.Valid([]int64{5, 3}) {
-		t.Fatal("valid point rejected")
-	}
 	n.ForEach(func(it []int64) bool {
 		if it[1] > it[0] {
 			t.Fatalf("guarded-out iteration %v enumerated", it)
@@ -115,16 +109,6 @@ func TestGuardArityPanics(t *testing.T) {
 		}
 	}()
 	n.AddGuard([]int64{1, 1}, 0)
-}
-
-func TestValidBounds(t *testing.T) {
-	n := NewNest("t", []int64{2, 1}, []int64{4, 3})
-	if n.Valid([]int64{1, 1}) || n.Valid([]int64{2, 4}) || n.Valid([]int64{2}) {
-		t.Fatal("out-of-bounds iteration accepted")
-	}
-	if !n.Valid([]int64{4, 3}) {
-		t.Fatal("in-bounds iteration rejected")
-	}
 }
 
 // Property: IterToIndex is the inverse of IndexToIter across random nests.
@@ -151,8 +135,8 @@ func TestPropertyIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: ForEach visits exactly Size() iterations, each Valid, in
-// strictly increasing index order.
+// Property: ForEach visits exactly Size() iterations, each inside the
+// bounds and the guard, in strictly increasing index order.
 func TestPropertyForEachMatchesSize(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -163,7 +147,8 @@ func TestPropertyForEachMatchesSize(t *testing.T) {
 			hi[k] = lo[k] + int64(r.Intn(5))
 		}
 		n := NewNest("p", lo, hi)
-		if depth > 1 && r.Intn(2) == 0 {
+		guarded := depth > 1 && r.Intn(2) == 0
+		if guarded {
 			co := make([]int64, depth)
 			co[0], co[1] = 1, -1
 			n.AddGuard(co, 0)
@@ -172,7 +157,12 @@ func TestPropertyForEachMatchesSize(t *testing.T) {
 		last := int64(-1)
 		ok := true
 		n.ForEach(func(it []int64) bool {
-			if !n.Valid(it) {
+			for k, v := range it {
+				if v < lo[k] || v > hi[k] {
+					ok = false
+				}
+			}
+			if !ok || (guarded && it[0] < it[1]) {
 				ok = false
 				return false
 			}

@@ -18,15 +18,6 @@ type Order struct {
 	Tiles []int64
 }
 
-// IdentityOrder returns the original lexicographic execution order.
-func IdentityOrder(depth int) Order {
-	perm := make([]int, depth)
-	for i := range perm {
-		perm[i] = i
-	}
-	return Order{Perm: perm}
-}
-
 // Validate checks that the order is well-formed for the given nest.
 func (o Order) Validate(n *Nest) error {
 	if len(o.Perm) != n.Depth() {

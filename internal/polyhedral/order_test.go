@@ -9,7 +9,7 @@ import (
 
 func TestIdentityOrderMatchesForEach(t *testing.T) {
 	n := NewNest("t", []int64{0, 0}, []int64{3, 4})
-	idx := IdentityOrder(2).Indices(n)
+	idx := Order{Perm: []int{0, 1}}.Indices(n)
 	if int64(len(idx)) != n.Size() {
 		t.Fatalf("len = %d, want %d", len(idx), n.Size())
 	}
@@ -144,7 +144,11 @@ func TestPropertyOrderIsPermutation(t *testing.T) {
 		}
 		o := Order{Perm: perm, Tiles: tiles}
 		got := o.Indices(n)
-		want := IdentityOrder(depth).Indices(n)
+		identity := Order{Perm: make([]int, depth)}
+		for k := range identity.Perm {
+			identity.Perm[k] = k
+		}
+		want := identity.Indices(n)
 		if len(got) != len(want) {
 			return false
 		}

@@ -91,13 +91,6 @@ type Config struct {
 	// Seed seeds the deterministic per-arrival draw; the same seed and
 	// arrival order always select the same responses.
 	Seed uint64
-	// QueueCap bounds the shadow-work queue (default 64). A full queue
-	// sheds the sample and increments Counts.Overflow.
-	QueueCap int
-	// RingSize bounds each (family, mode) ledger ring (default 64).
-	RingSize int
-	// MaxIterations caps each shadow simulation (default 65536).
-	MaxIterations int64
 	// OnRecord, when non-nil, is invoked on the worker goroutine with
 	// every completed record, after the ledger is updated. The server
 	// uses it to set missrate gauges and backfill request events.
@@ -105,9 +98,13 @@ type Config struct {
 }
 
 const (
-	defaultQueueCap = 64
-	defaultRingSize = 64
-	defaultMaxIters = 65536
+	// queueCap bounds the shadow-work queue. A full queue sheds the
+	// sample and increments Counts.Overflow.
+	queueCap = 64
+	// ringSize bounds each (family, mode) ledger ring.
+	ringSize = 64
+	// maxIterations caps each shadow simulation.
+	maxIterations = 65536
 )
 
 // Sampler draws a deterministic fraction of served responses and shadow-
@@ -116,7 +113,6 @@ const (
 type Sampler struct {
 	rate     float64
 	seed     uint64
-	maxIters int64
 	onRecord func(Record)
 	ledger   *Ledger
 
@@ -135,24 +131,14 @@ type Sampler struct {
 // sampler that owns no goroutine and never enqueues — the zero-cost
 // configuration for latency-sensitive deployments.
 func NewSampler(cfg Config) *Sampler {
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = defaultQueueCap
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = defaultRingSize
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = defaultMaxIters
-	}
 	s := &Sampler{
 		rate:     cfg.Rate,
 		seed:     cfg.Seed,
-		maxIters: cfg.MaxIterations,
 		onRecord: cfg.OnRecord,
-		ledger:   NewLedger(cfg.RingSize),
+		ledger:   NewLedger(),
 	}
 	if cfg.Rate > 0 {
-		s.queue = make(chan Sample, cfg.QueueCap)
+		s.queue = make(chan Sample, queueCap)
 		s.stop = make(chan struct{})
 		s.done = make(chan struct{})
 		go s.loop()
@@ -256,7 +242,7 @@ func (s *Sampler) runOne(smp Sample) Record {
 	}
 	p := smp.Params
 	p.TraceSink = nil
-	p.MaxIterations = s.maxIters
+	p.MaxIterations = maxIterations
 	m, err := iosim.RunCtx(context.Background(), smp.Tree, smp.Prog, asg, p)
 	rec.SimMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
@@ -290,7 +276,6 @@ func splitmix64(x uint64) uint64 {
 // records plus lifetime totals.
 type Ledger struct {
 	mu    sync.Mutex
-	ring  int
 	cells map[string]map[string]*cell // family → mode → ring
 }
 
@@ -301,12 +286,10 @@ type cell struct {
 	errs  int64    // lifetime errored records
 }
 
-// NewLedger builds a ledger with the given per-cell ring size.
-func NewLedger(ring int) *Ledger {
-	if ring <= 0 {
-		ring = defaultRingSize
-	}
-	return &Ledger{ring: ring, cells: make(map[string]map[string]*cell)}
+// NewLedger builds a ledger whose cells each keep the last ringSize
+// records.
+func NewLedger() *Ledger {
+	return &Ledger{cells: make(map[string]map[string]*cell)}
 }
 
 // Add appends one record to its (family, mode) ring.
@@ -327,12 +310,12 @@ func (l *Ledger) Add(rec Record) {
 	if rec.Err != "" {
 		c.errs++
 	}
-	if len(c.recs) < l.ring {
+	if len(c.recs) < ringSize {
 		c.recs = append(c.recs, rec)
 		return
 	}
 	c.recs[c.next] = rec
-	c.next = (c.next + 1) % l.ring
+	c.next = (c.next + 1) % ringSize
 }
 
 // ModeStats summarizes one (family, mode) ring: windowed means over the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,10 +159,11 @@ func TestInertSamplerOwnsNoGoroutine(t *testing.T) {
 }
 
 func TestOfferShedsWhenQueueFull(t *testing.T) {
-	busy := make(chan struct{}, 2)
+	busy := make(chan struct{})
+	var once sync.Once
 	release := make(chan struct{})
-	s := NewSampler(Config{Rate: 1, Seed: 1, QueueCap: 1, OnRecord: func(Record) {
-		busy <- struct{}{}
+	s := NewSampler(Config{Rate: 1, Seed: 1, OnRecord: func(Record) {
+		once.Do(func() { close(busy) })
 		<-release
 	}})
 	defer s.Close()
@@ -170,27 +172,29 @@ func TestOfferShedsWhenQueueFull(t *testing.T) {
 		t.Fatal("first offer rejected")
 	}
 	<-busy
-	// ...second fills the 1-slot queue, third must shed.
-	if !s.Offer(testSample(16, ModeCached)) {
-		t.Fatal("second offer rejected with empty queue")
+	// ...the next queueCap fill the queue, and one more must shed.
+	for i := 0; i < queueCap; i++ {
+		if !s.Offer(testSample(16, ModeCached)) {
+			t.Fatalf("offer %d rejected before the queue was full", i+2)
+		}
 	}
 	if s.Offer(testSample(16, ModeIncremental)) {
-		t.Fatal("third offer accepted past queue capacity")
+		t.Fatal("offer accepted past queue capacity")
 	}
 	close(release)
-	if c := s.Counts(); c.Sampled != 2 || c.Overflow != 1 {
+	if c := s.Counts(); c.Sampled != queueCap+1 || c.Overflow != 1 {
 		t.Fatalf("counts: %+v", c)
 	}
 }
 
 func TestSamplerDeterministicAcrossRuns(t *testing.T) {
-	// The queue holds all 200 offers, so Offer's answer is the seeded draw
-	// alone: with the default 64 slots an overflow would report false, and
-	// how many overflow depends on how fast the worker drains the queue.
+	// At most queueCap offers, so none can overflow and Offer's answer is
+	// the seeded draw alone: an overflow would report false, and how many
+	// overflow would depend on how fast the worker drains the queue.
 	run := func(seed uint64) []bool {
-		s := NewSampler(Config{Rate: 0.5, Seed: seed, QueueCap: 256})
+		s := NewSampler(Config{Rate: 0.5, Seed: seed})
 		defer s.Close()
-		out := make([]bool, 200)
+		out := make([]bool, queueCap)
 		for i := range out {
 			// Inert payload: decisions alone are under test.
 			out[i] = s.Offer(testSample(16, ModeFull))
@@ -207,8 +211,9 @@ func TestSamplerDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestLedgerRingAndStats(t *testing.T) {
-	l := NewLedger(4)
-	for i := 0; i < 10; i++ {
+	l := NewLedger()
+	const n = ringSize + 6
+	for i := 0; i < n; i++ {
 		l.Add(Record{
 			TraceID:   fmt.Sprintf("t%d", i),
 			Family:    "f",
@@ -221,18 +226,18 @@ func TestLedgerRingAndStats(t *testing.T) {
 	l.Add(Record{Family: "f", Mode: ModeDegradedStale, Err: "boom"})
 	snap := l.Snapshot()
 	st := snap["f"][ModeFull]
-	if st.Samples != 10 || st.Window != 4 {
+	if st.Samples != n || st.Window != ringSize {
 		t.Fatalf("samples/window: %+v", st)
 	}
-	// Ring holds records 6..9: mean L1 miss "rate" (6+7+8+9)/4 = 7.5.
-	if st.MissRates[0] != 7.5 || st.MissRates[1] != 1 {
+	// Ring holds records 6..69: mean L1 miss "rate" (6+69)/2 = 37.5.
+	if st.MissRates[0] != 37.5 || st.MissRates[1] != 1 {
 		t.Fatalf("windowed means: %v", st.MissRates)
 	}
 	if st.Imbalance != 2 || st.ExecMS != 10 {
 		t.Fatalf("windowed means: %+v", st)
 	}
-	if st.LastTraceID != "t9" {
-		t.Fatalf("LastTraceID = %q, want t9", st.LastTraceID)
+	if st.LastTraceID != "t69" {
+		t.Fatalf("LastTraceID = %q, want t69", st.LastTraceID)
 	}
 	deg := snap["f"][ModeDegradedStale]
 	if deg.Errors != 1 || deg.Samples != 1 {

@@ -144,7 +144,7 @@ func (s *Server) runBatch(ctx context.Context, jobs []*job, start time.Time) (*B
 	resp := &BatchMapResponse{
 		Results:   results,
 		Families:  len(order),
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMS: msSince(start),
 	}
 	for _, r := range results {
 		switch {
@@ -165,19 +165,9 @@ func (s *Server) runBatch(ctx context.Context, jobs []*job, start time.Time) (*B
 // repair path enabled per the caller (always for family siblings; for
 // leaders only when the server-wide repair fast-path is on).
 func (s *Server) batchEntry(ctx context.Context, j *job, repair bool) BatchResult {
-	t0 := time.Now()
-	out, key, hit, err := s.computePlan(ctx, j, computeOpts{repair: repair})
+	resp, err := s.computePlan(ctx, j, computeOpts{repair: repair}, time.Now())
 	if err != nil {
 		return BatchResult{Error: err.Error()}
 	}
-	return BatchResult{MapResponse: &MapResponse{
-		Plan:         out.Plan,
-		Stages:       out.Stages,
-		CacheKey:     key.String(),
-		Cached:       hit,
-		FilledFrom:   out.FilledFrom,
-		Replanned:    out.Replanned,
-		ReusedStages: out.ReusedStages,
-		ElapsedMS:    float64(time.Since(t0)) / float64(time.Millisecond),
-	}}
+	return BatchResult{MapResponse: resp}
 }

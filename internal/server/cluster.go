@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mapping"
@@ -109,24 +110,19 @@ func (s *Server) handleInternalPlan(w http.ResponseWriter, r *http.Request) {
 				"fill key mismatch: body hashes to %s, path names %s (plan schema or normalization skew between peers)",
 				key.String(), want))
 		}
-		type planOut struct {
-			plan cachedPlan
-			hit  bool
-		}
-		out, err := runJob(s, ctx, j.cost, func(ctx context.Context) (planOut, error) {
+		resp, err := runJob(s, ctx, j.cost, func(ctx context.Context) (*MapResponse, error) {
 			// internal=true: the owner never re-forwards, so a skewed ring
 			// view degenerates to local compute instead of a forwarding loop.
-			plan, _, hit, err := s.computePlan(ctx, j, computeOpts{internal: true})
-			return planOut{plan, hit}, err
+			return s.computePlan(ctx, j, computeOpts{internal: true}, time.Now())
 		})
 		if err != nil {
 			return nil, err
 		}
 		return &fillResponse{
-			Plan:     out.plan.Plan,
-			Stages:   out.plan.Stages,
-			CacheKey: key.String(),
-			Cached:   out.hit,
+			Plan:     resp.Plan,
+			Stages:   resp.Stages,
+			CacheKey: resp.CacheKey,
+			Cached:   resp.Cached,
 			Node:     s.cluster.Self(),
 		}, nil
 	})

@@ -301,8 +301,12 @@ func TestClusterFillReplicatesStaleTier(t *testing.T) {
 	if resp, mr, body := r.post(t, requester, req); resp.StatusCode != http.StatusOK || mr.FilledFrom == "" {
 		t.Fatalf("priming fill failed: %d %s", resp.StatusCode, body)
 	}
-	if n := r.servers[requester].stale.Len(); n != 1 {
-		t.Fatalf("requester stale tier holds %d entries after a fill, want 1", n)
+	j, err := buildJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := r.servers[requester].stale.Get(j.wkKey, j.topoSig, 0); !ok {
+		t.Fatal("requester stale tier holds no entry for the workload after a fill")
 	}
 }
 

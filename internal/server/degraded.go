@@ -87,7 +87,7 @@ func degradeCause(err error) string {
 // within tolerance), then the cheap lexicographic fallback mapping. It
 // returns false when degradation is disabled, the error is not an
 // overload symptom, or every degraded route failed too.
-func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed func() float64) (*MapResponse, bool) {
+func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, start time.Time) (*MapResponse, bool) {
 	if !s.cfg.Degraded {
 		return nil, false
 	}
@@ -108,7 +108,7 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed fu
 			Degraded:      DegradedStale,
 			DegradedCause: why,
 			StaleAgeMS:    float64(age) / float64(time.Millisecond),
-			ElapsedMS:     elapsed(),
+			ElapsedMS:     msSince(start),
 		}, true
 	}
 	s.staleMisses.Inc()
@@ -136,7 +136,7 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, elapsed fu
 		Stages:        res.Stages,
 		Degraded:      DegradedFallback,
 		DegradedCause: why,
-		ElapsedMS:     elapsed(),
+		ElapsedMS:     msSince(start),
 	}, true
 }
 

@@ -73,6 +73,52 @@ func TestPersistentWarmRestart(t *testing.T) {
 	}
 }
 
+// TestRepairLookupAfterWarmRestart: a disk-restored plan carries no
+// resumable clustering, so after a restart a near-miss request that finds
+// it in the stale tier cannot be repaired. That lookup must count as a
+// repair miss, not a hit, and the request runs the full pipeline.
+func TestRepairLookupAfterWarmRestart(t *testing.T) {
+	dir := t.TempDir()
+	mkCfg := func() Config {
+		return Config{
+			Store:  StoreConfig{Dir: dir, Fsync: planstore.FsyncAlways},
+			Repair: RepairConfig{Enabled: true},
+		}
+	}
+	s1, err := NewServer(mkCfg())
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	if _, err := s1.ComputePlan(synthReq(128)); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	s2, err := NewServer(mkCfg())
+	if err != nil {
+		t.Fatalf("NewServer (restart): %v", err)
+	}
+	defer s2.Close()
+	if mr, err := s2.ComputePlan(synthReq(128)); err != nil || !mr.Cached {
+		t.Fatalf("post-restart serve: cached %v, err %v; want a disk hit", mr != nil && mr.Cached, err)
+	}
+	near := synthReq(128)
+	near.Topology = "1/2/4@16,8,5"
+	mr, err := s2.ComputePlan(near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.Cached || mr.Replanned != ReplanFull {
+		t.Fatalf("near miss: cached %v, replanned %q; want a full compute", mr.Cached, mr.Replanned)
+	}
+	if hits, misses := s2.repairHits.Value(), s2.repairMisses.Value(); hits != 0 || misses != 1 {
+		t.Fatalf("repair lookups: %d hits, %d misses; want 0, 1", hits, misses)
+	}
+	if computes := s2.computes.Value(); computes != 1 {
+		t.Fatalf("computes = %d, want 1", computes)
+	}
+}
+
 // TestPersistentDiskHitAfterMemEviction: with a 1-plan in-memory LRU, an
 // entry displaced from memory is still served from disk (and promoted
 // back) rather than recomputed.

@@ -485,7 +485,9 @@ type computeOpts struct {
 }
 
 // computePlan resolves a validated job through the plan cache, computing
-// the mapping on a miss. The computation runs under ctx and stops
+// the mapping on a miss, and returns the request's response: the plan and
+// its provenance, with ElapsedMS measured from start. The computation runs
+// under ctx and stops
 // cooperatively when it is canceled; a canceled leader never poisons the
 // cache (see plancache.Do). Successful plans are also recorded in the
 // stale tier under the job's workload-only key, feeding degraded serving
@@ -505,10 +507,10 @@ type computeOpts struct {
 // crash the leader: the leader cancels its own Do context and abandons
 // the key, waiting followers re-elect a successor (the production crash
 // path), and the crashed request itself reports an *faults.InjectedError.
-func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts) (cachedPlan, plancache.Key, bool, error) {
+func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start time.Time) (*MapResponse, error) {
 	key, err := PlanKey(j.req)
 	if err != nil {
-		return cachedPlan{}, plancache.Key{}, false, err
+		return nil, err
 	}
 	dctx := ctx
 	var crash context.CancelFunc
@@ -568,6 +570,9 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts) (cach
 		// it as the injected fault it is, not as a cancellation.
 		err = &faults.InjectedError{Site: "plancache/leader"}
 	}
+	if err != nil {
+		return nil, err
+	}
 	// Anchor the stale tier at full computes (and peer fills): a repaired
 	// plan derives from the entry it was repaired from, and letting it
 	// overwrite that entry would re-base the drift comparison on each
@@ -575,10 +580,24 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts) (cach
 	// its predecessor while C drifts arbitrarily far from the clustering
 	// that was actually computed. Keeping the ancestor makes every repair
 	// measure drift against the last full pipeline run.
-	if err == nil && v.Replanned != ReplanIncremental {
+	if v.Replanned != ReplanIncremental {
 		s.stale.Put(j.wkKey, j.topoSig, staleValue{plan: v, key: key})
 	}
-	return v, key, hit, err
+	return &MapResponse{
+		Plan:         v.Plan,
+		Stages:       v.Stages,
+		CacheKey:     key.String(),
+		Cached:       hit,
+		FilledFrom:   v.FilledFrom,
+		Replanned:    v.Replanned,
+		ReusedStages: v.ReusedStages,
+		ElapsedMS:    msSince(start),
+	}, nil
+}
+
+// msSince returns the milliseconds elapsed since start.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
 // observeStages records a pipeline run's per-stage durations, run counts
@@ -609,15 +628,14 @@ func (s *Server) tryRepair(ctx context.Context, j *job) (cachedPlan, bool) {
 	if j.scheme != pipeline.InterProcessor && j.scheme != pipeline.InterProcessorSched {
 		return cachedPlan{}, false
 	}
+	// A hit needs a resumable clustering: disk-restored and peer-filled
+	// plans carry no state, so their lookups count as misses.
 	v, _, _, ok := s.stale.Get(j.wkKey, j.topoSig, s.cfg.Repair.Tolerance)
-	if !ok {
+	if !ok || v.plan.state == nil || v.plan.state.Scheme != j.scheme {
 		s.repairMisses.Inc()
 		return cachedPlan{}, false
 	}
 	s.repairHits.Inc()
-	if v.plan.state == nil || v.plan.state.Scheme != j.scheme {
-		return cachedPlan{}, false
-	}
 	cfg := j.cfg
 	if s.faults != nil {
 		cfg.StageHook = s.stageHook
@@ -663,20 +681,7 @@ func (s *Server) ComputePlan(req MapRequest) (*MapResponse, error) {
 	start := time.Now()
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	out, key, hit, err := s.computePlan(context.Background(), j, computeOpts{repair: s.cfg.Repair.Enabled})
-	if err != nil {
-		return nil, err
-	}
-	return &MapResponse{
-		Plan:         out.Plan,
-		Stages:       out.Stages,
-		CacheKey:     key.String(),
-		Cached:       hit,
-		FilledFrom:   out.FilledFrom,
-		Replanned:    out.Replanned,
-		ReusedStages: out.ReusedStages,
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	}, nil
+	return s.computePlan(context.Background(), j, computeOpts{repair: s.cfg.Repair.Enabled}, start)
 }
 
 // runJob executes fn on a pooled worker slot under the request deadline.
@@ -726,7 +731,7 @@ func runJob[T any](s *Server, ctx context.Context, cost int64, fn func(ctx conte
 	}
 	defer func() { <-s.sem }()
 	if ev := eventFrom(ctx); ev != nil {
-		ev.AdmissionWaitMS = float64(time.Since(arrived)) / float64(time.Millisecond)
+		ev.AdmissionWaitMS = msSince(arrived)
 	}
 	start := time.Now()
 	v, err := fn(ctx)
@@ -754,32 +759,14 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			return nil, badRequest(err)
 		}
 		start := time.Now()
-		elapsed := func() float64 { return float64(time.Since(start)) / float64(time.Millisecond) }
-		type planOut struct {
-			plan cachedPlan
-			key  plancache.Key
-			hit  bool
-		}
-		out, err := runJob(s, ctx, j.cost, func(ctx context.Context) (planOut, error) {
-			plan, key, hit, err := s.computePlan(ctx, j, computeOpts{repair: s.cfg.Repair.Enabled})
-			return planOut{plan, key, hit}, err
+		resp, err := runJob(s, ctx, j.cost, func(ctx context.Context) (*MapResponse, error) {
+			return s.computePlan(ctx, j, computeOpts{repair: s.cfg.Repair.Enabled}, start)
 		})
 		if err != nil {
-			if resp, ok := s.tryDegrade(ctx, j, err, elapsed); ok {
-				s.annotateMap(ctx, j, resp)
-				return resp, nil
+			var ok bool
+			if resp, ok = s.tryDegrade(ctx, j, err, start); !ok {
+				return nil, err
 			}
-			return nil, err
-		}
-		resp := &MapResponse{
-			Plan:         out.plan.Plan,
-			Stages:       out.plan.Stages,
-			CacheKey:     out.key.String(),
-			Cached:       out.hit,
-			FilledFrom:   out.plan.FilledFrom,
-			Replanned:    out.plan.Replanned,
-			ReusedStages: out.plan.ReusedStages,
-			ElapsedMS:    elapsed(),
 		}
 		s.annotateMap(ctx, j, resp)
 		return resp, nil
@@ -855,11 +842,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		start := time.Now()
 		return runJob(s, ctx, j.cost, func(ctx context.Context) (any, error) {
-			out, key, hit, err := s.computePlan(ctx, j, computeOpts{repair: s.cfg.Repair.Enabled})
+			mr, err := s.computePlan(ctx, j, computeOpts{repair: s.cfg.Repair.Enabled}, start)
 			if err != nil {
 				return nil, err
 			}
-			asg, err := out.Plan.Assignment()
+			asg, err := mr.Plan.Assignment()
 			if err != nil {
 				return nil, err
 			}
@@ -874,9 +861,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				DiskReads:   m.DiskReads,
 				Writebacks:  m.DiskWritebacks,
 				Iterations:  m.Iterations,
-				CacheKey:    key.String(),
-				Cached:      hit,
-				ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
+				CacheKey:    mr.CacheKey,
+				Cached:      mr.Cached,
+				ElapsedMS:   msSince(start),
 			}
 			// One entry per cache-bearing level (a dummy root carries none).
 			for k := 1; k <= len(m.LevelStats); k++ {
@@ -884,8 +871,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			}
 			if ev := eventFrom(ctx); ev != nil {
 				ev.Family = j.family
-				ev.CacheKey = key.String()
-				if hit {
+				ev.CacheKey = mr.CacheKey
+				if mr.Cached {
 					ev.Mode = quality.ModeCached
 				} else {
 					ev.Mode = quality.ModeFull

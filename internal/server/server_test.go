@@ -359,7 +359,7 @@ func TestConcurrentMapRequests(t *testing.T) {
 		t.Error(err)
 	}
 
-	hits, misses := s.cache.Stats()
+	hits, misses := s.cacheHits.Value(), s.cacheMisses.Value()
 	if misses > 16 { // 8 specs × 2 schemes at most
 		t.Errorf("misses = %d, want <= 16", misses)
 	}

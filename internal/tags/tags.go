@@ -258,74 +258,3 @@ func TotalIterations(chunks []*IterationChunk) int64 {
 	}
 	return total
 }
-
-// Graph is the similarity graph of the initialization step: nodes are
-// iteration chunks, the weight of edge (i,j) is the number of common "1"
-// bits in Λi ∧ Λj. Weights are computed on demand from the tags; Matrix
-// materializes them for inspection.
-type Graph struct {
-	Chunks []*IterationChunk
-}
-
-// BuildGraph wraps a chunk list as a similarity graph.
-func BuildGraph(chunks []*IterationChunk) *Graph { return &Graph{Chunks: chunks} }
-
-// Weight returns ω(γi, γj) = popcount(Λi ∧ Λj).
-func (g *Graph) Weight(i, j int) int {
-	return g.Chunks[i].Tag.AndPopCount(g.Chunks[j].Tag)
-}
-
-// Matrix materializes the full weight matrix (diagonal = popcount of the
-// tag itself).
-func (g *Graph) Matrix() [][]int {
-	n := len(g.Chunks)
-	m := make([][]int, n)
-	for i := range m {
-		m[i] = make([]int, n)
-		for j := range m[i] {
-			m[i][j] = g.Weight(i, j)
-		}
-	}
-	return m
-}
-
-// Degree returns the number of chunks sharing at least one data chunk with
-// chunk i.
-func (g *Graph) Degree(i int) int {
-	d := 0
-	for j := range g.Chunks {
-		if j != i && g.Weight(i, j) > 0 {
-			d++
-		}
-	}
-	return d
-}
-
-// Postings returns the inverted index of the graph's tags: entry b lists,
-// in ascending order, the chunks whose tag marks data chunk b. This is the
-// transpose view the sparse similarity engine seeds from — only chunks
-// co-listed under some data chunk can have a nonzero edge weight.
-func (g *Graph) Postings() [][]int32 {
-	if len(g.Chunks) == 0 {
-		return nil
-	}
-	vecs := make([]bitvec.Vector, len(g.Chunks))
-	for i, c := range g.Chunks {
-		vecs[i] = c.Tag
-	}
-	return bitvec.Postings(g.Chunks[0].Tag.Len(), vecs)
-}
-
-// Density returns the fraction of set bits in the tag matrix — the
-// occupancy that decides how far the sparse pair generation undercuts the
-// dense n(n−1)/2 enumeration. Zero for an empty graph.
-func (g *Graph) Density() float64 {
-	if len(g.Chunks) == 0 {
-		return 0
-	}
-	set := 0
-	for _, c := range g.Chunks {
-		set += c.Tag.PopCount()
-	}
-	return float64(set) / (float64(len(g.Chunks)) * float64(g.Chunks[0].Tag.Len()))
-}

@@ -66,7 +66,9 @@ func TestFigure6IterationChunks(t *testing.T) {
 
 func TestFigure8GraphWeights(t *testing.T) {
 	nest, refs, data := figure6Program(8)
-	g := BuildGraph(Compute(nest, refs, data))
+	chunks := Compute(nest, refs, data)
+	// The similarity graph's edge weight is ω(γi,γj) = popcount(Λi ∧ Λj).
+	weight := func(i, j int) int { return chunks[i].Tag.AndPopCount(chunks[j].Tag) }
 	// Figure 8 shows ω(γ1,γ3)=3, ω(γ3,γ5)=3, ω(γ5,γ7)=3, ω(γ1,γ5)=2,
 	// ω(γ3,γ7)=2 (0-indexed: 0,2,4,6).
 	cases := []struct{ i, j, w int }{
@@ -76,10 +78,10 @@ func TestFigure8GraphWeights(t *testing.T) {
 		{0, 1, 1}, {0, 7, 1},
 	}
 	for _, c := range cases {
-		if got := g.Weight(c.i, c.j); got != c.w {
+		if got := weight(c.i, c.j); got != c.w {
 			t.Errorf("ω(γ%d,γ%d) = %d, want %d", c.i+1, c.j+1, got, c.w)
 		}
-		if g.Weight(c.j, c.i) != g.Weight(c.i, c.j) {
+		if weight(c.j, c.i) != weight(c.i, c.j) {
 			t.Errorf("graph weight not symmetric at (%d,%d)", c.i, c.j)
 		}
 	}
@@ -87,17 +89,26 @@ func TestFigure8GraphWeights(t *testing.T) {
 
 func TestGraphMatrixAndDegree(t *testing.T) {
 	nest, refs, data := figure6Program(8)
-	g := BuildGraph(Compute(nest, refs, data))
-	m := g.Matrix()
-	if len(m) != 8 {
-		t.Fatalf("matrix size %d", len(m))
+	chunks := Compute(nest, refs, data)
+	if len(chunks) != 8 {
+		t.Fatalf("graph has %d nodes, want 8", len(chunks))
 	}
-	if m[0][0] != 3 { // γ1 accesses 3 data chunks
-		t.Fatalf("diagonal = %d, want popcount 3", m[0][0])
+	// The matrix diagonal ω(γ1,γ1) is γ1's popcount: it accesses 3 data chunks.
+	if w := chunks[0].Tag.AndPopCount(chunks[0].Tag); w != 3 || chunks[0].Tag.PopCount() != 3 {
+		t.Fatalf("diagonal = %d, want popcount 3", w)
 	}
-	// Every chunk shares chunk 0, so the graph is complete: degree 7.
-	if g.Degree(0) != 7 {
-		t.Fatalf("Degree(0) = %d, want 7", g.Degree(0))
+	// Every chunk shares chunk 0, so the graph is complete: every node has
+	// degree 7.
+	for i := range chunks {
+		degree := 0
+		for j := range chunks {
+			if j != i && chunks[i].Tag.AndPopCount(chunks[j].Tag) > 0 {
+				degree++
+			}
+		}
+		if degree != 7 {
+			t.Fatalf("degree(γ%d) = %d, want 7", i+1, degree)
+		}
 	}
 }
 
@@ -278,8 +289,11 @@ func TestGraphPostingsAndDensity(t *testing.T) {
 		{Tag: bitvec.FromIndices(4, 2, 3), Iters: itset.Interval(2, 4)},
 		{Tag: bitvec.FromIndices(4, 2), Iters: itset.Interval(4, 6)},
 	}
-	g := BuildGraph(chunks)
-	posts := g.Postings()
+	vecs := make([]bitvec.Vector, len(chunks))
+	for i, c := range chunks {
+		vecs[i] = c.Tag
+	}
+	posts := bitvec.Postings(4, vecs)
 	if len(posts) != 4 {
 		t.Fatalf("got %d posting lists, want 4", len(posts))
 	}
@@ -295,7 +309,7 @@ func TestGraphPostingsAndDensity(t *testing.T) {
 		}
 	}
 	// Postings must agree with the dense weights: chunks co-listed under
-	// some data chunk iff Weight > 0.
+	// some data chunk iff ω > 0.
 	coListed := make(map[[2]int]bool)
 	for _, list := range posts {
 		for x := range list {
@@ -306,16 +320,9 @@ func TestGraphPostingsAndDensity(t *testing.T) {
 	}
 	for i := 0; i < len(chunks); i++ {
 		for j := i + 1; j < len(chunks); j++ {
-			if (g.Weight(i, j) > 0) != coListed[[2]int{i, j}] {
-				t.Fatalf("postings disagree with Weight(%d,%d)=%d", i, j, g.Weight(i, j))
+			if w := chunks[i].Tag.AndPopCount(chunks[j].Tag); (w > 0) != coListed[[2]int{i, j}] {
+				t.Fatalf("postings disagree with ω(%d,%d)=%d", i, j, w)
 			}
 		}
-	}
-	if d := g.Density(); d != 5.0/12.0 {
-		t.Fatalf("density = %v, want %v", d, 5.0/12.0)
-	}
-	empty := BuildGraph(nil)
-	if empty.Postings() != nil || empty.Density() != 0 {
-		t.Fatal("empty graph should have nil postings and zero density")
 	}
 }

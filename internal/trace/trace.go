@@ -1,6 +1,6 @@
 // Package trace collects and analyzes chunk-level access traces from the
-// simulator: per-chunk access counts, client sharing degrees, and Mattson
-// stack (reuse) distance histograms. These are the diagnostics used to
+// simulator: per-level hit counts, client sharing degrees, and per-client
+// Mattson stack (reuse) distance histograms. These are the diagnostics used to
 // understand *why* a mapping behaves as it does — e.g. the paper's claim
 // that the original mapping turns shared-cache reuse into long-distance
 // reuse is directly visible as mass moving to larger stack distances.
@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -34,15 +33,6 @@ func (c *Collector) Record(ev Event) { c.Events = append(c.Events, ev) }
 
 // Len returns the number of recorded events.
 func (c *Collector) Len() int { return len(c.Events) }
-
-// ChunkCounts returns access counts per chunk.
-func (c *Collector) ChunkCounts() map[int]int {
-	out := make(map[int]int)
-	for _, ev := range c.Events {
-		out[ev.Chunk]++
-	}
-	return out
-}
 
 // SharingDegrees returns, for each chunk, how many distinct clients touch
 // it.
@@ -153,27 +143,17 @@ func (h *Histogram) String() string {
 	return sb.String()
 }
 
-// StackDistances computes the global LRU stack distance histogram of the
-// trace (distance = number of distinct chunks touched since the previous
-// access to the same chunk).
-func (c *Collector) StackDistances() *Histogram {
-	return stackDistances(c.Events, func(Event) bool { return true })
-}
-
-// ClientStackDistances computes the stack distance histogram of one
-// client's stream — the distances its private cache experiences.
+// ClientStackDistances computes the LRU stack distance histogram of one
+// client's stream — the distances its private cache experiences (distance
+// = number of distinct chunks the client touched since its previous access
+// to the same chunk). It runs Mattson's algorithm with an LRU stack
+// (O(n·u) in events × distinct chunks — ample for simulator-scale traces).
 func (c *Collector) ClientStackDistances(client int) *Histogram {
-	return stackDistances(c.Events, func(ev Event) bool { return ev.Client == client })
-}
-
-// stackDistances runs Mattson's algorithm with an LRU stack (O(n·u) in
-// events × distinct chunks — ample for simulator-scale traces).
-func stackDistances(events []Event, keep func(Event) bool) *Histogram {
 	h := &Histogram{}
 	var stack []int // front = MRU
 	pos := make(map[int]int)
-	for _, ev := range events {
-		if !keep(ev) {
+	for _, ev := range c.Events {
+		if ev.Client != client {
 			continue
 		}
 		if idx, seen := pos[ev.Chunk]; seen {
@@ -194,24 +174,4 @@ func stackDistances(events []Event, keep func(Event) bool) *Histogram {
 		}
 	}
 	return h
-}
-
-// TopShared returns the n most widely shared chunks (chunk, degree),
-// sorted by degree descending then chunk ascending.
-func (c *Collector) TopShared(n int) [][2]int {
-	deg := c.SharingDegrees()
-	out := make([][2]int, 0, len(deg))
-	for chunk, d := range deg {
-		out = append(out, [2]int{chunk, d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][1] != out[j][1] {
-			return out[i][1] > out[j][1]
-		}
-		return out[i][0] < out[j][0]
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
