@@ -1,8 +1,8 @@
 #!/bin/sh
 # Lightweight CI, the tier-1 gate: formatting, build, vet (of this module
 # and of the perfbench benchmark module), linters, race-enabled tests, the
-# short-mode reproduction-fidelity gate, the zero-alloc gate, a short
-# balance fuzz run and the bench regression gate.
+# short-mode reproduction-fidelity gate, the zero-alloc gate, short balance
+# and merge fuzz runs and the bench regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -92,6 +92,11 @@ echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
 # crasher under internal/core/testdata/fuzz; this explores new shapes
 # against the reference balance loop for a short, fixed time.
 go test -run '^$' -fuzz '^FuzzBalanceMatchesReference$' -fuzztime 15s ./internal/core
+
+echo "==> merge fuzz (FuzzMergeMatchesReference, 10s)"
+# The same for the merge queue (the seed run in pop order plus the push
+# heap) against the dense reference merge.
+go test -run '^$' -fuzz '^FuzzMergeMatchesReference$' -fuzztime 10s ./internal/core
 
 echo "==> bench regression gate (vs BENCH.json)"
 # Short mode: fixed iteration counts keep this quick; three samples per

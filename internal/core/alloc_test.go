@@ -28,9 +28,9 @@ func allocTags(rr *rand.Rand, r, n int) []bitvec.Vector {
 }
 
 // TestAllocSparsePairsWarm: with a warm distScratch and warm per-worker
-// scratch pool, single-worker pair generation allocates nothing — pairs
-// land in the recycled heap backing, the inverted index in the scratch's
-// recycled posting tables.
+// scratch pool, single-worker pair generation and ordering allocate
+// nothing — pairs land in the recycled seed run, the inverted index in the
+// scratch's recycled posting tables.
 func TestAllocSparsePairsWarm(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; the alloc gate runs without -race")
@@ -40,13 +40,15 @@ func TestAllocSparsePairsWarm(t *testing.T) {
 	scr := distScratchPool.Get().(*distScratch)
 	defer distScratchPool.Put(scr)
 	warm := func() {
-		if _, _, err := sparsePairs(context.Background(), tagOf, 294, 1, scr); err != nil {
+		shards, _, err := pairShards(context.Background(), tagOf, 294, 1, &scr.postings, scr.shards)
+		if err != nil {
 			t.Fatal(err)
 		}
+		scr.popOrder(shards, 294)
 	}
 	warm()
 	if allocs := testing.AllocsPerRun(50, warm); allocs != 0 {
-		t.Fatalf("warm sparsePairs allocates %v objects/op, want 0", allocs)
+		t.Fatalf("warm pairShards+popOrder allocates %v objects/op, want 0", allocs)
 	}
 }
 

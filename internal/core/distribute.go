@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitvec"
@@ -40,13 +41,17 @@ type Options struct {
 	// iteration counts, as a fraction of the ideal share (the paper's
 	// BThres; its experiments use 10%).
 	BalanceThreshold float64
-	// Workers bounds the goroutines used to weight the similarity graph
-	// seeding Stage 1. 0 or 1 runs inline; the clustering result is
-	// identical at any worker count.
+	// Workers bounds the goroutines of a run: the similarity pass shards
+	// its rows over them, and the child subtrees below the first split of
+	// at least 1,024 chunks run on them, each subtree with Workers = 1. 0
+	// or 1 runs everything inline; the result is identical at any worker
+	// count.
 	Workers int
 	// Clock, if non-nil, observes the wall time of the internal phases
 	// ("similarity", "cluster", "balance"), accumulated across the
-	// recursive hierarchy walk. Implementations must be cheap. A Clock
+	// recursive hierarchy walk. Subtree workers report concurrently, so
+	// the phases' sum is busy time and can exceed the run's wall time.
+	// Implementations must be cheap and safe for concurrent use. A Clock
 	// that also implements PairStatsRecorder additionally receives the
 	// similarity pair-generation counts.
 	Clock PhaseClock
@@ -60,8 +65,9 @@ type Options struct {
 
 // PhaseClock observes the distributor's named algorithm phases. Each phase
 // is reported after the fact as one (name, start, duration) call, so the
-// steady-state path allocates nothing per phase per hierarchy node. A nil
-// PhaseClock in Options disables instrumentation.
+// steady-state path allocates nothing per phase per hierarchy node.
+// Subtree workers (see Options.Workers) call RecordPhase concurrently. A
+// nil PhaseClock in Options disables instrumentation.
 type PhaseClock interface {
 	RecordPhase(name string, start time.Time, d time.Duration)
 }
@@ -162,7 +168,7 @@ func (a *bump[T]) reset() {
 // pointer tables of one level are still read while the children recurse.
 type distScratch struct {
 	tags      bitvec.Arena        // cluster tags, merge newbits, counted OR views
-	tagOf     []bitvec.Vector     // tag view handed to sparsePairs
+	tagOf     []bitvec.Vector     // tag view handed to pairShards
 	postings  bitvec.PostingIndex // similarity inverted index, walked by the merge loop
 	active    []bool              // per-node liveness in the merge loop
 	parent    []int32             // owner union-find
@@ -181,7 +187,10 @@ type distScratch struct {
 	counted  bump[bitvec.Counted] // counted-tag structs
 	order    []int                // balance rank order
 	rows     donorRows            // balance's per-donor dot-row cache
-	heap     []mergePair          // merge-heap backing (also sparsePairs output)
+	shards   []*simScratch        // pairShards' output; empty between splits
+	seeds    []mergePair          // the seed run, in pop order
+	dotAt    []int                // popOrder's per-dot counts, all-zero between calls
+	pushes   []mergePair          // merge-heap backing (push-on-increase entries)
 }
 
 var distScratchPool = sync.Pool{New: func() any { return new(distScratch) }}
@@ -303,9 +312,11 @@ func Distribute(chunks []*tags.IterationChunk, tree *hierarchy.Tree, opts Option
 	return DistributeCtx(context.Background(), chunks, tree, opts)
 }
 
-// DistributeCtx is Distribute with cooperative cancellation: the O(n²)
-// similarity weighting, the merge loop and the balancing rounds check ctx
-// periodically and return ctx.Err() when it is canceled.
+// DistributeCtx is Distribute with cooperative cancellation: the sparse
+// similarity pass, the merge loop and the balancing rounds check ctx
+// periodically and return ctx.Err() when it is canceled. When subtrees run
+// in parallel (see Options.Workers), it returns only after every worker
+// has exited, and a panic on a worker is re-raised on the caller.
 func DistributeCtx(ctx context.Context, chunks []*tags.IterationChunk, tree *hierarchy.Tree, opts Options) ([][]*tags.IterationChunk, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("core: nil tree")
@@ -385,8 +396,93 @@ func (d *distributor) assign(node *hierarchy.Node, members []*tags.IterationChun
 	if err != nil {
 		return err
 	}
+	if d.opts.Workers > 1 && len(members) >= fanOutMembers {
+		return d.fanOut(node.Children, clusters, clientIdx, out)
+	}
 	for i, ch := range node.Children {
 		if err := d.assign(ch, clusters[i].Members, clientIdx, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fanOutMembers is the smallest split whose child subtrees run in
+// parallel. Smaller plans take a few milliseconds whole (the paper's
+// applications have at most 512 chunks): a fan-out there gains no latency
+// and holds a second worker's scratch, which cost cache_hits ~20% peak
+// RSS in a trial.
+const fanOutMembers = 1024
+
+// fanOut runs the subtrees below children, child i taking clusters[i]'s
+// members, on min(Workers, len(children)) workers that take child indices
+// in order. The subtrees are independent clustering problems — disjoint
+// chunks and disjoint clients — and share nothing mutable: each split
+// copies its members into fresh slabs, leaves write disjoint out slots,
+// and chunks and the tree are only read. So the plan does not depend on
+// the schedule. The caller is one worker and keeps its scratch; each other
+// worker takes its own from the pool and releases it before the join.
+// Every worker runs with Workers = 1, so nothing below fans out again.
+//
+// Errors are returned in child order, as the serial walk returns them. A
+// worker that fails or panics makes the others stop taking children. The
+// call returns only after every worker has exited, and re-raises the
+// first recovered panic on the caller, where the serial walk raises it.
+func (d *distributor) fanOut(children []*hierarchy.Node, clusters []*Cluster,
+	clientIdx map[*hierarchy.Node]int, out [][]*tags.IterationChunk) error {
+	lists := make([][]*tags.IterationChunk, len(children))
+	for i := range lists {
+		lists[i] = clusters[i].Members
+	}
+	errs := make([]error, len(children))
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		mu       sync.Mutex
+		panicked any
+		wg       sync.WaitGroup
+	)
+	work := func(wd *distributor) {
+		defer func() {
+			if p := recover(); p != nil {
+				mu.Lock()
+				if panicked == nil {
+					panicked = p
+				}
+				mu.Unlock()
+				stop.Store(true)
+			}
+		}()
+		for !stop.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(children) {
+				return
+			}
+			if errs[i] = wd.assign(children[i], lists[i], clientIdx, out); errs[i] != nil {
+				stop.Store(true)
+			}
+		}
+	}
+	inner := *d
+	inner.opts.Workers = 1
+	pooled := inner
+	pooled.scr = nil
+	for range min(d.opts.Workers, len(children)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wd := pooled
+			defer wd.release()
+			work(&wd)
+		}()
+	}
+	work(&inner)
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -476,27 +572,34 @@ const ctxCheckInterval = 1024
 // mergeClusters implements Figure 5 Stage 1: while more clusters remain
 // than needed, merge the pair with the maximal tag dot product.
 //
-// The heap is seeded by the sparse similarity engine (similarity.go): only
+// The queue is seeded by the sparse similarity engine (similarity.go): only
 // pairs with ω ≥ 1 are generated. That is plan-identical to the dense
 // seeding because a zero-weight pair never outranks a positive one, and
 // once the maximum weight reaches 0 every remaining pair is 0 — merging two
 // zero-overlap clusters cannot create overlap — so the dense heap's tail is
-// a fixed lexicographic drain reproduced by the loop after the heap runs
+// a fixed lexicographic drain reproduced by the loop after the queue runs
 // dry.
 //
-// The heap is maintained with push-on-increase semantics: cluster tags only
-// gain bits, so a live pair's weight is nondecreasing and a heap entry can
+// The queue is maintained with push-on-increase semantics: cluster tags
+// only gain bits, so a live pair's weight is nondecreasing and an entry can
 // only ever underestimate it. After an absorb, a fresh entry is pushed only
 // for the pairs whose weight actually changed: the live clusters whose tags
 // overlap the bits the absorbed half newly contributed (newbits = Λb ∖ Λa).
 // Every live pair therefore always has one entry carrying its true weight,
-// plus possibly stale underestimates; the heap maximum over entries with
+// plus possibly stale underestimates; the queue maximum over entries with
 // both endpoints alive is always a true-weight entry of the true maximum
 // pair (an underestimate of the same pair ranks below its own true entry),
 // so the pop order — and the plan — is identical to the dense reference,
 // while merges that add no new bits push nothing. Entries whose endpoints
-// died are discarded on pop. The heap keeps its total order (dot, a, b), so
-// the order in which one merge's entries are pushed cannot change a pop.
+// died are discarded on pop.
+//
+// The queue is two sorted sources under one total order (dot desc, a, b),
+// and each pop takes the first of their heads. The seeds never change, so
+// they form a run already in pop order (see popOrder), read by a cursor:
+// a stale seed costs one step, not a sift. Only the pushed entries, far
+// fewer, live in a 4-ary heap. Every entry is distinct under the total
+// order, so the pop sequence is unique: neither the split into two sources
+// nor the order in which one merge's entries are pushed can change a pop.
 //
 // Finding the pairs to push costs what the merge changed. A live cluster's
 // tag is the OR of its original members' tags, so live j gains weight with
@@ -525,24 +628,19 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 	for i, c := range clusters {
 		tagOf[i] = c.Tag
 	}
-	pairs, posts, err := sparsePairs(d.ctx, tagOf, d.r, d.opts.Workers, scr)
+	shards, posts, err := pairShards(d.ctx, tagOf, d.r, d.opts.Workers, &scr.postings, scr.shards)
+	simPhase.end(d)
 	if err != nil {
-		simPhase.end(d)
 		return nil, err
 	}
-	if rec, ok := d.opts.Clock.(PairStatsRecorder); ok {
-		rec.RecordSimilarityPairs(int64(len(pairs)), int64(n)*int64(n-1)/2)
-	}
-	// Bulk heapify: O(p) instead of p individual sift-up pushes. Reserve
-	// headroom for the push-on-increase entries so the merge loop's pushes
-	// don't regrow the backing array repeatedly (pairs arrives in scr.heap
-	// with that headroom already reserved, so Grow is a no-op once warm).
-	h := pairHeap{items: slices.Grow(pairs, len(pairs)/2+64)[:len(pairs)]}
-	h.init()
-	simPhase.end(d)
 
 	clusterPhase := d.beginPhase("cluster")
 	defer func() { clusterPhase.end(d) }()
+	seeds := scr.popOrder(shards, d.r)
+	if rec, ok := d.opts.Clock.(PairStatsRecorder); ok {
+		rec.RecordSimilarityPairs(int64(len(seeds)), int64(n)*int64(n-1)/2)
+	}
+	h := pairHeap{items: scr.pushes[:0]}
 
 	// owner union-find: posting lists hold original cluster indices; find
 	// resolves them to the absorbing cluster they now belong to.
@@ -603,9 +701,14 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 				return nil, err
 			}
 		}
-		p, ok := h.pop()
-		if !ok {
+		if len(seeds) == 0 && len(h.items) == 0 {
 			break // sparse graph exhausted: every remaining pair weighs 0
+		}
+		var p mergePair
+		if len(seeds) == 0 || len(h.items) > 0 && h.less(h.items[0], seeds[0]) {
+			p = h.pop()
+		} else {
+			p, seeds = seeds[0], seeds[1:]
 		}
 		if !active[p.a] || !active[p.b] {
 			continue // stale: an endpoint was absorbed, or an old underestimate
@@ -670,7 +773,7 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 			remaining--
 		}
 	}
-	scr.heap = h.items[:0] // keep any growth from push-on-increase entries
+	scr.pushes = h.items[:0] // keep any growth from push-on-increase entries
 	// Materialize the deferred member lists: pre-order over each surviving
 	// cluster's merge tree, children in absorb order.
 	frames := scr.frames[:0]
@@ -1316,12 +1419,53 @@ func (dr *donorRows) split(p int, keep *tags.IterationChunk, scr *distScratch) {
 	dr.donor.add(keep)
 }
 
-// mergePair is a candidate merge in the Stage 1 heap. It is kept to 16
-// bytes (indices as int32) because the seeded heap holds every weight ≥ 1
+// mergePair is a candidate merge in the Stage 1 queue. It is kept to 16
+// bytes (indices as int32) because the seed run holds every weight ≥ 1
 // pair and its memory traffic dominates the merge stage.
 type mergePair struct {
 	dot  int64
 	a, b int32
+}
+
+// popOrder lands pairShards' pairs over r-bit tags in scr.seeds, in the
+// merge's pop order (dot desc, a, b), recycles the shards and keeps the
+// shard slice's capacity in scr.shards. The shards hold the pairs in
+// row-major (a, b) order, so a stable counting sort by dot (dot ≤ r)
+// yields that order in O(p + max dot), with no comparisons.
+func (scr *distScratch) popOrder(shards []*simScratch, r int) []mergePair {
+	if len(scr.dotAt) <= r {
+		scr.dotAt = make([]int, r+1)
+	}
+	at := scr.dotAt
+	total := 0
+	var top int64
+	for _, s := range shards {
+		total += len(s.pairs)
+		for _, p := range s.pairs {
+			at[p.dot]++
+			top = max(top, p.dot)
+		}
+	}
+	// at[dot] becomes the first slot of the run of pairs weighing dot.
+	off := 0
+	for dot := top; dot > 0; dot-- {
+		at[dot], off = off, off+at[dot]
+	}
+	if cap(scr.seeds) < total {
+		scr.seeds = make([]mergePair, total)
+	}
+	seeds := scr.seeds[:total]
+	for _, s := range shards {
+		for _, p := range s.pairs {
+			seeds[at[p.dot]] = p
+			at[p.dot]++
+		}
+		putSimScratch(s)
+	}
+	clear(at[:top+1])
+	clear(shards)
+	scr.shards = shards[:0]
+	return seeds
 }
 
 // pairHeap is a max-heap on (dot, then smaller indices first) for
@@ -1338,11 +1482,10 @@ func (h *pairHeap) less(x, y mergePair) bool {
 	return x.b < y.b
 }
 
-// The heap is 4-ary: pops dominate the merge loop and a wider node halves
-// the sift depth with better cache locality. Arity cannot change the pop
-// order — every entry is distinct under the total (dot, a, b) order (seeded
-// pairs are unique by (a, b) and re-pushes happen only on a strict weight
-// increase), so the max sequence is unique.
+// The heap is 4-ary: a wider node halves the sift depth with better cache
+// locality. Arity cannot change the pop order — every entry is distinct
+// under the total (dot, a, b) order (re-pushes happen only on a strict
+// weight increase), so the max sequence is unique.
 const heapArity = 4
 
 func (h *pairHeap) push(p mergePair) {
@@ -1355,18 +1498,6 @@ func (h *pairHeap) push(p mergePair) {
 		}
 		h.items[i], h.items[parent] = h.items[parent], h.items[i]
 		i = parent
-	}
-}
-
-// init establishes the heap invariant over the current items in O(n)
-// (Floyd's bottom-up heapify), replacing n individual sift-up pushes when
-// the heap is bulk-seeded.
-func (h *pairHeap) init() {
-	if len(h.items) < 2 {
-		return
-	}
-	for i := (len(h.items) - 2) / heapArity; i >= 0; i-- {
-		h.siftDown(i)
 	}
 }
 
@@ -1395,14 +1526,12 @@ func (h *pairHeap) siftDown(i int) {
 	}
 }
 
-func (h *pairHeap) pop() (mergePair, bool) {
-	if len(h.items) == 0 {
-		return mergePair{}, false
-	}
+// pop removes and returns the top entry of a non-empty heap.
+func (h *pairHeap) pop() mergePair {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
 	h.items = h.items[:last]
 	h.siftDown(0)
-	return top, true
+	return top
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -491,23 +493,44 @@ func assignmentsEqual(a, b [][]*tags.IterationChunk) bool {
 	return true
 }
 
+// fanOutWorkload is an input whose first split fans out: more chunks than
+// fanOutMembers under a root with four storage subtrees, so at Workers ≥ 2
+// the subtrees run on several workers (at 2, fewer than the subtrees).
+func fanOutWorkload(seed int64) ([]*tags.IterationChunk, *hierarchy.Tree) {
+	chunks, _ := randomWorkload(rand.New(rand.NewSource(seed)), 256, fanOutMembers+200, 0.02)
+	return chunks, hierarchy.NewLayered(
+		hierarchy.LayerSpec{Count: 4, CacheChunks: 8, Label: "SN"},
+		hierarchy.LayerSpec{Count: 8, CacheChunks: 8, Label: "IO"},
+		hierarchy.LayerSpec{Count: 16, CacheChunks: 8, Label: "CN"},
+	)
+}
+
 func TestDistributeDeterministicAcrossWorkers(t *testing.T) {
-	chunks := figure6Chunks(8)
-	tree := figure7Tree()
-	want, err := Distribute(chunks, tree, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		opts := DefaultOptions()
-		opts.Workers = workers
-		got, err := Distribute(figure6Chunks(8), tree, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !assignmentsEqual(got, want) {
-			t.Fatalf("workers=%d: assignment differs from sequential", workers)
-		}
+	big, bigTree := fanOutWorkload(11)
+	for _, tc := range []struct {
+		name   string
+		chunks []*tags.IterationChunk
+		tree   *hierarchy.Tree
+	}{
+		{"figure6", figure6Chunks(8), figure7Tree()},
+		{"fan-out", big, bigTree},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want [][]*tags.IterationChunk
+			for _, workers := range []int{1, 2, 4, 7} {
+				opts := DefaultOptions()
+				opts.Workers = workers
+				got, err := Distribute(tc.chunks, tc.tree, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !assignmentsEqual(got, want) {
+					t.Fatalf("workers=%d: assignment differs from sequential", workers)
+				}
+			}
+		})
 	}
 }
 
@@ -521,6 +544,115 @@ func TestDistributeCtxCanceled(t *testing.T) {
 		if _, err := DistributeCtx(ctx, chunks, figure7Tree(), opts); err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
+	}
+}
+
+// goroutineID returns the running goroutine's ID, read off the header
+// line of its stack ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// fanOutClock is a test PhaseClock for a fan-out on two workers: the
+// caller's, which runs on the test's goroutine, and a pooled one. Phases
+// reported after the first split's balance phase are subtree phases. The
+// caller's worker waits in its subtree phases until the pooled worker
+// reaches one, so the pooled worker surely takes a child; the pooled
+// worker's first subtree phase runs onPooled.
+type fanOutClock struct {
+	caller   string
+	onPooled func()
+	reached  chan struct{} // closed when the pooled worker reaches a subtree phase
+	once     sync.Once
+
+	mu        sync.Mutex
+	rootSplit bool
+}
+
+func newFanOutClock(onPooled func()) *fanOutClock {
+	return &fanOutClock{caller: goroutineID(), onPooled: onPooled, reached: make(chan struct{})}
+}
+
+func (c *fanOutClock) RecordPhase(name string, _ time.Time, _ time.Duration) {
+	c.mu.Lock()
+	subtree := c.rootSplit
+	if name == "balance" {
+		c.rootSplit = true
+	}
+	c.mu.Unlock()
+	switch {
+	case !subtree:
+	case goroutineID() != c.caller:
+		c.once.Do(func() {
+			close(c.reached)
+			c.onPooled()
+		})
+	default:
+		select {
+		case <-c.reached:
+		case <-time.After(time.Minute):
+			panic("the pooled worker never reached a subtree phase")
+		}
+	}
+}
+
+// TestDistributeFanOutCanceled cancels the run from the pooled worker's
+// first subtree phase and holds that worker inside the phase report for a
+// while: every worker must stop, DistributeCtx must return
+// context.Canceled, and it must not return before the held worker's phase
+// report is done, so the clock sees no phase after the return.
+func TestDistributeFanOutCanceled(t *testing.T) {
+	chunks, tree := fanOutWorkload(12)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	returned := make(chan struct{})
+	left := make(chan struct{})
+	var returnedFirst bool
+	clock := newFanOutClock(func() {
+		defer close(left)
+		cancel()
+		select {
+		case <-returned:
+			returnedFirst = true
+		case <-time.After(250 * time.Millisecond):
+		}
+	})
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.Clock = clock
+	_, err := DistributeCtx(ctx, chunks, tree, opts)
+	close(returned)
+	<-left
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if returnedFirst {
+		t.Fatal("DistributeCtx returned while a worker was still reporting a phase")
+	}
+}
+
+// TestDistributeFanOutPanic panics on the pooled worker's first subtree
+// phase, while the caller's worker still has work left: the panic must
+// reach the caller's recover with its original value, instead of killing
+// the process from the pooled worker's goroutine.
+func TestDistributeFanOutPanic(t *testing.T) {
+	type boom struct{ msg string }
+	want := &boom{"subtree phase"}
+	chunks, tree := fanOutWorkload(13)
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.Clock = newFanOutClock(func() { panic(want) })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, err := Distribute(chunks, tree, opts)
+		t.Errorf("Distribute returned (err %v) instead of panicking", err)
+	}()
+	if got != want {
+		t.Fatalf("recovered %v, want the subtree's panic value %v", got, want)
 	}
 }
 

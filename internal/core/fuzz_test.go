@@ -52,3 +52,37 @@ func FuzzBalanceMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMergeMatchesReference holds the merge loop — the seed run in pop
+// order, the push heap, the posting-driven re-pushes and the zero-weight
+// drain — to the dense reference merge on fuzzed shapes. The arguments
+// decode into a generator seed, tag width, chunk count, tag density,
+// singleton or grouped starting clusters, the target cluster count and the
+// worker count of the similarity pass.
+func FuzzMergeMatchesReference(f *testing.F) {
+	// Many equal dots: 300 chunks over 8-bit tags, so long seed runs share
+	// a dot and the counting sort's stable tie order decides the pops.
+	f.Add(int64(1), uint16(8), uint16(300), uint8(64), false, uint8(3), uint8(1))
+	// All-zero tags: no seed at all; the merge is a pure drain.
+	f.Add(int64(2), uint16(64), uint16(120), uint8(0), false, uint8(6), uint8(1))
+	// Dense tags: crowded postings, so the row scan seeds the queue and the
+	// merge scans the live clusters (no posting lists).
+	f.Add(int64(3), uint16(96), uint16(80), uint8(230), false, uint8(5), uint8(2))
+	// Grouped clusters, as RebalanceClusters hands them in.
+	f.Add(int64(4), uint16(300), uint16(250), uint8(6), true, uint8(16), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, width, chunks uint16, density uint8, grouped bool, k, workers uint8) {
+		r := max(1, int(width%1025))
+		n := max(1, int(chunks%401))
+		rr := rand.New(rand.NewSource(seed))
+		groups := randomGroups(rr, equivChunks(rr, r, n, float64(density)/255, 0, 0), grouped)
+		kk := 1 + int(k)%len(groups)
+		w := 1 + int(workers%4)
+		diff, err := mergeBoth(r, w, kk, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff != "" {
+			t.Fatalf("r=%d n=%d grouped=%v k=%d workers=%d: %s", r, len(groups), grouped, kk, w, diff)
+		}
+	})
+}

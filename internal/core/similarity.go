@@ -4,13 +4,13 @@ package core
 // similarity graph ω(γi, γj) = popcount(Λi ∧ Λj). Real tags are sparse (an
 // iteration chunk touches a handful of the r data chunks), so the
 // overwhelming majority of the n(n−1)/2 pairs have weight 0 — and a
-// zero-weight pair can never outrank a positive one in the merge heap, nor
+// zero-weight pair can never outrank a positive one in the merge queue, nor
 // can merging two zero-overlap clusters create overlap. The engine
 // therefore builds an inverted index (data-chunk bit → ascending list of
 // cluster indices whose tag sets that bit) and generates only the pairs
 // that co-occur in at least one posting list, accumulating each pair's
 // weight with a per-row counting pass instead of a per-pair AndPopCount.
-// Zero-weight pairs are seeded lazily: only if the heap runs dry before the
+// Zero-weight pairs are seeded lazily: only if the queue runs dry before the
 // merge reaches k clusters (see the drain path in mergeClusters), which
 // reproduces the dense algorithm's tie-break order exactly.
 
@@ -24,7 +24,8 @@ import (
 
 // PairStatsRecorder is optionally implemented by Options.Clock; when it is,
 // the distributor reports how many similarity pairs were generated versus
-// the dense bound, accumulated across the recursive hierarchy walk.
+// the dense bound, accumulated across the recursive hierarchy walk (by
+// subtree workers concurrently, like RecordPhase).
 type PairStatsRecorder interface {
 	RecordSimilarityPairs(generated, dense int64)
 }
@@ -79,19 +80,17 @@ func putSimScratch(s *simScratch) { simScratchPool.Put(s) }
 // the index is returned only after the last shard finishes reading posts.
 var simPostingsPool = sync.Pool{New: func() any { return new(bitvec.PostingIndex) }}
 
-// sparsePairs generates every pair (i, j), i < j, whose tags share at least
-// one "1" bit, with its similarity weight, in row-major order. Rows are
-// sharded across workers; the shard outputs concatenate in row order, so
-// the result is byte-identical at any worker count.
+// pairShards runs the pair-generation pass: every pair (i, j), i < j, whose
+// tags share at least one "1" bit, with its similarity weight. Rows are
+// sharded across workers; each shard holds its rows' pairs in row-major
+// order, and the shards are appended to shards in row order, so their
+// concatenation is the same row-major list at any worker count. The
+// caller recycles each shard with putSimScratch once it has read it.
 //
-// With a non-nil scr, the pair list and the inverted index come from the
-// run's recycled scratch: pairs land in scr.heap with the merge heap's
-// push headroom already reserved (so mergeClusters' slices.Grow no-ops),
-// and the index is built in scr.postings and returned as posts, which the
-// merge loop walks after every absorb. posts is nil when the row-scan
-// generator ran instead of the counting pass (n ≤ 32 or crowded postings),
-// and always nil without scr.
-func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr *distScratch) (pairs []mergePair, posts [][]int32, err error) {
+// The inverted index is built in ix and returned as posts, which the merge
+// loop walks after every absorb; posts is nil when the row-scan generator
+// ran instead of the counting pass (n ≤ 32 or crowded postings).
+func pairShards(ctx context.Context, tagOf []bitvec.Vector, r, workers int, ix *bitvec.PostingIndex, shards []*simScratch) (_ []*simScratch, posts [][]int32, err error) {
 	n := len(tagOf)
 	if workers < 1 {
 		workers = 1
@@ -110,13 +109,6 @@ func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr
 	// invisible to the plan.
 	useCounting := false
 	if n > 32 {
-		var ix *bitvec.PostingIndex
-		if scr != nil {
-			ix = &scr.postings
-		} else {
-			ix = simPostingsPool.Get().(*bitvec.PostingIndex)
-			defer simPostingsPool.Put(ix)
-		}
 		posts = ix.Build(r, tagOf)
 		var postWork int64
 		for _, p := range posts {
@@ -130,52 +122,47 @@ func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int, scr
 	curLen := 0
 	if useCounting {
 		curLen = r
+	} else {
+		posts = nil
 	}
 
 	// The fan-out lives in its own function so this one shares no variables
 	// with a goroutine closure: captured locals are forced to the heap on
 	// every path, which would cost the single-worker steady state five
 	// allocations per call (see TestAllocSparsePairsWarm).
-	var one [1]*simScratch
-	var shards []*simScratch
 	if workers <= 1 {
 		s, err := simFill(ctx, tagOf, posts, useCounting, curLen, 0, n)
 		if err != nil {
 			return nil, nil, err
 		}
-		one[0] = s
-		shards = one[:]
-	} else {
-		var err error
-		shards, err = simFillParallel(ctx, tagOf, posts, useCounting, curLen, n, workers)
-		if err != nil {
-			return nil, nil, err
-		}
+		return append(shards, s), posts, nil
 	}
+	ps, err := simFillParallel(ctx, tagOf, posts, useCounting, curLen, n, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return append(shards, ps...), posts, nil
+}
 
+// sparsePairs returns pairShards' pairs as one list in row-major order.
+func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int) ([]mergePair, error) {
+	ix := simPostingsPool.Get().(*bitvec.PostingIndex)
+	defer simPostingsPool.Put(ix)
+	var one [1]*simScratch
+	shards, _, err := pairShards(ctx, tagOf, r, workers, ix, one[:0])
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	for _, s := range shards {
 		total += len(s.pairs)
 	}
-	if scr != nil {
-		// Land the concatenation in scr.heap with the merge heap's push
-		// headroom pre-reserved, so the caller's slices.Grow is a no-op.
-		want := total + total/2 + 64
-		if cap(scr.heap) < want {
-			scr.heap = make([]mergePair, 0, want)
-		}
-		pairs = scr.heap[:0]
-	} else {
-		pairs = make([]mergePair, 0, total)
-	}
+	pairs := make([]mergePair, 0, total)
 	for _, s := range shards {
 		pairs = append(pairs, s.pairs...)
 		putSimScratch(s)
 	}
-	if !useCounting || scr == nil {
-		posts = nil
-	}
-	return pairs, posts, nil
+	return pairs, nil
 }
 
 // simFillParallel shards the pair-generation pass over workers goroutines,
@@ -297,7 +284,7 @@ func simFill(ctx context.Context, tagOf []bitvec.Vector, posts [][]int32, useCou
 // row-major order — the conservative dependence approximation, routed
 // through the same inverted index as the similarity seeding.
 func tagOverlapPairs(tagOf []bitvec.Vector, r int) [][2]int {
-	pairs, _, err := sparsePairs(context.Background(), tagOf, r, 1, nil)
+	pairs, err := sparsePairs(context.Background(), tagOf, r, 1)
 	if err != nil { // unreachable: background ctx never cancels
 		panic("core: " + err.Error())
 	}

@@ -131,7 +131,7 @@ func TestSparsePairsMatchesBruteForce(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 5} {
-			got, _, err := sparsePairs(t.Context(), tagOf, r, workers, nil)
+			got, err := sparsePairs(t.Context(), tagOf, r, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -115,7 +116,9 @@ var largePlanDigests = map[string]string{
 // rounds in the thousands under one donor) on a regular and two irregular
 // topologies at three balance thresholds, the paper's eight applications,
 // and incremental repairs of the drift-repair anchors onto shrunk
-// topologies. Short mode keeps one offset pair and one anchor.
+// topologies. Each cold shape runs at Workers 1, 2, 3 and 8 against its one
+// digest: from 2 up, the subtrees below its root split run in parallel,
+// also on a one-CPU runner. Short mode keeps one cold shape and one anchor.
 func TestLargePlanDigests(t *testing.T) {
 	type offsets struct{ off2, off3 int64 }
 	type cold struct {
@@ -125,10 +128,12 @@ func TestLargePlanDigests(t *testing.T) {
 	}
 	topos := []string{"16/32/64@16,8,4", "3/7/20@16,8,4", "2/5/11/37@32,16,8,4"}
 	colds := []cold{
-		{offsets{64, 0}, topos, []float64{0, 0.1, 0.5}},
+		{offsets{64, 0}, topos[:1], []float64{0.1}},
 	}
 	if !testing.Short() {
 		colds = append(colds,
+			cold{offsets{64, 0}, topos[:1], []float64{0, 0.5}},
+			cold{offsets{64, 0}, topos[1:], []float64{0, 0.1, 0.5}},
 			cold{offsets{352, 160}, topos[:1], []float64{0.1}},
 			cold{offsets{352, 160}, topos[1:2], []float64{0}},
 			cold{offsets{352, 160}, topos[2:], []float64{0.5}},
@@ -140,7 +145,8 @@ func TestLargePlanDigests(t *testing.T) {
 	check := func(name string, assign [][]*tags.IterationChunk) {
 		t.Helper()
 		got := assignmentDigest(assign)
-		want, ok := largePlanDigests[name]
+		key, _, _ := strings.Cut(name, " ")
+		want, ok := largePlanDigests[key]
 		if !ok {
 			t.Errorf("%s: no pinned digest (got %s)", name, got)
 			return
@@ -154,13 +160,16 @@ func TestLargePlanDigests(t *testing.T) {
 		for _, topo := range c.topos {
 			tree := parseTree(t, topo)
 			for _, th := range c.ts {
-				opts := core.DefaultOptions()
-				opts.BalanceThreshold = th
-				assign, err := Distribute(context.Background(), chunks, tree, opts)
-				if err != nil {
-					t.Fatal(err)
+				for _, workers := range []int{1, 2, 3, 8} {
+					opts := core.DefaultOptions()
+					opts.BalanceThreshold = th
+					opts.Workers = workers
+					assign, err := Distribute(context.Background(), chunks, tree, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("cold/%d,%d/%s/t=%v (workers=%d)", c.off.off2, c.off.off3, topo, th, workers), assign)
 				}
-				check(fmt.Sprintf("cold/%d,%d/%s/t=%v", c.off.off2, c.off.off3, topo, th), assign)
 			}
 		}
 	}
