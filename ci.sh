@@ -1,8 +1,8 @@
 #!/bin/sh
 # Lightweight CI, the tier-1 gate: formatting, build, vet (of this module
 # and of the perfbench benchmark module), linters, race-enabled tests, the
-# short-mode reproduction-fidelity gate, the zero-alloc gate, short balance
-# and merge fuzz runs and the bench regression gate.
+# short-mode reproduction-fidelity gate, the zero-alloc gate, short balance,
+# merge and plan-log fuzz runs and the bench regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -97,6 +97,13 @@ echo "==> merge fuzz (FuzzMergeMatchesReference, 10s)"
 # The same for the merge queue (the seed run in pop order plus the push
 # heap) against the dense reference merge.
 go test -run '^$' -fuzz '^FuzzMergeMatchesReference$' -fuzztime 10s ./internal/core
+
+echo "==> plan-log fuzz (FuzzPlanstoreRecord, 10s)"
+# The plan store's startup scan reads whatever bytes are on disk: arbitrary
+# logs must open without a panic or an error, cut to the records that
+# verify, and reopen to the same entries. A crasher lands in
+# internal/planstore/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzPlanstoreRecord$' -fuzztime 10s ./internal/planstore
 
 echo "==> bench regression gate (vs BENCH.json)"
 # Short mode: fixed iteration counts keep this quick; three samples per

@@ -6,13 +6,13 @@
 // and repeated requests are served from memory in microseconds instead of
 // re-running hierarchical clustering.
 //
-// The package is layered: a Cache owns memoization concerns —
-// instrumentation hooks and deduplication of concurrent misses for the
+// A Cache has two tiers, like the paper's client caches over storage: a
+// bounded in-memory LRU it owns, and an optional persistent Disk tier
+// (internal/planstore) that answers memory misses and receives every
+// computed plan. On top of them it deduplicates concurrent misses for the
 // same key ("singleflight": when n requests race on a cold key, one
-// computes and the other n−1 wait for its result) — while the entries
-// themselves live in a pluggable Store (see store.go). The default Store
-// is the in-memory MemStore LRU; disk-backed or remote tiers plug in
-// behind the same seam without touching the singleflight machinery.
+// computes and the other n−1 wait for its result) and reports each event
+// through instrumentation hooks.
 //
 // The cache is safe for concurrent use.
 package plancache
@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -47,24 +48,34 @@ func KeyOf(spec any) (Key, error) {
 	return sha256.Sum256(b), nil
 }
 
-// Cache is the memoization layer over a Store: bounded storage (delegated
-// to the store), per-event instrumentation hooks and singleflight
+// Disk is the optional persistent tier under a Cache's memory LRU. The
+// cache calls it under its own lock: Get only on a memory miss, Put with
+// every computed value. Put must therefore not block on I/O.
+type Disk[V any] interface {
+	Get(k Key) (V, bool)
+	Put(k Key, v V)
+}
+
+// Cache is the two-tier plan cache: a bounded in-memory LRU over an
+// optional Disk tier, per-event instrumentation hooks and singleflight
 // deduplication of concurrent misses. The hooks are the cache's only
 // counters: the server wires them to its metrics registry.
 type Cache[V any] struct {
-	// mu guards the inflight table. Store calls made while holding it keep
-	// lookup-vs-publish atomic: a concurrent Do either sees the stored
-	// entry or the in-flight call, never neither.
+	// mu guards the memory tier and the inflight table and is held across
+	// disk-tier calls, which keeps lookup-vs-publish atomic: a concurrent
+	// Do either sees the stored entry or the in-flight call, never neither.
 	mu       sync.Mutex
-	store    Store[V]
+	mem      *lru[V]
+	disk     Disk[V] // nil: memory only
 	inflight map[Key]*call[V]
 	// The hooks are set before the cache is shared and read without the
 	// lock. OnHit and OnMiss, when non-nil, are invoked once per Do
 	// resolution.
 	OnHit  func()
 	OnMiss func()
-	// OnEvict, when non-nil, is invoked for every evicted value.
-	OnEvict func(Key, V)
+	// OnEvict, when non-nil, is invoked once per entry the memory tier
+	// evicts, including those displaced by promoting a disk hit.
+	OnEvict func()
 	// OnCoalesced, when non-nil, is invoked whenever a Do caller becomes a
 	// waiter on an in-flight computation.
 	OnCoalesced func()
@@ -83,44 +94,54 @@ type call[V any] struct {
 	canceled bool
 }
 
-// New returns a cache over an in-memory LRU store bounded to capacity
-// entries (capacity < 1 is raised to 1).
-func New[V any](capacity int) *Cache[V] {
-	return NewWithStore(NewMemStore[V](capacity))
-}
+// errLeaderPanicked is the error the followers of a panicking leader get.
+var errLeaderPanicked = errors.New("plancache: the computation for this key panicked")
 
-// NewWithStore returns a cache whose entries live in store. The cache adds
-// singleflight and instrumentation on top; the store only holds entries.
-func NewWithStore[V any](store Store[V]) *Cache[V] {
+// New returns a cache whose memory tier holds up to capacity entries
+// (capacity < 1 is raised to 1) over disk, which may be nil.
+func New[V any](capacity int, disk Disk[V]) *Cache[V] {
 	return &Cache[V]{
-		store:    store,
+		mem:      newLRU[V](capacity),
+		disk:     disk,
 		inflight: make(map[Key]*call[V]),
 	}
 }
 
-// put inserts under the lock and returns any evicted entries plus the
-// eviction callback to run outside it (nil callback ⇒ empty slice).
-func (c *Cache[V]) put(k Key, v V) ([]Evicted[V], func(Key, V)) {
-	evicted := c.store.Put(k, v)
-	if len(evicted) == 0 || c.OnEvict == nil {
-		return nil, nil
+// lookupLocked probes memory, then disk; a disk hit is promoted into
+// memory. evicted counts the memory entries the promotion displaced.
+func (c *Cache[V]) lookupLocked(k Key) (v V, ok bool, evicted int) {
+	if v, ok = c.mem.get(k); ok || c.disk == nil {
+		return v, ok, 0
 	}
-	return evicted, c.OnEvict
+	if v, ok = c.disk.Get(k); ok {
+		evicted = c.mem.put(k, v)
+	}
+	return v, ok, evicted
+}
+
+// reportEvictions reports n memory evictions to OnEvict; call it without
+// the lock.
+func (c *Cache[V]) reportEvictions(n int) {
+	for ; n > 0 && c.OnEvict != nil; n-- {
+		c.OnEvict()
+	}
 }
 
 // Do returns the value for k, computing it with fn on a miss, honoring
 // ctx. Concurrent calls for the same cold key elect a leader that runs fn
 // under its own context; followers wait for the leader's answer or their
 // own ctx, whichever comes first. The hit return reports whether the value
-// came from cache (or a shared in-flight computation). Errors are not
-// cached.
+// came from either tier (or a shared in-flight computation). Errors are
+// not cached.
 //
 // Cancellation does not poison the shared result: a leader whose own
 // context is canceled mid-computation marks its call abandoned — nothing
 // is cached, the cancellation error is not propagated, and any waiting
 // followers re-elect a successor leader among themselves. A follower whose
 // own context is canceled while waiting gets its ctx.Err() without
-// affecting the in-flight computation.
+// affecting the in-flight computation. Neither does a panic in fn: the
+// leader releases k and its followers get an error before the panic
+// continues up the leader's stack.
 func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, error)) (v V, hit bool, err error) {
 	var zero V
 	traced := obs.SpanFromContext(ctx) != nil
@@ -130,8 +151,9 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 		}
 		lookupStart := time.Now()
 		c.mu.Lock()
-		if v, ok := c.store.Get(k); ok {
+		if v, ok, evicted := c.lookupLocked(k); ok {
 			c.mu.Unlock()
+			c.reportEvictions(evicted)
 			if traced {
 				obs.Record(ctx, "plancache.lookup", lookupStart, time.Since(lookupStart),
 					obs.String("result", "hit"))
@@ -184,43 +206,55 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 		if c.OnMiss != nil {
 			c.OnMiss()
 		}
+		c.lead(ctx, k, cl, fn)
+		if cl.canceled {
+			return zero, false, ctx.Err()
+		}
+		return cl.val, false, cl.err
+	}
+}
 
-		cctx, csp := obs.StartSpan(ctx, "plancache.compute")
-		cl.val, cl.err = fn(cctx)
-		if cl.err != nil && ctx.Err() != nil {
-			// Leader canceled: abandon the call without caching or
-			// propagating the partial result.
-			cl.canceled = true
+// lead runs fn as k's leader and publishes the outcome to both tiers and
+// to the waiting followers. The publish is deferred so that a panic in fn
+// still releases k and wakes the followers with errLeaderPanicked,
+// caching nothing, before the panic continues up the leader's stack.
+func (c *Cache[V]) lead(ctx context.Context, k Key, cl *call[V], fn func(context.Context) (V, error)) {
+	cctx, csp := obs.StartSpan(ctx, "plancache.compute")
+	outcome := "panic"
+	defer func() {
+		if outcome == "panic" {
+			cl.err = errLeaderPanicked
 		}
 		if csp != nil {
 			csp.SetAttr("key", k.String())
-			switch {
-			case cl.canceled:
-				csp.SetAttr("outcome", "canceled")
-			case cl.err != nil:
-				csp.SetAttr("outcome", "error")
-			default:
-				csp.SetAttr("outcome", "computed")
-			}
+			csp.SetAttr("outcome", outcome)
 			csp.End()
 		}
+		evicted := 0
 		c.mu.Lock()
-		var evicted []Evicted[V]
-		var cb func(Key, V)
-		if cl.err == nil {
-			evicted, cb = c.put(k, cl.val)
+		if outcome == "computed" {
+			evicted = c.mem.put(k, cl.val)
+			if c.disk != nil {
+				c.disk.Put(k, cl.val)
+			}
 		}
 		delete(c.inflight, k)
 		c.mu.Unlock()
 		// Wake followers only after the call left the inflight table, so a
 		// retrying follower cannot re-adopt the abandoned call.
 		close(cl.done)
-		for _, e := range evicted {
-			cb(e.Key, e.Val)
-		}
-		if cl.canceled {
-			return zero, false, ctx.Err()
-		}
-		return cl.val, false, cl.err
+		c.reportEvictions(evicted)
+	}()
+	cl.val, cl.err = fn(cctx)
+	switch {
+	case cl.err != nil && ctx.Err() != nil:
+		// Leader canceled: abandon the call without caching or
+		// propagating the partial result.
+		cl.canceled = true
+		outcome = "canceled"
+	case cl.err != nil:
+		outcome = "error"
+	default:
+		outcome = "computed"
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -47,7 +48,7 @@ func value[V any](v V) func(context.Context) (V, error) {
 }
 
 func TestGetPutLRU(t *testing.T) {
-	c := New[int](2)
+	c := New[int](2, nil)
 	var hits, misses int
 	c.OnHit = func() { hits++ }
 	c.OnMiss = func() { misses++ }
@@ -59,17 +60,17 @@ func TestGetPutLRU(t *testing.T) {
 		t.Fatalf("Do(k1) = %d, hit %v", v, hit)
 	}
 	c.Do(ctx, k3, value(30)) // evicts k2, the least recently used
-	if _, ok := c.store.Get(k2); ok {
+	if _, ok := c.mem.peek(k2); ok {
 		t.Fatal("k2 survived eviction")
 	}
-	if v, ok := c.store.Get(k1); !ok || v != 10 {
+	if v, ok := c.mem.peek(k1); !ok || v != 10 {
 		t.Fatalf("k1 lost: %d, %v", v, ok)
 	}
-	if v, ok := c.store.Get(k3); !ok || v != 30 {
+	if v, ok := c.mem.peek(k3); !ok || v != 30 {
 		t.Fatalf("k3 lost: %d, %v", v, ok)
 	}
-	if n := c.store.Len(); n != 2 {
-		t.Fatalf("store holds %d entries, want 2", n)
+	if n := len(c.mem.entries); n != 2 {
+		t.Fatalf("memory holds %d entries, want 2", n)
 	}
 	if hits != 1 || misses != 3 {
 		t.Fatalf("hooks saw %d hits, %d misses; want 1, 3", hits, misses)
@@ -77,20 +78,23 @@ func TestGetPutLRU(t *testing.T) {
 }
 
 func TestOnEvict(t *testing.T) {
-	c := New[string](1)
-	var evicted []string
-	c.OnEvict = func(_ Key, v string) { evicted = append(evicted, v) }
+	c := New[string](1, nil)
+	evictions := 0
+	c.OnEvict = func() { evictions++ }
 	ctx := context.Background()
 	c.Do(ctx, key(t, "a"), value("A"))
 	c.Do(ctx, key(t, "b"), value("B"))
 	c.Do(ctx, key(t, "c"), value("C"))
-	if len(evicted) != 2 || evicted[0] != "A" || evicted[1] != "B" {
-		t.Fatalf("evicted = %v", evicted)
+	if evictions != 2 {
+		t.Fatalf("evictions = %d, want 2", evictions)
+	}
+	if _, ok := c.mem.peek(key(t, "c")); !ok || len(c.mem.entries) != 1 {
+		t.Fatalf("memory holds %d entries, want only the newest", len(c.mem.entries))
 	}
 }
 
 func TestDoComputesOnceUnderContention(t *testing.T) {
-	c := New[int](8)
+	c := New[int](8, nil)
 	k := key(t, "hot")
 	var computed atomic.Int64
 	var wg sync.WaitGroup
@@ -124,7 +128,7 @@ func TestDoComputesOnceUnderContention(t *testing.T) {
 }
 
 func TestDoErrorNotCached(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	k := key(t, "flaky")
 	boom := errors.New("boom")
 	if _, _, err := c.Do(context.Background(), k, func(context.Context) (int, error) { return 0, boom }); !errors.Is(err, boom) {
@@ -140,7 +144,7 @@ func TestDoErrorNotCached(t *testing.T) {
 }
 
 func TestConcurrentMixedKeys(t *testing.T) {
-	c := New[int](16)
+	c := New[int](16, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -172,7 +176,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 // propagate its error; waiting followers re-elect a successor leader.
 // Meaningful under -race.
 func TestDoCanceledLeaderDoesNotPoison(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	k := key(t, "contested")
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -228,7 +232,7 @@ func TestDoCanceledLeaderDoesNotPoison(t *testing.T) {
 		t.Fatalf("no successor leader recomputed the value")
 	}
 	// The abandoned leader result must not be cached; the successor's is.
-	if v, ok := c.store.Get(k); !ok || v != 99 {
+	if v, ok := c.mem.peek(k); !ok || v != 99 {
 		t.Fatalf("cached = %d, %v; want 99, true", v, ok)
 	}
 }
@@ -236,7 +240,7 @@ func TestDoCanceledLeaderDoesNotPoison(t *testing.T) {
 // TestDoFollowerCancellation: a follower whose own context dies while the
 // leader computes gets its ctx.Err() and leaves the leader undisturbed.
 func TestDoFollowerCancellation(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	k := key(t, "slow")
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -264,7 +268,7 @@ func TestDoFollowerCancellation(t *testing.T) {
 	if v := <-done; v != 7 {
 		t.Fatalf("leader v = %d, want 7", v)
 	}
-	if v, ok := c.store.Get(k); !ok || v != 7 {
+	if v, ok := c.mem.peek(k); !ok || v != 7 {
 		t.Fatalf("cached = %d, %v", v, ok)
 	}
 }
@@ -273,11 +277,11 @@ func TestDoFollowerCancellation(t *testing.T) {
 // waits, capacity evictions and a leader re-election, and requires the
 // corresponding hooks (the cache's only counters) to fire.
 func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
-	c := New[int](2)
+	c := New[int](2, nil)
 	var hookCoalesced, hookReelect, hookEvict, hookHit, hookMiss atomic.Int64
 	c.OnCoalesced = func() { hookCoalesced.Add(1) }
 	c.OnReelect = func() { hookReelect.Add(1) }
-	c.OnEvict = func(Key, int) { hookEvict.Add(1) }
+	c.OnEvict = func() { hookEvict.Add(1) }
 	c.OnHit = func() { hookHit.Add(1) }
 	c.OnMiss = func() { hookMiss.Add(1) }
 
@@ -379,7 +383,7 @@ func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
 // span, a leader records a compute span, and a coalesced follower records
 // a singleflight-wait span.
 func TestDoEmitsSpans(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	k := key(t, "spans")
 
 	spansOf := func(drive func(ctx context.Context)) map[string][]obs.SpanData {
@@ -442,5 +446,121 @@ func TestDoEmitsSpans(t *testing.T) {
 	}
 	if waits[0].Attrs[0] != (obs.Attr{Key: "outcome", Value: "shared"}) {
 		t.Fatalf("wait span attrs: %+v", waits[0].Attrs)
+	}
+}
+
+// mapDisk is a map-backed Disk. The cache calls it under its own lock, so
+// it needs none; the test reads it only between Do calls.
+type mapDisk struct {
+	m          map[Key]string
+	gets, puts int
+}
+
+func (d *mapDisk) Get(k Key) (string, bool) { d.gets++; v, ok := d.m[k]; return v, ok }
+func (d *mapDisk) Put(k Key, v string)      { d.puts++; d.m[k] = v }
+
+// TestDiskTier: computed values reach the disk tier, a memory miss the
+// disk answers is a hit that is promoted into memory without a disk
+// write, and every memory eviction, the promotion's included, fires
+// OnEvict.
+func TestDiskTier(t *testing.T) {
+	d := &mapDisk{m: map[Key]string{}}
+	c := New[string](1, d)
+	var hits, misses, evictions int
+	c.OnHit = func() { hits++ }
+	c.OnMiss = func() { misses++ }
+	c.OnEvict = func() { evictions++ }
+	ctx := context.Background()
+	ka, kb := key(t, "a"), key(t, "b")
+
+	c.Do(ctx, ka, value("A"))
+	c.Do(ctx, kb, value("B")) // displaces a from the 1-entry memory tier
+	if d.m[ka] != "A" || d.m[kb] != "B" || d.puts != 2 {
+		t.Fatalf("disk holds %v after %d puts; want both computed values", d.m, d.puts)
+	}
+	if evictions != 1 {
+		t.Fatalf("evictions = %d after 2 values in a 1-entry tier, want 1", evictions)
+	}
+
+	v, hit, err := c.Do(ctx, ka, func(context.Context) (string, error) {
+		return "", errors.New("a disk-resident value was recomputed")
+	})
+	if v != "A" || !hit || err != nil {
+		t.Fatalf("memory miss on a = %q, %v, %v; want the disk copy as a hit", v, hit, err)
+	}
+	if evictions != 2 {
+		t.Fatalf("evictions = %d, want 2: promoting a displaces b", evictions)
+	}
+	if d.puts != 2 {
+		t.Fatalf("promotion wrote to disk: %d puts, want 2", d.puts)
+	}
+	gets := d.gets
+	if v, hit, _ := c.Do(ctx, ka, value("unused")); v != "A" || !hit || d.gets != gets {
+		t.Fatalf("after promotion Do(a) = %q, %v with %d disk reads; want a memory hit", v, hit, d.gets-gets)
+	}
+	if hits != 2 || misses != 2 {
+		t.Fatalf("hooks saw %d hits, %d misses; want 2, 2", hits, misses)
+	}
+}
+
+// TestDoAfterLeaderPanic: a leader whose fn panics must not wedge its key.
+// The panic still reaches the leader's caller, nothing is cached, and the
+// next Do computes well before its deadline.
+func TestDoAfterLeaderPanic(t *testing.T) {
+	c := New[int](4, nil)
+	k := key(t, "panics")
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("leader recovered %v, want the original panic", r)
+			}
+		}()
+		c.Do(context.Background(), k, func(context.Context) (int, error) { panic("boom") })
+	}()
+	if _, ok := c.mem.peek(k); ok {
+		t.Fatal("a panicked computation was cached")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if v, hit, err := c.Do(ctx, k, value(7)); v != 7 || hit || err != nil {
+		t.Fatalf("Do after a leader panic = %d, %v, %v; want a fresh compute of 7", v, hit, err)
+	}
+}
+
+// TestDoFollowerOfPanickingLeader: a follower coalesced onto a leader that
+// panics gets an error as soon as the leader unwinds, not at its deadline.
+func TestDoFollowerOfPanickingLeader(t *testing.T) {
+	c := New[int](4, nil)
+	k := key(t, "panics-shared")
+	attached := make(chan struct{})
+	c.OnCoalesced = func() { close(attached) }
+	started := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(context.Background(), k, func(context.Context) (int, error) {
+			close(started)
+			<-attached
+			panic("boom")
+		})
+	}()
+	<-started
+
+	const deadline = 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, _, err := c.Do(ctx, k, func(context.Context) (int, error) {
+		t.Error("a follower computed instead of waiting on its leader")
+		return 0, nil
+	})
+	if !errors.Is(err, errLeaderPanicked) {
+		t.Fatalf("follower err = %v after %v, want errLeaderPanicked", err, time.Since(start))
+	}
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("leader recovered %v, want the original panic", r)
+	}
+	if _, ok := c.mem.peek(k); ok {
+		t.Fatal("a panicked computation was cached")
 	}
 }

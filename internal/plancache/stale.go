@@ -1,7 +1,6 @@
 package plancache
 
 import (
-	"container/list"
 	"sync"
 	"time"
 )
@@ -65,14 +64,11 @@ func within(x, y int, tol float64) bool {
 // The tier is deliberately lossy — one entry per workload key, refreshed
 // on every successful computation — and safe for concurrent use.
 type StaleTier[V any] struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	entries  map[Key]*list.Element
+	mu      sync.Mutex
+	entries *lru[staleEntry[V]]
 }
 
 type staleEntry[V any] struct {
-	key    Key
 	sig    TopoSig
 	val    V
 	stored time.Time
@@ -81,14 +77,7 @@ type staleEntry[V any] struct {
 // NewStaleTier returns a tier bounded to capacity workload entries
 // (capacity < 1 is raised to 1).
 func NewStaleTier[V any](capacity int) *StaleTier[V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &StaleTier[V]{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[Key]*list.Element),
-	}
+	return &StaleTier[V]{entries: newLRU[staleEntry[V]](capacity)}
 }
 
 // Put records v as the latest good plan for workload key k, computed for
@@ -96,35 +85,20 @@ func NewStaleTier[V any](capacity int) *StaleTier[V] {
 func (s *StaleTier[V]) Put(k Key, sig TopoSig, v V) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		e := el.Value.(*staleEntry[V])
-		e.sig, e.val, e.stored = sig, v, time.Now()
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.entries[k] = s.ll.PushFront(&staleEntry[V]{key: k, sig: sig, val: v, stored: time.Now()})
-	for s.ll.Len() > s.capacity {
-		el := s.ll.Back()
-		s.ll.Remove(el)
-		delete(s.entries, el.Value.(*staleEntry[V]).key)
-	}
+	s.entries.put(k, staleEntry[V]{sig: sig, val: v, stored: time.Now()})
 }
 
 // Get returns the entry for workload key k if its recorded topology drifts
 // from sig within tol: the value, the exact signature it was computed for
 // (so a repair can tell zero drift from a genuine adaptation) and its age.
-// A usable entry refreshes its recency.
+// Only a usable entry refreshes its recency.
 func (s *StaleTier[V]) Get(k Key, sig TopoSig, tol float64) (v V, cached TopoSig, age time.Duration, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, found := s.entries[k]
-	if !found {
+	e, found := s.entries.peek(k)
+	if !found || !e.sig.DriftWithin(sig, tol) {
 		return v, TopoSig{}, 0, false
 	}
-	e := el.Value.(*staleEntry[V])
-	if !e.sig.DriftWithin(sig, tol) {
-		return v, TopoSig{}, 0, false
-	}
-	s.ll.MoveToFront(el)
+	s.entries.get(k)
 	return e.val, e.sig, time.Since(e.stored), true
 }

@@ -82,7 +82,7 @@ func TestStaleTierGetPut(t *testing.T) {
 	if v, _, _, ok := st.Get(k, sigFar, 0); !ok || v != "plan-2" {
 		t.Fatalf("refresh lookup: %q %v", v, ok)
 	}
-	if n := st.ll.Len(); n != 1 {
+	if n := st.entries.ll.Len(); n != 1 {
 		t.Fatalf("%d entries after refresh, want 1", n)
 	}
 }
@@ -95,7 +95,7 @@ func TestStaleTierBounded(t *testing.T) {
 		keys[i] = keyOf(t, fmt.Sprintf("w%d", i))
 		st.Put(keys[i], s, i)
 	}
-	if n := st.ll.Len(); n != 3 {
+	if n := st.entries.ll.Len(); n != 3 {
 		t.Fatalf("%d entries, want 3", n)
 	}
 	// The two oldest workloads were evicted.
@@ -115,6 +115,14 @@ func TestStaleTierBounded(t *testing.T) {
 	}
 	if _, _, _, ok := st.Get(keys[3], s, 0); ok {
 		t.Error("least recently used key 3 survived")
+	}
+	// A lookup outside tolerance does not refresh: w5 stays least recent.
+	if _, _, _, ok := st.Get(keyOf(t, "w5"), sig([2]int{8, 8}), 0); ok {
+		t.Fatal("a drifted topology matched")
+	}
+	st.Put(keyOf(t, "w7"), s, 7)
+	if _, _, _, ok := st.Get(keyOf(t, "w5"), s, 0); ok {
+		t.Error("an unusable lookup refreshed w5")
 	}
 }
 
@@ -141,7 +149,7 @@ func TestStaleTierConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := st.ll.Len(); n > 16 {
+	if n := st.entries.ll.Len(); n > 16 {
 		t.Fatalf("%d entries exceed capacity", n)
 	}
 }

@@ -5,9 +5,10 @@
 // ROADMAP's "persistent warm-start plan store"; decomposition as a
 // preservable runtime artifact, after Paulino & Delgado).
 //
-// The Log implements the pluggable plancache.Store seam, so it composes
-// with the memoization layer — and with the in-memory LRU via WriteBehind
-// (see writebehind.go) — without touching singleflight or counters.
+// The plan cache reaches the Log through WriteBehind (see writebehind.go),
+// which reads it on a memory miss and feeds it computed plans through a
+// bounded queue, so the cache's memory LRU and singleflight never wait on
+// a disk write.
 //
 // On-disk format (all integers little-endian), one file Dir/plans.log:
 //
@@ -30,11 +31,11 @@
 // drops them (counted separately) and their bytes become dead.
 //
 // Superseded records, tombstones and schema-dropped records accumulate as
-// dead bytes; when they exceed CompactRatio of the file, Put rewrites the
-// live records into a fresh log and atomically renames it into place
-// (Compact forces the same rewrite — the snapshot operation behind
-// POST /debug/cache/snapshot; restoring a snapshot is just the normal
-// startup scan).
+// dead bytes; when they exceed half of a log of at least 64 KiB, Put
+// rewrites the live records into a fresh log and atomically renames it
+// into place (Compact forces the same rewrite — the snapshot operation
+// behind POST /debug/cache/snapshot; restoring a snapshot is just the
+// normal startup scan).
 //
 // The Log is safe for concurrent use. It assumes one process per
 // directory, like any log-structured store.
@@ -114,28 +115,6 @@ type Options struct {
 	Schema uint32
 	// Fsync selects the durability policy (default FsyncBatch).
 	Fsync FsyncPolicy
-	// CompactRatio is the dead/total byte ratio above which an append
-	// triggers compaction (default 0.5; negative disables automatic
-	// compaction — Compact still works).
-	CompactRatio float64
-	// CompactMinBytes is the log size below which automatic compaction
-	// never runs (default 64 KiB).
-	CompactMinBytes int64
-	// MaxValueBytes is the scan's sanity bound on payload length; a header
-	// declaring more is treated as corruption (default 16 MiB).
-	MaxValueBytes int
-}
-
-func (o *Options) applyDefaults() {
-	if o.CompactRatio == 0 {
-		o.CompactRatio = 0.5
-	}
-	if o.CompactMinBytes == 0 {
-		o.CompactMinBytes = 64 << 10
-	}
-	if o.MaxValueBytes == 0 {
-		o.MaxValueBytes = 16 << 20
-	}
 }
 
 // Stats is a snapshot of the log's cumulative and current state.
@@ -184,6 +163,14 @@ const (
 	crcedStart = offLen // CRC covers [payloadLen, crc) + payload
 
 	flagTombstone = uint32(1)
+
+	// compactRatio is the dead/total byte ratio above which an append
+	// compacts a log of at least compactMinBytes.
+	compactRatio    = 0.5
+	compactMinBytes = 64 << 10
+	// maxValueBytes is the scan's sanity bound on payload length; a header
+	// declaring more is treated as corruption.
+	maxValueBytes = 16 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -198,8 +185,8 @@ type rec struct {
 func (r *rec) size() int64 { return headerSize + int64(r.n) }
 
 // Log is the disk tier: an append-only record log with an in-memory
-// key→offset index rebuilt by the startup scan. It implements
-// plancache.Store[V].
+// key→offset index rebuilt by the startup scan. The index keeps its own
+// recency list, which eviction and compaction walk oldest-first.
 type Log[V any] struct {
 	mu    sync.Mutex
 	opts  Options
@@ -219,8 +206,6 @@ type Log[V any] struct {
 	syncs, readErrors, encodeErrs, wrErrs int64
 }
 
-var _ plancache.Store[int] = (*Log[int])(nil)
-
 // Open opens (creating if absent) the log in opts.Dir and rebuilds its
 // index with the verifying startup scan. A torn or corrupt tail is
 // skipped and truncated away, never an error; only real I/O and
@@ -232,7 +217,6 @@ func Open[V any](opts Options, codec Codec[V]) (*Log[V], error) {
 	if codec.Encode == nil || codec.Decode == nil {
 		return nil, errors.New("planstore: Codec.Encode and Codec.Decode are required")
 	}
-	opts.applyDefaults()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
@@ -287,7 +271,7 @@ func (l *Log[V]) scan() error {
 			return err
 		}
 		plen := int(binary.LittleEndian.Uint32(hdr[offLen:]))
-		if binary.LittleEndian.Uint32(hdr[offMagic:]) != recMagic || plen > l.opts.MaxValueBytes {
+		if binary.LittleEndian.Uint32(hdr[offMagic:]) != recMagic || plen > maxValueBytes {
 			torn = true
 			break
 		}
@@ -382,23 +366,24 @@ func (l *Log[V]) readLocked(rc *rec) (V, error) {
 	return l.codec.Decode(buf[headerSize:])
 }
 
-// Put appends (or supersedes) k → v and returns entries evicted by
-// capacity pressure. Encode or write failures drop the Put (counted); the
-// index never references bytes that were not fully appended.
-func (l *Log[V]) Put(k plancache.Key, v V) []plancache.Evicted[V] {
+// Put appends (or supersedes) k → v, evicting the least recently used
+// records beyond Capacity. Encode or write failures drop the Put
+// (counted); the index never references bytes that were not fully
+// appended.
+func (l *Log[V]) Put(k plancache.Key, v V) {
 	payload, err := l.codec.Encode(v)
 	if err != nil {
 		l.mu.Lock()
 		l.encodeErrs++
 		l.mu.Unlock()
-		return nil
+		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	off, err := l.appendLocked(k, payload, 0)
 	if err != nil {
 		l.wrErrs++
-		return nil
+		return
 	}
 	if el, ok := l.index[k]; ok {
 		old := el.Value.(*rec)
@@ -408,14 +393,10 @@ func (l *Log[V]) Put(k plancache.Key, v V) []plancache.Evicted[V] {
 	} else {
 		l.index[k] = l.ll.PushFront(&rec{key: k, off: off, n: len(payload)})
 	}
-	var evicted []plancache.Evicted[V]
 	for l.opts.Capacity > 0 && l.ll.Len() > l.opts.Capacity {
-		if e, ok := l.evictOldestLocked(); ok {
-			evicted = append(evicted, e)
-		}
+		l.evictOldestLocked()
 	}
 	l.maybeCompactLocked()
-	return evicted
 }
 
 // appendLocked writes one record at the current end of the log and returns
@@ -445,14 +426,12 @@ func (l *Log[V]) appendLocked(k plancache.Key, payload []byte, flags uint32) (in
 	return off, nil
 }
 
-// evictOldestLocked displaces the least recently used record: its value is
-// read back for the Evicted report, the index entry is dropped, and a
-// tombstone is appended so the eviction survives restart. ok is false when
-// the displaced value could not be read (it is still evicted).
-func (l *Log[V]) evictOldestLocked() (plancache.Evicted[V], bool) {
+// evictOldestLocked displaces the least recently used record: the index
+// entry is dropped and a tombstone is appended so the eviction survives
+// restart.
+func (l *Log[V]) evictOldestLocked() {
 	el := l.ll.Back()
 	rc := el.Value.(*rec)
-	v, err := l.readLocked(rc)
 	l.ll.Remove(el)
 	delete(l.index, rc.key)
 	l.dead += rc.size()
@@ -462,19 +441,11 @@ func (l *Log[V]) evictOldestLocked() (plancache.Evicted[V], bool) {
 	} else {
 		l.wrErrs++
 	}
-	if err != nil {
-		l.readErrors++
-		return plancache.Evicted[V]{}, false
-	}
-	return plancache.Evicted[V]{Key: rc.key, Val: v}, true
 }
 
 // maybeCompactLocked compacts when dead bytes dominate a non-trivial log.
 func (l *Log[V]) maybeCompactLocked() {
-	if l.opts.CompactRatio < 0 || l.size < l.opts.CompactMinBytes {
-		return
-	}
-	if float64(l.dead) > l.opts.CompactRatio*float64(l.size) {
+	if l.size >= compactMinBytes && float64(l.dead) > compactRatio*float64(l.size) {
 		l.compactLocked()
 	}
 }
@@ -555,13 +526,6 @@ func (l *Log[V]) Sync() error {
 	}
 	l.syncs++
 	return nil
-}
-
-// Len returns the number of live records.
-func (l *Log[V]) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.index)
 }
 
 // Dir returns the store directory.

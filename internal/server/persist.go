@@ -10,13 +10,12 @@ import (
 	"net/http"
 
 	"repro/internal/mapping"
-	"repro/internal/pipeline"
 	"repro/internal/planstore"
 )
 
 // StoreConfig configures the optional persistent plan store. The zero
-// value (empty Dir) disables persistence entirely: the plan cache is the
-// in-memory LRU alone, exactly as before.
+// value (empty Dir) disables persistence entirely: the plan cache is its
+// in-memory LRU alone.
 type StoreConfig struct {
 	// Dir is the store directory; non-empty enables the disk tier.
 	Dir string
@@ -25,8 +24,8 @@ type StoreConfig struct {
 }
 
 const (
-	// storeCapacity bounds live records on disk; the in-memory LRU in
-	// front stays at PlanCacheSize.
+	// storeCapacity bounds live records on disk; the plan cache's memory
+	// tier above it stays at PlanCacheSize.
 	storeCapacity = 4096
 	// storeQueueLen bounds the write-behind queue between the request path
 	// and the disk writer; a full queue drops the disk write rather than
@@ -34,48 +33,25 @@ const (
 	storeQueueLen = 256
 )
 
-// persistedPlan is the disk image of a cachedPlan: everything except the
-// unexported resumable pipeline state, which is process-local by design —
-// a warm-started plan serves byte-identically, and the repair path simply
-// re-anchors on the next full compute.
-type persistedPlan struct {
-	Plan         mapping.Plan           `json:"plan"`
-	Stages       []pipeline.StageTiming `json:"stages,omitempty"`
-	FilledFrom   string                 `json:"filled_from,omitempty"`
-	Replanned    string                 `json:"replanned,omitempty"`
-	ReusedStages []string               `json:"reused_stages,omitempty"`
-}
-
-// planCodec maps cachedPlan to and from the log's payload bytes (JSON of
-// the wire-format v1 plan plus serve provenance). Decode re-checks the
-// plan schema version: the log's header schema already fences whole
-// records, this guards the payload's own self-description.
+// planCodec maps cachedPlan to and from the log's payload bytes: the JSON
+// of its exported fields, the wire-format v1 plan plus serve provenance.
+// The unexported resumable pipeline state is process-local by design — a
+// warm-started plan serves byte-identically, and the repair path simply
+// re-anchors on the next full compute. Decode re-checks the plan schema
+// version: the log's header schema already fences whole records, this
+// guards the payload's own self-description.
 func planCodec() planstore.Codec[cachedPlan] {
 	return planstore.Codec[cachedPlan]{
-		Encode: func(v cachedPlan) ([]byte, error) {
-			return json.Marshal(persistedPlan{
-				Plan:         v.Plan,
-				Stages:       v.Stages,
-				FilledFrom:   v.FilledFrom,
-				Replanned:    v.Replanned,
-				ReusedStages: v.ReusedStages,
-			})
-		},
+		Encode: func(v cachedPlan) ([]byte, error) { return json.Marshal(v) },
 		Decode: func(b []byte) (cachedPlan, error) {
-			var p persistedPlan
+			var p cachedPlan
 			if err := json.Unmarshal(b, &p); err != nil {
 				return cachedPlan{}, err
 			}
 			if p.Plan.Schema != mapping.PlanSchemaVersion {
 				return cachedPlan{}, fmt.Errorf("plan schema %d, want %d", p.Plan.Schema, mapping.PlanSchemaVersion)
 			}
-			return cachedPlan{
-				Plan:         p.Plan,
-				Stages:       p.Stages,
-				FilledFrom:   p.FilledFrom,
-				Replanned:    p.Replanned,
-				ReusedStages: p.ReusedStages,
-			}, nil
+			return p, nil
 		},
 	}
 }
@@ -117,13 +93,13 @@ func (s *Server) registerPlanstoreMetrics() {
 		func() float64 { return float64(log.Stats().ReadErrors) })
 	s.reg.CounterFunc("cachemapd_planstore_disk_hits_total",
 		"memory-miss lookups answered by the disk tier (promoted back into the LRU)",
-		func() float64 { p, _, _, _ := wb.Stats(); return float64(p) })
+		func() float64 { h, _, _ := wb.Stats(); return float64(h) })
 	s.reg.CounterFunc("cachemapd_planstore_write_queue_drops_total",
 		"disk writes dropped because the write-behind queue was full",
-		func() float64 { _, d, _, _ := wb.Stats(); return float64(d) })
+		func() float64 { _, d, _ := wb.Stats(); return float64(d) })
 	s.reg.GaugeFunc("cachemapd_planstore_write_queue_depth",
 		"disk writes currently waiting in the write-behind queue",
-		func() float64 { _, _, _, n := wb.Stats(); return float64(n) })
+		func() float64 { _, _, n := wb.Stats(); return float64(n) })
 }
 
 // snapshotStats is the GET /debug/cache/snapshot response body (POST adds

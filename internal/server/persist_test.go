@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
+	"repro/internal/mapping"
+	"repro/internal/pipeline"
 	"repro/internal/planstore"
 )
 
@@ -161,6 +164,10 @@ func TestPersistentDiskHitAfterMemEviction(t *testing.T) {
 	if computes := metricValue(t, ts, "cachemapd_pipeline_computes_total"); computes != 2 {
 		t.Fatalf("computes_total = %v, want exactly the 2 cold specs", computes)
 	}
+	// Each memory eviction counts, the disk-hit promotion's included.
+	if evictions := metricValue(t, ts, "cachemapd_plan_cache_evictions_total"); evictions < 1 {
+		t.Fatalf("plan_cache_evictions_total = %v after 2 plans in a 1-plan memory tier, want >= 1", evictions)
+	}
 }
 
 // TestSnapshotEndpoints covers GET|POST /debug/cache/snapshot: 404 without
@@ -247,4 +254,59 @@ func TestSnapshotEndpoints(t *testing.T) {
 			t.Fatalf("snapshot restore: warm=%d skipped=%d", got.WarmRecords, got.SkippedRecords)
 		}
 	})
+}
+
+// TestPlanCodecPayload pins one fixture's disk payload to the bytes the
+// codec wrote before cachedPlan carried its own JSON tags, so a log
+// written by an older daemon still warm-starts this one. The resumable
+// state stays out of the image, and a payload whose plan schema differs
+// is rejected.
+func TestPlanCodecPayload(t *testing.T) {
+	const golden = `{"plan":{"schema":1,"scheme":"inter-sched","clients":2,"work":[[{"runs":[[0,4],[8,12]]}],[{"explicit":[5,4,7]}]],"total_iterations":11,"iteration_chunks":3,"sync_edges":1},"stages":[{"stage":"tags","duration_ms":0.25,"alloc_bytes":4096},{"stage":"similarity","duration_ms":1.5,"pairs_generated":12,"pairs_dense":21}],"filled_from":"10.0.0.7:8700","replanned":"incremental","reused_stages":["tags","chunks"]}`
+	fixture := cachedPlan{
+		Plan: mapping.Plan{
+			Schema:  mapping.PlanSchemaVersion,
+			Scheme:  pipeline.InterProcessorSched,
+			Clients: 2,
+			Work: [][]mapping.PlanBlock{
+				{{Runs: [][2]int64{{0, 4}, {8, 12}}}},
+				{{Explicit: []int64{5, 4, 7}}},
+			},
+			TotalIterations: 11,
+			IterationChunks: 3,
+			SyncEdges:       1,
+		},
+		Stages: []pipeline.StageTiming{
+			{Stage: "tags", DurationMS: 0.25, AllocBytes: 4096},
+			{Stage: "similarity", DurationMS: 1.5, PairsGenerated: 12, PairsDense: 21},
+		},
+		FilledFrom:   "10.0.0.7:8700",
+		Replanned:    "incremental",
+		ReusedStages: []string{"tags", "chunks"},
+		state:        &pipeline.State{},
+	}
+	codec := planCodec()
+	b, err := codec.Encode(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != golden {
+		t.Fatalf("payload changed:\n got %s\nwant %s", b, golden)
+	}
+	got, err := codec.Decode([]byte(golden))
+	if err != nil {
+		t.Fatalf("Decode(golden): %v", err)
+	}
+	fixture.state = nil
+	if !reflect.DeepEqual(got, fixture) {
+		t.Fatalf("Decode(golden) = %+v, want %+v", got, fixture)
+	}
+
+	fixture.Plan.Schema = mapping.PlanSchemaVersion + 1
+	if b, err = codec.Encode(fixture); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codec.Decode(b); err == nil {
+		t.Fatal("Decode accepted a payload of another plan schema")
+	}
 }

@@ -282,6 +282,7 @@ func NewServer(cfg Config) (*Server, error) {
 		faults:  cfg.Faults,
 		cluster: cfg.Cluster,
 	}
+	var disk plancache.Disk[cachedPlan]
 	if cfg.Store.Dir != "" {
 		log, err := planstore.Open[cachedPlan](planstore.Options{
 			Dir:      cfg.Store.Dir,
@@ -293,13 +294,11 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("opening plan store: %w", err)
 		}
 		s.planLog = log
-		s.planWB = planstore.NewWriteBehind[cachedPlan](
-			plancache.NewMemStore[cachedPlan](cfg.PlanCacheSize), log, storeQueueLen)
-		s.cache = plancache.NewWithStore[cachedPlan](s.planWB)
+		s.planWB = planstore.NewWriteBehind(log, storeQueueLen)
+		disk = s.planWB
 		s.registerPlanstoreMetrics()
-	} else {
-		s.cache = plancache.New[cachedPlan](cfg.PlanCacheSize)
 	}
+	s.cache = plancache.New(cfg.PlanCacheSize, disk)
 	s.reqTotal = s.reg.Counter("cachemapd_requests_total", "API requests received")
 	s.reqMap = s.reg.Counter("cachemapd_map_requests_total", "POST /v1/map requests received")
 	s.reqSimulate = s.reg.Counter("cachemapd_simulate_requests_total", "POST /v1/simulate requests received")
@@ -362,7 +361,7 @@ func NewServer(cfg Config) (*Server, error) {
 		"repair lookups the stale tier could not answer")
 	s.cache.OnHit = s.cacheHits.Inc
 	s.cache.OnMiss = s.cacheMisses.Inc
-	s.cache.OnEvict = func(plancache.Key, cachedPlan) { s.cacheEvictions.Inc() }
+	s.cache.OnEvict = s.cacheEvictions.Inc
 	s.cache.OnCoalesced = s.cacheCoalesced.Inc
 	s.cache.OnReelect = s.cacheReelect.Inc
 	if cfg.EventBufferSize > 0 {
@@ -457,19 +456,20 @@ type planKeySpec struct {
 // peer-filled rather than computed here; the provenance sticks for as
 // long as the entry lives.
 type cachedPlan struct {
-	Plan       mapping.Plan
-	Stages     []pipeline.StageTiming
-	FilledFrom string
+	Plan       mapping.Plan           `json:"plan"`
+	Stages     []pipeline.StageTiming `json:"stages,omitempty"`
+	FilledFrom string                 `json:"filled_from,omitempty"`
 	// Replanned records how the plan was produced (ReplanFull or
 	// ReplanIncremental; empty for peer-filled plans, whose production ran
 	// on the owner) and ReusedStages which pipeline stages an incremental
 	// repair reused from the cached clustering. Like FilledFrom, the
 	// provenance sticks for as long as the entry lives.
-	Replanned    string
-	ReusedStages []string
+	Replanned    string   `json:"replanned,omitempty"`
+	ReusedStages []string `json:"reused_stages,omitempty"`
 	// state is the resumable mid-pipeline artifact of the computation
 	// (nil for peer-filled plans and non-resumable schemes/modes); it
 	// rides into the stale tier so later near-miss requests can repair it.
+	// Being unexported, it stays out of the disk image (see planCodec).
 	state *pipeline.State
 }
 
