@@ -467,6 +467,66 @@ func BenchmarkCacheHitServe(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskHitServe measures the full HTTP serve path of a plan-cache
+// disk hit: over a 1-plan memory tier, requests alternate between the hf
+// and sar plans on 16/32/64, so each one misses memory and is answered
+// from the plan log (record read, CRC check, split into plan bytes and
+// provenance, response splice). The client decodes only cached and
+// cache_key, so allocs/op gate a relapse into decoding the plan on a hit.
+func BenchmarkDiskHitServe(b *testing.B) {
+	var cfg ServiceConfig
+	cfg.PlanCacheSize = 1
+	cfg.Store.Dir = b.TempDir()
+	svc := newTestService(b, cfg)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	var bodies [][]byte
+	for _, app := range []string{"hf", "sar"} {
+		body, err := json.Marshal(MapRequest{
+			Workload: WorkloadSpec{App: app},
+			Topology: "16/32/64@16,8,4",
+			Scheme:   "inter",
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	post := func(path string, body []byte) bool {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		var out struct {
+			Cached   bool   `json:"cached"`
+			CacheKey string `json:"cache_key"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			b.Fatal(err)
+		}
+		return out.Cached
+	}
+	for _, body := range bodies {
+		if post("/v1/map", body) {
+			b.Fatal("first request unexpectedly hit the cache")
+		}
+	}
+	// The snapshot flushes the write-behind queue: both records are on
+	// disk before the first timed request.
+	post("/debug/cache/snapshot", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !post("/v1/map", bodies[i%2]) {
+			b.Fatal("request missed both plan-cache tiers")
+		}
+	}
+}
+
 // BenchmarkCacheModes regenerates the cache-management-mode ablation
 // (inclusive / exclusive / prefetching).
 func BenchmarkCacheModes(b *testing.B) {

@@ -2,7 +2,7 @@
 # Lightweight CI, the tier-1 gate: formatting, build, vet (of this module
 # and of the perfbench benchmark module), linters, race-enabled tests, the
 # short-mode reproduction-fidelity gate, the zero-alloc gate, short balance,
-# merge and plan-log fuzz runs and the bench regression gate.
+# merge, plan-log and plan-wire fuzz runs and the bench regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -105,6 +105,14 @@ echo "==> plan-log fuzz (FuzzPlanstoreRecord, 10s)"
 # internal/planstore/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzPlanstoreRecord$' -fuzztime 10s ./internal/planstore
 
+echo "==> plan-wire fuzz (FuzzPlanWire, 10s)"
+# The two places a plan arrives from outside the process: arbitrary bytes
+# go to the plan-log codec's Decode and to the peer-fill check. Neither may
+# panic, an accepted record must splice into a valid /v1/map body, and an
+# accepted fill must map each of its job's iterations exactly once. A
+# crasher lands in internal/server/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzPlanWire$' -fuzztime 10s ./internal/server
+
 echo "==> bench regression gate (vs BENCH.json)"
 # Short mode: fixed iteration counts keep this quick; three samples per
 # benchmark are folded to their minimum by benchjson (interference only
@@ -120,7 +128,9 @@ echo "==> bench regression gate (vs BENCH.json)"
 # eviction jitter while catching a pooled path regressing to per-call
 # allocation). The ledger's BenchmarkDistribute entry records the sub-1ms
 # steady state this gate anchors to; BenchmarkWarmScan keeps the plan
-# store's startup scan an O(records) streaming read.
+# store's startup scan an O(records) streaming read, and
+# BenchmarkDiskHitServe's allocs/op keep a disk hit from decoding the
+# plan it serves.
 #
 # BenchmarkReplanIncremental's speedup-floor is a hard lower bound
 # (benchjson "-floor" semantics, which -tolerance does not soften):
@@ -147,7 +157,7 @@ bench() {
 		exit 1
 	}
 }
-bench -bench 'BenchmarkDistribute$|BenchmarkPostings$|BenchmarkCacheHitServe$' -benchtime 100x -benchmem .
+bench -bench 'BenchmarkDistribute$|BenchmarkPostings$|BenchmarkCacheHitServe$|BenchmarkDiskHitServe$' -benchtime 100x -benchmem .
 bench -bench 'BenchmarkPipelineParallelism' -benchtime 1x .
 bench -bench 'BenchmarkReplanIncremental$' -benchtime 3x .
 bench -bench 'BenchmarkWarmScan$' -benchtime 5x -benchmem ./internal/planstore

@@ -13,6 +13,7 @@ package quality
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -39,16 +40,18 @@ func Modes() []string {
 }
 
 // Sample is one shadow-simulation candidate: everything needed to re-run
-// a served plan through iosim. The plan is carried in wire form and only
-// decoded on the worker goroutine, so offering a sample costs the request
-// path a counter increment and a channel send.
+// a served plan through iosim. The plan is carried as its wire JSON and
+// only decoded on the worker goroutine, so offering a sample costs the
+// request path a counter increment and a channel send.
 type Sample struct {
 	TraceID string
 	Family  string
 	Mode    string
 	Tree    *hierarchy.Tree
 	Prog    iosim.Program
-	Plan    *mapping.Plan
+	// Plan is the served plan's JSON (a mapping.Plan); the sampler only
+	// reads it.
+	Plan []byte
 	// Params is the base simulation parameter set; the sampler strips
 	// tracing and applies its iteration cap before running.
 	Params iosim.Params
@@ -235,7 +238,12 @@ func (s *Sampler) runOne(smp Sample) Record {
 		rec.Err = "quality: sample lacks plan or tree"
 		return rec
 	}
-	asg, err := smp.Plan.Assignment()
+	var plan mapping.Plan
+	if err := json.Unmarshal(smp.Plan, &plan); err != nil {
+		rec.Err = fmt.Sprintf("decode plan: %v", err)
+		return rec
+	}
+	asg, err := plan.Assignment()
 	if err != nil {
 		rec.Err = fmt.Sprintf("decode plan: %v", err)
 		return rec

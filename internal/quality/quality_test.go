@@ -2,6 +2,7 @@ package quality
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -39,13 +40,17 @@ func testSample(n int64, mode string) Sample {
 		}
 		plan.Work = append(plan.Work, []mapping.PlanBlock{{Runs: [][2]int64{{c * per, hi}}}})
 	}
+	raw, err := json.Marshal(plan)
+	if err != nil {
+		panic(err)
+	}
 	return Sample{
 		TraceID: fmt.Sprintf("t-%s", mode),
 		Family:  "scan",
 		Mode:    mode,
 		Tree:    tree,
 		Prog:    prog,
-		Plan:    plan,
+		Plan:    raw,
 		Params:  iosim.DefaultParams(),
 	}
 }

@@ -89,6 +89,11 @@ type MapResponse struct {
 	DegradedCause string `json:"degraded_cause,omitempty"`
 	// StaleAgeMS is the age of the stale plan served (Degraded == "stale").
 	StaleAgeMS float64 `json:"stale_age_ms,omitempty"`
+
+	// raw is the plan as the server holds it, its canonical JSON: the HTTP
+	// body splices it in verbatim and leaves Plan zero. ComputePlan fills
+	// Plan from it.
+	raw *planJSON
 }
 
 // SimRequest is the body of `POST /v1/simulate`: a mapping request plus

@@ -26,10 +26,12 @@ package server
 // serve it degraded when the owner is down.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -47,7 +49,9 @@ func PlanKey(req MapRequest) (plancache.Key, error) {
 }
 
 // fillResponse is the body of POST /internal/plan/{key}: the plan wire
-// format v1 payload a peer fill transfers, plus provenance.
+// format v1 payload a peer fill transfers, plus provenance. The owner
+// leaves Plan zero and splices its plan bytes (raw) into the body; the
+// requester decodes Plan to check it.
 type fillResponse struct {
 	Plan     mapping.Plan           `json:"plan"`
 	Stages   []pipeline.StageTiming `json:"stages"`
@@ -56,12 +60,15 @@ type fillResponse struct {
 	Cached bool `json:"cached"`
 	// Node is the owner's ring address.
 	Node string `json:"node"`
+
+	raw *planJSON
 }
 
 // peerFill tries to satisfy a local miss from the key's owner. It runs
 // inside the local singleflight leader, so one fetch serves every local
-// waiter. Any failure (owner down, slow, overloaded, protocol skew)
-// reports false and the caller computes locally.
+// waiter. Any failure (owner down, slow, overloaded, protocol skew, a
+// plan that fails checkFill) reports false and the caller computes
+// locally.
 func (s *Server) peerFill(ctx context.Context, owner string, key plancache.Key, j *job) (cachedPlan, bool) {
 	body, err := json.Marshal(j.req)
 	if err != nil {
@@ -71,15 +78,88 @@ func (s *Server) peerFill(ctx context.Context, owner string, key plancache.Key, 
 	if err != nil {
 		return cachedPlan{}, false
 	}
-	var fr fillResponse
-	if err := json.Unmarshal(raw, &fr); err != nil || fr.CacheKey != key.String() {
+	cp, err := checkFill(raw, key, j)
+	if err != nil {
+		s.fillRejects.Inc()
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("peer fill returned an unusable payload",
 				"peer", owner, "key", key.String(), "err", err)
 		}
 		return cachedPlan{}, false
 	}
-	return cachedPlan{Plan: fr.Plan, Stages: fr.Stages, FilledFrom: owner}, true
+	cp.FilledFrom = owner
+	return cp, true
+}
+
+// checkFill turns a peer-fill body into a cache value, or rejects it. A
+// filled plan lands in the memory tier, the stale tier and the disk log,
+// so it is checked once, here, against the job it answers: the content
+// address, then the plan itself (see checkPlan). This is where a filled
+// plan is decoded; its canonical bytes are encoded afresh from the
+// decoded plan.
+func checkFill(body []byte, key plancache.Key, j *job) (cachedPlan, error) {
+	var fr fillResponse
+	if err := json.Unmarshal(body, &fr); err != nil {
+		return cachedPlan{}, err
+	}
+	if fr.CacheKey != key.String() {
+		return cachedPlan{}, fmt.Errorf("fill answers key %q, want %s", fr.CacheKey, key)
+	}
+	if err := checkPlan(&fr.Plan, j); err != nil {
+		return cachedPlan{}, err
+	}
+	plan, err := newPlanJSON(fr.Plan)
+	if err != nil {
+		return cachedPlan{}, err
+	}
+	return cachedPlan{Plan: plan, Stages: fr.Stages}, nil
+}
+
+// checkPlan verifies that p is a plan of this build's schema for j: one
+// work list per client of j's topology, and blocks whose runs and explicit
+// indices lie inside the nest's box, overlap nowhere and add up to the
+// nest's iteration count, which the plan must also declare.
+func checkPlan(p *mapping.Plan, j *job) error {
+	if p.Schema != mapping.PlanSchemaVersion {
+		return fmt.Errorf("plan schema %d, want %d", p.Schema, mapping.PlanSchemaVersion)
+	}
+	if want := j.tree.NumClients(); p.Clients != want || len(p.Work) != want {
+		return fmt.Errorf("plan for %d clients (%d work lists) on a %d-client topology", p.Clients, len(p.Work), want)
+	}
+	nest := j.work.Prog.Nest
+	box := nest.BoxSize()
+	var spans [][2]int64
+	for c, blocks := range p.Work {
+		for i, b := range blocks {
+			if b.Runs != nil && b.Explicit != nil {
+				return fmt.Errorf("client %d block %d has both runs and explicit indices", c, i)
+			}
+			for _, r := range b.Runs {
+				if r[0] < 0 || r[1] <= r[0] || r[1] > box {
+					return fmt.Errorf("client %d block %d run [%d,%d) is empty or outside [0,%d)", c, i, r[0], r[1], box)
+				}
+				spans = append(spans, r)
+			}
+			for _, x := range b.Explicit {
+				if x < 0 || x >= box {
+					return fmt.Errorf("client %d block %d index %d is outside [0,%d)", c, i, x, box)
+				}
+				spans = append(spans, [2]int64{x, x + 1})
+			}
+		}
+	}
+	slices.SortFunc(spans, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	var total int64
+	for i, sp := range spans {
+		if i > 0 && sp[0] < spans[i-1][1] {
+			return fmt.Errorf("iterations [%d,%d) are mapped twice", sp[0], min(sp[1], spans[i-1][1]))
+		}
+		total += sp[1] - sp[0]
+	}
+	if want := nest.Size(); total != want || p.TotalIterations != want {
+		return fmt.Errorf("plan maps %d iterations and declares %d, want %d", total, p.TotalIterations, want)
+	}
+	return nil
 }
 
 // handleInternalPlan serves the owner side of the fill protocol. The
@@ -119,7 +199,7 @@ func (s *Server) handleInternalPlan(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return &fillResponse{
-			Plan:     resp.Plan,
+			raw:      resp.raw,
 			Stages:   resp.Stages,
 			CacheKey: resp.CacheKey,
 			Cached:   resp.Cached,

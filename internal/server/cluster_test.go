@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/mapping"
 	"repro/internal/metrics"
 )
 
@@ -327,5 +329,107 @@ func TestClusterHealthzReportsRing(t *testing.T) {
 	}
 	if hz.Ring.Peers[0].State != "self" {
 		t.Fatalf("first peer status should be self: %+v", hz.Ring.Peers)
+	}
+}
+
+// TestPeerFillRejectsBadPlan: an owner that answers with a plan for the
+// wrong client count, or with overlapping runs, is refused by the fill
+// check. The requester counts the reject, computes the plan itself, and
+// serves and caches that plan, not the owner's. The same owner answering
+// honestly is accepted.
+func TestPeerFillRejectsBadPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(p *mapping.Plan) // nil: answer honestly
+	}{
+		{"Honest", nil},
+		{"WrongClientCount", func(p *mapping.Plan) {
+			p.Work = p.Work[:len(p.Work)-1]
+			p.Clients--
+		}},
+		{"OverlappingRuns", func(p *mapping.Plan) {
+			// Client 0 also runs client 1's first block; the declared total
+			// grows to match, so only the overlap gives it away.
+			p.Work[0] = append(slices.Clip(p.Work[0]), p.Work[1][0])
+			for _, r := range p.Work[1][0].Runs {
+				p.TotalIterations += r[1] - r[0]
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			honest := newTestServer(t, Config{})
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req MapRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					t.Error(err)
+					return
+				}
+				mr, err := honest.ComputePlan(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plan := mr.Plan
+				if tc.corrupt != nil {
+					plan.Work = slices.Clone(plan.Work)
+					tc.corrupt(&plan)
+				}
+				key := strings.TrimPrefix(r.URL.Path, "/internal/plan/")
+				json.NewEncoder(w).Encode(fillResponse{Plan: plan, Stages: mr.Stages, CacheKey: key, Node: r.Host})
+			}))
+			defer owner.Close()
+			// A two-member ring whose other member is the lying owner; the
+			// requester never dials its own address.
+			const self = "127.0.0.1:1"
+			node, err := cluster.New(cluster.Config{Self: self, Peers: []string{self, owner.URL}, Registry: metrics.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newTestServer(t, Config{Cluster: node})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			req := synthReq(64)
+			for ext := int64(65); ; ext++ {
+				key, err := PlanKey(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, mine := node.Owner(key); !mine {
+					break
+				}
+				req = synthReq(ext)
+			}
+			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			var mr MapResponse
+			if err := json.Unmarshal(body, &mr); err != nil {
+				t.Fatal(err)
+			}
+			wantFilled, wantRejects, wantComputes := owner.URL, int64(0), int64(0)
+			if tc.corrupt != nil {
+				wantFilled, wantRejects, wantComputes = "", 1, 1
+			}
+			if mr.FilledFrom != wantFilled {
+				t.Fatalf("filled_from %q, want %q", mr.FilledFrom, wantFilled)
+			}
+			if got := s.fillRejects.Value(); got != wantRejects {
+				t.Fatalf("fill rejects = %d, want %d", got, wantRejects)
+			}
+			if got := s.computes.Value(); got != wantComputes {
+				t.Fatalf("computes = %d, want %d", got, wantComputes)
+			}
+			want, err := honest.ComputePlan(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, _ := json.Marshal(mr.Plan)
+			wb, _ := json.Marshal(want.Plan)
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("served plan is not the local compute:\n%s\nvs\n%s", gb, wb)
+			}
+		})
 	}
 }

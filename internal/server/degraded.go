@@ -101,7 +101,7 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, start time
 		s.markDegraded(ctx, DegradedStale, why)
 		s.replans.Inc(ReplanStaleServed)
 		return &MapResponse{
-			Plan:          v.plan.Plan,
+			raw:           v.plan.Plan,
 			Stages:        v.plan.Stages,
 			CacheKey:      v.key.String(),
 			Cached:        true,
@@ -130,9 +130,13 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, start time
 	if err != nil {
 		return nil, false
 	}
+	plan, err := newPlanJSON(mapping.PlanOf(res))
+	if err != nil {
+		return nil, false
+	}
 	s.markDegraded(ctx, DegradedFallback, why)
 	return &MapResponse{
-		Plan:          mapping.PlanOf(res),
+		raw:           plan,
 		Stages:        res.Stages,
 		Degraded:      DegradedFallback,
 		DegradedCause: why,

@@ -5,6 +5,7 @@ package server
 // the GET|POST /debug/cache/snapshot endpoints. See DESIGN.md §14.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -37,24 +38,43 @@ const (
 // of its exported fields, the wire-format v1 plan plus serve provenance.
 // The unexported resumable pipeline state is process-local by design — a
 // warm-started plan serves byte-identically, and the repair path simply
-// re-anchors on the next full compute. Decode re-checks the plan schema
-// version: the log's header schema already fences whole records, this
-// guards the payload's own self-description.
+// re-anchors on the next full compute.
+//
+// Neither direction touches the plan as data. Encode splices the plan's
+// bytes into the record (see splice). Decode splits a record into plan
+// bytes and provenance with one json.Unmarshal, which checks the whole
+// record's syntax but copies the plan's bytes undecoded, then checks that
+// the plan begins with this build's schema member: the log's header schema
+// already fences whole records, this guards the payload's own
+// self-description.
 func planCodec() planstore.Codec[cachedPlan] {
 	return planstore.Codec[cachedPlan]{
-		Encode: func(v cachedPlan) ([]byte, error) { return json.Marshal(v) },
+		Encode: func(v cachedPlan) ([]byte, error) {
+			plan := v.Plan
+			v.Plan = nil
+			var b bytes.Buffer
+			b.Grow(len(plan.raw) + 512)
+			if err := splice(&b, &v, func(dst *bytes.Buffer) { dst.Write(plan.raw) }); err != nil {
+				return nil, err
+			}
+			return b.Bytes()[:b.Len()-1], nil // the record has no newline
+		},
 		Decode: func(b []byte) (cachedPlan, error) {
 			var p cachedPlan
 			if err := json.Unmarshal(b, &p); err != nil {
 				return cachedPlan{}, err
 			}
-			if p.Plan.Schema != mapping.PlanSchemaVersion {
-				return cachedPlan{}, fmt.Errorf("plan schema %d, want %d", p.Plan.Schema, mapping.PlanSchemaVersion)
+			if p.Plan == nil || !bytes.HasPrefix(p.Plan.raw, planSchemaPrefix) {
+				return cachedPlan{}, fmt.Errorf("plan does not begin with schema %d", mapping.PlanSchemaVersion)
 			}
 			return p, nil
 		},
 	}
 }
+
+// planSchemaPrefix is how every plan this build reads begins: json.Marshal
+// renders the schema member first.
+var planSchemaPrefix = []byte(fmt.Sprintf(`{"schema":%d,`, mapping.PlanSchemaVersion))
 
 // registerPlanstoreMetrics publishes the disk tier's gauges and counters.
 // All are sampled lazily at scrape time from Stats(), like the admission

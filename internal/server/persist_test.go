@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/mapping"
@@ -256,26 +258,32 @@ func TestSnapshotEndpoints(t *testing.T) {
 	})
 }
 
+// planRecordGolden is TestPlanCodecPayload's fixture as a plan-log
+// payload, in the bytes the codec wrote before cachedPlan carried its own
+// JSON tags (FuzzPlanWire seeds from it too).
+const planRecordGolden = `{"plan":{"schema":1,"scheme":"inter-sched","clients":2,"work":[[{"runs":[[0,4],[8,12]]}],[{"explicit":[5,4,7]}]],"total_iterations":11,"iteration_chunks":3,"sync_edges":1},"stages":[{"stage":"tags","duration_ms":0.25,"alloc_bytes":4096},{"stage":"similarity","duration_ms":1.5,"pairs_generated":12,"pairs_dense":21}],"filled_from":"10.0.0.7:8700","replanned":"incremental","reused_stages":["tags","chunks"]}`
+
 // TestPlanCodecPayload pins one fixture's disk payload to the bytes the
 // codec wrote before cachedPlan carried its own JSON tags, so a log
 // written by an older daemon still warm-starts this one. The resumable
 // state stays out of the image, and a payload whose plan schema differs
 // is rejected.
 func TestPlanCodecPayload(t *testing.T) {
-	const golden = `{"plan":{"schema":1,"scheme":"inter-sched","clients":2,"work":[[{"runs":[[0,4],[8,12]]}],[{"explicit":[5,4,7]}]],"total_iterations":11,"iteration_chunks":3,"sync_edges":1},"stages":[{"stage":"tags","duration_ms":0.25,"alloc_bytes":4096},{"stage":"similarity","duration_ms":1.5,"pairs_generated":12,"pairs_dense":21}],"filled_from":"10.0.0.7:8700","replanned":"incremental","reused_stages":["tags","chunks"]}`
-	fixture := cachedPlan{
-		Plan: mapping.Plan{
-			Schema:  mapping.PlanSchemaVersion,
-			Scheme:  pipeline.InterProcessorSched,
-			Clients: 2,
-			Work: [][]mapping.PlanBlock{
-				{{Runs: [][2]int64{{0, 4}, {8, 12}}}},
-				{{Explicit: []int64{5, 4, 7}}},
-			},
-			TotalIterations: 11,
-			IterationChunks: 3,
-			SyncEdges:       1,
+	const golden = planRecordGolden
+	plan := mapping.Plan{
+		Schema:  mapping.PlanSchemaVersion,
+		Scheme:  pipeline.InterProcessorSched,
+		Clients: 2,
+		Work: [][]mapping.PlanBlock{
+			{{Runs: [][2]int64{{0, 4}, {8, 12}}}},
+			{{Explicit: []int64{5, 4, 7}}},
 		},
+		TotalIterations: 11,
+		IterationChunks: 3,
+		SyncEdges:       1,
+	}
+	fixture := cachedPlan{
+		Plan: mustPlanJSON(t, plan),
 		Stages: []pipeline.StageTiming{
 			{Stage: "tags", DurationMS: 0.25, AllocBytes: 4096},
 			{Stage: "similarity", DurationMS: 1.5, PairsGenerated: 12, PairsDense: 21},
@@ -302,11 +310,110 @@ func TestPlanCodecPayload(t *testing.T) {
 		t.Fatalf("Decode(golden) = %+v, want %+v", got, fixture)
 	}
 
-	fixture.Plan.Schema = mapping.PlanSchemaVersion + 1
+	plan.Schema = mapping.PlanSchemaVersion + 1
+	fixture.Plan = mustPlanJSON(t, plan)
 	if b, err = codec.Encode(fixture); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := codec.Decode(b); err == nil {
 		t.Fatal("Decode accepted a payload of another plan schema")
+	}
+}
+
+// mustPlanJSON encodes p as the server holds a plan, failing the test on
+// error.
+func mustPlanJSON(t testing.TB, p mapping.Plan) *planJSON {
+	t.Helper()
+	raw, err := newPlanJSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestDiskHitKeepsRepairAnchor: a plan served from disk carries no
+// resumable state, so it must not replace the stale tier's stateful entry
+// for its workload. After a disk hit on the anchor's own key, the next
+// near miss still repairs incrementally instead of running the full
+// pipeline.
+func TestDiskHitKeepsRepairAnchor(t *testing.T) {
+	s := newTestServer(t, Config{
+		PlanCacheSize: 1,
+		Store:         StoreConfig{Dir: t.TempDir()},
+		Repair:        RepairConfig{Enabled: true},
+	})
+	defer s.Close()
+	for _, ext := range []int64{128, 96} { // the second evicts the first from memory
+		if _, err := s.ComputePlan(synthReq(ext)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.planWB.Flush()
+	if mr, err := s.ComputePlan(synthReq(128)); err != nil || !mr.Cached {
+		t.Fatalf("anchor again: cached %v, err %v; want a disk hit", mr != nil && mr.Cached, err)
+	}
+	if hits, _, _ := s.planWB.Stats(); hits != 1 {
+		t.Fatalf("disk hits = %d, want 1", hits)
+	}
+	near := synthReq(128)
+	near.Topology = "1/2/4@16,8,5"
+	mr, err := s.ComputePlan(near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.Replanned != ReplanIncremental {
+		t.Fatalf("near miss after a disk hit: replanned %q, want %q", mr.Replanned, ReplanIncremental)
+	}
+	if hits, misses := s.repairHits.Value(), s.repairMisses.Value(); hits != 1 || misses != 2 {
+		t.Fatalf("repair lookups: %d hits, %d misses; want 1, 2", hits, misses)
+	}
+	if computes := s.computes.Value(); computes != 2 {
+		t.Fatalf("computes = %d, want the 2 cold specs", computes)
+	}
+}
+
+// TestConcurrentPlanBytes drives in-process callers over two plans and a
+// 1-plan memory tier from several goroutines at once, so disk hits, the
+// stale tier's anchoring and the once-per-entry plan decode all race (run
+// it under -race). Every caller must get the plan's canonical bytes.
+func TestConcurrentPlanBytes(t *testing.T) {
+	s := newTestServer(t, Config{
+		PlanCacheSize: 1,
+		Store:         StoreConfig{Dir: t.TempDir()},
+		Repair:        RepairConfig{Enabled: true},
+	})
+	defer s.Close()
+	reqs := []MapRequest{synthReq(128), synthReq(96)}
+	var want [2][]byte
+	for i, req := range reqs {
+		mr, err := s.ComputePlan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], _ = json.Marshal(mr.Plan)
+	}
+	s.planWB.Flush()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				k := (g + i) % 2
+				mr, err := s.ComputePlan(reqs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, _ := json.Marshal(mr.Plan); !bytes.Equal(got, want[k]) || !bytes.Equal(mr.raw.raw, want[k]) {
+					t.Errorf("goroutine %d request %d: plan differs from the computed one", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if computes := s.computes.Value(); computes != 2 {
+		t.Fatalf("computes = %d, want the 2 cold specs", computes)
 	}
 }

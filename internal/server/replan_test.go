@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -493,5 +495,50 @@ func TestBatchAggregateCost(t *testing.T) {
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/map/batch", batchOf(specs...))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d after unpark: %s", resp.StatusCode, body)
+	}
+}
+
+// TestRepairedPlanCarriesNoState: a repaired plan never anchors the stale
+// tier, so its cache entry keeps no resumable clustering, and the next
+// near miss still repairs from the full compute's anchor.
+func TestRepairedPlanCarriesNoState(t *testing.T) {
+	s := newTestServer(t, Config{Repair: RepairConfig{Enabled: true}})
+	if _, err := s.ComputePlan(synthReq(128)); err != nil {
+		t.Fatal(err)
+	}
+	for i, topo := range []string{"1/2/4@16,8,5", "1/2/4@16,7,4"} {
+		req := synthReq(128)
+		req.Topology = topo
+		mr, err := s.ComputePlan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mr.Replanned != ReplanIncremental {
+			t.Fatalf("%s: replanned %q, want %q", topo, mr.Replanned, ReplanIncremental)
+		}
+		key, err := PlanKey(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, hit, err := s.cache.Do(context.Background(), key, func(context.Context) (cachedPlan, error) {
+			return cachedPlan{}, errors.New("repaired entry missing from the cache")
+		})
+		if err != nil || !hit {
+			t.Fatalf("%s: cache probe: hit %v, err %v", topo, hit, err)
+		}
+		if v.state != nil {
+			t.Fatalf("%s: repaired cache entry keeps a resumable state", topo)
+		}
+		if got := s.repairHits.Value(); got != int64(i+1) {
+			t.Fatalf("%s: repair hits = %d, want %d", topo, got, i+1)
+		}
+	}
+	j, err := buildJob(synthReq(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor, sig, _, ok := s.stale.Get(j.wkKey, j.topoSig, 0)
+	if !ok || anchor.plan.state == nil || anchor.plan.Replanned != ReplanFull || !sig.DriftWithin(j.topoSig, 0) {
+		t.Fatal("the stale tier no longer holds the full compute's stateful anchor")
 	}
 }

@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -220,6 +221,7 @@ type Server struct {
 	reg     *metrics.Registry
 	cache   *plancache.Cache[cachedPlan]
 	stale   *plancache.StaleTier[staleValue]
+	staleMu sync.Mutex // serializes anchorStale's check and put
 	sem     chan struct{}
 	adm     admission
 	jobs    jobClock
@@ -261,6 +263,7 @@ type Server struct {
 	staleMisses    *metrics.Counter
 	repairHits     *metrics.Counter
 	repairMisses   *metrics.Counter
+	fillRejects    *metrics.Counter
 
 	// onJobStart, when non-nil, runs at the start of every admitted
 	// mapping job (test synchronization hook).
@@ -359,6 +362,8 @@ func NewServer(cfg Config) (*Server, error) {
 		"repair lookups answered by the stale tier with a resumable clustering within tolerance")
 	s.repairMisses = s.reg.Counter("cachemapd_repair_lookup_misses_total",
 		"repair lookups the stale tier could not answer")
+	s.fillRejects = s.reg.Counter("cachemapd_fill_rejects_total",
+		"peer-fill answers rejected by the fill check (undecodable, wrong key, schema, client count or iteration coverage); each fell back to local compute")
 	s.cache.OnHit = s.cacheHits.Inc
 	s.cache.OnMiss = s.cacheMisses.Inc
 	s.cache.OnEvict = s.cacheEvictions.Inc
@@ -449,14 +454,15 @@ type planKeySpec struct {
 	Request MapRequest `json:"request"`
 }
 
-// cachedPlan is the plan cache's value: the wire plan plus the stage
-// breakdown of the computation that produced it. A cache hit returns the
-// original breakdown, so callers can always see what the plan cost.
-// FilledFrom records the ring peer that supplied the plan, when it was
-// peer-filled rather than computed here; the provenance sticks for as
-// long as the entry lives.
+// cachedPlan is the plan cache's value: the plan as its canonical JSON
+// (see wire.go) plus the stage breakdown of the computation that produced
+// it. A cache hit returns the original breakdown, so callers can always
+// see what the plan cost. FilledFrom records the ring peer that supplied
+// the plan, when it was peer-filled rather than computed here; the
+// provenance sticks for as long as the entry lives. The exported fields
+// are the plan-log record (see planCodec).
 type cachedPlan struct {
-	Plan       mapping.Plan           `json:"plan"`
+	Plan       *planJSON              `json:"plan"`
 	Stages     []pipeline.StageTiming `json:"stages,omitempty"`
 	FilledFrom string                 `json:"filled_from,omitempty"`
 	// Replanned records how the plan was produced (ReplanFull or
@@ -466,10 +472,11 @@ type cachedPlan struct {
 	// provenance sticks for as long as the entry lives.
 	Replanned    string   `json:"replanned,omitempty"`
 	ReusedStages []string `json:"reused_stages,omitempty"`
-	// state is the resumable mid-pipeline artifact of the computation
-	// (nil for peer-filled plans and non-resumable schemes/modes); it
-	// rides into the stale tier so later near-miss requests can repair it.
-	// Being unexported, it stays out of the disk image (see planCodec).
+	// state is the resumable mid-pipeline artifact of a full compute (nil
+	// for repaired, peer-filled and disk-read plans and for non-resumable
+	// schemes/modes); it rides into the stale tier so later near-miss
+	// requests can repair it. Being unexported, it stays out of the disk
+	// image.
 	state *pipeline.State
 }
 
@@ -558,8 +565,12 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start
 		}
 		s.clusterDur.Observe(time.Since(start).Seconds())
 		s.observeStages(res.Stages)
+		plan, err := newPlanJSON(mapping.PlanOf(res))
+		if err != nil {
+			return cachedPlan{}, err
+		}
 		return cachedPlan{
-			Plan:      mapping.PlanOf(res),
+			Plan:      plan,
 			Stages:    res.Stages,
 			Replanned: ReplanFull,
 			state:     res.State(),
@@ -573,18 +584,11 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start
 	if err != nil {
 		return nil, err
 	}
-	// Anchor the stale tier at full computes (and peer fills): a repaired
-	// plan derives from the entry it was repaired from, and letting it
-	// overwrite that entry would re-base the drift comparison on each
-	// repair — a random walk where A→B→C each stays within tolerance of
-	// its predecessor while C drifts arbitrarily far from the clustering
-	// that was actually computed. Keeping the ancestor makes every repair
-	// measure drift against the last full pipeline run.
 	if v.Replanned != ReplanIncremental {
-		s.stale.Put(j.wkKey, j.topoSig, staleValue{plan: v, key: key})
+		s.anchorStale(j, v, key)
 	}
 	return &MapResponse{
-		Plan:         v.Plan,
+		raw:          v.Plan,
 		Stages:       v.Stages,
 		CacheKey:     key.String(),
 		Cached:       hit,
@@ -593,6 +597,29 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start
 		ReusedStages: v.ReusedStages,
 		ElapsedMS:    msSince(start),
 	}, nil
+}
+
+// anchorStale records a served plan in the stale tier under its workload.
+// Only full computes, peer fills and disk reads anchor: a repaired plan
+// derives from the entry it was repaired from, and letting it overwrite
+// that entry would re-base the drift comparison on each repair — a random
+// walk where A→B→C each stays within tolerance of its predecessor while C
+// drifts arbitrarily far from the clustering that was actually computed.
+// Keeping the ancestor makes every repair measure drift against the last
+// full pipeline run. For the same reason a plan without resumable state
+// (peer-filled or read from disk) never replaces an entry that has one:
+// degraded serving can use either, but only the stateful one can repair.
+// The check sees entries of the same topology depth, the only ones a
+// request of this depth could repair from.
+func (s *Server) anchorStale(j *job, v cachedPlan, key plancache.Key) {
+	s.staleMu.Lock()
+	defer s.staleMu.Unlock()
+	if v.state == nil {
+		if old, _, _, ok := s.stale.Get(j.wkKey, j.topoSig, math.Inf(1)); ok && old.plan.state != nil {
+			return
+		}
+	}
+	s.stale.Put(j.wkKey, j.topoSig, staleValue{plan: v, key: key})
 }
 
 // msSince returns the milliseconds elapsed since start.
@@ -646,12 +673,17 @@ func (s *Server) tryRepair(ctx context.Context, j *job) (cachedPlan, bool) {
 	}
 	s.replans.Inc(ReplanIncremental)
 	s.observeStages(res.Stages)
+	plan, err := newPlanJSON(mapping.PlanOf(res))
+	if err != nil {
+		return cachedPlan{}, false
+	}
+	// No state: a repaired plan never anchors the stale tier (see
+	// anchorStale), so nothing would ever read it.
 	return cachedPlan{
-		Plan:         mapping.PlanOf(res),
+		Plan:         plan,
 		Stages:       res.Stages,
 		Replanned:    ReplanIncremental,
 		ReusedStages: pipeline.ReusedStages(),
-		state:        res.State(),
 	}, true
 }
 
@@ -672,7 +704,9 @@ func (s *Server) stageHook(ctx context.Context, stage string) error {
 }
 
 // ComputePlan runs a mapping request in process (no HTTP), through the
-// same validation, worker pool accounting and plan cache as the API.
+// same validation, worker pool accounting and plan cache as the API. The
+// response's Plan is decoded from the cache entry's bytes at most once per
+// entry.
 func (s *Server) ComputePlan(req MapRequest) (*MapResponse, error) {
 	j, err := buildJob(req)
 	if err != nil {
@@ -681,7 +715,14 @@ func (s *Server) ComputePlan(req MapRequest) (*MapResponse, error) {
 	start := time.Now()
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	return s.computePlan(context.Background(), j, computeOpts{repair: s.cfg.Repair.Enabled}, start)
+	mr, err := s.computePlan(context.Background(), j, computeOpts{repair: s.cfg.Repair.Enabled}, start)
+	if err != nil {
+		return nil, err
+	}
+	if mr.Plan, err = mr.raw.decode(); err != nil {
+		return nil, err
+	}
+	return mr, nil
 }
 
 // runJob executes fn on a pooled worker slot under the request deadline.
@@ -792,7 +833,7 @@ func serveMode(resp *MapResponse) string {
 
 // annotateMap fills the request's wide event from a successful (possibly
 // degraded) map response and stages the served plan for shadow-simulation
-// sampling. The sample only references the response plan — decoding and
+// sampling. The sample only references the plan's bytes — decoding and
 // simulating happen on the sampler worker, never here.
 func (s *Server) annotateMap(ctx context.Context, j *job, resp *MapResponse) {
 	ev := eventFrom(ctx)
@@ -820,7 +861,7 @@ func (s *Server) annotateMap(ctx context.Context, j *job, resp *MapResponse) {
 		Mode:    mode,
 		Tree:    j.tree,
 		Prog:    j.work.Prog,
-		Plan:    &resp.Plan,
+		Plan:    resp.raw.raw,
 		Params:  iosim.DefaultParams(),
 	}
 }
@@ -846,7 +887,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			asg, err := mr.Plan.Assignment()
+			plan, err := mr.raw.decode()
+			if err != nil {
+				return nil, err
+			}
+			asg, err := plan.Assignment()
 			if err != nil {
 				return nil, err
 			}
@@ -1081,11 +1126,30 @@ var jsonBufPool = sync.Pool{New: func() any {
 // plan should not pin its backing array forever.
 const jsonBufMaxRetain = 1 << 20
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+func getJSONBuf() *jsonBuf {
 	b := jsonBufPool.Get().(*jsonBuf)
 	b.buf.Reset()
-	if err := b.enc.Encode(v); err != nil {
+	return b
+}
+
+func putJSONBuf(b *jsonBuf) {
+	if b.buf.Cap() <= jsonBufMaxRetain {
 		jsonBufPool.Put(b)
+	}
+}
+
+// writeJSON writes v as the response body; a body carrying plan bytes
+// splices them in (see splice).
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	b := getJSONBuf()
+	defer putJSONBuf(b)
+	var err error
+	if sb, ok := v.(splicedBody); ok {
+		err = sb.render(&b.buf)
+	} else {
+		err = b.enc.Encode(v)
+	}
+	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 		return
 	}
@@ -1093,9 +1157,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(b.buf.Len()))
 	w.WriteHeader(status)
 	w.Write(b.buf.Bytes())
-	if b.buf.Cap() <= jsonBufMaxRetain {
-		jsonBufPool.Put(b)
-	}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
