@@ -2,7 +2,8 @@
 # Lightweight CI, the tier-1 gate: formatting, build, vet (of this module
 # and of the perfbench benchmark module), linters, race-enabled tests, the
 # short-mode reproduction-fidelity gate, the zero-alloc gate, short balance,
-# merge, plan-log and plan-wire fuzz runs and the bench regression gate.
+# merge, schedule, plan-log and plan-wire fuzz runs and the bench
+# regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -98,6 +99,12 @@ echo "==> merge fuzz (FuzzMergeMatchesReference, 10s)"
 # heap) against the dense reference merge.
 go test -run '^$' -fuzz '^FuzzMergeMatchesReference$' -fuzztime 10s ./internal/core
 
+echo "==> schedule fuzz (FuzzScheduleMatchesReference, 10s)"
+# The same for the Figure 15 schedule, which scores candidates by looking
+# their set bits up in dense views, against the reference schedule's
+# full-width AndPopCounts.
+go test -run '^$' -fuzz '^FuzzScheduleMatchesReference$' -fuzztime 10s ./internal/core
+
 echo "==> plan-log fuzz (FuzzPlanstoreRecord, 10s)"
 # The plan store's startup scan reads whatever bytes are on disk: arbitrary
 # logs must open without a panic or an error, cut to the records that
@@ -130,7 +137,9 @@ echo "==> bench regression gate (vs BENCH.json)"
 # steady state this gate anchors to; BenchmarkWarmScan keeps the plan
 # store's startup scan an O(records) streaming read, and
 # BenchmarkDiskHitServe's allocs/op keep a disk hit from decoding the
-# plan it serves.
+# plan it serves. BenchmarkFineChunks keeps the balance and schedule
+# stages of sar and e_elem at 1 KB chunks (four times the data chunks of
+# the default) from growing back toward their dense-tag cost.
 #
 # BenchmarkReplanIncremental's speedup-floor is a hard lower bound
 # (benchjson "-floor" semantics, which -tolerance does not soften):
@@ -160,6 +169,7 @@ bench() {
 bench -bench 'BenchmarkDistribute$|BenchmarkPostings$|BenchmarkCacheHitServe$|BenchmarkDiskHitServe$' -benchtime 100x -benchmem .
 bench -bench 'BenchmarkPipelineParallelism' -benchtime 1x .
 bench -bench 'BenchmarkReplanIncremental$' -benchtime 3x .
+bench -bench 'BenchmarkFineChunks' -benchtime 3x .
 bench -bench 'BenchmarkWarmScan$' -benchtime 5x -benchmem ./internal/planstore
 go build -o "$tmp/benchjson" ./cmd/benchjson
 if ! "$tmp/benchjson" -compare BENCH.json -tolerance 100 -alloc-tolerance 25 \

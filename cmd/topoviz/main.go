@@ -101,7 +101,7 @@ func main() {
 		for ci, cl := range res.PerClient {
 			fp := bitvec.New(r)
 			for _, c := range cl {
-				fp.OrInPlace(c.Tag)
+				c.Tag.OrInto(fp)
 			}
 			footprints[ci] = fp
 		}

@@ -2,16 +2,18 @@
 //
 // A tag Λ = λ0λ1…λ(r−1) marks which of the r data chunks an iteration (or an
 // iteration chunk) accesses: bit k is set iff data chunk π_k is touched.
-// The package provides the operations the mapping algorithm needs: OR
-// accumulation, population counts, the popcount-of-AND edge weight used by
-// the similarity graph, the posting-list transpose the sparse similarity
-// engine seeds from, and per-bit reference-counted cluster tags.
+// An iteration chunk touches only a handful of the r data chunks, so its
+// tag is a Sparse vector, the ascending list of its set bits; a cluster's
+// tag, the OR of many, is a dense Vector. The package provides the
+// operations the mapping algorithm needs: OR accumulation, population
+// counts, the popcount-of-AND edge weight used by the similarity graph, the
+// posting-list transpose the sparse similarity engine seeds from, and
+// per-bit reference-counted cluster tags.
 package bitvec
 
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 const wordBits = 64
@@ -29,22 +31,6 @@ func New(n int) Vector {
 		panic(fmt.Sprintf("bitvec: negative length %d", n))
 	}
 	return Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
-}
-
-// NewArena returns count zeroed n-bit Vectors carved from one shared backing
-// array — one allocation instead of count, for callers that create many
-// equal-width vectors at once. Each vector owns a disjoint word range.
-func NewArena(count, n int) []Vector {
-	if n < 0 {
-		panic(fmt.Sprintf("bitvec: negative length %d", n))
-	}
-	w := (n + wordBits - 1) / wordBits
-	backing := make([]uint64, count*w)
-	vs := make([]Vector, count)
-	for i := range vs {
-		vs[i] = Vector{n: n, words: backing[i*w : (i+1)*w : (i+1)*w]}
-	}
-	return vs
 }
 
 // arenaBlockWords sizes an Arena backing block: 4096 words = 32 KiB, large
@@ -147,13 +133,6 @@ func (v Vector) check(i int) {
 	}
 }
 
-// Clone returns an independent copy of v.
-func (v Vector) Clone() Vector {
-	w := Vector{n: v.n, words: make([]uint64, len(v.words))}
-	copy(w.words, v.words)
-	return w
-}
-
 // OrInPlace sets v = v ∨ o, avoiding an allocation.
 func (v Vector) OrInPlace(o Vector) {
 	v.match(o)
@@ -251,17 +230,6 @@ func (v Vector) Indices() []int {
 	return out
 }
 
-// ForEach calls fn for every set bit position in increasing order.
-func (v Vector) ForEach(fn func(i int)) {
-	for wi, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*wordBits + b)
-			w &= w - 1
-		}
-	}
-}
-
 // AppendSetBits appends the positions of all set bits to dst in increasing
 // order and returns the extended slice. It is the allocation-free sibling
 // of Indices for hot loops that reuse a scratch slice.
@@ -274,6 +242,12 @@ func (v Vector) AppendSetBits(dst []int32) []int32 {
 		}
 	}
 	return dst
+}
+
+// Sparse returns the set bits of v as a newly allocated Sparse vector of
+// the same width.
+func (v Vector) Sparse() Sparse {
+	return Sparse{n: v.n, bits: v.AppendSetBits(make([]int32, 0, v.PopCount()))}
 }
 
 // Postings builds the inverted index of a set of equal-width vectors: entry
@@ -378,20 +352,6 @@ func (ix *PostingIndex) Build(r int, vecs []Vector) [][]int32 {
 	return posts
 }
 
-// String renders the vector in the paper's λ0λ1…λ(r−1) order ("0011…").
-func (v Vector) String() string {
-	var sb strings.Builder
-	sb.Grow(v.n)
-	for i := 0; i < v.n; i++ {
-		if v.Get(i) {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
-}
-
 // Key returns a compact comparable representation of the vector's contents,
 // usable as a map key for grouping iterations by tag.
 func (v Vector) Key() string {
@@ -404,8 +364,91 @@ func (v Vector) Key() string {
 	return string(buf)
 }
 
-// Counted is a bit vector maintained as per-bit reference counts: AddVec
-// increments the count of every bit set in the argument, SubVec decrements,
+// Sparse is a fixed-width bit vector held as the positions of its set
+// bits, ascending. It is the form of an iteration-chunk tag: a chunk
+// touches a few of the r data chunks, so walking its bits costs O(set
+// bits) where a dense Vector costs O(r/64) words. The zero value is an
+// empty (length 0) vector. A Sparse is immutable; copies share the bit
+// list.
+type Sparse struct {
+	n    int
+	bits []int32
+}
+
+// NewSparse returns the n-bit sparse vector whose set bits are bits, which
+// it keeps (callers must not modify bits afterwards). It panics unless the
+// bits ascend strictly inside [0, n).
+func NewSparse(n int, bits []int32) Sparse {
+	if n < 0 {
+		panic(fmt.Sprintf("bitvec: negative length %d", n))
+	}
+	prev := int32(-1)
+	for _, b := range bits {
+		if b <= prev || int(b) >= n {
+			panic(fmt.Sprintf("bitvec: sparse bits %v not ascending inside [0,%d)", bits, n))
+		}
+		prev = b
+	}
+	return Sparse{n: n, bits: bits}
+}
+
+// Len returns the number of bits in the vector.
+func (s Sparse) Len() int { return s.n }
+
+// PopCount returns the number of set bits.
+func (s Sparse) PopCount() int { return len(s.bits) }
+
+// Bits returns the positions of the set bits, ascending. The slice is
+// shared with s and must not be modified.
+func (s Sparse) Bits() []int32 { return s.bits }
+
+// Dense returns s as a newly allocated dense Vector.
+func (s Sparse) Dense() Vector {
+	v := New(s.n)
+	s.OrInto(v)
+	return v
+}
+
+// OrInto sets v = v ∨ s in O(set bits of s).
+func (s Sparse) OrInto(v Vector) {
+	v.matchSparse(s)
+	for _, b := range s.bits {
+		v.words[b/wordBits] |= 1 << (uint32(b) % wordBits)
+	}
+}
+
+// AndPopCount returns popcount(s ∧ v): how many of s's set bits are set
+// in v, in O(set bits of s). It is the similarity weight of a chunk
+// against a dense tag.
+func (s Sparse) AndPopCount(v Vector) int {
+	v.matchSparse(s)
+	total := 0
+	for _, b := range s.bits {
+		total += int(v.words[b/wordBits] >> (uint32(b) % wordBits) & 1)
+	}
+	return total
+}
+
+func (v Vector) matchSparse(s Sparse) {
+	if v.n != s.n {
+		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, s.n))
+	}
+}
+
+// String renders the vector in the paper's λ0λ1…λ(r−1) order ("0011…").
+func (s Sparse) String() string {
+	buf := make([]byte, s.n)
+	for i := range buf {
+		buf[i] = '0'
+	}
+	for _, b := range s.bits {
+		buf[b] = '1'
+	}
+	return string(buf)
+}
+
+// Counted is a bit vector maintained as per-bit reference counts: Add
+// increments the count of every bit set in the argument, Sub decrements,
 // and Vec exposes the OR view (bit set iff count > 0) without rebuilding it.
 // It makes removing one member vector from an aggregate O(popcount(member))
 // instead of re-OR-ing all remaining members — the cluster-tag maintenance
@@ -429,39 +472,34 @@ func InitCounted(c *Counted, vec Vector, counts []int32) {
 // Vec returns the OR view of the counted vector: bit i is set iff its
 // reference count is positive. The returned Vector shares storage with the
 // Counted; callers must treat it as read-only and must not mutate it except
-// through AddVec/SubVec.
+// through Add and Sub.
 func (c *Counted) Vec() Vector { return c.vec }
 
-// AddVec increments the count of every bit set in v, setting bits in the OR
+// Add increments the count of every bit set in v, setting bits in the OR
 // view on 0→1 transitions.
-func (c *Counted) AddVec(v Vector) {
-	if v.Len() != c.vec.Len() {
-		panic(fmt.Sprintf("bitvec: counted length mismatch %d vs %d", c.vec.Len(), v.Len()))
-	}
-	v.ForEach(func(i int) {
-		c.counts[i]++
-		if c.counts[i] == 1 {
-			c.vec.Set(i)
+func (c *Counted) Add(v Sparse) {
+	c.vec.matchSparse(v)
+	for _, b := range v.bits {
+		if c.counts[b]++; c.counts[b] == 1 {
+			c.vec.words[b/wordBits] |= 1 << (uint32(b) % wordBits)
 		}
-	})
+	}
 }
 
-// SubVec decrements the count of every bit set in v, clearing bits in the
-// OR view on 1→0 transitions. It panics if a count would go negative (the
+// Sub decrements the count of every bit set in v, clearing bits in the OR
+// view on 1→0 transitions. It panics if a count would go negative (the
 // vector being removed was never added).
-func (c *Counted) SubVec(v Vector) {
-	if v.Len() != c.vec.Len() {
-		panic(fmt.Sprintf("bitvec: counted length mismatch %d vs %d", c.vec.Len(), v.Len()))
-	}
-	v.ForEach(func(i int) {
-		c.counts[i]--
+func (c *Counted) Sub(v Sparse) {
+	c.vec.matchSparse(v)
+	for _, b := range v.bits {
+		c.counts[b]--
 		switch {
-		case c.counts[i] == 0:
-			c.vec.Clear(i)
-		case c.counts[i] < 0:
-			panic(fmt.Sprintf("bitvec: counted underflow at bit %d", i))
+		case c.counts[b] == 0:
+			c.vec.words[b/wordBits] &^= 1 << (uint32(b) % wordBits)
+		case c.counts[b] < 0:
+			panic(fmt.Sprintf("bitvec: counted underflow at bit %d", b))
 		}
-	})
+	}
 }
 
 // AddCounted accumulates another counted vector into c.

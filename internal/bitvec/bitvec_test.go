@@ -86,7 +86,7 @@ func TestAndPopCountMatchesPaperExample(t *testing.T) {
 	}
 }
 
-func TestIndicesAndForEach(t *testing.T) {
+func TestIndices(t *testing.T) {
 	v := FromIndices(100, 3, 64, 99)
 	got := v.Indices()
 	want := []int{3, 64, 99}
@@ -97,23 +97,6 @@ func TestIndicesAndForEach(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Indices = %v, want %v", got, want)
 		}
-	}
-	var walked []int
-	v.ForEach(func(i int) { walked = append(walked, i) })
-	if len(walked) != 3 || walked[0] != 3 || walked[1] != 64 || walked[2] != 99 {
-		t.Fatalf("ForEach walked %v", walked)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := FromIndices(70, 5, 65)
-	b := a.Clone()
-	b.Set(6)
-	if a.Get(6) {
-		t.Fatal("Clone shares storage with original")
-	}
-	if !a.Equal(a.Clone()) {
-		t.Fatal("Clone not equal to original")
 	}
 }
 
@@ -133,8 +116,8 @@ func TestOrInPlace(t *testing.T) {
 	a := FromIndices(10, 1)
 	b := FromIndices(10, 2)
 	a.OrInPlace(b)
-	if a.String() != "0110000000" {
-		t.Fatalf("OrInPlace got %s", a.String())
+	if got := a.Sparse().String(); got != "0110000000" {
+		t.Fatalf("OrInPlace got %s", got)
 	}
 }
 
@@ -175,7 +158,8 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		n := 1 + rr.Intn(500)
 		a, b := randomVector(rr, n), randomVector(rr, n)
-		or := a.Clone()
+		or := New(n)
+		or.OrInPlace(a)
 		or.OrInPlace(b)
 		return a.PopCount()+b.PopCount() == a.AndPopCount(b)+or.PopCount()
 	}
@@ -184,14 +168,14 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 	}
 }
 
-// Property: String renders bit i as character i, in the paper's
+// Property: a tag's String renders bit i as character i, in the paper's
 // λ0λ1…λ(r−1) order.
 func TestPropertyStringRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := rr.Intn(200)
 		v := randomVector(rr, n)
-		s := v.String()
+		s := v.Sparse().String()
 		if len(s) != n {
 			return false
 		}
@@ -303,22 +287,22 @@ func TestPostingsWidthMismatchPanics(t *testing.T) {
 func TestCountedAddSub(t *testing.T) {
 	var c Counted
 	InitCounted(&c, New(8), make([]int32, 8))
-	a := FromIndices(8, 0, 1, 2)
-	b := FromIndices(8, 2, 3)
-	c.AddVec(a)
-	c.AddVec(b)
+	a := FromIndices(8, 0, 1, 2).Sparse()
+	b := FromIndices(8, 2, 3).Sparse()
+	c.Add(a)
+	c.Add(b)
 	if want := FromIndices(8, 0, 1, 2, 3); !c.Vec().Equal(want) {
-		t.Fatalf("vec = %s, want %s", c.Vec(), want)
+		t.Fatalf("vec = %s, want %s", c.Vec().Sparse(), want.Sparse())
 	}
 	if c.counts[2] != 2 || c.counts[0] != 1 || c.counts[4] != 0 {
 		t.Fatal("wrong refcounts")
 	}
-	c.SubVec(a)
+	c.Sub(a)
 	// Bit 2 survives (still held by b); 0 and 1 drop.
 	if want := FromIndices(8, 2, 3); !c.Vec().Equal(want) {
-		t.Fatalf("vec after sub = %s, want %s", c.Vec(), want)
+		t.Fatalf("vec after sub = %s, want %s", c.Vec().Sparse(), want.Sparse())
 	}
-	c.SubVec(b)
+	c.Sub(b)
 	if c.Vec().PopCount() != 0 {
 		t.Fatal("vec not empty after removing all")
 	}
@@ -328,18 +312,18 @@ func TestCountedAddCounted(t *testing.T) {
 	var a, b Counted
 	InitCounted(&a, New(8), make([]int32, 8))
 	InitCounted(&b, New(8), make([]int32, 8))
-	a.AddVec(FromIndices(8, 0, 1))
-	a.AddVec(FromIndices(8, 1, 2))
-	b.AddVec(FromIndices(8, 1, 7))
+	a.Add(NewSparse(8, []int32{0, 1}))
+	a.Add(NewSparse(8, []int32{1, 2}))
+	b.Add(NewSparse(8, []int32{1, 7}))
 	a.AddCounted(&b)
 	if a.counts[1] != 3 || a.counts[7] != 1 || a.counts[0] != 1 {
 		t.Fatal("wrong merged refcounts")
 	}
 	if want := FromIndices(8, 0, 1, 2, 7); !a.Vec().Equal(want) {
-		t.Fatalf("vec = %s, want %s", a.Vec(), want)
+		t.Fatalf("vec = %s, want %s", a.Vec().Sparse(), want.Sparse())
 	}
-	a.SubVec(FromIndices(8, 1))
-	a.SubVec(FromIndices(8, 1))
+	a.Sub(NewSparse(8, []int32{1}))
+	a.Sub(NewSparse(8, []int32{1}))
 	if a.counts[1] != 1 || !a.Vec().Get(1) {
 		t.Fatal("bit 1 should survive two of three removals")
 	}
@@ -353,7 +337,7 @@ func TestCountedUnderflowPanics(t *testing.T) {
 	}()
 	var c Counted
 	InitCounted(&c, New(8), make([]int32, 8))
-	c.SubVec(FromIndices(8, 3))
+	c.Sub(NewSparse(8, []int32{3}))
 }
 
 // Property: a Counted fed random adds and valid subs always equals the OR
@@ -368,11 +352,11 @@ func TestPropertyCountedMatchesOR(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			if len(held) > 0 && rr.Intn(3) == 0 {
 				k := rr.Intn(len(held))
-				c.SubVec(held[k])
+				c.Sub(held[k].Sparse())
 				held = append(held[:k], held[k+1:]...)
 			} else {
 				v := randomVector(rr, n)
-				c.AddVec(v)
+				c.Add(v.Sparse())
 				held = append(held, v)
 			}
 			want := New(n)
@@ -532,13 +516,13 @@ func TestInitCounted(t *testing.T) {
 	var c Counted
 	vec, counts := New(70), make([]int32, 70)
 	InitCounted(&c, vec, counts)
-	a := FromIndices(70, 1, 64)
-	b := FromIndices(70, 1, 3)
-	c.AddVec(a)
-	c.AddVec(b)
-	c.SubVec(a)
+	a := NewSparse(70, []int32{1, 64})
+	b := NewSparse(70, []int32{1, 3})
+	c.Add(a)
+	c.Add(b)
+	c.Sub(a)
 	if want := FromIndices(70, 1, 3); !c.Vec().Equal(want) {
-		t.Fatalf("init-counted view %s, want %s", c.Vec(), want)
+		t.Fatalf("init-counted view %s, want %s", c.Vec().Sparse(), want.Sparse())
 	}
 	// c owns the caller's storage: the view and counts are the slices passed in.
 	if !vec.Get(3) || counts[1] != 1 || counts[64] != 0 {
@@ -554,4 +538,93 @@ func TestInitCountedMismatchPanics(t *testing.T) {
 	}()
 	var c Counted
 	InitCounted(&c, New(70), make([]int32, 60))
+}
+
+// Property: every operation of a Sparse vector equals its dense
+// counterpart, on random vectors from empty to all bits set.
+func TestPropertySparseMatchesDense(t *testing.T) {
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		n := rr.Intn(300)
+		a, b := New(n), randomVector(rr, n)
+		density := rr.Float64()
+		for i := 0; i < n; i++ {
+			if rr.Float64() < density {
+				a.Set(i)
+			}
+		}
+		s := a.Sparse()
+		if s.Len() != n || s.PopCount() != a.PopCount() || len(s.String()) != n {
+			return false
+		}
+		if !s.Dense().Equal(a) || s.AndPopCount(b) != a.AndPopCount(b) {
+			return false
+		}
+		bits := s.Bits()
+		for i, x := range a.AppendSetBits(nil) {
+			if bits[i] != x {
+				return false
+			}
+		}
+		or, want := New(n), New(n)
+		or.OrInPlace(b)
+		s.OrInto(or)
+		want.OrInPlace(a)
+		want.OrInPlace(b)
+		return or.Equal(want) && NewSparse(n, bits).String() == s.String()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestNewSparseRejectsBadBits(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+		bits []int32
+	}{
+		{"unsorted", 8, []int32{3, 1}},
+		{"duplicate", 8, []int32{2, 2}},
+		{"negative bit", 8, []int32{-1, 2}},
+		{"bit at width", 8, []int32{1, 8}},
+		{"negative width", -1, nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewSparse(%d, %v) did not panic", c.name, c.n, c.bits)
+				}
+			}()
+			NewSparse(c.n, c.bits)
+		}()
+	}
+	if s := NewSparse(8, []int32{0, 7}); s.String() != "10000001" {
+		t.Fatalf("NewSparse(8, {0,7}) = %s", s)
+	}
+	if s := NewSparse(0, nil); s.Len() != 0 || s.PopCount() != 0 {
+		t.Fatal("empty sparse vector has bits")
+	}
+}
+
+func TestSparseLengthMismatchPanics(t *testing.T) {
+	s := NewSparse(8, []int32{1})
+	for name, op := range map[string]func(){
+		"OrInto":      func() { s.OrInto(New(9)) },
+		"AndPopCount": func() { s.AndPopCount(New(7)) },
+		"Counted.Add": func() {
+			var c Counted
+			InitCounted(&c, New(16), make([]int32, 16))
+			c.Add(s)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s across widths did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
 }

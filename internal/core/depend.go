@@ -53,7 +53,7 @@ func DependentPairs(chunks []*tags.IterationChunk, nest *polyhedral.Nest, deps [
 				overlapDone = true
 				tagOf := make([]bitvec.Vector, len(chunks))
 				for i, c := range chunks {
-					tagOf[i] = c.Tag
+					tagOf[i] = c.Tag.Dense()
 				}
 				overlap = tagOverlapPairs(tagOf, chunks[0].Tag.Len())
 			}

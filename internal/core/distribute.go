@@ -251,9 +251,9 @@ func growBool(s []bool, n int) []bool {
 func (c *Cluster) add(ic *tags.IterationChunk) {
 	c.Members = append(c.Members, ic)
 	if c.counts != nil {
-		c.counts.AddVec(ic.Tag)
+		c.counts.Add(ic.Tag)
 	} else {
-		c.Tag.OrInPlace(ic.Tag)
+		ic.Tag.OrInto(c.Tag)
 	}
 	cnt := ic.Count()
 	c.sizes = append(c.sizes, cnt)
@@ -273,7 +273,7 @@ func (c *Cluster) ensureCounts(scr *distScratch) {
 	bitvec.InitCounted(ct, scr.tags.Vec(n), scr.counts32.take(n))
 	c.counts = ct
 	for _, m := range c.Members {
-		c.counts.AddVec(m.Tag)
+		c.counts.Add(m.Tag)
 	}
 	c.Tag = c.counts.Vec()
 }
@@ -1158,10 +1158,11 @@ func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, dono
 //     the first position in donor.Members still wins. Empty members read −1
 //     like tombstones: neither pick ever moves them.
 //
-// A new donor discards every tree and rebuilds the postings in O(set bits
-// of the donor's members), never O(r): list heads are generation-stamped,
-// so heads left over from earlier donors read as empty lists. All tables
-// are recycled with the run's scratch.
+// A new donor discards every tree and rebuilds the postings by walking its
+// members' sparse tags, in O(their set bits), never O(r): no word of a
+// dense member tag is scanned, and list heads are generation-stamped, so
+// heads left over from earlier donors read as empty lists. All tables are
+// recycled with the run's scratch.
 type donorRows struct {
 	donor  *Cluster
 	leaves int     // positions a tree holds: at least one past the donor's
@@ -1175,7 +1176,7 @@ type donorRows struct {
 	gen   uint32
 	node  []int32 // posting node → donor position
 	next  []int32 // posting node → next node for the same bit, -1 ends
-	bits  []int32 // set-bit scratch
+	bits  []int32 // set-bit scratch of a recipient's dense tag
 }
 
 // reset starts a balance over k clusters with r-bit tags: no donor yet.
@@ -1203,8 +1204,7 @@ func (dr *donorRows) setDonor(donor *Cluster) {
 	dr.node, dr.next = dr.node[:0], dr.next[:0]
 	dr.dropTrees()
 	for i, m := range donor.Members {
-		dr.bits = m.Tag.AppendSetBits(dr.bits[:0])
-		for _, b := range dr.bits {
+		for _, b := range m.Tag.Bits() {
 			if dr.stamp[b] != dr.gen {
 				dr.stamp[b], dr.head[b] = dr.gen, -1
 			}
@@ -1370,9 +1370,8 @@ func (dr *donorRows) best(t []int32) int {
 
 // gain updates a recipient's tree for a chunk tag t it is about to absorb:
 // only the bits of t the recipient's tag still lacks raise any dot.
-func (dr *donorRows) gain(tree []int32, recipTag, t bitvec.Vector) {
-	dr.bits = t.AppendSetBits(dr.bits[:0])
-	for _, b := range dr.bits {
+func (dr *donorRows) gain(tree []int32, recipTag bitvec.Vector, t bitvec.Sparse) {
+	for _, b := range t.Bits() {
 		if !recipTag.Get(int(b)) {
 			dr.count(tree, b, true)
 		}
@@ -1385,7 +1384,7 @@ func (dr *donorRows) remove(p int, scr *distScratch) *tags.IterationChunk {
 	c := dr.donor
 	c.ensureCounts(scr)
 	m := c.Members[p]
-	c.counts.SubVec(m.Tag)
+	c.counts.Sub(m.Tag)
 	c.Size -= c.sizes[p]
 	c.Members[p], c.sizes[p] = nil, 0
 	for off := 0; off < len(dr.rows); off += dr.span {
@@ -1407,8 +1406,7 @@ func (dr *donorRows) split(p int, keep *tags.IterationChunk, scr *distScratch) {
 		t := dr.rows[off : off+dr.span]
 		dr.set(t, np, t[p])
 	}
-	dr.bits = keep.Tag.AppendSetBits(dr.bits[:0])
-	for _, b := range dr.bits {
+	for _, b := range keep.Tag.Bits() {
 		for e := dr.head[b]; e >= 0; e = dr.next[e] {
 			if dr.node[e] == int32(p) {
 				dr.node[e] = int32(np)

@@ -160,8 +160,8 @@ func TestDistributeValidation(t *testing.T) {
 		t.Error("negative threshold accepted")
 	}
 	bad := []*tags.IterationChunk{
-		{Tag: bitvec.New(4), Iters: itset.Interval(0, 1)},
-		{Tag: bitvec.New(5), Iters: itset.Interval(1, 2)},
+		{Tag: bitvec.New(4).Sparse(), Iters: itset.Interval(0, 1)},
+		{Tag: bitvec.New(5).Sparse(), Iters: itset.Interval(1, 2)},
 	}
 	if _, err := Distribute(bad, figure7Tree(), DefaultOptions()); err == nil {
 		t.Error("inconsistent tag widths accepted")
@@ -170,7 +170,7 @@ func TestDistributeValidation(t *testing.T) {
 
 func TestDistributeSplitsWhenFewerChunksThanClients(t *testing.T) {
 	// One big chunk across 4 clients: the chunk must be split.
-	big := &tags.IterationChunk{Tag: bitvec.FromIndices(4, 0), Iters: itset.Interval(0, 100)}
+	big := &tags.IterationChunk{Tag: bitvec.FromIndices(4, 0).Sparse(), Iters: itset.Interval(0, 100)}
 	out, err := Distribute([]*tags.IterationChunk{big}, figure7Tree(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -235,13 +235,13 @@ func TestDistributeNonUniformTree(t *testing.T) {
 }
 
 func TestMergeChunks(t *testing.T) {
-	a := &tags.IterationChunk{Tag: bitvec.FromIndices(6, 0, 1), Iters: itset.Interval(0, 4)}
-	b := &tags.IterationChunk{Tag: bitvec.FromIndices(6, 1, 2), Iters: itset.Interval(10, 14)}
+	a := &tags.IterationChunk{Tag: bitvec.FromIndices(6, 0, 1).Sparse(), Iters: itset.Interval(0, 4)}
+	b := &tags.IterationChunk{Tag: bitvec.FromIndices(6, 1, 2).Sparse(), Iters: itset.Interval(10, 14)}
 	m := MergeChunks([]*tags.IterationChunk{a, b})
 	if m.Count() != 8 {
 		t.Fatalf("merged count %d", m.Count())
 	}
-	if !m.Tag.Equal(bitvec.FromIndices(6, 0, 1, 2)) {
+	if !m.Tag.Dense().Equal(bitvec.FromIndices(6, 0, 1, 2)) {
 		t.Fatalf("merged tag %s", m.Tag)
 	}
 	// Original chunks unchanged.
@@ -369,7 +369,7 @@ func TestPropertyDistributePartition(t *testing.T) {
 				tag.Set(rr.Intn(r))
 			}
 			n := int64(1 + rr.Intn(50))
-			chunks = append(chunks, &tags.IterationChunk{Tag: tag, Iters: itset.Interval(cursor, cursor+n)})
+			chunks = append(chunks, &tags.IterationChunk{Tag: tag.Sparse(), Iters: itset.Interval(cursor, cursor+n)})
 			cursor += n
 			total += n
 		}
@@ -417,7 +417,7 @@ func TestPropertyDistributeBalance(t *testing.T) {
 			tag.Set(rr.Intn(r))
 			tag.Set(rr.Intn(r))
 			n := int64(1 + rr.Intn(20))
-			chunks = append(chunks, &tags.IterationChunk{Tag: tag, Iters: itset.Interval(cursor, cursor+n)})
+			chunks = append(chunks, &tags.IterationChunk{Tag: tag.Sparse(), Iters: itset.Interval(cursor, cursor+n)})
 			cursor += n
 			total += n
 		}
@@ -467,7 +467,7 @@ func TestPropertyDistributeDeterministic(t *testing.T) {
 			t.Fatalf("client %d chunk counts differ", ci)
 		}
 		for i := range out1[ci] {
-			if !out1[ci][i].Tag.Equal(out2[ci][i].Tag) || !out1[ci][i].Iters.Equal(out2[ci][i].Iters) {
+			if !sameTag(out1[ci][i].Tag, out2[ci][i].Tag) || !out1[ci][i].Iters.Equal(out2[ci][i].Iters) {
 				t.Fatalf("client %d chunk %d differs", ci, i)
 			}
 		}
@@ -485,7 +485,7 @@ func assignmentsEqual(a, b [][]*tags.IterationChunk) bool {
 			return false
 		}
 		for i := range a[c] {
-			if !a[c][i].Tag.Equal(b[c][i].Tag) || !a[c][i].Iters.Equal(b[c][i].Iters) {
+			if !sameTag(a[c][i].Tag, b[c][i].Tag) || !a[c][i].Iters.Equal(b[c][i].Iters) {
 				return false
 			}
 		}

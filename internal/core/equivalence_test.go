@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -41,10 +42,15 @@ func equivChunks(rr *rand.Rand, r, n int, density float64, bigEvery, emptyEvery 
 		case bigEvery > 0 && i%bigEvery == bigEvery-1:
 			cnt = 200 + rr.Int63n(2000)
 		}
-		chunks[i] = &tags.IterationChunk{Tag: tag, Iters: itset.Interval(cursor, cursor+cnt)}
+		chunks[i] = &tags.IterationChunk{Tag: tag.Sparse(), Iters: itset.Interval(cursor, cursor+cnt)}
 		cursor += cnt
 	}
 	return chunks
+}
+
+// sameTag reports whether two chunk tags have the same width and bits.
+func sameTag(a, b bitvec.Sparse) bool {
+	return a.Len() == b.Len() && slices.Equal(a.Bits(), b.Bits())
 }
 
 // buildClusters gives one engine its own clusters: fresh structs and tags
@@ -78,7 +84,7 @@ func diffClusters(got, want []*Cluster) string {
 		var size int64
 		for m, gm := range g.Members {
 			wm := w.Members[m]
-			if gm.Nest != wm.Nest || !gm.Iters.Equal(wm.Iters) || !gm.Tag.Equal(wm.Tag) {
+			if gm.Nest != wm.Nest || !gm.Iters.Equal(wm.Iters) || !sameTag(gm.Tag, wm.Tag) {
 				return fmt.Sprintf("cluster %d member %d: %v, want %v", i, m, gm.Iters, wm.Iters)
 			}
 			if g.sizes[m] != gm.Count() {
@@ -365,7 +371,7 @@ func shapedGroups(groups [][][]int) [][]*tags.IterationChunk {
 	for g, members := range groups {
 		for _, m := range members {
 			cnt := int64(m[0])
-			ic := &tags.IterationChunk{Tag: bitvec.FromIndices(8, m[1:]...), Iters: itset.Interval(cursor, cursor+cnt)}
+			ic := &tags.IterationChunk{Tag: bitvec.FromIndices(8, m[1:]...).Sparse(), Iters: itset.Interval(cursor, cursor+cnt)}
 			out[g] = append(out[g], ic)
 			cursor += cnt
 		}

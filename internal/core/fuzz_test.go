@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitvec"
+	"repro/internal/hierarchy"
+	"repro/internal/itset"
 	"repro/internal/tags"
 )
 
@@ -83,6 +87,92 @@ func FuzzMergeMatchesReference(f *testing.F) {
 		}
 		if diff != "" {
 			t.Fatalf("r=%d n=%d grouped=%v k=%d workers=%d: %s", r, len(groups), grouped, kk, w, diff)
+		}
+	})
+}
+
+// FuzzScheduleMatchesReference holds the Figure 15 schedule, which scores
+// each candidate by looking its set bits up in dense views, to the
+// reference schedule's dense AndPopCounts on fuzzed assignments. The
+// arguments decode into a generator seed, the I/O group count (each group
+// gets 1–4 clients), tag width and density, the most chunks a client
+// holds, the odds of an empty client, of a chunk split into two pieces
+// sharing its tag, and of an empty chunk, and α and β, each one of
+// {0, 0.25, 0.5, 1}.
+func FuzzScheduleMatchesReference(f *testing.F) {
+	// The paper's weights over sparse tags, every client busy.
+	f.Add(int64(1), uint8(4), uint16(64), uint8(12), uint8(12), uint8(0), uint8(0), uint8(0), uint8(2), uint8(2))
+	// Many equal scores: 2-bit tags, split pieces and empty chunks, so
+	// ties fall to chunkKey and then to position.
+	f.Add(int64(2), uint8(3), uint16(2), uint8(128), uint8(20), uint8(3), uint8(4), uint8(5), uint8(2), uint8(2))
+	// All bits set, horizontal reuse only.
+	f.Add(int64(3), uint8(2), uint16(300), uint8(255), uint8(8), uint8(0), uint8(0), uint8(0), uint8(3), uint8(0))
+	// Empty clients, vertical reuse only, zero tags.
+	f.Add(int64(4), uint8(5), uint16(130), uint8(0), uint8(6), uint8(2), uint8(3), uint8(0), uint8(0), uint8(3))
+	// Unequal weights: a swapped α and β changes the picks.
+	f.Add(int64(5), uint8(3), uint16(40), uint8(40), uint8(10), uint8(0), uint8(0), uint8(0), uint8(3), uint8(1))
+	alphas := [4]float64{0, 0.25, 0.5, 1}
+	f.Fuzz(func(t *testing.T, seed int64, groups uint8, width uint16, density, most, emptyClient, splitOdds, emptyChunk, alpha, beta uint8) {
+		r := 1 + int(width%300)
+		rr := rand.New(rand.NewSource(seed))
+		root := &hierarchy.Node{CacheChunks: 16}
+		clients := 0
+		for range 1 + int(groups%6) {
+			io := &hierarchy.Node{CacheChunks: 8}
+			for range 1 + rr.Intn(4) {
+				io.Children = append(io.Children, &hierarchy.Node{CacheChunks: 4})
+				clients++
+			}
+			root.Children = append(root.Children, io)
+		}
+		tree := hierarchy.Build(root)
+		assign := make([][]*tags.IterationChunk, clients)
+		var cursor int64
+		for c := range assign {
+			if emptyClient > 0 && rr.Intn(int(emptyClient)+2) == 0 {
+				continue
+			}
+			for range rr.Intn(1 + int(most%32)) {
+				tag := bitvec.New(r)
+				for b := range r {
+					if rr.Intn(255) < int(density) {
+						tag.Set(b)
+					}
+				}
+				cnt := int64(1 + rr.Intn(40))
+				if emptyChunk > 0 && rr.Intn(int(emptyChunk)+2) == 0 {
+					cnt = 0
+				}
+				ic := &tags.IterationChunk{Tag: tag.Sparse(), Iters: itset.Interval(cursor, cursor+cnt), Nest: rr.Intn(2)}
+				cursor += cnt
+				if splitOdds > 0 && cnt > 1 && rr.Intn(int(splitOdds)+2) == 0 {
+					a, b := ic.Split(1 + rr.Int63n(cnt-1))
+					assign[c] = append(assign[c], a)
+					other := rr.Intn(clients)
+					assign[other] = append(assign[other], b)
+					continue
+				}
+				assign[c] = append(assign[c], ic)
+			}
+		}
+		opts := ScheduleOptions{Alpha: alphas[alpha%4], Beta: alphas[beta%4]}
+		got, err := ScheduleCtx(context.Background(), assign, tree, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := scheduleRef(context.Background(), assign, tree, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range want {
+			if len(got[c]) != len(want[c]) {
+				t.Fatalf("r=%d clients=%d opts=%+v: client %d got %d chunks, want %d", r, clients, opts, c, len(got[c]), len(want[c]))
+			}
+			for i := range want[c] {
+				if got[c][i] != want[c][i] {
+					t.Fatalf("r=%d clients=%d opts=%+v: client %d pick %d is %v, want %v", r, clients, opts, c, i, got[c][i], want[c][i])
+				}
+			}
 		}
 	})
 }

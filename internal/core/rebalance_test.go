@@ -25,7 +25,7 @@ func randomAssign(rr *rand.Rand) ([][]*tags.IterationChunk, *hierarchy.Tree, int
 			tag.Set(rr.Intn(r))
 		}
 		n := int64(1 + rr.Intn(50))
-		chunks = append(chunks, &tags.IterationChunk{Tag: tag, Iters: itset.Interval(cursor, cursor+n)})
+		chunks = append(chunks, &tags.IterationChunk{Tag: tag.Sparse(), Iters: itset.Interval(cursor, cursor+n)})
 		cursor += n
 		total += n
 	}
@@ -200,8 +200,8 @@ func TestRebalanceValidation(t *testing.T) {
 		t.Error("negative threshold accepted")
 	}
 	bad := [][]*tags.IterationChunk{
-		{{Tag: bitvec.New(4), Iters: itset.Interval(0, 1)}},
-		{{Tag: bitvec.New(5), Iters: itset.Interval(1, 2)}},
+		{{Tag: bitvec.New(4).Sparse(), Iters: itset.Interval(0, 1)}},
+		{{Tag: bitvec.New(5).Sparse(), Iters: itset.Interval(1, 2)}},
 	}
 	if _, err := RebalanceClusters(context.Background(), bad, figure7Tree(), DefaultOptions()); err == nil {
 		t.Error("inconsistent tag widths accepted")

@@ -1,18 +1,23 @@
 package core
 
-// Reference implementations of the Figure 5 loops, kept for the
-// equivalence tests only: the dense O(n²) merge engine and the balance loop
-// that re-sorts every slot and rescans every donor member with a
-// full-width AndPopCount each round. Production runs the sparse merge and
-// the cached-row balance; the tests feed both sides cloned clusters and
-// require identical clusters out.
+// Reference implementations of the Figure 5 and Figure 15 loops, kept for
+// the equivalence tests only: the dense O(n²) merge engine, the balance
+// loop that re-sorts every slot and rescans every donor member with a
+// full-width AndPopCount each round, and the schedule that scores every
+// candidate with two full-width AndPopCounts. Production runs the sparse
+// merge, the cached-row balance and the bit-lookup schedule; the tests
+// feed both sides cloned clusters (or the same assignment) and require
+// identical output. Every reference dot goes through the member's dense
+// Tag.Dense(), never through the sparse helpers it checks.
 
 import (
 	"cmp"
 	"container/heap"
+	"context"
 	"slices"
 	"sync"
 
+	"repro/internal/hierarchy"
 	"repro/internal/tags"
 )
 
@@ -28,7 +33,7 @@ func (c *Cluster) absorb(o *Cluster) {
 		c.counts.AddCounted(o.counts)
 	default:
 		for _, m := range o.Members {
-			c.counts.AddVec(m.Tag)
+			c.counts.Add(m.Tag)
 		}
 	}
 	c.Size += o.Size
@@ -315,7 +320,7 @@ func (c *Cluster) removeAt(i int, scr *distScratch) *tags.IterationChunk {
 	c.Members = append(c.Members[:i], c.Members[i+1:]...)
 	c.Size -= c.sizes[i]
 	c.sizes = append(c.sizes[:i], c.sizes[i+1:]...)
-	c.counts.SubVec(ic.Tag)
+	c.counts.Sub(ic.Tag)
 	return ic
 }
 
@@ -335,7 +340,7 @@ func (d *distributor) evictRef(donor, recip *Cluster, donorLLim, recipULim, dono
 		if donor.Size-cnt < donorLLim || recip.Size+cnt > recipULim {
 			continue
 		}
-		dot := int64(recip.Tag.AndPopCount(m.Tag))
+		dot := int64(recip.Tag.AndPopCount(m.Tag.Dense()))
 		if dot > bestDot {
 			bestDot, bestIdx = dot, i
 		}
@@ -361,7 +366,7 @@ func (d *distributor) evictRef(donor, recip *Cluster, donorLLim, recipULim, dono
 	bestDot = -1
 	for i, m := range donor.Members {
 		if donor.sizes[i] > move {
-			dot := int64(recip.Tag.AndPopCount(m.Tag))
+			dot := int64(recip.Tag.AndPopCount(m.Tag.Dense()))
 			if dot > bestDot {
 				bestDot, bestIdx = dot, i
 			}
@@ -407,4 +412,120 @@ func (h *denseHeap) Pop() any {
 	x := old[len(old)-1]
 	*h = old[:len(old)-1]
 	return x
+}
+
+// scheduleRef is the original Figure 15 schedule: every pick scores each
+// remaining chunk with dense AndPopCounts against the left neighbour's and
+// the client's own last tag, and removes the winner by shifting the slice.
+func scheduleRef(ctx context.Context, assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts ScheduleOptions) ([][]*tags.IterationChunk, error) {
+	out := make([][]*tags.IterationChunk, len(assign))
+	for _, group := range ioGroups(tree) {
+		if err := scheduleGroupRef(ctx, assign, out, group, opts); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// scheduleGroupRef runs the reference Figure 15 inner loop for one I/O
+// cache group.
+func scheduleGroupRef(ctx context.Context, assign, out [][]*tags.IterationChunk, group []int, opts ScheduleOptions) error {
+	n := len(group)
+	remaining := make([][]*tags.IterationChunk, n)
+	for gi, c := range group {
+		remaining[gi] = append([]*tags.IterationChunk(nil), assign[c]...)
+	}
+	scheduled := make([][]*tags.IterationChunk, n)
+	counts := make([]int64, n)
+	last := make([]*tags.IterationChunk, n) // last chunk scheduled per client
+
+	pending := func() bool {
+		for _, r := range remaining {
+			if len(r) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+
+	// takeBest removes and returns the chunk of remaining[gi] maximizing
+	// score; ties resolve to the earliest first-iteration for determinism.
+	takeBest := func(gi int, score func(*tags.IterationChunk) float64) *tags.IterationChunk {
+		best := -1
+		var bestScore float64
+		var bestKey int64
+		for i, c := range remaining[gi] {
+			s := score(c)
+			k := chunkKey(c)
+			if best < 0 || s > bestScore || (s == bestScore && k < bestKey) {
+				best, bestScore, bestKey = i, s, k
+			}
+		}
+		c := remaining[gi][best]
+		remaining[gi] = append(remaining[gi][:best], remaining[gi][best+1:]...)
+		return c
+	}
+
+	put := func(gi int, c *tags.IterationChunk) {
+		scheduled[gi] = append(scheduled[gi], c)
+		counts[gi] += c.Count()
+		last[gi] = c
+	}
+
+	dot := func(a, b *tags.IterationChunk) float64 {
+		if a == nil || b == nil {
+			return 0
+		}
+		return float64(a.Tag.Dense().AndPopCount(b.Tag.Dense()))
+	}
+
+	var round int
+	for pending() {
+		if round++; round%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		for gi := 0; gi < n; gi++ {
+			if len(remaining[gi]) == 0 {
+				continue
+			}
+			boundIdx := gi - 1
+			if gi == 0 {
+				boundIdx = n - 1
+			}
+			first := true
+			for len(remaining[gi]) > 0 && (first || counts[gi] < counts[boundIdx]) {
+				first = false
+				var c *tags.IterationChunk
+				switch {
+				case gi == 0 && last[gi] == nil:
+					// Fewest data chunks first.
+					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
+						return -float64(x.Tag.Dense().PopCount())
+					})
+				case gi > 0 && last[gi] == nil:
+					left := last[gi-1]
+					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
+						return opts.Alpha * dot(x, left)
+					})
+				case gi == 0:
+					own := last[gi]
+					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
+						return opts.Beta * dot(x, own)
+					})
+				default:
+					left, own := last[gi-1], last[gi]
+					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
+						return opts.Alpha*dot(x, left) + opts.Beta*dot(x, own)
+					})
+				}
+				put(gi, c)
+			}
+		}
+	}
+	for gi, c := range group {
+		out[c] = scheduled[gi]
+	}
+	return nil
 }

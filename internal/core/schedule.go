@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/bitvec"
 	"repro/internal/hierarchy"
 	"repro/internal/tags"
 )
@@ -81,41 +83,84 @@ func ioGroups(tree *hierarchy.Tree) [][]int {
 	return groups
 }
 
+// candidate is a chunk a client has left to schedule, with its tie-break
+// key computed once.
+type candidate struct {
+	chunk *tags.IterationChunk
+	key   int64
+}
+
 // scheduleGroup runs the Figure 15 inner loop for one I/O cache group.
+//
+// Each pick scores every chunk the client has left against the chunk last
+// scheduled on its left neighbour (weighed by α) and the one last
+// scheduled on the client itself (β). Chunk tags are sparse, so the two
+// tags are set into reusable dense r-bit views for the pick, a candidate's
+// score looks up its few set bits there, and the same bits are cleared
+// after: a score costs O(set bits) instead of two r/64-word AndPopCounts.
 func scheduleGroup(ctx context.Context, assign, out [][]*tags.IterationChunk, group []int, opts ScheduleOptions) error {
 	n := len(group)
-	remaining := make([][]*tags.IterationChunk, n)
+	remaining := make([][]candidate, n)
+	r := 0
 	for gi, c := range group {
-		remaining[gi] = append([]*tags.IterationChunk(nil), assign[c]...)
+		rem := make([]candidate, len(assign[c]))
+		for i, x := range assign[c] {
+			rem[i] = candidate{x, chunkKey(x)}
+			r = x.Tag.Len()
+		}
+		remaining[gi] = rem
 	}
 	scheduled := make([][]*tags.IterationChunk, n)
 	counts := make([]int64, n)
 	last := make([]*tags.IterationChunk, n) // last chunk scheduled per client
+	leftView, ownView := bitvec.New(r), bitvec.New(r)
 
 	pending := func() bool {
-		for _, r := range remaining {
-			if len(r) > 0 {
+		for _, rem := range remaining {
+			if len(rem) > 0 {
 				return true
 			}
 		}
 		return false
 	}
 
-	// takeBest removes and returns the chunk of remaining[gi] maximizing
-	// score; ties resolve to the earliest first-iteration for determinism.
-	takeBest := func(gi int, score func(*tags.IterationChunk) float64) *tags.IterationChunk {
+	// takeBest removes and returns the chunk of remaining[gi] with the
+	// highest score against left and own (either may be nil); ties resolve
+	// to the smaller chunkKey, then the earlier position.
+	takeBest := func(gi int, left, own *tags.IterationChunk) *tags.IterationChunk {
+		if left != nil {
+			left.Tag.OrInto(leftView)
+		}
+		if own != nil {
+			own.Tag.OrInto(ownView)
+		}
+		dot := func(x *tags.IterationChunk, view bitvec.Vector) float64 {
+			return float64(x.Tag.AndPopCount(view))
+		}
 		best := -1
 		var bestScore float64
 		var bestKey int64
 		for i, c := range remaining[gi] {
-			s := score(c)
-			k := chunkKey(c)
-			if best < 0 || s > bestScore || (s == bestScore && k < bestKey) {
-				best, bestScore, bestKey = i, s, k
+			var s float64
+			switch {
+			case gi == 0 && own == nil:
+				// Fewest data chunks first.
+				s = -float64(c.chunk.Tag.PopCount())
+			case own == nil:
+				s = opts.Alpha * dot(c.chunk, leftView)
+			case gi == 0:
+				s = opts.Beta * dot(c.chunk, ownView)
+			default:
+				s = opts.Alpha*dot(c.chunk, leftView) + opts.Beta*dot(c.chunk, ownView)
+			}
+			if best < 0 || s > bestScore || (s == bestScore && c.key < bestKey) {
+				best, bestScore, bestKey = i, s, c.key
 			}
 		}
-		c := remaining[gi][best]
-		remaining[gi] = append(remaining[gi][:best], remaining[gi][best+1:]...)
+		unview(leftView, left)
+		unview(ownView, own)
+		c := remaining[gi][best].chunk
+		remaining[gi] = slices.Delete(remaining[gi], best, best+1)
 		return c
 	}
 
@@ -123,13 +168,6 @@ func scheduleGroup(ctx context.Context, assign, out [][]*tags.IterationChunk, gr
 		scheduled[gi] = append(scheduled[gi], c)
 		counts[gi] += c.Count()
 		last[gi] = c
-	}
-
-	dot := func(a, b *tags.IterationChunk) float64 {
-		if a == nil || b == nil {
-			return 0
-		}
-		return float64(a.Tag.AndPopCount(b.Tag))
 	}
 
 	var round int
@@ -150,33 +188,15 @@ func scheduleGroup(ctx context.Context, assign, out [][]*tags.IterationChunk, gr
 			if gi == 0 {
 				boundIdx = n - 1
 			}
+			// The first client has no left neighbour to reuse from.
+			var left *tags.IterationChunk
+			if gi > 0 {
+				left = last[gi-1]
+			}
 			first := true
 			for len(remaining[gi]) > 0 && (first || counts[gi] < counts[boundIdx]) {
 				first = false
-				var c *tags.IterationChunk
-				switch {
-				case gi == 0 && last[gi] == nil:
-					// Fewest data chunks first.
-					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
-						return -float64(x.Tag.PopCount())
-					})
-				case gi > 0 && last[gi] == nil:
-					left := last[gi-1]
-					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
-						return opts.Alpha * dot(x, left)
-					})
-				case gi == 0:
-					own := last[gi]
-					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
-						return opts.Beta * dot(x, own)
-					})
-				default:
-					left, own := last[gi-1], last[gi]
-					c = takeBest(gi, func(x *tags.IterationChunk) float64 {
-						return opts.Alpha*dot(x, left) + opts.Beta*dot(x, own)
-					})
-				}
-				put(gi, c)
+				put(gi, takeBest(gi, left, last[gi]))
 			}
 		}
 	}
@@ -184,6 +204,17 @@ func scheduleGroup(ctx context.Context, assign, out [][]*tags.IterationChunk, gr
 		out[c] = scheduled[gi]
 	}
 	return nil
+}
+
+// unview clears the bits of x's tag from view, undoing OrInto; a nil x
+// set none.
+func unview(view bitvec.Vector, x *tags.IterationChunk) {
+	if x == nil {
+		return
+	}
+	for _, b := range x.Tag.Bits() {
+		view.Clear(int(b))
+	}
 }
 
 // chunkKey orders chunks deterministically (by nest, then first iteration).
@@ -202,16 +233,16 @@ func MergeChunks(chunks []*tags.IterationChunk) *tags.IterationChunk {
 	if len(chunks) == 0 {
 		panic("core: MergeChunks of nothing")
 	}
-	tag := chunks[0].Tag.Clone()
+	tag := chunks[0].Tag.Dense()
 	iters := chunks[0].Iters.Clone()
 	for _, c := range chunks[1:] {
 		if c.Nest != chunks[0].Nest {
 			panic("core: MergeChunks across nests")
 		}
-		tag.OrInPlace(c.Tag)
+		c.Tag.OrInto(tag)
 		iters = iters.Union(c.Iters)
 	}
-	return &tags.IterationChunk{Tag: tag, Iters: iters, Nest: chunks[0].Nest}
+	return &tags.IterationChunk{Tag: tag.Sparse(), Iters: iters, Nest: chunks[0].Nest}
 }
 
 // unionFind is a small DSU used by PreMergeDependent.

@@ -81,7 +81,7 @@ func TestScheduleFirstClientStartsWithFewestDataChunks(t *testing.T) {
 	// iteration chunk accessing the fewest data chunks.
 	tree := figure7Tree()
 	mk := func(bits []int, lo, hi int64) *tags.IterationChunk {
-		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bits...), Iters: itset.Interval(lo, hi)}
+		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bits...).Sparse(), Iters: itset.Interval(lo, hi)}
 	}
 	assign := [][]*tags.IterationChunk{
 		{mk([]int{0, 1, 2, 3}, 0, 10), mk([]int{5}, 10, 20), mk([]int{0, 1}, 20, 30)},
@@ -103,7 +103,7 @@ func TestScheduleHorizontalAffinity(t *testing.T) {
 	// chunk (α dimension).
 	tree := figure7Tree()
 	mk := func(bits []int, lo int64) *tags.IterationChunk {
-		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bits...), Iters: itset.Interval(lo, lo+10)}
+		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bits...).Sparse(), Iters: itset.Interval(lo, lo+10)}
 	}
 	c0first := mk([]int{3}, 0)
 	assign := [][]*tags.IterationChunk{
@@ -116,7 +116,7 @@ func TestScheduleHorizontalAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sched[1][0].Tag.Get(3) {
+	if !sched[1][0].Tag.Dense().Get(3) {
 		t.Fatalf("client 1 first chunk %s has no overlap with client 0's %s",
 			sched[1][0].Tag, c0first.Tag)
 	}
@@ -127,7 +127,7 @@ func TestScheduleVerticalAffinity(t *testing.T) {
 	// comes {1,2}, not {7,8}.
 	tree := figure7Tree()
 	mk := func(bits []int, lo int64) *tags.IterationChunk {
-		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bits...), Iters: itset.Interval(lo, lo+10)}
+		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bits...).Sparse(), Iters: itset.Interval(lo, lo+10)}
 	}
 	assign := [][]*tags.IterationChunk{
 		{mk([]int{0}, 0), mk([]int{7, 8}, 10), mk([]int{0, 1}, 20)},
@@ -138,10 +138,10 @@ func TestScheduleVerticalAffinity(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := sched[0]
-	if order[0].Tag.PopCount() != 1 || !order[0].Tag.Get(0) {
+	if order[0].Tag.PopCount() != 1 || !order[0].Tag.Dense().Get(0) {
 		t.Fatalf("first chunk wrong: %s", order[0].Tag)
 	}
-	if !order[1].Tag.Get(0) {
+	if !order[1].Tag.Dense().Get(0) {
 		t.Fatalf("second chunk %s does not reuse chunk 0's data", order[1].Tag)
 	}
 }
@@ -164,7 +164,7 @@ func TestScheduleFigure17Structure(t *testing.T) {
 		}
 		// Consecutive chunks on a client must share data (dot > 0), the
 		// vertical reuse the schedule exists to create.
-		if cl[0].Tag.AndPopCount(cl[1].Tag) == 0 {
+		if cl[0].Tag.AndPopCount(cl[1].Tag.Dense()) == 0 {
 			t.Fatalf("client %d consecutive chunks share nothing", ci)
 		}
 	}
@@ -176,7 +176,7 @@ func TestScheduleBalancesCircularly(t *testing.T) {
 	// chunks are scheduled.
 	tree := figure7Tree()
 	mk := func(n int64, lo int64, bit int) *tags.IterationChunk {
-		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bit), Iters: itset.Interval(lo, lo+n)}
+		return &tags.IterationChunk{Tag: bitvec.FromIndices(12, bit).Sparse(), Iters: itset.Interval(lo, lo+n)}
 	}
 	assign := [][]*tags.IterationChunk{
 		{mk(5, 0, 0), mk(5, 5, 1), mk(5, 10, 2), mk(5, 15, 3)},
@@ -242,7 +242,7 @@ func TestPropertySchedulePermutation(t *testing.T) {
 					tag.Set(rr.Intn(16))
 				}
 				n := int64(1 + rr.Intn(10))
-				assign[ci] = append(assign[ci], &tags.IterationChunk{Tag: tag, Iters: itset.Interval(cursor, cursor+n)})
+				assign[ci] = append(assign[ci], &tags.IterationChunk{Tag: tag.Sparse(), Iters: itset.Interval(cursor, cursor+n)})
 				cursor += n
 			}
 		}
@@ -280,7 +280,7 @@ func TestPropertySchedulePermutation(t *testing.T) {
 // a single chunk, and a tree whose I/O groups have unequal sizes.
 func TestScheduleEdgeCases(t *testing.T) {
 	mk := func(r int, bits []int, lo, hi int64) *tags.IterationChunk {
-		return &tags.IterationChunk{Tag: bitvec.FromIndices(r, bits...), Iters: itset.Interval(lo, hi)}
+		return &tags.IterationChunk{Tag: bitvec.FromIndices(r, bits...).Sparse(), Iters: itset.Interval(lo, hi)}
 	}
 	nonUniform := hierarchy.Build(&hierarchy.Node{Label: "SN", CacheChunks: 16,
 		Children: []*hierarchy.Node{
@@ -381,7 +381,7 @@ func TestScheduleCtxCanceled(t *testing.T) {
 		for i := 0; i < ctxCheckInterval+8; i++ {
 			lo := int64(c*100000 + i)
 			assign[c] = append(assign[c], &tags.IterationChunk{
-				Tag:   bitvec.FromIndices(4, c),
+				Tag:   bitvec.FromIndices(4, c).Sparse(),
 				Iters: itset.Interval(lo, lo+1),
 			})
 		}

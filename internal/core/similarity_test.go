@@ -26,7 +26,7 @@ func randomWorkload(rr *rand.Rand, r, n int, density float64) ([]*tags.Iteration
 			}
 		}
 		cnt := int64(1 + rr.Intn(40))
-		chunks = append(chunks, &tags.IterationChunk{Tag: tag, Iters: itset.Interval(cursor, cursor+cnt)})
+		chunks = append(chunks, &tags.IterationChunk{Tag: tag.Sparse(), Iters: itset.Interval(cursor, cursor+cnt)})
 		cursor += cnt
 	}
 	s := 1 + rr.Intn(2)
@@ -45,7 +45,7 @@ func randomWorkload(rr *rand.Rand, r, n int, density float64) ([]*tags.Iteration
 func cloneChunks(chunks []*tags.IterationChunk) []*tags.IterationChunk {
 	out := make([]*tags.IterationChunk, len(chunks))
 	for i, c := range chunks {
-		out[i] = &tags.IterationChunk{Tag: c.Tag.Clone(), Iters: c.Iters, Nest: c.Nest}
+		out[i] = &tags.IterationChunk{Tag: c.Tag, Iters: c.Iters, Nest: c.Nest}
 	}
 	return out
 }
@@ -78,7 +78,7 @@ func TestSparseSimilaritySmoke(t *testing.T) {
 	var chunks []*tags.IterationChunk
 	for i := 0; i < 8; i++ {
 		chunks = append(chunks, &tags.IterationChunk{
-			Tag:   bitvec.FromIndices(r, i%2),
+			Tag:   bitvec.FromIndices(r, i%2).Sparse(),
 			Iters: itset.Interval(int64(i)*8, int64(i+1)*8),
 		})
 	}
@@ -164,7 +164,7 @@ func TestDependentPairsConservativeMatchesBruteForce(t *testing.T) {
 	var want [][2]int
 	for i := range chunks {
 		for j := i + 1; j < len(chunks); j++ {
-			if chunks[i].Tag.AndPopCount(chunks[j].Tag) > 0 {
+			if chunks[i].Tag.AndPopCount(chunks[j].Tag.Dense()) > 0 {
 				want = append(want, [2]int{i, j})
 			}
 		}
@@ -214,7 +214,7 @@ func TestSplitUpToMatchesRescan(t *testing.T) {
 			c := newCluster(r)
 			for m := 0; m < 1+rr.Intn(3); m++ {
 				cnt := int64(1 + rr.Intn(30))
-				c.add(&tags.IterationChunk{Tag: bitvec.FromIndices(r, rr.Intn(r)),
+				c.add(&tags.IterationChunk{Tag: bitvec.FromIndices(r, rr.Intn(r)).Sparse(),
 					Iters: itset.Interval(cursor, cursor+cnt)})
 				cursor += cnt
 			}
@@ -255,9 +255,9 @@ func TestSplitUpToMatchesRescan(t *testing.T) {
 func TestClusterCountedTagRemoval(t *testing.T) {
 	r := 16
 	c := newCluster(r)
-	a := &tags.IterationChunk{Tag: bitvec.FromIndices(r, 0, 1, 2), Iters: itset.Interval(0, 4)}
-	b := &tags.IterationChunk{Tag: bitvec.FromIndices(r, 2, 3), Iters: itset.Interval(4, 8)}
-	d := &tags.IterationChunk{Tag: bitvec.FromIndices(r, 3, 9), Iters: itset.Interval(8, 12)}
+	a := &tags.IterationChunk{Tag: bitvec.FromIndices(r, 0, 1, 2).Sparse(), Iters: itset.Interval(0, 4)}
+	b := &tags.IterationChunk{Tag: bitvec.FromIndices(r, 2, 3).Sparse(), Iters: itset.Interval(4, 8)}
+	d := &tags.IterationChunk{Tag: bitvec.FromIndices(r, 3, 9).Sparse(), Iters: itset.Interval(8, 12)}
 	c.add(a)
 	c.add(b)
 	c.add(d)
@@ -268,15 +268,15 @@ func TestClusterCountedTagRemoval(t *testing.T) {
 	}
 	// Bit 2 is still held by a, bit 3 by d: tag must keep both.
 	if want := bitvec.FromIndices(r, 0, 1, 2, 3, 9); !c.Tag.Equal(want) {
-		t.Fatalf("tag after removal = %s, want %s", c.Tag, want)
+		t.Fatalf("tag after removal = %s, want %s", c.Tag.Sparse(), want.Sparse())
 	}
 	c.removeAt(1, scr) // drop d
 	if want := bitvec.FromIndices(r, 0, 1, 2); !c.Tag.Equal(want) {
-		t.Fatalf("tag after second removal = %s, want %s", c.Tag, want)
+		t.Fatalf("tag after second removal = %s, want %s", c.Tag.Sparse(), want.Sparse())
 	}
 	c.add(d)
 	if want := bitvec.FromIndices(r, 0, 1, 2, 3, 9); !c.Tag.Equal(want) {
-		t.Fatalf("tag after re-add = %s, want %s", c.Tag, want)
+		t.Fatalf("tag after re-add = %s, want %s", c.Tag.Sparse(), want.Sparse())
 	}
 	if c.Size != 8 {
 		t.Fatalf("size %d, want 8", c.Size)

@@ -75,7 +75,9 @@ func parseTree(t *testing.T, spec string) *hierarchy.Tree {
 // largePlanDigests pins large distribution outputs, recorded before the
 // balance and merge loops were rewritten to touch only what a move
 // changes. The rewrite must keep every greedy choice, so every digest
-// must survive it unchanged.
+// must survive it unchanged. The sched/ digests pin the Figure 15
+// schedule of some of the same assignments; they were recorded before
+// member tags became sparse and scoring read their set bits.
 var largePlanDigests = map[string]string{
 	"cold/64,0/16/32/64@16,8,4/t=0":          "7634aba5ea7dfe505f430611d854f16006c62acd37dc625d27b80f2b483d21f0",
 	"cold/64,0/16/32/64@16,8,4/t=0.1":        "855aaf8f3ad5b64fa76e09f07bef127fa8116c059c016939893a7ce831576f79",
@@ -109,6 +111,24 @@ var largePlanDigests = map[string]string{
 	"repair/4096/16/32/48@16,8,4":            "6234520efb237e19df9a1c1bf03ee766f42c16f04c1628a0b0815306a04c8cfb",
 	"repair/4096/12/26/57@13,7,3":            "0db16ad49309f259446f0f6d370a28bb4aba18f780f4e6ff0f1221bc91692e84",
 	"repair/4096/20/40/62@20,10,5":           "0cce18db8a6a2ac973baa44e9b291d629db3df34dac9bcd05a4d8687098b7f81",
+	"sched/cold/64,0/16/32/64@16,8,4/t=0.1":  "0c44deca4a3ee99257c0cb5fbdff290c01cc4563962d75c714a9f63c583fde52",
+	"sched/app/hf":                           "ef48311c165ceb37c3c097c95c0fcbc047ce5817bfa99e0c0ed2660b904a9f03",
+	"sched/app/sar":                          "9d65b9f8dda12b6485ec5b09cd991f3fee9133646b52e6c28b61ea3d62b95210",
+	"sched/app/contour":                      "37b2d63e48ef47e17e3add25a35d43ea3d2084081d6f7725d630d1e0b95eb200",
+	"sched/app/astro":                        "45001b493865b616cb2d465125f48b8be152b54e46ae64cb29904e6399e8ba0c",
+	"sched/app/e_elem":                       "6586a9c7dd4f3bd77daa8e055a5d6f3f3404a09dc6627561b8d958400388b85b",
+	"sched/app/apsi":                         "8c5902ff94bd6deea1b3e13e4f090624384b3812aa14adfd8bd56ebab0091b0b",
+	"sched/app/madbench2":                    "4f8cba80fe184c1728c368eca3642e63c3442a85172ed149bcf4b47a43e467d9",
+	"sched/app/wupwise":                      "da3ec48dd23b67f66feb42b4d73cf620030eae142536f9162ff4bb0eebc014a1",
+	"sched/repair/2048/16/32/48@16,8,4":      "9f5c0d2e27a235abed80c3bfe4d5e227f3f5cb74eef6f11825c3252a60c19371",
+	"sched/repair/2048/12/26/57@13,7,3":      "846b9f20ef7536a9fd1b01f63740b0a4c89e58360a6bfd2d37928e5cecb797b5",
+	"sched/repair/2048/20/40/62@20,10,5":     "5144eae86c9b66a305db5b6e1d9fa4c83978b9551b7167daed82c0899ebc8924",
+	"sched/repair/3072/16/32/48@16,8,4":      "732a4a27bb0dbb9883532f3ab9af23187bb343a6449a3eec96464b3d67c6743a",
+	"sched/repair/3072/12/26/57@13,7,3":      "2526f5a86a4f9a3c6a2e5f589f20bc3e091ea16b0109f972d4839386e3d7c694",
+	"sched/repair/3072/20/40/62@20,10,5":     "832a7f3a2eefc74b473a8e3d73ecf274fa193efe18116591d2f7035d01138701",
+	"sched/repair/4096/16/32/48@16,8,4":      "9da31253ae3375bee2320cb4f0c17da00ae36bafad347f972d0452412342cc23",
+	"sched/repair/4096/12/26/57@13,7,3":      "8933fcf90e1eb57f130131c4a841f7639a67f69f87164d4b46f57ebbb49e58a9",
+	"sched/repair/4096/20/40/62@20,10,5":     "f676c41c99b9c2a2d2ee99737e0bc89cd3add8b05ea94659f5a9fe0226f6a565",
 }
 
 // TestLargePlanDigests pins whole-plan distribution outputs far beyond the
@@ -155,6 +175,14 @@ func TestLargePlanDigests(t *testing.T) {
 			t.Errorf("%s: plan digest %s, want %s", name, got, want)
 		}
 	}
+	schedule := func(name string, assign [][]*tags.IterationChunk, tree *hierarchy.Tree) {
+		t.Helper()
+		got, err := core.RescheduleStages(context.Background(), assign, tree, core.DefaultScheduleOptions(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("sched/"+name, got)
+	}
 	for _, c := range colds {
 		chunks := coldSynth(t, 4096, c.off.off2, c.off.off3)
 		for _, topo := range c.topos {
@@ -168,7 +196,11 @@ func TestLargePlanDigests(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					check(fmt.Sprintf("cold/%d,%d/%s/t=%v (workers=%d)", c.off.off2, c.off.off3, topo, th, workers), assign)
+					name := fmt.Sprintf("cold/%d,%d/%s/t=%v", c.off.off2, c.off.off3, topo, th)
+					check(fmt.Sprintf("%s (workers=%d)", name, workers), assign)
+					if c.off == (offsets{64, 0}) && topo == topos[0] && th == 0.1 && workers == 1 {
+						schedule(name, assign, tree)
+					}
 				}
 			}
 		}
@@ -186,6 +218,7 @@ func TestLargePlanDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("app/"+app, assign)
+		schedule("app/"+app, assign, paper)
 	}
 
 	// Drift repairs: each anchor's post-balance clustering on the paper
@@ -203,11 +236,14 @@ func TestLargePlanDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, topo := range shrunk {
-			got, err := core.RebalanceClusters(context.Background(), assign, parseTree(t, topo), core.DefaultOptions())
+			tree := parseTree(t, topo)
+			got, err := core.RebalanceClusters(context.Background(), assign, tree, core.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("repair/%d/%s", ext, topo), got)
+			name := fmt.Sprintf("repair/%d/%s", ext, topo)
+			check(name, got)
+			schedule(name, got, tree)
 		}
 	}
 }

@@ -21,11 +21,12 @@ import (
 )
 
 // IterationChunk is γ^Λ: the iterations (as lexicographic box indices of
-// the nest) sharing tag Λ. Nest identifies which loop nest the indices
-// refer to when several nests are distributed together (Section 5.4's
-// multi-nest extension); single-nest users leave it zero.
+// the nest) sharing tag Λ. The tag is held sparse, as its set bits: a chunk
+// touches a handful of the r data chunks. Nest identifies which loop nest
+// the indices refer to when several nests are distributed together
+// (Section 5.4's multi-nest extension); single-nest users leave it zero.
 type IterationChunk struct {
-	Tag   bitvec.Vector
+	Tag   bitvec.Sparse
 	Iters itset.Set
 	Nest  int
 }
@@ -33,7 +34,7 @@ type IterationChunk struct {
 // Count returns the number of iterations in the chunk.
 func (ic *IterationChunk) Count() int64 { return ic.Iters.Count() }
 
-// Split divides the chunk into two chunks with the same tag, the first
+// Split divides the chunk into two chunks sharing its tag, the first
 // holding the first n iterations. Used by load balancing when no whole
 // chunk fits the balance threshold.
 func (ic *IterationChunk) Split(n int64) (*IterationChunk, *IterationChunk) {
@@ -228,21 +229,26 @@ func mergePartials(r int, parts []*partial) []*IterationChunk {
 		}
 	}
 
-	// Tag vectors are carved from one slab allocation instead of one per
-	// group. The slab is one-shot, never pooled: the tags escape into the
-	// returned chunks, which outlive this call arbitrarily (plan caches
-	// keep decoded chunk lists for their stale tier), so recycling the
-	// backing would corrupt cached plans. The chunk structs come from one
-	// slab likewise.
+	// Each tag is its group's sorted chunk list, copied into one slab of
+	// set bits instead of one allocation per group. The slab is one-shot,
+	// never pooled: the tags escape into the returned chunks, which outlive
+	// this call arbitrarily (plan caches keep decoded chunk lists for their
+	// stale tier), so recycling the backing would corrupt cached plans. The
+	// chunk structs come from one slab likewise.
+	total := 0
+	for _, key := range order {
+		total += len(groups[key].chunks)
+	}
 	out := make([]*IterationChunk, 0, len(order))
 	chunkSlab := make([]IterationChunk, len(order))
-	tagSlab := bitvec.NewArena(len(order), r)
+	bitSlab := make([]int32, 0, total)
 	for gi, key := range order {
 		g := groups[key]
-		tag := tagSlab[gi]
+		off := len(bitSlab)
 		for _, c := range g.chunks {
-			tag.Set(c)
+			bitSlab = append(bitSlab, int32(c))
 		}
+		tag := bitvec.NewSparse(r, bitSlab[off:len(bitSlab):len(bitSlab)])
 		chunkSlab[gi] = IterationChunk{Tag: tag, Iters: g.iters}
 		out = append(out, &chunkSlab[gi])
 	}

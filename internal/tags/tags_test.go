@@ -2,6 +2,7 @@ package tags
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -68,7 +69,7 @@ func TestFigure8GraphWeights(t *testing.T) {
 	nest, refs, data := figure6Program(8)
 	chunks := Compute(nest, refs, data)
 	// The similarity graph's edge weight is ω(γi,γj) = popcount(Λi ∧ Λj).
-	weight := func(i, j int) int { return chunks[i].Tag.AndPopCount(chunks[j].Tag) }
+	weight := func(i, j int) int { return chunks[i].Tag.AndPopCount(chunks[j].Tag.Dense()) }
 	// Figure 8 shows ω(γ1,γ3)=3, ω(γ3,γ5)=3, ω(γ5,γ7)=3, ω(γ1,γ5)=2,
 	// ω(γ3,γ7)=2 (0-indexed: 0,2,4,6).
 	cases := []struct{ i, j, w int }{
@@ -94,7 +95,7 @@ func TestGraphMatrixAndDegree(t *testing.T) {
 		t.Fatalf("graph has %d nodes, want 8", len(chunks))
 	}
 	// The matrix diagonal ω(γ1,γ1) is γ1's popcount: it accesses 3 data chunks.
-	if w := chunks[0].Tag.AndPopCount(chunks[0].Tag); w != 3 || chunks[0].Tag.PopCount() != 3 {
+	if w := chunks[0].Tag.AndPopCount(chunks[0].Tag.Dense()); w != 3 || chunks[0].Tag.PopCount() != 3 {
 		t.Fatalf("diagonal = %d, want popcount 3", w)
 	}
 	// Every chunk shares chunk 0, so the graph is complete: every node has
@@ -102,7 +103,7 @@ func TestGraphMatrixAndDegree(t *testing.T) {
 	for i := range chunks {
 		degree := 0
 		for j := range chunks {
-			if j != i && chunks[i].Tag.AndPopCount(chunks[j].Tag) > 0 {
+			if j != i && chunks[i].Tag.AndPopCount(chunks[j].Tag.Dense()) > 0 {
 				degree++
 			}
 		}
@@ -156,7 +157,7 @@ func TestComputeMultiArray(t *testing.T) {
 		t.Fatalf("got %d chunks, want 4", len(chunks))
 	}
 	want0 := bitvec.FromIndices(8, 0, 4)
-	if !chunks[0].Tag.Equal(want0) {
+	if !chunks[0].Tag.Dense().Equal(want0) {
 		t.Fatalf("chunk 0 tag = %s", chunks[0].Tag)
 	}
 }
@@ -185,7 +186,7 @@ func TestSplitPreservesTagAndCount(t *testing.T) {
 	if a.Count() != 3 || b.Count() != 5 {
 		t.Fatalf("split counts %d/%d", a.Count(), b.Count())
 	}
-	if !a.Tag.Equal(chunks[0].Tag) || !b.Tag.Equal(chunks[0].Tag) {
+	if a.Tag.String() != chunks[0].Tag.String() || b.Tag.String() != chunks[0].Tag.String() {
 		t.Fatal("split changed tags")
 	}
 }
@@ -219,10 +220,10 @@ func TestPropertyChunksPartition(t *testing.T) {
 		}
 		seen := map[string]bool{}
 		for _, c := range chunks {
-			if c.Tag.IsZero() {
+			if c.Tag.PopCount() == 0 {
 				return false
 			}
-			k := c.Tag.Key()
+			k := c.Tag.String()
 			if seen[k] {
 				return false
 			}
@@ -263,7 +264,7 @@ func TestComputeCtxDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d chunks, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
-			if !got[i].Tag.Equal(want[i].Tag) || !got[i].Iters.Equal(want[i].Iters) {
+			if got[i].Tag.String() != want[i].Tag.String() || !got[i].Iters.Equal(want[i].Iters) {
 				t.Fatalf("workers=%d: chunk %d differs: %v vs %v", workers, i, got[i], want[i])
 			}
 		}
@@ -285,13 +286,13 @@ func TestComputeCtxCanceled(t *testing.T) {
 
 func TestGraphPostingsAndDensity(t *testing.T) {
 	chunks := []*IterationChunk{
-		{Tag: bitvec.FromIndices(4, 0, 2), Iters: itset.Interval(0, 2)},
-		{Tag: bitvec.FromIndices(4, 2, 3), Iters: itset.Interval(2, 4)},
-		{Tag: bitvec.FromIndices(4, 2), Iters: itset.Interval(4, 6)},
+		{Tag: bitvec.NewSparse(4, []int32{0, 2}), Iters: itset.Interval(0, 2)},
+		{Tag: bitvec.NewSparse(4, []int32{2, 3}), Iters: itset.Interval(2, 4)},
+		{Tag: bitvec.NewSparse(4, []int32{2}), Iters: itset.Interval(4, 6)},
 	}
 	vecs := make([]bitvec.Vector, len(chunks))
 	for i, c := range chunks {
-		vecs[i] = c.Tag
+		vecs[i] = c.Tag.Dense()
 	}
 	posts := bitvec.Postings(4, vecs)
 	if len(posts) != 4 {
@@ -320,9 +321,93 @@ func TestGraphPostingsAndDensity(t *testing.T) {
 	}
 	for i := 0; i < len(chunks); i++ {
 		for j := i + 1; j < len(chunks); j++ {
-			if w := chunks[i].Tag.AndPopCount(chunks[j].Tag); (w > 0) != coListed[[2]int{i, j}] {
+			if w := chunks[i].Tag.AndPopCount(chunks[j].Tag.Dense()); (w > 0) != coListed[[2]int{i, j}] {
 				t.Fatalf("postings disagree with ω(%d,%d)=%d", i, j, w)
 			}
+		}
+	}
+}
+
+// checkTagBits verifies that every chunk's tag is its set-bit list: r bits
+// wide, ascending, inside [0, r), and exactly the distinct data chunks each
+// of its iterations touches.
+func checkTagBits(t *testing.T, nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSpace, chunks []*IterationChunk) {
+	t.Helper()
+	r := data.NumChunks()
+	owner := make(map[int64]*IterationChunk)
+	for _, c := range chunks {
+		if c.Tag.Len() != r {
+			t.Fatalf("%v: tag width %d, want %d", c, c.Tag.Len(), r)
+		}
+		bits := c.Tag.Bits()
+		for i, b := range bits {
+			if b < 0 || int(b) >= r || i > 0 && bits[i-1] >= b {
+				t.Fatalf("%v: bits %v not ascending inside [0,%d)", c, bits, r)
+			}
+		}
+		c.Iters.ForEach(func(idx int64) bool { owner[idx] = c; return true })
+	}
+	subs := make([]int64, 8)
+	nest.ForEachRange(0, nest.BoxSize(), func(idx int64, it []int64) bool {
+		c := owner[idx]
+		if c == nil {
+			t.Fatalf("iteration %d is in no chunk", idx)
+		}
+		touched := make(map[int32]bool)
+		for _, ref := range refs {
+			touched[int32(data.ChunkOf(ref.Array, ref.Eval(it, subs[:len(ref.Exprs)])))] = true
+		}
+		bits := c.Tag.Bits()
+		if len(bits) != len(touched) {
+			t.Fatalf("iteration %d touches %d data chunks; its chunk's tag %v has %d", idx, len(touched), bits, len(bits))
+		}
+		for _, b := range bits {
+			if !touched[b] {
+				t.Fatalf("iteration %d does not touch data chunk %d of its tag %v", idx, b, bits)
+			}
+		}
+		return true
+	})
+}
+
+// Property: on the Figure 6 program and on random nests, at 1 and 4
+// workers, each chunk's tag is the set of data chunks its iterations touch.
+func TestPropertyTagBitsAreTouchedChunks(t *testing.T) {
+	type program struct {
+		nest *polyhedral.Nest
+		refs []polyhedral.Ref
+		data *chunking.DataSpace
+	}
+	nest, refs, data := figure6Program(8)
+	progs := []program{{nest, refs, data}}
+	rr := rand.New(rand.NewSource(7))
+	for range 12 {
+		// Up to 20k iterations, so that 4 workers tag several shards.
+		n0, n1 := int64(4+rr.Intn(200)), int64(1+rr.Intn(100))
+		nest := polyhedral.NewNest("rand", []int64{0, 0}, []int64{n0 - 1, n1 - 1})
+		if rr.Intn(2) == 0 {
+			nest.AddGuard([]int64{1, -1}, int64(rr.Intn(20)))
+		}
+		var arrays []chunking.Array
+		var refs []polyhedral.Ref
+		for a := range 1 + rr.Intn(2) {
+			s0, s1 := int64(1+rr.Intn(3)), int64(rr.Intn(3))
+			off := int64(rr.Intn(16))
+			arrays = append(arrays, chunking.Array{Name: fmt.Sprint("A", a), Dims: []int64{s0*n0 + s1*n1 + off + 1}, ElemSize: 8})
+			for range 1 + rr.Intn(3) {
+				refs = append(refs, polyhedral.Ref{Array: a, Exprs: []polyhedral.RefExpr{{Coeffs: []int64{s0, s1}, Offset: int64(rr.Intn(int(off) + 1))}}})
+			}
+		}
+		data := chunking.NewDataSpace(int64(8*(1+rr.Intn(8))), arrays...)
+		progs = append(progs, program{nest, refs, data})
+	}
+	for _, p := range progs {
+		for _, workers := range []int{1, 4} {
+			chunks, err := ComputeCtx(context.Background(), p.nest, p.refs, p.data, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTagBits(t, p.nest, p.refs, p.data, chunks)
 		}
 	}
 }
