@@ -8,7 +8,9 @@
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
 # ring. Run by .github/workflows/ci.yml and locally as ./ci.sh (or
-# `make ci`).
+# `make ci`); the workflow's race-stress job also reruns the
+# concurrency-heavy packages twice under -race, internal/core among them
+# for the subtree fan-out and the sharded similarity pass.
 set -eu
 
 echo "==> gofmt"
@@ -81,7 +83,7 @@ echo "==> go test -short -run TestShapeClaims ./internal/experiments"
 go test -short -run TestShapeClaims ./internal/experiments
 
 echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
-# The pooled hot paths — posting-index transpose, arena carving, warm
+# The pooled hot paths — posting-index build, arena carving, warm
 # sparse pair generation, the full distribution run, the plan-cache hit
 # serve path — must stay allocation-free (or at their documented small
 # constants) once warm. GOGC=off pins sync.Pool contents for the whole

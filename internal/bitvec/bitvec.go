@@ -7,8 +7,8 @@
 // tag, the OR of many, is a dense Vector. The package provides the
 // operations the mapping algorithm needs: OR accumulation, population
 // counts, the popcount-of-AND edge weight used by the similarity graph, the
-// posting-list transpose the sparse similarity engine seeds from, and
-// per-bit reference-counted cluster tags.
+// inverted index of set-bit lists the sparse similarity engine seeds from,
+// and per-bit reference-counted cluster tags.
 package bitvec
 
 import (
@@ -168,18 +168,6 @@ func (v Vector) AndPopCount(o Vector) int {
 	return total
 }
 
-// Intersects reports whether v and o share at least one set bit. It is an
-// early-exiting AndPopCount > 0.
-func (v Vector) Intersects(o Vector) bool {
-	v.match(o)
-	for i := range v.words {
-		if v.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // AndNotInto sets v = a &^ b (the bits of a not in b) and reports whether
 // any bit is set. All three vectors must share the same length.
 func (v Vector) AndNotInto(a, b Vector) bool {
@@ -192,16 +180,6 @@ func (v Vector) AndNotInto(a, b Vector) bool {
 		any |= w
 	}
 	return any != 0
-}
-
-// IsZero reports whether no bit is set.
-func (v Vector) IsZero() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether v and o have the same length and the same bits.
@@ -217,22 +195,8 @@ func (v Vector) Equal(o Vector) bool {
 	return true
 }
 
-// Indices returns the positions of all set bits in increasing order.
-func (v Vector) Indices() []int {
-	out := make([]int, 0, v.PopCount())
-	for wi, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi*wordBits+b)
-			w &= w - 1
-		}
-	}
-	return out
-}
-
 // AppendSetBits appends the positions of all set bits to dst in increasing
-// order and returns the extended slice. It is the allocation-free sibling
-// of Indices for hot loops that reuse a scratch slice.
+// order and returns the extended slice.
 func (v Vector) AppendSetBits(dst []int32) []int32 {
 	for wi, w := range v.words {
 		for w != 0 {
@@ -250,118 +214,102 @@ func (v Vector) Sparse() Sparse {
 	return Sparse{n: v.n, bits: v.AppendSetBits(make([]int32, 0, v.PopCount()))}
 }
 
-// Postings builds the inverted index of a set of equal-width vectors: entry
-// b lists, in increasing order, the indices i of every vector whose bit b is
-// set. This is the posting-list view of the similarity graph — two vectors
-// share a "1" bit (ω ≥ 1) iff they co-occur in at least one posting list —
-// so consumers can enumerate only the overlapping pairs instead of the
-// dense n² product. r is the common vector width (posting lists of width-r
-// vectors; vectors of a different width cause a panic).
-func Postings(r int, vecs []Vector) [][]int32 {
-	return new(PostingIndex).Build(r, vecs)
-}
-
-// postingsTileWords bounds the bit-range one tiling pass touches: 128 words
-// = 8192 bits, so a tile's slice of the sizes array (32 KiB of int32) plus
-// its active list headers stay L1/L2-resident while every vector streams
-// through once. Wide tag spaces would otherwise scatter size increments and
-// list appends across an r-proportional working set.
-const postingsTileWords = 128
-
-// PostingIndex is the reusable form of Postings: Build produces the same
-// inverted index but recycles the size table, list headers and flat backing
-// across calls, so a pooled index makes repeat transposes allocation-free
-// once warm. The returned lists alias the index's backing array and are
-// valid only until the next Build.
+// PostingIndex is the inverted index of a set of tags given as their set
+// bits: for every bit, the ascending indices of the tags that set it. Two
+// tags share a "1" bit (ω ≥ 1) iff they co-occur in a list, so the
+// similarity pass enumerates only the overlapping pairs instead of the
+// dense n² product.
+//
+// A build costs O(total set bits), never O(r): the per-bit slots are
+// generation-stamped, so slots left over from earlier builds read as bits
+// no tag sets, and the lists and their fill cursors are sized by the
+// distinct bits. The storage is recycled across builds, so a reused index
+// stops allocating once warm. The zero value is ready to use.
 type PostingIndex struct {
-	sizes   []int32
-	lists   [][]int32
-	backing []int32
+	slots  []postingSlot // per bit; valid iff gen matches the index's
+	gen    uint32
+	flat   []int32 // the lists, back to back
+	starts []int32 // list k is flat[starts[k]:starts[k+1]]
+	fill   []int32 // per list: where its next entry goes, during a build
+	later  []Span  // per set bit of the rows, in order: its later rows
 }
 
-// Build constructs the inverted index of vecs (see Postings) into the
-// index's reused storage. The walk is tiled over the tag-bit space in
-// postingsTileWords blocks: both the sizing and the fill pass confine their
-// writes to one tile's bit range at a time, streaming the vector set once
-// per tile. Within a tile bits ascend per vector and vectors are visited in
-// ascending order, so every posting list comes out identical to the
-// untiled two-pass construction.
-func (ix *PostingIndex) Build(r int, vecs []Vector) [][]int32 {
-	words := (r + wordBits - 1) / wordBits
-	for _, v := range vecs {
-		if v.Len() != r {
-			panic(fmt.Sprintf("bitvec: postings width mismatch %d vs %d", v.Len(), r))
-		}
+type postingSlot struct {
+	gen  uint32 // the build that stamped list
+	list int32  // the bit's list
+}
+
+// Span is the part flat[Lo:Hi] of a PostingIndex's lists.
+type Span struct{ Lo, Hi int32 }
+
+// Build indexes rows, each the ascending set bits of one r-bit tag. It
+// returns the lists back to back in flat, and for each set bit of each row
+// in order (row 0's bits first) the span of flat that lists the later rows
+// setting the same bit: the tags after the row that share that bit with
+// it. Both slices alias the index's storage and are valid only until the
+// next Build; List does not read later, so a caller may advance its spans
+// as it consumes them. It panics if a bit lies outside [0, r).
+func (ix *PostingIndex) Build(r int, rows [][]int32) (flat []int32, later []Span) {
+	if len(ix.slots) < r {
+		ix.slots = make([]postingSlot, r)
 	}
-	if cap(ix.sizes) < r {
-		ix.sizes = make([]int32, r)
-	} else {
-		ix.sizes = ix.sizes[:r]
-		clear(ix.sizes)
+	if ix.gen++; ix.gen == 0 {
+		clear(ix.slots)
+		ix.gen = 1
 	}
-	sizes := ix.sizes
+	slots, gen := ix.slots[:r], ix.gen
+	// A counting sort: count each list's length, lay the lists out back to
+	// back, then place the rows in order, so every list comes out
+	// ascending.
+	starts := ix.starts[:0]
 	total := 0
-	for wLo := 0; wLo < words; wLo += postingsTileWords {
-		wHi := min(wLo+postingsTileWords, words)
-		for _, v := range vecs {
-			for wi := wLo; wi < wHi; wi++ {
-				w := v.words[wi]
-				base := wi * wordBits
-				for w != 0 {
-					sizes[base+bits.TrailingZeros64(w)]++
-					total++
-					w &= w - 1
-				}
+	for _, row := range rows {
+		for _, b := range row {
+			if uint(b) >= uint(r) {
+				panic(fmt.Sprintf("bitvec: posting bit %d outside width %d", b, r))
 			}
-		}
-	}
-	if cap(ix.lists) < r {
-		ix.lists = make([][]int32, r)
-	} else {
-		ix.lists = ix.lists[:r]
-	}
-	posts := ix.lists
-	if cap(ix.backing) < total {
-		ix.backing = make([]int32, total)
-	}
-	backing := ix.backing[:total]
-	off := 0
-	for b, sz := range sizes {
-		if sz > 0 {
-			posts[b] = backing[off : off : off+int(sz)]
-			off += int(sz)
-		} else {
-			posts[b] = nil
-		}
-	}
-	for wLo := 0; wLo < words; wLo += postingsTileWords {
-		wHi := min(wLo+postingsTileWords, words)
-		for i, v := range vecs {
-			i32 := int32(i)
-			for wi := wLo; wi < wHi; wi++ {
-				w := v.words[wi]
-				base := wi * wordBits
-				for w != 0 {
-					bi := base + bits.TrailingZeros64(w)
-					posts[bi] = append(posts[bi], i32)
-					w &= w - 1
-				}
+			s := &slots[b]
+			if s.gen != gen {
+				s.gen, s.list = gen, int32(len(starts))
+				starts = append(starts, 0)
 			}
+			starts[s.list]++
+		}
+		total += len(row)
+	}
+	var off int32
+	for k, c := range starts {
+		starts[k] = off
+		off += c
+	}
+	starts = append(starts, off)
+	fill := append(ix.fill[:0], starts[:len(starts)-1]...)
+	if cap(ix.flat) < total {
+		ix.flat, ix.later = make([]int32, total), make([]Span, total)
+	}
+	flat, later = ix.flat[:total], ix.later[:total]
+	x := 0
+	for i, row := range rows {
+		for _, b := range row {
+			k := slots[b].list
+			p := fill[k]
+			fill[k]++
+			flat[p] = int32(i)
+			later[x] = Span{p + 1, starts[k+1]}
+			x++
 		}
 	}
-	return posts
+	ix.starts, ix.fill = starts, fill
+	return flat, later
 }
 
-// Key returns a compact comparable representation of the vector's contents,
-// usable as a map key for grouping iterations by tag.
-func (v Vector) Key() string {
-	buf := make([]byte, 0, len(v.words)*8)
-	for _, w := range v.words {
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(w>>uint(s)))
-		}
+// List returns the ascending rows of the last Build that set bit b: empty
+// when none did.
+func (ix *PostingIndex) List(b int32) []int32 {
+	if s := ix.slots[b]; s.gen == ix.gen {
+		return ix.flat[ix.starts[s.list]:ix.starts[s.list+1]]
 	}
-	return string(buf)
+	return nil
 }
 
 // Sparse is a fixed-width bit vector held as the positions of its set

@@ -1,7 +1,9 @@
 package bitvec
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +20,7 @@ func TestNewZeroed(t *testing.T) {
 			t.Fatalf("bit %d set in fresh vector", i)
 		}
 	}
-	if !v.IsZero() {
+	if v.PopCount() != 0 {
 		t.Fatal("fresh vector not zero")
 	}
 }
@@ -83,32 +85,6 @@ func TestAndPopCountMatchesPaperExample(t *testing.T) {
 	g5 := FromIndices(12, 0, 4, 6, 8)
 	if w := g1.AndPopCount(g5); w != 2 {
 		t.Fatalf("edge weight = %d, want 2", w)
-	}
-}
-
-func TestIndices(t *testing.T) {
-	v := FromIndices(100, 3, 64, 99)
-	got := v.Indices()
-	want := []int{3, 64, 99}
-	if len(got) != len(want) {
-		t.Fatalf("Indices = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Indices = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestKeyGrouping(t *testing.T) {
-	a := FromIndices(128, 1, 127)
-	b := FromIndices(128, 1, 127)
-	c := FromIndices(128, 1, 126)
-	if a.Key() != b.Key() {
-		t.Fatal("equal vectors have different keys")
-	}
-	if a.Key() == c.Key() {
-		t.Fatal("different vectors share a key")
 	}
 }
 
@@ -213,44 +189,42 @@ func TestAppendSetBits(t *testing.T) {
 	}
 }
 
-// Property: AppendSetBits matches Indices.
+// Property: AppendSetBits lists exactly the set bits, ascending.
 func TestPropertyAppendSetBits(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		v := randomVector(rr, rr.Intn(300))
-		got := v.AppendSetBits(nil)
-		want := v.Indices()
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if int(got[i]) != want[i] {
-				return false
+		var want []int32
+		for i := 0; i < v.Len(); i++ {
+			if v.Get(i) {
+				want = append(want, int32(i))
 			}
 		}
-		return true
+		return slices.Equal(v.AppendSetBits(nil), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Postings is the exact transpose of the tag matrix — row i
-// appears in posting list b iff bit b is set in vecs[i], and every list is
-// strictly ascending.
+// Property: a fresh PostingIndex is the exact transpose of the tag matrix —
+// row i appears in bit b's list iff bit b is set in vecs[i], every list is
+// strictly ascending, and the lists hold one entry per set bit.
 func TestPropertyPostings(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		r := 1 + rr.Intn(150)
 		vecs := make([]Vector, rr.Intn(40))
+		rows := make([][]int32, len(vecs))
 		for i := range vecs {
 			vecs[i] = randomVector(rr, r)
+			rows[i] = vecs[i].AppendSetBits(nil)
 		}
-		posts := Postings(r, vecs)
-		if len(posts) != r {
-			return false
-		}
-		for b, list := range posts {
+		var ix PostingIndex
+		flat, _ := ix.Build(r, rows)
+		total := 0
+		for b := 0; b < r; b++ {
+			list := ix.List(int32(b))
 			for k, i := range list {
 				if !vecs[i].Get(b) {
 					return false
@@ -259,16 +233,13 @@ func TestPropertyPostings(t *testing.T) {
 					return false
 				}
 			}
-		}
-		total := 0
-		for _, list := range posts {
 			total += len(list)
 		}
 		sum := 0
 		for _, v := range vecs {
 			sum += v.PopCount()
 		}
-		return total == sum
+		return total == sum && len(flat) == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -276,12 +247,16 @@ func TestPropertyPostings(t *testing.T) {
 }
 
 func TestPostingsWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on width mismatch")
-		}
-	}()
-	Postings(8, []Vector{New(16)})
+	for _, row := range [][]int32{{3, 8}, {-1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Build(8) of row %v did not panic", row)
+				}
+			}()
+			new(PostingIndex).Build(8, [][]int32{{1}, row})
+		}()
+	}
 }
 
 func TestCountedAddSub(t *testing.T) {
@@ -426,66 +401,99 @@ func TestArenaOversizedVector(t *testing.T) {
 	}
 }
 
-// TestPropertyPostingIndexMatchesReference checks the tiled, recycled
-// PostingIndex build against the one-shot Postings reference, reusing one
-// index across trials (so stale recycled state would surface) and mixing
-// widths on both sides of the postingsTileWords boundary.
+// TestPropertyPostingIndexMatchesReference holds PostingIndex to a
+// brute-force per-bit scan: for every bit of the width, the ascending rows
+// whose tag sets it, where a bit no row sets reads as an empty list, and
+// for every set bit of every row, the later rows that set it too. One index is reused across builds of different widths, with
+// densities from empty rows to all ones, so a slot stale from an earlier
+// build would surface as a wrong list. The first build stamps every slot
+// of the widest width with generation 1; the index then skips to the end
+// of the generations, so a sparse build of that width right after the
+// wrap meets those stamps again.
 func TestPropertyPostingIndexMatchesReference(t *testing.T) {
 	var ix PostingIndex
 	rr := rand.New(rand.NewSource(11))
-	widths := []int{1, 63, 64, 150, 8192, 8192 + 257, 3 * 8192}
-	for trial := 0; trial < 40; trial++ {
+	widths := []int{1, 2, 63, 64, 65, 150, 300, 3075}
+	const wrapAt = 10 // the trial whose build wraps the generation
+	for trial := 0; trial < 60; trial++ {
 		r := widths[rr.Intn(len(widths))]
+		density := rr.Float64()
+		switch {
+		case trial == 0:
+			r, density = 3075, 1
+		case trial == 1:
+			ix.gen = math.MaxUint32 - wrapAt + 1
+		case trial == wrapAt || trial == wrapAt+1:
+			r, density = 3075, 0.01
+		case trial%5 == 0:
+			density = 1
+		}
 		vecs := make([]Vector, rr.Intn(40))
+		rows := make([][]int32, len(vecs))
 		for i := range vecs {
-			v := New(r)
-			for k := 0; k < 1+rr.Intn(16); k++ {
-				v.Set(rr.Intn(r))
+			vecs[i] = New(r)
+			for b := 0; b < r; b++ {
+				if rr.Float64() < density {
+					vecs[i].Set(b)
+				}
 			}
-			vecs[i] = v
+			rows[i] = vecs[i].AppendSetBits(nil)
 		}
-		want := Postings(r, vecs)
-		got := ix.Build(r, vecs)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: r=%d len %d != %d", trial, r, len(got), len(want))
+		flat, later := ix.Build(r, rows)
+		total := 0
+		for b := 0; b < r; b++ {
+			var want []int32
+			for i, v := range vecs {
+				if v.Get(b) {
+					want = append(want, int32(i))
+				}
+			}
+			total += len(want)
+			if got := ix.List(int32(b)); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: r=%d bit %d lists %v, want %v", trial, r, b, got, want)
+			}
 		}
-		for b := range want {
-			if !slicesEqual32(got[b], want[b]) {
-				t.Fatalf("trial %d: r=%d bit %d: %v != %v", trial, r, b, got[b], want[b])
+		if len(flat) != total || len(later) != total {
+			t.Fatalf("trial %d: r=%d: %d entries and %d spans for %d set bits", trial, r, len(flat), len(later), total)
+		}
+		x := 0
+		for i, row := range rows {
+			for _, b := range row {
+				var want []int32
+				for j := i + 1; j < len(vecs); j++ {
+					if vecs[j].Get(int(b)) {
+						want = append(want, int32(j))
+					}
+				}
+				if sp := later[x]; !slices.Equal(flat[sp.Lo:sp.Hi], want) {
+					t.Fatalf("trial %d: r=%d row %d bit %d: later rows %v, want %v", trial, r, i, b, flat[sp.Lo:sp.Hi], want)
+				}
+				x++
 			}
 		}
 	}
-}
-
-func slicesEqual32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+	if ix.gen > 60 {
+		t.Fatalf("generation %d: the stamp never wrapped", ix.gen)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestAllocPostingIndexWarmBuild gates the zero-alloc steady state of the
-// pooled inverted-index transpose (the ci.sh alloc-gate job runs every
+// recycled inverted-index build (the ci.sh alloc-gate job runs every
 // TestAlloc* with GOGC=off).
 func TestAllocPostingIndexWarmBuild(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; the alloc gate runs without -race")
 	}
 	const r = 300
-	vecs := make([]Vector, 200)
+	rows := make([][]int32, 200)
 	rr := rand.New(rand.NewSource(5))
-	for i := range vecs {
-		vecs[i] = randomVector(rr, r)
+	for i := range rows {
+		rows[i] = randomVector(rr, r).AppendSetBits(nil)
 	}
 	var ix PostingIndex
-	ix.Build(r, vecs)
+	ix.Build(r, rows)
 	allocs := testing.AllocsPerRun(100, func() {
-		ix.Build(r, vecs)
+		ix.Build(r, rows)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm PostingIndex.Build allocates %v objects/op, want 0", allocs)

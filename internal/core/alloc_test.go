@@ -14,17 +14,18 @@ import (
 	"repro/internal/race"
 )
 
-// allocTags builds a contour-shaped tag set: n sparse vectors of width r.
-func allocTags(rr *rand.Rand, r, n int) []bitvec.Vector {
-	tagOf := make([]bitvec.Vector, n)
-	for i := range tagOf {
+// allocRows builds a contour-shaped tag set: the set bits of n sparse
+// tags of width r.
+func allocRows(rr *rand.Rand, r, n int) [][]int32 {
+	rows := make([][]int32, n)
+	for i := range rows {
 		v := bitvec.New(r)
 		for k := 0; k < 6; k++ {
 			v.Set(rr.Intn(r))
 		}
-		tagOf[i] = v
+		rows[i] = v.AppendSetBits(nil)
 	}
-	return tagOf
+	return rows
 }
 
 // TestAllocSparsePairsWarm: with a warm distScratch and warm per-worker
@@ -36,11 +37,11 @@ func TestAllocSparsePairsWarm(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops Puts by design; the alloc gate runs without -race")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	tagOf := allocTags(rand.New(rand.NewSource(7)), 294, 253)
+	rows := allocRows(rand.New(rand.NewSource(7)), 294, 253)
 	scr := distScratchPool.Get().(*distScratch)
 	defer distScratchPool.Put(scr)
 	warm := func() {
-		shards, _, err := pairShards(context.Background(), tagOf, 294, 1, &scr.postings, scr.shards)
+		shards, err := pairShards(context.Background(), rows, 294, 1, &scr.postings, scr.shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/bitvec"
 	"repro/internal/polyhedral"
 	"repro/internal/tags"
 )
@@ -51,11 +50,11 @@ func DependentPairs(chunks []*tags.IterationChunk, nest *polyhedral.Nest, deps [
 		if !known {
 			if !overlapDone {
 				overlapDone = true
-				tagOf := make([]bitvec.Vector, len(chunks))
+				rows := make([][]int32, len(chunks))
 				for i, c := range chunks {
-					tagOf[i] = c.Tag.Dense()
+					rows[i] = c.Tag.Bits()
 				}
-				overlap = tagOverlapPairs(tagOf, chunks[0].Tag.Len())
+				overlap = tagOverlapPairs(rows, chunks[0].Tag.Len())
 			}
 			for _, p := range overlap {
 				add(p[0], p[1])

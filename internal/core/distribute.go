@@ -168,7 +168,8 @@ func (a *bump[T]) reset() {
 // pointer tables of one level are still read while the children recurse.
 type distScratch struct {
 	tags      bitvec.Arena        // cluster tags, merge newbits, counted OR views
-	tagOf     []bitvec.Vector     // tag view handed to pairShards
+	simRows   [][]int32           // set bits of each cluster, handed to pairShards
+	simBits   []int32             // slab of the multi-member clusters' rows
 	postings  bitvec.PostingIndex // similarity inverted index, walked by the merge loop
 	active    []bool              // per-node liveness in the merge loop
 	parent    []int32             // owner union-find
@@ -436,30 +437,19 @@ func (d *distributor) fanOut(children []*hierarchy.Node, clusters []*Cluster,
 	}
 	errs := make([]error, len(children))
 	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		panicked any
-		wg       sync.WaitGroup
+		next atomic.Int64
+		jp   joinPanic
+		wg   sync.WaitGroup
 	)
 	work := func(wd *distributor) {
-		defer func() {
-			if p := recover(); p != nil {
-				mu.Lock()
-				if panicked == nil {
-					panicked = p
-				}
-				mu.Unlock()
-				stop.Store(true)
-			}
-		}()
-		for !stop.Load() {
+		defer jp.catch()
+		for !jp.stop.Load() {
 			i := int(next.Add(1) - 1)
 			if i >= len(children) {
 				return
 			}
 			if errs[i] = wd.assign(children[i], lists[i], clientIdx, out); errs[i] != nil {
-				stop.Store(true)
+				jp.stop.Store(true)
 			}
 		}
 	}
@@ -478,15 +468,46 @@ func (d *distributor) fanOut(children []*hierarchy.Node, clusters []*Cluster,
 	}
 	work(&inner)
 	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+	jp.rethrow()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// joinPanic carries the first panic of a group of goroutines to the
+// goroutine that joins them, which re-raises it there, where the serial
+// code raises it, instead of the panic ending the process from a worker.
+// stop is set once a goroutine has panicked; callers may also set it on an
+// error, so the others take no more work.
+type joinPanic struct {
+	stop atomic.Bool
+	mu   sync.Mutex
+	v    any
+}
+
+// catch recovers the calling goroutine's panic into jp. Each goroutine
+// defers it directly, since recover only stops a panic when the deferred
+// call itself makes it.
+func (jp *joinPanic) catch() {
+	if p := recover(); p != nil {
+		jp.mu.Lock()
+		if jp.v == nil {
+			jp.v = p
+		}
+		jp.mu.Unlock()
+		jp.stop.Store(true)
+	}
+}
+
+// rethrow re-raises the first recovered panic, if any. Call it after every
+// goroutine of the group has returned.
+func (jp *joinPanic) rethrow() {
+	if jp.v != nil {
+		panic(jp.v)
+	}
 }
 
 // split partitions chunks into len(weights) clusters whose sizes are
@@ -603,13 +624,10 @@ const ctxCheckInterval = 1024
 //
 // Finding the pairs to push costs what the merge changed. A live cluster's
 // tag is the OR of its original members' tags, so live j gains weight with
-// a exactly when one of j's original members has a bit in newbits. The similarity index lists, per bit, the
-// original members holding it; walking the lists of newbits' (typically
-// one or two) bits and resolving each entry through the owner union-find
-// yields exactly that set. Where sparsePairs built no index — n ≤ 32, or
-// crowded postings where the dense-tag fallback ran — a scan of the live
-// clusters with Intersects(newbits) yields the same set, so the choice is
-// invisible to the plan, like sparsePairs' own hybrid.
+// a exactly when one of j's original members has a bit in newbits. The
+// similarity index lists, per bit, the original members holding it;
+// walking the lists of newbits' (typically one or two) bits and resolving
+// each entry through the owner union-find yields exactly that set.
 func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, error) {
 	n := len(clusters)
 	if n <= k {
@@ -621,14 +639,26 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		active[i] = true
 	}
 	simPhase := d.beginPhase("similarity")
-	if cap(scr.tagOf) < n {
-		scr.tagOf = make([]bitvec.Vector, n)
+	// A singleton's tag is its member's, so a split's Stage 0 hands the
+	// member's set bits over as they are; only the multi-member clusters
+	// RebalanceClusters starts from list their dense tag's bits, in a slab.
+	if cap(scr.simRows) < n {
+		scr.simRows = make([][]int32, n)
 	}
-	tagOf := scr.tagOf[:n]
+	rows := scr.simRows[:n]
+	slab := scr.simBits[:0]
 	for i, c := range clusters {
-		tagOf[i] = c.Tag
+		if len(c.Members) == 1 {
+			rows[i] = c.Members[0].Tag.Bits()
+			continue
+		}
+		lo := len(slab)
+		slab = c.Tag.AppendSetBits(slab)
+		rows[i] = slab[lo:len(slab):len(slab)]
 	}
-	shards, posts, err := pairShards(d.ctx, tagOf, d.r, d.opts.Workers, &scr.postings, scr.shards)
+	scr.simBits = slab
+	shards, err := pairShards(d.ctx, rows, d.r, d.opts.Workers, &scr.postings, scr.shards)
+	clear(rows) // drop the members' bit lists: the scratch outlives the run
 	simPhase.end(d)
 	if err != nil {
 		return nil, err
@@ -725,18 +755,10 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		if !hasNew {
 			continue
 		}
-		if posts == nil {
-			for j := range int32(n) {
-				if active[j] && j != p.a && newbits.Intersects(clusters[j].Tag) {
-					push(p.a, j)
-				}
-			}
-			continue
-		}
 		gen++
 		bits = newbits.AppendSetBits(bits[:0])
 		for _, b := range bits {
-			for _, i := range posts[b] {
+			for _, i := range scr.postings.List(b) {
 				j := find(i)
 				if j == p.a || mark[j] == gen {
 					continue

@@ -32,7 +32,7 @@ func equivChunks(rr *rand.Rand, r, n int, density float64, bigEvery, emptyEvery 
 				tag.Set(b)
 			}
 		}
-		if density > 0 && tag.IsZero() {
+		if density > 0 && tag.PopCount() == 0 {
 			tag.Set(rr.Intn(r))
 		}
 		cnt := int64(1 + rr.Intn(40))

@@ -69,8 +69,8 @@ func FuzzMergeMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint16(8), uint16(300), uint8(64), false, uint8(3), uint8(1))
 	// All-zero tags: no seed at all; the merge is a pure drain.
 	f.Add(int64(2), uint16(64), uint16(120), uint8(0), false, uint8(6), uint8(1))
-	// Dense tags: crowded postings, so the row scan seeds the queue and the
-	// merge scans the live clusters (no posting lists).
+	// Dense tags: every posting list is crowded, so the counting pass sums
+	// long lists and an absorb's re-pushes walk them too.
 	f.Add(int64(3), uint16(96), uint16(80), uint8(230), false, uint8(5), uint8(2))
 	// Grouped clusters, as RebalanceClusters hands them in.
 	f.Add(int64(4), uint16(300), uint16(250), uint8(6), true, uint8(16), uint8(3))

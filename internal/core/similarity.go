@@ -16,7 +16,7 @@ package core
 
 import (
 	"context"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -31,125 +31,72 @@ type PairStatsRecorder interface {
 }
 
 // simCountTile bounds the cluster-index range one counting block touches:
-// 4096 entries of counts (16 KiB of int32) plus the touched list stay
-// L1-resident while the row's posting tails stream through. Rows over small
-// n use a single block, which reduces to the untiled pass.
+// 4096 entries of counts (16 KiB of int32) plus the block's seen bitmap
+// stay L1-resident while the row's posting tails stream through. Rows over
+// small n use a single block, which reduces to the untiled pass.
 const simCountTile = 4096
 
 // simScratch is the reusable per-worker state of the counting pass. counts
-// is all-zero between rows (the emit loop resets every touched entry), and
-// that invariant is preserved across pool cycles, so getSimScratch never
-// re-zeroes it; a scratch abandoned mid-row (cancellation) must not be
-// returned to the pool.
+// and seen are all-zero between rows (the emit loop resets every entry it
+// reads), and that invariant is preserved across pool cycles, so
+// getSimScratch never re-zeroes them.
 type simScratch struct {
-	counts  []int32     // per-cluster weight accumulator, all-zero between rows
-	touched []int32     // clusters with counts > 0 in the current block
-	bits    []int32     // set-bit scratch for the current row's tag
-	cur     []int32     // per-posting-list cursor past the current row index
-	pos     []int32     // per-row-bit cursor of the tiled block walk
-	pairs   []mergePair // per-shard output buffer
+	counts []int32                   // per-cluster weight accumulator
+	seen   [simCountTile / 64]uint64 // the block's clusters with counts > 0
+	pairs  []mergePair               // per-shard output buffer
 }
 
 var simScratchPool = sync.Pool{New: func() any { return new(simScratch) }}
 
-func getSimScratch(n, r int) *simScratch {
+func getSimScratch(n int) *simScratch {
 	s := simScratchPool.Get().(*simScratch)
 	if cap(s.counts) < n {
 		s.counts = make([]int32, n)
 	} else {
 		s.counts = s.counts[:n]
 	}
-	if cap(s.cur) < r {
-		s.cur = make([]int32, r)
-	} else {
-		s.cur = s.cur[:r]
-		for i := range s.cur {
-			s.cur[i] = 0
-		}
-	}
-	s.touched = s.touched[:0]
-	s.bits = s.bits[:0]
 	s.pairs = s.pairs[:0]
 	return s
 }
 
 func putSimScratch(s *simScratch) { simScratchPool.Put(s) }
 
-// simPostingsPool recycles the inverted-index storage of sparsePairs calls
-// made outside a distribution run; the lists alias the index's backing, so
-// the index is returned only after the last shard finishes reading posts.
-var simPostingsPool = sync.Pool{New: func() any { return new(bitvec.PostingIndex) }}
-
 // pairShards runs the pair-generation pass: every pair (i, j), i < j, whose
-// tags share at least one "1" bit, with its similarity weight. Rows are
-// sharded across workers; each shard holds its rows' pairs in row-major
-// order, and the shards are appended to shards in row order, so their
-// concatenation is the same row-major list at any worker count. The
-// caller recycles each shard with putSimScratch once it has read it.
+// tags share at least one "1" bit, with its similarity weight. rows[i] is
+// the ascending set bits of tag i, an r-bit tag. Rows are sharded across
+// workers; each shard holds its rows' pairs in row-major order, and the
+// shards are appended to shards in row order, so their concatenation is
+// the same row-major list at any worker count. The caller recycles each
+// shard with putSimScratch once it has read it.
 //
-// The inverted index is built in ix and returned as posts, which the merge
-// loop walks after every absorb; posts is nil when the row-scan generator
-// ran instead of the counting pass (n ≤ 32 or crowded postings).
-func pairShards(ctx context.Context, tagOf []bitvec.Vector, r, workers int, ix *bitvec.PostingIndex, shards []*simScratch) (_ []*simScratch, posts [][]int32, err error) {
-	n := len(tagOf)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-
-	// The counting pass pays an r-length posting table per call; at the deep
-	// recursion nodes, where only a handful of clusters remain, that table
-	// dominates the n²/2 word-wide popcounts it would save. Scan rows
-	// directly there. When tags are dense the counting pass also degrades to
-	// O(Σ_b |P_b|²) single-bit increments, which can exceed the dense
-	// engine's popcounts; estimate both and fall back likewise. Either
-	// generator emits the identical weight ≥ 1 pair list, so the choice is
-	// invisible to the plan.
-	useCounting := false
-	if n > 32 {
-		posts = ix.Build(r, tagOf)
-		var postWork int64
-		for _, p := range posts {
-			l := int64(len(p))
-			postWork += l * (l - 1) / 2
-		}
-		denseWork := int64(n) * int64(n-1) / 2 * int64((r+63)/64)
-		useCounting = postWork <= 4*denseWork
-	}
-
-	curLen := 0
-	if useCounting {
-		curLen = r
-	} else {
-		posts = nil
-	}
-
+// The inverted index is built in ix, which the merge loop walks after
+// every absorb.
+func pairShards(ctx context.Context, rows [][]int32, r, workers int, ix *bitvec.PostingIndex, shards []*simScratch) ([]*simScratch, error) {
+	n := len(rows)
+	flat, later := ix.Build(r, rows)
 	// The fan-out lives in its own function so this one shares no variables
 	// with a goroutine closure: captured locals are forced to the heap on
-	// every path, which would cost the single-worker steady state five
+	// every path, which would cost the single-worker steady state
 	// allocations per call (see TestAllocSparsePairsWarm).
-	if workers <= 1 {
-		s, err := simFill(ctx, tagOf, posts, useCounting, curLen, 0, n)
+	if workers <= 1 || n <= 1 {
+		s, err := simFill(ctx, rows, flat, later, 0, n)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return append(shards, s), posts, nil
+		return append(shards, s), nil
 	}
-	ps, err := simFillParallel(ctx, tagOf, posts, useCounting, curLen, n, workers)
+	ps, err := simFillParallel(ctx, rows, flat, later, min(workers, n))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return append(shards, ps...), posts, nil
+	return append(shards, ps...), nil
 }
 
 // sparsePairs returns pairShards' pairs as one list in row-major order.
-func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int) ([]mergePair, error) {
-	ix := simPostingsPool.Get().(*bitvec.PostingIndex)
-	defer simPostingsPool.Put(ix)
+func sparsePairs(ctx context.Context, rows [][]int32, r, workers int) ([]mergePair, error) {
+	var ix bitvec.PostingIndex
 	var one [1]*simScratch
-	shards, _, err := pairShards(ctx, tagOf, r, workers, ix, one[:0])
+	shards, err := pairShards(ctx, rows, r, workers, &ix, one[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -166,31 +113,32 @@ func sparsePairs(ctx context.Context, tagOf []bitvec.Vector, r, workers int) ([]
 }
 
 // simFillParallel shards the pair-generation pass over workers goroutines,
-// one contiguous row range each. Shard outputs concatenate in row order.
-func simFillParallel(ctx context.Context, tagOf []bitvec.Vector, posts [][]int32, useCounting bool, curLen, n, workers int) ([]*simScratch, error) {
+// one contiguous row range each. Shard outputs concatenate in row order. A
+// shard's panic is re-raised here once every shard has returned.
+func simFillParallel(ctx context.Context, rows [][]int32, flat []int32, later []bitvec.Span, workers int) ([]*simScratch, error) {
+	n := len(rows)
 	step := (n + workers - 1) / workers
-	if step == 0 {
-		return nil, nil
-	}
 	// Size the shard slices to the non-empty row ranges up front: the
 	// workers index into them concurrently, so the headers must not be
 	// re-sliced once the first goroutine is running.
 	count := (n + step - 1) / step
 	shards := make([]*simScratch, count)
 	errs := make([]error, count)
-	var wg sync.WaitGroup
+	var (
+		jp joinPanic
+		wg sync.WaitGroup
+	)
 	for w := 0; w < count; w++ {
-		lo, hi := w*step, (w+1)*step
-		if hi > n {
-			hi = n
-		}
+		lo, hi := w*step, min((w+1)*step, n)
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			shards[w], errs[w] = simFill(ctx, tagOf, posts, useCounting, curLen, lo, hi)
-		}(w, lo, hi)
+			defer jp.catch()
+			shards[w], errs[w] = simFill(ctx, rows, flat, later, lo, hi)
+		}()
 	}
 	wg.Wait()
+	jp.rethrow()
 	for _, err := range errs {
 		if err != nil {
 			for _, s := range shards {
@@ -204,75 +152,54 @@ func simFillParallel(ctx context.Context, tagOf []bitvec.Vector, posts [][]int32
 	return shards, nil
 }
 
-// simFill runs the pair-generation pass over rows [lo, hi). It is a
-// top-level function rather than a closure inside sparsePairs so the
+// simFill runs the pair-generation pass over rows [lo, hi), reading each
+// row's tails — the later rows sharing each of its bits, as Build's later
+// spans of flat give them — and consuming those spans as it goes. It is a
+// top-level function rather than a closure inside pairShards so the
 // single-worker path — the steady state on small machines — allocates no
 // escaping func value. The returned scratch holds the shard's pairs; the
 // caller copies them out and recycles it.
-func simFill(ctx context.Context, tagOf []bitvec.Vector, posts [][]int32, useCounting bool, curLen, lo, hi int) (*simScratch, error) {
-	n := len(tagOf)
-	s := getSimScratch(n, curLen)
+func simFill(ctx context.Context, rows [][]int32, flat []int32, later []bitvec.Span, lo, hi int) (*simScratch, error) {
+	n := len(rows)
+	s := getSimScratch(n)
+	x := 0 // rows[i]'s spans start at later[x]
+	for _, row := range rows[:lo] {
+		x += len(row)
+	}
 	for i := lo; i < hi; i++ {
 		if ctx.Err() != nil {
-			// s.counts is clean here (rows only dirty it mid-row), so
-			// the scratch is safe to recycle.
+			// counts and seen are clean here (rows only dirty them
+			// mid-row), so the scratch is safe to recycle.
 			putSimScratch(s)
 			return nil, ctx.Err()
 		}
-		ti := tagOf[i]
-		if useCounting {
-			s.bits = ti.AppendSetBits(s.bits[:0])
-			// Skip every list to the entries after i (lists are
-			// ascending and contain i itself). Rows ascend within a
-			// shard, so each list's skip point only moves forward: a
-			// monotone cursor replaces a per-(row, bit) binary search,
-			// costing O(|p|) total advance per shard.
-			for _, b := range s.bits {
-				p := posts[b]
-				c := s.cur[b]
-				for int(c) < len(p) && p[c] <= int32(i) {
-					c++
+		tails := later[x : x+len(rows[i])]
+		x += len(rows[i])
+		// Accumulate the row in j-blocks of simCountTile clusters: each
+		// block confines the counts/seen writes to one L1-resident window
+		// while the tails stream through in order. The seen bitmap is read
+		// in ascending order, so each block emits its pairs in ascending j
+		// and the blocks concatenate to the row's row-major order.
+		for jLo := i + 1; jLo < n; jLo += simCountTile {
+			jHi := int32(min(jLo+simCountTile, n))
+			top := 0 // the highest seen word the block set
+			for t := range tails {
+				sp := &tails[t]
+				for ; sp.Lo < sp.Hi && flat[sp.Lo] < jHi; sp.Lo++ {
+					j := flat[sp.Lo]
+					s.counts[j]++
+					d := int(j) - jLo
+					s.seen[d>>6] |= 1 << (d & 63)
+					top = max(top, d>>6)
 				}
-				s.cur[b] = c
 			}
-			// Accumulate the row in j-blocks of simCountTile clusters:
-			// each block confines the counts/touched writes to one
-			// L1-resident window while the posting tails stream through
-			// in order. Blocks ascend and each block's touched set is
-			// sorted before emitting, so the concatenation reproduces
-			// the fully sorted row order byte for byte; when the row's
-			// tail fits one block this is exactly the untiled pass.
-			s.pos = s.pos[:0]
-			for _, b := range s.bits {
-				s.pos = append(s.pos, s.cur[b])
-			}
-			for jLo := i + 1; jLo < n; jLo += simCountTile {
-				jHi := int32(min(jLo+simCountTile, n))
-				s.touched = s.touched[:0]
-				for k, b := range s.bits {
-					p := posts[b]
-					c := s.pos[k]
-					for int(c) < len(p) && p[c] < jHi {
-						j := p[c]
-						if s.counts[j] == 0 {
-							s.touched = append(s.touched, j)
-						}
-						s.counts[j]++
-						c++
-					}
-					s.pos[k] = c
-				}
-				slices.Sort(s.touched)
-				for _, j := range s.touched {
+			for w := 0; w <= top; w++ {
+				for m := s.seen[w]; m != 0; m &= m - 1 {
+					j := int32(jLo + w<<6 + bits.TrailingZeros64(m))
 					s.pairs = append(s.pairs, mergePair{dot: int64(s.counts[j]), a: int32(i), b: j})
 					s.counts[j] = 0
 				}
-			}
-		} else {
-			for j := i + 1; j < n; j++ {
-				if w := int64(ti.AndPopCount(tagOf[j])); w > 0 {
-					s.pairs = append(s.pairs, mergePair{dot: w, a: int32(i), b: int32(j)})
-				}
+				s.seen[w] = 0
 			}
 		}
 	}
@@ -280,11 +207,12 @@ func simFill(ctx context.Context, tagOf []bitvec.Vector, posts [][]int32, useCou
 	return s, nil
 }
 
-// tagOverlapPairs returns every chunk pair sharing at least one tag bit, in
-// row-major order — the conservative dependence approximation, routed
-// through the same inverted index as the similarity seeding.
-func tagOverlapPairs(tagOf []bitvec.Vector, r int) [][2]int {
-	pairs, err := sparsePairs(context.Background(), tagOf, r, 1)
+// tagOverlapPairs returns every pair of r-bit tags, given as their set
+// bits, that shares at least one bit, in row-major order — the
+// conservative dependence approximation, routed through the same inverted
+// index as the similarity seeding.
+func tagOverlapPairs(rows [][]int32, r int) [][2]int {
+	pairs, err := sparsePairs(context.Background(), rows, r, 1)
 	if err != nil { // unreachable: background ctx never cancels
 		panic("core: " + err.Error())
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,16 +105,26 @@ func TestSparseSimilaritySmoke(t *testing.T) {
 	}
 }
 
-// TestSparsePairsMatchesBruteForce checks the generator itself: the pair
-// list must be exactly the weight ≥ 1 pairs in row-major order with correct
-// weights, at several worker counts.
+// TestSparsePairsMatchesBruteForce checks the generator itself: from tags
+// given as their set bits, the pair list must be exactly the weight ≥ 1
+// pairs in row-major order with correct weights, at several worker counts.
+// Tag counts run from 1 to 80, widths from 1 to 300 and densities from all
+// zeros to all ones.
 func TestSparsePairsMatchesBruteForce(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
+	const seeds = 40
+	for seed := int64(0); seed < seeds; seed++ {
 		rr := rand.New(rand.NewSource(seed))
-		r := 4 + rr.Intn(80)
-		n := 1 + rr.Intn(50)
+		r := 1 + rr.Intn(300)
+		n := 1 + int(seed)*79/(seeds-1)
 		density := rr.Float64()
+		switch seed % 8 {
+		case 0:
+			density = 1
+		case 1:
+			density = 0
+		}
 		tagOf := make([]bitvec.Vector, n)
+		rows := make([][]int32, n)
 		for i := range tagOf {
 			v := bitvec.New(r)
 			for b := 0; b < r; b++ {
@@ -120,7 +132,7 @@ func TestSparsePairsMatchesBruteForce(t *testing.T) {
 					v.Set(b)
 				}
 			}
-			tagOf[i] = v
+			tagOf[i], rows[i] = v, v.AppendSetBits(nil)
 		}
 		var want []mergePair
 		for i := 0; i < n; i++ {
@@ -131,19 +143,73 @@ func TestSparsePairsMatchesBruteForce(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 5} {
-			got, err := sparsePairs(t.Context(), tagOf, r, workers)
+			got, err := sparsePairs(t.Context(), rows, r, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("seed %d workers %d: %d pairs, want %d", seed, workers, len(got), len(want))
+				t.Fatalf("seed %d n=%d r=%d workers %d: %d pairs, want %d", seed, n, r, workers, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("seed %d workers %d: pair %d = %+v, want %+v", seed, workers, i, got[i], want[i])
+					t.Fatalf("seed %d n=%d r=%d workers %d: pair %d = %+v, want %+v", seed, n, r, workers, i, got[i], want[i])
 				}
 			}
 		}
+	}
+}
+
+// heldPanicCtx is a context whose Err panics: the first call at once, the
+// second only after holding on until the test has recovered or a while has
+// passed. It records whether the test recovered while the second call was
+// still held.
+type heldPanicCtx struct {
+	context.Context
+	value     any
+	calls     atomic.Int32
+	recovered chan struct{} // closed by the test once it has recovered
+	left      chan struct{} // closed when the held call panics
+	early     bool          // the test recovered while the call was held
+}
+
+func (c *heldPanicCtx) Err() error {
+	if c.calls.Add(1) == 2 {
+		defer close(c.left)
+		select {
+		case <-c.recovered:
+			c.early = true
+		case <-time.After(250 * time.Millisecond):
+		}
+	}
+	panic(c.value)
+}
+
+// TestSparsePairsShardPanic panics inside both row shards of a two-worker
+// similarity pass, one shard only after a hold: the panic must reach the
+// caller's recover with its original value, instead of killing the
+// process from a shard goroutine, and only once every shard has returned.
+func TestSparsePairsShardPanic(t *testing.T) {
+	type boom struct{ msg string }
+	ctx := &heldPanicCtx{
+		Context:   context.Background(),
+		value:     &boom{"similarity shard"},
+		recovered: make(chan struct{}),
+		left:      make(chan struct{}),
+	}
+	rows := [][]int32{{0, 1}, {1}, {0}, {1, 2}}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, err := sparsePairs(ctx, rows, 3, 2)
+		t.Errorf("sparsePairs returned (err %v) instead of panicking", err)
+	}()
+	close(ctx.recovered)
+	<-ctx.left
+	if got != ctx.value {
+		t.Fatalf("recovered %v, want the shard's panic value %v", got, ctx.value)
+	}
+	if ctx.early {
+		t.Fatal("the panic was re-raised while a shard goroutine was still running")
 	}
 }
 

@@ -290,13 +290,15 @@ func TestGraphPostingsAndDensity(t *testing.T) {
 		{Tag: bitvec.NewSparse(4, []int32{2, 3}), Iters: itset.Interval(2, 4)},
 		{Tag: bitvec.NewSparse(4, []int32{2}), Iters: itset.Interval(4, 6)},
 	}
-	vecs := make([]bitvec.Vector, len(chunks))
+	rows := make([][]int32, len(chunks))
 	for i, c := range chunks {
-		vecs[i] = c.Tag.Dense()
+		rows[i] = c.Tag.Bits()
 	}
-	posts := bitvec.Postings(4, vecs)
-	if len(posts) != 4 {
-		t.Fatalf("got %d posting lists, want 4", len(posts))
+	var ix bitvec.PostingIndex
+	ix.Build(4, rows)
+	posts := make([][]int32, 4)
+	for b := range posts {
+		posts[b] = ix.List(int32(b))
 	}
 	want := [][]int32{{0}, nil, {0, 1, 2}, {1}}
 	for b := range want {
