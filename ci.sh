@@ -1,9 +1,10 @@
 #!/bin/sh
 # Lightweight CI, the tier-1 gate: formatting, build, vet (of this module
-# and of the perfbench benchmark module), linters, race-enabled tests, the
-# short-mode reproduction-fidelity gate, the zero-alloc gate, short balance,
-# merge, schedule, plan-log and plan-wire fuzz runs and the bench
-# regression gate.
+# and of the perfbench benchmark module), the inlining check of balance's
+# hot keys, linters, race-enabled tests, the short-mode
+# reproduction-fidelity gate, the zero-alloc gate, short balance, merge,
+# schedule, plan-log, plan-wire and tag fuzz runs and the bench regression
+# gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -34,6 +35,19 @@ go vet ./...
 # perfbench/.
 echo "==> (cd perfbench && go vet ./...)"
 (cd perfbench && go vet ./...)
+
+# memberKey and (*Cluster).firstIter order balance's members and clusters
+# on every round. They inline only while internal/core imports
+# internal/itset itself (see distribute.go's imports); without that,
+# BenchmarkPipelineParallelism's balance-ms/op read about a sixth higher.
+echo "==> inlining of balance's keys (go build -gcflags=-m ./internal/core)"
+inl=$(go build -gcflags=-m ./internal/core 2>&1)
+for fn in 'memberKey' '(*Cluster).firstIter'; do
+	if ! printf '%s\n' "$inl" | grep -qF ": can inline $fn"; then
+		echo "inlining: $fn no longer inlines in internal/core" >&2
+		exit 1
+	fi
+done
 
 # Optional linters: pinned installs when absent; offline environments skip
 # them gracefully (the pinned `go install` needs the module proxy). The
@@ -85,10 +99,10 @@ go test -short -run TestShapeClaims ./internal/experiments
 echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # The pooled hot paths — posting-index build, arena carving, warm
 # sparse pair generation, the full distribution run, the plan-cache hit
-# serve path — must stay allocation-free (or at their documented small
+# serve path, tagging the cold_plan shape — must stay allocation-free (or at their documented small
 # constants) once warm. GOGC=off pins sync.Pool contents for the whole
 # run, so a GC-timed pool eviction can never fake a regression.
-GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec
+GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags
 
 echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
 # Plain `go test` above already replays the seed corpus and any committed
@@ -121,6 +135,14 @@ echo "==> plan-wire fuzz (FuzzPlanWire, 10s)"
 # accepted fill must map each of its job's iterations exactly once. A
 # crasher lands in internal/server/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzPlanWire$' -fuzztime 10s ./internal/server
+
+echo "==> tag fuzz (FuzzTagsMatchEnumeration, 10s)"
+# The segment tagger, cut into 1, 2 or 5 shards, against the per-iteration
+# enumerator it replaced, on random nests (negative bounds, guards, Mod and
+# Table subscripts, clamping at both array ends, element sizes that do not
+# divide the chunk) and on the paper's programs. A crasher lands in
+# internal/tags/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzTagsMatchEnumeration$' -fuzztime 10s ./internal/tags
 
 echo "==> bench regression gate (vs BENCH.json)"
 # Short mode: fixed iteration counts keep this quick; three samples per

@@ -32,6 +32,12 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/hierarchy"
+	// memberKey and firstIter, on balance's hot path, call itset.Set's
+	// IsEmpty and Min. The compiler inlines another package's methods only
+	// from the export data of a package this one imports, so without this
+	// import neither key inlines (ci.sh checks that both do).
+	_ "repro/internal/itset"
+	"repro/internal/join"
 	"repro/internal/tags"
 )
 
@@ -438,18 +444,18 @@ func (d *distributor) fanOut(children []*hierarchy.Node, clusters []*Cluster,
 	errs := make([]error, len(children))
 	var (
 		next atomic.Int64
-		jp   joinPanic
+		jp   join.Panic
 		wg   sync.WaitGroup
 	)
 	work := func(wd *distributor) {
-		defer jp.catch()
-		for !jp.stop.Load() {
+		defer jp.Catch()
+		for !jp.Stopped() {
 			i := int(next.Add(1) - 1)
 			if i >= len(children) {
 				return
 			}
 			if errs[i] = wd.assign(children[i], lists[i], clientIdx, out); errs[i] != nil {
-				jp.stop.Store(true)
+				jp.Stop()
 			}
 		}
 	}
@@ -468,46 +474,13 @@ func (d *distributor) fanOut(children []*hierarchy.Node, clusters []*Cluster,
 	}
 	work(&inner)
 	wg.Wait()
-	jp.rethrow()
+	jp.Rethrow()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// joinPanic carries the first panic of a group of goroutines to the
-// goroutine that joins them, which re-raises it there, where the serial
-// code raises it, instead of the panic ending the process from a worker.
-// stop is set once a goroutine has panicked; callers may also set it on an
-// error, so the others take no more work.
-type joinPanic struct {
-	stop atomic.Bool
-	mu   sync.Mutex
-	v    any
-}
-
-// catch recovers the calling goroutine's panic into jp. Each goroutine
-// defers it directly, since recover only stops a panic when the deferred
-// call itself makes it.
-func (jp *joinPanic) catch() {
-	if p := recover(); p != nil {
-		jp.mu.Lock()
-		if jp.v == nil {
-			jp.v = p
-		}
-		jp.mu.Unlock()
-		jp.stop.Store(true)
-	}
-}
-
-// rethrow re-raises the first recovered panic, if any. Call it after every
-// goroutine of the group has returned.
-func (jp *joinPanic) rethrow() {
-	if jp.v != nil {
-		panic(jp.v)
-	}
 }
 
 // split partitions chunks into len(weights) clusters whose sizes are

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/bitvec"
+	"repro/internal/join"
 )
 
 // PairStatsRecorder is optionally implemented by Options.Clock; when it is,
@@ -125,7 +126,7 @@ func simFillParallel(ctx context.Context, rows [][]int32, flat []int32, later []
 	shards := make([]*simScratch, count)
 	errs := make([]error, count)
 	var (
-		jp joinPanic
+		jp join.Panic
 		wg sync.WaitGroup
 	)
 	for w := 0; w < count; w++ {
@@ -133,12 +134,12 @@ func simFillParallel(ctx context.Context, rows [][]int32, flat []int32, later []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer jp.catch()
+			defer jp.Catch()
 			shards[w], errs[w] = simFill(ctx, rows, flat, later, lo, hi)
 		}()
 	}
 	wg.Wait()
-	jp.rethrow()
+	jp.Rethrow()
 	for _, err := range errs {
 		if err != nil {
 			for _, s := range shards {

@@ -49,6 +49,19 @@ func FromRuns(runs ...Run) Set {
 	return s
 }
 
+// FromSortedRuns returns the set whose runs are exactly runs, which it
+// takes without copying: each run must be non-empty and start after the
+// previous one ends, neither overlapping nor touching it. It checks that
+// in O(runs) and panics on a violation.
+func FromSortedRuns(runs []Run) Set {
+	for i, r := range runs {
+		if r.End <= r.Start || i > 0 && r.Start <= runs[i-1].End {
+			panic(fmt.Sprintf("itset: run %d [%d,%d) is empty or not after the previous run", i, r.Start, r.End))
+		}
+	}
+	return Set{runs: runs}
+}
+
 // Single returns the set containing exactly one iteration index.
 func Single(i int64) Set { return Set{runs: []Run{{i, i + 1}}} }
 

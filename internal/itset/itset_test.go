@@ -83,6 +83,33 @@ func TestMinPanicsOnEmpty(t *testing.T) {
 	Set{}.Min()
 }
 
+// TestFromSortedRuns checks that canonical runs are taken as they are and
+// that an empty, overlapping, touching or out-of-order run panics.
+func TestFromSortedRuns(t *testing.T) {
+	runs := []Run{{1, 3}, {5, 7}, {9, 10}}
+	if s := FromSortedRuns(runs); !s.Equal(FromRuns(runs...)) || s.Count() != 5 {
+		t.Fatalf("FromSortedRuns(%v) = %v", runs, s)
+	}
+	if !FromSortedRuns(nil).IsEmpty() {
+		t.Fatal("FromSortedRuns(nil) is not empty")
+	}
+	for _, bad := range [][]Run{
+		{{3, 3}},
+		{{1, 4}, {3, 6}},
+		{{1, 3}, {3, 6}},
+		{{5, 7}, {1, 3}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromSortedRuns(%v) did not panic", bad)
+				}
+			}()
+			FromSortedRuns(bad)
+		}()
+	}
+}
+
 func TestForEachOrderAndEarlyStop(t *testing.T) {
 	s := FromRuns(Run{5, 7}, Run{1, 3})
 	var got []int64

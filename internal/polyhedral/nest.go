@@ -153,44 +153,6 @@ func (n *Nest) ForEach(fn func(it []int64) bool) {
 	}
 }
 
-// ForEachRange enumerates executing iterations whose lexicographic box
-// index lies in [lo, hi), in lexicographic order, stopping early if fn
-// returns false. fn additionally receives the box index, saving callers an
-// IterToIndex recomputation. The slice passed to fn is reused; copy it if
-// it must survive the call. Disjoint ranges covering [0, BoxSize()) visit
-// exactly the iterations ForEach visits, making the enumeration shardable.
-func (n *Nest) ForEachRange(lo, hi int64, fn func(idx int64, it []int64) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if box := n.BoxSize(); hi > box {
-		hi = box
-	}
-	if lo >= hi {
-		return
-	}
-	it := n.IndexToIter(lo, nil)
-	for idx := lo; idx < hi; idx++ {
-		ok := true
-		for _, g := range n.Guards {
-			if g.Eval(it) < 0 {
-				ok = false
-				break
-			}
-		}
-		if ok && !fn(idx, it) {
-			return
-		}
-		for k := n.Depth() - 1; k >= 0; k-- {
-			it[k]++
-			if it[k] <= n.Upper[k] {
-				break
-			}
-			it[k] = n.Lower[k]
-		}
-	}
-}
-
 // String summarizes the nest.
 func (n *Nest) String() string {
 	return fmt.Sprintf("nest %q depth=%d box=%d guards=%d", n.Name, n.Depth(), n.BoxSize(), len(n.Guards))

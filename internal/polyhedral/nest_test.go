@@ -181,57 +181,3 @@ func TestPropertyForEachMatchesSize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestForEachRangeMatchesForEach(t *testing.T) {
-	n := NewNest("r", []int64{0, 1}, []int64{5, 7}).AddGuard([]int64{1, -1}, 3)
-
-	type point struct {
-		idx int64
-		it  [2]int64
-	}
-	var want []point
-	n.ForEach(func(it []int64) bool {
-		want = append(want, point{n.IterToIndex(it), [2]int64{it[0], it[1]}})
-		return true
-	})
-
-	for _, shards := range []int{1, 2, 3, 7} {
-		var got []point
-		box := n.BoxSize()
-		step := (box + int64(shards) - 1) / int64(shards)
-		for lo := int64(0); lo < box; lo += step {
-			hi := lo + step
-			n.ForEachRange(lo, hi, func(idx int64, it []int64) bool {
-				if n.IterToIndex(it) != idx {
-					t.Fatalf("index mismatch: idx=%d it=%v", idx, it)
-				}
-				got = append(got, point{idx, [2]int64{it[0], it[1]}})
-				return true
-			})
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: got %d points, want %d", shards, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: point %d = %+v, want %+v", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestForEachRangeBoundsClamped(t *testing.T) {
-	n := NewNest("c", []int64{0}, []int64{9})
-	var visited []int64
-	n.ForEachRange(-5, 100, func(idx int64, it []int64) bool {
-		visited = append(visited, idx)
-		return true
-	})
-	if int64(len(visited)) != n.BoxSize() {
-		t.Fatalf("visited %d, want %d", len(visited), n.BoxSize())
-	}
-	n.ForEachRange(7, 3, func(int64, []int64) bool {
-		t.Fatal("empty range must not visit")
-		return false
-	})
-}

@@ -6,17 +6,28 @@
 // is the set of iterations carrying the same tag; all of them have the same
 // chunk-level access pattern, so they execute back to back and are the unit
 // the distribution algorithm (package core) clusters.
+//
+// The paper gets the γ^Λ sets symbolically from the Omega Library. This
+// package reads them off the references' affine form instead of visiting
+// every iteration: along the innermost loop a subscript is affine in the
+// loop variable, so the data chunk a reference touches can change only at
+// a breakpoint computable in O(1) — a Mod wrap, a clamp at either array
+// end, or the next chunk boundary of the byte offset. Each innermost-loop
+// row is tagged in segments between breakpoints, and segments with the same
+// chunk list are grouped into one chunk.
 package tags
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/chunking"
 	"repro/internal/itset"
+	"repro/internal/join"
 	"repro/internal/polyhedral"
 )
 
@@ -60,200 +71,446 @@ func Compute(nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSp
 	return out
 }
 
-// ctxCheckInterval is how many iterations a tagging shard processes between
-// cooperative cancellation checks.
+// ctxCheckInterval is how much work a tagging shard does between
+// cooperative cancellation checks, counted in rows and segments. The check
+// runs before a segment; a row its guards empty costs O(guards) to skip.
 const ctxCheckInterval = 4096
-
-// group accumulates the iterations sharing one tag signature.
-type group struct {
-	chunks []int // sorted distinct data chunk ids (the tag's set bits)
-	iters  itset.Set
-}
-
-// partial is the tagging result of one contiguous box-index shard.
-type partial struct {
-	groups map[string]*group
-	order  []string // first-seen order of signatures within the shard
-}
 
 // ComputeCtx is Compute with cooperative cancellation and optional
 // parallelism: the box-index range is split into contiguous shards tagged
-// by up to workers goroutines (workers <= 1 runs inline), then merged in
-// shard order. Because grouping is keyed by tag signature and the final
-// ordering sorts by first iteration index — a total order over the
-// disjoint iteration sets — the result is byte-identical at any worker
-// count. Returns ctx.Err() if canceled mid-computation.
+// by up to workers goroutines (workers <= 1 runs inline), whose segments
+// are then grouped in shard order. Grouping is keyed by chunk list and
+// coalesces runs across shard cuts, so the result is byte-identical at any
+// worker count. Returns ctx.Err() if canceled mid-computation; a shard's
+// panic is re-raised on the caller once every shard has returned.
 func ComputeCtx(ctx context.Context, nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSpace, workers int) ([]*IterationChunk, error) {
 	if nest == nil || data == nil || len(refs) == 0 {
 		panic("tags: nil nest/data or empty refs")
 	}
-	box := nest.BoxSize()
-	if workers < 1 {
-		workers = 1
-	}
-	// Shards below a few check intervals cost more in merge bookkeeping
-	// than they win back in parallelism.
-	const minShard = ctxCheckInterval
-	if int64(workers) > (box+minShard-1)/minShard {
-		workers = int((box + minShard - 1) / minShard)
-	}
+	// Shards of fewer than minShard box indices cost more to start than
+	// they win back in parallelism.
+	const minShard = 4096
+	shards := min(int64(max(workers, 1)), (nest.BoxSize()+minShard-1)/minShard)
+	return compute(ctx, nest, refs, data, int(max(shards, 1)))
+}
 
-	parts := make([]*partial, workers)
-	errs := make([]error, workers)
-	step := (box + int64(workers) - 1) / int64(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := int64(w)*step, (int64(w)+1)*step
-		if hi > box {
-			hi = box
-		}
-		if workers == 1 {
-			parts[w], errs[w] = computeRange(ctx, nest, refs, data, lo, hi)
-			continue
-		}
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			parts[w], errs[w] = computeRange(ctx, nest, refs, data, lo, hi)
-		}(w, lo, hi)
+// compute tags the box indices in shards contiguous shards, the first on
+// the caller and each other on its own goroutine, and groups the segments.
+func compute(ctx context.Context, nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSpace, shards int) ([]*IterationChunk, error) {
+	scr := make([]*scratch, shards)
+	for i := range scr {
+		scr[i] = scratchPool.Get().(*scratch)
 	}
+	defer func() {
+		for _, s := range scr {
+			s.release()
+		}
+	}()
+	p := &scr[0].prog
+	p.compile(nest, refs, data)
+	box := nest.BoxSize()
+	step := (box + int64(shards) - 1) / int64(shards)
+	errs := make([]error, shards)
+	var (
+		jp join.Panic
+		wg sync.WaitGroup
+	)
+	for w := 1; w < shards; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer jp.Catch()
+			errs[w] = p.tag(ctx, int64(w)*step, min(int64(w+1)*step, box), scr[w])
+		}()
+	}
+	func() {
+		defer jp.Catch()
+		errs[0] = p.tag(ctx, 0, min(step, box), scr[0])
+	}()
 	wg.Wait()
+	jp.Rethrow()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return mergePartials(data.NumChunks(), parts), nil
+	return groupSegments(data.NumChunks(), scr), nil
 }
 
-// tagScratch is the recycled per-shard working state of computeRange: the
-// subscript buffer, signature bytes and current-chunk list. Unlike the
-// group map and its iteration sets — which escape into the result — these
-// never leave the shard, so a sync.Pool makes repeat taggings of the same
-// shape allocation-free in the inner loop.
-type tagScratch struct {
-	subs []int64
-	sig  []byte
-	cur  []int
+// program is a nest's references compiled for segment tagging. Shards
+// only read it.
+type program struct {
+	nest       *polyhedral.Nest
+	refs       []cref
+	exprs      []cexpr
+	chunkBytes int64
 }
 
-var tagScratchPool = sync.Pool{New: func() any { return new(tagScratch) }}
+// cref is one reference: its subscripts exprs[lo:hi], and its array's
+// element size and first global chunk id.
+type cref struct {
+	lo, hi int
+	elem   int64
+	base   int32
+}
 
-// computeRange tags the iterations with box indices in [lo, hi).
-func computeRange(ctx context.Context, nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSpace, lo, hi int64) (*partial, error) {
-	p := &partial{groups: make(map[string]*group)}
+// cexpr is one subscript of a reference, split at the innermost loop j:
+// the value Offset + outer·(outer iterators) + inner·j, then the Mod wrap
+// and the Table lookup of polyhedral.RefExpr, then the clamp into [0, dim)
+// of chunking.Array.LinearIndex.
+type cexpr struct {
+	outer    []int64 // coefficients of the outer loops
+	inner    int64   // coefficient of the innermost loop; 0 if missing
+	off, mod int64
+	table    []int64
+	dim      int64
+}
 
-	maxSubs := 0
+// compile lays the references out in p, reusing its buffers.
+func (p *program) compile(nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSpace) {
+	in := nest.Depth() - 1
+	p.nest, p.chunkBytes = nest, data.ChunkBytes
+	p.refs, p.exprs = p.refs[:0], p.exprs[:0]
 	for _, ref := range refs {
-		if len(ref.Exprs) > maxSubs {
-			maxSubs = len(ref.Exprs)
+		if ref.Array < 0 || ref.Array >= len(data.Arrays) {
+			panic(fmt.Sprintf("tags: array index %d out of range", ref.Array))
 		}
-	}
-	scr := tagScratchPool.Get().(*tagScratch)
-	if cap(scr.subs) < maxSubs {
-		scr.subs = make([]int64, maxSubs)
-	}
-	subs := scr.subs[:maxSubs]
-	sig := scr.sig[:0]
-	cur := scr.cur[:0]
-	defer func() {
-		scr.sig, scr.cur = sig, cur // keep any growth
-		tagScratchPool.Put(scr)
-	}()
-	var since int
-	var canceled bool
-	nest.ForEachRange(lo, hi, func(idx int64, it []int64) bool {
-		if since++; since >= ctxCheckInterval {
-			since = 0
-			if ctx.Err() != nil {
-				canceled = true
-				return false
+		a := data.Arrays[ref.Array]
+		if len(ref.Exprs) != len(a.Dims) {
+			panic(fmt.Sprintf("tags: %d subscripts for %d-d array %q", len(ref.Exprs), len(a.Dims), a.Name))
+		}
+		lo := len(p.exprs)
+		for d, e := range ref.Exprs {
+			if len(e.Coeffs) > in+1 {
+				panic(fmt.Sprintf("tags: %d coefficients for a depth-%d nest", len(e.Coeffs), in+1))
 			}
-		}
-		cur = cur[:0]
-		for _, ref := range refs {
-			s := ref.Eval(it, subs[:len(ref.Exprs)])
-			cur = append(cur, data.ChunkOf(ref.Array, s))
-		}
-		sort.Ints(cur)
-		// Deduplicate in place.
-		w := 0
-		for i, c := range cur {
-			if i == 0 || c != cur[w-1] {
-				cur[w] = c
-				w++
+			x := cexpr{outer: e.Coeffs[:min(len(e.Coeffs), in)], off: e.Offset, mod: e.Mod, table: e.Table, dim: a.Dims[d]}
+			if len(e.Coeffs) > in {
+				x.inner = e.Coeffs[in]
 			}
+			p.exprs = append(p.exprs, x)
 		}
-		cur = cur[:w]
-		sig = sig[:0]
-		for _, c := range cur {
-			sig = append(sig, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-		}
-		// The compiler elides the []byte→string copy for the map lookup, so
-		// the common revisit of a known signature does not allocate; the
-		// string is materialized only for a first-seen signature.
-		g, ok := p.groups[string(sig)]
-		if !ok {
-			key := string(sig)
-			g = &group{chunks: append([]int(nil), cur...)}
-			p.groups[key] = g
-			p.order = append(p.order, key)
-		}
-		g.iters.Append(idx, idx+1)
-		return true
-	})
-	if canceled {
-		return nil, ctx.Err()
+		p.refs = append(p.refs, cref{lo: lo, hi: len(p.exprs), elem: a.ElemSize, base: int32(data.ChunkBase(ref.Array))})
 	}
-	return p, nil
 }
 
-// mergePartials fuses shard results in shard order. Shards cover ascending
-// disjoint index ranges, so per-signature run lists concatenate in
-// ascending order and every Append stays O(1).
-func mergePartials(r int, parts []*partial) []*IterationChunk {
-	groups := make(map[string]*group)
-	var order []string
-	for _, p := range parts {
-		for _, key := range p.order {
-			pg := p.groups[key]
-			g, ok := groups[key]
-			if !ok {
-				g = &group{chunks: pg.chunks}
-				groups[key] = g
-				order = append(order, key)
+// tag appends to s the segments of the executing iterations whose box
+// indices lie in [lo, hi), one innermost-loop row at a time.
+func (p *program) tag(ctx context.Context, lo, hi int64, s *scratch) error {
+	if lo >= hi {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	in := p.nest.Depth() - 1
+	first := p.nest.Lower[in]
+	width := p.nest.Upper[in] - first + 1
+	s.it = resize(s.it, in+1)
+	s.rowv = resize(s.rowv, len(p.exprs))
+	since := 0 // rows and segments since the last check of ctx
+	for rowStart := lo - lo%width; rowStart < hi; rowStart += width {
+		since++
+		p.nest.IndexToIter(rowStart, s.it)
+		jlo, jhi := p.clip(s.it, first+max(lo-rowStart, 0), first+min(hi-rowStart, width)-1)
+		if jlo > jhi {
+			continue
+		}
+		for e := range p.exprs {
+			x := &p.exprs[e]
+			v := x.off
+			for k, c := range x.outer {
+				v += c * s.it[k]
 			}
-			pg.iters.ForEachRun(func(run itset.Run) {
-				g.iters.Append(run.Start, run.End)
-			})
+			s.rowv[e] = v
+		}
+		for j := jlo; j <= jhi; {
+			if since++; since >= ctxCheckInterval {
+				since = 0
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			mark := len(s.ids)
+			n := p.segment(j, jhi-j+1, s)
+			start := rowStart + j - first
+			s.emit(start, start+n, mark)
+			j += n
+		}
+	}
+	return nil
+}
+
+// clip narrows the innermost-loop values [jlo, jhi] of the row at it to
+// those every guard allows. With the outer iterators fixed, a guard
+// c·j + rest >= 0 allows one interval of j, so their intersection is one
+// interval too.
+func (p *program) clip(it []int64, jlo, jhi int64) (int64, int64) {
+	in := len(it) - 1
+	for _, g := range p.nest.Guards {
+		var c int64
+		rest := g.Const
+		for k, co := range g.Coeffs {
+			if k == in {
+				c = co
+			} else {
+				rest += co * it[k]
+			}
+		}
+		switch {
+		case c > 0:
+			jlo = max(jlo, -floorDiv(rest, c))
+		case c < 0:
+			jhi = min(jhi, floorDiv(rest, -c))
+		case rest < 0:
+			return jlo, jlo - 1
+		}
+	}
+	return jlo, jhi
+}
+
+// floorDiv returns ⌊a/b⌋ for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
+// segment appends to s.ids, ascending and without duplicates, the data
+// chunks that iteration j of the current row touches, and returns for how
+// many iterations from j on — at least 1, at most n — every reference stays
+// in its chunk. Within that run each subscript is affine in j: it neither
+// wraps, nor is looked up in a table, nor crosses a clamp point, so each
+// reference's byte offset moves by a fixed step and the run ends no later
+// than the offset's next chunk boundary.
+func (p *program) segment(j, n int64, s *scratch) int64 {
+	mark := len(s.ids)
+	for _, r := range p.refs {
+		var lin, slope int64
+		for e := r.lo; e < r.hi; e++ {
+			x := &p.exprs[e]
+			v, sl := s.rowv[e]+x.inner*j, x.inner
+			if x.mod > 0 {
+				if v %= x.mod; v < 0 {
+					v += x.mod
+				}
+				if sl > 0 {
+					n = min(n, (x.mod-1-v)/sl+1)
+				} else if sl < 0 {
+					n = min(n, v/-sl+1)
+				}
+			}
+			if len(x.table) > 0 {
+				t := int64(len(x.table))
+				if v %= t; v < 0 {
+					v += t
+				}
+				v = x.table[v]
+				if sl != 0 {
+					n = 1
+				}
+				sl = 0
+			}
+			switch {
+			case v < 0:
+				if sl > 0 {
+					n = min(n, (sl-1-v)/sl)
+				}
+				v, sl = 0, 0
+			case v >= x.dim:
+				if sl < 0 {
+					n = min(n, (v-x.dim)/-sl+1)
+				}
+				v, sl = x.dim-1, 0
+			case sl > 0:
+				n = min(n, (x.dim-1-v)/sl+1)
+			case sl < 0:
+				n = min(n, v/-sl+1)
+			}
+			lin = lin*x.dim + v
+			slope = slope*x.dim + sl
+		}
+		off, step := lin*r.elem, slope*r.elem
+		c := off / p.chunkBytes
+		if step > 0 {
+			n = min(n, ((c+1)*p.chunkBytes-1-off)/step+1)
+		} else if step < 0 {
+			n = min(n, (off-c*p.chunkBytes)/-step+1)
+		}
+		s.ids = insertID(s.ids, mark, r.base+int32(c))
+	}
+	return n
+}
+
+// insertID adds id to the ascending, duplicate-free tail ids[mark:].
+func insertID(ids []int32, mark int, id int32) []int32 {
+	i := len(ids)
+	for i > mark && ids[i-1] > id {
+		i--
+	}
+	if i > mark && ids[i-1] == id {
+		return ids
+	}
+	ids = append(ids, 0)
+	copy(ids[i+1:], ids[i:])
+	ids[i] = id
+	return ids
+}
+
+// seg is one segment of a shard's stream: box indices [start, end) whose
+// iterations all touch exactly the data chunks ids[lo:hi] of the shard.
+type seg struct {
+	start, end int64
+	lo, hi     int32
+}
+
+// emit closes the segment [start, end) whose chunk list is s.ids[mark:]. It
+// extends the previous segment instead when that one ends at start with the
+// same list, as a short run cut at a breakpoint that moved no chunk does.
+func (s *scratch) emit(start, end int64, mark int) {
+	if n := len(s.segs); n > 0 {
+		last := &s.segs[n-1]
+		if last.end == start && slices.Equal(s.ids[last.lo:last.hi], s.ids[mark:]) {
+			last.end = end
+			s.ids = s.ids[:mark]
+			return
+		}
+	}
+	s.segs = append(s.segs, seg{start: start, end: end, lo: int32(mark), hi: int32(len(s.ids))})
+}
+
+// groupRec is one distinct chunk list while segments are grouped: the list
+// gbits[lo:hi], its window runs[at:at+n] of the run slab, and the end of
+// its last run so far.
+type groupRec struct {
+	lo, hi int
+	at, n  int
+	end    int64
+}
+
+// groupSegments turns the shards' segment streams, read in box-index
+// order, into iteration chunks: one per distinct chunk list, found by open
+// addressing over the lists, with a list's adjacent segments coalesced
+// into one run. Chunks come out in first-appearance order, which is
+// ascending first iteration. A first pass finds each segment's group and
+// counts its runs, a second lays every group's runs into its window of one
+// slab.
+//
+// The run slab, the tag slab and the chunk structs are one-shot, never
+// pooled: they escape into the returned chunks, which outlive this call
+// arbitrarily (plan caches keep decoded chunk lists for their stale tier),
+// so recycling the backing would corrupt cached plans.
+func groupSegments(r int, shards []*scratch) []*IterationChunk {
+	m := shards[0]
+	nseg := 0
+	for _, s := range shards {
+		nseg += len(s.segs)
+	}
+	logSize := bits.Len(uint(2 * nseg)) // a table at most half full
+	mask := uint64(1)<<logSize - 1
+	m.table = resize(m.table, 1<<logSize)
+	clear(m.table)
+	m.groups, m.gbits, m.segGroup = m.groups[:0], m.gbits[:0], m.segGroup[:0]
+	for _, s := range shards {
+		for _, sg := range s.segs {
+			list := s.ids[sg.lo:sg.hi]
+			var h uint64
+			for _, id := range list {
+				h = (h ^ uint64(id)) * 0x9e3779b97f4a7c15
+			}
+			slot := h >> (64 - logSize) & mask
+			g := m.table[slot] - 1
+			for ; g >= 0; g = m.table[slot] - 1 {
+				if gr := &m.groups[g]; slices.Equal(m.gbits[gr.lo:gr.hi], list) {
+					if gr.end != sg.start {
+						gr.n++
+					}
+					gr.end = sg.end
+					break
+				}
+				slot = (slot + 1) & mask
+			}
+			if g < 0 {
+				g = int32(len(m.groups))
+				m.table[slot] = g + 1
+				m.groups = append(m.groups, groupRec{lo: len(m.gbits), hi: len(m.gbits) + len(list), n: 1, end: sg.end})
+				m.gbits = append(m.gbits, list...)
+			}
+			m.segGroup = append(m.segGroup, g)
 		}
 	}
 
-	// Each tag is its group's sorted chunk list, copied into one slab of
-	// set bits instead of one allocation per group. The slab is one-shot,
-	// never pooled: the tags escape into the returned chunks, which outlive
-	// this call arbitrarily (plan caches keep decoded chunk lists for their
-	// stale tier), so recycling the backing would corrupt cached plans. The
-	// chunk structs come from one slab likewise.
 	total := 0
-	for _, key := range order {
-		total += len(groups[key].chunks)
+	for i := range m.groups {
+		gr := &m.groups[i]
+		gr.at, total, gr.n = total, total+gr.n, 0
 	}
-	out := make([]*IterationChunk, 0, len(order))
-	chunkSlab := make([]IterationChunk, len(order))
-	bitSlab := make([]int32, 0, total)
-	for gi, key := range order {
-		g := groups[key]
-		off := len(bitSlab)
-		for _, c := range g.chunks {
-			bitSlab = append(bitSlab, int32(c))
+	runs := make([]itset.Run, total)
+	k := 0
+	for _, s := range shards {
+		for _, sg := range s.segs {
+			gr := &m.groups[m.segGroup[k]]
+			k++
+			if last := gr.at + gr.n - 1; gr.n > 0 && runs[last].End == sg.start {
+				runs[last].End = sg.end
+				continue
+			}
+			runs[gr.at+gr.n] = itset.Run{Start: sg.start, End: sg.end}
+			gr.n++
 		}
-		tag := bitvec.NewSparse(r, bitSlab[off:len(bitSlab):len(bitSlab)])
-		chunkSlab[gi] = IterationChunk{Tag: tag, Iters: g.iters}
-		out = append(out, &chunkSlab[gi])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Iters.Min() < out[j].Iters.Min() })
+	tagBits := slices.Clone(m.gbits)
+	chunks := make([]IterationChunk, len(m.groups))
+	out := make([]*IterationChunk, len(m.groups))
+	for i, gr := range m.groups {
+		end := gr.at + gr.n
+		chunks[i] = IterationChunk{
+			Tag:   bitvec.NewSparse(r, tagBits[gr.lo:gr.hi:gr.hi]),
+			Iters: itset.FromSortedRuns(runs[gr.at:end:end]),
+		}
+		out[i] = &chunks[i]
+	}
 	return out
+}
+
+// scratch is one shard's recycled working state: its segment stream, its
+// chunk-id lists and its row buffers. The first shard's scratch also holds
+// the compiled program and the grouping tables. None of it escapes a call,
+// so a sync.Pool makes repeat taggings of one shape allocate only their
+// results.
+type scratch struct {
+	segs []seg
+	ids  []int32
+	it   []int64 // the current row's iteration vector
+	rowv []int64 // each subscript's value at j = 0 in the current row
+
+	prog program
+
+	table    []int32 // open addressing: group index + 1, 0 if free
+	groups   []groupRec
+	gbits    []int32
+	segGroup []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release empties s, dropping its references into the caller's program,
+// and returns it to the pool.
+func (s *scratch) release() {
+	s.segs, s.ids = s.segs[:0], s.ids[:0]
+	clear(s.prog.exprs)
+	s.prog = program{refs: s.prog.refs[:0], exprs: s.prog.exprs[:0]}
+	scratchPool.Put(s)
+}
+
+// resize returns b with length n, reallocated only if it is too small.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // TotalIterations sums the iteration counts of a chunk list.

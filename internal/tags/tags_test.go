@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/chunking"
@@ -284,6 +286,62 @@ func TestComputeCtxCanceled(t *testing.T) {
 	}
 }
 
+// heldPanicCtx is a context whose Err panics: the first call at once, the
+// second only after holding on until the test has recovered or a while has
+// passed. It records whether the test recovered while the second call was
+// still held.
+type heldPanicCtx struct {
+	context.Context
+	value     any
+	calls     atomic.Int32
+	recovered chan struct{} // closed by the test once it has recovered
+	left      chan struct{} // closed when the held call panics
+	early     bool          // the test recovered while the call was held
+}
+
+func (c *heldPanicCtx) Err() error {
+	if c.calls.Add(1) == 2 {
+		defer close(c.left)
+		select {
+		case <-c.recovered:
+			c.early = true
+		case <-time.After(250 * time.Millisecond):
+		}
+	}
+	panic(c.value)
+}
+
+// TestComputeCtxShardPanic panics inside both shards of a two-worker
+// tagging, one shard only after a hold: the panic must reach the caller's
+// recover with its original value, instead of killing the process from a
+// shard goroutine, and only once every shard has returned.
+func TestComputeCtxShardPanic(t *testing.T) {
+	type boom struct{ msg string }
+	ctx := &heldPanicCtx{
+		Context:   context.Background(),
+		value:     &boom{"tag shard"},
+		recovered: make(chan struct{}),
+		left:      make(chan struct{}),
+	}
+	nest := polyhedral.NewNest("big", []int64{0, 0}, []int64{63, 255})
+	data := chunking.NewDataSpace(64, chunking.Array{Name: "A", Dims: []int64{64, 256}, ElemSize: 8})
+	refs := []polyhedral.Ref{polyhedral.SimpleRef(0, 2, []int{0, 1}, []int64{0, 0}, polyhedral.Read)}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, err := ComputeCtx(ctx, nest, refs, data, 2)
+		t.Errorf("ComputeCtx returned (err %v) instead of panicking", err)
+	}()
+	close(ctx.recovered)
+	<-ctx.left
+	if got != ctx.value {
+		t.Fatalf("recovered %v, want the shard's panic value %v", got, ctx.value)
+	}
+	if ctx.early {
+		t.Fatal("the panic was re-raised while a shard goroutine was still running")
+	}
+}
+
 func TestGraphPostingsAndDensity(t *testing.T) {
 	chunks := []*IterationChunk{
 		{Tag: bitvec.NewSparse(4, []int32{0, 2}), Iters: itset.Interval(0, 2)},
@@ -350,7 +408,8 @@ func checkTagBits(t *testing.T, nest *polyhedral.Nest, refs []polyhedral.Ref, da
 		c.Iters.ForEach(func(idx int64) bool { owner[idx] = c; return true })
 	}
 	subs := make([]int64, 8)
-	nest.ForEachRange(0, nest.BoxSize(), func(idx int64, it []int64) bool {
+	nest.ForEach(func(it []int64) bool {
+		idx := nest.IterToIndex(it)
 		c := owner[idx]
 		if c == nil {
 			t.Fatalf("iteration %d is in no chunk", idx)
