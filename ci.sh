@@ -10,8 +10,9 @@
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
 # ring. Run by .github/workflows/ci.yml and locally as ./ci.sh (or
 # `make ci`); the workflow's race-stress job also reruns the
-# concurrency-heavy packages twice under -race, internal/core among them
-# for the subtree fan-out and the sharded similarity pass.
+# concurrency-heavy packages twice under -race: internal/core for the
+# subtree fan-out and the sharded similarity pass, internal/tags for the
+# tag shards, and internal/join, the fan-out every one of them runs on.
 set -eu
 
 echo "==> gofmt"

@@ -1,19 +1,16 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/join"
 	"repro/internal/server"
 	"repro/internal/workloads"
 )
@@ -60,18 +57,13 @@ func runChaos(o chaosOpts) int {
 	}
 	hot := buildMix(o.specs)
 
-	type result struct {
-		class string
-		d     time.Duration
-		note  string
-	}
 	var (
 		mu      sync.Mutex
 		counts  = make(map[string]int64, chaosOutcomesLen)
 		lats    []time.Duration // completed requests only (non-lottery)
 		badNote []string
 	)
-	record := func(r result) {
+	record := func(r chaosResult) {
 		mu.Lock()
 		counts[r.class]++
 		if r.class == outOK || r.class == outStale || r.class == outFallback {
@@ -84,24 +76,18 @@ func runChaos(o chaosOpts) int {
 	}
 
 	start := time.Now()
-	sem := make(chan struct{}, o.c)
-	var wg sync.WaitGroup
-	for i := 0; i < o.n; i++ {
-		// Burst boundary: let the wave drain, then pause so the next wave
-		// arrives as a front, not a trickle.
-		if i > 0 && i%o.burst == 0 {
-			wg.Wait()
+	for lo := 0; lo < o.n; lo += o.burst {
+		// Burst boundary: the last wave has drained; pause so the next
+		// wave arrives as a front, not a trickle.
+		if lo > 0 {
 			time.Sleep(25 * time.Millisecond)
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			record(chaosRequest(o, hot, i))
-		}(i)
+		// fn never fails: each request records its own outcome.
+		_ = join.Each(o.c, min(o.burst, o.n-lo), func(_, k int) error {
+			record(chaosRequest(o, hot, lo+k))
+			return nil
+		})
 	}
-	wg.Wait()
 	elapsed := time.Since(start)
 
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
@@ -141,16 +127,20 @@ func runChaos(o chaosOpts) int {
 	return exit
 }
 
+// chaosResult is one chaos request's outcome class, its latency, and a
+// note for an unexpected outcome.
+type chaosResult struct {
+	class string
+	d     time.Duration
+	note  string
+}
+
 // chaosRequest issues the i-th request of the run: ~70% hot-set (plan
 // cache + stale tier exercise), ~30% cold never-seen specs (forces real
 // clustering under load), and every 8th request plays the deadline
 // lottery with a client-side timeout short enough that some must die
 // mid-flight.
-func chaosRequest(o chaosOpts, hot []server.MapRequest, i int) (res struct {
-	class string
-	d     time.Duration
-	note  string
-}) {
+func chaosRequest(o chaosOpts, hot []server.MapRequest, i int) (res chaosResult) {
 	req := hot[i%len(hot)]
 	if i%10 >= 7 { // cold: a spec no other request shares
 		req = server.MapRequest{
@@ -174,7 +164,7 @@ func chaosRequest(o chaosOpts, hot []server.MapRequest, i int) (res struct {
 	}
 
 	t0 := time.Now()
-	status, headers, body, err := chaosPost(ctx, o.client, o.base+"/v1/map", req)
+	rep, err := post(ctx, o.client, o.base+"/v1/map", req)
 	res.d = time.Since(t0)
 	if err != nil {
 		if lottery && (errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil) {
@@ -185,66 +175,6 @@ func chaosRequest(o chaosOpts, hot []server.MapRequest, i int) (res struct {
 		res.note = fmt.Sprintf("req %d: transport error: %v", i, err)
 		return res
 	}
-	switch status {
-	case http.StatusOK:
-		var envelope struct {
-			Degraded string `json:"degraded"`
-		}
-		if jerr := json.Unmarshal(body, &envelope); jerr != nil {
-			res.class = outUnexpected
-			res.note = fmt.Sprintf("req %d: bad 200 body: %v", i, jerr)
-			return res
-		}
-		switch envelope.Degraded {
-		case "":
-			res.class = outOK
-		case server.DegradedStale:
-			res.class = outStale
-		case server.DegradedFallback:
-			res.class = outFallback
-		default:
-			res.class = outUnexpected
-			res.note = fmt.Sprintf("req %d: unknown degraded mode %q", i, envelope.Degraded)
-		}
-	case http.StatusTooManyRequests:
-		if headers.Get("Retry-After") == "" {
-			res.class = outUnexpected
-			res.note = fmt.Sprintf("req %d: 429 without Retry-After", i)
-			return res
-		}
-		res.class = outShed
-	case http.StatusServiceUnavailable:
-		res.class = outUnavailable
-	case http.StatusGatewayTimeout:
-		res.class = outDeadline
-	default:
-		res.class = outUnexpected
-		res.note = fmt.Sprintf("req %d: status %d: %s", i, status, truncate(body, 160))
-	}
+	res.class, _, res.note = classify(i, rep)
 	return res
-}
-
-// chaosPost is post() minus the success-only contract: it returns the raw
-// status, headers and body so the caller can classify overload statuses.
-func chaosPost(ctx context.Context, client *http.Client, url string, body any) (int, http.Header, []byte, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", obs.NewTraceContext().TraceParent())
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	out, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return resp.StatusCode, resp.Header, nil, err
-	}
-	return resp.StatusCode, resp.Header, out, nil
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/join"
 	"repro/internal/server"
 	"repro/internal/workloads"
 )
@@ -76,7 +78,6 @@ func runDrift(o driftOpts) int {
 	}
 
 	var (
-		next                   atomic.Int64
 		full, incr, hits       atomic.Int64
 		degraded, errs, reused atomic.Int64
 		mu                     sync.Mutex
@@ -84,46 +85,41 @@ func runDrift(o driftOpts) int {
 		firstErrs              []string
 	)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < o.c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.n {
-					return
-				}
-				t0 := time.Now()
-				env, _, err := post(o.client, o.base+"/v1/map", reqs[i])
-				d := time.Since(t0)
-				mu.Lock()
-				latencies = append(latencies, d)
-				mu.Unlock()
-				if err != nil {
-					errs.Add(1)
-					mu.Lock()
-					if len(firstErrs) < 5 {
-						firstErrs = append(firstErrs, err.Error())
-					}
-					mu.Unlock()
-					continue
-				}
-				switch {
-				case env.Degraded != "":
-					degraded.Add(1)
-				case env.Cached:
-					hits.Add(1)
-				case env.Replanned == server.ReplanIncremental:
-					incr.Add(1)
-				default:
-					full.Add(1)
-				}
-				reused.Add(int64(len(env.ReusedStages)))
+	url := o.base + "/v1/map"
+	// fn never fails: each request records its own outcome.
+	_ = join.Each(o.c, o.n, func(_, i int) error {
+		t0 := time.Now()
+		rep, err := post(context.Background(), o.client, url, reqs[i])
+		d := time.Since(t0)
+		mu.Lock()
+		latencies = append(latencies, d)
+		mu.Unlock()
+		var env planEnvelope
+		if err == nil {
+			env, err = rep.plan(url)
+		}
+		if err != nil {
+			errs.Add(1)
+			mu.Lock()
+			if len(firstErrs) < 5 {
+				firstErrs = append(firstErrs, err.Error())
 			}
-		}()
-	}
-	wg.Wait()
+			mu.Unlock()
+			return nil
+		}
+		switch {
+		case env.Degraded != "":
+			degraded.Add(1)
+		case env.Cached:
+			hits.Add(1)
+		case env.Replanned == server.ReplanIncremental:
+			incr.Add(1)
+		default:
+			full.Add(1)
+		}
+		reused.Add(int64(len(env.ReusedStages)))
+		return nil
+	})
 	elapsed := time.Since(start)
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })

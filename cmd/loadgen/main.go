@@ -30,6 +30,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/workloads"
@@ -138,7 +140,6 @@ func main() {
 
 	reqs := buildMix(*specs)
 	var (
-		next      atomic.Int64
 		errCount  atomic.Int64
 		hitCount  atomic.Int64
 		mu        sync.Mutex
@@ -152,46 +153,40 @@ func main() {
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < *c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *n {
-					return
-				}
-				req := reqs[i%len(reqs)]
-				path := "/v1/map"
-				var body any = req
-				if simEvery > 0 && i%simEvery == 0 {
-					path = "/v1/simulate"
-					body = server.SimRequest{MapRequest: req}
-				}
-				t0 := time.Now()
-				env, traceID, err := post(client, *base+path, body)
-				d := time.Since(t0)
-				mu.Lock()
-				latencies = append(latencies, d)
-				slowest = recordSlowest(slowest, tracedLatency{d: d, traceID: traceID, path: path})
-				mu.Unlock()
-				if err != nil {
-					errCount.Add(1)
-					mu.Lock()
-					if len(firstErrs) < 5 {
-						firstErrs = append(firstErrs, err.Error())
-					}
-					mu.Unlock()
-					continue
-				}
-				if env.Cached {
-					hitCount.Add(1)
-				}
+	// fn never fails: each request records its own outcome.
+	_ = join.Each(*c, *n, func(_, i int) error {
+		req := reqs[i%len(reqs)]
+		path := "/v1/map"
+		var body any = req
+		if simEvery > 0 && i%simEvery == 0 {
+			path = "/v1/simulate"
+			body = server.SimRequest{MapRequest: req}
+		}
+		t0 := time.Now()
+		rep, err := post(context.Background(), client, *base+path, body)
+		d := time.Since(t0)
+		mu.Lock()
+		latencies = append(latencies, d)
+		slowest = recordSlowest(slowest, tracedLatency{d: d, traceID: rep.traceID, path: path})
+		mu.Unlock()
+		var env planEnvelope
+		if err == nil {
+			env, err = rep.plan(*base + path)
+		}
+		if err != nil {
+			errCount.Add(1)
+			mu.Lock()
+			if len(firstErrs) < 5 {
+				firstErrs = append(firstErrs, err.Error())
 			}
-		}()
-	}
-	wg.Wait()
+			mu.Unlock()
+			return nil
+		}
+		if env.Cached {
+			hitCount.Add(1)
+		}
+		return nil
+	})
 	elapsed := time.Since(start)
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
@@ -264,41 +259,91 @@ func recordSlowest(top []tracedLatency, tl tracedLatency) []tracedLatency {
 // cares about.
 type planEnvelope struct {
 	Cached       bool     `json:"cached"`
+	FilledFrom   string   `json:"filled_from"`
 	Replanned    string   `json:"replanned"`
 	ReusedStages []string `json:"reused_stages"`
 	Degraded     string   `json:"degraded"`
 }
 
-// post sends one JSON request under a fresh trace context and reports the
-// response's provenance envelope plus the trace ID the daemon echoed.
-func post(client *http.Client, url string, body any) (env planEnvelope, traceID string, err error) {
+// reply is one answer of the daemon: its status, headers and body, and the
+// trace ID it echoed.
+type reply struct {
+	status  int
+	header  http.Header
+	body    []byte
+	traceID string
+}
+
+// post sends one JSON request under ctx and a fresh trace context and
+// reads the whole answer. Its error is a transport or encoding error; the
+// caller judges the status.
+func post(ctx context.Context, client *http.Client, url string, body any) (reply, error) {
 	b, err := json.Marshal(body)
 	if err != nil {
-		return env, "", err
+		return reply{}, err
 	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
 	if err != nil {
-		return env, "", err
+		return reply{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("traceparent", obs.NewTraceContext().TraceParent())
 	resp, err := client.Do(req)
 	if err != nil {
-		return env, "", err
+		return reply{}, err
 	}
 	out, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	traceID = resp.Header.Get("X-Trace-Id")
+	r := reply{status: resp.StatusCode, header: resp.Header, traceID: resp.Header.Get("X-Trace-Id")}
 	if err != nil {
-		return env, traceID, err
+		return r, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return env, traceID, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, truncate(out, 200))
+	r.body = out
+	return r, nil
+}
+
+// plan decodes a 200 answer's provenance envelope; any other status is an
+// error naming url.
+func (r reply) plan(url string) (env planEnvelope, err error) {
+	if r.status != http.StatusOK {
+		return env, fmt.Errorf("%s: status %d: %s", url, r.status, truncate(r.body, 200))
 	}
-	if err := json.Unmarshal(out, &env); err != nil {
-		return env, traceID, fmt.Errorf("%s: bad response: %v", url, err)
+	if err := json.Unmarshal(r.body, &env); err != nil {
+		return env, fmt.Errorf("%s: bad response: %v", url, err)
 	}
-	return env, traceID, nil
+	return env, nil
+}
+
+// classify sorts an answer by the overload contract of chaos and ring
+// mode: a 200 by its degraded mode, a 429 only with a Retry-After header,
+// 503 and 504. Anything else is outUnexpected, with a note naming request
+// i. The caller names a transport error, which never reaches here.
+func classify(i int, r reply) (class string, env planEnvelope, note string) {
+	switch r.status {
+	case http.StatusOK:
+		if err := json.Unmarshal(r.body, &env); err != nil {
+			return outUnexpected, planEnvelope{}, fmt.Sprintf("req %d: bad 200 body: %v", i, err)
+		}
+		switch env.Degraded {
+		case "":
+			return outOK, env, ""
+		case server.DegradedStale:
+			return outStale, env, ""
+		case server.DegradedFallback:
+			return outFallback, env, ""
+		}
+		return outUnexpected, env, fmt.Sprintf("req %d: unknown degraded mode %q", i, env.Degraded)
+	case http.StatusTooManyRequests:
+		if r.header.Get("Retry-After") == "" {
+			return outUnexpected, env, fmt.Sprintf("req %d: 429 without Retry-After", i)
+		}
+		return outShed, env, ""
+	case http.StatusServiceUnavailable:
+		return outUnavailable, env, ""
+	case http.StatusGatewayTimeout:
+		return outDeadline, env, ""
+	}
+	return outUnexpected, env, fmt.Sprintf("req %d: status %d: %s", i, r.status, truncate(r.body, 160))
 }
 
 func truncate(b []byte, n int) string {

@@ -2,16 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/join"
 	"repro/internal/server"
 )
 
@@ -61,41 +60,30 @@ func runRing(o ringOpts) int {
 
 	var (
 		mu      sync.Mutex
-		next    atomic.Int64
 		badNote []string
 	)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < o.c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.n {
-					return
-				}
-				node := i % len(o.nodes)
-				class, filled, cached, note := ringRequest(o, hot, node, i)
-				mu.Lock()
-				tallies[node].counts[class]++
-				if filled {
-					tallies[node].filled++
-				}
-				if cached {
-					tallies[node].cached++
-				}
-				if class == outUnexpected && len(badNote) < 5 {
-					badNote = append(badNote, note)
-				}
-				mu.Unlock()
-				if o.pace > 0 {
-					time.Sleep(o.pace)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// fn never fails: each request records its own outcome.
+	_ = join.Each(o.c, o.n, func(_, i int) error {
+		node := i % len(o.nodes)
+		class, filled, cached, note := ringRequest(o, hot, node, i)
+		mu.Lock()
+		tallies[node].counts[class]++
+		if filled {
+			tallies[node].filled++
+		}
+		if cached {
+			tallies[node].cached++
+		}
+		if class == outUnexpected && len(badNote) < 5 {
+			badNote = append(badNote, note)
+		}
+		mu.Unlock()
+		if o.pace > 0 {
+			time.Sleep(o.pace)
+		}
+		return nil
+	})
 	elapsed := time.Since(start)
 
 	var completed, unexpected, unreachable int64
@@ -138,44 +126,12 @@ func runRing(o ringOpts) int {
 // ringRequest issues request i to the given ring member and classifies
 // the outcome.
 func ringRequest(o ringOpts, hot []server.MapRequest, node, i int) (class string, filled, cached bool, note string) {
-	req := hot[i%len(hot)]
-	status, headers, body, err := chaosPost(context.Background(), o.client,
-		"http://"+o.nodes[node]+"/v1/map", req)
+	rep, err := post(context.Background(), o.client, "http://"+o.nodes[node]+"/v1/map", hot[i%len(hot)])
 	if err != nil {
 		// The node may have been killed mid-run: that is the scenario ring
 		// mode exists to survive, not an error in itself.
 		return outUnreachable, false, false, ""
 	}
-	switch status {
-	case http.StatusOK:
-		var envelope struct {
-			Cached     bool   `json:"cached"`
-			FilledFrom string `json:"filled_from"`
-			Degraded   string `json:"degraded"`
-		}
-		if jerr := json.Unmarshal(body, &envelope); jerr != nil {
-			return outUnexpected, false, false, fmt.Sprintf("req %d: bad 200 body: %v", i, jerr)
-		}
-		filled = envelope.FilledFrom != ""
-		cached = envelope.Cached
-		switch envelope.Degraded {
-		case "":
-			return outOK, filled, cached, ""
-		case server.DegradedStale:
-			return outStale, filled, cached, ""
-		case server.DegradedFallback:
-			return outFallback, filled, cached, ""
-		}
-		return outUnexpected, filled, cached, fmt.Sprintf("req %d: unknown degraded mode %q", i, envelope.Degraded)
-	case http.StatusTooManyRequests:
-		if headers.Get("Retry-After") == "" {
-			return outUnexpected, false, false, fmt.Sprintf("req %d: 429 without Retry-After", i)
-		}
-		return outShed, false, false, ""
-	case http.StatusServiceUnavailable:
-		return outUnavailable, false, false, ""
-	case http.StatusGatewayTimeout:
-		return outDeadline, false, false, ""
-	}
-	return outUnexpected, false, false, fmt.Sprintf("req %d: status %d: %s", i, status, truncate(body, 160))
+	class, env, note := classify(i, rep)
+	return class, env.FilledFrom != "", env.Cached, note
 }

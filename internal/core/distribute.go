@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitvec"
@@ -422,65 +421,38 @@ func (d *distributor) assign(node *hierarchy.Node, members []*tags.IterationChun
 const fanOutMembers = 1024
 
 // fanOut runs the subtrees below children, child i taking clusters[i]'s
-// members, on min(Workers, len(children)) workers that take child indices
-// in order. The subtrees are independent clustering problems — disjoint
-// chunks and disjoint clients — and share nothing mutable: each split
-// copies its members into fresh slabs, leaves write disjoint out slots,
-// and chunks and the tree are only read. So the plan does not depend on
-// the schedule. The caller is one worker and keeps its scratch; each other
-// worker takes its own from the pool and releases it before the join.
-// Every worker runs with Workers = 1, so nothing below fans out again.
-//
-// Errors are returned in child order, as the serial walk returns them. A
-// worker that fails or panics makes the others stop taking children. The
-// call returns only after every worker has exited, and re-raises the
-// first recovered panic on the caller, where the serial walk raises it.
+// members, on min(Workers, len(children)) workers of join.Each. The
+// subtrees are independent clustering problems — disjoint chunks and
+// disjoint clients — and share nothing mutable: each split copies its
+// members into fresh slabs, leaves write disjoint out slots, and chunks and
+// the tree are only read. So the plan does not depend on the schedule. The
+// caller is worker 0 and keeps its scratch; each other worker takes its own
+// from the pool and releases it after the join. Every worker runs with
+// Workers = 1, so nothing below fans out again. Errors and panics reach
+// the caller as join.Each gives them: the first failed child's error, or
+// the panic re-raised once every worker has exited.
 func (d *distributor) fanOut(children []*hierarchy.Node, clusters []*Cluster,
 	clientIdx map[*hierarchy.Node]int, out [][]*tags.IterationChunk) error {
 	lists := make([][]*tags.IterationChunk, len(children))
 	for i := range lists {
 		lists[i] = clusters[i].Members
 	}
-	errs := make([]error, len(children))
-	var (
-		next atomic.Int64
-		jp   join.Panic
-		wg   sync.WaitGroup
-	)
-	work := func(wd *distributor) {
-		defer jp.Catch()
-		for !jp.Stopped() {
-			i := int(next.Add(1) - 1)
-			if i >= len(children) {
-				return
-			}
-			if errs[i] = wd.assign(children[i], lists[i], clientIdx, out); errs[i] != nil {
-				jp.Stop()
-			}
+	wds := make([]distributor, min(d.opts.Workers, len(children)))
+	for w := range wds {
+		wds[w] = *d
+		wds[w].opts.Workers = 1
+		if w > 0 {
+			wds[w].scr = nil
 		}
 	}
-	inner := *d
-	inner.opts.Workers = 1
-	pooled := inner
-	pooled.scr = nil
-	for range min(d.opts.Workers, len(children)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wd := pooled
-			defer wd.release()
-			work(&wd)
-		}()
-	}
-	work(&inner)
-	wg.Wait()
-	jp.Rethrow()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	defer func() {
+		for w := 1; w < len(wds); w++ {
+			wds[w].release()
 		}
-	}
-	return nil
+	}()
+	return join.Each(len(wds), len(children), func(w, i int) error {
+		return wds[w].assign(children[i], lists[i], clientIdx, out)
+	})
 }
 
 // split partitions chunks into len(weights) clusters whose sizes are

@@ -113,42 +113,26 @@ func sparsePairs(ctx context.Context, rows [][]int32, r, workers int) ([]mergePa
 	return pairs, nil
 }
 
-// simFillParallel shards the pair-generation pass over workers goroutines,
-// one contiguous row range each. Shard outputs concatenate in row order. A
-// shard's panic is re-raised here once every shard has returned.
+// simFillParallel shards the pair-generation pass over workers join.Each
+// workers, one contiguous row range each. Shard outputs concatenate in row
+// order. A shard's panic is re-raised here once every shard has returned.
 func simFillParallel(ctx context.Context, rows [][]int32, flat []int32, later []bitvec.Span, workers int) ([]*simScratch, error) {
 	n := len(rows)
 	step := (n + workers - 1) / workers
-	// Size the shard slices to the non-empty row ranges up front: the
-	// workers index into them concurrently, so the headers must not be
-	// re-sliced once the first goroutine is running.
-	count := (n + step - 1) / step
+	count := (n + step - 1) / step // the non-empty row ranges
 	shards := make([]*simScratch, count)
-	errs := make([]error, count)
-	var (
-		jp join.Panic
-		wg sync.WaitGroup
-	)
-	for w := 0; w < count; w++ {
-		lo, hi := w*step, min((w+1)*step, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer jp.Catch()
-			shards[w], errs[w] = simFill(ctx, rows, flat, later, lo, hi)
-		}()
-	}
-	wg.Wait()
-	jp.Rethrow()
-	for _, err := range errs {
-		if err != nil {
-			for _, s := range shards {
-				if s != nil {
-					putSimScratch(s)
-				}
+	err := join.Each(count, count, func(_, i int) error {
+		var err error
+		shards[i], err = simFill(ctx, rows, flat, later, i*step, min((i+1)*step, n))
+		return err
+	})
+	if err != nil {
+		for _, s := range shards {
+			if s != nil {
+				putSimScratch(s)
 			}
-			return nil, err
 		}
+		return nil, err
 	}
 	return shards, nil
 }

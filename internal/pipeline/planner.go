@@ -70,9 +70,6 @@ type Config struct {
 	Options core.Options
 	// Scheduling weights (InterProcessorSched). Zero value = α=β=0.5.
 	Schedule core.ScheduleOptions
-	// TileCacheChunks sizes intra-processor tiles; 0 uses the client-node
-	// cache capacity from the tree.
-	TileCacheChunks int
 	// DepMode controls dependence handling for inter schemes.
 	DepMode DepMode
 	// Workers bounds the goroutines of the parallel stages (tag sharding,
@@ -94,9 +91,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Schedule.Alpha == 0 && c.Schedule.Beta == 0 {
 		c.Schedule = core.DefaultScheduleOptions()
-	}
-	if c.TileCacheChunks == 0 {
-		c.TileCacheChunks = c.Tree.Client(0).CacheChunks
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -216,13 +210,14 @@ func mapOriginal(r *Run, prog iosim.Program, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mapIntra applies locality transformations (permutation + tiling), then
-// splits the transformed order contiguously.
+// mapIntra applies locality transformations (permutation + tiling, the
+// tiles sized to the client cache), then splits the transformed order
+// contiguously.
 func mapIntra(r *Run, prog iosim.Program, cfg Config) (*Result, error) {
 	var order polyhedral.Order
 	if err := r.stage(StageChunks, func(context.Context) error {
 		deps := polyhedral.Analyze(prog.Nest, prog.Refs)
-		order = locality.Optimize(prog.Nest, prog.Refs, prog.Data, deps, cfg.TileCacheChunks)
+		order = locality.Optimize(prog.Nest, prog.Refs, prog.Data, deps, cfg.Tree.Client(0).CacheChunks)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -246,7 +241,7 @@ func MapIntraCandidates(ctx context.Context, prog iosim.Program, cfg Config, siz
 	var orders []polyhedral.Order
 	if err := r.stage(StageChunks, func(context.Context) error {
 		deps := polyhedral.Analyze(prog.Nest, prog.Refs)
-		orders = locality.CandidateOrders(prog.Nest, prog.Refs, prog.Data, deps, cfg.TileCacheChunks, sizes...)
+		orders = locality.CandidateOrders(prog.Nest, prog.Refs, prog.Data, deps, cfg.Tree.Client(0).CacheChunks, sizes...)
 		// Always include the untiled (permutation-only) order.
 		orders = append(orders, polyhedral.Order{Perm: append([]int(nil), orders[0].Perm...)})
 		return nil

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
+	"repro/internal/join"
 	"repro/internal/plancache"
 )
 
@@ -64,8 +64,11 @@ type BatchMapResponse struct {
 //
 // Within the held slot, each family's leader resolves first (cache hit,
 // peer fill or full compute — seeding the stale tier with its clustering),
-// then its siblings fan out on goroutines bounded by the worker count,
-// repairing the leader's clustering for their own topologies.
+// then its siblings fan out on up to Workers join.Each workers, the
+// request's goroutine among them, repairing the leader's clustering for
+// their own topologies. A sibling's panic is re-raised on the request's
+// goroutine once the family's workers have returned, where serve turns it
+// into a 500.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reqBatch.Inc()
 	s.serve(w, r, func(ctx context.Context, body []byte) (any, error) {
@@ -113,11 +116,6 @@ func (s *Server) runBatch(ctx context.Context, jobs []*job, start time.Time) (*B
 	}
 
 	results := make([]BatchResult, len(jobs))
-	fanout := s.cfg.Workers
-	if fanout < 1 {
-		fanout = 1
-	}
-	sem := make(chan struct{}, fanout)
 	for _, k := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -128,17 +126,13 @@ func (s *Server) runBatch(ctx context.Context, jobs []*job, start time.Time) (*B
 		// what the siblings repair from.
 		leader := idxs[0]
 		results[leader] = s.batchEntry(ctx, jobs[leader], s.cfg.Repair.Enabled)
-		var wg sync.WaitGroup
-		for _, i := range idxs[1:] {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				results[i] = s.batchEntry(ctx, jobs[i], true)
-			}(i)
-		}
-		wg.Wait()
+		// fn never fails: a spec's error lands in its result slot.
+		siblings := idxs[1:]
+		_ = join.Each(s.cfg.Workers, len(siblings), func(_, x int) error {
+			i := siblings[x]
+			results[i] = s.batchEntry(ctx, jobs[i], true)
+			return nil
+		})
 	}
 
 	resp := &BatchMapResponse{

@@ -58,7 +58,9 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,6 +266,7 @@ type Server struct {
 	repairHits     *metrics.Counter
 	repairMisses   *metrics.Counter
 	fillRejects    *metrics.Counter
+	panics         *metrics.CounterVec
 
 	// onJobStart, when non-nil, runs at the start of every admitted
 	// mapping job (test synchronization hook).
@@ -364,6 +367,8 @@ func NewServer(cfg Config) (*Server, error) {
 		"repair lookups the stale tier could not answer")
 	s.fillRejects = s.reg.Counter("cachemapd_fill_rejects_total",
 		"peer-fill answers rejected by the fill check (undecodable, wrong key, schema, client count or iteration coverage); each fell back to local compute")
+	s.panics = s.reg.CounterVec("cachemapd_panics_total",
+		"handler panics recovered and answered with 500, by site (the request's route)", "site")
 	s.cache.OnHit = s.cacheHits.Inc
 	s.cache.OnMiss = s.cacheMisses.Inc
 	s.cache.OnEvict = s.cacheEvictions.Inc
@@ -917,11 +922,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			if ev := eventFrom(ctx); ev != nil {
 				ev.Family = j.family
 				ev.CacheKey = mr.CacheKey
-				if mr.Cached {
-					ev.Mode = quality.ModeCached
-				} else {
-					ev.Mode = quality.ModeFull
-				}
+				ev.Mode = serveMode(mr)
 			}
 			return resp, nil
 		})
@@ -939,11 +940,21 @@ func (e *httpError) Unwrap() error { return e.err }
 
 func badRequest(err error) error { return &httpError{status: http.StatusBadRequest, err: err} }
 
+// errInternal is all a client sees of a handler panic; the panic value
+// goes to the wide event, the log and cachemapd_panics_total.
+var errInternal = errors.New("internal error")
+
 // serve is the shared request scaffold: accounting, the request root span
 // (ingesting `traceparent`, echoing `X-Trace-Id`), body limits, deadline,
 // dispatch, JSON encoding of the result or error, the wide event and the
 // access log. Tracing runs exactly when the event ring does: a trace is
 // only ever kept on its request's event.
+//
+// A panic in fn, including one a worker of the request re-raised on its
+// goroutine, is recovered before anything is written: the client gets a
+// 500 with errInternal, and the panic is counted, put on the event and
+// logged with its stack. http.ErrAbortHandler passes through to net/http,
+// which aborts the response as it documents.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context, body []byte) (any, error)) {
 	s.reqTotal.Inc()
 	s.inFlight.Inc()
@@ -967,7 +978,17 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	rctx = withEvent(rctx, ev)
 
 	status := http.StatusOK
-	v, err := func() (any, error) {
+	var panicked any
+	var stack []byte
+	v, err := func() (_ any, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				if p == http.ErrAbortHandler {
+					panic(p)
+				}
+				panicked, stack, err = p, debug.Stack(), errInternal
+			}
+		}()
 		body, err := readBody(w, r)
 		if err != nil {
 			return nil, badRequest(err)
@@ -1010,6 +1031,14 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	if err != nil {
 		ev.Error = err.Error()
 	}
+	if panicked != nil {
+		ev.Error = fmt.Sprintf("panic: %v", panicked)
+		s.panics.Inc(panicSite(r))
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Error("handler panic", "path", r.URL.Path, "trace_id", ev.TraceID,
+				"panic", fmt.Sprint(panicked), "stack", string(stack))
+		}
+	}
 	if span != nil {
 		span.SetAttr("http.status", strconv.Itoa(status))
 		if err != nil {
@@ -1025,6 +1054,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 		s.events.markSampled(ev.TraceID)
 	}
 	s.logRequest(r, status, d, ev)
+}
+
+// panicSite names a request's route for cachemapd_panics_total: its path,
+// with a fill request's plan key folded to {key} so the label stays
+// bounded.
+func panicSite(r *http.Request) string {
+	if k := r.PathValue("key"); k != "" {
+		return strings.TrimSuffix(r.URL.Path, k) + "{key}"
+	}
+	return r.URL.Path
 }
 
 // logRequest emits the structured access log line and, above the

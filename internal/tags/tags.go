@@ -94,8 +94,8 @@ func ComputeCtx(ctx context.Context, nest *polyhedral.Nest, refs []polyhedral.Re
 	return compute(ctx, nest, refs, data, int(max(shards, 1)))
 }
 
-// compute tags the box indices in shards contiguous shards, the first on
-// the caller and each other on its own goroutine, and groups the segments.
+// compute tags the box indices in shards contiguous shards on as many
+// join.Each workers, and groups the segments.
 func compute(ctx context.Context, nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSpace, shards int) ([]*IterationChunk, error) {
 	scr := make([]*scratch, shards)
 	for i := range scr {
@@ -110,29 +110,10 @@ func compute(ctx context.Context, nest *polyhedral.Nest, refs []polyhedral.Ref, 
 	p.compile(nest, refs, data)
 	box := nest.BoxSize()
 	step := (box + int64(shards) - 1) / int64(shards)
-	errs := make([]error, shards)
-	var (
-		jp join.Panic
-		wg sync.WaitGroup
-	)
-	for w := 1; w < shards; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer jp.Catch()
-			errs[w] = p.tag(ctx, int64(w)*step, min(int64(w+1)*step, box), scr[w])
-		}()
-	}
-	func() {
-		defer jp.Catch()
-		errs[0] = p.tag(ctx, 0, min(step, box), scr[0])
-	}()
-	wg.Wait()
-	jp.Rethrow()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := join.Each(shards, shards, func(_, i int) error {
+		return p.tag(ctx, int64(i)*step, min(int64(i+1)*step, box), scr[i])
+	}); err != nil {
+		return nil, err
 	}
 	return groupSegments(data.NumChunks(), scr), nil
 }
