@@ -25,6 +25,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/tags"
 	"repro/internal/workloads"
@@ -524,6 +525,34 @@ func BenchmarkDiskHitServe(b *testing.B) {
 		if !post("/v1/map", bodies[i%2]) {
 			b.Fatal("request missed both plan-cache tiers")
 		}
+	}
+}
+
+// BenchmarkPlanEncode writes the cold plan shape's plan (2,560 iteration
+// chunks over 16/32/64, inter-sched, about 80 KB of JSON) into a warm
+// buffer with mapping.AppendJSON, the one encode every computed, repaired
+// and fallback plan gets in cachemapd. Its allocs/op must stay 0.
+func BenchmarkPlanEncode(b *testing.B) {
+	w, err := workloads.Synthesize(workloads.SynthSpec{
+		Name:   "planencode",
+		Passes: 4,
+		Extent: 4096,
+		Streams: []workloads.StreamSpec{
+			{Stride: 1}, {Stride: 1, Offset: 64}, {Stride: 2, Drift: 8},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := pipeline.Map(context.Background(), pipeline.InterProcessorSched, w.Prog, pipeline.Config{Tree: benchConfig().Tree()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := mapping.AppendJSON(nil, res)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = mapping.AppendJSON(buf[:0], res)
 	}
 }
 

@@ -3,8 +3,8 @@
 # and of the perfbench benchmark module), the inlining check of balance's
 # hot keys, linters, race-enabled tests, the short-mode
 # reproduction-fidelity gate, the zero-alloc gate, short balance, merge,
-# schedule, plan-log, plan-wire and tag fuzz runs and the bench regression
-# gate.
+# schedule, plan-log, plan-wire, plan-JSON and tag fuzz runs and the bench
+# regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -100,10 +100,11 @@ go test -short -run TestShapeClaims ./internal/experiments
 echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # The pooled hot paths — posting-index build, arena carving, warm
 # sparse pair generation, the full distribution run, the plan-cache hit
-# serve path, tagging the cold_plan shape — must stay allocation-free (or at their documented small
-# constants) once warm. GOGC=off pins sync.Pool contents for the whole
-# run, so a GC-timed pool eviction can never fake a regression.
-GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags
+# serve path, tagging the cold_plan shape, writing its plan's JSON — must
+# stay allocation-free (or at their documented small constants) once warm.
+# GOGC=off pins sync.Pool contents for the whole run, so a GC-timed pool
+# eviction can never fake a regression.
+GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags ./internal/mapping
 
 echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
 # Plain `go test` above already replays the seed corpus and any committed
@@ -137,6 +138,15 @@ echo "==> plan-wire fuzz (FuzzPlanWire, 10s)"
 # crasher lands in internal/server/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzPlanWire$' -fuzztime 10s ./internal/server
 
+echo "==> plan-JSON fuzz (FuzzPlanJSON, 10s)"
+# The writer every computed, repaired and fallback plan goes through,
+# mapping.AppendJSON, against json.Marshal(mapping.PlanOf(r)) on random
+# results: 0–8 clients, runs with any int64 bounds, nil, empty and full
+# explicit lists, zero and non-zero chunk and edge counts, and scheme
+# names that need escaping. A crasher lands in
+# internal/mapping/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzPlanJSON$' -fuzztime 10s ./internal/mapping
+
 echo "==> tag fuzz (FuzzTagsMatchEnumeration, 10s)"
 # The segment tagger, cut into 1, 2 or 5 shards, against the per-iteration
 # enumerator it replaced, on random nests (negative bounds, guards, Mod and
@@ -162,9 +172,12 @@ echo "==> bench regression gate (vs BENCH.json)"
 # steady state this gate anchors to; BenchmarkWarmScan keeps the plan
 # store's startup scan an O(records) streaming read, and
 # BenchmarkDiskHitServe's allocs/op keep a disk hit from decoding the
-# plan it serves. BenchmarkFineChunks keeps the balance and schedule
-# stages of sar and e_elem at 1 KB chunks (four times the data chunks of
-# the default) from growing back toward their dense-tag cost.
+# plan it serves. BenchmarkPlanEncode writes the cold plan shape's JSON
+# with mapping.AppendJSON; its zero allocs/op are exact, so a writer that
+# falls back to building a mapping.Plan fails the gate.
+# BenchmarkFineChunks keeps the balance and schedule stages of sar and
+# e_elem at 1 KB chunks (four times the data chunks of the default) from
+# growing back toward their dense-tag cost.
 #
 # BenchmarkReplanIncremental's speedup-floor is a hard lower bound
 # (benchjson "-floor" semantics, which -tolerance does not soften):
@@ -191,7 +204,7 @@ bench() {
 		exit 1
 	}
 }
-bench -bench 'BenchmarkDistribute$|BenchmarkPostings$|BenchmarkCacheHitServe$|BenchmarkDiskHitServe$' -benchtime 100x -benchmem .
+bench -bench 'BenchmarkDistribute$|BenchmarkPostings$|BenchmarkCacheHitServe$|BenchmarkDiskHitServe$|BenchmarkPlanEncode$' -benchtime 100x -benchmem .
 bench -bench 'BenchmarkPipelineParallelism' -benchtime 1x .
 bench -bench 'BenchmarkReplanIncremental$' -benchtime 3x .
 bench -bench 'BenchmarkFineChunks' -benchtime 3x .

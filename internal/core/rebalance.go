@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/hierarchy"
 	"repro/internal/tags"
@@ -119,7 +120,7 @@ func RescheduleStages(ctx context.Context, assign [][]*tags.IterationChunk, tree
 	out := make([][]*tags.IterationChunk, len(assign))
 	for i, cl := range assign {
 		s := append([]*tags.IterationChunk(nil), cl...)
-		sort.SliceStable(s, func(a, b int) bool { return chunkKey(s[a]) < chunkKey(s[b]) })
+		slices.SortStableFunc(s, func(a, b *tags.IterationChunk) int { return cmp.Compare(chunkKey(a), chunkKey(b)) })
 		out[i] = s
 	}
 	return out, nil

@@ -1,11 +1,15 @@
 // Package mapping holds the versioned wire format of a computed mapping:
 // the Plan served by cachemapd's POST /v1/map and its round-trip back to
 // an executable assignment. The planning itself lives in package pipeline;
-// PlanOf converts a pipeline result to its wire form.
+// AppendJSON writes a pipeline result's plan as JSON, and PlanOf converts
+// a result to its wire form as data.
 package mapping
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/iosim"
 	"repro/internal/itset"
@@ -73,6 +77,98 @@ func PlanOf(r *pipeline.Result) Plan {
 		}
 	}
 	return p
+}
+
+// AppendJSON appends r's plan to dst as JSON and returns the extended
+// slice. It writes straight from r.Assignment, and its bytes are exactly
+// those json.Marshal(PlanOf(r)) gives: the members in Plan's order, with
+// iteration_chunks and sync_edges omitted when zero, and a block with no
+// runs or explicit indices written as {}. TestPlanJSONMatchesMarshal and
+// FuzzPlanJSON hold it to that oracle.
+func AppendJSON(dst []byte, r *pipeline.Result) []byte {
+	dst = append(dst, `{"schema":`...)
+	dst = strconv.AppendInt(dst, PlanSchemaVersion, 10)
+	dst = append(dst, `,"scheme":`...)
+	dst = appendString(dst, string(r.Scheme))
+	dst = append(dst, `,"clients":`...)
+	dst = strconv.AppendInt(dst, int64(len(r.Assignment)), 10)
+	dst = append(dst, `,"work":[`...)
+	var total int64
+	for c, blocks := range r.Assignment {
+		if c > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for i, b := range blocks {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendBlock(dst, b)
+			total += b.Count()
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `],"total_iterations":`...)
+	dst = strconv.AppendInt(dst, total, 10)
+	if r.NumChunks != 0 {
+		dst = append(dst, `,"iteration_chunks":`...)
+		dst = strconv.AppendInt(dst, int64(r.NumChunks), 10)
+	}
+	if r.SyncEdges != 0 {
+		dst = append(dst, `,"sync_edges":`...)
+		dst = strconv.AppendInt(dst, int64(r.SyncEdges), 10)
+	}
+	return append(dst, '}')
+}
+
+// appendBlock writes one block as its PlanBlock encodes.
+func appendBlock(dst []byte, b iosim.Block) []byte {
+	if b.Explicit != nil {
+		if len(b.Explicit) == 0 {
+			return append(dst, "{}"...)
+		}
+		dst = append(dst, `{"explicit":[`...)
+		for i, x := range b.Explicit {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, x, 10)
+		}
+		return append(dst, "]}"...)
+	}
+	if b.Set.IsEmpty() {
+		return append(dst, "{}"...)
+	}
+	dst = append(dst, `{"runs":[`...)
+	first := true
+	b.Set.ForEachRun(func(run itset.Run) {
+		if !first {
+			dst = append(dst, ',')
+		}
+		first = false
+		dst = append(dst, '[')
+		dst = strconv.AppendInt(dst, run.Start, 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, run.End, 10)
+		dst = append(dst, ']')
+	})
+	return append(dst, "]}"...)
+}
+
+// appendString writes s as a JSON string. A string that needs escaping
+// (quotes, backslashes, control bytes, the HTML characters <, > and &, or
+// any non-ASCII byte) goes through encoding/json, so the escaping stays
+// its own; scheme names never do.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // Assignment reconstructs the executable per-client work lists from the

@@ -108,11 +108,11 @@ func checkFill(body []byte, key plancache.Key, j *job) (cachedPlan, error) {
 	if err := checkPlan(&fr.Plan, j); err != nil {
 		return cachedPlan{}, err
 	}
-	plan, err := newPlanJSON(fr.Plan)
+	raw, err := json.Marshal(fr.Plan)
 	if err != nil {
 		return cachedPlan{}, err
 	}
-	return cachedPlan{Plan: plan, Stages: fr.Stages}, nil
+	return cachedPlan{Plan: &planJSON{raw: raw}, Stages: fr.Stages}, nil
 }
 
 // checkPlan verifies that p is a plan of this build's schema for j: one

@@ -97,6 +97,18 @@ func (r *testRing) post(t *testing.T, i int, req MapRequest) (*http.Response, Ma
 	return resp, mr, body
 }
 
+// rawPlan returns the "plan" member of a /v1/map body as it was sent.
+func rawPlan(t *testing.T, body []byte) json.RawMessage {
+	t.Helper()
+	var v struct {
+		Plan json.RawMessage `json:"plan"`
+	}
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	return v.Plan
+}
+
 // computesOf reads one node's cachemapd_pipeline_computes_total.
 func computesOf(s *Server) int64 { return s.computes.Value() }
 
@@ -137,10 +149,19 @@ func TestClusterPeerFill(t *testing.T) {
 	if !bytes.Equal(planFilled, planOwner) {
 		t.Fatalf("peer-filled plan differs from the owner's:\n%s\nvs\n%s", planFilled, planOwner)
 	}
-	_, mr3, _ := r.post(t, (owner+2)%3, req)
+	_, mr3, body3 := r.post(t, (owner+2)%3, req)
 	plan3, _ := json.Marshal(mr3.Plan)
 	if !bytes.Equal(planFilled, plan3) || mr3.CacheKey != mr.CacheKey {
 		t.Fatalf("third node's plan diverged: key %q vs %q", mr3.CacheKey, mr.CacheKey)
+	}
+	// The bodies carry the plan bytes as each node holds them: the owner's
+	// written by mapping.AppendJSON, the fillers' re-encoded by the fill
+	// check's json.Marshal. Both encoders must give the same bytes.
+	rawOwner := rawPlan(t, bodyO)
+	for _, b := range [][]byte{body, body3} {
+		if raw := rawPlan(t, b); !bytes.Equal(raw, rawOwner) {
+			t.Fatalf("peer-filled plan bytes differ from the owner's:\n%.300s\nvs\n%.300s", raw, rawOwner)
+		}
 	}
 
 	// Second request on the requester: local cache hit, provenance kept.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/hierarchy"
-	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/plancache"
@@ -130,13 +129,9 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, start time
 	if err != nil {
 		return nil, false
 	}
-	plan, err := newPlanJSON(mapping.PlanOf(res))
-	if err != nil {
-		return nil, false
-	}
 	s.markDegraded(ctx, DegradedFallback, why)
 	return &MapResponse{
-		raw:           plan,
+		raw:           newPlanJSON(res),
 		Stages:        res.Stages,
 		Degraded:      DegradedFallback,
 		DegradedCause: why,

@@ -73,7 +73,7 @@ func planCodec() planstore.Codec[cachedPlan] {
 }
 
 // planSchemaPrefix is how every plan this build reads begins: json.Marshal
-// renders the schema member first.
+// and mapping.AppendJSON both render the schema member first.
 var planSchemaPrefix = []byte(fmt.Sprintf(`{"schema":%d,`, mapping.PlanSchemaVersion))
 
 // registerPlanstoreMetrics publishes the disk tier's gauges and counters.

@@ -324,11 +324,11 @@ func TestPlanCodecPayload(t *testing.T) {
 // error.
 func mustPlanJSON(t testing.TB, p mapping.Plan) *planJSON {
 	t.Helper()
-	raw, err := newPlanJSON(p)
+	raw, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	return &planJSON{raw: raw}
 }
 
 // TestDiskHitKeepsRepairAnchor: a plan served from disk carries no

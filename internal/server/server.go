@@ -570,12 +570,8 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start
 		}
 		s.clusterDur.Observe(time.Since(start).Seconds())
 		s.observeStages(res.Stages)
-		plan, err := newPlanJSON(mapping.PlanOf(res))
-		if err != nil {
-			return cachedPlan{}, err
-		}
 		return cachedPlan{
-			Plan:      plan,
+			Plan:      newPlanJSON(res),
 			Stages:    res.Stages,
 			Replanned: ReplanFull,
 			state:     res.State(),
@@ -678,14 +674,10 @@ func (s *Server) tryRepair(ctx context.Context, j *job) (cachedPlan, bool) {
 	}
 	s.replans.Inc(ReplanIncremental)
 	s.observeStages(res.Stages)
-	plan, err := newPlanJSON(mapping.PlanOf(res))
-	if err != nil {
-		return cachedPlan{}, false
-	}
 	// No state: a repaired plan never anchors the stale tier (see
 	// anchorStale), so nothing would ever read it.
 	return cachedPlan{
-		Plan:         plan,
+		Plan:         newPlanJSON(res),
 		Stages:       res.Stages,
 		Replanned:    ReplanIncremental,
 		ReusedStages: pipeline.ReusedStages(),

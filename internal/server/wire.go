@@ -1,11 +1,13 @@
 package server
 
 // A plan is its bytes. Every plan this server holds is its canonical JSON,
-// the bytes json.Marshal(mapping.Plan) gives, produced once where the plan
-// is computed, repaired or peer-filled. Every answer — /v1/map bodies,
-// batch results, degraded answers, peer-fill bodies and plan-log records —
-// splices those bytes in verbatim, and a plan is decoded only where it is
-// used as data. See DESIGN.md §13–14.
+// the bytes json.Marshal(mapping.Plan) gives, produced once: a computed,
+// repaired or fallback plan is written by mapping.AppendJSON, whose tests
+// hold it to json.Marshal byte for byte, and a peer-filled plan is
+// re-encoded with json.Marshal once the fill check has decoded it. Every
+// answer — /v1/map bodies, batch results, degraded answers, peer-fill
+// bodies and plan-log records — splices those bytes in verbatim, and a
+// plan is decoded only where it is used as data. See DESIGN.md §13–14.
 
 import (
 	"bytes"
@@ -14,6 +16,7 @@ import (
 	"sync"
 
 	"repro/internal/mapping"
+	"repro/internal/pipeline"
 )
 
 // planJSON is one plan as its canonical JSON. Every copy of a cache entry
@@ -25,13 +28,22 @@ type planJSON struct {
 	err  error
 }
 
-// newPlanJSON encodes a freshly produced plan, the one encode it gets.
-func newPlanJSON(p mapping.Plan) (*planJSON, error) {
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
+// planBufPool holds the buffers plans are written into. A plan keeps an
+// exact-length copy, because its bytes live on in the memory tier, the
+// stale tier and the write-behind queue, where the slack of a grown
+// buffer would be memory held for nothing.
+var planBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// newPlanJSON writes a freshly produced plan, the one encode it gets.
+func newPlanJSON(r *pipeline.Result) *planJSON {
+	bp := planBufPool.Get().(*[]byte)
+	buf := mapping.AppendJSON((*bp)[:0], r)
+	p := &planJSON{raw: bytes.Clone(buf)}
+	if cap(buf) <= jsonBufMaxRetain {
+		*bp = buf
+		planBufPool.Put(bp)
 	}
-	return &planJSON{raw: raw}, nil
+	return p
 }
 
 // UnmarshalJSON keeps a copy of the plan's bytes without decoding them;
