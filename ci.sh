@@ -11,8 +11,9 @@
 # ring. Run by .github/workflows/ci.yml and locally as ./ci.sh (or
 # `make ci`); the workflow's race-stress job also reruns the
 # concurrency-heavy packages twice under -race: internal/core for the
-# subtree fan-out and the sharded similarity pass, internal/tags for the
-# tag shards, and internal/join, the fan-out every one of them runs on.
+# subtree fan-out, the sharded similarity pass and the Figure 15 I/O
+# groups, internal/tags for the tag shards, and internal/join, the fan-out
+# every one of them runs on.
 set -eu
 
 echo "==> gofmt"
@@ -100,35 +101,39 @@ go test -short -run TestShapeClaims ./internal/experiments
 echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # The pooled hot paths — posting-index build, arena carving, warm
 # sparse pair generation, the full distribution run, the plan-cache hit
-# serve path, tagging the cold_plan shape, writing its plan's JSON — must
-# stay allocation-free (or at their documented small constants) once warm.
-# GOGC=off pins sync.Pool contents for the whole run, so a GC-timed pool
-# eviction can never fake a regression.
-GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags ./internal/mapping
+# serve path, tagging the cold_plan shape, encoding its assignment and
+# writing its plan's JSON — must stay allocation-free (or at their
+# documented small constants) once warm. GOGC=off pins sync.Pool contents
+# for the whole run, so a GC-timed pool eviction can never fake a
+# regression.
+GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags ./internal/mapping ./internal/pipeline
 
 echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
 # Plain `go test` above already replays the seed corpus and any committed
 # crasher under internal/core/testdata/fuzz; this explores new shapes
-# against the reference balance loop for a short, fixed time.
-go test -run '^$' -fuzz '^FuzzBalanceMatchesReference$' -fuzztime 15s ./internal/core
+# against the reference balance loop for a short, fixed time. Every fuzz
+# step bounds Go's input minimizer to 100 runs per new input: unbounded,
+# it can spend most of a fixed -fuzztime minimizing while reporting no
+# execs.
+go test -run '^$' -fuzz '^FuzzBalanceMatchesReference$' -fuzztime 15s -fuzzminimizetime 100x ./internal/core
 
 echo "==> merge fuzz (FuzzMergeMatchesReference, 10s)"
 # The same for the merge queue (the seed run in pop order plus the push
 # heap) against the dense reference merge.
-go test -run '^$' -fuzz '^FuzzMergeMatchesReference$' -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz '^FuzzMergeMatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
 echo "==> schedule fuzz (FuzzScheduleMatchesReference, 10s)"
 # The same for the Figure 15 schedule, which scores candidates by looking
 # their set bits up in dense views, against the reference schedule's
 # full-width AndPopCounts.
-go test -run '^$' -fuzz '^FuzzScheduleMatchesReference$' -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz '^FuzzScheduleMatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
 echo "==> plan-log fuzz (FuzzPlanstoreRecord, 10s)"
 # The plan store's startup scan reads whatever bytes are on disk: arbitrary
 # logs must open without a panic or an error, cut to the records that
 # verify, and reopen to the same entries. A crasher lands in
 # internal/planstore/testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzPlanstoreRecord$' -fuzztime 10s ./internal/planstore
+go test -run '^$' -fuzz '^FuzzPlanstoreRecord$' -fuzztime 10s -fuzzminimizetime 100x ./internal/planstore
 
 echo "==> plan-wire fuzz (FuzzPlanWire, 10s)"
 # The two places a plan arrives from outside the process: arbitrary bytes
@@ -136,7 +141,7 @@ echo "==> plan-wire fuzz (FuzzPlanWire, 10s)"
 # panic, an accepted record must splice into a valid /v1/map body, and an
 # accepted fill must map each of its job's iterations exactly once. A
 # crasher lands in internal/server/testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzPlanWire$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzPlanWire$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server
 
 echo "==> plan-JSON fuzz (FuzzPlanJSON, 10s)"
 # The writer every computed, repaired and fallback plan goes through,
@@ -145,7 +150,7 @@ echo "==> plan-JSON fuzz (FuzzPlanJSON, 10s)"
 # explicit lists, zero and non-zero chunk and edge counts, and scheme
 # names that need escaping. A crasher lands in
 # internal/mapping/testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzPlanJSON$' -fuzztime 10s ./internal/mapping
+go test -run '^$' -fuzz '^FuzzPlanJSON$' -fuzztime 10s -fuzzminimizetime 100x ./internal/mapping
 
 echo "==> tag fuzz (FuzzTagsMatchEnumeration, 10s)"
 # The segment tagger, cut into 1, 2 or 5 shards, against the per-iteration
@@ -153,7 +158,7 @@ echo "==> tag fuzz (FuzzTagsMatchEnumeration, 10s)"
 # Table subscripts, clamping at both array ends, element sizes that do not
 # divide the chunk) and on the paper's programs. A crasher lands in
 # internal/tags/testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzTagsMatchEnumeration$' -fuzztime 10s ./internal/tags
+go test -run '^$' -fuzz '^FuzzTagsMatchEnumeration$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tags
 
 echo "==> bench regression gate (vs BENCH.json)"
 # Short mode: fixed iteration counts keep this quick; three samples per
@@ -177,7 +182,10 @@ echo "==> bench regression gate (vs BENCH.json)"
 # falls back to building a mapping.Plan fails the gate.
 # BenchmarkFineChunks keeps the balance and schedule stages of sar and
 # e_elem at 1 KB chunks (four times the data chunks of the default) from
-# growing back toward their dense-tag cost.
+# growing back toward their dense-tag cost. Its balance-ms/op rows were
+# recorded with a donor's first round scanned: a return to an index built
+# for every donor reads +40–110% against them, which the verdict shows
+# but this tolerance does not yet fail.
 #
 # BenchmarkReplanIncremental's speedup-floor is a hard lower bound
 # (benchjson "-floor" semantics, which -tolerance does not soften):

@@ -25,6 +25,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -193,6 +194,7 @@ type distScratch struct {
 	counted  bump[bitvec.Counted] // counted-tag structs
 	order    []int                // balance rank order
 	rows     donorRows            // balance's per-donor dot-row cache
+	dots     []int32              // a scanned donor's dots with the recipient
 	shards   []*simScratch        // pairShards' output; empty between splits
 	seeds    []mergePair          // the seed run, in pop order
 	dotAt    []int                // popOrder's per-dot counts, all-zero between calls
@@ -893,9 +895,12 @@ func (d *distributor) breakCluster(c *Cluster) (*Cluster, *Cluster) {
 //
 // A round costs what the round changes. Only the donor and the recipient
 // change between rounds, so the rank order is kept by an insertion pass
-// that re-positions just their two slots, and the donor's best member is
-// read from a cached per-recipient max tree of dots (see donorRows) instead
-// of a full-width AndPopCount per member per round.
+// that re-positions just their two slots. A donor's first round scores its
+// members' set bits against the recipient's tag; from its second round in
+// a row on, the donor's best member is read from a cached per-recipient
+// max tree of dots (see donorRows). Most donors of a repair serve one
+// round, and their index would never be read twice, while a cold split's
+// one long tenure pays a single extra scan.
 func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	ph := d.beginPhase("balance")
 	defer func() { ph.end(d) }()
@@ -966,6 +971,7 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	rows := &scr.rows
 	rows.reset(k, d.r)
 	defer rows.endTenure()
+	var prev *Cluster // the previous round's donor
 	maxRounds := 4 * (nMembers + k + 4)
 	for round := 0; round < maxRounds; round++ {
 		if round%ctxCheckInterval == ctxCheckInterval-1 {
@@ -1003,9 +1009,16 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 			return nil
 		}
 		di, ri := order[donorSlot], order[recipSlot]
-		if rows.donor != donor {
+		// A donor is indexed once it stays: its first round scans its
+		// members, and only a second round in a row builds its postings.
+		switch donor {
+		case rows.donor:
+		case prev:
 			rows.setDonor(donor)
+		default:
+			rows.endTenure()
 		}
+		prev = donor
 		moved, whole, ok := d.evict(rows, donor, clusters[ri], ri, lLim[donorSlot], uLim[recipSlot], target[donorSlot], target[recipSlot])
 		if !ok {
 			return nil // no progress possible
@@ -1039,63 +1052,120 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 // recipient's tag; on equal dots the first position in donor.Members wins.
 // It returns the chunk that arrived at the recipient and whether it left
 // the donor whole (false: the donor kept the leading part of a split); ok
-// is false when no move is possible. rows must hold donor's tenure.
+// is false when no move is possible.
+//
+// The dots come from the recipient's max tree when rows holds donor's
+// tenure, and otherwise from a scan of the donor's members, O(their set
+// bits) with no table and no tree. The two differ only in how a member
+// leaves: as a tombstone in an indexed donor, by an ordered delete in a
+// scanned one, which leaves the survivors in the order endTenure's
+// compaction gives.
 func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, donorLLim, recipULim, donorTarget, recipTarget int64) (moved *tags.IterationChunk, whole, ok bool) {
-	t := rows.tree(ri, recip)
-	// A whole chunk fits iff it keeps the donor at or above its lower
-	// limit and the recipient at or below its upper limit. The tree's best
-	// member is the answer unless it is too big; only then are the members
-	// scanned for the best one that fits.
-	fits := min(donor.Size-donorLLim, recipULim-recip.Size)
-	bestIdx := rows.best(t)
-	if bestIdx >= 0 && donor.sizes[bestIdx] > fits {
-		bestIdx = -1
-		var bestDot int32 = -1
-		for i, cnt := range donor.sizes {
-			if cnt == 0 || cnt > fits {
-				continue
-			}
-			if dot := t[i]; dot > bestDot {
-				bestDot, bestIdx = dot, i
-			}
-		}
+	scr := d.scratch()
+	indexed := rows.donor == donor
+	var dots []int32
+	var best int
+	if indexed {
+		dots = rows.tree(ri, recip)
+		best = rows.best(dots)
+	} else {
+		dots = scr.scanDots(donor, recip)
+		best = firstMax(dots, donor.sizes, 1, math.MaxInt64)
 	}
-	if bestIdx >= 0 {
-		m := rows.remove(bestIdx, d.scratch())
-		rows.gain(t, recip.Tag, m.Tag)
+	// A whole chunk fits iff it keeps the donor at or above its lower
+	// limit and the recipient at or below its upper limit. If none fits,
+	// move is what a split hands over so both land within limits.
+	fits := min(donor.Size-donorLLim, recipULim-recip.Size)
+	move := min(donor.Size-donorTarget, recipTarget-recip.Size, recipULim-recip.Size)
+	p, whole := pick(dots, best, donor.sizes, fits, move)
+	if p < 0 {
+		return nil, false, false
+	}
+	m := donor.Members[p]
+	if whole {
+		if indexed {
+			rows.remove(p, scr)
+			rows.gain(dots, recip.Tag, m.Tag)
+		} else {
+			donor.cut(p, scr)
+		}
 		recip.add(m)
 		return m, true, true
 	}
-	// No whole chunk fits: split the highest-affinity chunk so both
-	// clusters land within limits.
-	move := donor.Size - donorTarget
-	if room := recipTarget - recip.Size; room < move {
-		move = room
-	}
-	if room := recipULim - recip.Size; room < move {
-		move = room
-	}
-	if move < 1 {
-		return nil, false, false
-	}
-	var bestDot int32 = -1
-	for i, cnt := range donor.sizes {
-		if cnt <= move {
-			continue
-		}
-		if dot := t[i]; dot > bestDot {
-			bestDot, bestIdx = dot, i
-		}
-	}
-	if bestIdx < 0 {
-		return nil, false, false
-	}
-	m := donor.Members[bestIdx]
 	keep, give := m.Split(m.Count() - move)
-	rows.split(bestIdx, keep, d.scratch())
-	rows.gain(rows.tree(ri, recip), recip.Tag, give.Tag)
+	if indexed {
+		rows.split(p, keep, scr)
+		rows.gain(rows.tree(ri, recip), recip.Tag, give.Tag)
+	} else {
+		donor.cut(p, scr)
+		donor.add(keep)
+	}
 	recip.add(give)
 	return give, false, true
+}
+
+// pick is balance's choice of the member to move, given the donor's
+// per-position dots with the recipient and best, the first position of
+// the largest dot among members with iterations (−1 if there is none).
+// A member of size 0, a tombstone or an empty chunk, never moves, so its
+// dot is never read. The best member moves whole if it fits; otherwise
+// the best member that fits does; if none fits, the best member larger
+// than move splits. Among equal dots the first position wins. It returns
+// the position, −1 when nothing can move, and whether the member moves
+// whole.
+func pick(dots []int32, best int, sizes []int64, fits, move int64) (int, bool) {
+	if best >= 0 && sizes[best] <= fits {
+		return best, true
+	}
+	if p := firstMax(dots, sizes, 1, fits); p >= 0 {
+		return p, true
+	}
+	if move < 1 {
+		return -1, false
+	}
+	return firstMax(dots, sizes, move+1, math.MaxInt64), false
+}
+
+// firstMax returns the first position of the largest dot among the
+// members whose size lies in [lo, hi], or −1 if there is none.
+func firstMax(dots []int32, sizes []int64, lo, hi int64) int {
+	p, top := -1, int32(-1)
+	for i, n := range sizes {
+		if n >= lo && n <= hi && dots[i] > top {
+			p, top = i, dots[i]
+		}
+	}
+	return p
+}
+
+// scanDots scores each member of a donor without tombstones against the
+// recipient's dense tag, in O(the members' set bits). The dots are held
+// in the scratch until the next call.
+func (scr *distScratch) scanDots(donor, recip *Cluster) []int32 {
+	dots := slices.Grow(scr.dots[:0], len(donor.Members))[:len(donor.Members)]
+	for i, m := range donor.Members {
+		dots[i] = int32(m.Tag.AndPopCount(recip.Tag))
+	}
+	scr.dots = dots
+	return dots
+}
+
+// detach takes member p's tag and size out of the cluster's aggregate and
+// returns the member; the caller takes it out of the member list.
+func (c *Cluster) detach(p int, scr *distScratch) *tags.IterationChunk {
+	c.ensureCounts(scr)
+	m := c.Members[p]
+	c.counts.Sub(m.Tag)
+	c.Size -= c.sizes[p]
+	return m
+}
+
+// cut removes member p of a cluster without tombstones, keeping the
+// survivors in order.
+func (c *Cluster) cut(p int, scr *distScratch) {
+	c.detach(p, scr)
+	c.Members = slices.Delete(c.Members, p, p+1)
+	c.sizes = slices.Delete(c.sizes, p, p+1)
 }
 
 // donorRows is balance's cache of dot products for the current donor: for
@@ -1125,11 +1195,12 @@ func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, dono
 //     the first position in donor.Members still wins. Empty members read −1
 //     like tombstones: neither pick ever moves them.
 //
-// A new donor discards every tree and rebuilds the postings by walking its
-// members' sparse tags, in O(their set bits), never O(r): no word of a
-// dense member tag is scanned, and list heads are generation-stamped, so
-// heads left over from earlier donors read as empty lists. All tables are
-// recycled with the run's scratch.
+// A donor is indexed from its second round in a row (its first is a scan;
+// see evict). Indexing discards every tree and rebuilds the postings by
+// walking the donor's sparse member tags, in O(their set bits), never
+// O(r): no word of a dense member tag is scanned, and list heads are
+// generation-stamped, so heads left over from earlier donors read as empty
+// lists. All tables are recycled with the run's scratch.
 type donorRows struct {
 	donor  *Cluster
 	leaves int     // positions a tree holds: at least one past the donor's
@@ -1347,17 +1418,13 @@ func (dr *donorRows) gain(tree []int32, recipTag bitvec.Vector, t bitvec.Sparse)
 
 // remove detaches the donor's member at position p, leaving a tombstone
 // that reads −1 in every tree.
-func (dr *donorRows) remove(p int, scr *distScratch) *tags.IterationChunk {
+func (dr *donorRows) remove(p int, scr *distScratch) {
 	c := dr.donor
-	c.ensureCounts(scr)
-	m := c.Members[p]
-	c.counts.Sub(m.Tag)
-	c.Size -= c.sizes[p]
+	c.detach(p, scr)
 	c.Members[p], c.sizes[p] = nil, 0
 	for off := 0; off < len(dr.rows); off += dr.span {
 		dr.set(dr.rows[off:off+dr.span], p, -1)
 	}
-	return m
 }
 
 // split replaces the donor's member at position p, which split into keep

@@ -27,6 +27,18 @@ func FuzzBalanceMatchesReference(f *testing.F) {
 	f.Add(int64(3), uint16(32), uint16(120), uint8(6), uint8(128), uint8(16), uint8(0), uint8(3), uint8(10), uint8(2), []byte{1, 0, 2})
 	// A top-dot member too big to move whole while lower-dot ones fit.
 	f.Add(int64(4), uint16(16), uint16(60), uint8(4), uint8(180), uint8(40), uint8(6), uint8(0), uint8(10), uint8(0), []byte{0})
+	// Several clusters above their upper limits, as a repair hands them
+	// over: one heavy weight leaves seven even clusters over theirs, so
+	// the donor changes almost every round. One-round tenures scan their
+	// donor, and a donor that serves again in a row is indexed.
+	f.Add(int64(6), uint16(512), uint16(400), uint8(8), uint8(0), uint8(2), uint8(0), uint8(0), uint8(10), uint8(0), []byte{3, 0, 0, 0, 0, 0, 0, 0})
+	// The same under a repair's relaxed threshold and widened slack, with
+	// big and empty chunks.
+	f.Add(int64(7), uint16(256), uint16(300), uint8(12), uint8(0), uint8(3), uint8(5), uint8(7), uint8(33), uint8(8), []byte{0, 0, 0, 3})
+	// Two heavy weights among many clusters over narrow tags: equal dots
+	// everywhere, so the first position must win in scans and trees alike,
+	// and chunks split in both kinds of round.
+	f.Add(int64(8), uint16(24), uint16(400), uint8(24), uint8(0), uint8(20), uint8(9), uint8(0), uint8(5), uint8(2), []byte{3, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, seed int64, width, chunks uint16, clusters, skew, density, bigEvery, emptyEvery, thresh, slack uint8, weights []byte) {
 		r := max(1, int(width%1025))
 		n := max(1, int(chunks%401))
@@ -97,22 +109,22 @@ func FuzzMergeMatchesReference(f *testing.F) {
 // arguments decode into a generator seed, the I/O group count (each group
 // gets 1–4 clients), tag width and density, the most chunks a client
 // holds, the odds of an empty client, of a chunk split into two pieces
-// sharing its tag, and of an empty chunk, and α and β, each one of
-// {0, 0.25, 0.5, 1}.
+// sharing its tag, and of an empty chunk, α and β, each one of
+// {0, 0.25, 0.5, 1}, and the worker count (1–4) the I/O groups run on.
 func FuzzScheduleMatchesReference(f *testing.F) {
 	// The paper's weights over sparse tags, every client busy.
-	f.Add(int64(1), uint8(4), uint16(64), uint8(12), uint8(12), uint8(0), uint8(0), uint8(0), uint8(2), uint8(2))
+	f.Add(int64(1), uint8(4), uint16(64), uint8(12), uint8(12), uint8(0), uint8(0), uint8(0), uint8(2), uint8(2), uint8(0))
 	// Many equal scores: 2-bit tags, split pieces and empty chunks, so
 	// ties fall to chunkKey and then to position.
-	f.Add(int64(2), uint8(3), uint16(2), uint8(128), uint8(20), uint8(3), uint8(4), uint8(5), uint8(2), uint8(2))
+	f.Add(int64(2), uint8(3), uint16(2), uint8(128), uint8(20), uint8(3), uint8(4), uint8(5), uint8(2), uint8(2), uint8(1))
 	// All bits set, horizontal reuse only.
-	f.Add(int64(3), uint8(2), uint16(300), uint8(255), uint8(8), uint8(0), uint8(0), uint8(0), uint8(3), uint8(0))
+	f.Add(int64(3), uint8(2), uint16(300), uint8(255), uint8(8), uint8(0), uint8(0), uint8(0), uint8(3), uint8(0), uint8(2))
 	// Empty clients, vertical reuse only, zero tags.
-	f.Add(int64(4), uint8(5), uint16(130), uint8(0), uint8(6), uint8(2), uint8(3), uint8(0), uint8(0), uint8(3))
+	f.Add(int64(4), uint8(5), uint16(130), uint8(0), uint8(6), uint8(2), uint8(3), uint8(0), uint8(0), uint8(3), uint8(3))
 	// Unequal weights: a swapped α and β changes the picks.
-	f.Add(int64(5), uint8(3), uint16(40), uint8(40), uint8(10), uint8(0), uint8(0), uint8(0), uint8(3), uint8(1))
+	f.Add(int64(5), uint8(3), uint16(40), uint8(40), uint8(10), uint8(0), uint8(0), uint8(0), uint8(3), uint8(1), uint8(1))
 	alphas := [4]float64{0, 0.25, 0.5, 1}
-	f.Fuzz(func(t *testing.T, seed int64, groups uint8, width uint16, density, most, emptyClient, splitOdds, emptyChunk, alpha, beta uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, groups uint8, width uint16, density, most, emptyClient, splitOdds, emptyChunk, alpha, beta, workers uint8) {
 		r := 1 + int(width%300)
 		rr := rand.New(rand.NewSource(seed))
 		root := &hierarchy.Node{CacheChunks: 16}
@@ -155,7 +167,7 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 				assign[c] = append(assign[c], ic)
 			}
 		}
-		opts := ScheduleOptions{Alpha: alphas[alpha%4], Beta: alphas[beta%4]}
+		opts := ScheduleOptions{Alpha: alphas[alpha%4], Beta: alphas[beta%4], Workers: 1 + int(workers%4)}
 		got, err := ScheduleCtx(context.Background(), assign, tree, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -107,7 +107,9 @@ func RebalanceClusters(ctx context.Context, assign [][]*tags.IterationChunk, tre
 // RescheduleStages re-runs the pipeline's scheduling stage on a per-client
 // clustering against a decoded hierarchy: the Figure 15 reuse schedule when
 // sched is true, otherwise the deterministic lexicographic order of first
-// iteration that the plain inter-processor scheme uses. The input lists are
+// iteration that the plain inter-processor scheme uses. The Figure 15
+// schedule runs its I/O groups on opts.Workers as ScheduleCtx does, so
+// keyed ScheduleOptions{Alpha, Beta} schedule serially. The input lists are
 // never modified; the result holds fresh slices in execution order.
 func RescheduleStages(ctx context.Context, assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts ScheduleOptions, sched bool) ([][]*tags.IterationChunk, error) {
 	if sched {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/hierarchy"
+	"repro/internal/join"
 	"repro/internal/tags"
 )
 
@@ -20,6 +21,11 @@ import (
 type ScheduleOptions struct {
 	Alpha float64
 	Beta  float64
+	// Workers bounds the goroutines of a run, as Options.Workers does: the
+	// I/O groups, independent of each other, are scheduled on them. 0 or
+	// 1 runs everything inline; the result is identical at any worker
+	// count.
+	Workers int
 }
 
 // DefaultScheduleOptions returns the paper's equal weighting.
@@ -40,7 +46,11 @@ func Schedule(assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts Schedu
 
 // ScheduleCtx is Schedule with cooperative cancellation: the round-robin
 // scheduling loop checks ctx between rounds and returns ctx.Err() when it
-// is canceled.
+// is canceled. The I/O groups run on join.Each's workers (see
+// ScheduleOptions.Workers): a group reads only its own clients' lists and
+// writes only their out slots. Errors and panics reach the caller as
+// join.Each gives them: the first failed group's error, or the panic
+// re-raised once every worker has exited.
 func ScheduleCtx(ctx context.Context, assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts ScheduleOptions) ([][]*tags.IterationChunk, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("core: nil tree")
@@ -53,10 +63,11 @@ func ScheduleCtx(ctx context.Context, assign [][]*tags.IterationChunk, tree *hie
 		return nil, fmt.Errorf("core: negative schedule weights (α=%v, β=%v)", opts.Alpha, opts.Beta)
 	}
 	out := make([][]*tags.IterationChunk, len(assign))
-	for _, group := range ioGroups(tree) {
-		if err := scheduleGroup(ctx, assign, out, group, opts); err != nil {
-			return nil, err
-		}
+	groups := ioGroups(tree)
+	if err := join.Each(opts.Workers, len(groups), func(_, i int) error {
+		return scheduleGroup(ctx, assign, out, groups[i], opts)
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -100,17 +111,31 @@ type candidate struct {
 // after: a score costs O(set bits) instead of two r/64-word AndPopCounts.
 func scheduleGroup(ctx context.Context, assign, out [][]*tags.IterationChunk, group []int, opts ScheduleOptions) error {
 	n := len(group)
+	total := 0
+	for _, c := range group {
+		total += len(assign[c])
+	}
+	// Each client's candidates and schedule are capped windows of one
+	// slab each, sized to its chunk count; a client with none keeps a nil
+	// schedule.
+	cands := make([]candidate, total)
+	slots := make([]*tags.IterationChunk, total)
 	remaining := make([][]candidate, n)
-	r := 0
+	scheduled := make([][]*tags.IterationChunk, n)
+	r, off := 0, 0
 	for gi, c := range group {
-		rem := make([]candidate, len(assign[c]))
+		m := len(assign[c])
+		rem := cands[off : off+m : off+m]
 		for i, x := range assign[c] {
 			rem[i] = candidate{x, chunkKey(x)}
 			r = x.Tag.Len()
 		}
 		remaining[gi] = rem
+		if m > 0 {
+			scheduled[gi] = slots[off : off : off+m]
+		}
+		off += m
 	}
-	scheduled := make([][]*tags.IterationChunk, n)
 	counts := make([]int64, n)
 	last := make([]*tags.IterationChunk, n) // last chunk scheduled per client
 	leftView, ownView := bitvec.New(r), bitvec.New(r)

@@ -388,7 +388,11 @@ func TestScheduleCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ScheduleCtx(ctx, assign, tree, DefaultScheduleOptions()); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		opts := DefaultScheduleOptions()
+		opts.Workers = workers
+		if _, err := ScheduleCtx(ctx, assign, tree, opts); err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }

@@ -138,7 +138,8 @@ var largePlanDigests = map[string]string{
 // and incremental repairs of the drift-repair anchors onto shrunk
 // topologies. Each cold shape runs at Workers 1, 2, 3 and 8 against its one
 // digest: from 2 up, the subtrees below its root split run in parallel,
-// also on a one-CPU runner. Short mode keeps one cold shape and one anchor.
+// also on a one-CPU runner. Every schedule does the same with its I/O
+// groups. Short mode keeps one cold shape and one anchor.
 func TestLargePlanDigests(t *testing.T) {
 	type offsets struct{ off2, off3 int64 }
 	type cold struct {
@@ -177,11 +178,15 @@ func TestLargePlanDigests(t *testing.T) {
 	}
 	schedule := func(name string, assign [][]*tags.IterationChunk, tree *hierarchy.Tree) {
 		t.Helper()
-		got, err := core.RescheduleStages(context.Background(), assign, tree, core.DefaultScheduleOptions(), true)
-		if err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{1, 2, 3, 8} {
+			opts := core.DefaultScheduleOptions()
+			opts.Workers = workers
+			got, err := core.RescheduleStages(context.Background(), assign, tree, opts, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("sched/%s (workers=%d)", name, workers), got)
 		}
-		check("sched/"+name, got)
 	}
 	for _, c := range colds {
 		chunks := coldSynth(t, 4096, c.off.off2, c.off.off3)

@@ -69,12 +69,14 @@ type Config struct {
 	// Distribution options (inter schemes). Zero value = paper defaults.
 	Options core.Options
 	// Scheduling weights (InterProcessorSched). Zero value = α=β=0.5.
+	// Its Workers is always set from Config.Workers.
 	Schedule core.ScheduleOptions
 	// DepMode controls dependence handling for inter schemes.
 	DepMode DepMode
 	// Workers bounds the goroutines of the parallel stages (tag sharding,
-	// similarity weighting). 0 uses GOMAXPROCS. Results are byte-identical
-	// at any worker count, so Workers never belongs in a cache key.
+	// similarity weighting, the subtrees below a large split and Figure
+	// 15's I/O groups). 0 uses GOMAXPROCS. Results are byte-identical at
+	// any worker count, so Workers never belongs in a cache key.
 	Workers int
 	// StageHook, when non-nil, runs at the start of every stage; a non-nil
 	// error aborts the stage. Used for fault injection; never part of a
@@ -95,6 +97,7 @@ func (c *Config) normalize() error {
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
+	c.Schedule.Workers = c.Workers
 	return nil
 }
 
@@ -333,9 +336,13 @@ func Distribute(ctx context.Context, chunks []*tags.IterationChunk, tree *hierar
 }
 
 // Schedule reorders each client's chunks for chunk-level reuse (Figure 15)
-// as a standalone pipeline fragment under ctx.
+// as a standalone pipeline fragment under ctx. Workers below 1 use
+// GOMAXPROCS, as in Distribute.
 func Schedule(ctx context.Context, assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts core.ScheduleOptions) ([][]*tags.IterationChunk, error) {
 	r := NewRun(ctx)
+	if opts.Workers < 1 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	var out [][]*tags.IterationChunk
 	if err := r.stage(StageSchedule, func(ctx context.Context) error {
 		var err error

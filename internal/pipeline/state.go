@@ -125,14 +125,29 @@ func Resume(ctx context.Context, st *State, cfg Config) (*Result, error) {
 }
 
 // encodeAssignment converts per-client chunk lists into the simulator's
-// assignment form, dropping empty chunks.
+// assignment form, dropping empty chunks. Every client's blocks are a
+// capped window of one slab sized to the non-empty chunks; a client with
+// none keeps a nil list.
 func encodeAssignment(perClient [][]*tags.IterationChunk) iosim.Assignment {
-	asg := make(iosim.Assignment, len(perClient))
-	for ci, cl := range perClient {
+	n := 0
+	for _, cl := range perClient {
 		for _, c := range cl {
 			if !c.Iters.IsEmpty() {
-				asg[ci] = append(asg[ci], iosim.Block{Set: c.Iters})
+				n++
 			}
+		}
+	}
+	slab := make([]iosim.Block, 0, n)
+	asg := make(iosim.Assignment, len(perClient))
+	for ci, cl := range perClient {
+		lo := len(slab)
+		for _, c := range cl {
+			if !c.Iters.IsEmpty() {
+				slab = append(slab, iosim.Block{Set: c.Iters})
+			}
+		}
+		if len(slab) > lo {
+			asg[ci] = slab[lo:len(slab):len(slab)]
 		}
 	}
 	return asg
