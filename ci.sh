@@ -12,8 +12,9 @@
 # `make ci`); the workflow's race-stress job also reruns the
 # concurrency-heavy packages twice under -race: internal/core for the
 # subtree fan-out, the sharded similarity pass and the Figure 15 I/O
-# groups, internal/tags for the tag shards, and internal/join, the fan-out
-# every one of them runs on.
+# groups, internal/tags for the tag shards, internal/join, the fan-out
+# every one of them runs on, and internal/metrics, whose label families
+# every request updates while /metrics scrapes them.
 set -eu
 
 echo "==> gofmt"
@@ -102,11 +103,12 @@ echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # The pooled hot paths — posting-index build, arena carving, warm
 # sparse pair generation, the full distribution run, the plan-cache hit
 # serve path, tagging the cold_plan shape, encoding its assignment and
-# writing its plan's JSON — must stay allocation-free (or at their
-# documented small constants) once warm. GOGC=off pins sync.Pool contents
+# writing its plan's JSON — and the metrics instruments every request
+# updates must stay allocation-free (or at their documented small
+# constants) once warm. GOGC=off pins sync.Pool contents
 # for the whole run, so a GC-timed pool eviction can never fake a
 # regression.
-GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags ./internal/mapping ./internal/pipeline
+GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags ./internal/mapping ./internal/pipeline ./internal/metrics
 
 echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
 # Plain `go test` above already replays the seed corpus and any committed

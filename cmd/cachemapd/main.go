@@ -65,8 +65,9 @@
 // cache: each plan key has one owner, local misses peer-fill from it
 // (POST /internal/plan/{key}), and the owner's singleflight makes its
 // computation the fleet-wide one. Every node must be started with the
-// same -peers, -ring-vnodes and -ring-seed for ownership to agree. A
-// failed or slow fill (bounded by -fill-timeout) falls back to local
+// same -peers for ownership to agree; the ring's virtual points per peer
+// and placement seed are constants (cluster.RingVNodes, cluster.RingSeed).
+// A failed or slow fill (bounded by -fill-timeout) falls back to local
 // computation, so a dead owner degrades throughput, not availability.
 //
 // Persistence: -store-dir backs the plan cache with a crash-safe
@@ -128,8 +129,6 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
 	peers := flag.String("peers", "", "comma-separated ring peer addresses, identical fleet-wide (empty: standalone)")
 	self := flag.String("self", "", "this node's address exactly as it appears in -peers (required with -peers)")
-	ringVNodes := flag.Int("ring-vnodes", 64, "virtual points per peer on the consistent-hash ring")
-	ringSeed := flag.Uint64("ring-seed", 1, "ring placement seed, identical fleet-wide")
 	fillTimeout := flag.Duration("fill-timeout", 10*time.Second, "deadline for one peer-fill fetch")
 	qualitySample := flag.Float64("quality-sample", 0, "fraction of served /v1/map responses shadow-simulated off the request path into the /debug/quality ledger (0 disables)")
 	logSample := flag.Float64("log-sample", 1, "fraction of 200-OK fast-path access-log lines emitted; errors, degraded and slow requests always log")
@@ -174,8 +173,6 @@ func main() {
 		node, err = cluster.New(cluster.Config{
 			Self:        *self,
 			Peers:       list,
-			VNodes:      *ringVNodes,
-			Seed:        *ringSeed,
 			FillTimeout: *fillTimeout,
 			Registry:    reg,
 			Faults:      injector,
@@ -185,7 +182,7 @@ func main() {
 			os.Exit(2)
 		}
 		logger.Info("joined ring", "self", *self, "peers", len(list),
-			"vnodes", *ringVNodes, "seed", *ringSeed, "fill_timeout", *fillTimeout)
+			"vnodes", cluster.RingVNodes, "seed", cluster.RingSeed, "fill_timeout", *fillTimeout)
 	} else if *self != "" {
 		logger.Error("-self is set but -peers is empty")
 		os.Exit(2)

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -26,11 +25,7 @@ import (
 	"repro/internal/server"
 )
 
-const (
-	ringVNodes = 64
-	ringSeed   = 1
-	ringTopo   = "2/4/8@16,8,4"
-)
+const ringTopo = "2/4/8@16,8,4"
 
 type ringFleet struct {
 	addrs []string
@@ -59,8 +54,6 @@ func startFleet(t *testing.T, n int) *ringFleet {
 			"-addr", f.addrs[i],
 			"-self", f.addrs[i],
 			"-peers", peers,
-			"-ring-vnodes", strconv.Itoa(ringVNodes),
-			"-ring-seed", strconv.FormatUint(ringSeed, 10),
 			"-fill-timeout", "5s",
 			"-degraded",
 			// A zero-probability rule arms the injector so POST /debug/faults
@@ -80,7 +73,7 @@ func (f *ringFleet) ownerIndex(t *testing.T, req server.MapRequest) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := cluster.NewRing(f.addrs, ringVNodes, ringSeed)
+	ring, err := cluster.NewRing(f.addrs, cluster.RingVNodes, cluster.RingSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,11 +48,16 @@ func driftTopo(rr *rand.Rand, k float64) string {
 	return fmt.Sprintf("2/4/8@%d,%d,%d", caps[0], caps[1], caps[2])
 }
 
-// driftFamilies builds k workload families pinned to the repairable inter
-// scheme; only their topologies vary between requests.
+// driftFamilies builds k workload families whose topologies alone vary
+// between requests. Their repairable schemes alternate, plain inter and
+// inter-sched, so the repairs run the Figure 15 schedule stage too.
 func driftFamilies(k int) []server.MapRequest {
 	out := make([]server.MapRequest, 0, k)
 	for i := 0; i < k; i++ {
+		scheme := "inter"
+		if i%2 == 1 {
+			scheme = "inter-sched"
+		}
 		out = append(out, server.MapRequest{
 			Workload: server.WorkloadSpec{Synth: &workloads.SynthSpec{
 				Name:    fmt.Sprintf("drift%d", i),
@@ -60,7 +65,7 @@ func driftFamilies(k int) []server.MapRequest {
 				Extent:  256 * int64(1+i%4),
 				Streams: []workloads.StreamSpec{{Stride: 1}, {Stride: 1, Offset: 8 * int64(1+i%4)}},
 			}},
-			Scheme: "inter",
+			Scheme: scheme,
 		})
 	}
 	return out

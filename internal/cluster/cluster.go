@@ -39,6 +39,14 @@ const (
 // Either failure kind makes the caller fall back to local compute.
 const FaultSite = "cluster/fetch"
 
+// Every Node's ring has RingVNodes virtual points per peer and places them
+// with RingSeed. They are constants so that the members of a fleet cannot
+// disagree on key owners: under different seeds they agree on none.
+const (
+	RingVNodes = 64
+	RingSeed   = 1
+)
+
 // Config parameterizes a Node.
 type Config struct {
 	// Self is this node's address exactly as it appears in Peers.
@@ -46,17 +54,9 @@ type Config struct {
 	// Peers are the fleet's addresses ("host:port" or full URLs); every
 	// node must be configured with the same list for ownership to agree.
 	Peers []string
-	// VNodes is the number of virtual points per peer on the ring
-	// (default 64).
-	VNodes int
-	// Seed perturbs ring placement; it must be identical fleet-wide
-	// (default 1).
-	Seed uint64
 	// FillTimeout bounds one peer-fill fetch, within the request deadline
 	// (default 10s).
 	FillTimeout time.Duration
-	// Client issues the fetches (default: a dedicated pooled client).
-	Client *http.Client
 	// Registry receives cachemapd_ring_peers and
 	// cachemapd_peer_fill_total{outcome} (nil: metrics are dropped).
 	Registry *metrics.Registry
@@ -87,16 +87,10 @@ type peerState struct {
 
 // New validates cfg and builds the node. Self must appear in Peers.
 func New(cfg Config) (*Node, error) {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.FillTimeout <= 0 {
 		cfg.FillTimeout = 10 * time.Second
 	}
-	ring, err := NewRing(cfg.Peers, cfg.VNodes, cfg.Seed)
+	ring, err := NewRing(cfg.Peers, RingVNodes, RingSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -110,20 +104,17 @@ func New(cfg Config) (*Node, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: -self %q is not in the peer list %v", cfg.Self, cfg.Peers)
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        32,
-			MaxIdleConnsPerHost: 8,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	n := &Node{
 		self:        cfg.Self,
 		ring:        ring,
 		fillTimeout: cfg.FillTimeout,
-		client:      cfg.Client,
-		faults:      cfg.Faults,
-		peers:       make(map[string]*peerState, len(cfg.Peers)),
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        32,
+			MaxIdleConnsPerHost: 8,
+			IdleConnTimeout:     90 * time.Second,
+		}},
+		faults: cfg.Faults,
+		peers:  make(map[string]*peerState, len(cfg.Peers)),
 	}
 	for _, p := range cfg.Peers {
 		if p != cfg.Self {

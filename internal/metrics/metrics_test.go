@@ -2,8 +2,11 @@ package metrics
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -241,7 +244,8 @@ func TestHistogramInfBucket(t *testing.T) {
 }
 
 // TestFuncInstrumentSpecialValues: lazily sampled gauges render NaN and
-// ±Inf in the Prometheus text spellings, and fn runs only at scrape time.
+// ±Inf in the Prometheus text spellings, a CountFunc renders a count past
+// a million as an integer, and fn runs only at scrape time.
 func TestFuncInstrumentSpecialValues(t *testing.T) {
 	r := NewRegistry()
 	var calls int
@@ -252,6 +256,7 @@ func TestFuncInstrumentSpecialValues(t *testing.T) {
 		return v
 	})
 	r.CounterFunc("grow_total", "help", func() float64 { return 7 })
+	r.CountFunc("count_total", "help", func() int64 { return 2_500_000 })
 	if calls != 0 {
 		t.Fatalf("fn sampled before scrape: %d calls", calls)
 	}
@@ -261,7 +266,10 @@ func TestFuncInstrumentSpecialValues(t *testing.T) {
 		return buf.String()
 	}
 	out := scrape()
-	for _, want := range []string{"# TYPE weird gauge", "weird NaN", "# TYPE grow_total counter", "grow_total 7"} {
+	for _, want := range []string{
+		"# TYPE weird gauge", "weird NaN", "# TYPE grow_total counter", "grow_total 7",
+		"# TYPE count_total counter", "count_total 2500000",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
@@ -326,10 +334,10 @@ func TestScrapeDuringObserve(t *testing.T) {
 }
 
 func TestHistogramExemplar(t *testing.T) {
-	h := newHistogram("latency", []float64{0.1, 1})
+	h := newHistogram([]float64{0.1, 1})
 	h.Observe(0.05) // no exemplar
 	var plain bytes.Buffer
-	h.write(&plain, "lat", "latency")
+	h.writeSample(&plain, "lat", "")
 	if strings.Contains(plain.String(), "trace_id") {
 		t.Fatalf("plain Observe retained an exemplar:\n%s", plain.String())
 	}
@@ -340,7 +348,7 @@ func TestHistogramExemplar(t *testing.T) {
 	h.ObserveWithExemplar(9, "")     // empty trace ID: plain observation
 
 	var buf bytes.Buffer
-	h.write(&buf, "lat", "latency")
+	h.writeSample(&buf, "lat", "")
 	out := buf.String()
 	for _, want := range []string{
 		// The bucket keeps its most recent exemplar, (bbbb, 0.07).
@@ -423,5 +431,136 @@ func TestExemplarScrapeDuringObserve(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/exposition.txt")
+
+// TestExpositionGolden pins the whole exposition, byte for byte, of a
+// registry holding every kind of instrument: scalars with exemplars in some
+// buckets and unsorted bucket bounds, lazily sampled values reading +Inf
+// and 12.5 (and a count past a million, which a float renders in
+// e-notation), a two-label gauge family holding a NaN, one-label counter and
+// histogram families whose series appear in first-use order, and families
+// never used, which render only their HELP and TYPE lines.
+func TestExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("golden_requests_total", "requests served")
+	c.Add(1_234_567)
+	g := r.Gauge("golden_in_flight", "requests in flight")
+	g.Inc()
+	g.Inc()
+	g.Dec()
+	h := r.Histogram("golden_latency_seconds", "request latency", []float64{1, 0.01, 0.1})
+	h.Observe(0.005)
+	h.ObserveWithExemplar(0.05, "aaaa")
+	h.ObserveWithExemplar(2.5, "bbbb")
+	r.GaugeFunc("golden_headroom", "a lazily sampled gauge", func() float64 { return math.Inf(1) })
+	r.CounterFunc("golden_cpu_seconds_total", "a lazily sampled counter", func() float64 { return 12.5 })
+	r.CounterFunc("golden_appends_total", "a lazily sampled count", func() float64 { return 2_500_000 })
+	gv := r.GaugeVec("golden_missrate", "miss rate by level and mode", "level", "mode")
+	gv.Set(0.25, "L2", "full")
+	gv.Set(math.NaN(), "L1", "cached")
+	gv.Set(0.5, "L2", "full")
+	cv := r.CounterVec("golden_replan_total", "plans by outcome", "outcome")
+	cv.Inc("incremental")
+	cv.With("full").Add(3)
+	cv.Inc("incremental")
+	hv := r.HistogramVec("golden_stage_seconds", "stage latency", "stage", []float64{0.1, 0.01})
+	hv.Observe("tags", 0.002)
+	hv.With("cluster").ObserveWithExemplar(0.5, "cccc")
+	hv.Observe("tags", 0.05)
+	r.CounterVec("golden_unused_total", "a counter family never used", "site")
+	r.HistogramVec("golden_unused_seconds", "a histogram family never used", "stage", DefaultLatencyBuckets())
+	r.GaugeVec("golden_unused_ratio", "a gauge family never used", "level", "mode")
+
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	golden := filepath.Join("testdata", "exposition.txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("exposition drifted from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// TestAllocInstruments holds the hot paths the package doc promises
+// allocation-free to zero allocations, a vec's once its series exists.
+func TestAllocInstruments(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c_total", "help")
+	g := r.Gauge("g", "help")
+	h := r.Histogram("h_seconds", "help", DefaultLatencyBuckets())
+	cv := r.CounterVec("cv_total", "help", "outcome")
+	hv := r.HistogramVec("hv_seconds", "help", "stage", DefaultLatencyBuckets())
+	cv.Inc("full")
+	hv.Observe("tags", 0.001)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Counter.Inc", c.Inc},
+		{"Counter.Add", func() { c.Add(3) }},
+		{"Gauge.Inc", g.Inc},
+		{"Gauge.Dec", g.Dec},
+		{"Histogram.Observe", func() { h.Observe(0.004) }},
+		{"CounterVec.Inc", func() { cv.Inc("full") }},
+		{"HistogramVec.Observe", func() { hv.Observe("tags", 0.004) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+			t.Errorf("%s: %.1f allocations per call, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestRegisterKinds: registering a name again as the same kind returns the
+// instrument already there, and registering it as another kind panics,
+// a scalar and its vec included.
+func TestRegisterKinds(t *testing.T) {
+	r := NewRegistry()
+	same := map[string][2]any{
+		"counter":    {r.Counter("c", "h"), r.Counter("c", "other help")},
+		"gauge":      {r.Gauge("g", "h"), r.Gauge("g", "h")},
+		"histogram":  {r.Histogram("h", "h", []float64{1}), r.Histogram("h", "h", nil)},
+		"countervec": {r.CounterVec("cv", "h", "l"), r.CounterVec("cv", "h", "l")},
+		"histogramvec": {r.HistogramVec("hv", "h", "l", []float64{1}),
+			r.HistogramVec("hv", "h", "l", nil)},
+		"gaugevec": {r.GaugeVec("gv", "h", "a", "b"), r.GaugeVec("gv", "h", "a", "b")},
+	}
+	for kind, pair := range same {
+		if pair[0] != pair[1] {
+			t.Errorf("re-registering a %s returned a new instrument", kind)
+		}
+	}
+	r.GaugeFunc("gf", "h", func() float64 { return 0 })
+	r.CountFunc("cf", "h", func() int64 { return 0 })
+	for name, register := range map[string]func(){
+		"Counter as CounterVec":     func() { r.CounterVec("c", "h", "l") },
+		"CounterVec as Counter":     func() { r.Counter("cv", "h") },
+		"Histogram as HistogramVec": func() { r.HistogramVec("h", "h", "l", nil) },
+		"HistogramVec as Histogram": func() { r.Histogram("hv", "h", nil) },
+		"Gauge as GaugeVec":         func() { r.GaugeVec("g", "h", "a") },
+		"GaugeFunc as Gauge":        func() { r.Gauge("gf", "h") },
+		"CountFunc as Counter":      func() { r.Counter("cf", "h") },
+		"Counter as Gauge":          func() { r.Gauge("c", "h") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering a %s did not panic", name)
+				}
+			}()
+			register()
+		}()
 	}
 }

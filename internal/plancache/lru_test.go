@@ -72,12 +72,10 @@ func TestLRU(t *testing.T) {
 	t.Run("CapacityBound", func(t *testing.T) {
 		const limit = 4
 		c := New[string](limit, nil)
-		evictions := 0
-		c.OnEvict = func() { evictions++ }
 		for i := 0; i < 3*limit; i++ {
 			c.Do(ctx, key(t, i), value(fmt.Sprintf("v%d", i)))
-			if want := max(0, i+1-limit); evictions != want {
-				t.Fatalf("after %d keys: %d evictions, want %d", i+1, evictions, want)
+			if want := int64(max(0, i+1-limit)); c.Stats().Evictions != want {
+				t.Fatalf("after %d keys: %d evictions, want %d", i+1, c.Stats().Evictions, want)
 			}
 			if n := len(c.mem.entries); n > limit || c.mem.ll.Len() != n {
 				t.Fatalf("%d entries (%d listed), capacity %d", n, c.mem.ll.Len(), limit)

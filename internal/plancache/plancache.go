@@ -11,8 +11,8 @@
 // (internal/planstore) that answers memory misses and receives every
 // computed plan. On top of them it deduplicates concurrent misses for the
 // same key ("singleflight": when n requests race on a cold key, one
-// computes and the other n−1 wait for its result) and reports each event
-// through instrumentation hooks.
+// computes and the other n−1 wait for its result) and counts how each
+// lookup was answered (Stats).
 //
 // The cache is safe for concurrent use.
 package plancache
@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -57,9 +58,8 @@ type Disk[V any] interface {
 }
 
 // Cache is the two-tier plan cache: a bounded in-memory LRU over an
-// optional Disk tier, per-event instrumentation hooks and singleflight
-// deduplication of concurrent misses. The hooks are the cache's only
-// counters: the server wires them to its metrics registry.
+// optional Disk tier, with singleflight deduplication of concurrent misses.
+// It counts its own outcomes; Stats reads them.
 type Cache[V any] struct {
 	// mu guards the memory tier and the inflight table and is held across
 	// disk-tier calls, which keeps lookup-vs-publish atomic: a concurrent
@@ -68,20 +68,30 @@ type Cache[V any] struct {
 	mem      *lru[V]
 	disk     Disk[V] // nil: memory only
 	inflight map[Key]*call[V]
-	// The hooks are set before the cache is shared and read without the
-	// lock. OnHit and OnMiss, when non-nil, are invoked once per Do
-	// resolution.
-	OnHit  func()
-	OnMiss func()
-	// OnEvict, when non-nil, is invoked once per entry the memory tier
-	// evicts, including those displaced by promoting a disk hit.
-	OnEvict func()
-	// OnCoalesced, when non-nil, is invoked whenever a Do caller becomes a
-	// waiter on an in-flight computation.
-	OnCoalesced func()
-	// OnReelect, when non-nil, is invoked whenever a waiter re-enters
-	// leader election after its leader was canceled.
-	OnReelect func()
+
+	hits, misses, diskHits, evictions, coalesced, reelected atomic.Int64
+}
+
+// Stats counts how a Cache's Do calls were answered.
+type Stats struct {
+	Hits      int64 // answered by either tier or a shared in-flight computation
+	Misses    int64 // led a computation
+	DiskHits  int64 // memory misses the disk tier answered
+	Evictions int64 // memory-tier evictions, those a promoted disk hit caused included
+	Coalesced int64 // waited on another call's in-flight computation
+	Reelected int64 // waiters that re-entered leader election after a canceled leader
+}
+
+// Stats snapshots the cache's counts.
+func (c *Cache[V]) Stats() Stats {
+	return Stats{
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		DiskHits:  c.diskHits.Load(),
+		Evictions: c.evictions.Load(),
+		Coalesced: c.coalesced.Load(),
+		Reelected: c.reelected.Load(),
+	}
 }
 
 type call[V any] struct {
@@ -108,23 +118,16 @@ func New[V any](capacity int, disk Disk[V]) *Cache[V] {
 }
 
 // lookupLocked probes memory, then disk; a disk hit is promoted into
-// memory. evicted counts the memory entries the promotion displaced.
-func (c *Cache[V]) lookupLocked(k Key) (v V, ok bool, evicted int) {
+// memory.
+func (c *Cache[V]) lookupLocked(k Key) (v V, ok bool) {
 	if v, ok = c.mem.get(k); ok || c.disk == nil {
-		return v, ok, 0
+		return v, ok
 	}
 	if v, ok = c.disk.Get(k); ok {
-		evicted = c.mem.put(k, v)
+		c.diskHits.Add(1)
+		c.evictions.Add(int64(c.mem.put(k, v)))
 	}
-	return v, ok, evicted
-}
-
-// reportEvictions reports n memory evictions to OnEvict; call it without
-// the lock.
-func (c *Cache[V]) reportEvictions(n int) {
-	for ; n > 0 && c.OnEvict != nil; n-- {
-		c.OnEvict()
-	}
+	return v, ok
 }
 
 // Do returns the value for k, computing it with fn on a miss, honoring
@@ -151,24 +154,19 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 		}
 		lookupStart := time.Now()
 		c.mu.Lock()
-		if v, ok, evicted := c.lookupLocked(k); ok {
+		if v, ok := c.lookupLocked(k); ok {
 			c.mu.Unlock()
-			c.reportEvictions(evicted)
 			if traced {
 				obs.Record(ctx, "plancache.lookup", lookupStart, time.Since(lookupStart),
 					obs.String("result", "hit"))
 			}
-			if c.OnHit != nil {
-				c.OnHit()
-			}
+			c.hits.Add(1)
 			return v, true, nil
 		}
 		if cl, ok := c.inflight[k]; ok {
 			// Someone is computing this key; wait for their answer.
 			c.mu.Unlock()
-			if c.OnCoalesced != nil {
-				c.OnCoalesced()
-			}
+			c.coalesced.Add(1)
 			waitStart := time.Now()
 			select {
 			case <-ctx.Done():
@@ -185,9 +183,7 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 					obs.Record(ctx, "plancache.wait", waitStart, time.Since(waitStart),
 						obs.String("outcome", "reelect"))
 				}
-				if c.OnReelect != nil {
-					c.OnReelect()
-				}
+				c.reelected.Add(1)
 				continue
 			}
 			if traced {
@@ -195,17 +191,13 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 					obs.String("outcome", "shared"))
 			}
 			// Counted as a hit: the work was shared, not repeated.
-			if c.OnHit != nil {
-				c.OnHit()
-			}
+			c.hits.Add(1)
 			return cl.val, true, cl.err
 		}
 		cl := &call[V]{done: make(chan struct{})}
 		c.inflight[k] = cl
 		c.mu.Unlock()
-		if c.OnMiss != nil {
-			c.OnMiss()
-		}
+		c.misses.Add(1)
 		c.lead(ctx, k, cl, fn)
 		if cl.canceled {
 			return zero, false, ctx.Err()
@@ -230,10 +222,9 @@ func (c *Cache[V]) lead(ctx context.Context, k Key, cl *call[V], fn func(context
 			csp.SetAttr("outcome", outcome)
 			csp.End()
 		}
-		evicted := 0
 		c.mu.Lock()
 		if outcome == "computed" {
-			evicted = c.mem.put(k, cl.val)
+			c.evictions.Add(int64(c.mem.put(k, cl.val)))
 			if c.disk != nil {
 				c.disk.Put(k, cl.val)
 			}
@@ -243,7 +234,6 @@ func (c *Cache[V]) lead(ctx context.Context, k Key, cl *call[V], fn func(context
 		// Wake followers only after the call left the inflight table, so a
 		// retrying follower cannot re-adopt the abandoned call.
 		close(cl.done)
-		c.reportEvictions(evicted)
 	}()
 	cl.val, cl.err = fn(cctx)
 	switch {

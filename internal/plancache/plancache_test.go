@@ -49,9 +49,6 @@ func value[V any](v V) func(context.Context) (V, error) {
 
 func TestGetPutLRU(t *testing.T) {
 	c := New[int](2, nil)
-	var hits, misses int
-	c.OnHit = func() { hits++ }
-	c.OnMiss = func() { misses++ }
 	ctx := context.Background()
 	k1, k2, k3 := key(t, 1), key(t, 2), key(t, 3)
 	c.Do(ctx, k1, value(10))
@@ -72,21 +69,19 @@ func TestGetPutLRU(t *testing.T) {
 	if n := len(c.mem.entries); n != 2 {
 		t.Fatalf("memory holds %d entries, want 2", n)
 	}
-	if hits != 1 || misses != 3 {
-		t.Fatalf("hooks saw %d hits, %d misses; want 1, 3", hits, misses)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 {
+		t.Fatalf("Stats = %+v; want 1 hit, 3 misses, 1 eviction", st)
 	}
 }
 
-func TestOnEvict(t *testing.T) {
+func TestEvictionsCounted(t *testing.T) {
 	c := New[string](1, nil)
-	evictions := 0
-	c.OnEvict = func() { evictions++ }
 	ctx := context.Background()
 	c.Do(ctx, key(t, "a"), value("A"))
 	c.Do(ctx, key(t, "b"), value("B"))
 	c.Do(ctx, key(t, "c"), value("C"))
-	if evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", evictions)
+	if n := c.Stats().Evictions; n != 2 {
+		t.Fatalf("evictions = %d, want 2", n)
 	}
 	if _, ok := c.mem.peek(key(t, "c")); !ok || len(c.mem.entries) != 1 {
 		t.Fatalf("memory holds %d entries, want only the newest", len(c.mem.entries))
@@ -275,18 +270,12 @@ func TestDoFollowerCancellation(t *testing.T) {
 
 // TestCountersMoveUnderConcurrentLoad drives the cache through coalesced
 // waits, capacity evictions and a leader re-election, and requires the
-// corresponding hooks (the cache's only counters) to fire.
+// corresponding counts to move.
 func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
 	c := New[int](2, nil)
-	var hookCoalesced, hookReelect, hookEvict, hookHit, hookMiss atomic.Int64
-	c.OnCoalesced = func() { hookCoalesced.Add(1) }
-	c.OnReelect = func() { hookReelect.Add(1) }
-	c.OnEvict = func() { hookEvict.Add(1) }
-	c.OnHit = func() { hookHit.Add(1) }
-	c.OnMiss = func() { hookMiss.Add(1) }
 
 	// Phase 1: 7 followers coalesce onto one in-flight leader. The
-	// OnCoalesced hook doubles as the synchronization point: the leader is
+	// coalesced count doubles as the synchronization point: the leader is
 	// released only after every follower has attached.
 	k := key(t, "coalesce")
 	release := make(chan struct{})
@@ -314,7 +303,7 @@ func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
 			}
 		}()
 	}
-	for hookCoalesced.Load() < followers {
+	for c.Stats().Coalesced < followers {
 		runtime.Gosched()
 	}
 	close(release)
@@ -348,7 +337,7 @@ func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
 		})
 	}()
 	<-started3
-	before := hookCoalesced.Load()
+	before := c.Stats().Coalesced
 	wg3.Add(1)
 	go func() {
 		defer wg3.Done()
@@ -358,23 +347,24 @@ func TestCountersMoveUnderConcurrentLoad(t *testing.T) {
 			t.Errorf("re-electing waiter got %d, %v", v, err)
 		}
 	}()
-	for hookCoalesced.Load() == before {
+	for c.Stats().Coalesced == before {
 		runtime.Gosched()
 	}
 	cancelLeader()
 	close(release3)
 	wg3.Wait()
 
-	if n := hookCoalesced.Load(); n < followers+1 {
-		t.Errorf("coalesced waiters = %d, want >= %d", n, followers+1)
+	st := c.Stats()
+	if st.Coalesced < followers+1 {
+		t.Errorf("coalesced waiters = %d, want >= %d", st.Coalesced, followers+1)
 	}
-	if n := hookEvict.Load(); n < 6 {
-		t.Errorf("evictions = %d, want >= 6 (8 cold keys + 2 earlier in a 2-entry cache)", n)
+	if st.Evictions < 6 {
+		t.Errorf("evictions = %d, want >= 6 (8 cold keys + 2 earlier in a 2-entry cache)", st.Evictions)
 	}
-	if n := hookReelect.Load(); n < 1 {
-		t.Errorf("leader re-elections = %d, want >= 1", n)
+	if st.Reelected < 1 {
+		t.Errorf("leader re-elections = %d, want >= 1", st.Reelected)
 	}
-	if hookHit.Load()+hookMiss.Load() == 0 {
+	if st.Hits+st.Misses == 0 {
 		t.Error("no hits or misses recorded")
 	}
 }
@@ -428,10 +418,10 @@ func TestDoEmitsSpans(t *testing.T) {
 		})
 	}()
 	<-started
-	attached := make(chan struct{})
-	c.OnCoalesced = func() { close(attached) }
 	go func() {
-		<-attached
+		for c.Stats().Coalesced == 0 {
+			runtime.Gosched()
+		}
 		close(releaseLeader)
 	}()
 	got = spansOf(func(ctx context.Context) {
@@ -460,16 +450,12 @@ func (d *mapDisk) Get(k Key) (string, bool) { d.gets++; v, ok := d.m[k]; return 
 func (d *mapDisk) Put(k Key, v string)      { d.puts++; d.m[k] = v }
 
 // TestDiskTier: computed values reach the disk tier, a memory miss the
-// disk answers is a hit that is promoted into memory without a disk
-// write, and every memory eviction, the promotion's included, fires
-// OnEvict.
+// disk answers is a hit and a disk hit that is promoted into memory
+// without a disk write, and every memory eviction, the promotion's
+// included, is counted.
 func TestDiskTier(t *testing.T) {
 	d := &mapDisk{m: map[Key]string{}}
 	c := New[string](1, d)
-	var hits, misses, evictions int
-	c.OnHit = func() { hits++ }
-	c.OnMiss = func() { misses++ }
-	c.OnEvict = func() { evictions++ }
 	ctx := context.Background()
 	ka, kb := key(t, "a"), key(t, "b")
 
@@ -478,8 +464,8 @@ func TestDiskTier(t *testing.T) {
 	if d.m[ka] != "A" || d.m[kb] != "B" || d.puts != 2 {
 		t.Fatalf("disk holds %v after %d puts; want both computed values", d.m, d.puts)
 	}
-	if evictions != 1 {
-		t.Fatalf("evictions = %d after 2 values in a 1-entry tier, want 1", evictions)
+	if n := c.Stats().Evictions; n != 1 {
+		t.Fatalf("evictions = %d after 2 values in a 1-entry tier, want 1", n)
 	}
 
 	v, hit, err := c.Do(ctx, ka, func(context.Context) (string, error) {
@@ -488,8 +474,8 @@ func TestDiskTier(t *testing.T) {
 	if v != "A" || !hit || err != nil {
 		t.Fatalf("memory miss on a = %q, %v, %v; want the disk copy as a hit", v, hit, err)
 	}
-	if evictions != 2 {
-		t.Fatalf("evictions = %d, want 2: promoting a displaces b", evictions)
+	if n := c.Stats().Evictions; n != 2 {
+		t.Fatalf("evictions = %d, want 2: promoting a displaces b", n)
 	}
 	if d.puts != 2 {
 		t.Fatalf("promotion wrote to disk: %d puts, want 2", d.puts)
@@ -498,8 +484,8 @@ func TestDiskTier(t *testing.T) {
 	if v, hit, _ := c.Do(ctx, ka, value("unused")); v != "A" || !hit || d.gets != gets {
 		t.Fatalf("after promotion Do(a) = %q, %v with %d disk reads; want a memory hit", v, hit, d.gets-gets)
 	}
-	if hits != 2 || misses != 2 {
-		t.Fatalf("hooks saw %d hits, %d misses; want 2, 2", hits, misses)
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 || st.DiskHits != 1 {
+		t.Fatalf("Stats = %+v; want 2 hits, 2 misses, 1 disk hit", st)
 	}
 }
 
@@ -532,15 +518,15 @@ func TestDoAfterLeaderPanic(t *testing.T) {
 func TestDoFollowerOfPanickingLeader(t *testing.T) {
 	c := New[int](4, nil)
 	k := key(t, "panics-shared")
-	attached := make(chan struct{})
-	c.OnCoalesced = func() { close(attached) }
 	started := make(chan struct{})
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
 		c.Do(context.Background(), k, func(context.Context) (int, error) {
 			close(started)
-			<-attached
+			for c.Stats().Coalesced == 0 {
+				runtime.Gosched()
+			}
 			panic("boom")
 		})
 	}()

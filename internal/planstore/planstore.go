@@ -399,6 +399,13 @@ func (l *Log[V]) Put(k plancache.Key, v V) {
 	l.maybeCompactLocked()
 }
 
+// countWriteError counts a Put that failed outside the log's own checks.
+func (l *Log[V]) countWriteError() {
+	l.mu.Lock()
+	l.wrErrs++
+	l.mu.Unlock()
+}
+
 // appendLocked writes one record at the current end of the log and returns
 // its offset. With FsyncAlways the record is synced before it is indexed.
 func (l *Log[V]) appendLocked(k plancache.Key, payload []byte, flags uint32) (int64, error) {

@@ -386,7 +386,7 @@ func TestCompactionPreservesRecency(t *testing.T) {
 // an entry displaced from memory is served from the log, counted as a
 // disk hit and promoted, so the next lookup is a pure memory hit.
 func TestWriteBehindPromotion(t *testing.T) {
-	wb := NewWriteBehind(openTestLog(t, Options{}), 16)
+	wb := NewWriteBehind(openTestLog(t, Options{}), 16, nil)
 	defer wb.Close()
 	c := plancache.New[string](1, wb)
 	ctx := context.Background()
@@ -402,13 +402,14 @@ func TestWriteBehindPromotion(t *testing.T) {
 	if v, hit, err := c.Do(ctx, key("k1"), computed("recomputed")); !hit || v != "v1" || err != nil {
 		t.Fatalf("memory-evicted k1: Do = %q, %v, %v; want the disk copy", v, hit, err)
 	}
-	if hits, dropped, _ := wb.Stats(); hits != 1 || dropped != 0 {
+	dropped, _ := wb.Stats()
+	if hits := c.Stats().DiskHits; hits != 1 || dropped != 0 {
 		t.Fatalf("disk hits = %d, dropped = %d; want 1, 0", hits, dropped)
 	}
 	if v, hit, _ := c.Do(ctx, key("k1"), computed("recomputed")); !hit || v != "v1" {
 		t.Fatalf("promoted k1: Do = %q, %v", v, hit)
 	}
-	if hits, _, _ := wb.Stats(); hits != 1 {
+	if hits := c.Stats().DiskHits; hits != 1 {
 		t.Fatalf("second lookup read the disk again: disk hits = %d", hits)
 	}
 }
@@ -418,11 +419,11 @@ func TestWriteBehindPromotion(t *testing.T) {
 func TestWriteBehindDropOnPressure(t *testing.T) {
 	back := openTestLog(t, Options{})
 	gate := make(chan struct{})
-	wb := newWriteBehind(back, 1, gate)
+	wb := newWriteBehind(back, 1, nil, gate)
 
 	wb.Put(key("q1"), "v1") // writer picks this up and stalls on the gate
 	for {                   // wait for the writer to hold q1, emptying the queue
-		if _, _, depth := wb.Stats(); depth == 0 {
+		if _, depth := wb.Stats(); depth == 0 {
 			break
 		}
 		runtime.Gosched()
@@ -430,7 +431,7 @@ func TestWriteBehindDropOnPressure(t *testing.T) {
 	wb.Put(key("q2"), "v2") // sits in the 1-slot queue
 	wb.Put(key("q3"), "v3") // queue full: dropped
 
-	if _, dropped, _ := wb.Stats(); dropped != 1 {
+	if dropped, _ := wb.Stats(); dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", dropped)
 	}
 	close(gate)
@@ -448,8 +449,51 @@ func TestWriteBehindDropOnPressure(t *testing.T) {
 	}
 }
 
+// TestWriteBehindSurvivesPanic: a codec whose Encode panics once costs
+// that one write, counted as a failed write and reported with its stack;
+// the writer goes on, so the next Put lands and Flush returns.
+func TestWriteBehindSurvivesPanic(t *testing.T) {
+	var panicked sync.Once
+	codec := Codec[string]{
+		Encode: func(s string) ([]byte, error) {
+			panicked.Do(func() { panic("encode boom") })
+			return []byte(s), nil
+		},
+		Decode: stringCodec.Decode,
+	}
+	l, err := Open[string](Options{Dir: t.TempDir()}, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []string
+	wb := NewWriteBehind(l, 4, func(p any, stack []byte) {
+		reports = append(reports, fmt.Sprintf("%v", p))
+		if !strings.Contains(string(stack), "TestWriteBehindSurvivesPanic") {
+			t.Errorf("reported stack does not reach the panicking Encode:\n%s", stack)
+		}
+	})
+	defer wb.Close()
+	wb.Put(key("a"), "lost")
+	wb.Put(key("b"), "kept")
+	if !wb.Flush() {
+		t.Fatal("Flush after a panicking write returned false")
+	}
+	if _, ok := l.Get(key("a")); ok {
+		t.Fatal("the write whose Encode panicked reached the log")
+	}
+	if v, ok := l.Get(key("b")); !ok || v != "kept" {
+		t.Fatalf("the next write: %q, %v; want it in the log", v, ok)
+	}
+	if st := l.Stats(); st.WriteErrors != 1 {
+		t.Fatalf("WriteErrors = %d, want 1", st.WriteErrors)
+	}
+	if len(reports) != 1 || reports[0] != "encode boom" {
+		t.Fatalf("onPanic saw %q, want one \"encode boom\"", reports)
+	}
+}
+
 func TestWriteBehindCloseIdempotent(t *testing.T) {
-	wb := NewWriteBehind(openTestLog(t, Options{}), 4)
+	wb := NewWriteBehind(openTestLog(t, Options{}), 4, nil)
 	wb.Put(key("a"), "v")
 	if err := wb.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

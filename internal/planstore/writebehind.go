@@ -1,6 +1,7 @@
 package planstore
 
 import (
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -14,17 +15,19 @@ import (
 // holds the cache mutex across Disk.Put — never waits on disk I/O. Under
 // sustained pressure the queue drops writes rather than blocking
 // (counted; a dropped write only costs a future warm-start, never a
-// served response).
+// served response). A panic in a write or a sync is recovered on the
+// writer, which goes on draining.
 type WriteBehind[V any] struct {
-	log *Log[V]
+	log     *Log[V]
+	onPanic func(p any, stack []byte) // may be nil
 
 	mu     sync.RWMutex // guards closed vs. sends on ch
 	closed bool
 	ch     chan wbItem[V]
 	done   chan struct{}
 
-	hits, dropped atomic.Int64
-	writerGate    chan struct{} // test hook: non-nil stalls the writer
+	dropped    atomic.Int64
+	writerGate chan struct{} // test hook: non-nil stalls the writer
 }
 
 type wbItem[V any] struct {
@@ -34,21 +37,23 @@ type wbItem[V any] struct {
 }
 
 // NewWriteBehind puts log behind a write queue and starts its writer
-// goroutine. queueLen bounds the queue (minimum 1).
-func NewWriteBehind[V any](log *Log[V], queueLen int) *WriteBehind[V] {
-	return newWriteBehind(log, queueLen, nil)
+// goroutine. queueLen bounds the queue (minimum 1). onPanic, when non-nil,
+// receives the value and stack of every panic the writer recovers.
+func NewWriteBehind[V any](log *Log[V], queueLen int, onPanic func(p any, stack []byte)) *WriteBehind[V] {
+	return newWriteBehind(log, queueLen, onPanic, nil)
 }
 
 // newWriteBehind is the gated variant: a non-nil gate stalls the writer
 // goroutine until the gate is fed, letting tests fill the queue
 // deterministically. The gate is fixed before the writer starts, so it
 // needs no synchronization.
-func newWriteBehind[V any](log *Log[V], queueLen int, gate chan struct{}) *WriteBehind[V] {
+func newWriteBehind[V any](log *Log[V], queueLen int, onPanic func(any, []byte), gate chan struct{}) *WriteBehind[V] {
 	if queueLen < 1 {
 		queueLen = 1
 	}
 	w := &WriteBehind[V]{
 		log:        log,
+		onPanic:    onPanic,
 		ch:         make(chan wbItem[V], queueLen),
 		done:       make(chan struct{}),
 		writerGate: gate,
@@ -63,29 +68,40 @@ func (w *WriteBehind[V]) writer() {
 		if w.writerGate != nil {
 			<-w.writerGate
 		}
-		if item.flushed != nil {
-			w.log.Sync()
-			close(item.flushed)
-			continue
-		}
-		w.log.Put(item.key, item.val)
-		// Batch fsync: sync once when the queue drains rather than once
-		// per record, amortizing the flush across the burst.
-		if w.log.opts.Fsync == FsyncBatch && len(w.ch) == 0 {
-			w.log.Sync()
-		}
+		w.write(item)
 	}
 }
 
-// Get reads k from the log. The cache calls it only on a memory miss, so
-// every hit counts as a disk hit.
-func (w *WriteBehind[V]) Get(k plancache.Key) (V, bool) {
-	v, ok := w.log.Get(k)
-	if ok {
-		w.hits.Add(1)
+// write applies one queued item: a flush sentinel syncs the log and
+// releases its Flush, and a record is appended. A panic in either is
+// recovered here: a record's counts as a failed write, and the sentinel's
+// Flush is released all the same.
+func (w *WriteBehind[V]) write(item wbItem[V]) {
+	defer func() {
+		if p := recover(); p != nil {
+			if item.flushed == nil {
+				w.log.countWriteError()
+			}
+			if w.onPanic != nil {
+				w.onPanic(p, debug.Stack())
+			}
+		}
+	}()
+	if item.flushed != nil {
+		defer close(item.flushed)
+		w.log.Sync()
+		return
 	}
-	return v, ok
+	w.log.Put(item.key, item.val)
+	// Batch fsync: sync once when the queue drains rather than once per
+	// record, amortizing the flush across the burst.
+	if w.log.opts.Fsync == FsyncBatch && len(w.ch) == 0 {
+		w.log.Sync()
+	}
 }
+
+// Get reads k from the log.
+func (w *WriteBehind[V]) Get(k plancache.Key) (V, bool) { return w.log.Get(k) }
 
 // Put enqueues the disk append of k → v; a full queue drops the write and
 // counts it, and a closed store ignores it.
@@ -102,10 +118,9 @@ func (w *WriteBehind[V]) Put(k plancache.Key, v V) {
 	}
 }
 
-// Stats reports the disk hits, the dropped writes and the current queue
-// depth.
-func (w *WriteBehind[V]) Stats() (hits, dropped int64, depth int) {
-	return w.hits.Load(), w.dropped.Load(), len(w.ch)
+// Stats reports the dropped writes and the current queue depth.
+func (w *WriteBehind[V]) Stats() (dropped int64, depth int) {
+	return w.dropped.Load(), len(w.ch)
 }
 
 // Flush blocks until every write enqueued before the call has reached the

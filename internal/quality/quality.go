@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,6 +118,7 @@ type Sampler struct {
 	rate     float64
 	seed     uint64
 	onRecord func(Record)
+	onPanic  func(p any, stack []byte)
 	ledger   *Ledger
 
 	arrivals atomic.Uint64
@@ -132,12 +134,15 @@ type Sampler struct {
 
 // NewSampler builds a sampler. At cfg.Rate <= 0 it returns an inert
 // sampler that owns no goroutine and never enqueues — the zero-cost
-// configuration for latency-sensitive deployments.
-func NewSampler(cfg Config) *Sampler {
+// configuration for latency-sensitive deployments. The worker recovers a
+// panic in a shadow simulation or in cfg.OnRecord and goes on; onPanic,
+// when non-nil, receives each one's value and stack.
+func NewSampler(cfg Config, onPanic func(p any, stack []byte)) *Sampler {
 	s := &Sampler{
 		rate:     cfg.Rate,
 		seed:     cfg.Seed,
 		onRecord: cfg.OnRecord,
+		onPanic:  onPanic,
 		ledger:   NewLedger(),
 	}
 	if cfg.Rate > 0 {
@@ -220,20 +225,46 @@ func (s *Sampler) loop() {
 		case <-s.stop:
 			return
 		case smp := <-s.queue:
-			rec := s.runOne(smp)
-			s.ledger.Add(rec)
-			if s.onRecord != nil {
-				s.onRecord(rec)
-			}
+			s.record(s.runOne(smp))
 		}
 	}
 }
 
+// panicked reports a panic the worker recovered; call it from the
+// deferred function that recovered it, so the stack still reaches the
+// panic.
+func (s *Sampler) panicked(p any) {
+	if s.onPanic != nil {
+		s.onPanic(p, debug.Stack())
+	}
+}
+
+// record adds rec to the ledger and hands it to onRecord, recovering a
+// panic in either.
+func (s *Sampler) record(rec Record) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panicked(p)
+		}
+	}()
+	s.ledger.Add(rec)
+	if s.onRecord != nil {
+		s.onRecord(rec)
+	}
+}
+
 // runOne executes one bounded shadow simulation. Plan decoding happens
-// here, on the worker, never on a request goroutine.
-func (s *Sampler) runOne(smp Sample) Record {
+// here, on the worker, never on a request goroutine. A panic becomes the
+// sample's error verdict.
+func (s *Sampler) runOne(smp Sample) (rec Record) {
 	start := time.Now()
-	rec := Record{TraceID: smp.TraceID, Family: smp.Family, Mode: smp.Mode}
+	rec = Record{TraceID: smp.TraceID, Family: smp.Family, Mode: smp.Mode}
+	defer func() {
+		if p := recover(); p != nil {
+			rec = Record{TraceID: smp.TraceID, Family: smp.Family, Mode: smp.Mode, Err: fmt.Sprintf("panic: %v", p)}
+			s.panicked(p)
+		}
+	}()
 	if smp.Plan == nil || smp.Tree == nil {
 		rec.Err = "quality: sample lacks plan or tree"
 		return rec

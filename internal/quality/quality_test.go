@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,7 +109,7 @@ func TestShadowSimRunsOffCallerGoroutine(t *testing.T) {
 			rec Record
 			gid string
 		}{r, goid()}
-	}})
+	}}, nil)
 	defer s.Close()
 	if !s.Offer(testSample(100, ModeFull)) {
 		t.Fatal("rate-1 offer not enqueued")
@@ -142,7 +143,7 @@ func TestShadowSimRunsOffCallerGoroutine(t *testing.T) {
 
 func TestInertSamplerOwnsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := NewSampler(Config{Rate: 0})
+	s := NewSampler(Config{Rate: 0}, nil)
 	if s.Active() {
 		t.Fatal("rate-0 sampler reports active")
 	}
@@ -170,7 +171,7 @@ func TestOfferShedsWhenQueueFull(t *testing.T) {
 	s := NewSampler(Config{Rate: 1, Seed: 1, OnRecord: func(Record) {
 		once.Do(func() { close(busy) })
 		<-release
-	}})
+	}}, nil)
 	defer s.Close()
 	// First sample occupies the worker (blocked in OnRecord)...
 	if !s.Offer(testSample(16, ModeFull)) {
@@ -197,7 +198,7 @@ func TestSamplerDeterministicAcrossRuns(t *testing.T) {
 	// the seeded draw alone: an overflow would report false, and how many
 	// overflow would depend on how fast the worker drains the queue.
 	run := func(seed uint64) []bool {
-		s := NewSampler(Config{Rate: 0.5, Seed: seed})
+		s := NewSampler(Config{Rate: 0.5, Seed: seed}, nil)
 		defer s.Close()
 		out := make([]bool, queueCap)
 		for i := range out {
@@ -251,7 +252,7 @@ func TestLedgerRingAndStats(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndStopsOffers(t *testing.T) {
-	s := NewSampler(Config{Rate: 1, Seed: 1})
+	s := NewSampler(Config{Rate: 1, Seed: 1}, nil)
 	s.Close()
 	s.Close()
 	if s.Active() {
@@ -259,5 +260,55 @@ func TestCloseIsIdempotentAndStopsOffers(t *testing.T) {
 	}
 	if s.Offer(testSample(16, ModeFull)) {
 		t.Fatal("closed sampler enqueued")
+	}
+}
+
+// TestSamplerSurvivesPanics: an OnRecord that panics once costs only that
+// call, since the record is already in the ledger, and a shadow simulation
+// that panics becomes its sample's error verdict. Both panics reach
+// onPanic with their stacks, and the worker goes on: the next sample lands
+// in the ledger and reaches OnRecord.
+func TestSamplerSurvivesPanics(t *testing.T) {
+	var once sync.Once
+	recs := make(chan Record, 2)
+	var mu sync.Mutex
+	var panics []string
+	s := NewSampler(Config{Rate: 1, Seed: 1, OnRecord: func(r Record) {
+		once.Do(func() { panic("record boom") })
+		recs <- r
+	}}, func(p any, stack []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		panics = append(panics, fmt.Sprint(p))
+		if !strings.Contains(string(stack), "panic(") {
+			t.Errorf("reported stack does not reach the panic:\n%s", stack)
+		}
+	})
+	defer s.Close()
+	broken := testSample(16, ModeCached)
+	broken.Params.Policy = 99 // no such cache policy: the simulator panics
+	for _, smp := range []Sample{testSample(16, ModeFull), broken, testSample(16, ModeIncremental)} {
+		if !s.Offer(smp) {
+			t.Fatalf("rate-1 offer of %s not enqueued", smp.Mode)
+		}
+	}
+	for _, want := range []string{ModeCached, ModeIncremental} {
+		select {
+		case r := <-recs:
+			if r.Mode != want || strings.HasPrefix(r.Err, "panic: ") != (want == ModeCached) {
+				t.Fatalf("record %+v; want mode %s, a panic verdict only for the broken simulation", r, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no %s record arrived after OnRecord panicked", want)
+		}
+	}
+	snap := s.Ledger().Snapshot()["scan"]
+	if snap[ModeFull].Samples != 1 || snap[ModeCached].Errors != 1 || snap[ModeIncremental].Samples != 1 {
+		t.Fatalf("ledger %+v; want all three samples, the broken one as an error", snap)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(panics) != 2 || panics[0] != "record boom" {
+		t.Fatalf("onPanic saw %q; want the OnRecord panic, then the simulation's", panics)
 	}
 }

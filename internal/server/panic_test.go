@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,5 +144,34 @@ func TestSimulateRepairedMode(t *testing.T) {
 	getDebugJSON(t, ts.URL+"/debug/events?mode="+quality.ModeIncremental, &er)
 	if er.Count != 1 || er.Events[0].Path != "/v1/simulate" {
 		t.Fatalf("events with mode=%s: %+v, want the simulate request", quality.ModeIncremental, er.Events)
+	}
+}
+
+// TestBackgroundPanicCounted: the report the quality sampler and the
+// plan-store writer get for a panic they recover counts it under its site
+// in cachemapd_panics_total and logs its value and stack.
+func TestBackgroundPanicCounted(t *testing.T) {
+	var mu sync.Mutex
+	var logs bytes.Buffer
+	s := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(&syncWriter{mu: &mu, w: &logs}, nil))})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.backgroundPanic("quality")("record boom", []byte("stack of the sampler"))
+	s.backgroundPanic("planstore")("encode boom", []byte("stack of the writer"))
+	for _, site := range []string{"quality", "planstore"} {
+		if got := metricValue(t, ts, `cachemapd_panics_total{site="`+site+`"}`); got != 1 {
+			t.Errorf(`cachemapd_panics_total{site=%q} = %v, want 1`, site, got)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, want := range []string{
+		`site=quality panic="record boom" stack="stack of the sampler"`,
+		`site=planstore panic="encode boom" stack="stack of the writer"`,
+	} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log missing %q:\n%s", want, logs.String())
+		}
 	}
 }

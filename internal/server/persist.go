@@ -113,13 +113,13 @@ func (s *Server) registerPlanstoreMetrics() {
 		func() float64 { return float64(log.Stats().ReadErrors) })
 	s.reg.CounterFunc("cachemapd_planstore_disk_hits_total",
 		"memory-miss lookups answered by the disk tier (promoted back into the LRU)",
-		func() float64 { h, _, _ := wb.Stats(); return float64(h) })
+		func() float64 { return float64(s.cache.Stats().DiskHits) })
 	s.reg.CounterFunc("cachemapd_planstore_write_queue_drops_total",
 		"disk writes dropped because the write-behind queue was full",
-		func() float64 { _, d, _ := wb.Stats(); return float64(d) })
+		func() float64 { d, _ := wb.Stats(); return float64(d) })
 	s.reg.GaugeFunc("cachemapd_planstore_write_queue_depth",
 		"disk writes currently waiting in the write-behind queue",
-		func() float64 { _, _, n := wb.Stats(); return float64(n) })
+		func() float64 { _, n := wb.Stats(); return float64(n) })
 }
 
 // snapshotStats is the GET /debug/cache/snapshot response body (POST adds

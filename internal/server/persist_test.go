@@ -352,7 +352,7 @@ func TestDiskHitKeepsRepairAnchor(t *testing.T) {
 	if mr, err := s.ComputePlan(synthReq(128)); err != nil || !mr.Cached {
 		t.Fatalf("anchor again: cached %v, err %v; want a disk hit", mr != nil && mr.Cached, err)
 	}
-	if hits, _, _ := s.planWB.Stats(); hits != 1 {
+	if hits := s.cache.Stats().DiskHits; hits != 1 {
 		t.Fatalf("disk hits = %d, want 1", hits)
 	}
 	near := synthReq(128)

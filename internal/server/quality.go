@@ -59,10 +59,10 @@ func (s *Server) localQuality() qualityNode {
 	if s.cluster != nil {
 		n.Node = s.cluster.Self()
 	}
-	hits, misses := s.cacheHits.Value(), s.cacheMisses.Value()
-	n.PlanCache = qualityCacheStats{Hits: hits, Misses: misses}
-	if total := hits + misses; total > 0 {
-		n.PlanCache.HitRatio = float64(hits) / float64(total)
+	st := s.cache.Stats()
+	n.PlanCache = qualityCacheStats{Hits: st.Hits, Misses: st.Misses}
+	if total := st.Hits + st.Misses; total > 0 {
+		n.PlanCache.HitRatio = float64(st.Hits) / float64(total)
 	}
 	return n
 }

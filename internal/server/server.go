@@ -235,38 +235,33 @@ type Server struct {
 	planWB  *planstore.WriteBehind[cachedPlan] // nil without -store-dir
 	logN    atomic.Uint64                      // access-log sampling arrival counter
 
-	reqTotal       *metrics.Counter
-	reqMap         *metrics.Counter
-	reqSimulate    *metrics.Counter
-	reqErrors      *metrics.Counter
-	inFlight       *metrics.Gauge
-	cacheHits      *metrics.Counter
-	cacheMisses    *metrics.Counter
-	cacheEvictions *metrics.Counter
-	cacheCoalesced *metrics.Counter
-	cacheReelect   *metrics.Counter
-	slowRequests   *metrics.Counter
-	simPairsGen    *metrics.Counter
-	simPairsDense  *metrics.Counter
-	admShed        *metrics.Counter
-	computes       *metrics.Counter
-	reqInternal    *metrics.Counter
-	reqBatch       *metrics.Counter
-	batchSpecs     *metrics.Counter
-	replans        *metrics.CounterVec
-	stageRuns      *metrics.CounterVec
-	degraded       *metrics.CounterVec
-	faultsFired    *metrics.CounterVec
-	clusterDur     *metrics.Histogram
-	reqDur         *metrics.Histogram
-	stageDur       *metrics.HistogramVec
-	missRate       *metrics.GaugeVec
-	staleHits      *metrics.Counter
-	staleMisses    *metrics.Counter
-	repairHits     *metrics.Counter
-	repairMisses   *metrics.Counter
-	fillRejects    *metrics.Counter
-	panics         *metrics.CounterVec
+	reqTotal      *metrics.Counter
+	reqMap        *metrics.Counter
+	reqSimulate   *metrics.Counter
+	reqErrors     *metrics.Counter
+	inFlight      *metrics.Gauge
+	slowRequests  *metrics.Counter
+	simPairsGen   *metrics.Counter
+	simPairsDense *metrics.Counter
+	admShed       *metrics.Counter
+	computes      *metrics.Counter
+	reqInternal   *metrics.Counter
+	reqBatch      *metrics.Counter
+	batchSpecs    *metrics.Counter
+	replans       *metrics.CounterVec
+	stageRuns     *metrics.CounterVec
+	degraded      *metrics.CounterVec
+	faultsFired   *metrics.CounterVec
+	clusterDur    *metrics.Histogram
+	reqDur        *metrics.Histogram
+	stageDur      *metrics.HistogramVec
+	missRate      *metrics.GaugeVec
+	staleHits     *metrics.Counter
+	staleMisses   *metrics.Counter
+	repairHits    *metrics.Counter
+	repairMisses  *metrics.Counter
+	fillRejects   *metrics.Counter
+	panics        *metrics.CounterVec
 
 	// onJobStart, when non-nil, runs at the start of every admitted
 	// mapping job (test synchronization hook).
@@ -300,7 +295,7 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("opening plan store: %w", err)
 		}
 		s.planLog = log
-		s.planWB = planstore.NewWriteBehind(log, storeQueueLen)
+		s.planWB = planstore.NewWriteBehind(log, storeQueueLen, s.backgroundPanic("planstore"))
 		disk = s.planWB
 		s.registerPlanstoreMetrics()
 	}
@@ -310,20 +305,25 @@ func NewServer(cfg Config) (*Server, error) {
 	s.reqSimulate = s.reg.Counter("cachemapd_simulate_requests_total", "POST /v1/simulate requests received")
 	s.reqErrors = s.reg.Counter("cachemapd_request_errors_total", "API requests answered with a non-2xx status")
 	s.inFlight = s.reg.Gauge("cachemapd_in_flight_requests", "API requests currently being served")
-	s.cacheHits = s.reg.Counter("cachemapd_plan_cache_hits_total", "plan cache hits (incl. shared in-flight computations)")
-	s.cacheMisses = s.reg.Counter("cachemapd_plan_cache_misses_total", "plan cache misses (cold plans computed)")
+	s.reg.CountFunc("cachemapd_plan_cache_hits_total", "plan cache hits (incl. shared in-flight computations)",
+		func() int64 { return s.cache.Stats().Hits })
+	s.reg.CountFunc("cachemapd_plan_cache_misses_total", "plan cache misses (cold plans computed)",
+		func() int64 { return s.cache.Stats().Misses })
 	s.clusterDur = s.reg.Histogram("cachemapd_clustering_duration_seconds",
 		"wall time of cold mapping computations (hierarchical clustering)", metrics.DefaultLatencyBuckets())
 	s.reqDur = s.reg.Histogram("cachemapd_request_duration_seconds",
 		"end-to-end request latency", metrics.DefaultLatencyBuckets())
 	s.stageDur = s.reg.HistogramVec("cachemapd_stage_duration_seconds",
 		"wall time per pipeline stage of cold mapping computations", "stage", metrics.DefaultLatencyBuckets())
-	s.cacheEvictions = s.reg.Counter("cachemapd_plan_cache_evictions_total",
-		"plans evicted from the plan cache by capacity pressure")
-	s.cacheCoalesced = s.reg.Counter("cachemapd_plan_cache_coalesced_waiters_total",
-		"requests that waited on another request's in-flight computation (singleflight)")
-	s.cacheReelect = s.reg.Counter("cachemapd_plan_cache_leader_reelections_total",
-		"singleflight waiters that re-elected a leader after a canceled one")
+	s.reg.CountFunc("cachemapd_plan_cache_evictions_total",
+		"plans evicted from the plan cache by capacity pressure",
+		func() int64 { return s.cache.Stats().Evictions })
+	s.reg.CountFunc("cachemapd_plan_cache_coalesced_waiters_total",
+		"requests that waited on another request's in-flight computation (singleflight)",
+		func() int64 { return s.cache.Stats().Coalesced })
+	s.reg.CountFunc("cachemapd_plan_cache_leader_reelections_total",
+		"singleflight waiters that re-elected a leader after a canceled one",
+		func() int64 { return s.cache.Stats().Reelected })
 	s.slowRequests = s.reg.Counter("cachemapd_slow_requests_total",
 		"requests slower than the configured slow-request threshold")
 	s.simPairsGen = s.reg.Counter("cachemapd_similarity_pairs_generated",
@@ -369,11 +369,6 @@ func NewServer(cfg Config) (*Server, error) {
 		"peer-fill answers rejected by the fill check (undecodable, wrong key, schema, client count or iteration coverage); each fell back to local compute")
 	s.panics = s.reg.CounterVec("cachemapd_panics_total",
 		"handler panics recovered and answered with 500, by site (the request's route)", "site")
-	s.cache.OnHit = s.cacheHits.Inc
-	s.cache.OnMiss = s.cacheMisses.Inc
-	s.cache.OnEvict = s.cacheEvictions.Inc
-	s.cache.OnCoalesced = s.cacheCoalesced.Inc
-	s.cache.OnReelect = s.cacheReelect.Inc
 	if cfg.EventBufferSize > 0 {
 		s.events = NewEventLog(cfg.EventBufferSize)
 	}
@@ -384,7 +379,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Rate:     cfg.QualitySampleRate,
 		Seed:     qualitySampleSeed,
 		OnRecord: s.onQualityRecord,
-	})
+	}, s.backgroundPanic("quality"))
 	s.reg.CounterFunc("cachemapd_quality_sampled_total",
 		"served responses enqueued for shadow simulation",
 		func() float64 { return float64(s.sampler.Counts().Sampled) })
@@ -406,6 +401,19 @@ func (s *Server) Close() {
 	s.sampler.Close()
 	if s.planWB != nil {
 		s.planWB.Close()
+	}
+}
+
+// backgroundPanic returns the report of a panic that a long-lived
+// goroutine recovered, the quality sampler's or the plan store writer's:
+// it counts the panic under site and logs its value and stack. It reads
+// s.panics only when called, after NewServer has returned.
+func (s *Server) backgroundPanic(site string) func(p any, stack []byte) {
+	return func(p any, stack []byte) {
+		s.panics.Inc(site)
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Error("background panic", "site", site, "panic", fmt.Sprint(p), "stack", string(stack))
+		}
 	}
 }
 

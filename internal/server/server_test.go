@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -316,6 +318,39 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsHelpGolden pins the # HELP and # TYPE lines of a fresh
+// server with every optional family registered (a plan store and quality
+// sampling on): every series' name, kind, help text and position in the
+// exposition.
+func TestMetricsHelpGolden(t *testing.T) {
+	s := newTestServer(t, Config{
+		Store:             StoreConfig{Dir: t.TempDir()},
+		QualitySampleRate: 0.5,
+	})
+	defer s.Close()
+	var exp bytes.Buffer
+	s.Registry().WritePrometheus(&exp)
+	var got bytes.Buffer
+	for _, line := range strings.SplitAfter(exp.String(), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			got.WriteString(line)
+		}
+	}
+	golden := filepath.Join("testdata", "metrics_help.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("HELP/TYPE lines drifted from %s:\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+	}
+}
+
 // TestConcurrentMapRequests drives 64 concurrent mixed-spec requests — the
 // acceptance bar for the daemon — and requires zero errors.
 func TestConcurrentMapRequests(t *testing.T) {
@@ -359,7 +394,8 @@ func TestConcurrentMapRequests(t *testing.T) {
 		t.Error(err)
 	}
 
-	hits, misses := s.cacheHits.Value(), s.cacheMisses.Value()
+	st := s.cache.Stats()
+	hits, misses := st.Hits, st.Misses
 	if misses > 16 { // 8 specs × 2 schemes at most
 		t.Errorf("misses = %d, want <= 16", misses)
 	}

@@ -225,7 +225,7 @@ func TestTraceCoalescedFollower(t *testing.T) {
 	wg.Add(1)
 	go func() { defer wg.Done(); results[1], errs[1] = send(follower) }()
 	// Release only after the duplicate has attached to the in-flight call.
-	for s.cacheCoalesced.Value() == 0 {
+	for s.cache.Stats().Coalesced == 0 {
 		runtime.Gosched()
 	}
 	close(release)
