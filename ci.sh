@@ -3,8 +3,8 @@
 # and of the perfbench benchmark module), the inlining check of balance's
 # hot keys, linters, race-enabled tests, the short-mode
 # reproduction-fidelity gate, the zero-alloc gate, short balance, merge,
-# schedule, plan-log, plan-wire, plan-JSON and tag fuzz runs and the bench
-# regression gate.
+# schedule, plan-log, plan-wire, JSON-validator, plan-JSON and tag fuzz runs
+# and the bench regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -103,12 +103,12 @@ echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # The pooled hot paths — posting-index build, arena carving, warm
 # sparse pair generation, the full distribution run, the plan-cache hit
 # serve path, tagging the cold_plan shape, encoding its assignment and
-# writing its plan's JSON — and the metrics instruments every request
-# updates must stay allocation-free (or at their documented small
-# constants) once warm. GOGC=off pins sync.Pool contents
+# writing its plan's JSON — the JSON validator every disk hit runs over its
+# plan, and the metrics instruments every request updates must stay
+# allocation-free (or at their documented small constants) once warm. GOGC=off pins sync.Pool contents
 # for the whole run, so a GC-timed pool eviction can never fake a
 # regression.
-GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags ./internal/mapping ./internal/pipeline ./internal/metrics
+GOGC=off go test -short -count=1 -run 'TestAlloc' . ./internal/core ./internal/bitvec ./internal/tags ./internal/mapping ./internal/pipeline ./internal/metrics ./internal/server
 
 echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
 # Plain `go test` above already replays the seed corpus and any committed
@@ -144,6 +144,13 @@ echo "==> plan-wire fuzz (FuzzPlanWire, 10s)"
 # accepted fill must map each of its job's iterations exactly once. A
 # crasher lands in internal/server/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzPlanWire$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server
+
+echo "==> JSON-validator fuzz (FuzzJSONValueEnd, 10s)"
+# The one-pass validator that checks and delimits the plan of every
+# plan-log record a disk hit reads, against json.Valid, its reference: on
+# arbitrary bytes it must find a whole value exactly when json.Valid
+# accepts them. A crasher lands in internal/server/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzJSONValueEnd$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server
 
 echo "==> plan-JSON fuzz (FuzzPlanJSON, 10s)"
 # The writer every computed, repaired and fallback plan goes through,
@@ -182,6 +189,10 @@ echo "==> bench regression gate (vs BENCH.json)"
 # plan it serves. BenchmarkPlanEncode writes the cold plan shape's JSON
 # with mapping.AppendJSON; its zero allocs/op are exact, so a writer that
 # falls back to building a mapping.Plan fails the gate.
+# BenchmarkPlanRecordDecode splits cache_hits-shaped plan-log records with
+# the one-pass validator: a return to encoding/json's split reads about
+# 3.5x its row, which this tolerance fails, while BenchmarkDiskHitServe,
+# where the split is a fifth of a request, would not show it.
 # BenchmarkFineChunks keeps the balance and schedule stages of sar and
 # e_elem at 1 KB chunks (four times the data chunks of the default) from
 # growing back toward their dense-tag cost. Its balance-ms/op rows were
@@ -219,6 +230,7 @@ bench -bench 'BenchmarkPipelineParallelism' -benchtime 1x .
 bench -bench 'BenchmarkReplanIncremental$' -benchtime 3x .
 bench -bench 'BenchmarkFineChunks' -benchtime 3x .
 bench -bench 'BenchmarkWarmScan$' -benchtime 5x -benchmem ./internal/planstore
+bench -bench 'BenchmarkPlanRecordDecode$' -benchtime 400x -benchmem ./internal/server
 go build -o "$tmp/benchjson" ./cmd/benchjson
 if ! "$tmp/benchjson" -compare BENCH.json -tolerance 100 -alloc-tolerance 25 \
 	<"$bench_dir/bench.out" >"$bench_dir/compare.txt" 2>&1; then

@@ -482,6 +482,13 @@ func (d *distributor) split(members []*tags.IterationChunk, weights []int64) ([]
 	sizeSlab := scr.ints.take(n)
 	clusters := scr.ptrs.take(n)
 	for i, m := range members {
+		// Each singleton's tag is r bits, so a canceled job stops here
+		// rather than carving n·r bits first (gigabytes at n, r ≈ 10^5).
+		if i%ctxCheckInterval == ctxCheckInterval-1 {
+			if err := d.ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		c := &slab[i]
 		c.Tag = scr.tags.Vec(d.r)
 		c.Members = memSlab[i : i : i+1]

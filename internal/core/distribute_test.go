@@ -534,6 +534,10 @@ func TestDistributeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestDistributeCtxCanceled: a canceled context ends a distribution with
+// context.Canceled, and a canceled root split stops within
+// ctxCheckInterval members of Stage 0 instead of first carving a dense
+// r-bit tag for every member.
 func TestDistributeCtxCanceled(t *testing.T) {
 	chunks := figure6Chunks(8)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -544,6 +548,21 @@ func TestDistributeCtxCanceled(t *testing.T) {
 		if _, err := DistributeCtx(ctx, chunks, figure7Tree(), opts); err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
+	}
+	n, r := 8*ctxCheckInterval, 1<<16
+	big := make([]*tags.IterationChunk, n)
+	for i := range big {
+		big[i] = &tags.IterationChunk{Tag: bitvec.NewSparse(r, []int32{int32(i)}), Iters: itset.Interval(int64(i), int64(i+1))}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DistributeCtx(ctx, big, figure7Tree(), DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if err != context.Canceled {
+		t.Fatalf("large input: err = %v, want context.Canceled", err)
+	}
+	if grew, tagBytes := after.TotalAlloc-before.TotalAlloc, uint64(n*r/8); grew > tagBytes/4 {
+		t.Fatalf("a canceled split allocated %d bytes; Stage 0's tags for every member are %d", grew, tagBytes)
 	}
 }
 

@@ -118,16 +118,19 @@ func New[V any](capacity int, disk Disk[V]) *Cache[V] {
 }
 
 // lookupLocked probes memory, then disk; a disk hit is promoted into
-// memory.
-func (c *Cache[V]) lookupLocked(k Key) (v V, ok bool) {
-	if v, ok = c.mem.get(k); ok || c.disk == nil {
-		return v, ok
+// memory. tier names the tier that answered a hit: "memory" or "disk".
+func (c *Cache[V]) lookupLocked(k Key) (v V, tier string, ok bool) {
+	if v, ok = c.mem.get(k); ok {
+		return v, "memory", true
+	}
+	if c.disk == nil {
+		return v, "", false
 	}
 	if v, ok = c.disk.Get(k); ok {
 		c.diskHits.Add(1)
 		c.evictions.Add(int64(c.mem.put(k, v)))
 	}
-	return v, ok
+	return v, "disk", ok
 }
 
 // Do returns the value for k, computing it with fn on a miss, honoring
@@ -154,11 +157,11 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func(context.Context) (V, e
 		}
 		lookupStart := time.Now()
 		c.mu.Lock()
-		if v, ok := c.lookupLocked(k); ok {
+		if v, tier, ok := c.lookupLocked(k); ok {
 			c.mu.Unlock()
 			if traced {
 				obs.Record(ctx, "plancache.lookup", lookupStart, time.Since(lookupStart),
-					obs.String("result", "hit"))
+					obs.String("result", "hit"), obs.String("tier", tier))
 			}
 			c.hits.Add(1)
 			return v, true, nil

@@ -451,13 +451,27 @@ func (d *mapDisk) Put(k Key, v string)      { d.puts++; d.m[k] = v }
 
 // TestDiskTier: computed values reach the disk tier, a memory miss the
 // disk answers is a hit and a disk hit that is promoted into memory
-// without a disk write, and every memory eviction, the promotion's
-// included, is counted.
+// without a disk write, every memory eviction, the promotion's included,
+// is counted, and a hit's lookup span names the tier that answered it.
 func TestDiskTier(t *testing.T) {
 	d := &mapDisk{m: map[Key]string{}}
 	c := New[string](1, d)
 	ctx := context.Background()
 	ka, kb := key(t, "a"), key(t, "b")
+	// tierOf runs drive under a trace and returns the tier its lookup span
+	// names.
+	tierOf := func(drive func(ctx context.Context)) string {
+		ctx, root := obs.StartRoot(context.Background(), "test", obs.TraceContext{})
+		drive(ctx)
+		for _, sp := range root.End().Spans {
+			for _, a := range sp.Attrs {
+				if sp.Name == "plancache.lookup" && a.Key == "tier" {
+					return a.Value
+				}
+			}
+		}
+		return ""
+	}
 
 	c.Do(ctx, ka, value("A"))
 	c.Do(ctx, kb, value("B")) // displaces a from the 1-entry memory tier
@@ -468,11 +482,18 @@ func TestDiskTier(t *testing.T) {
 		t.Fatalf("evictions = %d after 2 values in a 1-entry tier, want 1", n)
 	}
 
-	v, hit, err := c.Do(ctx, ka, func(context.Context) (string, error) {
-		return "", errors.New("a disk-resident value was recomputed")
+	var (
+		v   string
+		hit bool
+		err error
+	)
+	tier := tierOf(func(ctx context.Context) {
+		v, hit, err = c.Do(ctx, ka, func(context.Context) (string, error) {
+			return "", errors.New("a disk-resident value was recomputed")
+		})
 	})
-	if v != "A" || !hit || err != nil {
-		t.Fatalf("memory miss on a = %q, %v, %v; want the disk copy as a hit", v, hit, err)
+	if v != "A" || !hit || err != nil || tier != "disk" {
+		t.Fatalf("memory miss on a = %q, %v, %v from tier %q; want the disk copy as a hit", v, hit, err, tier)
 	}
 	if n := c.Stats().Evictions; n != 2 {
 		t.Fatalf("evictions = %d, want 2: promoting a displaces b", n)
@@ -481,8 +502,9 @@ func TestDiskTier(t *testing.T) {
 		t.Fatalf("promotion wrote to disk: %d puts, want 2", d.puts)
 	}
 	gets := d.gets
-	if v, hit, _ := c.Do(ctx, ka, value("unused")); v != "A" || !hit || d.gets != gets {
-		t.Fatalf("after promotion Do(a) = %q, %v with %d disk reads; want a memory hit", v, hit, d.gets-gets)
+	tier = tierOf(func(ctx context.Context) { v, hit, _ = c.Do(ctx, ka, value("unused")) })
+	if v != "A" || !hit || d.gets != gets || tier != "memory" {
+		t.Fatalf("after promotion Do(a) = %q, %v from tier %q with %d disk reads; want a memory hit", v, hit, tier, d.gets-gets)
 	}
 	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 || st.DiskHits != 1 {
 		t.Fatalf("Stats = %+v; want 2 hits, 2 misses, 1 disk hit", st)

@@ -97,7 +97,9 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
-// Codec encodes and decodes values for the log's opaque payloads.
+// Codec encodes and decodes values for the log's opaque payloads. Decode
+// may keep the bytes it is given: the log reads each payload it decodes
+// into a fresh buffer and never reuses it.
 type Codec[V any] struct {
 	Encode func(V) ([]byte, error)
 	Decode func([]byte) (V, error)
@@ -351,7 +353,8 @@ func (l *Log[V]) Get(k plancache.Key) (V, bool) {
 }
 
 // readLocked reads and decodes one indexed record, re-verifying its
-// checksum (the scan verified it once; disks rot).
+// checksum (the scan verified it once; disks rot). The read buffer is the
+// decoded value's to keep (see Codec).
 func (l *Log[V]) readLocked(rc *rec) (V, error) {
 	var zero V
 	buf := make([]byte, rc.size())

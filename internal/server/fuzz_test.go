@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // FuzzPlanWire feeds arbitrary bytes to the two places a plan arrives from
@@ -115,4 +117,75 @@ func FuzzPlanWire(f *testing.F) {
 			t.Fatalf("accepted fill maps %d iterations, the job has %d", n, nest.Size())
 		}
 	})
+}
+
+// FuzzJSONValueEnd holds the plan-log record's validator to json.Valid,
+// its reference: on every input, jsonValueEnd finds a value followed only
+// by whitespace exactly when json.Valid accepts the input, and an end it
+// returns closes a value json.Valid accepts. A crasher lands in
+// testdata/fuzz/FuzzJSONValueEnd.
+func FuzzJSONValueEnd(f *testing.F) {
+	for _, seed := range []string{
+		planRecordGolden,
+		nestedJSON(jsonMaxDepth),
+		nestedJSON(jsonMaxDepth + 1),
+		`"\" \\ \/ \b \f \n \r \t \u00e9 \uD83D\uDE00 \u0000"`,
+		`"\u12G4"`, `"\u12"`, `"\x"`, `"\`,
+		"\"\x01\"", "\"\xff\"", "\"\x7f\"",
+		"-", "01", "1.", "1e", "-0.0e+1", "1E+2", "-01", "1.5e-3",
+		"tru", "true", " null ", "false x",
+		`{"a":[1,{"b":null}],"c":{}}`, `{"a" 1}`, `{"a":1,}`, `[1,]`, `[,1]`, `{,}`,
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		e := jsonValueEnd(b, 0)
+		if got, want := e >= 0 && jsonSpaceEnd(b, e) == len(b), json.Valid(b); got != want {
+			t.Fatalf("jsonValueEnd = %d (a whole value: %v), json.Valid = %v, on %q", e, got, want, b)
+		}
+		if e >= 0 && !json.Valid(b[:e]) {
+			t.Fatalf("jsonValueEnd = %d, but json.Valid rejects %q", e, b[:e])
+		}
+	})
+}
+
+// nestedJSON is a value nested depth levels deep, alternating arrays and
+// objects so both kinds cross the validator's stack words.
+func nestedJSON(depth int) string {
+	var b strings.Builder
+	for d := 0; d < depth; d++ {
+		if d%2 == 0 {
+			b.WriteString("[")
+		} else {
+			b.WriteString(`{"k":`)
+		}
+	}
+	b.WriteString("0")
+	for d := depth - 1; d >= 0; d-- {
+		if d%2 == 0 {
+			b.WriteString("]")
+		} else {
+			b.WriteString("}")
+		}
+	}
+	return b.String()
+}
+
+// TestAllocJSONValueEnd: the validator allocates nothing, on a record and
+// at the deepest nesting it accepts (ci.sh runs every TestAlloc* with
+// GOGC=off).
+func TestAllocJSONValueEnd(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the alloc gate runs without -race")
+	}
+	for _, in := range []string{planRecordGolden, nestedJSON(jsonMaxDepth)} {
+		b := []byte(in)
+		if e := jsonValueEnd(b, 0); e != len(b) {
+			t.Fatalf("jsonValueEnd = %d on a valid value of %d bytes", e, len(b))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { jsonValueEnd(b, 0) }); allocs != 0 {
+			t.Fatalf("jsonValueEnd allocates %v objects/op, want 0", allocs)
+		}
+	}
 }

@@ -7,6 +7,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -41,12 +42,14 @@ const (
 // re-anchors on the next full compute.
 //
 // Neither direction touches the plan as data. Encode splices the plan's
-// bytes into the record (see splice). Decode splits a record into plan
-// bytes and provenance with one json.Unmarshal, which checks the whole
-// record's syntax but copies the plan's bytes undecoded, then checks that
-// the plan begins with this build's schema member: the log's header schema
-// already fences whole records, this guards the payload's own
-// self-description.
+// bytes into the record (see splice). Decode splits a record in one pass
+// over the plan: the record must begin with `{"plan":` and a plan of this
+// build's schema (the log's header schema already fences whole records,
+// this guards the payload's own self-description), jsonValueEnd checks the
+// plan's syntax and finds its end, and only the provenance members after
+// it go through json.Unmarshal. A record is accepted only if it is valid
+// JSON as a whole, with no second plan member; its plan keeps its bytes in
+// b, which the log reads afresh for every Get.
 func planCodec() planstore.Codec[cachedPlan] {
 	return planstore.Codec[cachedPlan]{
 		Encode: func(v cachedPlan) ([]byte, error) {
@@ -60,13 +63,41 @@ func planCodec() planstore.Codec[cachedPlan] {
 			return b.Bytes()[:b.Len()-1], nil // the record has no newline
 		},
 		Decode: func(b []byte) (cachedPlan, error) {
-			var p cachedPlan
-			if err := json.Unmarshal(b, &p); err != nil {
-				return cachedPlan{}, err
+			if !bytes.HasPrefix(b, planRecordPrefix) {
+				return cachedPlan{}, fmt.Errorf("record does not begin with a plan of schema %d", mapping.PlanSchemaVersion)
 			}
-			if p.Plan == nil || !bytes.HasPrefix(p.Plan.raw, planSchemaPrefix) {
-				return cachedPlan{}, fmt.Errorf("plan does not begin with schema %d", mapping.PlanSchemaVersion)
+			start := len(planRecordPrefix) - len(planSchemaPrefix) // the plan's opening brace
+			end := jsonValueEnd(b, start)
+			if end < 0 {
+				return cachedPlan{}, errors.New("record's plan is not valid JSON")
 			}
+			// What follows the plan is the record's close, or a comma and the
+			// provenance members, which json.Unmarshal reads reopened as an
+			// object of their own.
+			var tail struct {
+				cachedPlan
+				Plan json.RawMessage `json:"plan"` // a second plan member
+			}
+			switch i := jsonSpaceEnd(b, end); {
+			case i < len(b) && b[i] == '}':
+				if jsonSpaceEnd(b, i+1) != len(b) {
+					return cachedPlan{}, errors.New("data after the record")
+				}
+			case i < len(b) && b[i] == ',':
+				if j := jsonSpaceEnd(b, i+1); j == len(b) || b[j] != '"' {
+					return cachedPlan{}, errors.New("record has no member after a comma")
+				}
+				if err := json.Unmarshal(append([]byte{'{'}, b[i+1:]...), &tail); err != nil {
+					return cachedPlan{}, err
+				}
+				if tail.Plan != nil {
+					return cachedPlan{}, errors.New("record has a second plan member")
+				}
+			default:
+				return cachedPlan{}, errors.New("record's plan is not followed by its close or a member")
+			}
+			p := tail.cachedPlan
+			p.Plan = &planJSON{raw: b[start:end:end]}
 			return p, nil
 		},
 	}
@@ -76,9 +107,14 @@ func planCodec() planstore.Codec[cachedPlan] {
 // and mapping.AppendJSON both render the schema member first.
 var planSchemaPrefix = []byte(fmt.Sprintf(`{"schema":%d,`, mapping.PlanSchemaVersion))
 
+// planRecordPrefix is how every plan-log record this build reads begins:
+// splice renders the plan as the record's first member.
+var planRecordPrefix = append([]byte(`{"plan":`), planSchemaPrefix...)
+
 // registerPlanstoreMetrics publishes the disk tier's gauges and counters.
 // All are sampled lazily at scrape time from Stats(), like the admission
-// and stale-tier instruments.
+// and stale-tier instruments; the counts render as whole numbers at any
+// size (CountFunc).
 func (s *Server) registerPlanstoreMetrics() {
 	log, wb := s.planLog, s.planWB
 	s.reg.GaugeFunc("cachemapd_planstore_records",
@@ -93,30 +129,30 @@ func (s *Server) registerPlanstoreMetrics() {
 	s.reg.GaugeFunc("cachemapd_planstore_dead_bytes",
 		"bytes held by superseded records, tombstones and schema drops awaiting compaction",
 		func() float64 { return float64(log.Stats().DeadBytes) })
-	s.reg.CounterFunc("cachemapd_planstore_skipped_records_total",
+	s.reg.CountFunc("cachemapd_planstore_skipped_records_total",
 		"truncated or corrupt tail records skipped by the startup scan",
-		func() float64 { return float64(log.Stats().SkippedRecords) })
-	s.reg.CounterFunc("cachemapd_planstore_schema_dropped_records_total",
+		func() int64 { return log.Stats().SkippedRecords })
+	s.reg.CountFunc("cachemapd_planstore_schema_dropped_records_total",
 		"well-formed records dropped by the startup scan for a plan schema version mismatch",
-		func() float64 { return float64(log.Stats().SchemaDropped) })
-	s.reg.CounterFunc("cachemapd_planstore_appends_total",
+		func() int64 { return log.Stats().SchemaDropped })
+	s.reg.CountFunc("cachemapd_planstore_appends_total",
 		"records appended to the plan log (including tombstones)",
-		func() float64 { return float64(log.Stats().Appends) })
-	s.reg.CounterFunc("cachemapd_planstore_evictions_total",
+		func() int64 { return log.Stats().Appends })
+	s.reg.CountFunc("cachemapd_planstore_evictions_total",
 		"plan records evicted from the disk tier by capacity pressure",
-		func() float64 { return float64(log.Stats().Evictions) })
-	s.reg.CounterFunc("cachemapd_planstore_compactions_total",
+		func() int64 { return log.Stats().Evictions })
+	s.reg.CountFunc("cachemapd_planstore_compactions_total",
 		"live-record rewrites of the plan log (automatic and snapshot-forced)",
-		func() float64 { return float64(log.Stats().Compactions) })
-	s.reg.CounterFunc("cachemapd_planstore_read_errors_total",
+		func() int64 { return log.Stats().Compactions })
+	s.reg.CountFunc("cachemapd_planstore_read_errors_total",
 		"disk-tier read failures served as cache misses",
-		func() float64 { return float64(log.Stats().ReadErrors) })
-	s.reg.CounterFunc("cachemapd_planstore_disk_hits_total",
+		func() int64 { return log.Stats().ReadErrors })
+	s.reg.CountFunc("cachemapd_planstore_disk_hits_total",
 		"memory-miss lookups answered by the disk tier (promoted back into the LRU)",
-		func() float64 { return float64(s.cache.Stats().DiskHits) })
-	s.reg.CounterFunc("cachemapd_planstore_write_queue_drops_total",
+		func() int64 { return s.cache.Stats().DiskHits })
+	s.reg.CountFunc("cachemapd_planstore_write_queue_drops_total",
 		"disk writes dropped because the write-behind queue was full",
-		func() float64 { d, _ := wb.Stats(); return float64(d) })
+		func() int64 { d, _ := wb.Stats(); return d })
 	s.reg.GaugeFunc("cachemapd_planstore_write_queue_depth",
 		"disk writes currently waiting in the write-behind queue",
 		func() float64 { _, n := wb.Stats(); return float64(n) })

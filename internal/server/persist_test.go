@@ -3,15 +3,20 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/planstore"
+	"repro/internal/workloads"
 )
 
 // TestPersistentWarmRestart is the warm-start proof at the API level: a
@@ -172,6 +177,108 @@ func TestPersistentDiskHitAfterMemEviction(t *testing.T) {
 	}
 }
 
+// TestRottenRecordIsAMiss: a live plan-log record that fails the read path
+// is a read error and a recompute, never a served plan. In ChecksumFails a
+// digit of the plan is changed on disk after the server opened the log, so
+// the record stays valid JSON and only its CRC fails; in PlanNotJSON a
+// record whose CRC is right but whose plan is not valid JSON was written
+// before the server opened the log. The 1-plan memory tier sends each
+// request to the disk, and each case serves the plan a fresh compute gives.
+func TestRottenRecordIsAMiss(t *testing.T) {
+	reqA, reqB := synthReq(64), synthReq(96)
+	keyA, err := PlanKey(reqA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := newTestServer(t, Config{}).ComputePlan(reqA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.raw.raw
+	// serveA asks for plan A and checks that the disk read failed, the
+	// pipeline ran and the fresh plan was served.
+	serveA := func(t *testing.T, ts *httptest.Server) {
+		t.Helper()
+		readErrors := metricValue(t, ts, "cachemapd_planstore_read_errors_total")
+		computes := metricValue(t, ts, "cachemapd_pipeline_computes_total")
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", reqA)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var got struct {
+			Plan json.RawMessage `json:"plan"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("body does not decode: %v", err)
+		}
+		if !bytes.Equal(got.Plan, want) {
+			t.Fatalf("served plan differs from a fresh compute:\n got %s\nwant %s", got.Plan, want)
+		}
+		if n := metricValue(t, ts, "cachemapd_planstore_read_errors_total") - readErrors; n != 1 {
+			t.Errorf("read errors rose by %v, want 1", n)
+		}
+		if n := metricValue(t, ts, "cachemapd_pipeline_computes_total") - computes; n != 1 {
+			t.Errorf("computes rose by %v, want 1", n)
+		}
+	}
+
+	t.Run("ChecksumFails", func(t *testing.T) {
+		dir := t.TempDir()
+		s := newTestServer(t, Config{PlanCacheSize: 1, Store: StoreConfig{Dir: dir}})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		for _, req := range []MapRequest{reqA, reqB} { // B displaces A from memory
+			if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("cold serve: status %d: %s", resp.StatusCode, body)
+			}
+		}
+		s.planWB.Flush()
+		f, err := os.OpenFile(filepath.Join(dir, "plans.log"), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		data, err := io.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(data, want)
+		if at < 0 || bytes.Count(data, want) != 1 {
+			t.Fatal("plan A is not in the log exactly once")
+		}
+		at += bytes.LastIndexAny(want, "123456789")
+		if _, err := f.WriteAt([]byte{(data[at]-'0')%9 + '1'}, int64(at)); err != nil {
+			t.Fatal(err)
+		}
+		serveA(t, ts)
+	})
+
+	t.Run("PlanNotJSON", func(t *testing.T) {
+		dir := t.TempDir()
+		pass := func(b []byte) ([]byte, error) { return b, nil }
+		raw, err := planstore.Open(planstore.Options{Dir: dir, Schema: uint32(mapping.PlanSchemaVersion)},
+			planstore.Codec[[]byte]{Encode: pass, Decode: pass})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A bracket matcher finds this plan's end; only a syntax check
+		// rejects its trailing comma.
+		raw.Put(keyA, []byte(`{"plan":`+string(want[:len(want)-1])+`,},"replanned":"full"}`))
+		if err := raw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{PlanCacheSize: 1, Store: StoreConfig{Dir: dir}})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if warm := metricValue(t, ts, "cachemapd_planstore_warm_records"); warm != 1 {
+			t.Fatalf("warm records = %v, want the rotten one", warm)
+		}
+		serveA(t, ts)
+	})
+}
+
 // TestSnapshotEndpoints covers GET|POST /debug/cache/snapshot: 404 without
 // a store, stats on GET, flush+compact on POST.
 func TestSnapshotEndpoints(t *testing.T) {
@@ -320,6 +427,61 @@ func TestPlanCodecPayload(t *testing.T) {
 	}
 }
 
+// TestPlanCodecRecordForms: Decode accepts a record only if the whole
+// record is valid JSON that begins with its plan, and the plan it returns
+// keeps its bytes in the buffer it was given. Whitespace before the plan,
+// a plan that is not the first member and a second plan member are
+// rejected although json.Valid accepts them: no build writes them.
+func TestPlanCodecRecordForms(t *testing.T) {
+	codec := planCodec()
+	g := planRecordGolden
+	head, tailAt := len(`{"plan":`), strings.Index(g, `,"stages"`)
+	plan, tail := g[head:tailAt], g[tailAt:]
+	for name, rec := range map[string]string{
+		"golden":                    g,
+		"whitespace around members": `{"plan":` + plan + " \n\t\r" + tail[:1] + " " + tail[1:] + " \n",
+		"plan alone":                `{"plan":` + plan + `} `,
+	} {
+		b := []byte(rec)
+		got, err := codec.Decode(b)
+		if err != nil {
+			t.Errorf("%s: Decode: %v", name, err)
+			continue
+		}
+		if string(got.Plan.raw) != plan || &got.Plan.raw[0] != &b[head] {
+			t.Errorf("%s: plan is %q, not the record's own bytes", name, got.Plan.raw)
+		}
+		if provenance := got.Stages != nil; provenance != (name != "plan alone") {
+			t.Errorf("%s: decoded stages %v", name, got.Stages)
+		}
+	}
+	for _, c := range []struct {
+		name, rec string
+		valid     bool // json.Valid accepts it: a form no build writes
+	}{
+		{"whitespace before the plan", `{ "plan":` + plan + tail, true},
+		{"whitespace before its value", `{"plan": ` + plan + tail, true},
+		{"plan not the first member", `{"filled_from":"10.0.0.7:8700",` + g[1:], true},
+		{"second plan member", g[:len(g)-1] + `,"plan":{}}`, true},
+		{"second null plan member", g[:len(g)-1] + `,"plan":null}`, true},
+		{"plan not valid JSON", `{"plan":` + plan[:len(plan)-1] + `,}` + tail, false},
+		{"provenance not valid JSON", g[:len(g)-1] + `,}`, false},
+		{"comma with no member", `{"plan":` + plan + `,}`, false},
+		{"data after the record", g + ` x`, false},
+		{"data after a lone plan", `{"plan":` + plan + `}x`, false},
+		{"truncated", g[:len(g)-1], false},
+		{"plan truncated", g[:tailAt-1], false},
+		{"empty", "", false},
+	} {
+		if _, err := codec.Decode([]byte(c.rec)); err == nil {
+			t.Errorf("%s: Decode accepted %s", c.name, c.rec)
+		}
+		if valid := json.Valid([]byte(c.rec)); valid != c.valid {
+			t.Errorf("%s: json.Valid = %v, want %v", c.name, valid, c.valid)
+		}
+	}
+}
+
 // mustPlanJSON encodes p as the server holds a plan, failing the test on
 // error.
 func mustPlanJSON(t testing.TB, p mapping.Plan) *planJSON {
@@ -415,5 +577,35 @@ func TestConcurrentPlanBytes(t *testing.T) {
 	wg.Wait()
 	if computes := s.computes.Value(); computes != 2 {
 		t.Fatalf("computes = %d, want the 2 cold specs", computes)
+	}
+}
+
+// BenchmarkPlanRecordDecode splits plan-log records shaped like perfbench
+// cache_hits' hot set — the 8 paper apps under inter and inter-sched on
+// 16/32/64@16,8,4, 9.6 KB on average — round-robin: what a disk hit pays
+// between the record's CRC check and the response splice.
+func BenchmarkPlanRecordDecode(b *testing.B) {
+	s := newTestServer(b, Config{})
+	codec := planCodec()
+	var records [][]byte
+	for _, app := range workloads.Names() {
+		for _, scheme := range []string{"inter", "inter-sched"} {
+			mr, err := s.ComputePlan(MapRequest{Workload: WorkloadSpec{App: app}, Topology: "16/32/64@16,8,4", Scheme: scheme})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec, err := codec.Encode(cachedPlan{Plan: mr.raw, Stages: mr.Stages, Replanned: mr.Replanned})
+			if err != nil {
+				b.Fatal(err)
+			}
+			records = append(records, rec)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codec.Decode(records[i%len(records)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -380,15 +380,15 @@ func NewServer(cfg Config) (*Server, error) {
 		Seed:     qualitySampleSeed,
 		OnRecord: s.onQualityRecord,
 	}, s.backgroundPanic("quality"))
-	s.reg.CounterFunc("cachemapd_quality_sampled_total",
+	s.reg.CountFunc("cachemapd_quality_sampled_total",
 		"served responses enqueued for shadow simulation",
-		func() float64 { return float64(s.sampler.Counts().Sampled) })
-	s.reg.CounterFunc("cachemapd_quality_skipped_total",
+		func() int64 { return int64(s.sampler.Counts().Sampled) })
+	s.reg.CountFunc("cachemapd_quality_skipped_total",
 		"served responses that failed the deterministic sampling draw",
-		func() float64 { return float64(s.sampler.Counts().Skipped) })
-	s.reg.CounterFunc("cachemapd_quality_overflow_total",
+		func() int64 { return int64(s.sampler.Counts().Skipped) })
+	s.reg.CountFunc("cachemapd_quality_overflow_total",
 		"drawn samples shed because the shadow-simulation queue was full",
-		func() float64 { return float64(s.sampler.Counts().Overflow) })
+		func() int64 { return int64(s.sampler.Counts().Overflow) })
 	registerRuntimeMetrics(s.reg)
 	return s, nil
 }

@@ -351,6 +351,47 @@ func TestMetricsHelpGolden(t *testing.T) {
 	}
 }
 
+// TestCountsRenderAsCounts: the plan store's and the quality sampler's
+// whole-number counters are CountFuncs, which render like a Counter at any
+// size where a CounterFunc's float turns to e-notation past a million.
+// Registering a name again under its own kind returns quietly; under
+// another kind it panics.
+func TestCountsRenderAsCounts(t *testing.T) {
+	s := newTestServer(t, Config{
+		Store:             StoreConfig{Dir: t.TempDir()},
+		QualitySampleRate: 0.5,
+	})
+	defer s.Close()
+	var exp bytes.Buffer
+	s.Registry().WritePrometheus(&exp)
+	for _, name := range []string{
+		"cachemapd_planstore_skipped_records_total",
+		"cachemapd_planstore_schema_dropped_records_total",
+		"cachemapd_planstore_appends_total",
+		"cachemapd_planstore_evictions_total",
+		"cachemapd_planstore_compactions_total",
+		"cachemapd_planstore_read_errors_total",
+		"cachemapd_planstore_disk_hits_total",
+		"cachemapd_planstore_write_queue_drops_total",
+		"cachemapd_quality_sampled_total",
+		"cachemapd_quality_skipped_total",
+		"cachemapd_quality_overflow_total",
+	} {
+		if !strings.Contains(exp.String(), "# TYPE "+name+" counter\n") {
+			t.Errorf("%s is not a registered counter", name)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s is not a CountFunc: %v", name, r)
+				}
+			}()
+			s.Registry().CountFunc(name, "", func() int64 { return 0 })
+		}()
+	}
+}
+
 // TestConcurrentMapRequests drives 64 concurrent mixed-spec requests — the
 // acceptance bar for the daemon — and requires zero errors.
 func TestConcurrentMapRequests(t *testing.T) {
