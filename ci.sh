@@ -3,8 +3,8 @@
 # and of the perfbench benchmark module), the inlining check of balance's
 # hot keys, linters, race-enabled tests, the short-mode
 # reproduction-fidelity gate, the zero-alloc gate, short balance, merge,
-# schedule, plan-log, plan-wire, JSON-validator, plan-JSON and tag fuzz runs
-# and the bench regression gate.
+# schedule, plan-log, plan-wire, map-request, JSON-validator, plan-JSON and
+# tag fuzz runs and the bench regression gate.
 # The race-enabled tests include cmd/cachemapd's process tests, which boot
 # the real daemon: tracing, batch repair, overload/chaos, quality
 # telemetry, kill/restart persistence, drain, flag checks and the 3-node
@@ -144,6 +144,14 @@ echo "==> plan-wire fuzz (FuzzPlanWire, 10s)"
 # accepted fill must map each of its job's iterations exactly once. A
 # crasher lands in internal/server/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzPlanWire$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server
+
+echo "==> map-request fuzz (FuzzMapRequest, 10s)"
+# Typed arguments build a size-capped /v1/map request (an app, synth or
+# stencil workload, a 2-4 layer topology, the scheme, balance threshold,
+# alpha, beta and dependence mode) and send it through the handler: every
+# answer must be a plan or a 4xx/504, never a 500 or a recovered panic. A
+# crasher lands in internal/server/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzMapRequest$' -fuzztime 10s -fuzzminimizetime 100x ./internal/server
 
 echo "==> JSON-validator fuzz (FuzzJSONValueEnd, 10s)"
 # The one-pass validator that checks and delimits the plan of every

@@ -388,7 +388,7 @@ func TestDaemonBatchAndDrift(t *testing.T) {
 		t.Fatalf("no incremental result reusing %v: %s", wantReused, body)
 	}
 	for _, stage := range []string{"tags", "similarity"} {
-		if runs := d.metric(t, `cachemapd_pipeline_stage_runs_total{stage="`+stage+`"}`); runs != 1 {
+		if runs := d.metric(t, `cachemapd_stage_duration_seconds_count{stage="`+stage+`"}`); runs != 1 {
 			t.Fatalf("stage %s ran %v times for an 8-spec single-family batch, want 1", stage, runs)
 		}
 	}

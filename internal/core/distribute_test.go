@@ -14,6 +14,7 @@ import (
 	"repro/internal/chunking"
 	"repro/internal/hierarchy"
 	"repro/internal/itset"
+	"repro/internal/join"
 	"repro/internal/polyhedral"
 	"repro/internal/tags"
 )
@@ -670,8 +671,10 @@ func TestDistributeFanOutPanic(t *testing.T) {
 		_, err := Distribute(chunks, tree, opts)
 		t.Errorf("Distribute returned (err %v) instead of panicking", err)
 	}()
-	if got != want {
-		t.Fatalf("recovered %v, want the subtree's panic value %v", got, want)
+	if jp, ok := got.(*join.Panic); !ok || jp.Value != want {
+		t.Fatalf("recovered %v, want a *join.Panic of the subtree's panic value %v", got, want)
+	} else if !strings.Contains(string(jp.Stack), "TestDistributeFanOutPanic.func1") {
+		t.Fatalf("the panic's stack does not name the panicking clock:\n%s", jp.Stack)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/hierarchy"
 	"repro/internal/itset"
+	"repro/internal/join"
 	"repro/internal/polyhedral"
 	"repro/internal/tags"
 )
@@ -205,8 +207,10 @@ func TestSparsePairsShardPanic(t *testing.T) {
 	}()
 	close(ctx.recovered)
 	<-ctx.left
-	if got != ctx.value {
-		t.Fatalf("recovered %v, want the shard's panic value %v", got, ctx.value)
+	if jp, ok := got.(*join.Panic); !ok || jp.Value != ctx.value {
+		t.Fatalf("recovered %v, want a *join.Panic of the shard's panic value %v", got, ctx.value)
+	} else if !strings.Contains(string(jp.Stack), "(*heldPanicCtx).Err") {
+		t.Fatalf("the panic's stack does not name the panicking shard:\n%s", jp.Stack)
 	}
 	if ctx.early {
 		t.Fatal("the panic was re-raised while a shard goroutine was still running")

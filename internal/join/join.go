@@ -7,9 +7,24 @@
 package join
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// Panic is what Each's parallel path re-raises for a call that panicked:
+// the panic's value, and the stack of the goroutine that raised it, taken
+// before the recover unwound it, so it still holds the panicking frames.
+// A panic that is already a *Panic, re-raised by a nested Each, passes
+// through as is.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+// Error prints the panic's value, as the runtime would print it.
+func (p *Panic) Error() string { return fmt.Sprint(p.Value) }
 
 // Each calls fn(w, i) for every index i in [0, n) on min(workers, n)
 // workers and returns once every call has returned. The caller is worker
@@ -19,10 +34,11 @@ import (
 // others: every index runs.
 //
 // A panic in fn is recovered on its worker and re-raised on the caller
-// once every worker has returned, so it fails where the serial loop fails
-// instead of ending the process from a worker goroutine; of several, the
-// one at the lowest index is re-raised. Otherwise Each returns the error of
-// the lowest failed index, the error the serial loop returns.
+// once every worker has returned, as a *Panic that keeps the panicking
+// goroutine's stack, so it fails where the serial loop fails instead of
+// ending the process from a worker goroutine; of several, the one at the
+// lowest index is re-raised. Otherwise Each returns the error of the
+// lowest failed index, the error the serial loop returns.
 //
 // With one worker (or n <= 1) Each is a plain loop on the caller: fn runs
 // in ascending index order, a panic propagates at once, and Each starts no
@@ -50,7 +66,7 @@ func each(workers, n int, fn func(w, i int) error) error {
 		errAt    = n // lowest failed index, n if none
 		err      error
 		panicAt  = n // lowest panicking index, n if none
-		panicVal any
+		panicVal *Panic
 	)
 	work := func(w int) {
 		for {
@@ -87,11 +103,18 @@ func each(workers, n int, fn func(w, i int) error) error {
 	return err
 }
 
-// call runs fn(w, i) and returns its panic value instead of raising it. A
+// call runs fn(w, i) and returns its panic instead of raising it. A
 // recover stops a panic only when the deferred call itself makes it, so
-// each call gets its own frame. Since Go 1.21 a panic(nil) recovers as a
+// each call gets its own frame, and the panicking frames are still on the
+// stack while it runs. Since Go 1.21 a panic(nil) recovers as a
 // *runtime.PanicNilError, so a nil p means fn returned.
-func call(fn func(w, i int) error, w, i int) (p any, err error) {
-	defer func() { p = recover() }()
+func call(fn func(w, i int) error, w, i int) (p *Panic, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			if p, _ = v.(*Panic); p == nil {
+				p = &Panic{Value: v, Stack: debug.Stack()}
+			}
+		}
+	}()
 	return nil, fn(w, i)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,9 +154,7 @@ func TestEachPanicAfterJoin(t *testing.T) {
 	}()
 	close(recovered)
 	<-left
-	if got != "boom 0" {
-		t.Fatalf("recovered %v, want index 0's panic", got)
-	}
+	checkPanic(t, got, "boom 0", "TestEachPanicAfterJoin.func")
 	if early.Load() {
 		t.Fatal("the panic was re-raised while a worker was still running")
 	}
@@ -179,10 +178,45 @@ func TestEachPanicOverError(t *testing.T) {
 			return nil
 		})
 	}()
-	if got != "five" {
-		t.Fatalf("recovered %v, want index 5's panic", got)
-	}
+	checkPanic(t, got, "five", "TestEachPanicOverError.func")
 	if ran.Load() != 12 {
 		t.Fatalf("%d of 12 indices ran after the panic", ran.Load())
+	}
+}
+
+// TestEachNestedPanic: a panic re-raised by an Each that runs inside
+// another Each's worker reaches the outer caller as the inner *Panic, its
+// value wrapped once and its stack still the panicking call's.
+func TestEachNestedPanic(t *testing.T) {
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		Each(2, 2, func(_, i int) error {
+			if i == 1 {
+				Each(2, 2, func(_, k int) error { return innerBoom(k) })
+			}
+			return nil
+		})
+	}()
+	checkPanic(t, got, "inner", "join.innerBoom(")
+}
+
+func innerBoom(k int) error {
+	if k == 1 {
+		panic("inner")
+	}
+	return nil
+}
+
+// checkPanic requires a recovered value to be a *Panic of value want whose
+// stack names the panicking function fn.
+func checkPanic(t *testing.T, got, want any, fn string) {
+	t.Helper()
+	p, ok := got.(*Panic)
+	if !ok || p.Value != want {
+		t.Fatalf("recovered %#v, want a *Panic of %v", got, want)
+	}
+	if !strings.Contains(string(p.Stack), fn) {
+		t.Fatalf("the panic's stack does not name %s:\n%s", fn, p.Stack)
 	}
 }

@@ -45,7 +45,8 @@ type MapRequest struct {
 	// BalanceThreshold is the distributor's load-balance bound (default
 	// 0.10, the paper's BThres).
 	BalanceThreshold float64 `json:"balance_threshold,omitempty"`
-	// Alpha and Beta weigh the Figure 15 scheduler (default 0.5 each).
+	// Alpha and Beta weigh the Figure 15 scheduler (default 0.5 each;
+	// neither may be negative).
 	Alpha float64 `json:"alpha,omitempty"`
 	Beta  float64 `json:"beta,omitempty"`
 	// DepMode is one of ignore, merge, sync (default ignore).
@@ -151,9 +152,11 @@ type job struct {
 	// cost estimates the job's work for admission accounting: iteration
 	// count × topology size.
 	cost int64
+	// key is the plan's content address (PlanKey of req), hashed once.
 	// wkKey is the workload-only content address (the request with its
 	// topology cleared) and topoSig the topology summary — together the
 	// stale tier's lookup key for degraded serving.
+	key     plancache.Key
 	wkKey   plancache.Key
 	topoSig plancache.TopoSig
 }
@@ -341,6 +344,9 @@ func buildJob(req MapRequest) (*job, error) {
 	if req.BalanceThreshold < 0 || req.BalanceThreshold > 1 {
 		return nil, fmt.Errorf("balance_threshold %g outside [0, 1]", req.BalanceThreshold)
 	}
+	if req.Alpha < 0 || req.Beta < 0 {
+		return nil, fmt.Errorf("alpha %g and beta %g must not be negative", req.Alpha, req.Beta)
+	}
 
 	cfg := pipeline.Config{Tree: tree, DepMode: dep}
 	cfg.Options.BalanceThreshold = req.BalanceThreshold
@@ -350,10 +356,12 @@ func buildJob(req MapRequest) (*job, error) {
 	j := &job{req: req, work: w, tree: tree, scheme: scheme, cfg: cfg, family: family}
 	j.cost = w.Prog.Nest.BoxSize() * int64(len(tree.Nodes()))
 	j.topoSig = ct.sig
+	if j.key, err = PlanKey(req); err != nil {
+		return nil, err
+	}
 	wk := req
 	wk.Topology = "" // workload identity only: any topology may serve stale
-	j.wkKey, err = plancache.KeyOf(planKeySpec{Schema: mapping.PlanSchemaVersion, Request: wk})
-	if err != nil {
+	if j.wkKey, err = plancache.KeyOf(planKeySpec{Schema: mapping.PlanSchemaVersion, Request: wk}); err != nil {
 		return nil, err
 	}
 	return j, nil

@@ -70,7 +70,6 @@ type BatchMapResponse struct {
 // goroutine once the family's workers have returned, where serve turns it
 // into a 500.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reqBatch.Inc()
 	s.serve(w, r, func(ctx context.Context, body []byte) (any, error) {
 		var req BatchMapRequest
 		if err := decodeStrict(body, &req); err != nil {

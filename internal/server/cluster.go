@@ -69,21 +69,21 @@ type fillResponse struct {
 // waiter. Any failure (owner down, slow, overloaded, protocol skew, a
 // plan that fails checkFill) reports false and the caller computes
 // locally.
-func (s *Server) peerFill(ctx context.Context, owner string, key plancache.Key, j *job) (cachedPlan, bool) {
+func (s *Server) peerFill(ctx context.Context, owner string, j *job) (cachedPlan, bool) {
 	body, err := json.Marshal(j.req)
 	if err != nil {
 		return cachedPlan{}, false
 	}
-	raw, _, err := s.cluster.FetchPlan(ctx, owner, key, body)
+	raw, _, err := s.cluster.FetchPlan(ctx, owner, j.key, body)
 	if err != nil {
 		return cachedPlan{}, false
 	}
-	cp, err := checkFill(raw, key, j)
+	cp, err := checkFill(raw, j)
 	if err != nil {
 		s.fillRejects.Inc()
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("peer fill returned an unusable payload",
-				"peer", owner, "key", key.String(), "err", err)
+				"peer", owner, "key", j.key.String(), "err", err)
 		}
 		return cachedPlan{}, false
 	}
@@ -97,13 +97,13 @@ func (s *Server) peerFill(ctx context.Context, owner string, key plancache.Key, 
 // address, then the plan itself (see checkPlan). This is where a filled
 // plan is decoded; its canonical bytes are encoded afresh from the
 // decoded plan.
-func checkFill(body []byte, key plancache.Key, j *job) (cachedPlan, error) {
+func checkFill(body []byte, j *job) (cachedPlan, error) {
 	var fr fillResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
 		return cachedPlan{}, err
 	}
-	if fr.CacheKey != key.String() {
-		return cachedPlan{}, fmt.Errorf("fill answers key %q, want %s", fr.CacheKey, key)
+	if fr.CacheKey != j.key.String() {
+		return cachedPlan{}, fmt.Errorf("fill answers key %q, want %s", fr.CacheKey, j.key)
 	}
 	if err := checkPlan(&fr.Plan, j); err != nil {
 		return cachedPlan{}, err
@@ -167,7 +167,6 @@ func checkPlan(p *mapping.Plan, j *job) error {
 // cache as client traffic; overload statuses (429/503/504) tell the
 // requester to compute locally. Degraded serving never applies here.
 func (s *Server) handleInternalPlan(w http.ResponseWriter, r *http.Request) {
-	s.reqInternal.Inc()
 	s.serve(w, r, func(ctx context.Context, body []byte) (any, error) {
 		if s.cluster == nil {
 			return nil, &httpError{status: http.StatusNotFound,
@@ -181,14 +180,10 @@ func (s *Server) handleInternalPlan(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		key, err := PlanKey(j.req)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		if want := r.PathValue("key"); key.String() != want {
+		if want := r.PathValue("key"); j.key.String() != want {
 			return nil, badRequest(fmt.Errorf(
 				"fill key mismatch: body hashes to %s, path names %s (plan schema or normalization skew between peers)",
-				key.String(), want))
+				j.key, want))
 		}
 		resp, err := runJob(s, ctx, j.cost, func(ctx context.Context) (*MapResponse, error) {
 			// internal=true: the owner never re-forwards, so a skewed ring

@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -62,25 +60,6 @@ func topoSigOf(tree *hierarchy.Tree) plancache.TopoSig {
 	return sig
 }
 
-// degradeCause classifies an overload-path error for the degraded
-// response's cause field, or returns "" for errors that must not degrade
-// (bad requests, real internal failures).
-func degradeCause(err error) string {
-	var shed *shedError
-	var inj *faults.InjectedError
-	switch {
-	case errors.As(err, &shed):
-		return "queue_full"
-	case errors.Is(err, errBusy):
-		return "admission_timeout"
-	case errors.Is(err, errDeadline):
-		return "deadline"
-	case errors.As(err, &inj):
-		return "fault"
-	}
-	return ""
-}
-
 // tryDegrade attempts to turn an overload-path failure into a degraded
 // 200: first a stale-but-valid plan for the same workload (topology drift
 // within tolerance), then the cheap lexicographic fallback mapping. It
@@ -90,15 +69,13 @@ func (s *Server) tryDegrade(ctx context.Context, j *job, cause error, start time
 	if !s.cfg.Degraded {
 		return nil, false
 	}
-	why := degradeCause(cause)
+	_, why := classify(cause)
 	if why == "" {
 		return nil, false
 	}
 
 	if v, _, age, ok := s.stale.Get(j.wkKey, j.topoSig, staleTolerance); ok {
-		s.staleHits.Inc()
 		s.markDegraded(ctx, DegradedStale, why)
-		s.replans.Inc(ReplanStaleServed)
 		return &MapResponse{
 			raw:           v.plan.Plan,
 			Stages:        v.plan.Stages,

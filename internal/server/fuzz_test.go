@@ -3,11 +3,92 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/race"
+	"repro/internal/workloads"
 )
+
+// FuzzMapRequest sends a /v1/map request built from typed arguments through
+// the handler of a 1-worker server: the workload kind (app, synth or
+// stencil) and its fields, a topology of 2-4 layers of at most 64 nodes,
+// the scheme, balance threshold, alpha, beta and dependence mode. Every
+// field is folded into a range that keeps one input small and fast
+// (synth extent <= 4096 and passes <= 8, stencil grids <= 256x256). No
+// answer may be a 500, and no panic may be recovered. A crasher lands in
+// testdata/fuzz/FuzzMapRequest.
+func FuzzMapRequest(f *testing.F) {
+	f.Add(uint8(0), uint8(1), uint8(3), uint16(0), uint16(0), int8(0), int8(0), int8(0), false, int8(0), int8(0), int8(0),
+		uint8(1), uint32(0x020201), uint32(0x040810), uint8(4), uint8(0), 0.1, 0.5, 0.5) // sar on 2/6/18, inter-sched
+	f.Add(uint8(1), uint8(0), uint8(2), uint16(512), uint16(16), int8(1), int8(3), int8(2), true, int8(3), int8(1), int8(0),
+		uint8(0), uint32(0x0202), uint32(0x0408), uint8(3), uint8(1), 0.2, 0.25, 1.0) // a synth with a hot table
+	f.Add(uint8(2), uint8(0), uint8(2), uint16(32), uint16(48), int8(1), int8(-1), int8(0), false, int8(0), int8(0), int8(2),
+		uint8(2), uint32(0x02020202), uint32(0x02040810), uint8(2), uint8(2), 0.05, 0.0, 0.0) // a stencil on 4 layers, merge
+	f.Fuzz(func(t *testing.T, kind, app, passes uint8, a, b uint16, stride, offset, drift int8, flag bool,
+		elem, chunk, chunkKB int8, layers uint8, nodes, caps uint32, scheme, dep uint8, threshold, alpha, beta float64) {
+		// size keeps a negative or zero (default) size and otherwise
+		// picks one of four powers of two from unit.
+		size := func(v int8, unit int64) int64 {
+			if v <= 0 {
+				return int64(v)
+			}
+			return unit << (v % 4)
+		}
+		var w WorkloadSpec
+		switch kind % 3 {
+		case 0:
+			w.App = workloads.Names()[int(app)%len(workloads.Names())]
+			w.Scale = int(passes % 16)
+		case 1:
+			w.Synth = &workloads.SynthSpec{
+				Passes: int64(passes % 9), Extent: int64(a % 4097), HotTable: int64(b % 257), PerPassOut: flag,
+				Streams:   []workloads.StreamSpec{{Stride: int64(stride % 5), Offset: int64(offset), Drift: int64(drift % 17)}},
+				ElemBytes: size(elem, 64), ChunkBytes: size(chunk, 2048),
+			}
+		default:
+			w.Stencil = &workloads.StencilSpec{
+				Passes: int64(passes % 5), Rows: int64(a % 257), Cols: int64(b % 257), InPlace: flag,
+				Offsets:   [][2]int64{{int64(stride % 4), int64(offset % 4)}, {int64(drift % 4), 0}},
+				ElemBytes: size(elem, 64), ChunkBytes: size(chunk, 2048),
+			}
+		}
+		w.ChunkKB = int64(chunkKB % 17)
+		var counts, capacities []string
+		n := 1
+		for i := range 2 + int(layers%3) {
+			n = min(64, n*(1+int(nodes>>(8*i))%4))
+			counts = append(counts, strconv.Itoa(n))
+			capacities = append(capacities, strconv.Itoa(int(caps>>(8*i)&0xff)%33))
+		}
+		body, err := json.Marshal(MapRequest{
+			Workload:         w,
+			Topology:         strings.Join(counts, "/") + "@" + strings.Join(capacities, ","),
+			Scheme:           []string{"", "original", "intra", "inter", "inter-sched", "nosuch"}[scheme%6],
+			BalanceThreshold: threshold,
+			Alpha:            alpha,
+			Beta:             beta,
+			DepMode:          []string{"", "ignore", "merge", "sync", "nosuch"}[dep%5],
+		})
+		if err != nil {
+			return // a NaN or infinite float has no JSON form
+		}
+		s := newTestServer(t, Config{Workers: 1, RequestTimeout: time.Second})
+		defer s.Close()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(body)))
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("%s answered 500: %s", body, rec.Body)
+		}
+		if got := s.panics.With("/v1/map").Value(); got != 0 {
+			t.Fatalf("%s recovered %d panics", body, got)
+		}
+	})
+}
 
 // FuzzPlanWire feeds arbitrary bytes to the two places a plan arrives from
 // outside this process: the plan-log codec's Decode (a disk record) and
@@ -46,10 +127,10 @@ func FuzzPlanWire(f *testing.F) {
 	if _, err := codec.Decode([]byte(planRecordGolden)); err != nil {
 		f.Fatalf("Decode(golden): %v", err)
 	}
-	if _, err := checkFill(honest, key, j); err != nil {
+	if _, err := checkFill(honest, j); err != nil {
 		f.Fatalf("fill check refuses the honest body: %v", err)
 	}
-	if _, err := checkFill(overlapping, key, j); err == nil {
+	if _, err := checkFill(overlapping, j); err == nil {
 		f.Fatal("fill check accepts overlapping runs")
 	}
 	f.Add([]byte(planRecordGolden))
@@ -78,7 +159,7 @@ func FuzzPlanWire(f *testing.F) {
 				t.Fatalf("accepted record serves a plan of another schema: %s", body.Plan)
 			}
 		}
-		cp, err := checkFill(data, key, j)
+		cp, err := checkFill(data, j)
 		if err != nil {
 			return
 		}

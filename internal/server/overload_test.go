@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -70,6 +72,31 @@ func metricsText(t *testing.T, ts *httptest.Server) string {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	return string(body)
+}
+
+// TestClassify: every kind of handler error maps to its HTTP status and
+// degraded cause, bare and wrapped alike.
+func TestClassify(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		err    error
+		status int
+		cause  string
+	}{
+		{"bad request", badRequest(errors.New("bad spec")), http.StatusBadRequest, ""},
+		{"http error", &httpError{status: http.StatusNotFound, err: errors.New("off")}, http.StatusNotFound, ""},
+		{"shed", &shedError{retryAfter: time.Second}, http.StatusTooManyRequests, "queue_full"},
+		{"busy", errBusy, http.StatusServiceUnavailable, "admission_timeout"},
+		{"deadline", errDeadline, http.StatusGatewayTimeout, "deadline"},
+		{"fault", &faults.InjectedError{Site: "server/admit"}, http.StatusServiceUnavailable, "fault"},
+		{"plain", errors.New("boom"), http.StatusInternalServerError, ""},
+	} {
+		for _, err := range []error{tc.err, fmt.Errorf("wrapped: %w", tc.err)} {
+			if status, cause := classify(err); status != tc.status || cause != tc.cause {
+				t.Errorf("%s: classify(%v) = %d %q, want %d %q", tc.name, err, status, cause, tc.status, tc.cause)
+			}
+		}
+	}
 }
 
 // TestQueueFull429 saturates the admission queue and requires immediate
@@ -287,10 +314,10 @@ func TestDegradedStale(t *testing.T) {
 	// Each degraded lookup counts under the stale-tier metrics, never the
 	// repair ones: the drift-within hit and the far-drift miss.
 	for series, want := range map[string]float64{
-		"cachemapd_stale_tier_hits_total":      1,
-		"cachemapd_stale_tier_misses_total":    1,
-		"cachemapd_repair_lookup_hits_total":   0,
-		"cachemapd_repair_lookup_misses_total": 0,
+		`cachemapd_degraded_responses_total{mode="stale"}`: 1,
+		"cachemapd_stale_tier_misses_total":                1,
+		"cachemapd_repair_lookup_hits_total":               0,
+		"cachemapd_repair_lookup_misses_total":             0,
 	} {
 		if got := metricValue(t, ts, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
@@ -363,6 +390,43 @@ func TestDegradedDeadline(t *testing.T) {
 	}
 	if got := s.degraded.With(DegradedFallback).Value(); got != 1 {
 		t.Fatalf("degraded counter = %v, want 1", got)
+	}
+}
+
+// TestInjectedAdmitDelayDeadline: an injected admission delay that
+// outlasts the request deadline is a deadline overrun: 504 without
+// degraded serving, and with it a fallback whose cause is "deadline".
+func TestInjectedAdmitDelayDeadline(t *testing.T) {
+	for _, degraded := range []bool{false, true} {
+		inj := faults.New(3)
+		if err := inj.SetRules([]faults.Rule{
+			{Kind: faults.KindLatency, Site: "server/admit", Prob: 1, Delay: faults.Duration(time.Second)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond, Degraded: degraded, Faults: inj})
+		ts := httptest.NewServer(s.Handler())
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", synthReq(64))
+		ts.Close()
+		if got := s.faultsFired.With("server/admit").Value(); got != 1 {
+			t.Errorf("degraded=%v: faults_injected_total{site=server/admit} = %v, want 1", degraded, got)
+		}
+		if !degraded {
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("degraded: status %d, want 200: %s", resp.StatusCode, body)
+		}
+		var mr MapResponse
+		if err := json.Unmarshal(body, &mr); err != nil {
+			t.Fatal(err)
+		}
+		if mr.Degraded != DegradedFallback || mr.DegradedCause != "deadline" {
+			t.Fatalf("degraded = %q cause = %q, want fallback/deadline", mr.Degraded, mr.DegradedCause)
+		}
 	}
 }
 

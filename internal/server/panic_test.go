@@ -70,9 +70,12 @@ func TestHandlerPanicIs500(t *testing.T) {
 // family while they run side by side, so one of them runs on a worker
 // goroutine of the fan-out: the panic must come back to the request's
 // goroutine and answer the batch with a 500, instead of ending the
-// process, and the next batch must be served.
+// process, the logged stack must be the panicking sibling's, and the next
+// batch must be served.
 func TestBatchSiblingPanic(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	var mu sync.Mutex
+	var logs bytes.Buffer
+	s := newTestServer(t, Config{Workers: 2, Logger: slog.New(slog.NewTextHandler(&syncWriter{mu: &mu, w: &logs}, nil))})
 	defer s.Close()
 	var calls atomic.Int32
 	bothRunning := make(chan struct{})
@@ -104,6 +107,12 @@ func TestBatchSiblingPanic(t *testing.T) {
 	}
 	if got := metricValue(t, ts, `cachemapd_panics_total{site="/v1/map/batch"}`); got != 1 {
 		t.Fatalf(`cachemapd_panics_total{site="/v1/map/batch"} = %v, want 1`, got)
+	}
+	mu.Lock()
+	logged := logs.String()
+	mu.Unlock()
+	if !strings.Contains(logged, `msg="handler panic"`) || !strings.Contains(logged, "TestBatchSiblingPanic.func1") {
+		t.Fatalf("the handler panic's logged stack does not name the panicking onJobStart hook:\n%s", logged)
 	}
 
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/map/batch", batchOf(reqs...))

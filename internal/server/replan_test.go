@@ -108,17 +108,17 @@ func TestRepairFastPath(t *testing.T) {
 	}
 
 	// Counters: one full production, one incremental, tags ran once.
-	if got := metricValue(t, ts, `cachemapd_replan_total{outcome="full"}`); got != 1 {
-		t.Errorf("replan_total{full} = %v, want 1", got)
+	if got := metricValue(t, ts, "cachemapd_pipeline_computes_total"); got != 1 {
+		t.Errorf("pipeline_computes_total = %v, want 1", got)
 	}
 	if got := metricValue(t, ts, `cachemapd_replan_total{outcome="incremental"}`); got != 1 {
 		t.Errorf("replan_total{incremental} = %v, want 1", got)
 	}
-	if got := metricValue(t, ts, `cachemapd_pipeline_stage_runs_total{stage="tags"}`); got != 1 {
-		t.Errorf("stage_runs_total{tags} = %v, want 1", got)
+	if got := metricValue(t, ts, `cachemapd_stage_duration_seconds_count{stage="tags"}`); got != 1 {
+		t.Errorf("stage_duration_seconds_count{tags} = %v, want 1", got)
 	}
-	if got := metricValue(t, ts, `cachemapd_pipeline_stage_runs_total{stage="balance"}`); got != 2 {
-		t.Errorf("stage_runs_total{balance} = %v, want 2", got)
+	if got := metricValue(t, ts, `cachemapd_stage_duration_seconds_count{stage="balance"}`); got != 2 {
+		t.Errorf("stage_duration_seconds_count{balance} = %v, want 2", got)
 	}
 	if got := metricValue(t, ts, "cachemapd_repair_lookup_hits_total"); got != 1 {
 		t.Errorf("repair_lookup_hits_total = %v, want 1", got)
@@ -193,7 +193,7 @@ func TestRepairBeyondToleranceFullCompute(t *testing.T) {
 		t.Errorf("repair stats = %d/%d, want 0 hits / 2 misses", hits, misses)
 	}
 	// Repair lookups count under their own metrics, not the degraded ones.
-	if hits, misses := s.staleHits.Value(), s.staleMisses.Value(); hits != 0 || misses != 0 {
+	if hits, misses := s.degraded.With(DegradedStale).Value(), s.staleMisses.Value(); hits != 0 || misses != 0 {
 		t.Errorf("stale-tier stats = %d/%d after repair lookups only, want 0/0", hits, misses)
 	}
 }
@@ -311,12 +311,12 @@ func TestBatchSharedFamily(t *testing.T) {
 
 	// The acceptance assertion: tags (and the rest of the prefix) ran once.
 	for _, stage := range []string{"tags", "chunks", "similarity", "cluster"} {
-		if got := metricValue(t, ts, `cachemapd_pipeline_stage_runs_total{stage="`+stage+`"}`); got != 1 {
-			t.Errorf("stage_runs_total{%s} = %v, want 1", stage, got)
+		if got := metricValue(t, ts, `cachemapd_stage_duration_seconds_count{stage="`+stage+`"}`); got != 1 {
+			t.Errorf("stage_duration_seconds_count{%s} = %v, want 1", stage, got)
 		}
 	}
-	if got := metricValue(t, ts, "cachemapd_batch_requests_total"); got != 1 {
-		t.Errorf("batch_requests_total = %v, want 1", got)
+	if got := metricValue(t, ts, `cachemapd_requests_total{route="/v1/map/batch"}`); got != 1 {
+		t.Errorf(`requests_total{route="/v1/map/batch"} = %v, want 1`, got)
 	}
 	if got := metricValue(t, ts, "cachemapd_batch_specs_total"); got != 8 {
 		t.Errorf("batch_specs_total = %v, want 8", got)
@@ -351,8 +351,8 @@ func TestBatchMixedFamilies(t *testing.T) {
 		t.Fatalf("families/full/incremental/errors = %d/%d/%d/%d, want 2/2/2/0 (%s)",
 			br.Families, br.Full, br.Incremental, br.Errors, body)
 	}
-	if got := metricValue(t, ts, `cachemapd_pipeline_stage_runs_total{stage="tags"}`); got != 2 {
-		t.Errorf("stage_runs_total{tags} = %v, want 2", got)
+	if got := metricValue(t, ts, `cachemapd_stage_duration_seconds_count{stage="tags"}`); got != 2 {
+		t.Errorf("stage_duration_seconds_count{tags} = %v, want 2", got)
 	}
 	if br.Results[0].Plan.TotalIterations != 2*128 || br.Results[1].Plan.TotalIterations != 2*192 {
 		t.Fatal("results not aligned with request order")

@@ -68,6 +68,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/iosim"
+	"repro/internal/join"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -203,17 +204,15 @@ func (c *RepairConfig) applyDefaults() {
 	}
 }
 
-// Replan outcomes recorded in responses and
-// cachemapd_replan_total{outcome}.
+// Replan outcomes recorded in responses. A full compute counts in
+// cachemapd_pipeline_computes_total, a repair in
+// cachemapd_replan_total{outcome="incremental"}.
 const (
 	// ReplanFull marks a plan computed by the full pipeline.
 	ReplanFull = "full"
 	// ReplanIncremental marks a plan repaired from a cached clustering:
 	// only balance/schedule/encode ran; tags through cluster were reused.
 	ReplanIncremental = "incremental"
-	// ReplanStaleServed marks a degraded response that served a stale plan
-	// unmodified (no pipeline stage ran at all).
-	ReplanStaleServed = "stale_served"
 )
 
 // Server is the mapping-as-a-service daemon core. Create with NewServer;
@@ -235,9 +234,7 @@ type Server struct {
 	planWB  *planstore.WriteBehind[cachedPlan] // nil without -store-dir
 	logN    atomic.Uint64                      // access-log sampling arrival counter
 
-	reqTotal      *metrics.Counter
-	reqMap        *metrics.Counter
-	reqSimulate   *metrics.Counter
+	reqTotal      *metrics.CounterVec
 	reqErrors     *metrics.Counter
 	inFlight      *metrics.Gauge
 	slowRequests  *metrics.Counter
@@ -245,18 +242,14 @@ type Server struct {
 	simPairsDense *metrics.Counter
 	admShed       *metrics.Counter
 	computes      *metrics.Counter
-	reqInternal   *metrics.Counter
-	reqBatch      *metrics.Counter
 	batchSpecs    *metrics.Counter
 	replans       *metrics.CounterVec
-	stageRuns     *metrics.CounterVec
 	degraded      *metrics.CounterVec
 	faultsFired   *metrics.CounterVec
 	clusterDur    *metrics.Histogram
 	reqDur        *metrics.Histogram
 	stageDur      *metrics.HistogramVec
 	missRate      *metrics.GaugeVec
-	staleHits     *metrics.Counter
 	staleMisses   *metrics.Counter
 	repairHits    *metrics.Counter
 	repairMisses  *metrics.Counter
@@ -300,9 +293,8 @@ func NewServer(cfg Config) (*Server, error) {
 		s.registerPlanstoreMetrics()
 	}
 	s.cache = plancache.New(cfg.PlanCacheSize, disk)
-	s.reqTotal = s.reg.Counter("cachemapd_requests_total", "API requests received")
-	s.reqMap = s.reg.Counter("cachemapd_map_requests_total", "POST /v1/map requests received")
-	s.reqSimulate = s.reg.Counter("cachemapd_simulate_requests_total", "POST /v1/simulate requests received")
+	s.reqTotal = s.reg.CounterVec("cachemapd_requests_total",
+		"API requests received, by route (the path, with a fill's plan key folded to {key})", "route")
 	s.reqErrors = s.reg.Counter("cachemapd_request_errors_total", "API requests answered with a non-2xx status")
 	s.inFlight = s.reg.Gauge("cachemapd_in_flight_requests", "API requests currently being served")
 	s.reg.CountFunc("cachemapd_plan_cache_hits_total", "plan cache hits (incl. shared in-flight computations)",
@@ -334,16 +326,10 @@ func NewServer(cfg Config) (*Server, error) {
 		"requests shed with 429 because the admission queue was saturated")
 	s.computes = s.reg.Counter("cachemapd_pipeline_computes_total",
 		"cold mapping pipeline computations run on this node (under cross-node singleflight the fleet-wide sum is one per plan key)")
-	s.reqInternal = s.reg.Counter("cachemapd_internal_plan_requests_total",
-		"peer-fill requests received on POST /internal/plan/{key}")
-	s.reqBatch = s.reg.Counter("cachemapd_batch_requests_total",
-		"POST /v1/map/batch requests received")
 	s.batchSpecs = s.reg.Counter("cachemapd_batch_specs_total",
 		"mapping specs carried by batch requests")
 	s.replans = s.reg.CounterVec("cachemapd_replan_total",
-		"plan productions by outcome: full pipeline, incremental repair of a cached clustering, or a stale plan served unmodified under degradation", "outcome")
-	s.stageRuns = s.reg.CounterVec("cachemapd_pipeline_stage_runs_total",
-		"pipeline stage executions by stage (an incremental repair re-runs only balance/schedule/encode)", "stage")
+		"plans repaired from a cached clustering, by outcome (incremental); full computes count in cachemapd_pipeline_computes_total", "outcome")
 	s.degraded = s.reg.CounterVec("cachemapd_degraded_responses_total",
 		"degraded responses served under overload, by degradation mode", "mode")
 	s.faultsFired = s.reg.CounterVec("cachemapd_faults_injected_total",
@@ -357,8 +343,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.reg.GaugeFunc("cachemapd_admission_queue_limit",
 		"configured admission queue depth bound",
 		func() float64 { return float64(s.adm.depth) })
-	s.staleHits = s.reg.Counter("cachemapd_stale_tier_hits_total",
-		"degraded lookups answered by the stale plan tier")
 	s.staleMisses = s.reg.Counter("cachemapd_stale_tier_misses_total",
 		"degraded lookups the stale plan tier could not answer (missing workload or topology drift beyond tolerance)")
 	s.repairHits = s.reg.Counter("cachemapd_repair_lookup_hits_total",
@@ -368,7 +352,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.fillRejects = s.reg.Counter("cachemapd_fill_rejects_total",
 		"peer-fill answers rejected by the fill check (undecodable, wrong key, schema, client count or iteration coverage); each fell back to local compute")
 	s.panics = s.reg.CounterVec("cachemapd_panics_total",
-		"handler panics recovered and answered with 500, by site (the request's route)", "site")
+		"panics recovered, by site: a request's route (answered with 500), or the background goroutine that survived one (quality, planstore)", "site")
 	if cfg.EventBufferSize > 0 {
 		s.events = NewEventLog(cfg.EventBufferSize)
 	}
@@ -522,23 +506,21 @@ type computeOpts struct {
 // the owner serves them from its cache or pipeline but never re-forwards,
 // so skewed ring views cannot create forwarding loops.
 //
-// With a fault injector armed, the computation passes the injector's
-// pipeline sites through a stage hook, and the plancache/leader site can
-// crash the leader: the leader cancels its own Do context and abandons
-// the key, waiting followers re-elect a successor (the production crash
-// path), and the crashed request itself reports an *faults.InjectedError.
+// With a fault injector armed, the job's pipeline runs (compute or
+// repair) pass each stage start through inject at its pipeline/<stage>
+// site, and the plancache/leader site can crash the leader: the leader
+// cancels its own Do context and abandons the key, waiting followers
+// re-elect a successor (the production crash path), and the crashed
+// request itself reports an *faults.InjectedError.
 func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start time.Time) (*MapResponse, error) {
-	key, err := PlanKey(j.req)
-	if err != nil {
-		return nil, err
-	}
 	dctx := ctx
 	var crash context.CancelFunc
 	if s.faults != nil {
 		dctx, crash = context.WithCancel(ctx)
 		defer crash()
+		j.cfg.StageHook = func(ctx context.Context, stage string) error { return s.inject(ctx, "pipeline/"+stage) }
 	}
-	v, hit, err := s.cache.Do(dctx, key, func(cctx context.Context) (cachedPlan, error) {
+	v, hit, err := s.cache.Do(dctx, j.key, func(cctx context.Context) (cachedPlan, error) {
 		if crash != nil {
 			if d := s.faults.Evaluate("plancache/leader"); d.Crash {
 				s.faultsFired.Inc("plancache/leader")
@@ -558,21 +540,16 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start
 			}
 		}
 		if s.cluster != nil && !opt.internal {
-			if owner, self := s.cluster.Owner(key); !self {
-				if cp, ok := s.peerFill(cctx, owner, key, j); ok {
+			if owner, self := s.cluster.Owner(j.key); !self {
+				if cp, ok := s.peerFill(cctx, owner, j); ok {
 					return cp, nil
 				}
 				// Owner down, slow or overloaded: compute locally below.
 			}
 		}
-		cfg := j.cfg
-		if s.faults != nil {
-			cfg.StageHook = s.stageHook
-		}
 		s.computes.Inc()
-		s.replans.Inc(ReplanFull)
 		start := time.Now()
-		res, err := pipeline.Map(cctx, j.scheme, j.work.Prog, cfg)
+		res, err := pipeline.Map(cctx, j.scheme, j.work.Prog, j.cfg)
 		if err != nil {
 			return cachedPlan{}, err
 		}
@@ -594,12 +571,12 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start
 		return nil, err
 	}
 	if v.Replanned != ReplanIncremental {
-		s.anchorStale(j, v, key)
+		s.anchorStale(j, v)
 	}
 	return &MapResponse{
 		raw:          v.Plan,
 		Stages:       v.Stages,
-		CacheKey:     key.String(),
+		CacheKey:     j.key.String(),
 		Cached:       hit,
 		FilledFrom:   v.FilledFrom,
 		Replanned:    v.Replanned,
@@ -620,7 +597,7 @@ func (s *Server) computePlan(ctx context.Context, j *job, opt computeOpts, start
 // degraded serving can use either, but only the stateful one can repair.
 // The check sees entries of the same topology depth, the only ones a
 // request of this depth could repair from.
-func (s *Server) anchorStale(j *job, v cachedPlan, key plancache.Key) {
+func (s *Server) anchorStale(j *job, v cachedPlan) {
 	s.staleMu.Lock()
 	defer s.staleMu.Unlock()
 	if v.state == nil {
@@ -628,7 +605,7 @@ func (s *Server) anchorStale(j *job, v cachedPlan, key plancache.Key) {
 			return
 		}
 	}
-	s.stale.Put(j.wkKey, j.topoSig, staleValue{plan: v, key: key})
+	s.stale.Put(j.wkKey, j.topoSig, staleValue{plan: v, key: j.key})
 }
 
 // msSince returns the milliseconds elapsed since start.
@@ -636,11 +613,11 @@ func msSince(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
-// observeStages records a pipeline run's per-stage durations, run counts
-// and similarity pair statistics on the server's instruments.
+// observeStages records a pipeline run's per-stage durations (whose
+// _count is the stage's run count) and similarity pair statistics on the
+// server's instruments.
 func (s *Server) observeStages(sts []pipeline.StageTiming) {
 	for _, st := range sts {
-		s.stageRuns.Inc(st.Stage)
 		s.stageDur.Observe(st.Stage, st.DurationMS/1e3)
 		if st.Stage == pipeline.StageSimilarity {
 			s.simPairsGen.Add(st.PairsGenerated)
@@ -672,11 +649,7 @@ func (s *Server) tryRepair(ctx context.Context, j *job) (cachedPlan, bool) {
 		return cachedPlan{}, false
 	}
 	s.repairHits.Inc()
-	cfg := j.cfg
-	if s.faults != nil {
-		cfg.StageHook = s.stageHook
-	}
-	res, err := pipeline.Resume(ctx, v.plan.state, cfg)
+	res, err := pipeline.Resume(ctx, v.plan.state, j.cfg)
 	if err != nil {
 		return cachedPlan{}, false
 	}
@@ -692,14 +665,17 @@ func (s *Server) tryRepair(ctx context.Context, j *job) (cachedPlan, bool) {
 	}, true
 }
 
-// stageHook adapts the fault injector to the pipeline: each stage start
-// evaluates the injector's pipeline/<stage> site, applying latency spikes
-// and injected errors.
-func (s *Server) stageHook(ctx context.Context, stage string) error {
-	d := s.faults.Evaluate("pipeline/" + stage)
-	if d.Fired() {
-		s.faultsFired.Inc("pipeline/" + stage)
+// inject applies the faults armed at site: it counts a firing in
+// cachemapd_faults_injected_total, sleeps an injected delay under ctx
+// (returning ctx's error if the sleep is cut) and returns an injected
+// error. With no injector it does nothing. The plancache/leader crash is
+// computePlan's own: it cancels the leader's context instead.
+func (s *Server) inject(ctx context.Context, site string) error {
+	d := s.faults.Evaluate(site)
+	if !d.Fired() {
+		return nil
 	}
+	s.faultsFired.Inc(site)
 	if d.Delay > 0 {
 		if err := faults.Sleep(ctx, d.Delay); err != nil {
 			return err
@@ -745,19 +721,11 @@ func (s *Server) ComputePlan(req MapRequest) (*MapResponse, error) {
 // computing after the 504 went out.
 func runJob[T any](s *Server, ctx context.Context, cost int64, fn func(ctx context.Context) (T, error)) (T, error) {
 	var zero T
-	if s.faults != nil {
-		d := s.faults.Evaluate("server/admit")
-		if d.Fired() {
-			s.faultsFired.Inc("server/admit")
+	if err := s.inject(ctx, "server/admit"); err != nil {
+		if ctx.Err() != nil {
+			err = errDeadline // the injected delay outlasted the deadline
 		}
-		if d.Delay > 0 {
-			if err := faults.Sleep(ctx, d.Delay); err != nil {
-				return zero, errDeadline
-			}
-		}
-		if d.Err != nil {
-			return zero, d.Err
-		}
+		return zero, err
 	}
 	arrived := time.Now()
 	select {
@@ -794,7 +762,6 @@ var (
 )
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	s.reqMap.Inc()
 	s.serve(w, r, func(ctx context.Context, body []byte) (any, error) {
 		var req MapRequest
 		if err := decodeStrict(body, &req); err != nil {
@@ -872,7 +839,6 @@ func (s *Server) annotateMap(ctx context.Context, j *job, resp *MapResponse) {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.reqSimulate.Inc()
 	s.serve(w, r, func(ctx context.Context, body []byte) (any, error) {
 		var req SimRequest
 		if err := decodeStrict(body, &req); err != nil {
@@ -940,6 +906,28 @@ func (e *httpError) Unwrap() error { return e.err }
 
 func badRequest(err error) error { return &httpError{status: http.StatusBadRequest, err: err} }
 
+// classify maps a handler error to its HTTP status and, for an overload
+// symptom that degraded serving may absorb, its degraded cause ("" for
+// errors that must not degrade: bad requests and real internal failures).
+func classify(err error) (status int, cause string) {
+	var he *httpError
+	var se *shedError
+	var ie *faults.InjectedError
+	switch {
+	case errors.As(err, &he):
+		return he.status, ""
+	case errors.As(err, &se):
+		return http.StatusTooManyRequests, "queue_full"
+	case errors.Is(err, errBusy):
+		return http.StatusServiceUnavailable, "admission_timeout"
+	case errors.Is(err, errDeadline):
+		return http.StatusGatewayTimeout, "deadline"
+	case errors.As(err, &ie):
+		return http.StatusServiceUnavailable, "fault"
+	}
+	return http.StatusInternalServerError, ""
+}
+
 // errInternal is all a client sees of a handler panic; the panic value
 // goes to the wide event, the log and cachemapd_panics_total.
 var errInternal = errors.New("internal error")
@@ -953,10 +941,11 @@ var errInternal = errors.New("internal error")
 // A panic in fn, including one a worker of the request re-raised on its
 // goroutine, is recovered before anything is written: the client gets a
 // 500 with errInternal, and the panic is counted, put on the event and
-// logged with its stack. http.ErrAbortHandler passes through to net/http,
-// which aborts the response as it documents.
+// logged with its stack: for a panic a join.Each worker re-raised, the
+// worker's stack. http.ErrAbortHandler passes through to net/http, which
+// aborts the response as it documents.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context, body []byte) (any, error)) {
-	s.reqTotal.Inc()
+	s.reqTotal.Inc(routeOf(r))
 	s.inFlight.Inc()
 	defer s.inFlight.Dec()
 	start := time.Now()
@@ -983,10 +972,14 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	v, err := func() (_ any, err error) {
 		defer func() {
 			if p := recover(); p != nil {
+				stack = debug.Stack()
+				if jp, ok := p.(*join.Panic); ok {
+					p, stack = jp.Value, jp.Stack
+				}
 				if p == http.ErrAbortHandler {
 					panic(p)
 				}
-				panicked, stack, err = p, debug.Stack(), errInternal
+				panicked, err = p, errInternal
 			}
 		}()
 		body, err := readBody(w, r)
@@ -998,28 +991,17 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 		return fn(ctx, body)
 	}()
 	if err != nil {
+		status, _ = classify(err)
 		var he *httpError
 		var se *shedError
-		var ie *faults.InjectedError
-		switch {
-		case errors.As(err, &he):
-			status = he.status
+		if errors.As(err, &he) {
 			err = he.err
-		case errors.As(err, &se):
-			status = http.StatusTooManyRequests
+		} else if errors.As(err, &se) {
 			w.Header().Set("Retry-After", strconv.Itoa(se.seconds()))
-		case errors.Is(err, errBusy):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, errDeadline):
-			status = http.StatusGatewayTimeout
-		case errors.As(err, &ie):
-			status = http.StatusServiceUnavailable
-		default:
-			status = http.StatusInternalServerError
 		}
 		s.writeError(w, status, err)
 	} else {
-		s.writeJSON(w, status, v)
+		status, err = s.writeJSON(w, status, v)
 	}
 
 	d := time.Since(start)
@@ -1029,11 +1011,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	ev.Status = status
 	ev.DurationMS = float64(d) / float64(time.Millisecond)
 	if err != nil {
+		s.reqErrors.Inc()
 		ev.Error = err.Error()
 	}
 	if panicked != nil {
 		ev.Error = fmt.Sprintf("panic: %v", panicked)
-		s.panics.Inc(panicSite(r))
+		s.panics.Inc(routeOf(r))
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Error("handler panic", "path", r.URL.Path, "trace_id", ev.TraceID,
 				"panic", fmt.Sprint(panicked), "stack", string(stack))
@@ -1056,10 +1039,10 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	s.logRequest(r, status, d, ev)
 }
 
-// panicSite names a request's route for cachemapd_panics_total: its path,
-// with a fill request's plan key folded to {key} so the label stays
-// bounded.
-func panicSite(r *http.Request) string {
+// routeOf names a request's route for cachemapd_requests_total and
+// cachemapd_panics_total: its path, with a fill request's plan key folded
+// to {key} so the label stays bounded.
+func routeOf(r *http.Request) string {
 	if k := r.PathValue("key"); k != "" {
 		return strings.TrimSuffix(r.URL.Path, k) + "{key}"
 	}
@@ -1178,8 +1161,9 @@ func putJSONBuf(b *jsonBuf) {
 }
 
 // writeJSON writes v as the response body; a body carrying plan bytes
-// splices them in (see splice).
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// splices them in (see splice). It returns the status it wrote: a v that
+// fails to encode is answered with 500, and that error is returned too.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) (int, error) {
 	b := getJSONBuf()
 	defer putJSONBuf(b)
 	var err error
@@ -1189,16 +1173,17 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		err = b.enc.Encode(v)
 	}
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
-		return
+		err = fmt.Errorf("encoding response: %w", err)
+		s.writeError(w, http.StatusInternalServerError, err)
+		return http.StatusInternalServerError, err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(b.buf.Len()))
 	w.WriteHeader(status)
 	w.Write(b.buf.Bytes())
+	return status, nil
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	s.reqErrors.Inc()
 	s.writeJSON(w, status, errorResponse{Error: err.Error()})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/workloads"
 )
@@ -158,6 +160,11 @@ func TestMapEndpointErrors(t *testing.T) {
 		{"bad scheme", `{"workload":{"app":"apsi"},"topology":"1/2/4","scheme":"nosuch"}`, http.StatusBadRequest},
 		{"bad dep mode", `{"workload":{"app":"apsi"},"topology":"1/2/4","dep_mode":"nosuch"}`, http.StatusBadRequest},
 		{"bad threshold", `{"workload":{"app":"apsi"},"topology":"1/2/4","balance_threshold":2}`, http.StatusBadRequest},
+		{"negative alpha", `{"workload":{"app":"apsi"},"topology":"1/2/4","scheme":"inter-sched","alpha":-1}`, http.StatusBadRequest},
+		{"negative synth elem", `{"workload":{"synth":{"Passes":1,"Extent":64,"Streams":[{"Stride":1}],"ElemBytes":-8}},"topology":"1/2/4"}`, http.StatusBadRequest},
+		{"negative synth chunk", `{"workload":{"synth":{"Passes":1,"Extent":64,"Streams":[{"Stride":1}],"ChunkBytes":-8}},"topology":"1/2/4"}`, http.StatusBadRequest},
+		{"negative stencil elem", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ElemBytes":-8}},"topology":"1/2/4"}`, http.StatusBadRequest},
+		{"negative stencil chunk", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ChunkBytes":-8}},"topology":"1/2/4"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/map", "application/json", strings.NewReader(tc.body))
@@ -183,6 +190,32 @@ func TestMapEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/map: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestEncodeFailureIs500: a response that fails to encode is answered with
+// 500 and recorded as the 500 it was: the wide event carries the status and
+// the encode error, and the error counter counts it once.
+func TestEncodeFailureIs500(t *testing.T) {
+	s := newTestServer(t, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	rec := httptest.NewRecorder()
+	s.serve(rec, httptest.NewRequest(http.MethodPost, "/v1/map", strings.NewReader("{}")),
+		func(context.Context, []byte) (any, error) { return math.NaN(), nil })
+	const want = "encoding response: json: unsupported value: NaN"
+	if rec.Code != http.StatusInternalServerError || strings.TrimSpace(rec.Body.String()) != `{"error":"`+want+`"}` {
+		t.Fatalf("status %d body %s, want 500 with the encode error", rec.Code, rec.Body)
+	}
+	var er eventsResponse
+	getDebugJSON(t, ts.URL+"/debug/events", &er)
+	if er.Count != 1 || er.Events[0].Status != http.StatusInternalServerError || er.Events[0].Error != want {
+		t.Fatalf("the request's event: %+v, want status 500 and error %q", er.Events, want)
+	}
+	if got := s.reqErrors.Value(); got != 1 {
+		t.Fatalf("request_errors_total = %d, want 1", got)
 	}
 }
 
@@ -263,9 +296,15 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("unclustered server reported a ring: %+v", hz.Ring)
 	}
 
-	// Drive one miss and one hit, then check the exposition.
+	// Drive one miss and one hit, then check the exposition. A debug
+	// endpoint's 404 is not an API request, so it counts as no error.
 	postJSON(t, ts.Client(), ts.URL+"/v1/map", synthReq(64))
 	postJSON(t, ts.Client(), ts.URL+"/v1/map", synthReq(64))
+	if resp, err := ts.Client().Get(ts.URL + "/debug/faults"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/faults without an injector: %v %v, want 404", resp, err)
+	} else {
+		resp.Body.Close()
+	}
 
 	resp, err = ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -275,8 +314,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	out := string(body)
 	for _, want := range []string{
-		"cachemapd_requests_total 2",
-		"cachemapd_map_requests_total 2",
+		`cachemapd_requests_total{route="/v1/map"} 2`,
+		"cachemapd_request_errors_total 0",
 		"cachemapd_in_flight_requests 0",
 		"cachemapd_plan_cache_hits_total 1",
 		"cachemapd_plan_cache_misses_total 1",
@@ -348,6 +387,78 @@ func TestMetricsHelpGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("HELP/TYPE lines drifted from %s:\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+	}
+}
+
+// TestMetricsCountsGolden pins what one scripted mix of requests counts:
+// a cold compute, a memory hit, an incremental repair, a three-spec batch,
+// a simulate, and a stale and a fallback degraded answer under an injected
+// admission error. The golden holds every _total and _count sample and the
+// two similarity-pair counters; gauges, buckets, sums and the runtime
+// metrics vary from run to run and are left out.
+func TestMetricsCountsGolden(t *testing.T) {
+	inj := faults.New(1)
+	s := newTestServer(t, Config{
+		Workers:  2,
+		Repair:   RepairConfig{Enabled: true},
+		Degraded: true,
+		Faults:   inj,
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(path string, req any) {
+		t.Helper()
+		if resp, body := postJSON(t, ts.Client(), ts.URL+path, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+		}
+	}
+	near := synthReq(128)
+	near.Topology = "1/2/4@16,8,5"
+	post("/v1/map", synthReq(128)) // cold compute
+	post("/v1/map", synthReq(128)) // memory hit
+	post("/v1/map", near)          // incremental repair
+	var family []MapRequest
+	for _, topo := range []string{"2/4/8@16,8,4", "2/4/8@16,8,5", "2/4/8@16,8,3"} {
+		r := synthReq(192)
+		r.Topology = topo
+		family = append(family, r)
+	}
+	post("/v1/map/batch", batchOf(family...))
+	post("/v1/simulate", SimRequest{MapRequest: synthReq(128)})
+	if err := inj.SetRules([]faults.Rule{{Kind: faults.KindError, Site: "server/admit", Prob: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	post("/v1/map", near)         // stale
+	post("/v1/map", synthReq(64)) // fallback: no plan of this workload yet
+	if err := inj.SetRules(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var got bytes.Buffer
+	for _, line := range strings.Split(metricsText(t, ts), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		switch {
+		case name == "" || strings.HasPrefix(name, "#") || name == "cachemapd_gc_pause_cpu_seconds_total":
+		case strings.HasSuffix(name, "_total") || strings.HasSuffix(name, "_count"),
+			name == "cachemapd_similarity_pairs_generated", name == "cachemapd_similarity_pairs_dense_bound":
+			got.WriteString(line + "\n")
+		}
+	}
+	golden := filepath.Join("testdata", "metrics_counts.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("counts drifted from %s:\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/chunking"
 	"repro/internal/itset"
+	"repro/internal/join"
 	"repro/internal/polyhedral"
 )
 
@@ -334,8 +336,10 @@ func TestComputeCtxShardPanic(t *testing.T) {
 	}()
 	close(ctx.recovered)
 	<-ctx.left
-	if got != ctx.value {
-		t.Fatalf("recovered %v, want the shard's panic value %v", got, ctx.value)
+	if jp, ok := got.(*join.Panic); !ok || jp.Value != ctx.value {
+		t.Fatalf("recovered %v, want a *join.Panic of the shard's panic value %v", got, ctx.value)
+	} else if !strings.Contains(string(jp.Stack), "(*heldPanicCtx).Err") {
+		t.Fatalf("the panic's stack does not name the panicking shard:\n%s", jp.Stack)
 	}
 	if ctx.early {
 		t.Fatal("the panic was re-raised while a shard goroutine was still running")

@@ -27,8 +27,8 @@ type SynthSpec struct {
 	Streams    []StreamSpec
 	HotTable   int64 // hot shared table size in elements; 0 disables
 	PerPassOut bool  // true: Out[t,i] (tileable); false: Out[i] in place
-	ElemBytes  int64 // record size; 0 defaults to 512
-	ChunkBytes int64 // data chunk size; 0 defaults to DefaultChunkBytes
+	ElemBytes  int64 // record size; 0 defaults to 512, negative is an error
+	ChunkBytes int64 // data chunk size; 0 defaults to DefaultChunkBytes, negative is an error
 }
 
 // Synthesize builds a workload from the spec. The generated program has
@@ -42,6 +42,9 @@ func Synthesize(spec SynthSpec) (Workload, error) {
 	}
 	if len(spec.Streams) == 0 {
 		return Workload{}, fmt.Errorf("workloads: synth %q has no streams", spec.Name)
+	}
+	if spec.ElemBytes < 0 || spec.ChunkBytes < 0 {
+		return Workload{}, fmt.Errorf("workloads: synth %q has a negative ElemBytes or ChunkBytes", spec.Name)
 	}
 	elemB := spec.ElemBytes
 	if elemB == 0 {
@@ -129,6 +132,9 @@ type StencilSpec struct {
 func SynthesizeStencil(spec StencilSpec) (Workload, error) {
 	if spec.Passes < 1 || spec.Rows < 3 || spec.Cols < 3 {
 		return Workload{}, fmt.Errorf("workloads: stencil %q needs Passes >= 1 and a grid of at least 3x3", spec.Name)
+	}
+	if spec.ElemBytes < 0 || spec.ChunkBytes < 0 {
+		return Workload{}, fmt.Errorf("workloads: stencil %q has a negative ElemBytes or ChunkBytes", spec.Name)
 	}
 	elemB := spec.ElemBytes
 	if elemB == 0 {

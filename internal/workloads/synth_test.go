@@ -98,6 +98,8 @@ func TestSynthesizeValidation(t *testing.T) {
 		{Name: "c", Passes: 1, Extent: 1},
 		{Name: "d", Passes: 1, Extent: 1, Streams: []StreamSpec{{Stride: 0}}},
 		{Name: "e", Passes: 1, Extent: 1, Streams: []StreamSpec{{Stride: 1, Offset: -1}}},
+		{Name: "f", Passes: 1, Extent: 1, Streams: []StreamSpec{{Stride: 1}}, ElemBytes: -8},
+		{Name: "g", Passes: 1, Extent: 1, Streams: []StreamSpec{{Stride: 1}}, ChunkBytes: -8},
 	}
 	for _, spec := range bad {
 		if _, err := Synthesize(spec); err == nil {
@@ -204,6 +206,14 @@ func TestSynthesizeStencilValidation(t *testing.T) {
 		Name: "c", Passes: 1, Rows: 8, Cols: 8, Offsets: [][2]int64{{5, 0}},
 	}); err == nil {
 		t.Error("out-of-grid offset accepted")
+	}
+	for _, spec := range []StencilSpec{
+		{Name: "d", Passes: 1, Rows: 8, Cols: 8, ElemBytes: -8},
+		{Name: "e", Passes: 1, Rows: 8, Cols: 8, ChunkBytes: -8},
+	} {
+		if _, err := SynthesizeStencil(spec); err == nil {
+			t.Errorf("spec %q with a negative size accepted", spec.Name)
+		}
 	}
 }
 
