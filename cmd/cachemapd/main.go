@@ -175,7 +175,6 @@ func main() {
 			Peers:       list,
 			FillTimeout: *fillTimeout,
 			Registry:    reg,
-			Faults:      injector,
 		})
 		if err != nil {
 			logger.Error("bad ring configuration", "err", err)

@@ -308,7 +308,7 @@ func printOverhead(cfg experiments.Config) error {
 	w := tw()
 	fmt.Fprintln(w, "app\titer chunks\ttags (ms)\tsimilarity (ms)\tcluster (ms)\tbalance (ms)\tschedule (ms)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", r.App, r.Chunks,
+		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n", r.App, r.Chunks,
 			r.TagMS, r.SimilarityMS, r.ClusterMS, r.BalanceMS, r.ScheduleMS)
 	}
 	w.Flush()
@@ -327,7 +327,7 @@ func printOverhead(cfg experiments.Config) error {
 	fmt.Fprintf(w, "app\tplan @%dKB (ms)\tplan @%dKB (ms)\tfactor\tincrease\n", cfg.ChunkBytes/1024, cfg.ChunkBytes/4096)
 	for i, r := range rows {
 		coarse, f := msOf(r.Total), msOf(fine[i].Total)
-		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t×%.1f\t%+.0f%%\n", r.App, coarse, f, f/coarse, 100*(f/coarse-1))
+		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t×%.1f\t%+.0f%%\n", r.App, coarse, f, f/coarse, 100*(f/coarse-1))
 	}
 	w.Flush()
 	fmt.Println("paper: 64KB→16KB chunks increased compilation time by more than 75%")

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/plancache"
@@ -33,10 +32,11 @@ const (
 	OutcomeError = "error"
 )
 
-// FaultSite is the fault-injection site evaluated once per peer fetch:
-// latency rules delay the fetch, error rules fail it before it leaves the
-// node, and crash rules simulate the peer connection dropping mid-flight.
-// Either failure kind makes the caller fall back to local compute.
+// FaultSite is the fault-injection site a peer fetch passes once, before
+// it leaves the node (see FetchPlan's inject): latency rules delay the
+// fetch, error rules fail it, and crash rules simulate the peer connection
+// dropping mid-flight. Either failure kind makes the caller fall back to
+// local compute.
 const FaultSite = "cluster/fetch"
 
 // Every Node's ring has RingVNodes virtual points per peer and places them
@@ -60,8 +60,6 @@ type Config struct {
 	// Registry receives cachemapd_ring_peers and
 	// cachemapd_peer_fill_total{outcome} (nil: metrics are dropped).
 	Registry *metrics.Registry
-	// Faults, when non-nil, arms the cluster/fetch injection site.
-	Faults *faults.Injector
 }
 
 // Node is one process's membership in the ring. Safe for concurrent use.
@@ -70,7 +68,6 @@ type Node struct {
 	ring        *Ring
 	fillTimeout time.Duration
 	client      *http.Client
-	faults      *faults.Injector
 	fills       *metrics.CounterVec
 
 	mu    sync.Mutex
@@ -113,8 +110,7 @@ func New(cfg Config) (*Node, error) {
 			MaxIdleConnsPerHost: 8,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		faults: cfg.Faults,
-		peers:  make(map[string]*peerState, len(cfg.Peers)),
+		peers: make(map[string]*peerState, len(cfg.Peers)),
 	}
 	for _, p := range cfg.Peers {
 		if p != cfg.Self {
@@ -158,10 +154,16 @@ func BaseURL(addr string) string {
 // context propagates via the traceparent header; the fetch runs under a
 // cluster.fetch span and is bounded by min(ctx deadline, FillTimeout).
 //
+// inject, when non-nil, applies the faults armed at FaultSite before the
+// fetch leaves the node. The server passes its own, which counts each
+// firing in cachemapd_faults_injected_total like every other site. An
+// error it returns fails the fetch: OutcomeTimeout if ctx ended,
+// OutcomeError otherwise.
+//
 // On success the owner's response body (plan wire format v1) is returned
 // with OutcomeHit. Every failure returns the outcome class alongside the
 // error; the caller is expected to fall back to local compute.
-func (n *Node) FetchPlan(ctx context.Context, owner string, key plancache.Key, body []byte) (resp []byte, outcome string, err error) {
+func (n *Node) FetchPlan(ctx context.Context, owner string, key plancache.Key, body []byte, inject func(context.Context, string) error) (resp []byte, outcome string, err error) {
 	fctx, span := obs.StartSpan(ctx, "cluster.fetch")
 	if span != nil {
 		span.SetAttr("peer", owner)
@@ -174,7 +176,7 @@ func (n *Node) FetchPlan(ctx context.Context, owner string, key plancache.Key, b
 			span.End()
 		}()
 	}
-	resp, outcome, err = n.fetch(fctx, owner, key, body)
+	resp, outcome, err = n.fetch(fctx, owner, key, body, inject)
 	if n.fills != nil {
 		n.fills.Inc(outcome)
 	}
@@ -182,21 +184,13 @@ func (n *Node) FetchPlan(ctx context.Context, owner string, key plancache.Key, b
 	return resp, outcome, err
 }
 
-func (n *Node) fetch(ctx context.Context, owner string, key plancache.Key, body []byte) ([]byte, string, error) {
-	if n.faults != nil {
-		d := n.faults.Evaluate(FaultSite)
-		if d.Delay > 0 {
-			if err := faults.Sleep(ctx, d.Delay); err != nil {
+func (n *Node) fetch(ctx context.Context, owner string, key plancache.Key, body []byte, inject func(context.Context, string) error) ([]byte, string, error) {
+	if inject != nil {
+		if err := inject(ctx, FaultSite); err != nil {
+			if ctx.Err() != nil {
 				return nil, OutcomeTimeout, err
 			}
-		}
-		if d.Err != nil {
-			return nil, OutcomeError, d.Err
-		}
-		if d.Crash {
-			// A crash at this site simulates the peer connection dropping
-			// mid-flight: the fetch dies, the caller computes locally.
-			return nil, OutcomeError, &faults.InjectedError{Site: FaultSite}
+			return nil, OutcomeError, err
 		}
 	}
 

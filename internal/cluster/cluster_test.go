@@ -67,7 +67,7 @@ func TestFetchPlanHit(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	n := testNode(t, ts.URL, Config{Registry: reg})
-	out, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, []byte(`{"req":1}`))
+	out, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, []byte(`{"req":1}`), nil)
 	if err != nil || outcome != OutcomeHit || string(out) != `{"plan":"v1"}` {
 		t.Fatalf("FetchPlan = %q, %q, %v", out, outcome, err)
 	}
@@ -100,7 +100,7 @@ func TestFetchPlanRefusedAndError(t *testing.T) {
 		w.WriteHeader(http.StatusTooManyRequests)
 	}))
 	n := testNode(t, ts.URL, Config{})
-	if _, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil); outcome != OutcomeRefused || err == nil {
+	if _, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil, nil); outcome != OutcomeRefused || err == nil {
 		t.Fatalf("429 fill: outcome %q, err %v; want refused", outcome, err)
 	}
 	if h := n.Health(); h[1].State != "down" || h[1].ConsecutiveFailures != 1 ||
@@ -111,7 +111,7 @@ func TestFetchPlanRefusedAndError(t *testing.T) {
 	// Kill the owner: transport errors classify as OutcomeError and the
 	// failure run grows.
 	ts.Close()
-	if _, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil); outcome != OutcomeError || err == nil {
+	if _, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil, nil); outcome != OutcomeError || err == nil {
 		t.Fatalf("dead owner: outcome %q, err %v; want error", outcome, err)
 	}
 	if h := n.Health(); h[1].ConsecutiveFailures != 2 || h[1].Failures != 2 {
@@ -129,7 +129,7 @@ func TestFetchPlanTimeout(t *testing.T) {
 	defer close(release) // LIFO: unblock the handler before ts.Close waits on it
 	n := testNode(t, ts.URL, Config{FillTimeout: 30 * time.Millisecond})
 	start := time.Now()
-	_, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil)
+	_, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil, nil)
 	if outcome != OutcomeTimeout || err == nil {
 		t.Fatalf("slow owner: outcome %q, err %v; want timeout", outcome, err)
 	}
@@ -138,6 +138,10 @@ func TestFetchPlanTimeout(t *testing.T) {
 	}
 }
 
+// TestFetchPlanFaultInjection: the caller's inject runs once per fetch, at
+// FaultSite, before the fetch leaves the node. Its error fails the fetch
+// as an error, or as a timeout when it ended with the context (an
+// injected delay cut by the deadline), and the peer is never contacted.
 func TestFetchPlanFaultInjection(t *testing.T) {
 	key := storeKey(t, "k4")
 	contacted := false
@@ -147,29 +151,34 @@ func TestFetchPlanFaultInjection(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	inj := faults.New(42)
-	if err := inj.SetRules([]faults.Rule{{Kind: faults.KindError, Site: FaultSite, Prob: 1}}); err != nil {
-		t.Fatal(err)
+	var sites []string
+	fail := func(_ context.Context, site string) error {
+		sites = append(sites, site)
+		return &faults.InjectedError{Site: site}
 	}
-	n := testNode(t, ts.URL, Config{Faults: inj})
-	_, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil)
+	n := testNode(t, ts.URL, Config{})
+	_, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil, fail)
 	var ie *faults.InjectedError
 	if outcome != OutcomeError || !isInjected(err, &ie) || ie.Site != FaultSite {
 		t.Fatalf("injected error: outcome %q, err %v", outcome, err)
 	}
-	if contacted {
-		t.Fatal("injected fetch error still contacted the peer")
+	if len(sites) != 1 || sites[0] != FaultSite {
+		t.Fatalf("inject ran at %q, want once at %q", sites, FaultSite)
 	}
 
-	// Crash rules simulate the connection dropping: same fallback class.
-	if err := inj.SetRules([]faults.Rule{{Kind: faults.KindCrash, Site: FaultSite, Prob: 1}}); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cut := func(ctx context.Context, _ string) error {
+		cancel()
+		return faults.Sleep(ctx, time.Hour)
 	}
-	if _, outcome, err := n.FetchPlan(context.Background(), ts.URL, key, nil); outcome != OutcomeError || err == nil {
-		t.Fatalf("injected crash: outcome %q, err %v", outcome, err)
+	if _, outcome, err := n.FetchPlan(ctx, ts.URL, key, nil, cut); outcome != OutcomeTimeout || err == nil {
+		t.Fatalf("injected delay cut by the context: outcome %q, err %v; want timeout", outcome, err)
 	}
 	if contacted {
-		t.Fatal("injected fetch crash still contacted the peer")
+		t.Fatal("an injected fetch failure still contacted the peer")
+	}
+	if h := n.Health(); h[1].ConsecutiveFailures != 2 {
+		t.Fatalf("peer health after two injected failures = %+v", h[1])
 	}
 }
 

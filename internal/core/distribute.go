@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -296,6 +297,10 @@ func memberKey(m *tags.IterationChunk) int64 {
 	}
 	return m.Iters.Min() + int64(m.Nest)<<40
 }
+
+// unknownFirst marks a balance slot's cached first iteration as stale; it
+// sorts below every memberKey.
+const unknownFirst = math.MinInt64
 
 // firstIter is a deterministic identity for ordering clusters. It skips
 // the tombstones a balance donor holds during its tenure (see donorRows).
@@ -905,9 +910,9 @@ func (d *distributor) breakCluster(c *Cluster) (*Cluster, *Cluster) {
 // that re-positions just their two slots. A donor's first round scores its
 // members' set bits against the recipient's tag; from its second round in
 // a row on, the donor's best member is read from a cached per-recipient
-// max tree of dots (see donorRows). Most donors of a repair serve one
-// round, and their index would never be read twice, while a cold split's
-// one long tenure pays a single extra scan.
+// row of dots bucketed by value (see donorRows). Most donors of a repair
+// serve one round, and their index would never be read twice, while a
+// cold split's one long tenure pays a single extra scan.
 func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	ph := d.beginPhase("balance")
 	defer func() { ph.end(d) }()
@@ -955,9 +960,10 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 	}
 	// Slots rank clusters by size (descending), then first iteration. The
 	// order slice and the firstIter cache (an O(|members|) scan otherwise
-	// repeated per comparison) are maintained incrementally. scr.order is
-	// shared with split's final ranking, which runs only after balance
-	// returns.
+	// repeated per comparison) are maintained incrementally; a first
+	// iteration that left is unknownFirst until a size tie reads it.
+	// scr.order is shared with split's final ranking, which runs only after
+	// balance returns.
 	if cap(scr.order) < k {
 		scr.order = make([]int, k)
 	}
@@ -967,12 +973,18 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 		order[i] = i
 		firsts[i] = clusters[i].firstIter()
 	}
+	first := func(i int) int64 {
+		if firsts[i] == unknownFirst {
+			firsts[i] = clusters[i].firstIter()
+		}
+		return firsts[i]
+	}
 	rankCmp := func(a, b int) int {
 		ca, cb := clusters[a], clusters[b]
 		if ca.Size != cb.Size {
 			return cmp.Compare(cb.Size, ca.Size)
 		}
-		return cmp.Compare(firsts[a], firsts[b])
+		return cmp.Compare(first(a), first(b))
 	}
 	slices.SortStableFunc(order, rankCmp)
 	rows := &scr.rows
@@ -1031,12 +1043,15 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 			return nil // no progress possible
 		}
 		// Incremental firsts maintenance: the recipient's first iteration
-		// can only be lowered by the arriving chunk; the donor's changes
-		// only if the chunk that attained it left whole (a split keeps the
-		// leading iterations in the donor).
+		// can only be lowered by the arriving chunk (an unknown one stays
+		// unknown, since unknownFirst is below every key); the donor's
+		// changes only if the chunk that attained it left whole (a split
+		// keeps the leading iterations in the donor), and then it is
+		// unknown: a long tenure loses its first member over and over, and
+		// a rescan of the donor is read only on a size tie.
 		key := memberKey(moved)
 		if whole && key == firsts[di] {
-			firsts[di] = donor.firstIter()
+			firsts[di] = unknownFirst
 		}
 		if key < firsts[ri] {
 			firsts[ri] = key
@@ -1061,20 +1076,20 @@ func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
 // the donor whole (false: the donor kept the leading part of a split); ok
 // is false when no move is possible.
 //
-// The dots come from the recipient's max tree when rows holds donor's
-// tenure, and otherwise from a scan of the donor's members, O(their set
-// bits) with no table and no tree. The two differ only in how a member
-// leaves: as a tombstone in an indexed donor, by an ordered delete in a
-// scanned one, which leaves the survivors in the order endTenure's
-// compaction gives.
+// The dots come from the recipient's row when rows holds donor's tenure,
+// and otherwise from a scan of the donor's members, O(their set bits) with
+// no table and no row. The two differ only in how a member leaves: as a
+// tombstone in an indexed donor, which clears one bucket bit per built
+// row, by an ordered delete in a scanned one, which leaves the survivors
+// in the order endTenure's compaction gives.
 func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, donorLLim, recipULim, donorTarget, recipTarget int64) (moved *tags.IterationChunk, whole, ok bool) {
 	scr := d.scratch()
-	indexed := rows.donor == donor
+	var row *dotRow // nil for a scanned donor
 	var dots []int32
 	var best int
-	if indexed {
-		dots = rows.tree(ri, recip)
-		best = rows.best(dots)
+	if rows.donor == donor {
+		row = rows.row(ri, recip)
+		dots, best = row.dots, rows.best(row)
 	} else {
 		dots = scr.scanDots(donor, recip)
 		best = firstMax(dots, donor.sizes, 1, math.MaxInt64)
@@ -1090,9 +1105,9 @@ func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, dono
 	}
 	m := donor.Members[p]
 	if whole {
-		if indexed {
+		if row != nil {
 			rows.remove(p, scr)
-			rows.gain(dots, recip.Tag, m.Tag)
+			rows.gain(row, recip.Tag, m.Tag)
 		} else {
 			donor.cut(p, scr)
 		}
@@ -1100,9 +1115,9 @@ func (d *distributor) evict(rows *donorRows, donor, recip *Cluster, ri int, dono
 		return m, true, true
 	}
 	keep, give := m.Split(m.Count() - move)
-	if indexed {
+	if row != nil {
 		rows.split(p, keep, scr)
-		rows.gain(rows.tree(ri, recip), recip.Tag, give.Tag)
+		rows.gain(rows.row(ri, recip), recip.Tag, give.Tag)
 	} else {
 		donor.cut(p, scr)
 		donor.add(keep)
@@ -1176,45 +1191,50 @@ func (c *Cluster) cut(p int, scr *distScratch) {
 }
 
 // donorRows is balance's cache of dot products for the current donor: for
-// each recipient chosen during the donor's tenure, a max tree whose leaves
-// hold popcount(recipient.Tag ∧ member.Tag) for every donor position. A
-// round reads the donor's best member off the tree's root in O(log |donor|)
-// instead of scoring every member. The trees are treeFan-way, so a tree is
-// barely larger than its leaves.
+// each recipient chosen during the donor's tenure, a row holding
+// popcount(recipient.Tag ∧ member.Tag) for every donor position, and one
+// position bitset (a bucket) per positive dot value. A round reads the
+// donor's best member as the lowest set bit of the row's highest non-empty
+// bucket instead of scoring every member.
 //
-// The trees stay exact while one cluster stays the donor because:
+// The rows stay exact while one cluster stays the donor because:
 //   - Only the donor loses members; every other cluster only gains them, so
 //     a recipient's tag only gains bits. A move that adds bits B to the
 //     recipient raises a member's dot by |B ∧ member.Tag|, which the donor's
 //     posting lists (tag bit → donor positions) yield by walking just the
-//     lists of B — typically about one bit per move — each raise a point
-//     update of the leaf and its ancestors.
+//     lists of B — typically about one bit per move — each raise moving
+//     one position up one bucket.
 //   - Positions never shift during a tenure. A member that leaves becomes a
-//     tombstone: a nil member of size 0 whose leaf is −1 in every tree. The
-//     donor's lists are compacted, in order, when the tenure ends.
+//     tombstone: a nil member of size 0 whose dot reads −1 and whose bucket
+//     bit is cleared in every row, O(1) a row. The donor's lists are
+//     compacted, in order, when the tenure ends.
 //   - A split evict leaves the donor's tag unchanged: keep and give share
 //     the split chunk's tag, so keep takes a new last position with the
-//     chunk's dot in every tree, and the chunk's posting nodes are
-//     repointed at it. Trees that keep outgrows are dropped and rebuilt at
-//     twice the size on their next use.
-//   - An inner node holds the largest of its children, and the descent
-//     takes the first child holding the root's value, so on equal best dots
-//     the first position in donor.Members still wins. Empty members read −1
-//     like tombstones: neither pick ever moves them.
+//     chunk's dot and bucket bit in every row, and the chunk's posting
+//     nodes are repointed at it. Rows that keep outgrows are dropped and
+//     rebuilt at twice the size on their next use.
+//   - Only live members with iterations sit in buckets (an empty member
+//     reads −1 like a tombstone: neither pick ever moves it), and a
+//     bucket's lowest set bit is its first position, so on equal best dots
+//     the first position in donor.Members still wins. When none of them
+//     has a positive dot, the best is the first of them, which a cursor
+//     finds moving forward only: a position dies or is appended, and never
+//     comes back.
 //
 // A donor is indexed from its second round in a row (its first is a scan;
-// see evict). Indexing discards every tree and rebuilds the postings by
+// see evict). Indexing discards every row and rebuilds the postings by
 // walking the donor's sparse member tags, in O(their set bits), never
 // O(r): no word of a dense member tag is scanned, and list heads are
 // generation-stamped, so heads left over from earlier donors read as empty
 // lists. All tables are recycled with the run's scratch.
 type donorRows struct {
 	donor  *Cluster
-	leaves int     // positions a tree holds: at least one past the donor's
-	levels []int   // offset of each tree level, leaves (0) first, the root last
-	span   int     // entries per tree; the root is the last
-	rowAt  []int32 // per cluster index: offset of its tree in rows, -1 if none
-	rows   []int32 // the built trees, span entries each
+	leaves int      // positions a row holds: at least one past the donor's
+	words  int      // words of a bucket: one bit per position
+	live   int      // no member with iterations sits before this position
+	used   int      // bytes of the built rows' dots and buckets
+	rowAt  []int32  // per cluster index: its row in rows, -1 if none
+	rows   []dotRow // the built rows; entries past len keep their storage
 
 	head  []int32  // per tag bit: first posting node, valid iff stamp == gen
 	stamp []uint32 // per tag bit: tenure generation that wrote head
@@ -1222,6 +1242,15 @@ type donorRows struct {
 	node  []int32 // posting node → donor position
 	next  []int32 // posting node → next node for the same bit, -1 ends
 	bits  []int32 // set-bit scratch of a recipient's dense tag
+}
+
+// dotRow is one recipient's dots with the donor's positions.
+type dotRow struct {
+	dots []int32 // per position; −1 for a tombstone, an empty member or padding
+	// buckets holds bucket v ≥ 1, the live members with iterations whose
+	// dot is v, in words [(v−1)·words, v·words).
+	buckets []uint64
+	top     int32 // no bucket above top holds a position
 }
 
 // reset starts a balance over k clusters with r-bit tags: no donor yet.
@@ -1238,7 +1267,7 @@ func (dr *donorRows) reset(k, r int) {
 }
 
 // setDonor ends the previous tenure and starts donor's: the donor's posting
-// lists, and no trees.
+// lists, and no rows.
 func (dr *donorRows) setDonor(donor *Cluster) {
 	dr.endTenure()
 	dr.donor = donor
@@ -1247,7 +1276,7 @@ func (dr *donorRows) setDonor(donor *Cluster) {
 		dr.gen = 1
 	}
 	dr.node, dr.next = dr.node[:0], dr.next[:0]
-	dr.dropTrees()
+	dr.dropRows()
 	for i, m := range donor.Members {
 		for _, b := range m.Tag.Bits() {
 			if dr.stamp[b] != dr.gen {
@@ -1259,37 +1288,12 @@ func (dr *donorRows) setDonor(donor *Cluster) {
 		}
 	}
 	dr.shape(len(donor.Members) + 1)
+	dr.live = 0
 }
 
-// treeFan is the trees' fan-out: an inner node holds the largest of up to
-// treeFan entries of the level below, one 64-byte cache line of them.
-const treeFan = 16
-
-// shape lays out trees of n leaves: level 0 is the leaves, by position,
-// and each level above has one node per treeFan entries below, up to a
-// single root.
+// shape lays out rows of n positions.
 func (dr *donorRows) shape(n int) {
-	dr.leaves = n
-	dr.levels = append(dr.levels[:0], 0)
-	for off := n; n > 1; off += n {
-		n = (n + treeFan - 1) / treeFan
-		dr.levels = append(dr.levels, off)
-	}
-	dr.span = dr.levels[len(dr.levels)-1] + 1
-}
-
-// level returns level l of tree t.
-func (dr *donorRows) level(t []int32, l int) []int32 {
-	if l+1 < len(dr.levels) {
-		return t[dr.levels[l]:dr.levels[l+1]]
-	}
-	return t[dr.levels[l]:dr.span]
-}
-
-// children returns the entries of level l below node j of level l+1.
-func (dr *donorRows) children(t []int32, l, j int) []int32 {
-	below := dr.level(t, l)
-	return below[j*treeFan : min(j*treeFan+treeFan, len(below))]
+	dr.leaves, dr.words = n, (n+63)/64
 }
 
 // endTenure compacts the donor's lists, dropping its tombstones in order.
@@ -1310,142 +1314,153 @@ func (dr *donorRows) endTenure() {
 	dr.donor = nil
 }
 
-// dropTrees forgets every built tree.
-func (dr *donorRows) dropTrees() {
-	dr.rows = dr.rows[:0]
+// dropRows forgets every built row.
+func (dr *donorRows) dropRows() {
+	dr.rows, dr.used = dr.rows[:0], 0
 	for i := range dr.rowAt {
 		dr.rowAt[i] = -1
 	}
 }
 
-// rowBudget bounds the cached trees of one tenure, in entries (4 MiB): a
-// wide node whose huge donor feeds many recipients would otherwise hold
-// (k−1)·span dots and inner nodes. Past it the cache forgets every tree
-// and rebuilds each on its next use, which is exact either way.
-const rowBudget = 1 << 20
+// rowBudget bounds the cached rows of one tenure, in bytes of dots and
+// bucket words (4 MiB): a wide node whose huge donor feeds many recipients
+// would otherwise hold (k−1)·|donor| dots. A row that would pass it first
+// makes the cache forget every row and rebuild each on its next use, which
+// is exact either way. A built row grows by one bucket per new top dot.
+const rowBudget = 4 << 20
 
-// tree returns the max tree of recipient recip (cluster index ri),
-// building it from recip's set bits on its first use in this tenure.
-func (dr *donorRows) tree(ri int, recip *Cluster) []int32 {
-	n := dr.span
-	off := int(dr.rowAt[ri])
-	if off < 0 {
-		if len(dr.rows) > 0 && len(dr.rows)+n > rowBudget {
-			dr.dropTrees()
+// row returns the row of recipient recip (cluster index ri), building it
+// from recip's set bits on its first use in this tenure.
+func (dr *donorRows) row(ri int, recip *Cluster) *dotRow {
+	if i := dr.rowAt[ri]; i >= 0 {
+		return &dr.rows[i]
+	}
+	if len(dr.rows) > 0 && dr.used+4*dr.leaves > rowBudget {
+		dr.dropRows()
+	}
+	i := len(dr.rows)
+	dr.rows = slices.Grow(dr.rows, 1)[:i+1] // keeps a recycled entry's storage
+	dr.rowAt[ri] = int32(i)
+	row := &dr.rows[i]
+	dots := grow32(row.dots, dr.leaves)
+	sizes := dr.donor.sizes
+	for p := range dots {
+		dots[p] = -1 // padding, tombstone or empty member
+		if p < len(sizes) && sizes[p] > 0 {
+			dots[p] = 0
 		}
-		off = len(dr.rows)
-		dr.rows = slices.Grow(dr.rows, n)[:off+n]
-		dr.rowAt[ri] = int32(off)
-		t := dr.rows[off : off+n]
-		sizes := dr.donor.sizes
-		for p := range dr.leaves {
-			t[p] = -1 // padding, tombstone or empty member
-			if p < len(sizes) && sizes[p] > 0 {
-				t[p] = 0
+	}
+	dr.bits = recip.Tag.AppendSetBits(dr.bits[:0])
+	for _, b := range dr.bits {
+		if dr.stamp[b] != dr.gen {
+			continue
+		}
+		for e := dr.head[b]; e >= 0; e = dr.next[e] {
+			if p := dr.node[e]; dots[p] >= 0 {
+				dots[p]++
 			}
 		}
-		dr.bits = recip.Tag.AppendSetBits(dr.bits[:0])
-		for _, b := range dr.bits {
-			dr.count(t, b, false)
+	}
+	row.dots, row.top = dots, max(slices.Max(dots), 0)
+	n := int(row.top) * dr.words
+	row.buckets = slices.Grow(row.buckets[:0], n)[:n]
+	clear(row.buckets)
+	for p, v := range dots {
+		if v > 0 {
+			row.buckets[int(v-1)*dr.words+p>>6] |= 1 << (p & 63)
 		}
-		for l := 1; l < len(dr.levels); l++ {
-			nodes := dr.level(t, l)
-			for j := range nodes {
-				nodes[j] = slices.Max(dr.children(t, l-1, j))
+	}
+	dr.used += 4*len(dots) + 8*n
+	return row
+}
+
+// best returns the first position holding row's largest dot, or −1 when
+// no position holds a live member with iterations: the lowest set bit of
+// the highest non-empty bucket, or the live cursor when every bucket is
+// empty.
+func (dr *donorRows) best(row *dotRow) int {
+	for ; row.top > 0; row.top-- {
+		lo := int(row.top-1) * dr.words
+		for w, x := range row.buckets[lo : lo+dr.words] {
+			if x != 0 {
+				return w<<6 + bits.TrailingZeros64(x)
 			}
 		}
 	}
-	return dr.rows[off : off+n]
-}
-
-// count raises by one the leaf of every live donor member whose tag has
-// bit b; with fix it also updates each raised leaf's ancestors.
-func (dr *donorRows) count(t []int32, b int32, fix bool) {
-	if dr.stamp[b] != dr.gen {
-		return
+	sizes := dr.donor.sizes
+	for dr.live < len(sizes) && sizes[dr.live] == 0 {
+		dr.live++
 	}
-	for e := dr.head[b]; e >= 0; e = dr.next[e] {
-		p := int(dr.node[e])
-		switch v := t[p]; {
-		case v < 0: // tombstone or empty member
-		case fix:
-			dr.set(t, p, v+1)
-		default:
-			t[p] = v + 1
-		}
-	}
-}
-
-// set writes position p's leaf of tree t and updates its ancestors, up to
-// the first whose maximum does not change. A raised entry lifts its parent
-// without a look at the siblings; only a lowered maximum rescans them.
-func (dr *donorRows) set(t []int32, p int, v int32) {
-	old := t[p]
-	t[p] = v
-	for l, j := 1, p/treeFan; l < len(dr.levels); l, j = l+1, j/treeFan {
-		node := &dr.level(t, l)[j]
-		cur := *node
-		switch {
-		case v > cur:
-		case v < old && old == cur:
-			if v = slices.Max(dr.children(t, l-1, j)); v == cur {
-				return
-			}
-		default:
-			return
-		}
-		*node, old = v, cur
-	}
-}
-
-// best returns the first position holding tree t's largest dot, or −1 when
-// no position holds a live, non-empty member: from the root down, the
-// first child holding the root's value.
-func (dr *donorRows) best(t []int32) int {
-	top := t[dr.span-1]
-	if top < 0 {
+	if dr.live == len(sizes) {
 		return -1
 	}
-	j := 0
-	for l := len(dr.levels) - 2; l >= 0; l-- {
-		j = j*treeFan + slices.Index(dr.children(t, l, j), top)
-	}
-	return j
+	return dr.live
 }
 
-// gain updates a recipient's tree for a chunk tag t it is about to absorb:
-// only the bits of t the recipient's tag still lacks raise any dot.
-func (dr *donorRows) gain(tree []int32, recipTag bitvec.Vector, t bitvec.Sparse) {
+// gain updates a recipient's row for a chunk tag t it is about to absorb:
+// only the bits of t the recipient's tag still lacks raise any dot, and
+// each raise moves a position up one bucket.
+func (dr *donorRows) gain(row *dotRow, recipTag bitvec.Vector, t bitvec.Sparse) {
 	for _, b := range t.Bits() {
-		if !recipTag.Get(int(b)) {
-			dr.count(tree, b, true)
+		if recipTag.Get(int(b)) || dr.stamp[b] != dr.gen {
+			continue
+		}
+		for e := dr.head[b]; e >= 0; e = dr.next[e] {
+			p := int(dr.node[e])
+			v := row.dots[p]
+			if v < 0 {
+				continue // tombstone or empty member
+			}
+			row.dots[p] = v + 1
+			w, bit := p>>6, uint64(1)<<(p&63)
+			if v > 0 {
+				row.buckets[int(v-1)*dr.words+w] &^= bit
+			}
+			if v == row.top {
+				row.top = v + 1
+				if n := int(row.top) * dr.words; n > len(row.buckets) {
+					row.buckets = slices.Grow(row.buckets, dr.words)[:n]
+					clear(row.buckets[n-dr.words:])
+					dr.used += 8 * dr.words
+				}
+			}
+			row.buckets[int(v)*dr.words+w] |= bit
 		}
 	}
 }
 
-// remove detaches the donor's member at position p, leaving a tombstone
-// that reads −1 in every tree.
+// remove detaches the donor's member at position p, leaving a tombstone:
+// its dot reads −1 and its bucket bit is clear in every row.
 func (dr *donorRows) remove(p int, scr *distScratch) {
 	c := dr.donor
 	c.detach(p, scr)
 	c.Members[p], c.sizes[p] = nil, 0
-	for off := 0; off < len(dr.rows); off += dr.span {
-		dr.set(dr.rows[off:off+dr.span], p, -1)
+	for i := range dr.rows {
+		row := &dr.rows[i]
+		if v := row.dots[p]; v > 0 {
+			row.buckets[int(v-1)*dr.words+p>>6] &^= 1 << (p & 63)
+		}
+		row.dots[p] = -1
 	}
 }
 
 // split replaces the donor's member at position p, which split into keep
 // (staying) and a part about to leave, with keep at a new last position
-// that takes over the member's dot in every tree and its posting nodes.
+// that takes over the member's dot and bucket bit in every row and its
+// posting nodes.
 func (dr *donorRows) split(p int, keep *tags.IterationChunk, scr *distScratch) {
 	np := len(dr.donor.Members)
 	if np == dr.leaves {
 		dr.shape(2 * np)
-		dr.dropTrees()
+		dr.dropRows()
 	}
-	for off := 0; off < len(dr.rows); off += dr.span {
-		t := dr.rows[off : off+dr.span]
-		dr.set(t, np, t[p])
+	for i := range dr.rows {
+		row := &dr.rows[i]
+		v := row.dots[p]
+		row.dots[np] = v
+		if v > 0 {
+			row.buckets[int(v-1)*dr.words+np>>6] |= 1 << (np & 63)
+		}
 	}
 	for _, b := range keep.Tag.Bits() {
 		for e := dr.head[b]; e >= 0; e = dr.next[e] {

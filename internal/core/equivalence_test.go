@@ -338,12 +338,12 @@ func unitWeights(k int) []int64 {
 }
 
 // TestBalanceRowBudget drives one donor tenure through more recipients
-// than the row cache may hold at once ((k−1)·|donor| > rowBudget), so the
-// cache must drop and rebuild rows mid-tenure, and still match the
-// reference loop.
+// than the row cache may hold at once (the k−1 rows' dots alone, 4 bytes a
+// position, pass rowBudget before any bucket counts), so the cache must
+// drop and rebuild rows mid-tenure, and still match the reference loop.
 func TestBalanceRowBudget(t *testing.T) {
 	const r, donorMembers, k = 512, 2000, 700
-	if (k-1)*donorMembers <= rowBudget {
+	if (k-1)*4*(donorMembers+1) <= rowBudget {
 		t.Fatalf("input too small to exceed the row budget")
 	}
 	rr := rand.New(rand.NewSource(5))
@@ -379,7 +379,7 @@ func shapedGroups(groups [][][]int) [][]*tags.IterationChunk {
 	return out
 }
 
-// TestBalanceShapes pins two paths of the tree-driven balance loop that
+// TestBalanceShapes pins two paths of the row-driven balance loop that
 // cold plans never take, on hand-shaped clusters, against the reference
 // loop.
 func TestBalanceShapes(t *testing.T) {
@@ -400,11 +400,11 @@ func TestBalanceShapes(t *testing.T) {
 			{{10, 0, 1, 2}},
 		}},
 		// One donor tenure splits three times. The donor's seven members
-		// fill seven of its trees' eight leaves. The 356-iteration chunk
-		// splits first: its keep takes the last free leaf, and a later
+		// fill seven of its rows' eight positions. The 356-iteration chunk
+		// splits first: its keep takes the last free position, and a later
 		// round moves that keep whole past a top-dot member too big to
-		// move. The 359-iteration chunk's keep then outgrows the trees,
-		// and its own split reads trees rebuilt at sixteen leaves from
+		// move. The 359-iteration chunk's keep then outgrows the rows,
+		// and its own split reads rows rebuilt at sixteen positions from
 		// posting nodes repointed at each keep.
 		{"splits-outgrow-tree", [][][]int{
 			{{28, 1}, {356, 1, 2, 3}, {29, 2, 6}, {359, 0, 1, 5}, {46, 3, 4}, {30, 3, 4, 5}, {279, 5}},

@@ -11,17 +11,18 @@ import (
 	"repro/internal/tags"
 )
 
-// FuzzBalanceMatchesReference holds the tree-driven balance loop to the
+// FuzzBalanceMatchesReference holds the row-driven balance loop to the
 // reference loop on fuzzed shapes. The arguments decode into a generator
-// seed and a shape: tag width, chunk count, cluster count, the share of
-// chunks skewed onto cluster 0 (which then donates for many rounds), tag
-// density, big and empty chunk cadences, the balance threshold, the
-// widened slack RebalanceClusters sets, and per-cluster weights.
+// seed and a shape: tag width, chunk count (up to 2,560), cluster count,
+// the share of chunks skewed onto cluster 0 (which then donates for many
+// rounds), tag density, big and empty chunk cadences, the balance
+// threshold, the widened slack RebalanceClusters sets, and per-cluster
+// weights.
 func FuzzBalanceMatchesReference(f *testing.F) {
 	// A long single-donor tenure: 90% of 400 sparse chunks on cluster 0.
 	f.Add(int64(1), uint16(256), uint16(400), uint8(8), uint8(230), uint8(3), uint8(0), uint8(0), uint8(10), uint8(0), []byte{0})
 	// Repeated splits under one donor: every fourth chunk is big, and one
-	// tenure splits six times; the second keep outgrows the trees.
+	// tenure splits six times; the second keep outgrows the rows.
 	f.Add(int64(5), uint16(64), uint16(30), uint8(8), uint8(200), uint8(12), uint8(4), uint8(0), uint8(10), uint8(0), []byte{0, 1})
 	// Empty chunks: every third chunk has no iterations.
 	f.Add(int64(3), uint16(32), uint16(120), uint8(6), uint8(128), uint8(16), uint8(0), uint8(3), uint8(10), uint8(2), []byte{1, 0, 2})
@@ -36,12 +37,19 @@ func FuzzBalanceMatchesReference(f *testing.F) {
 	// big and empty chunks.
 	f.Add(int64(7), uint16(256), uint16(300), uint8(12), uint8(0), uint8(3), uint8(5), uint8(7), uint8(33), uint8(8), []byte{0, 0, 0, 3})
 	// Two heavy weights among many clusters over narrow tags: equal dots
-	// everywhere, so the first position must win in scans and trees alike,
+	// everywhere, so the first position must win in scans and rows alike,
 	// and chunks split in both kinds of round.
 	f.Add(int64(8), uint16(24), uint16(400), uint8(24), uint8(0), uint8(20), uint8(9), uint8(0), uint8(5), uint8(2), []byte{3, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0})
+	// The cold root split: 2,560 chunks of about four set bits, all but a
+	// handful on cluster 0, so one donor feeds 15 near-empty recipients
+	// for over 2,000 rounds.
+	f.Add(int64(9), uint16(1024), uint16(2560), uint8(16), uint8(254), uint8(1), uint8(0), uint8(0), uint8(10), uint8(0), []byte{0})
+	// A dense-tag donor: every member holds nearly every bit, so each row
+	// grows a bucket for almost every dot value.
+	f.Add(int64(10), uint16(200), uint16(300), uint8(6), uint8(200), uint8(255), uint8(7), uint8(0), uint8(10), uint8(0), []byte{0, 1})
 	f.Fuzz(func(t *testing.T, seed int64, width, chunks uint16, clusters, skew, density, bigEvery, emptyEvery, thresh, slack uint8, weights []byte) {
 		r := max(1, int(width%1025))
-		n := max(1, int(chunks%401))
+		n := max(1, int(chunks%2561))
 		k := max(1, int(clusters%65))
 		rr := rand.New(rand.NewSource(seed))
 		groups := make([][]*tags.IterationChunk, k)

@@ -54,8 +54,9 @@ const (
 	KindLatency Kind = "latency"
 	// KindError makes the call site fail with an *InjectedError.
 	KindError Kind = "error"
-	// KindCrash simulates a crash of the executing actor (the plan-cache
-	// leader abandons its computation mid-flight).
+	// KindCrash simulates a crash of the executing actor: the plan-cache
+	// leader abandons its computation mid-flight, and at any other site the
+	// caller fails as it does on an injected error.
 	KindCrash Kind = "crash"
 )
 

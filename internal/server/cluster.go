@@ -74,7 +74,7 @@ func (s *Server) peerFill(ctx context.Context, owner string, j *job) (cachedPlan
 	if err != nil {
 		return cachedPlan{}, false
 	}
-	raw, _, err := s.cluster.FetchPlan(ctx, owner, j.key, body)
+	raw, _, err := s.cluster.FetchPlan(ctx, owner, j.key, body, s.inject)
 	if err != nil {
 		return cachedPlan{}, false
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 )
@@ -255,6 +256,58 @@ func TestClusterOwnerDownFallsBackToLocalCompute(t *testing.T) {
 	}
 	if !down {
 		t.Fatalf("owner not marked down in health: %+v", r.servers[requester].cluster.Health())
+	}
+}
+
+// TestClusterFetchFaultCounted: an injected cluster/fetch error passes
+// through the server's inject like every other site, so it counts in
+// cachemapd_faults_injected_total, and the node still classes the failed
+// fill as an error; the requester computes locally.
+func TestClusterFetchFaultCounted(t *testing.T) {
+	rules, err := faults.ParseSpec("error:cluster/fetch:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newTestRing(t, 2, func(_ int, cfg *Config) {
+		cfg.Faults = faults.New(1)
+		if err := cfg.Faults.SetRules(rules); err != nil {
+			t.Fatal(err)
+		}
+	})
+	req := synthReq(96)
+	requester := 1 - r.ownerOf(t, req)
+	resp, mr, body := r.post(t, requester, req)
+	if resp.StatusCode != http.StatusOK || mr.FilledFrom != "" {
+		t.Fatalf("status %d, filled_from %q; want a local compute: %s", resp.StatusCode, mr.FilledFrom, body)
+	}
+	if got := metricValue(t, r.https[requester], `cachemapd_faults_injected_total{site="cluster/fetch"}`); got != 1 {
+		t.Fatalf(`faults_injected_total{site="cluster/fetch"} = %v, want 1`, got)
+	}
+	if h := r.servers[requester].cluster.Health(); len(h) != 2 || h[0].Failures+h[1].Failures != 1 {
+		t.Fatalf("peer health after one injected fetch error = %+v", h)
+	}
+	if got := computesOf(r.servers[requester]); got != 1 {
+		t.Fatalf("requester computes = %d, want 1", got)
+	}
+
+	// A crash at the site drops the fetch the same way, counted alike.
+	crash, err := faults.ParseSpec("crash:cluster/fetch:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range r.servers {
+		if err := s.faults.SetRules(crash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req = synthReq(128)
+	requester = 1 - r.ownerOf(t, req)
+	before := metricValue(t, r.https[requester], `cachemapd_faults_injected_total{site="cluster/fetch"}`)
+	if resp, mr, body := r.post(t, requester, req); resp.StatusCode != http.StatusOK || mr.FilledFrom != "" {
+		t.Fatalf("crash: status %d, filled_from %q; want a local compute: %s", resp.StatusCode, mr.FilledFrom, body)
+	}
+	if got := metricValue(t, r.https[requester], `cachemapd_faults_injected_total{site="cluster/fetch"}`); got != before+1 {
+		t.Fatalf(`crash: faults_injected_total{site="cluster/fetch"} = %v, want %v`, got, before+1)
 	}
 }
 

@@ -557,6 +557,25 @@ func TestInjectedStageError(t *testing.T) {
 	}
 }
 
+// TestInjectedStageCrash: a crash rule at a site inject serves fails its
+// caller like an injected error, and counts at its site.
+func TestInjectedStageCrash(t *testing.T) {
+	inj := faults.New(9)
+	if err := inj.SetRules([]faults.Rule{{Kind: faults.KindCrash, Site: "pipeline/tags", Prob: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Faults: inj})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", synthReq(64))
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "injected fault at pipeline/tags") {
+		t.Fatalf("status %d, want 503 naming the crash site: %s", resp.StatusCode, body)
+	}
+	if got := s.faultsFired.With("pipeline/tags").Value(); got != 1 {
+		t.Fatalf("faults_injected_total{site=pipeline/tags} = %v, want 1", got)
+	}
+}
+
 // TestInjectedLeaderCrash: a certain plan-cache leader crash abandons the
 // computation (503, counted at its site); with degraded serving and a
 // primed stale tier the same crash is absorbed into a stale response.

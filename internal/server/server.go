@@ -668,8 +668,10 @@ func (s *Server) tryRepair(ctx context.Context, j *job) (cachedPlan, bool) {
 // inject applies the faults armed at site: it counts a firing in
 // cachemapd_faults_injected_total, sleeps an injected delay under ctx
 // (returning ctx's error if the sleep is cut) and returns an injected
-// error. With no injector it does nothing. The plancache/leader crash is
-// computePlan's own: it cancels the leader's context instead.
+// error, which a crash returns too: the caller abandons its work. With no
+// injector it does nothing. Every site passes through it, the ring node's
+// cluster/fetch too (see peerFill), except the plancache/leader crash,
+// which is computePlan's own: it cancels the leader's context instead.
 func (s *Server) inject(ctx context.Context, site string) error {
 	d := s.faults.Evaluate(site)
 	if !d.Fired() {
@@ -680,6 +682,9 @@ func (s *Server) inject(ctx context.Context, site string) error {
 		if err := faults.Sleep(ctx, d.Delay); err != nil {
 			return err
 		}
+	}
+	if d.Err == nil && d.Crash {
+		return &faults.InjectedError{Site: site}
 	}
 	return d.Err
 }
