@@ -120,8 +120,8 @@ echo "==> balance fuzz (FuzzBalanceMatchesReference, 15s)"
 go test -run '^$' -fuzz '^FuzzBalanceMatchesReference$' -fuzztime 15s -fuzzminimizetime 100x ./internal/core
 
 echo "==> merge fuzz (FuzzMergeMatchesReference, 10s)"
-# The same for the merge queue (the seed run in pop order plus the push
-# heap) against the dense reference merge.
+# The same for the merge queue (the seed run in pop order plus the dot
+# buckets of pushed entries) against the dense reference merge.
 go test -run '^$' -fuzz '^FuzzMergeMatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
 echo "==> schedule fuzz (FuzzScheduleMatchesReference, 10s)"

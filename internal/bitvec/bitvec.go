@@ -168,18 +168,19 @@ func (v Vector) AndPopCount(o Vector) int {
 	return total
 }
 
-// AndNotInto sets v = a &^ b (the bits of a not in b) and reports whether
-// any bit is set. All three vectors must share the same length.
-func (v Vector) AndNotInto(a, b Vector) bool {
-	v.match(a)
-	v.match(b)
-	var any uint64
-	for i := range v.words {
-		w := a.words[i] &^ b.words[i]
-		v.words[i] = w
-		any |= w
+// OrInPlaceNew sets v = v ∨ o, like OrInPlace, and appends to dst the
+// positions of the bits of o that v lacked — the bits the OR added — in
+// increasing order, in one pass over the words.
+func (v Vector) OrInPlaceNew(o Vector, dst []int32) []int32 {
+	v.match(o)
+	for i, w := range o.words {
+		added := w &^ v.words[i]
+		v.words[i] |= w
+		for ; added != 0; added &= added - 1 {
+			dst = append(dst, int32(i*wordBits+bits.TrailingZeros64(added)))
+		}
 	}
-	return any != 0
+	return dst
 }
 
 // Equal reports whether v and o have the same length and the same bits.
@@ -363,6 +364,20 @@ func (s Sparse) OrInto(v Vector) {
 	for _, b := range s.bits {
 		v.words[b/wordBits] |= 1 << (uint32(b) % wordBits)
 	}
+}
+
+// OrIntoNew sets v = v ∨ s, like OrInto, and appends to dst the bits of s
+// that v lacked, ascending, in O(set bits of s).
+func (s Sparse) OrIntoNew(v Vector, dst []int32) []int32 {
+	v.matchSparse(s)
+	for _, b := range s.bits {
+		w, bit := &v.words[b/wordBits], uint64(1)<<(uint32(b)%wordBits)
+		if *w&bit == 0 {
+			*w |= bit
+			dst = append(dst, b)
+		}
+	}
+	return dst
 }
 
 // AndPopCount returns popcount(s ∧ v): how many of s's set bits are set

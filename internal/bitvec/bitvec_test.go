@@ -586,6 +586,35 @@ func TestPropertySparseMatchesDense(t *testing.T) {
 	}
 }
 
+// Property: OrInPlaceNew and OrIntoNew leave v = v ∨ o and list exactly
+// the bits of o that v lacked, ascending, after what dst held.
+func TestPropertyOrNewListsAddedBits(t *testing.T) {
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		n := rr.Intn(300)
+		v, o := randomVector(rr, n), randomVector(rr, n)
+		var want []int32
+		for i := 0; i < n; i++ {
+			if o.Get(i) && !v.Get(i) {
+				want = append(want, int32(i))
+			}
+		}
+		or := New(n)
+		or.OrInPlace(v)
+		or.OrInPlace(o)
+		dense, sparse := New(n), New(n)
+		dense.OrInPlace(v)
+		sparse.OrInPlace(v)
+		gotDense := dense.OrInPlaceNew(o, []int32{-1})
+		gotSparse := o.Sparse().OrIntoNew(sparse, []int32{-1})
+		want = append([]int32{-1}, want...)
+		return dense.Equal(or) && sparse.Equal(or) && slices.Equal(gotDense, want) && slices.Equal(gotSparse, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewSparseRejectsBadBits(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -620,6 +649,7 @@ func TestSparseLengthMismatchPanics(t *testing.T) {
 	for name, op := range map[string]func(){
 		"OrInto":      func() { s.OrInto(New(9)) },
 		"AndPopCount": func() { s.AndPopCount(New(7)) },
+		"OrIntoNew":   func() { s.OrIntoNew(New(9), nil) },
 		"Counted.Add": func() {
 			var c Counted
 			InitCounted(&c, New(16), make([]int32, 16))

@@ -174,14 +174,14 @@ func (a *bump[T]) reset() {
 // while the bumps rewind only on release, because cluster structs and
 // pointer tables of one level are still read while the children recurse.
 type distScratch struct {
-	tags      bitvec.Arena        // cluster tags, merge newbits, counted OR views
+	tags      bitvec.Arena        // dense cluster tags and counted OR views
 	simRows   [][]int32           // set bits of each cluster, handed to pairShards
 	simBits   []int32             // slab of the multi-member clusters' rows
 	postings  bitvec.PostingIndex // similarity inverted index, walked by the merge loop
 	active    []bool              // per-node liveness in the merge loop
 	parent    []int32             // owner union-find
 	mark      []int32             // generation stamps for push dedup
-	newBits   []int32             // set bits of the absorbed half's new bits
+	newBits   []int32             // the bits an absorb added to the survivor's tag
 	chainHead []int32             // first-child links of the merge tree
 	chainNext []int32             // next-sibling links
 	chainTail []int32             // last child, for O(1) appends
@@ -199,7 +199,7 @@ type distScratch struct {
 	shards   []*simScratch        // pairShards' output; empty between splits
 	seeds    []mergePair          // the seed run, in pop order
 	dotAt    []int                // popOrder's per-dot counts, all-zero between calls
-	pushes   []mergePair          // merge-heap backing (push-on-increase entries)
+	queue    dotQueue             // the merge's push-on-increase entries
 }
 
 var distScratchPool = sync.Pool{New: func() any { return new(distScratch) }}
@@ -467,10 +467,13 @@ func (d *distributor) fanOut(children []*hierarchy.Node, clusters []*Cluster,
 // paper exactly; unequal weights generalize to non-uniform trees).
 func (d *distributor) split(members []*tags.IterationChunk, weights []int64) ([]*Cluster, error) {
 	k := len(weights)
-	// Stage 0: one singleton cluster per chunk. The cluster structs, tags,
-	// member lists and size caches are carved from four slab allocations
-	// instead of 4·n; the self-capped windows force copy-on-grow, so later
-	// appends never step on a neighbor.
+	// Stage 0: one singleton cluster per chunk. The cluster structs, member
+	// lists and size caches are carved from three slab allocations instead
+	// of 3·n; the self-capped windows force copy-on-grow, so later appends
+	// never step on a neighbor. A singleton keeps no dense tag: its tag is
+	// its member's, and the merge carves a dense one only for a cluster
+	// that absorbs or survives (see mergeClusters), so a split never holds
+	// n·r bits.
 	//
 	// Escape notes: memSlab windows CAN escape the run — a leaf assignment
 	// hands out c.Members, which aliases memSlab for clusters that never
@@ -487,18 +490,10 @@ func (d *distributor) split(members []*tags.IterationChunk, weights []int64) ([]
 	sizeSlab := scr.ints.take(n)
 	clusters := scr.ptrs.take(n)
 	for i, m := range members {
-		// Each singleton's tag is r bits, so a canceled job stops here
-		// rather than carving n·r bits first (gigabytes at n, r ≈ 10^5).
-		if i%ctxCheckInterval == ctxCheckInterval-1 {
-			if err := d.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
 		c := &slab[i]
-		c.Tag = scr.tags.Vec(d.r)
-		c.Members = memSlab[i : i : i+1]
-		c.sizes = sizeSlab[i : i : i+1]
-		c.add(m)
+		c.Members = append(memSlab[i:i:i+1], m)
+		c.sizes = append(sizeSlab[i:i:i+1], m.Count())
+		c.Size = c.sizes[0]
 		clusters[i] = c
 	}
 	// Stage 1a: agglomerative merging down to k clusters.
@@ -550,46 +545,53 @@ func (d *distributor) split(members []*tags.IterationChunk, weights []int64) ([]
 const ctxCheckInterval = 1024
 
 // mergeClusters implements Figure 5 Stage 1: while more clusters remain
-// than needed, merge the pair with the maximal tag dot product.
+// than needed, merge the pair with the maximal tag dot product. It pops
+// exactly the pairs the dense reference (reference_test.go) pops, in the
+// same order, so the plan is the same.
 //
-// The queue is seeded by the sparse similarity engine (similarity.go): only
-// pairs with ω ≥ 1 are generated. That is plan-identical to the dense
-// seeding because a zero-weight pair never outranks a positive one, and
-// once the maximum weight reaches 0 every remaining pair is 0 — merging two
-// zero-overlap clusters cannot create overlap — so the dense heap's tail is
-// a fixed lexicographic drain reproduced by the loop after the queue runs
-// dry.
+// Only pairs with ω ≥ 1 are queued: the similarity pass (similarity.go)
+// seeds them. A zero-weight pair never outranks a positive one, and
+// merging two zero-overlap clusters cannot create overlap, so once the
+// queue runs dry every remaining pair weighs 0 and the dense queue's tail
+// is a fixed lexicographic drain, which the loop after the queue
+// reproduces.
 //
-// The queue is maintained with push-on-increase semantics: cluster tags
-// only gain bits, so a live pair's weight is nondecreasing and an entry can
-// only ever underestimate it. After an absorb, a fresh entry is pushed only
-// for the pairs whose weight actually changed: the live clusters whose tags
-// overlap the bits the absorbed half newly contributed (newbits = Λb ∖ Λa).
-// Every live pair therefore always has one entry carrying its true weight,
-// plus possibly stale underestimates; the queue maximum over entries with
-// both endpoints alive is always a true-weight entry of the true maximum
-// pair (an underestimate of the same pair ranks below its own true entry),
-// so the pop order — and the plan — is identical to the dense reference,
-// while merges that add no new bits push nothing. Entries whose endpoints
-// died are discarded on pop.
+// Cluster tags only gain bits, so a live pair's weight never falls and a
+// queued entry can only underestimate it. After an absorb, an entry is
+// pushed only for each pair whose weight rose: the live clusters that
+// share a bit with the bits the absorbed half added. Every live pair
+// keeps one entry with its true weight, and an underestimate of a pair
+// ranks below that entry, so the first live entry popped is a true-weight
+// entry of the maximal pair. Entries with a dead endpoint are dropped on
+// pop, and an absorb that adds no bit pushes nothing.
 //
-// The queue is two sorted sources under one total order (dot desc, a, b),
-// and each pop takes the first of their heads. The seeds never change, so
-// they form a run already in pop order (see popOrder), read by a cursor:
-// a stale seed costs one step, not a sift. Only the pushed entries, far
-// fewer, live in a 4-ary heap. Every entry is distinct under the total
-// order, so the pop sequence is unique: neither the split into two sources
-// nor the order in which one merge's entries are pushed can change a pop.
+// The queue is two sources under one total order (dot desc, a, b), and a
+// pop takes the first of their heads. The seeds never change, so they are
+// a run already in pop order (see popOrder), read by a cursor: a stale
+// seed costs one step. The pushed entries go into a dotQueue, one small
+// heap per dot with an occupancy bit per dot. Every entry is distinct
+// under the order, so the pop sequence is unique: neither the two sources
+// nor the order of one merge's pushes can change it.
 //
 // Finding the pairs to push costs what the merge changed. A live cluster's
 // tag is the OR of its original members' tags, so live j gains weight with
-// a exactly when one of j's original members has a bit in newbits. The
-// similarity index lists, per bit, the original members holding it;
-// walking the lists of newbits' (typically one or two) bits and resolving
-// each entry through the owner union-find yields exactly that set.
+// the survivor a exactly when one of j's original members has an added
+// bit. The similarity index lists, per bit, the original members holding
+// it; walking the lists of the added bits (typically one or two) and
+// resolving each entry through the owner union-find yields that set.
+//
+// A one-chunk cluster keeps no dense tag while it stays one chunk: its tag
+// is its member's sparse tag, an absorb of it sets only the bits the
+// survivor lacks, and a push against it scores its few set bits. A dense
+// tag is carved from the split's arena for a cluster when it first absorbs
+// and for every cluster returned, so the caller gets dense tags
+// throughout. Multi-member input clusters (RebalanceClusters) start dense.
 func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, error) {
 	n := len(clusters)
 	if n <= k {
+		for _, c := range clusters {
+			d.denseTag(c)
+		}
 		return clusters, nil
 	}
 	scr := d.scratch()
@@ -598,9 +600,9 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		active[i] = true
 	}
 	simPhase := d.beginPhase("similarity")
-	// A singleton's tag is its member's, so a split's Stage 0 hands the
-	// member's set bits over as they are; only the multi-member clusters
-	// RebalanceClusters starts from list their dense tag's bits, in a slab.
+	// A singleton's tag is its member's, so its set bits go to the index as
+	// they are, and any dense tag it came with is dropped; only
+	// multi-member clusters list their dense tag's bits, in a slab.
 	if cap(scr.simRows) < n {
 		scr.simRows = make([][]int32, n)
 	}
@@ -609,6 +611,7 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 	for i, c := range clusters {
 		if len(c.Members) == 1 {
 			rows[i] = c.Members[0].Tag.Bits()
+			c.Tag = bitvec.Vector{}
 			continue
 		}
 		lo := len(slab)
@@ -629,7 +632,8 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 	if rec, ok := d.opts.Clock.(PairStatsRecorder); ok {
 		rec.RecordSimilarityPairs(int64(len(seeds)), int64(n)*int64(n-1)/2)
 	}
-	h := pairHeap{items: scr.pushes[:0]}
+	q := &scr.queue
+	defer q.reset()
 
 	// owner union-find: posting lists hold original cluster indices; find
 	// resolves them to the absorbing cluster they now belong to.
@@ -647,7 +651,6 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 	mark := grow32(scr.mark, n) // generation stamps for push dedup
 	clear(mark)                 // stale stamps from a previous run could collide
 	var gen int32
-	newbits := scr.tags.Vec(d.r) // bits the absorbed half newly contributes
 	bits := scr.newBits[:0]
 
 	// Member lists are NOT concatenated during the merge loop: an eager
@@ -674,12 +677,6 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		}
 		chainTail[a] = b
 	}
-	push := func(a, b int32) {
-		if b < a {
-			a, b = b, a
-		}
-		h.push(mergePair{dot: int64(clusters[a].Tag.AndPopCount(clusters[b].Tag)), a: a, b: b})
-	}
 
 	remaining := n
 	var since int
@@ -690,45 +687,48 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 				return nil, err
 			}
 		}
-		if len(seeds) == 0 && len(h.items) == 0 {
+		var a, b int32
+		if dot := q.top(); dot > 0 && (len(seeds) == 0 || q.before(dot, seeds[0])) {
+			a, b = q.pop(dot)
+		} else if len(seeds) > 0 {
+			a, b, seeds = seeds[0].a, seeds[0].b, seeds[1:]
+		} else {
 			break // sparse graph exhausted: every remaining pair weighs 0
 		}
-		var p mergePair
-		if len(seeds) == 0 || len(h.items) > 0 && h.less(h.items[0], seeds[0]) {
-			p = h.pop()
-		} else {
-			p, seeds = seeds[0], seeds[1:]
-		}
-		if !active[p.a] || !active[p.b] {
+		if !active[a] || !active[b] {
 			continue // stale: an endpoint was absorbed, or an old underestimate
 		}
-		hasNew := newbits.AndNotInto(clusters[p.b].Tag, clusters[p.a].Tag)
-		clusters[p.a].Tag.OrInPlace(clusters[p.b].Tag)
-		clusters[p.a].Size += clusters[p.b].Size
-		link(p.a, p.b)
-		active[p.b] = false
-		parent[p.b] = p.a
+		bits = d.absorbTag(clusters[a], clusters[b], bits[:0])
+		clusters[a].Size += clusters[b].Size
+		link(a, b)
+		active[b] = false
+		parent[b] = a
 		remaining--
-		// If the absorbed tag was a subset (no new bits), every existing
-		// entry keeps its true weight and nothing is pushed.
-		if !hasNew {
+		// If the absorbed tag added no bit, every existing entry keeps its
+		// true weight and nothing is pushed.
+		if len(bits) == 0 {
 			continue
 		}
 		gen++
-		bits = newbits.AppendSetBits(bits[:0])
-		for _, b := range bits {
-			for _, i := range scr.postings.List(b) {
+		tag := clusters[a].Tag
+		for _, x := range bits {
+			for _, i := range scr.postings.List(x) {
 				j := find(i)
-				if j == p.a || mark[j] == gen {
+				if j == a || mark[j] == gen {
 					continue
 				}
 				mark[j] = gen
-				push(p.a, j)
+				var dot int
+				if cj := clusters[j]; d.single(cj) {
+					dot = cj.Members[0].Tag.AndPopCount(tag)
+				} else {
+					dot = tag.AndPopCount(cj.Tag)
+				}
+				q.push(dot, min(a, j), max(a, j))
 			}
 		}
 	}
-	scr.newBits = bits
-	// Lazy zero-weight drain: the dense heap would now pop (0, a, b)
+	// Lazy zero-weight drain: the dense queue would now pop (0, a, b)
 	// entries in lexicographic order, which makes the smallest active
 	// index absorb the next smallest until k clusters remain.
 	if remaining > k {
@@ -747,14 +747,14 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 					return nil, err
 				}
 			}
-			clusters[first].Tag.OrInPlace(clusters[i].Tag)
+			bits = d.absorbTag(clusters[first], clusters[i], bits[:0])
 			clusters[first].Size += clusters[i].Size
 			link(int32(first), int32(i))
 			active[i] = false
 			remaining--
 		}
 	}
-	scr.pushes = h.items[:0] // keep any growth from push-on-increase entries
+	scr.newBits = bits
 	// Materialize the deferred member lists: pre-order over each surviving
 	// cluster's merge tree, children in absorb order.
 	frames := scr.frames[:0]
@@ -802,9 +802,34 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 			c.Members = members
 			c.sizes = sizes
 		}
+		d.denseTag(c)
 		out = append(out, c)
 	}
 	return out, nil
+}
+
+// single reports whether c is a one-chunk cluster that keeps no dense tag:
+// its tag is its member's (see mergeClusters).
+func (d *distributor) single(c *Cluster) bool { return c.Tag.Len() != d.r }
+
+// denseTag gives a one-chunk cluster without a dense tag one, carved from
+// the split's arena.
+func (d *distributor) denseTag(c *Cluster) {
+	if d.single(c) {
+		c.Tag = d.scratch().tags.Vec(d.r)
+		c.Members[0].Tag.OrInto(c.Tag)
+	}
+}
+
+// absorbTag ORs b's tag into a's, carving a's dense tag first if a has
+// none, and appends to dst the bits a gained. A one-chunk b costs O(its
+// set bits), a dense one O(r/64).
+func (d *distributor) absorbTag(a, b *Cluster, dst []int32) []int32 {
+	d.denseTag(a)
+	if d.single(b) {
+		return b.Members[0].Tag.OrIntoNew(a.Tag, dst)
+	}
+	return a.Tag.OrInPlaceNew(b.Tag, dst)
 }
 
 // splitEntry keys a cluster for splitUpTo's max-heap: largest size first,
@@ -1522,70 +1547,111 @@ func (scr *distScratch) popOrder(shards []*simScratch, r int) []mergePair {
 	return seeds
 }
 
-// pairHeap is a max-heap on (dot, then smaller indices first) for
-// deterministic merging.
-type pairHeap struct{ items []mergePair }
-
-func (h *pairHeap) less(x, y mergePair) bool {
-	if x.dot != y.dot {
-		return x.dot > y.dot
-	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
+// dotQueue holds the merge's push-on-increase entries in the merge order
+// (dot desc, a, b): per dot, a 4-ary min-heap of the entries' packed
+// uint64(a)<<32|b keys, whose order is (a, b)'s, and one occupancy bit per
+// dot. A pop compares one integer per heap level, and the top lookup
+// scans occupancy words down from the highest one that may be set, never
+// empty heaps one at a time: O(max dot/64) words at worst. Pushed dots are
+// ≥ 1, since a push pairs clusters that share an added bit. The storage is
+// recycled with the run's scratch.
+type dotQueue struct {
+	heaps [][]uint64 // per dot: its entries' keys, a 4-ary min-heap
+	occ   []uint64   // bit dot is set iff heaps[dot] holds an entry
+	hi    int        // occupancy words from hi on are zero
 }
 
-// The heap is 4-ary: a wider node halves the sift depth with better cache
-// locality. Arity cannot change the pop order — every entry is distinct
-// under the total (dot, a, b) order (re-pushes happen only on a strict
-// weight increase), so the max sequence is unique.
+// push queues the pair (a, b), a < b, at dot.
+func (q *dotQueue) push(dot int, a, b int32) {
+	if dot >= len(q.heaps) {
+		q.heaps = slices.Grow(q.heaps, dot+1-len(q.heaps))[:dot+1]
+	}
+	if w := dot/64 + 1; w > len(q.occ) {
+		q.occ = slices.Grow(q.occ, w-len(q.occ))[:w]
+	}
+	q.occ[dot/64] |= 1 << (dot % 64)
+	q.hi = max(q.hi, dot/64+1)
+	key := uint64(a)<<32 | uint64(uint32(b))
+	h := append(q.heaps[dot], key)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if h[p] <= key {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = key
+	q.heaps[dot] = h
+}
+
+// The heaps are 4-ary: a wider node halves the sift depth with better cache
+// locality. Arity cannot change the pop order: the keys within one dot are
+// distinct, so the min sequence is unique.
 const heapArity = 4
 
-func (h *pairHeap) push(p mergePair) {
-	h.items = append(h.items, p)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !h.less(h.items[i], h.items[parent]) {
-			break
+// top returns the highest dot holding an entry, or 0 when the queue is
+// empty.
+func (q *dotQueue) top() int {
+	for ; q.hi > 0; q.hi-- {
+		if w := q.occ[q.hi-1]; w != 0 {
+			return q.hi*64 - 1 - bits.LeadingZeros64(w)
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
 	}
+	return 0
 }
 
-func (h *pairHeap) siftDown(i int) {
-	n := len(h.items)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		m := i
-		for c := first; c < last; c++ {
-			if h.less(h.items[c], h.items[m]) {
-				m = c
+// before reports whether the first entry at dot, the queue's top dot,
+// precedes seed in the merge order.
+func (q *dotQueue) before(dot int, seed mergePair) bool {
+	if int64(dot) != seed.dot {
+		return int64(dot) > seed.dot
+	}
+	return q.heaps[dot][0] < uint64(seed.a)<<32|uint64(uint32(seed.b))
+}
+
+// pop removes and returns the first entry at dot, which must hold one.
+func (q *dotQueue) pop(dot int) (a, b int32) {
+	h := q.heaps[dot]
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	if len(h) == 0 {
+		q.occ[dot/64] &^= 1 << (dot % 64)
+	} else {
+		i := 0
+		for {
+			first := heapArity*i + 1
+			if first >= len(h) {
+				break
 			}
+			m := first
+			for c := first + 1; c < min(first+heapArity, len(h)); c++ {
+				if h[c] < h[m] {
+					m = c
+				}
+			}
+			if h[m] >= last {
+				break
+			}
+			h[i] = h[m]
+			i = m
 		}
-		if m == i {
-			break
-		}
-		h.items[i], h.items[m] = h.items[m], h.items[i]
-		i = m
+		h[i] = last
 	}
+	q.heaps[dot] = h
+	return int32(top >> 32), int32(uint32(top))
 }
 
-// pop removes and returns the top entry of a non-empty heap.
-func (h *pairHeap) pop() mergePair {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	h.siftDown(0)
-	return top
+// reset empties the queue and keeps its storage, in O(max dot/64) words
+// plus one step per non-empty heap.
+func (q *dotQueue) reset() {
+	for w := 0; w < q.hi; w++ {
+		for m := q.occ[w]; m != 0; m &= m - 1 {
+			dot := w*64 + bits.TrailingZeros64(m)
+			q.heaps[dot] = q.heaps[dot][:0]
+		}
+		q.occ[w] = 0
+	}
+	q.hi = 0
 }

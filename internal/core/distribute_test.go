@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -536,9 +538,8 @@ func TestDistributeDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDistributeCtxCanceled: a canceled context ends a distribution with
-// context.Canceled, and a canceled root split stops within
-// ctxCheckInterval members of Stage 0 instead of first carving a dense
-// r-bit tag for every member.
+// context.Canceled, and a canceled root split stops at the similarity
+// pass's first check, having carved no dense r-bit tag for its members.
 func TestDistributeCtxCanceled(t *testing.T) {
 	chunks := figure6Chunks(8)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -564,6 +565,100 @@ func TestDistributeCtxCanceled(t *testing.T) {
 	}
 	if grew, tagBytes := after.TotalAlloc-before.TotalAlloc, uint64(n*r/8); grew > tagBytes/4 {
 		t.Fatalf("a canceled split allocated %d bytes; Stage 0's tags for every member are %d", grew, tagBytes)
+	}
+}
+
+// TestSplitCarvesNoSingletonTags distributes TestDistributeCtxCanceled's
+// 8,192 one-bit chunks over r = 65,536 with a live context: it must
+// allocate under a quarter of the n·r bits a dense tag per Stage 0
+// singleton would take, since a one-chunk cluster keeps its member's tag
+// until it absorbs, and still partition the iterations.
+func TestSplitCarvesNoSingletonTags(t *testing.T) {
+	n, r := 8*ctxCheckInterval, 1<<16
+	big := make([]*tags.IterationChunk, n)
+	for i := range big {
+		big[i] = &tags.IterationChunk{Tag: bitvec.NewSparse(r, []int32{int32(i)}), Iters: itset.Interval(int64(i), int64(i+1))}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := DistributeCtx(context.Background(), big, figure7Tree(), DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, cl := range out {
+		for _, c := range cl {
+			total += c.Count()
+		}
+	}
+	if total != int64(n) {
+		t.Fatalf("the clients hold %d iterations, want %d", total, n)
+	}
+	if grew, tagBytes := after.TotalAlloc-before.TotalAlloc, uint64(n*r/8); grew > tagBytes/4 {
+		t.Fatalf("a live split allocated %d bytes; Stage 0's tags for every member are %d", grew, tagBytes)
+	}
+}
+
+// TestDotQueueMatchesSorted holds the merge's dot buckets to a sorted
+// reference: random pushes, some of them at dots 97 apart so the top
+// lookup crosses empty occupancy words, interleaved with pops, must pop
+// in the merge order (dot desc, a, b), and before must place the top entry
+// against a seed as that order does. A queue reset while it holds entries
+// must then behave like a fresh one on the same storage.
+func TestDotQueueMatchesSorted(t *testing.T) {
+	order := func(x, y mergePair) int {
+		if x.dot != y.dot {
+			return cmp.Compare(y.dot, x.dot)
+		}
+		if x.a != y.a {
+			return cmp.Compare(x.a, y.a)
+		}
+		return cmp.Compare(x.b, y.b)
+	}
+	pair := func(rr *rand.Rand) mergePair {
+		dot := 1 + rr.Intn(12)
+		if rr.Intn(2) == 0 {
+			dot = 1 + rr.Intn(40)*97
+		}
+		a := int32(rr.Intn(300))
+		return mergePair{dot: int64(dot), a: a, b: a + 1 + int32(rr.Intn(300))}
+	}
+	rr := rand.New(rand.NewSource(1))
+	var q dotQueue
+	for round := range 6 {
+		var ref []mergePair // what q holds, in the merge order
+		for range 4000 {
+			if len(ref) == 0 || rr.Intn(5) < 3 {
+				p := pair(rr)
+				q.push(int(p.dot), p.a, p.b)
+				i, _ := slices.BinarySearchFunc(ref, p, order)
+				ref = slices.Insert(ref, i, p)
+				continue
+			}
+			want := ref[0]
+			dot := q.top()
+			if seed := pair(rr); order(seed, want) != 0 && q.before(dot, seed) != (order(want, seed) < 0) {
+				t.Fatalf("round %d: before(%d, %+v) = %v with %+v first", round, dot, seed, q.before(dot, seed), want)
+			}
+			a, b := q.pop(dot)
+			if int64(dot) != want.dot || a != want.a || b != want.b {
+				t.Fatalf("round %d: popped (%d, %d, %d), want %+v", round, dot, a, b, want)
+			}
+			ref = ref[1:]
+		}
+		if round%2 == 1 { // drain every other round before the reset
+			for ; len(ref) > 0; ref = ref[1:] {
+				dot := q.top()
+				if a, b := q.pop(dot); int64(dot) != ref[0].dot || a != ref[0].a || b != ref[0].b {
+					t.Fatalf("round %d drain: popped (%d, %d, %d), want %+v", round, dot, a, b, ref[0])
+				}
+			}
+		}
+		q.reset()
+		if dot := q.top(); dot != 0 {
+			t.Fatalf("round %d: a reset queue's top is %d", round, dot)
+		}
 	}
 }
 

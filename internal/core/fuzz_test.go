@@ -78,11 +78,12 @@ func FuzzBalanceMatchesReference(f *testing.F) {
 }
 
 // FuzzMergeMatchesReference holds the merge loop — the seed run in pop
-// order, the push heap, the posting-driven re-pushes and the zero-weight
+// order, the dot buckets of pushed entries, the one-chunk clusters that
+// keep no dense tag, the posting-driven re-pushes and the zero-weight
 // drain — to the dense reference merge on fuzzed shapes. The arguments
-// decode into a generator seed, tag width, chunk count, tag density,
-// singleton or grouped starting clusters, the target cluster count and the
-// worker count of the similarity pass.
+// decode into a generator seed, tag width, chunk count (up to 2,560), tag
+// density, singleton or grouped starting clusters, the target cluster
+// count and the worker count of the similarity pass.
 func FuzzMergeMatchesReference(f *testing.F) {
 	// Many equal dots: 300 chunks over 8-bit tags, so long seed runs share
 	// a dot and the counting sort's stable tie order decides the pops.
@@ -94,9 +95,18 @@ func FuzzMergeMatchesReference(f *testing.F) {
 	f.Add(int64(3), uint16(96), uint16(80), uint8(230), false, uint8(5), uint8(2))
 	// Grouped clusters, as RebalanceClusters hands them in.
 	f.Add(int64(4), uint16(300), uint16(250), uint8(6), true, uint8(16), uint8(3))
+	// The cold root split: 2,560 singletons of about four set bits merged
+	// down to 16 (the cold synthetic's root has r = 1,551; the widest tag
+	// this decodes is 1,024 bits). Most pops come off pushed entries, and
+	// most absorbs take in a one-chunk cluster.
+	f.Add(int64(11), uint16(1024), uint16(2560), uint8(1), false, uint8(15), uint8(1))
+	// Wide dots: dense tags over grouped clusters, so the pushes spread
+	// over hundreds of dot values up to ~830 and the top lookup crosses
+	// empty occupancy words as the high dots drain.
+	f.Add(int64(14), uint16(1024), uint16(400), uint8(60), true, uint8(8), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, width, chunks uint16, density uint8, grouped bool, k, workers uint8) {
 		r := max(1, int(width%1025))
-		n := max(1, int(chunks%401))
+		n := max(1, int(chunks%2561))
 		rr := rand.New(rand.NewSource(seed))
 		groups := randomGroups(rr, equivChunks(rr, r, n, float64(density)/255, 0, 0), grouped)
 		kk := 1 + int(k)%len(groups)

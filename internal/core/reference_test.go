@@ -49,7 +49,7 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 		return clusters, nil
 	}
 	active := make([]bool, n)
-	version := make([]int, n)
+	version := make([]int32, n)
 	for i := range active {
 		active[i] = true
 	}
@@ -63,7 +63,7 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 	idx := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			h = append(h, densePair{dot: dots[idx], a: i, b: j})
+			h = append(h, densePair{dot: dots[idx], a: int32(i), b: int32(j)})
 			idx++
 		}
 	}
@@ -75,7 +75,7 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 	push := func(a, b int) {
 		heap.Push(&h, densePair{
 			dot: int64(clusters[a].Tag.AndPopCount(clusters[b].Tag)),
-			a:   a, b: b,
+			a:   int32(a), b: int32(b),
 			va: version[a], vb: version[b],
 		})
 	}
@@ -100,8 +100,8 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 		version[p.a]++
 		remaining--
 		for j := 0; j < n; j++ {
-			if j != p.a && active[j] {
-				a, b := p.a, j
+			if j != int(p.a) && active[j] {
+				a, b := int(p.a), j
 				if b < a {
 					a, b = b, a
 				}
@@ -384,15 +384,16 @@ func (d *distributor) evictRef(donor, recip *Cluster, donorLLim, recipULim, dono
 
 // densePair is the dense reference engine's heap entry; it additionally
 // carries the endpoint version stamps that invalidate superseded entries
-// (the sparse engine replaces stamps with push-on-increase semantics).
+// (the sparse engine replaces stamps with push-on-increase semantics). Its
+// fields are 32-bit so a 2,560-cluster reference merge, which queues
+// millions of entries, stays a few hundred megabytes.
 type densePair struct {
-	dot    int64
-	a, b   int
-	va, vb int
+	dot          int64
+	a, b, va, vb int32
 }
 
-// denseHeap is the dense reference engine's max-heap over densePair, with
-// the same (dot desc, a asc, b asc) order as pairHeap.
+// denseHeap is the dense reference engine's max-heap over densePair, in
+// the merge order (dot desc, a asc, b asc).
 type denseHeap []densePair
 
 func (h denseHeap) Len() int { return len(h) }

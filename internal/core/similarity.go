@@ -37,6 +37,10 @@ type PairStatsRecorder interface {
 // small n use a single block, which reduces to the untiled pass.
 const simCountTile = 4096
 
+// simCtxRows is how many rows the counting pass fills between
+// cancellation checks.
+const simCtxRows = 64
+
 // simScratch is the reusable per-worker state of the counting pass. counts
 // and seen are all-zero between rows (the emit loop resets every entry it
 // reads), and that invariant is preserved across pool cycles, so
@@ -152,7 +156,9 @@ func simFill(ctx context.Context, rows [][]int32, flat []int32, later []bitvec.S
 		x += len(row)
 	}
 	for i := lo; i < hi; i++ {
-		if ctx.Err() != nil {
+		// Under a deadline ctx.Err takes a mutex, so it is read once every
+		// simCtxRows rows, the shard's first row included.
+		if (i-lo)%simCtxRows == 0 && ctx.Err() != nil {
 			// counts and seen are clean here (rows only dirty them
 			// mid-row), so the scratch is safe to recycle.
 			putSimScratch(s)
