@@ -33,68 +33,15 @@ func New(n int) Vector {
 	return Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// arenaBlockWords sizes an Arena backing block: 4096 words = 32 KiB, large
-// enough to amortize block bookkeeping and small enough that a mostly-idle
-// arena does not pin much memory in a sync.Pool.
-const arenaBlockWords = 4096
-
-// Arena is a reusable bump allocator for equal-lifetime Vectors. Vec carves
-// a zeroed vector from block-based backing storage; Reset rewinds the arena
-// so the blocks are re-carved by the next cycle. Growth never moves memory
-// that was already handed out — carved Vectors keep their own word windows —
-// so an Arena may grow mid-cycle without invalidating earlier vectors.
-//
-// A Reset recycles every previously carved vector's storage, so the caller
-// must ensure none of them is still live. The intended pattern is a
-// sync.Pool of Arenas where each request Gets one, carves request-scoped
-// vectors, and Resets+Puts it only after the last carved vector is dead
-// (see internal/core for the cluster-tag use). The zero value is ready to
-// use. An Arena must not be used from multiple goroutines concurrently.
-type Arena struct {
-	blocks [][]uint64
-	cur    int // index of the block being carved
-	off    int // word offset into blocks[cur]
-}
-
-// Vec carves a zeroed n-bit Vector from the arena. It panics if n is
-// negative.
-func (a *Arena) Vec(n int) Vector {
-	if n < 0 {
-		panic(fmt.Sprintf("bitvec: negative length %d", n))
+// Over returns the n-bit Vector stored in words, which must be zeroed and
+// hold exactly the (n+63)/64 words of n bits, so that hot paths can carve
+// vectors from recycled storage instead of calling New. The vector shares
+// words. It panics on a length mismatch.
+func Over(n int, words []uint64) Vector {
+	if n < 0 || len(words) != (n+wordBits-1)/wordBits {
+		panic(fmt.Sprintf("bitvec: %d words for %d bits", len(words), n))
 	}
-	w := (n + wordBits - 1) / wordBits
-	if w == 0 {
-		return Vector{n: n}
-	}
-	for {
-		if a.cur < len(a.blocks) {
-			blk := a.blocks[a.cur]
-			if a.off+w <= len(blk) {
-				words := blk[a.off : a.off+w : a.off+w]
-				a.off += w
-				clear(words)
-				return Vector{n: n, words: words}
-			}
-			// The remainder of this block is too small; waste it and move
-			// on. Widths are constant within a request shape, so the waste
-			// is bounded by one vector per block.
-			a.cur++
-			a.off = 0
-			continue
-		}
-		sz := arenaBlockWords
-		if w > sz {
-			sz = w
-		}
-		a.blocks = append(a.blocks, make([]uint64, sz))
-	}
-}
-
-// Reset rewinds the arena so all blocks are available for re-carving. Every
-// Vector previously carved from the arena becomes invalid: its storage will
-// be handed out again.
-func (a *Arena) Reset() {
-	a.cur, a.off = 0, 0
+	return Vector{n: n, words: words}
 }
 
 // FromIndices builds an n-bit Vector with the given bit positions set.
@@ -421,9 +368,8 @@ type Counted struct {
 	counts []int32
 }
 
-// InitCounted initializes c with caller-provided storage (typically carved
-// from an arena, for hot paths that recycle counted vectors). vec and
-// counts must both be zeroed, with len(counts) == vec.Len(); c takes
+// InitCounted initializes c with caller-provided storage, for hot paths
+// that recycle counted vectors. vec and counts must both be zeroed, with len(counts) == vec.Len(); c takes
 // ownership of both.
 func InitCounted(c *Counted, vec Vector, counts []int32) {
 	if len(counts) != vec.Len() {

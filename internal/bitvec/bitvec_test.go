@@ -349,55 +349,29 @@ func TestPropertyCountedMatchesOR(t *testing.T) {
 	}
 }
 
-func TestArenaCarveAndReset(t *testing.T) {
-	var a Arena
-	v1 := a.Vec(100)
-	v2 := a.Vec(100)
-	v1.Set(3)
-	if v2.Get(3) {
-		t.Fatal("carved vectors share storage")
+// TestOverPanicsOnLengthMismatch: Over takes exactly the words of an n-bit
+// vector, and shares them.
+func TestOverPanicsOnLengthMismatch(t *testing.T) {
+	words := make([]uint64, 2)
+	v := Over(100, words)
+	v.Set(99)
+	if words[1] != 1<<35 {
+		t.Fatalf("Over copied its words: %x", words)
 	}
-	v2.Set(99)
-	a.Reset()
-	// The next cycle re-carves the same storage, zeroed.
-	w1, w2 := a.Vec(100), a.Vec(100)
-	if w1.PopCount() != 0 || w2.PopCount() != 0 {
-		t.Fatalf("re-carved vectors not zeroed: %d, %d set bits", w1.PopCount(), w2.PopCount())
+	if Over(0, nil).Len() != 0 {
+		t.Fatal("zero-width Over")
 	}
-	if got := len(a.blocks); got != 1 {
-		t.Fatalf("reset cycle grew the arena to %d blocks", got)
-	}
-}
-
-func TestArenaGrowthKeepsCarvedVectors(t *testing.T) {
-	var a Arena
-	first := a.Vec(64)
-	first.Set(7)
-	// Force several new blocks behind first's back.
-	for i := 0; i < 3*arenaBlockWords; i++ {
-		a.Vec(64)
-	}
-	if !first.Get(7) || first.PopCount() != 1 {
-		t.Fatal("arena growth disturbed an already-carved vector")
-	}
-}
-
-func TestArenaOversizedVector(t *testing.T) {
-	var a Arena
-	n := (arenaBlockWords + 1) * 64
-	v := a.Vec(n)
-	v.Set(n - 1)
-	if v.PopCount() != 1 {
-		t.Fatal("oversized carve corrupt")
-	}
-	// A later carve lands in a fresh block, clear of the oversized one.
-	w := a.Vec(64)
-	w.Set(0)
-	if !v.Get(n-1) || v.PopCount() != 1 {
-		t.Fatal("carve after an oversized vector overlapped it")
-	}
-	if a.Vec(0).Len() != 0 {
-		t.Fatal("zero-width carve")
+	for _, tc := range []struct {
+		n, words int
+	}{{100, 1}, {100, 3}, {64, 2}, {0, 1}, {-1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Over(%d, %d words) did not panic", tc.n, tc.words)
+				}
+			}()
+			Over(tc.n, make([]uint64, tc.words))
+		}()
 	}
 }
 
@@ -497,26 +471,6 @@ func TestAllocPostingIndexWarmBuild(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm PostingIndex.Build allocates %v objects/op, want 0", allocs)
-	}
-}
-
-// TestAllocArenaWarmCarve: after one carve/Reset cycle sized the arena, the
-// steady state carves without allocating.
-func TestAllocArenaWarmCarve(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race-mode sync.Pool drops Puts by design; the alloc gate runs without -race")
-	}
-	var a Arena
-	carve := func() {
-		for i := 0; i < 64; i++ {
-			v := a.Vec(300)
-			v.Set(i)
-		}
-		a.Reset()
-	}
-	carve()
-	if allocs := testing.AllocsPerRun(100, carve); allocs != 0 {
-		t.Fatalf("warm arena cycle allocates %v objects/op, want 0", allocs)
 	}
 }
 

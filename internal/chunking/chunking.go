@@ -77,7 +77,7 @@ func NewDataSpace(chunkBytes int64, arrays ...Array) *DataSpace {
 		if a.NumElems() <= 0 {
 			panic(fmt.Sprintf("chunking: array %q is empty", a.Name))
 		}
-		n := (a.Bytes() + chunkBytes - 1) / chunkBytes
+		n := (a.Bytes()-1)/chunkBytes + 1 // rounds up without overflowing
 		ds.chunkBase[t+1] = ds.chunkBase[t] + int(n)
 	}
 	ds.numChunks = ds.chunkBase[len(arrays)]

@@ -70,7 +70,7 @@ func TestAllocDistributeWarmBound(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 1
 	run := func() {
-		if _, err := Distribute(cloneChunks(chunks), tree, opts); err != nil {
+		if _, err := DistributeCtx(context.Background(), cloneChunks(chunks), tree, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,5 +83,25 @@ func TestAllocDistributeWarmBound(t *testing.T) {
 	const bound = 2500
 	if allocs > bound {
 		t.Fatalf("warm Distribute allocates %v objects/op, want <= %d", allocs, bound)
+	}
+}
+
+// TestAllocBumpWarmTake: once one take/reset cycle has sized the bump,
+// the next cycles take without allocating.
+func TestAllocBumpWarmTake(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race-mode sync.Pool drops Puts by design; the alloc gate runs without -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var a bump[uint64]
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			a.take(5)[i%5] = uint64(i)
+		}
+		a.reset()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm take/reset cycle allocates %v objects/op, want 0", allocs)
 	}
 }

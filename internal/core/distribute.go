@@ -22,7 +22,6 @@ package core
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -102,10 +101,6 @@ type Cluster struct {
 
 func newCluster(r int) *Cluster { return &Cluster{Tag: bitvec.New(r)} }
 
-// chainFrame is one step of the pre-order walk that materializes deferred
-// member lists after the merge loop (see mergeClusters).
-type chainFrame struct{ node, child int32 }
-
 // ranked pairs a child index with its leaf weight for split's rank-wise
 // cluster-to-child assignment.
 type ranked struct {
@@ -113,11 +108,12 @@ type ranked struct {
 	w   int64
 }
 
-// bump is a run-scoped generic bump allocator: take carves a zeroed
-// self-capped window, reset rewinds (and re-zeroes the used region, so
-// pointer-typed blocks never pin a dead request's objects while parked in
-// the pool). Unlike the split-scoped tag arena, bumps rewind only when the
-// run releases its scratch — carved windows stay valid for the whole run.
+// bump is a generic bump allocator: take carves a zeroed self-capped
+// window, reset rewinds (and re-zeroes the used region, so pointer-typed
+// blocks never pin a dead request's objects while parked in the pool).
+// Growth never moves a window already handed out. The scratch resets its
+// tag words at every split and every other bump only when the run releases
+// it, so a window lives until the next split or the end of the run.
 type bump[T any] struct {
 	blocks [][]T
 	cur    int
@@ -164,29 +160,27 @@ func (a *bump[T]) reset() {
 }
 
 // distScratch is the recycled working state of one distribution run: the
-// cluster-tag arena plus every per-node slice of the merge loop and the
-// run-scoped bump allocators for cluster structs, pointer tables and
-// balance bookkeeping. A run acquires it lazily from distScratchPool and
-// releases it when the run ends, so repeat requests of the same shape stop
-// allocating once the pool is warm. The tag arena is reset at the start of
-// every split call — by then the parent level's cluster tags are dead
-// (only member lists survive a split; see the escape notes in split) —
-// while the bumps rewind only on release, because cluster structs and
-// pointer tables of one level are still read while the children recurse.
+// bump allocators for cluster tags, cluster structs, pointer tables and
+// balance bookkeeping, plus every per-node slice of the merge loop. A run
+// acquires it lazily from distScratchPool and releases it when the run
+// ends, so repeat requests of the same shape stop allocating once the pool
+// is warm. The tag words are reset at the start of every split call — by
+// then the parent level's cluster tags are dead (only member lists survive
+// a split; see the escape notes in split) — while the other bumps rewind
+// only on release, because cluster structs and pointer tables of one level
+// are still read while the children recurse.
 type distScratch struct {
-	tags      bitvec.Arena        // dense cluster tags and counted OR views
-	simRows   [][]int32           // set bits of each cluster, handed to pairShards
-	simBits   []int32             // slab of the multi-member clusters' rows
-	postings  bitvec.PostingIndex // similarity inverted index, walked by the merge loop
-	active    []bool              // per-node liveness in the merge loop
-	parent    []int32             // owner union-find
-	mark      []int32             // generation stamps for push dedup
-	newBits   []int32             // the bits an absorb added to the survivor's tag
-	chainHead []int32             // first-child links of the merge tree
-	chainNext []int32             // next-sibling links
-	chainTail []int32             // last child, for O(1) appends
-	frames    []chainFrame        // pre-order walk stack
-	byWeight  []ranked            // split's child-rank table
+	tags     bump[uint64]        // words of dense cluster tags and counted OR views
+	simRows  [][]int32           // set bits of each cluster, handed to pairShards
+	simBits  []int32             // slab of the multi-member clusters' rows
+	postings bitvec.PostingIndex // similarity inverted index, walked by the merge loop
+	active   []bool              // per-node liveness in the merge loop
+	parent   []int32             // owner union-find
+	mark     []int32             // generation stamps for push dedup
+	newBits  []int32             // the bits an absorb added to the survivor's tag
+	next     []int32             // per input cluster: the next one of its merge list, -1 ends
+	tail     []int32             // per merge list head: its last cluster
+	byWeight []ranked            // split's child-rank table
 
 	clusters bump[Cluster]        // cluster structs (Stage 0 slabs + splits)
 	ptrs     bump[*Cluster]       // cluster pointer tables
@@ -212,14 +206,14 @@ func (d *distributor) scratch() *distScratch {
 	return d.scr
 }
 
-// release returns the scratch to the pool. The arena and bump resets
-// invalidate everything carved from them, so release must come after the
-// last use of any cluster of the run (the returned assignment only carries
-// member chunk lists, never clusters or their tags, so running it on exit
-// is safe).
+// release returns the scratch to the pool. The bump resets invalidate
+// everything carved from them, so release must come after the last use of
+// any cluster of the run (the returned assignment only carries member
+// chunk lists, never clusters or their tags, so running it on exit is
+// safe).
 func (d *distributor) release() {
 	if d.scr != nil {
-		d.scr.tags.Reset()
+		d.scr.tags.reset()
 		d.scr.clusters.reset()
 		d.scr.ptrs.reset()
 		d.scr.ints.reset()
@@ -231,28 +225,26 @@ func (d *distributor) release() {
 }
 
 // newArenaCluster carves an empty cluster — struct and tag both — from the
-// run's recycled storage. The struct comes from the run-scoped bump (it can
-// outlive the call that made it, but never the run); the tag from the
-// split-scoped arena.
+// run's recycled storage. The struct lives until the run ends (it can
+// outlive the call that made it, but never the run); the tag until the
+// next split.
 func (d *distributor) newArenaCluster() *Cluster {
 	scr := d.scratch()
 	c := &scr.clusters.take(1)[0]
-	c.Tag = scr.tags.Vec(d.r)
+	c.Tag = scr.tag(d.r)
 	return c
 }
 
-// grow32 resizes s to n without zeroing retained storage; callers overwrite
-// every entry before reading.
-func grow32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
+// tag carves a zeroed n-bit vector from the split-scoped tag words.
+func (scr *distScratch) tag(n int) bitvec.Vector {
+	return bitvec.Over(n, scr.tags.take((n+63)/64))
 }
 
-func growBool(s []bool, n int) []bool {
+// grow resizes s to n without zeroing retained storage; callers overwrite
+// every entry before reading.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -271,15 +263,15 @@ func (c *Cluster) add(ic *tags.IterationChunk) {
 
 // ensureCounts materializes the counted tag from the current members. The
 // struct, count table and OR view come from the run's recycled storage (the
-// view from the split-scoped tag arena is safe: counts are only used by
-// balance, which finishes before the next split resets it).
+// view from the split-scoped tag words is safe: counts are only used by
+// balance, which finishes before the next split resets them).
 func (c *Cluster) ensureCounts(scr *distScratch) {
 	if c.counts != nil {
 		return
 	}
 	n := c.Tag.Len()
 	ct := &scr.counted.take(1)[0]
-	bitvec.InitCounted(ct, scr.tags.Vec(n), scr.counts32.take(n))
+	bitvec.InitCounted(ct, scr.tag(n), scr.counts32.take(n))
 	c.counts = ct
 	for _, m := range c.Members {
 		c.counts.Add(m.Tag)
@@ -317,39 +309,20 @@ func (c *Cluster) firstIter() int64 {
 	return v
 }
 
-// Distribute runs the Figure 5 algorithm: it assigns the given iteration
-// chunks to the client nodes of the hierarchy tree and returns one chunk
-// list per client (indexed by client number). Chunks may be split by load
-// balancing; the returned chunks partition the input iterations exactly.
-func Distribute(chunks []*tags.IterationChunk, tree *hierarchy.Tree, opts Options) ([][]*tags.IterationChunk, error) {
-	return DistributeCtx(context.Background(), chunks, tree, opts)
-}
-
-// DistributeCtx is Distribute with cooperative cancellation: the sparse
-// similarity pass, the merge loop and the balancing rounds check ctx
-// periodically and return ctx.Err() when it is canceled. When subtrees run
-// in parallel (see Options.Workers), it returns only after every worker
-// has exited, and a panic on a worker is re-raised on the caller.
+// DistributeCtx runs the Figure 5 algorithm: it assigns the given
+// iteration chunks to the client nodes of the hierarchy tree and returns
+// one chunk list per client (indexed by client number). Chunks may be split
+// by load balancing; the returned chunks partition the input iterations
+// exactly. The sparse similarity pass, the merge loop and the balancing
+// rounds check ctx periodically and return ctx.Err() when it is canceled.
+// When subtrees run in parallel (see Options.Workers), it returns only
+// after every worker has exited, and a panic on a worker is re-raised on
+// the caller.
 func DistributeCtx(ctx context.Context, chunks []*tags.IterationChunk, tree *hierarchy.Tree, opts Options) ([][]*tags.IterationChunk, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("core: nil tree")
-	}
-	if err := tree.Validate(); err != nil {
+	d, err := newDistributor(ctx, tree, opts, chunks)
+	if err != nil {
 		return nil, err
 	}
-	if opts.BalanceThreshold < 0 || opts.BalanceThreshold > 1 {
-		return nil, fmt.Errorf("core: balance threshold %v outside [0,1]", opts.BalanceThreshold)
-	}
-	r := 0
-	if len(chunks) > 0 {
-		r = chunks[0].Tag.Len()
-		for _, c := range chunks {
-			if c.Tag.Len() != r {
-				return nil, fmt.Errorf("core: inconsistent tag widths %d vs %d", c.Tag.Len(), r)
-			}
-		}
-	}
-	d := &distributor{ctx: ctx, opts: opts, tree: tree, r: r}
 	defer d.release()
 	out := make([][]*tags.IterationChunk, tree.NumClients())
 	clientIdx := make(map[*hierarchy.Node]int, tree.NumClients())
@@ -368,6 +341,33 @@ type distributor struct {
 	tree *hierarchy.Tree
 	r    int
 	scr  *distScratch // lazily acquired recycled scratch; see scratch()
+}
+
+// newDistributor checks a run's inputs — the tree, the balance threshold
+// and one tag width across every chunk of lists — and returns its
+// distributor. It returns a value so that a run's distributor can stay on
+// its caller's stack.
+func newDistributor(ctx context.Context, tree *hierarchy.Tree, opts Options, lists ...[]*tags.IterationChunk) (distributor, error) {
+	if tree == nil {
+		return distributor{}, fmt.Errorf("core: nil tree")
+	}
+	if err := tree.Validate(); err != nil {
+		return distributor{}, err
+	}
+	if opts.BalanceThreshold < 0 || opts.BalanceThreshold > 1 {
+		return distributor{}, fmt.Errorf("core: balance threshold %v outside [0,1]", opts.BalanceThreshold)
+	}
+	r := -1
+	for _, l := range lists {
+		for _, c := range l {
+			if r < 0 {
+				r = c.Tag.Len()
+			} else if c.Tag.Len() != r {
+				return distributor{}, fmt.Errorf("core: inconsistent tag widths %d vs %d", c.Tag.Len(), r)
+			}
+		}
+	}
+	return distributor{ctx: ctx, opts: opts, tree: tree, r: max(r, 0)}, nil
 }
 
 // phase is a value-typed in-flight phase measurement; end reports it to
@@ -480,11 +480,11 @@ func (d *distributor) split(members []*tags.IterationChunk, weights []int64) ([]
 	// merged or grew — so the member and size slabs stay real allocations.
 	// Cluster tags never escape (the output carries iteration-chunk member
 	// lists only), and by the time this level's children recurse the parent
-	// tags are no longer read, so the tag storage comes from the recycled
-	// arena, reset here at the start of every split.
+	// tags are no longer read, so the tags are carved from the recycled tag
+	// words, reset here at the start of every split.
 	n := len(members)
 	scr := d.scratch()
-	scr.tags.Reset()
+	scr.tags.reset()
 	slab := scr.clusters.take(n)
 	memSlab := make([]*tags.IterationChunk, n)
 	sizeSlab := scr.ints.take(n)
@@ -547,7 +547,8 @@ const ctxCheckInterval = 1024
 // mergeClusters implements Figure 5 Stage 1: while more clusters remain
 // than needed, merge the pair with the maximal tag dot product. It pops
 // exactly the pairs the dense reference (reference_test.go) pops, in the
-// same order, so the plan is the same.
+// same order, and its survivors hold their members in the order the
+// reference's eager concatenation gives, so the plan is the same.
 //
 // Only pairs with ω ≥ 1 are queued: the similarity pass (similarity.go)
 // seeds them. A zero-weight pair never outranks a positive one, and
@@ -580,11 +581,17 @@ const ctxCheckInterval = 1024
 // it; walking the lists of the added bits (typically one or two) and
 // resolving each entry through the owner union-find yields that set.
 //
+// Member lists are joined, not copied, while merging: each live cluster
+// heads a linked list of the input clusters it has absorbed (a next link
+// per input cluster, a tail per head), and an absorb appends the absorbed
+// list in O(1). A survivor's members are then its list's member lists in
+// list order, copied once into an exact-size list.
+//
 // A one-chunk cluster keeps no dense tag while it stays one chunk: its tag
 // is its member's sparse tag, an absorb of it sets only the bits the
 // survivor lacks, and a push against it scores its few set bits. A dense
-// tag is carved from the split's arena for a cluster when it first absorbs
-// and for every cluster returned, so the caller gets dense tags
+// tag is carved from the split's tag words for a cluster when it first
+// absorbs and for every cluster returned, so the caller gets dense tags
 // throughout. Multi-member input clusters (RebalanceClusters) start dense.
 func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, error) {
 	n := len(clusters)
@@ -595,7 +602,7 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		return clusters, nil
 	}
 	scr := d.scratch()
-	active := growBool(scr.active, n)
+	active := grow(scr.active, n)
 	for i := range active {
 		active[i] = true
 	}
@@ -637,7 +644,7 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 
 	// owner union-find: posting lists hold original cluster indices; find
 	// resolves them to the absorbing cluster they now belong to.
-	parent := grow32(scr.parent, n)
+	parent := grow(scr.parent, n)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -648,34 +655,23 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		}
 		return x
 	}
-	mark := grow32(scr.mark, n) // generation stamps for push dedup
-	clear(mark)                 // stale stamps from a previous run could collide
+	mark := grow(scr.mark, n) // generation stamps for push dedup
+	clear(mark)               // stale stamps from a previous run could collide
 	var gen int32
 	bits := scr.newBits[:0]
 
-	// Member lists are NOT concatenated during the merge loop: an eager
-	// absorb re-copies the growing list on every merge (two small
-	// allocations each). Instead each absorb is recorded as a child link in
-	// first-child/next-sibling chains, and the surviving clusters'
-	// member/size lists are materialized afterwards in one exact-size
-	// allocation per cluster, walking the merge tree in pre-order — the
-	// identical order eager concatenation would have produced.
-	chainHead := grow32(scr.chainHead, n)
-	chainNext := grow32(scr.chainNext, n)
-	chainTail := grow32(scr.chainTail, n)
-	for i := range chainHead {
-		chainHead[i], chainNext[i], chainTail[i] = -1, -1, -1
+	// The merge lists (see above): an eager absorb would re-copy the growing
+	// member list on every merge, two small allocations each.
+	next := grow(scr.next, n)
+	tail := grow(scr.tail, n)
+	for i := range next {
+		next[i], tail[i] = -1, int32(i)
 	}
 	// Store the possibly regrown slices back so the capacity is kept.
-	scr.active, scr.parent, scr.mark = active, parent, mark
-	scr.chainHead, scr.chainNext, scr.chainTail = chainHead, chainNext, chainTail
+	scr.active, scr.parent, scr.mark, scr.next, scr.tail = active, parent, mark, next, tail
 	link := func(a, b int32) {
-		if chainHead[a] < 0 {
-			chainHead[a] = b
-		} else {
-			chainNext[chainTail[a]] = b
-		}
-		chainTail[a] = b
+		next[tail[a]] = b
+		tail[a] = tail[b]
 	}
 
 	remaining := n
@@ -755,28 +751,16 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		}
 	}
 	scr.newBits = bits
-	// Materialize the deferred member lists: pre-order over each surviving
-	// cluster's merge tree, children in absorb order.
-	frames := scr.frames[:0]
-	defer func() { scr.frames = frames }()
+	// Materialize the deferred member lists by walking each survivor's list.
 	out := scr.ptrs.take(remaining)[:0]
 	for i, c := range clusters {
 		if !active[i] {
 			continue
 		}
-		if chainHead[i] >= 0 {
-			total := len(c.Members)
-			frames = append(frames[:0], chainFrame{int32(i), chainHead[i]})
-			for len(frames) > 0 {
-				f := &frames[len(frames)-1]
-				ch := f.child
-				if ch < 0 {
-					frames = frames[:len(frames)-1]
-					continue
-				}
-				f.child = chainNext[ch]
-				total += len(clusters[ch].Members)
-				frames = append(frames, chainFrame{ch, chainHead[ch]})
+		if next[i] >= 0 {
+			total := 0
+			for j := int32(i); j >= 0; j = next[j] {
+				total += len(clusters[j].Members)
 			}
 			// memberPad slots of headroom absorb the typical few chunks the
 			// balance stage evicts into this cluster, so a recipient's first
@@ -784,20 +768,9 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 			const memberPad = 4
 			members := make([]*tags.IterationChunk, 0, total+memberPad)
 			sizes := make([]int64, 0, total+memberPad)
-			members = append(members, c.Members...)
-			sizes = append(sizes, c.sizes...)
-			frames = append(frames[:0], chainFrame{int32(i), chainHead[i]})
-			for len(frames) > 0 {
-				f := &frames[len(frames)-1]
-				ch := f.child
-				if ch < 0 {
-					frames = frames[:len(frames)-1]
-					continue
-				}
-				f.child = chainNext[ch]
-				members = append(members, clusters[ch].Members...)
-				sizes = append(sizes, clusters[ch].sizes...)
-				frames = append(frames, chainFrame{ch, chainHead[ch]})
+			for j := int32(i); j >= 0; j = next[j] {
+				members = append(members, clusters[j].Members...)
+				sizes = append(sizes, clusters[j].sizes...)
 			}
 			c.Members = members
 			c.sizes = sizes
@@ -813,10 +786,10 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 func (d *distributor) single(c *Cluster) bool { return c.Tag.Len() != d.r }
 
 // denseTag gives a one-chunk cluster without a dense tag one, carved from
-// the split's arena.
+// the split's tag words.
 func (d *distributor) denseTag(c *Cluster) {
 	if d.single(c) {
-		c.Tag = d.scratch().tags.Vec(d.r)
+		c.Tag = d.scratch().tag(d.r)
 		c.Members[0].Tag.OrInto(c.Tag)
 	}
 }
@@ -832,59 +805,26 @@ func (d *distributor) absorbTag(a, b *Cluster, dst []int32) []int32 {
 	return a.Tag.OrInPlaceNew(b.Tag, dst)
 }
 
-// splitEntry keys a cluster for splitUpTo's max-heap: largest size first,
-// then earliest first iteration, then lowest position — the same total
-// order the previous per-iteration rescan used, so split choices (and the
-// final cluster list order) are unchanged.
-type splitEntry struct {
-	size  int64
-	first int64
-	pos   int
-}
-
-type splitHeap []splitEntry
-
-func (h splitHeap) Len() int { return len(h) }
-func (h splitHeap) Less(i, j int) bool {
-	if h[i].size != h[j].size {
-		return h[i].size > h[j].size
-	}
-	if h[i].first != h[j].first {
-		return h[i].first < h[j].first
-	}
-	return h[i].pos < h[j].pos
-}
-func (h splitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *splitHeap) Push(x any)   { *h = append(*h, x.(splitEntry)) }
-func (h *splitHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-
 // splitUpTo grows the cluster list to k clusters by repeatedly breaking the
-// largest cluster in two (Figure 5's |csi| < NumClusters case). A max-heap
-// tracks the largest cluster so each split is O(log n) instead of a full
-// rescan of the cluster list.
+// largest cluster in two (Figure 5's |csi| < NumClusters case): the largest
+// size, then the earliest first iteration, then the lowest position. An
+// empty list first gets one empty cluster. A scan per split is O(k) plus a
+// first-iteration read on a size tie, and k is a node's child count.
 func (d *distributor) splitUpTo(clusters []*Cluster, k int) []*Cluster {
-	if len(clusters) >= k {
-		return clusters
-	}
-	if len(clusters) == 0 {
-		for len(clusters) < k {
-			clusters = append(clusters, d.newArenaCluster())
-		}
-		return clusters
-	}
-	h := make(splitHeap, 0, k)
-	for i, c := range clusters {
-		h = append(h, splitEntry{size: c.Size, first: c.firstIter(), pos: i})
-	}
-	heap.Init(&h)
 	for len(clusters) < k {
-		top := h[0]
-		a, b := d.breakCluster(clusters[top.pos])
-		clusters[top.pos] = a
+		if len(clusters) == 0 {
+			clusters = append(clusters, d.newArenaCluster())
+			continue
+		}
+		best := 0
+		for i, c := range clusters[1:] {
+			if b := clusters[best]; c.Size > b.Size || c.Size == b.Size && c.firstIter() < b.firstIter() {
+				best = i + 1
+			}
+		}
+		a, b := d.breakCluster(clusters[best])
+		clusters[best] = a
 		clusters = append(clusters, b)
-		h[0] = splitEntry{size: a.Size, first: a.firstIter(), pos: top.pos}
-		heap.Fix(&h, 0)
-		heap.Push(&h, splitEntry{size: b.Size, first: b.firstIter(), pos: len(clusters) - 1})
 	}
 	return clusters
 }
@@ -1283,7 +1223,7 @@ type dotRow struct {
 // can never equal a future one, so growing within capacity needs no clear.
 func (dr *donorRows) reset(k, r int) {
 	dr.donor = nil
-	dr.rowAt = grow32(dr.rowAt, k)
+	dr.rowAt = grow(dr.rowAt, k)
 	if cap(dr.head) < r {
 		dr.head = make([]int32, r)
 		dr.stamp = make([]uint32, r)
@@ -1367,7 +1307,7 @@ func (dr *donorRows) row(ri int, recip *Cluster) *dotRow {
 	dr.rows = slices.Grow(dr.rows, 1)[:i+1] // keeps a recycled entry's storage
 	dr.rowAt[ri] = int32(i)
 	row := &dr.rows[i]
-	dots := grow32(row.dots, dr.leaves)
+	dots := grow(row.dots, dr.leaves)
 	sizes := dr.donor.sizes
 	for p := range dots {
 		dots[p] = -1 // padding, tombstone or empty member

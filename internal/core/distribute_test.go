@@ -58,7 +58,7 @@ func TestFigure9Distribution(t *testing.T) {
 		t.Fatalf("expected 8 chunks, got %d", len(chunks))
 	}
 	tree := figure7Tree()
-	out, err := Distribute(chunks, tree, DefaultOptions())
+	out, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFigure9Distribution(t *testing.T) {
 func TestDistributePartitionsIterations(t *testing.T) {
 	chunks := figure6Chunks(8)
 	tree := figure7Tree()
-	out, err := Distribute(chunks, tree, DefaultOptions())
+	out, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDistributePartitionsIterations(t *testing.T) {
 
 func TestDistributeBalanced(t *testing.T) {
 	chunks := figure6Chunks(8)
-	out, err := Distribute(chunks, figure7Tree(), DefaultOptions())
+	out, err := DistributeCtx(context.Background(), chunks, figure7Tree(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDistributeBalanced(t *testing.T) {
 }
 
 func TestDistributeEmptyInput(t *testing.T) {
-	out, err := Distribute(nil, figure7Tree(), DefaultOptions())
+	out, err := DistributeCtx(context.Background(), nil, figure7Tree(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +156,17 @@ func TestDistributeEmptyInput(t *testing.T) {
 }
 
 func TestDistributeValidation(t *testing.T) {
-	if _, err := Distribute(nil, nil, DefaultOptions()); err == nil {
+	if _, err := DistributeCtx(context.Background(), nil, nil, DefaultOptions()); err == nil {
 		t.Error("nil tree accepted")
 	}
-	if _, err := Distribute(nil, figure7Tree(), Options{BalanceThreshold: -0.1}); err == nil {
+	if _, err := DistributeCtx(context.Background(), nil, figure7Tree(), Options{BalanceThreshold: -0.1}); err == nil {
 		t.Error("negative threshold accepted")
 	}
 	bad := []*tags.IterationChunk{
 		{Tag: bitvec.New(4).Sparse(), Iters: itset.Interval(0, 1)},
 		{Tag: bitvec.New(5).Sparse(), Iters: itset.Interval(1, 2)},
 	}
-	if _, err := Distribute(bad, figure7Tree(), DefaultOptions()); err == nil {
+	if _, err := DistributeCtx(context.Background(), bad, figure7Tree(), DefaultOptions()); err == nil {
 		t.Error("inconsistent tag widths accepted")
 	}
 }
@@ -174,7 +174,7 @@ func TestDistributeValidation(t *testing.T) {
 func TestDistributeSplitsWhenFewerChunksThanClients(t *testing.T) {
 	// One big chunk across 4 clients: the chunk must be split.
 	big := &tags.IterationChunk{Tag: bitvec.FromIndices(4, 0).Sparse(), Iters: itset.Interval(0, 100)}
-	out, err := Distribute([]*tags.IterationChunk{big}, figure7Tree(), DefaultOptions())
+	out, err := DistributeCtx(context.Background(), []*tags.IterationChunk{big}, figure7Tree(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestDistributeSingleClient(t *testing.T) {
 	tree := hierarchy.Build(&hierarchy.Node{Label: "root", CacheChunks: 8,
 		Children: []*hierarchy.Node{{Label: "c0", CacheChunks: 8}}})
 	chunks := figure6Chunks(8)
-	out, err := Distribute(chunks, tree, DefaultOptions())
+	out, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDistributeNonUniformTree(t *testing.T) {
 	tree := hierarchy.Build(&hierarchy.Node{Label: "SN", CacheChunks: 32,
 		Children: []*hierarchy.Node{io0, io1}})
 	chunks := figure6Chunks(8) // 64 iterations
-	out, err := Distribute(chunks, tree, DefaultOptions())
+	out, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestPreMergeDependentKeepsIterationsOnOneClient(t *testing.T) {
 	chunks := figure6Chunks(8)
 	pairs := [][2]int{{0, 4}} // γ1 and γ5 dependent
 	merged := PreMergeDependent(chunks, pairs)
-	out, err := Distribute(merged, figure7Tree(), DefaultOptions())
+	out, err := DistributeCtx(context.Background(), merged, figure7Tree(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestPropertyDistributePartition(t *testing.T) {
 			hierarchy.LayerSpec{Count: io, CacheChunks: 4, Label: "IO"},
 			hierarchy.LayerSpec{Count: cn, CacheChunks: 4, Label: "CN"},
 		)
-		out, err := Distribute(chunks, tree, DefaultOptions())
+		out, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 		if err != nil {
 			return false
 		}
@@ -429,7 +429,7 @@ func TestPropertyDistributeBalance(t *testing.T) {
 			hierarchy.LayerSpec{Count: 4, CacheChunks: 4, Label: "IO"},
 			hierarchy.LayerSpec{Count: 8, CacheChunks: 4, Label: "CN"},
 		)
-		out, err := Distribute(chunks, tree, DefaultOptions())
+		out, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 		if err != nil {
 			return false
 		}
@@ -460,8 +460,8 @@ func TestPropertyDistributeBalance(t *testing.T) {
 func TestPropertyDistributeDeterministic(t *testing.T) {
 	chunks1 := figure6Chunks(8)
 	chunks2 := figure6Chunks(8)
-	out1, err1 := Distribute(chunks1, figure7Tree(), DefaultOptions())
-	out2, err2 := Distribute(chunks2, figure7Tree(), DefaultOptions())
+	out1, err1 := DistributeCtx(context.Background(), chunks1, figure7Tree(), DefaultOptions())
+	out2, err2 := DistributeCtx(context.Background(), chunks2, figure7Tree(), DefaultOptions())
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -523,7 +523,7 @@ func TestDistributeDeterministicAcrossWorkers(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 7} {
 				opts := DefaultOptions()
 				opts.Workers = workers
-				got, err := Distribute(tc.chunks, tc.tree, opts)
+				got, err := DistributeCtx(context.Background(), tc.chunks, tc.tree, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -597,6 +597,78 @@ func TestSplitCarvesNoSingletonTags(t *testing.T) {
 	}
 	if grew, tagBytes := after.TotalAlloc-before.TotalAlloc, uint64(n*r/8); grew > tagBytes/4 {
 		t.Fatalf("a live split allocated %d bytes; Stage 0's tags for every member are %d", grew, tagBytes)
+	}
+}
+
+// TestBumpTakeAndReset: a take returns a zeroed window of its own, capped
+// at its length, and a reset re-zeroes everything handed out, in every
+// block, so the next cycle re-carves the same storage zeroed.
+func TestBumpTakeAndReset(t *testing.T) {
+	var a bump[uint64]
+	w1, w2 := a.take(2), a.take(2)
+	if len(w1) != 2 || cap(w1) != 2 || w1[0]|w1[1]|w2[0]|w2[1] != 0 {
+		t.Fatalf("take(2) = %v (cap %d), %v; want zeroed self-capped windows", w1, cap(w1), w2)
+	}
+	w1[1] = 7
+	if w2[0] != 0 {
+		t.Fatal("two takes share storage")
+	}
+	rest := a.take(bumpBlock - 4) // fills the first block
+	rest[len(rest)-1] = 9
+	next := a.take(3) // opens a second block
+	next[2] = 5
+	a.reset()
+	v1 := a.take(2)
+	if &v1[0] != &w1[0] {
+		t.Fatal("reset did not rewind to the first window")
+	}
+	a.take(2)
+	if w := a.take(bumpBlock - 4); w[len(w)-1] != 0 || v1[1] != 0 {
+		t.Fatal("reset left the first block dirty")
+	}
+	if w := a.take(3); w[2] != 0 {
+		t.Fatal("reset left the second block dirty")
+	}
+	if len(a.blocks) != 2 {
+		t.Fatalf("the reset cycle grew the bump to %d blocks, want 2", len(a.blocks))
+	}
+}
+
+// TestBumpGrowthKeepsWindows: growing into new blocks never moves or
+// overwrites a window already handed out.
+func TestBumpGrowthKeepsWindows(t *testing.T) {
+	var a bump[uint64]
+	first := a.take(4)
+	first[3] = 7
+	for i := 0; i < 3*bumpBlock; i++ {
+		a.take(4)[0] = 1
+	}
+	if first[0]|first[1]|first[2] != 0 || first[3] != 7 {
+		t.Fatalf("growth disturbed an earlier window: %v", first)
+	}
+}
+
+// TestBumpOversizedTake: a take larger than a block gets a block of its
+// own, and the next take lands clear of it.
+func TestBumpOversizedTake(t *testing.T) {
+	var a bump[uint64]
+	n := bumpBlock + 1
+	v := a.take(n)
+	if len(v) != n {
+		t.Fatalf("oversized take has %d elements, want %d", len(v), n)
+	}
+	v[n-1] = 1
+	w := a.take(4)
+	w[0] = 1
+	var sum uint64
+	for _, x := range v {
+		sum += x
+	}
+	if v[n-1] != 1 || sum != 1 {
+		t.Fatal("a take after an oversized one overlapped it")
+	}
+	if len(a.take(0)) != 0 {
+		t.Fatal("zero-length take")
 	}
 }
 
@@ -763,7 +835,7 @@ func TestDistributeFanOutPanic(t *testing.T) {
 	var got any
 	func() {
 		defer func() { got = recover() }()
-		_, err := Distribute(chunks, tree, opts)
+		_, err := DistributeCtx(context.Background(), chunks, tree, opts)
 		t.Errorf("Distribute returned (err %v) instead of panicking", err)
 	}()
 	if jp, ok := got.(*join.Panic); !ok || jp.Value != want {
@@ -792,7 +864,7 @@ func TestDistributePhaseClock(t *testing.T) {
 	opts := DefaultOptions()
 	rec := &phaseRecorder{}
 	opts.Clock = rec
-	if _, err := Distribute(figure6Chunks(8), figure7Tree(), opts); err != nil {
+	if _, err := DistributeCtx(context.Background(), figure6Chunks(8), figure7Tree(), opts); err != nil {
 		t.Fatal(err)
 	}
 	for _, phase := range []string{"similarity", "cluster", "balance"} {

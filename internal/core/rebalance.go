@@ -12,7 +12,7 @@ import (
 )
 
 // RebalanceClusters adapts an existing per-client clustering — the
-// post-balance artifact of a previous Distribute run — to a (possibly
+// post-balance artifact of a previous DistributeCtx run — to a (possibly
 // drifted) hierarchy tree, without re-running tag computation or the
 // similarity/merge stages. It is the re-entry point of incremental
 // re-planning: the caller decodes a cached clustering and this function
@@ -34,39 +34,16 @@ import (
 // byte-identical repair contract requires. The input lists are never
 // modified.
 func RebalanceClusters(ctx context.Context, assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts Options) ([][]*tags.IterationChunk, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("core: nil tree")
-	}
-	if err := tree.Validate(); err != nil {
+	d, err := newDistributor(ctx, tree, opts, assign...)
+	if err != nil {
 		return nil, err
 	}
-	if opts.BalanceThreshold < 0 || opts.BalanceThreshold > 1 {
-		return nil, fmt.Errorf("core: balance threshold %v outside [0,1]", opts.BalanceThreshold)
-	}
-	r := 0
-	for _, cl := range assign {
-		for _, c := range cl {
-			if r == 0 {
-				r = c.Tag.Len()
-			} else if c.Tag.Len() != r {
-				return nil, fmt.Errorf("core: inconsistent tag widths %d vs %d", c.Tag.Len(), r)
-			}
-		}
-	}
-	h := tree.Height()
-	if h < 1 {
-		h = 1
-	}
-	eff := math.Pow(1+opts.BalanceThreshold, float64(h)) - 1
-	if eff > 1 {
-		eff = 1
-	}
-	opts.BalanceThreshold = eff
-	opts.slackExtra = int64(2*h + 2)
-	d := &distributor{ctx: ctx, opts: opts, tree: tree, r: r}
 	defer d.release()
+	h := max(tree.Height(), 1)
+	d.opts.BalanceThreshold = min(math.Pow(1+opts.BalanceThreshold, float64(h))-1, 1)
+	d.opts.slackExtra = int64(2*h + 2)
 
-	// Cluster tags come from the run's recycled arena: the returned
+	// Cluster tags come from the run's recycled tag words: the returned
 	// assignment carries only the member chunk lists, so no tag outlives
 	// the release. Member lists start as exact-capacity copies — the input
 	// lists are contractually never modified, and balance may append.
@@ -82,7 +59,6 @@ func RebalanceClusters(ctx context.Context, assign [][]*tags.IterationChunk, tre
 	}
 	k := tree.NumClients()
 	if len(clusters) > k {
-		var err error
 		if clusters, err = d.mergeClusters(clusters, k); err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ func randomAssign(rr *rand.Rand) ([][]*tags.IterationChunk, *hierarchy.Tree, int
 		hierarchy.LayerSpec{Count: io, CacheChunks: 8, Label: "IO"},
 		hierarchy.LayerSpec{Count: cn, CacheChunks: 8, Label: "CN"},
 	)
-	out, err := Distribute(chunks, tree, DefaultOptions())
+	out, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
@@ -105,7 +105,7 @@ func TestPropertyRebalancePartition(t *testing.T) {
 func TestRebalanceClientCountChange(t *testing.T) {
 	chunks := figure6Chunks(8)
 	tree4 := figure7Tree()
-	assign, err := Distribute(chunks, tree4, DefaultOptions())
+	assign, err := DistributeCtx(context.Background(), chunks, tree4, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRebalanceClientCountChange(t *testing.T) {
 func TestRebalanceDoesNotMutateInput(t *testing.T) {
 	chunks := figure6Chunks(8)
 	tree := figure7Tree()
-	assign, err := Distribute(chunks, tree, DefaultOptions())
+	assign, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestRebalanceValidation(t *testing.T) {
 func TestRescheduleStagesLexicographic(t *testing.T) {
 	chunks := figure6Chunks(8)
 	tree := figure7Tree()
-	assign, err := Distribute(chunks, tree, DefaultOptions())
+	assign, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ package core
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"slices"
 	"sync"
@@ -59,7 +58,10 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 		simPhase.end(d)
 		return nil, err
 	}
-	h := make(denseHeap, 0, len(dots))
+	// An absorb pushes one entry per other live cluster, fewer than
+	// n(n−1)/2 over the whole merge, so twice the seeds hold every entry
+	// ever queued and the heap never regrows.
+	h := make(denseHeap, 0, 2*len(dots))
 	idx := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -67,13 +69,15 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 			idx++
 		}
 	}
-	heap.Init(&h)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	simPhase.end(d)
 
 	clusterPhase := d.beginPhase("cluster")
 	defer func() { clusterPhase.end(d) }()
 	push := func(a, b int) {
-		heap.Push(&h, densePair{
+		h.push(densePair{
 			dot: int64(clusters[a].Tag.AndPopCount(clusters[b].Tag)),
 			a:   int32(a), b: int32(b),
 			va: version[a], vb: version[b],
@@ -88,10 +92,10 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 				return nil, err
 			}
 		}
-		if h.Len() == 0 {
+		if len(h) == 0 {
 			break
 		}
-		p := heap.Pop(&h).(densePair)
+		p := h.pop()
 		if !active[p.a] || !active[p.b] || version[p.a] != p.va || version[p.b] != p.vb {
 			continue
 		}
@@ -386,33 +390,62 @@ func (d *distributor) evictRef(donor, recip *Cluster, donorLLim, recipULim, dono
 // carries the endpoint version stamps that invalidate superseded entries
 // (the sparse engine replaces stamps with push-on-increase semantics). Its
 // fields are 32-bit so a 2,560-cluster reference merge, which queues
-// millions of entries, stays a few hundred megabytes.
+// millions of entries, stays under 200 MB.
 type densePair struct {
 	dot          int64
 	a, b, va, vb int32
 }
 
-// denseHeap is the dense reference engine's max-heap over densePair, in
-// the merge order (dot desc, a asc, b asc).
+// before is the merge order: dot desc, then a, then b.
+func (p densePair) before(q densePair) bool {
+	if p.dot != q.dot {
+		return p.dot > q.dot
+	}
+	if p.a != q.a {
+		return p.a < q.a
+	}
+	return p.b < q.b
+}
+
+// denseHeap is the dense reference engine's binary heap over densePair in
+// the merge order. It is typed rather than a container/heap, which would
+// box each of the millions of entries a wide reference merge pushes.
 type denseHeap []densePair
 
-func (h denseHeap) Len() int { return len(h) }
-func (h denseHeap) Less(i, j int) bool {
-	if h[i].dot != h[j].dot {
-		return h[i].dot > h[j].dot
+func (h *denseHeap) push(p densePair) {
+	s := append(*h, p)
+	i := len(s) - 1
+	for i > 0 && s[i].before(s[(i-1)/2]) {
+		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
+		i = (i - 1) / 2
 	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a
-	}
-	return h[i].b < h[j].b
+	*h = s
 }
-func (h denseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *denseHeap) Push(x any)   { *h = append(*h, x.(densePair)) }
-func (h *denseHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+
+func (h *denseHeap) pop() densePair {
+	s := *h
+	top := s[0]
+	s[0] = s[len(s)-1]
+	*h = s[:len(s)-1]
+	h.down(0)
+	return top
+}
+
+// down moves entry i down the heap until no child of it precedes it.
+func (h denseHeap) down(i int) {
+	for {
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && h[c].before(h[m]) {
+				m = c
+			}
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // scheduleRef is the original Figure 15 schedule: every pick scores each

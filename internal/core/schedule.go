@@ -31,26 +31,22 @@ type ScheduleOptions struct {
 // DefaultScheduleOptions returns the paper's equal weighting.
 func DefaultScheduleOptions() ScheduleOptions { return ScheduleOptions{Alpha: 0.5, Beta: 0.5} }
 
-// Schedule implements the cache hierarchy-conscious iteration scheduling
-// algorithm (Figure 15). Given the per-client chunk assignment produced by
-// Distribute, it reorders each client's chunks to maximize chunk-level data
-// reuse both locally (consecutive chunks on one client) and across the
-// clients sharing an I/O-level cache (same scheduling slot on neighbouring
-// clients). Iteration counts are kept balanced circularly round by round.
+// ScheduleCtx implements the cache hierarchy-conscious iteration
+// scheduling algorithm (Figure 15). Given the per-client chunk assignment
+// produced by DistributeCtx, it reorders each client's chunks to maximize
+// chunk-level data reuse both locally (consecutive chunks on one client)
+// and across the clients sharing an I/O-level cache (same scheduling slot
+// on neighbouring clients). Iteration counts are kept balanced circularly
+// round by round.
 //
 // The input lists are not modified; the result has the same chunks per
-// client in the computed execution order.
-func Schedule(assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts ScheduleOptions) ([][]*tags.IterationChunk, error) {
-	return ScheduleCtx(context.Background(), assign, tree, opts)
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: the round-robin
-// scheduling loop checks ctx between rounds and returns ctx.Err() when it
-// is canceled. The I/O groups run on join.Each's workers (see
-// ScheduleOptions.Workers): a group reads only its own clients' lists and
-// writes only their out slots. Errors and panics reach the caller as
-// join.Each gives them: the first failed group's error, or the panic
-// re-raised once every worker has exited.
+// client in the computed execution order. The round-robin scheduling loop
+// checks ctx between rounds and returns ctx.Err() when it is canceled. The
+// I/O groups run on join.Each's workers (see ScheduleOptions.Workers): a
+// group reads only its own clients' lists and writes only their out slots.
+// Errors and panics reach the caller as join.Each gives them: the first
+// failed group's error, or the panic re-raised once every worker has
+// exited.
 func ScheduleCtx(ctx context.Context, assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts ScheduleOptions) ([][]*tags.IterationChunk, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("core: nil tree")

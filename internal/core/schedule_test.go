@@ -14,13 +14,13 @@ import (
 
 func TestScheduleValidation(t *testing.T) {
 	tree := figure7Tree()
-	if _, err := Schedule(nil, nil, DefaultScheduleOptions()); err == nil {
+	if _, err := ScheduleCtx(context.Background(), nil, nil, DefaultScheduleOptions()); err == nil {
 		t.Error("nil tree accepted")
 	}
-	if _, err := Schedule(make([][]*tags.IterationChunk, 2), tree, DefaultScheduleOptions()); err == nil {
+	if _, err := ScheduleCtx(context.Background(), make([][]*tags.IterationChunk, 2), tree, DefaultScheduleOptions()); err == nil {
 		t.Error("wrong client count accepted")
 	}
-	if _, err := Schedule(make([][]*tags.IterationChunk, 4), tree, ScheduleOptions{Alpha: -1}); err == nil {
+	if _, err := ScheduleCtx(context.Background(), make([][]*tags.IterationChunk, 4), tree, ScheduleOptions{Alpha: -1}); err == nil {
 		t.Error("negative alpha accepted")
 	}
 }
@@ -28,11 +28,11 @@ func TestScheduleValidation(t *testing.T) {
 func TestSchedulePreservesChunkSets(t *testing.T) {
 	chunks := figure6Chunks(8)
 	tree := figure7Tree()
-	assign, err := Distribute(chunks, tree, DefaultOptions())
+	assign, err := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := Schedule(assign, tree, DefaultScheduleOptions())
+	sched, err := ScheduleCtx(context.Background(), assign, tree, DefaultScheduleOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestSchedulePreservesChunkSets(t *testing.T) {
 func TestScheduleDoesNotMutateInput(t *testing.T) {
 	chunks := figure6Chunks(8)
 	tree := figure7Tree()
-	assign, _ := Distribute(chunks, tree, DefaultOptions())
+	assign, _ := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
 	before := make([][]*tags.IterationChunk, len(assign))
 	for i := range assign {
 		before[i] = append([]*tags.IterationChunk(nil), assign[i]...)
 	}
-	if _, err := Schedule(assign, tree, DefaultScheduleOptions()); err != nil {
+	if _, err := ScheduleCtx(context.Background(), assign, tree, DefaultScheduleOptions()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range assign {
@@ -89,7 +89,7 @@ func TestScheduleFirstClientStartsWithFewestDataChunks(t *testing.T) {
 		{mk([]int{7}, 40, 50)},
 		{mk([]int{8}, 50, 60)},
 	}
-	sched, err := Schedule(assign, tree, DefaultScheduleOptions())
+	sched, err := ScheduleCtx(context.Background(), assign, tree, DefaultScheduleOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestScheduleHorizontalAffinity(t *testing.T) {
 		{mk([]int{1}, 30)},
 		{mk([]int{2}, 40)},
 	}
-	sched, err := Schedule(assign, tree, ScheduleOptions{Alpha: 1, Beta: 0})
+	sched, err := ScheduleCtx(context.Background(), assign, tree, ScheduleOptions{Alpha: 1, Beta: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestScheduleVerticalAffinity(t *testing.T) {
 		{mk([]int{0}, 0), mk([]int{7, 8}, 10), mk([]int{0, 1}, 20)},
 		nil, nil, nil,
 	}
-	sched, err := Schedule(assign, tree, ScheduleOptions{Alpha: 0, Beta: 1})
+	sched, err := ScheduleCtx(context.Background(), assign, tree, ScheduleOptions{Alpha: 0, Beta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestScheduleFigure17Structure(t *testing.T) {
 	// equal data chunks comes first and chains by reuse.
 	chunks := figure6Chunks(8)
 	tree := figure7Tree()
-	assign, _ := Distribute(chunks, tree, DefaultOptions())
-	sched, err := Schedule(assign, tree, DefaultScheduleOptions())
+	assign, _ := DistributeCtx(context.Background(), chunks, tree, DefaultOptions())
+	sched, err := ScheduleCtx(context.Background(), assign, tree, DefaultScheduleOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestScheduleBalancesCircularly(t *testing.T) {
 		{mk(10, 40, 5), mk(10, 50, 6)},
 		{mk(1, 60, 7)},
 	}
-	sched, err := Schedule(assign, tree, DefaultScheduleOptions())
+	sched, err := ScheduleCtx(context.Background(), assign, tree, DefaultScheduleOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestScheduleBalancesCircularly(t *testing.T) {
 func TestScheduleEmptyClients(t *testing.T) {
 	tree := figure7Tree()
 	assign := make([][]*tags.IterationChunk, 4)
-	sched, err := Schedule(assign, tree, DefaultScheduleOptions())
+	sched, err := ScheduleCtx(context.Background(), assign, tree, DefaultScheduleOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestPropertySchedulePermutation(t *testing.T) {
 			}
 		}
 		opts := ScheduleOptions{Alpha: rr.Float64(), Beta: rr.Float64()}
-		sched, err := Schedule(assign, tree, opts)
+		sched, err := ScheduleCtx(context.Background(), assign, tree, opts)
 		if err != nil {
 			return false
 		}
@@ -345,7 +345,7 @@ func TestScheduleEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := Schedule(tc.assign, tc.tree, tc.opts)
+			out, err := ScheduleCtx(context.Background(), tc.assign, tc.tree, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -89,7 +90,7 @@ func TestSparseSimilaritySmoke(t *testing.T) {
 	clock := &pairStatsClock{}
 	opts := DefaultOptions()
 	opts.Clock = clock
-	if _, err := Distribute(chunks, figure7Tree(), opts); err != nil {
+	if _, err := DistributeCtx(context.Background(), chunks, figure7Tree(), opts); err != nil {
 		t.Fatal(err)
 	}
 	if clock.dense == 0 {
@@ -255,66 +256,51 @@ func TestDependentPairsConservativeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestSplitUpToMatchesRescan pins the heap-based splitUpTo against the
-// original full-rescan selection on random cluster lists.
-func TestSplitUpToMatchesRescan(t *testing.T) {
-	rescan := func(d *distributor, clusters []*Cluster, k int) []*Cluster {
-		for len(clusters) < k {
-			best := -1
-			for i, c := range clusters {
-				if best < 0 || c.Size > clusters[best].Size ||
-					(c.Size == clusters[best].Size && c.firstIter() < clusters[best].firstIter()) {
-					best = i
-				}
-			}
-			if best < 0 {
-				clusters = append(clusters, newCluster(d.r))
-				continue
-			}
-			a, b := d.breakCluster(clusters[best])
-			clusters[best] = a
-			clusters = append(clusters, b)
-		}
-		return clusters
+// TestSplitUpTo pins splitUpTo's choices: an empty list is padded with
+// empty clusters, and each split breaks the largest cluster, a size tie
+// going to the earliest first iteration and then to the lowest position.
+// The halves take the broken cluster's position and the end of the list.
+func TestSplitUpTo(t *testing.T) {
+	const r = 8
+	// cluster builds a one-chunk cluster of iterations [lo, lo+n).
+	cluster := func(lo, n int64) *Cluster {
+		c := newCluster(r)
+		c.add(&tags.IterationChunk{Tag: bitvec.FromIndices(r, int(lo)%r).Sparse(), Iters: itset.Interval(lo, lo+n)})
+		return c
 	}
-	build := func(rr *rand.Rand, r, n int) []*Cluster {
-		var cursor int64
-		out := make([]*Cluster, n)
-		for i := range out {
-			c := newCluster(r)
-			for m := 0; m < 1+rr.Intn(3); m++ {
-				cnt := int64(1 + rr.Intn(30))
-				c.add(&tags.IterationChunk{Tag: bitvec.FromIndices(r, rr.Intn(r)).Sparse(),
-					Iters: itset.Interval(cursor, cursor+cnt)})
-				cursor += cnt
+	// desc renders each cluster as first iteration:size, "-" for none.
+	desc := func(cs []*Cluster) string {
+		var b strings.Builder
+		for _, c := range cs {
+			if first := c.firstIter(); first == 1<<62 {
+				fmt.Fprintf(&b, " -:%d", c.Size)
+			} else {
+				fmt.Fprintf(&b, " %d:%d", first, c.Size)
 			}
-			out[i] = c
+			if c.Tag.Len() != r {
+				fmt.Fprintf(&b, "(tag width %d)", c.Tag.Len())
+			}
 		}
-		return out
+		return b.String()
 	}
-	for seed := int64(0); seed < 40; seed++ {
-		rr := rand.New(rand.NewSource(seed))
-		r := 4 + rr.Intn(12)
-		n := rr.Intn(8) // 0 included: the pad-with-empties path
-		k := n + 1 + rr.Intn(10)
-		d := &distributor{r: r}
-		rr2 := rand.New(rand.NewSource(seed))
-		want := rescan(d, build(rr2, r, n), k)
-		rr3 := rand.New(rand.NewSource(seed))
-		got := d.splitUpTo(build(rr3, r, n), k)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d clusters, want %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Size != want[i].Size || !got[i].Tag.Equal(want[i].Tag) ||
-				len(got[i].Members) != len(want[i].Members) {
-				t.Fatalf("seed %d: cluster %d differs (size %d vs %d)", seed, i, got[i].Size, want[i].Size)
-			}
-			for m := range got[i].Members {
-				if !got[i].Members[m].Iters.Equal(want[i].Members[m].Iters) {
-					t.Fatalf("seed %d: cluster %d member %d differs", seed, i, m)
-				}
-			}
+	for _, tc := range []struct {
+		name string
+		in   []*Cluster
+		k    int
+		want string
+	}{
+		{"empty list pads", nil, 3, " -:0 -:0 -:0"},
+		{"enough clusters", []*Cluster{cluster(0, 4)}, 1, " 0:4"},
+		{"largest first", []*Cluster{cluster(0, 3), cluster(3, 6)}, 3, " 0:3 3:3 6:3"},
+		{"tie to first iteration", []*Cluster{cluster(10, 4), cluster(2, 4), cluster(20, 3)}, 4, " 10:4 2:2 20:3 4:2"},
+		{"tie to position", []*Cluster{cluster(5, 4), cluster(5, 4)}, 3, " 5:2 5:4 7:2"},
+		{"repeated splits", []*Cluster{cluster(0, 8)}, 4, " 0:2 4:2 2:2 6:2"},
+	} {
+		d := &distributor{ctx: context.Background(), r: r}
+		got := desc(d.splitUpTo(tc.in, tc.k))
+		d.release()
+		if got != tc.want {
+			t.Errorf("%s: got%s, want%s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -8,8 +8,8 @@
 //
 // Every mapping entry point in the repository (the cachemap facade, the
 // daemons, the experiment harness and the CLIs) routes through this
-// package; core.Distribute / core.Schedule are implementation details the
-// pipeline drives.
+// package; core.DistributeCtx / core.ScheduleCtx are implementation
+// details the pipeline drives.
 //
 // The embarrassingly parallel stages (tag computation over iteration
 // ranges, similarity weighting over row blocks) fan out over

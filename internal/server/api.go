@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/cache"
@@ -298,6 +299,9 @@ func buildWorkload(spec WorkloadSpec) (cachedWorkload, error) {
 	}
 	if spec.ChunkKB < 0 {
 		return cachedWorkload{}, fmt.Errorf("workload: negative chunk_kb %d", spec.ChunkKB)
+	}
+	if spec.ChunkKB > math.MaxInt64/1024 {
+		return cachedWorkload{}, fmt.Errorf("workload: chunk_kb %d overflows int64 bytes", spec.ChunkKB)
 	}
 	if spec.ChunkKB > 0 {
 		w = w.WithChunkBytes(spec.ChunkKB * 1024)

@@ -19,25 +19,38 @@ import (
 // stencil) and its fields, a topology of 2-4 layers of at most 64 nodes,
 // the scheme, balance threshold, alpha, beta and dependence mode. Every
 // field is folded into a range that keeps one input small and fast
-// (synth extent <= 4096 and passes <= 8, stencil grids <= 256x256). No
-// answer may be a 500, and no panic may be recovered. A crasher lands in
+// (synth extent <= 4096 and passes <= 8, stencil grids <= 256x256, element
+// sizes <= 512 bytes), except that chunk_kb and the synth and stencil chunk
+// sizes reach the int64 edge, where a size whose bytes overflow must be a
+// 400: larger chunks only make a plan cheaper. No answer may be a 500, and
+// no panic may be recovered. A crasher lands in
 // testdata/fuzz/FuzzMapRequest.
 func FuzzMapRequest(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint8(3), uint16(0), uint16(0), int8(0), int8(0), int8(0), false, int8(0), int8(0), int8(0),
+	f.Add(uint8(0), uint8(1), uint8(3), uint16(0), uint16(0), int8(0), int8(0), int8(0), false, int8(0), int64(0), int64(0),
 		uint8(1), uint32(0x020201), uint32(0x040810), uint8(4), uint8(0), 0.1, 0.5, 0.5) // sar on 2/6/18, inter-sched
-	f.Add(uint8(1), uint8(0), uint8(2), uint16(512), uint16(16), int8(1), int8(3), int8(2), true, int8(3), int8(1), int8(0),
+	f.Add(uint8(1), uint8(0), uint8(2), uint16(512), uint16(16), int8(1), int8(3), int8(2), true, int8(3), int64(4096), int64(0),
 		uint8(0), uint32(0x0202), uint32(0x0408), uint8(3), uint8(1), 0.2, 0.25, 1.0) // a synth with a hot table
-	f.Add(uint8(2), uint8(0), uint8(2), uint16(32), uint16(48), int8(1), int8(-1), int8(0), false, int8(0), int8(0), int8(2),
+	f.Add(uint8(2), uint8(0), uint8(2), uint16(32), uint16(48), int8(1), int8(-1), int8(0), false, int8(0), int64(0), int64(2),
 		uint8(2), uint32(0x02020202), uint32(0x02040810), uint8(2), uint8(2), 0.05, 0.0, 0.0) // a stencil on 4 layers, merge
+	f.Add(uint8(0), uint8(2), uint8(8), uint16(0), uint16(0), int8(0), int8(0), int8(0), false, int8(0), int64(0), int64(1)<<53,
+		uint8(1), uint32(0x080402), uint32(0x040810), uint8(3), uint8(0), 0.1, 0.5, 0.5) // chunk_kb 2^53: its bytes overflow
 	f.Fuzz(func(t *testing.T, kind, app, passes uint8, a, b uint16, stride, offset, drift int8, flag bool,
-		elem, chunk, chunkKB int8, layers uint8, nodes, caps uint32, scheme, dep uint8, threshold, alpha, beta float64) {
-		// size keeps a negative or zero (default) size and otherwise
-		// picks one of four powers of two from unit.
-		size := func(v int8, unit int64) int64 {
+		elem int8, chunk, chunkKB int64, layers uint8, nodes, caps uint32, scheme, dep uint8, threshold, alpha, beta float64) {
+		// elemBytes keeps a negative or zero (default) element size and
+		// otherwise picks one of 64, 128, 256 and 512 bytes; chunkBytes
+		// keeps a negative or zero chunk size and raises any other to at
+		// least 2 KiB.
+		elemBytes := func(v int8) int64 {
 			if v <= 0 {
 				return int64(v)
 			}
-			return unit << (v % 4)
+			return 64 << (v % 4)
+		}
+		chunkBytes := func(v int64) int64 {
+			if v <= 0 {
+				return v
+			}
+			return max(v, 2048)
 		}
 		var w WorkloadSpec
 		switch kind % 3 {
@@ -48,16 +61,16 @@ func FuzzMapRequest(f *testing.F) {
 			w.Synth = &workloads.SynthSpec{
 				Passes: int64(passes % 9), Extent: int64(a % 4097), HotTable: int64(b % 257), PerPassOut: flag,
 				Streams:   []workloads.StreamSpec{{Stride: int64(stride % 5), Offset: int64(offset), Drift: int64(drift % 17)}},
-				ElemBytes: size(elem, 64), ChunkBytes: size(chunk, 2048),
+				ElemBytes: elemBytes(elem), ChunkBytes: chunkBytes(chunk),
 			}
 		default:
 			w.Stencil = &workloads.StencilSpec{
 				Passes: int64(passes % 5), Rows: int64(a % 257), Cols: int64(b % 257), InPlace: flag,
 				Offsets:   [][2]int64{{int64(stride % 4), int64(offset % 4)}, {int64(drift % 4), 0}},
-				ElemBytes: size(elem, 64), ChunkBytes: size(chunk, 2048),
+				ElemBytes: elemBytes(elem), ChunkBytes: chunkBytes(chunk),
 			}
 		}
-		w.ChunkKB = int64(chunkKB % 17)
+		w.ChunkKB = chunkKB
 		var counts, capacities []string
 		n := 1
 		for i := range 2 + int(layers%3) {

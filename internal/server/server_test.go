@@ -165,6 +165,19 @@ func TestMapEndpointErrors(t *testing.T) {
 		{"negative synth chunk", `{"workload":{"synth":{"Passes":1,"Extent":64,"Streams":[{"Stride":1}],"ChunkBytes":-8}},"topology":"1/2/4"}`, http.StatusBadRequest},
 		{"negative stencil elem", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ElemBytes":-8}},"topology":"1/2/4"}`, http.StatusBadRequest},
 		{"negative stencil chunk", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ChunkBytes":-8}},"topology":"1/2/4"}`, http.StatusBadRequest},
+		// Sizes at the int64 edge: bytes that overflow are a 400, and a
+		// huge chunk size that fits gets a plan.
+		{"chunk_kb at the edge", `{"workload":{"app":"hf","scale":8,"chunk_kb":9007199254740991},"topology":"2/4/8@16,8,4"}`, http.StatusOK},
+		{"chunk_kb overflows", `{"workload":{"app":"hf","scale":8,"chunk_kb":9007199254740992},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"synth elem 2^58 overflows", `{"workload":{"synth":{"Passes":1,"Extent":64,"Streams":[{"Stride":1}],"ElemBytes":288230376151711744}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"synth elem 2^62 overflows", `{"workload":{"synth":{"Passes":1,"Extent":64,"Streams":[{"Stride":1}],"ElemBytes":4611686018427387904}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"stencil elem 2^58 overflows", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ElemBytes":288230376151711744}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"stencil elem 2^62 overflows", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ElemBytes":4611686018427387904}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"synth elements overflow", `{"workload":{"synth":{"Passes":4611686018427387904,"Extent":4,"PerPassOut":true,"Streams":[{"Stride":1}]}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"stencil elements overflow", `{"workload":{"stencil":{"Passes":1,"Rows":4611686018427387904,"Cols":8}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"synth subscript overflows", `{"workload":{"synth":{"Passes":1,"Extent":1,"Streams":[{"Stride":1,"Offset":9223372036854775807}]}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"synth chunk at the edge", `{"workload":{"synth":{"Passes":1,"Extent":64,"Streams":[{"Stride":1}],"ChunkBytes":9223372036854775807}},"topology":"2/4/8@16,8,4"}`, http.StatusOK},
+		{"stencil chunk at the edge", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ChunkBytes":9223372036854775807}},"topology":"2/4/8@16,8,4"}`, http.StatusOK},
 	}
 	for _, tc := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/map", "application/json", strings.NewReader(tc.body))
@@ -175,6 +188,9 @@ func TestMapEndpointErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, body)
+		}
+		if tc.want == http.StatusOK {
+			continue
 		}
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/chunking"
 	"repro/internal/iosim"
@@ -80,6 +81,9 @@ func Synthesize(spec SynthSpec) (Workload, error) {
 	if spec.HotTable > 0 {
 		hotArray = len(arrays)
 		arrays = append(arrays, chunking.Array{Name: "Hot", Dims: []int64{spec.HotTable}, ElemSize: elemB})
+	}
+	if err := checkBytes("synth", spec.Name, arrays); err != nil {
+		return Workload{}, err
 	}
 	data := chunking.NewDataSpace(chunkB, arrays...)
 
@@ -170,6 +174,9 @@ func SynthesizeStencil(spec StencilSpec) (Workload, error) {
 		outArray = 1
 		arrays = append(arrays, chunking.Array{Name: "Out", Dims: []int64{spec.Rows, spec.Cols}, ElemSize: elemB})
 	}
+	if err := checkBytes("stencil", spec.Name, arrays); err != nil {
+		return Workload{}, err
+	}
 	data := chunking.NewDataSpace(chunkB, arrays...)
 	nest := polyhedral.NewNest(spec.Name,
 		[]int64{0, maxR, maxC},
@@ -186,4 +193,21 @@ func SynthesizeStencil(spec StencilSpec) (Workload, error) {
 		Desc: fmt.Sprintf("synthetic stencil: %d passes over %dx%d panels, %d neighbours", spec.Passes, spec.Rows, spec.Cols, len(spec.Offsets)),
 		Prog: iosim.Program{Nest: nest, Refs: refs, Data: data},
 	}, nil
+}
+
+// checkBytes rejects a spec with an array whose byte count, its element
+// count times its element size, does not fit in int64. A dimension below 1
+// is rejected too: the specs' own checks leave only an overflowed
+// subscript to make one.
+func checkBytes(kind, name string, arrays []chunking.Array) error {
+	for _, a := range arrays {
+		bytes := a.ElemSize
+		for _, d := range a.Dims {
+			if d < 1 || d > math.MaxInt64/bytes {
+				return fmt.Errorf("workloads: %s %q: array %s of %d-byte elements overflows int64 bytes", kind, name, a.Name, a.ElemSize)
+			}
+			bytes *= d
+		}
+	}
+	return nil
 }
