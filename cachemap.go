@@ -169,8 +169,8 @@ func ComputeIterationChunks(nest *Nest, refs []Ref, data *DataSpace) []*Iteratio
 
 // Distribute runs the paper's hierarchical, cache-topology-aware iteration
 // distribution (Figure 5) and returns one chunk list per client. It routes
-// through the staged planner pipeline, so cancellation and per-phase
-// accounting behave exactly as in Map.
+// through the staged planner pipeline, so a failure names its stage (see
+// FailedStage) as in Map.
 func Distribute(chunks []*IterationChunk, tree *Hierarchy, opts DistributeOptions) ([][]*IterationChunk, error) {
 	return pipeline.Distribute(context.Background(), chunks, tree, opts)
 }

@@ -104,7 +104,8 @@ echo "==> zero-alloc steady-state gate (GOGC=off, TestAlloc*)"
 # sparse pair generation, the full distribution run, the plan-cache hit
 # serve path, tagging the cold_plan shape, encoding its assignment and
 # writing its plan's JSON — the JSON validator every disk hit runs over its
-# plan, and the metrics instruments every request updates must stay
+# plan, a pipeline run's fixed-slot stage ledger (the Run and its Timings
+# slice) and the metrics instruments every request updates must stay
 # allocation-free (or at their documented small constants) once warm. GOGC=off pins sync.Pool contents
 # for the whole run, so a GC-timed pool eviction can never fake a
 # regression.

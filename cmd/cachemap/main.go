@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"text/tabwriter"
 
 	"repro/internal/codegen"
@@ -128,21 +127,13 @@ func main() {
 	}
 }
 
-// stageTable writes the -v per-stage breakdown. Only the stages the
-// pipeline drives itself measure allocation; the distributor reports
-// similarity, cluster and balance as phases, which carry none, so their
-// alloc cell reads "-" rather than a false 0.
+// stageTable writes the -v per-stage breakdown.
 func stageTable(w io.Writer, schemes []pipeline.Scheme, rows map[pipeline.Scheme][]pipeline.StageTiming) {
 	stw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(stw, "scheme\tstage\tduration (ms)\talloc (KB)")
+	fmt.Fprintln(stw, "scheme\tstage\tduration (ms)")
 	for _, s := range schemes {
 		for _, st := range rows[s] {
-			alloc := strconv.FormatUint(st.AllocBytes/1024, 10)
-			switch st.Stage {
-			case pipeline.StageSimilarity, pipeline.StageCluster, pipeline.StageBalance:
-				alloc = "-"
-			}
-			fmt.Fprintf(stw, "%s\t%s\t%.3f\t%s\n", s, st.Stage, st.DurationMS, alloc)
+			fmt.Fprintf(stw, "%s\t%s\t%.3f\n", s, st.Stage, st.DurationMS)
 		}
 	}
 	stw.Flush()

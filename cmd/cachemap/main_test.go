@@ -57,10 +57,8 @@ func TestTopoConfig(t *testing.T) {
 	}
 }
 
-// TestStageTable: the -v table prints "-" in the alloc column for the
-// distributor's similarity, cluster and balance phases, which measure no
-// allocation, and a number for every stage the pipeline measures itself.
-// It once printed 0 for all three, which reads as "allocation-free".
+// TestStageTable: the -v table has a header and one row per stage Map
+// reports, in its order, each with the stage's duration.
 func TestStageTable(t *testing.T) {
 	w, err := workloads.Get("apsi", 1)
 	if err != nil {
@@ -78,27 +76,22 @@ func TestStageTable(t *testing.T) {
 	schemes := []pipeline.Scheme{pipeline.InterProcessor}
 	stageTable(&buf, schemes, map[pipeline.Scheme][]pipeline.StageTiming{pipeline.InterProcessor: res.Stages})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if got := strings.Fields(lines[0]); len(got) != 6 || got[4] != "alloc" {
+	if got := strings.Fields(lines[0]); len(got) != 4 || got[1] != "stage" || got[2] != "duration" {
 		t.Fatalf("header %q", lines[0])
 	}
-	unmeasured := map[string]bool{pipeline.StageSimilarity: true, pipeline.StageCluster: true, pipeline.StageBalance: true}
-	seen := 0
-	for _, line := range lines[1:] {
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			t.Fatalf("row %q: %d cells, want 4", line, len(f))
-		}
-		stage, alloc := f[1], f[3]
-		if unmeasured[stage] {
-			seen++
-			if alloc != "-" {
-				t.Errorf("%s alloc %q, want -", stage, alloc)
-			}
-		} else if _, err := strconv.ParseUint(alloc, 10, 64); err != nil {
-			t.Errorf("%s alloc %q, want a KB count", stage, alloc)
-		}
+	if len(lines)-1 != len(res.Stages) {
+		t.Fatalf("table has %d rows for %d stages:\n%s", len(lines)-1, len(res.Stages), buf.String())
 	}
-	if seen != len(unmeasured) {
-		t.Fatalf("table has %d of the similarity, cluster and balance rows:\n%s", seen, buf.String())
+	for i, line := range lines[1:] {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("row %q: %d cells, want 3", line, len(f))
+		}
+		if f[1] != res.Stages[i].Stage {
+			t.Errorf("row %d is stage %q, want %q", i, f[1], res.Stages[i].Stage)
+		}
+		if _, err := strconv.ParseFloat(f[2], 64); err != nil {
+			t.Errorf("%s duration %q, want milliseconds", f[1], f[2])
+		}
 	}
 }

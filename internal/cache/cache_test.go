@@ -110,6 +110,29 @@ func TestFIFOEvictionOrderIgnoresHits(t *testing.T) {
 	}
 }
 
+// TestFIFORemoveThenReinsert: a chunk removed (an exclusive-caching
+// promotion) and inserted again joins the back of the queue. Its stale
+// slot once made the next eviction take it, the newest resident, instead
+// of chunk 2, the oldest.
+func TestFIFORemoveThenReinsert(t *testing.T) {
+	c := New(FIFO, 3)
+	for _, chunk := range []int{1, 2, 3} {
+		c.Insert(chunk, false)
+	}
+	c.Remove(1)
+	c.Insert(1, false)
+	ev, ok := c.Insert(4, false)
+	if !ok || ev.Chunk != 2 {
+		t.Fatalf("evicted %v, want chunk 2", ev)
+	}
+	if !c.Contains(1) || !c.Contains(3) || !c.Contains(4) || c.Len() != 3 {
+		t.Fatal("FIFO contents wrong")
+	}
+	if ev, ok := c.Insert(5, false); !ok || ev.Chunk != 3 {
+		t.Fatalf("second eviction %v, want chunk 3", ev)
+	}
+}
+
 func TestCLOCKSecondChance(t *testing.T) {
 	c := New(CLOCK, 2)
 	c.Insert(1, false)

@@ -4,12 +4,13 @@ package cache
 type fifoCache struct {
 	capacity int
 	entries  map[int]*fifoEntry
-	queue    []int // insertion order of resident chunks
-	qhead    int   // index of the oldest live entry in queue
+	queue    []*fifoEntry // insertion order; a slot is live while entries maps its chunk to it
+	qhead    int          // index of the oldest slot in queue
 	stats    Stats
 }
 
 type fifoEntry struct {
+	chunk int
 	dirty bool
 }
 
@@ -36,25 +37,27 @@ func (c *fifoCache) Insert(chunk int, dirty bool) (Eviction, bool) {
 	var ev Eviction
 	evicted := false
 	if len(c.entries) >= c.capacity {
-		// Skip queue entries removed out of band (Remove).
+		// Skip slots whose entry was removed out of band (Remove), even if
+		// its chunk was inserted again since: that chunk's live slot is a
+		// later one.
 		for {
 			victim := c.queue[c.qhead]
 			c.qhead++
-			e, ok := c.entries[victim]
-			if !ok {
+			if c.entries[victim.chunk] != victim {
 				continue
 			}
-			delete(c.entries, victim)
-			ev = Eviction{Chunk: victim, Dirty: e.dirty}
+			delete(c.entries, victim.chunk)
+			ev = Eviction{Chunk: victim.chunk, Dirty: victim.dirty}
 			evicted = true
 			break
 		}
 	}
-	c.entries[chunk] = &fifoEntry{dirty: dirty}
-	c.queue = append(c.queue, chunk)
+	e := &fifoEntry{chunk: chunk, dirty: dirty}
+	c.entries[chunk] = e
+	c.queue = append(c.queue, e)
 	// Compact the queue occasionally so it does not grow unboundedly.
 	if c.qhead > len(c.queue)/2 && c.qhead > 1024 {
-		c.queue = append([]int(nil), c.queue[c.qhead:]...)
+		c.queue = append([]*fifoEntry(nil), c.queue[c.qhead:]...)
 		c.qhead = 0
 	}
 	return ev, evicted
@@ -66,7 +69,7 @@ func (c *fifoCache) Contains(chunk int) bool {
 }
 
 // Remove drops a resident chunk, returning its dirty state. The queue
-// entry is skipped lazily at eviction time.
+// slot is skipped lazily at eviction time.
 func (c *fifoCache) Remove(chunk int) bool {
 	e, ok := c.entries[chunk]
 	if !ok {

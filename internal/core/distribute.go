@@ -54,7 +54,7 @@ type Options struct {
 	// count.
 	Workers int
 	// Clock, if non-nil, observes the wall time of the internal phases
-	// ("similarity", "cluster", "balance"), accumulated across the
+	// (PhaseSimilarity, PhaseCluster, PhaseBalance), accumulated across the
 	// recursive hierarchy walk. Subtree workers report concurrently, so
 	// the phases' sum is busy time and can exceed the run's wall time.
 	// Implementations must be cheap and safe for concurrent use. A Clock
@@ -68,6 +68,13 @@ type Options struct {
 	// so a zero-drift repair never sees a donor.
 	slackExtra int64
 }
+
+// The distributor's algorithm phases, as named to Options.Clock.
+const (
+	PhaseSimilarity = "similarity"
+	PhaseCluster    = "cluster"
+	PhaseBalance    = "balance"
+)
 
 // PhaseClock observes the distributor's named algorithm phases. Each phase
 // is reported after the fact as one (name, start, duration) call, so the
@@ -606,7 +613,7 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 	for i := range active {
 		active[i] = true
 	}
-	simPhase := d.beginPhase("similarity")
+	simPhase := d.beginPhase(PhaseSimilarity)
 	// A singleton's tag is its member's, so its set bits go to the index as
 	// they are, and any dense tag it came with is dropped; only
 	// multi-member clusters list their dense tag's bits, in a slab.
@@ -633,7 +640,7 @@ func (d *distributor) mergeClusters(clusters []*Cluster, k int) ([]*Cluster, err
 		return nil, err
 	}
 
-	clusterPhase := d.beginPhase("cluster")
+	clusterPhase := d.beginPhase(PhaseCluster)
 	defer func() { clusterPhase.end(d) }()
 	seeds := scr.popOrder(shards, d.r)
 	if rec, ok := d.opts.Clock.(PairStatsRecorder); ok {
@@ -879,7 +886,7 @@ func (d *distributor) breakCluster(c *Cluster) (*Cluster, *Cluster) {
 // serve one round, and their index would never be read twice, while a
 // cold split's one long tenure pays a single extra scan.
 func (d *distributor) balance(clusters []*Cluster, weights []int64) error {
-	ph := d.beginPhase("balance")
+	ph := d.beginPhase(PhaseBalance)
 	defer func() { ph.end(d) }()
 	var total, wsum int64
 	for _, c := range clusters {

@@ -52,7 +52,7 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 	for i := range active {
 		active[i] = true
 	}
-	simPhase := d.beginPhase("similarity")
+	simPhase := d.beginPhase(PhaseSimilarity)
 	dots, err := d.pairDots(clusters)
 	if err != nil {
 		simPhase.end(d)
@@ -74,7 +74,7 @@ func (d *distributor) mergeClustersDense(clusters []*Cluster, k int) ([]*Cluster
 	}
 	simPhase.end(d)
 
-	clusterPhase := d.beginPhase("cluster")
+	clusterPhase := d.beginPhase(PhaseCluster)
 	defer func() { clusterPhase.end(d) }()
 	push := func(a, b int) {
 		h.push(densePair{
@@ -193,7 +193,7 @@ func (d *distributor) pairDots(clusters []*Cluster) ([]int64, error) {
 // evicted chunk's tag with the recipient cluster's tag; chunks are split
 // when no whole chunk satisfies the limits.
 func (d *distributor) balanceRef(clusters []*Cluster, weights []int64) error {
-	ph := d.beginPhase("balance")
+	ph := d.beginPhase(PhaseBalance)
 	defer func() { ph.end(d) }()
 	var total, wsum int64
 	for _, c := range clusters {

@@ -181,12 +181,7 @@ func Tileable(deps []polyhedral.Dependence) bool {
 // when rectangular tiling is illegal.
 func Optimize(nest *polyhedral.Nest, refs []polyhedral.Ref, data *chunking.DataSpace,
 	deps []polyhedral.Dependence, cacheChunks int) polyhedral.Order {
-	perm := BestPermutation(nest, refs, data, deps)
-	var tiles []int64
-	if Tileable(deps) {
-		tiles = TileSizes(nest, refs, data, cacheChunks)
-	}
-	return polyhedral.Order{Perm: perm, Tiles: tiles}
+	return CandidateOrders(nest, refs, data, deps, cacheChunks)[0]
 }
 
 // CandidateOrders returns the optimized order plus variants with uniform

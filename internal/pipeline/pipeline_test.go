@@ -38,6 +38,9 @@ func TestStageErrorIdentifiesStage(t *testing.T) {
 	if FailedStage(wrapped) != StageCluster {
 		t.Errorf("FailedStage through wrap = %q, want %q", FailedStage(wrapped), StageCluster)
 	}
+	if joined := errors.Join(base, err); FailedStage(joined) != StageCluster {
+		t.Errorf("FailedStage through join = %q, want %q", FailedStage(joined), StageCluster)
+	}
 	if FailedStage(base) != "" {
 		t.Errorf("FailedStage of plain error = %q, want empty", FailedStage(base))
 	}

@@ -301,55 +301,47 @@ func distribute(r *Run, chunks []*tags.IterationChunk, cfg Config) ([][]*tags.It
 	// The distributor drives its own phases, so the cluster stage's hook
 	// fires here rather than through r.stage.
 	if r.hook != nil {
-		if err := r.hook(r.Context(), StageCluster); err != nil {
-			return nil, &StageError{Stage: StageCluster, Err: err}
+		if err := r.hook(r.ctx, StageCluster); err != nil {
+			return nil, stageErr(StageCluster, err)
 		}
 	}
 	opts := cfg.Options
 	opts.Workers = cfg.Workers
 	opts.Clock = r
-	perClient, err := core.DistributeCtx(r.Context(), chunks, cfg.Tree, opts)
+	perClient, err := core.DistributeCtx(r.ctx, chunks, cfg.Tree, opts)
 	if err != nil {
-		return nil, &StageError{Stage: StageCluster, Err: err}
+		return nil, stageErr(StageCluster, err)
 	}
 	return perClient, nil
 }
 
 // Distribute runs the paper's Figure 5 hierarchical distribution as a
-// standalone pipeline fragment: one Run under ctx, with the similarity,
-// cluster and balance phases checking ctx cooperatively. It is the
-// supported route to the distributor for callers outside the full Map
-// pipeline (the library facade, benchmarks, overhead measurements).
+// standalone pipeline fragment under ctx, with the similarity, cluster and
+// balance phases checking ctx cooperatively and reporting to opts.Clock.
+// Workers below 1 use GOMAXPROCS, and a failure names the cluster stage.
+// It is the supported route to the distributor for callers outside the
+// full Map pipeline (the library facade, benchmarks, overhead measurements).
 func Distribute(ctx context.Context, chunks []*tags.IterationChunk, tree *hierarchy.Tree, opts core.Options) ([][]*tags.IterationChunk, error) {
-	r := NewRun(ctx)
 	if opts.Workers < 1 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Clock == nil {
-		opts.Clock = r
-	}
-	perClient, err := core.DistributeCtx(r.Context(), chunks, tree, opts)
+	perClient, err := core.DistributeCtx(ctx, chunks, tree, opts)
 	if err != nil {
-		return nil, &StageError{Stage: StageCluster, Err: err}
+		return nil, stageErr(StageCluster, err)
 	}
 	return perClient, nil
 }
 
 // Schedule reorders each client's chunks for chunk-level reuse (Figure 15)
 // as a standalone pipeline fragment under ctx. Workers below 1 use
-// GOMAXPROCS, as in Distribute.
+// GOMAXPROCS, as in Distribute, and a failure names the schedule stage.
 func Schedule(ctx context.Context, assign [][]*tags.IterationChunk, tree *hierarchy.Tree, opts core.ScheduleOptions) ([][]*tags.IterationChunk, error) {
-	r := NewRun(ctx)
 	if opts.Workers < 1 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	var out [][]*tags.IterationChunk
-	if err := r.stage(StageSchedule, func(ctx context.Context) error {
-		var err error
-		out, err = core.ScheduleCtx(ctx, assign, tree, opts)
-		return err
-	}); err != nil {
-		return nil, err
+	out, err := core.ScheduleCtx(ctx, assign, tree, opts)
+	if err != nil {
+		return nil, stageErr(StageSchedule, err)
 	}
 	return out, nil
 }
@@ -386,28 +378,11 @@ func mapInter(r *Run, scheme Scheme, prog iosim.Program, cfg Config) (*Result, e
 		return nil, err
 	}
 
-	// The pre-schedule clustering is the resumable artifact: a Resume
-	// re-enters here with a drifted tree. RescheduleStages never mutates
-	// its input, so the snapshot needs no copy.
 	res.NumChunks = len(res.Chunks)
-	res.Clustering = perClient
 	res.resumable = cfg.DepMode == DepIgnore
-
-	if err := r.stage(StageSchedule, func(ctx context.Context) error {
-		// For the plain inter-processor scheme the paper executes a
-		// client's chunks in no particular order; RescheduleStages uses
-		// lexicographic order of first iteration as the deterministic
-		// neutral choice.
-		var err error
-		perClient, err = core.RescheduleStages(ctx, perClient, cfg.Tree, cfg.Schedule, scheme == InterProcessorSched)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	res.PerClient = perClient
-
-	if err := r.stage(StageEncode, func(context.Context) error {
-		if cfg.DepMode == DepSync {
+	var syncEdges func([][]*tags.IterationChunk)
+	if cfg.DepMode == DepSync {
+		syncEdges = func(perClient [][]*tags.IterationChunk) {
 			owner := make([]int, len(distChunks))
 			for i := range owner {
 				owner[i] = -1
@@ -425,10 +400,39 @@ func mapInter(r *Run, scheme Scheme, prog iosim.Program, cfg Config) (*Result, e
 			}
 			res.SyncEdges = core.CrossClientDependences(pairs, owner)
 		}
-		res.Assignment = encodeAssignment(perClient)
-		return nil
-	}); err != nil {
+	}
+	if err := scheduleEncode(r, res, perClient, cfg, syncEdges); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// scheduleEncode is the tail Map's inter schemes and Resume share: it
+// keeps the balanced clustering as res.Clustering, the artifact a Resume
+// re-enters with, then runs the schedule and encode stages on it. hook,
+// when non-nil, runs inside the encode stage on the scheduled chunks.
+func scheduleEncode(r *Run, res *Result, clustering [][]*tags.IterationChunk, cfg Config, hook func([][]*tags.IterationChunk)) error {
+	// RescheduleStages never mutates its input, so the snapshot needs no
+	// copy.
+	res.Clustering = clustering
+	var perClient [][]*tags.IterationChunk
+	if err := r.stage(StageSchedule, func(ctx context.Context) error {
+		// For the plain inter-processor scheme the paper executes a
+		// client's chunks in no particular order; RescheduleStages uses
+		// lexicographic order of first iteration as the deterministic
+		// neutral choice.
+		var err error
+		perClient, err = core.RescheduleStages(ctx, clustering, cfg.Tree, cfg.Schedule, res.Scheme == InterProcessorSched)
+		return err
+	}); err != nil {
+		return err
+	}
+	res.PerClient = perClient
+	return r.stage(StageEncode, func(context.Context) error {
+		if hook != nil {
+			hook(perClient)
+		}
+		res.Assignment = encodeAssignment(perClient)
+		return nil
+	})
 }

@@ -91,8 +91,6 @@ func Resume(ctx context.Context, st *State, cfg Config) (*Result, error) {
 	}
 	r := NewRun(ctx)
 	r.SetHook(cfg.StageHook)
-	res := &Result{Scheme: st.Scheme, NumChunks: st.NumChunks, resumable: true}
-
 	var perClient [][]*tags.IterationChunk
 	if err := r.stage(StageBalance, func(ctx context.Context) error {
 		opts := cfg.Options
@@ -103,21 +101,8 @@ func Resume(ctx context.Context, st *State, cfg Config) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	res.Clustering = perClient
-
-	if err := r.stage(StageSchedule, func(ctx context.Context) error {
-		var err error
-		perClient, err = core.RescheduleStages(ctx, perClient, cfg.Tree, cfg.Schedule, st.Scheme == InterProcessorSched)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	res.PerClient = perClient
-
-	if err := r.stage(StageEncode, func(context.Context) error {
-		res.Assignment = encodeAssignment(perClient)
-		return nil
-	}); err != nil {
+	res := &Result{Scheme: st.Scheme, NumChunks: st.NumChunks, resumable: true}
+	if err := scheduleEncode(r, res, perClient, cfg, nil); err != nil {
 		return nil, err
 	}
 	res.Stages = r.Timings()

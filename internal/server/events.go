@@ -47,8 +47,8 @@ type Event struct {
 	DegradedCause string `json:"degraded_cause,omitempty"`
 	// AdmissionWaitMS is the time spent waiting for a worker slot.
 	AdmissionWaitMS float64 `json:"admission_wait_ms,omitempty"`
-	// StageMS maps pipeline stage name to its duration for this plan's
-	// production (cache hits report the original computation's stages).
+	// StageMS maps pipeline stage name to its duration for a plan this
+	// request produced; a cached, stale or peer-filled plan reports none.
 	StageMS map[string]float64 `json:"stage_ms,omitempty"`
 	Error   string             `json:"error,omitempty"`
 	// QualitySampled marks the response as drawn for shadow simulation;

@@ -367,16 +367,19 @@ func TestSnapshotEndpoints(t *testing.T) {
 
 // planRecordGolden is TestPlanCodecPayload's fixture as a plan-log
 // payload, in the bytes the codec wrote before cachedPlan carried its own
-// JSON tags (FuzzPlanWire seeds from it too).
+// JSON tags and before stages lost their alloc_bytes (FuzzPlanWire seeds
+// from it too).
 const planRecordGolden = `{"plan":{"schema":1,"scheme":"inter-sched","clients":2,"work":[[{"runs":[[0,4],[8,12]]}],[{"explicit":[5,4,7]}]],"total_iterations":11,"iteration_chunks":3,"sync_edges":1},"stages":[{"stage":"tags","duration_ms":0.25,"alloc_bytes":4096},{"stage":"similarity","duration_ms":1.5,"pairs_generated":12,"pairs_dense":21}],"filled_from":"10.0.0.7:8700","replanned":"incremental","reused_stages":["tags","chunks"]}`
 
-// TestPlanCodecPayload pins one fixture's disk payload to the bytes the
-// codec wrote before cachedPlan carried its own JSON tags, so a log
-// written by an older daemon still warm-starts this one. The resumable
-// state stays out of the image, and a payload whose plan schema differs
-// is rejected.
+// planRecordEncoded is the same fixture in the bytes the codec writes
+// now: planRecordGolden without the tags stage's alloc_bytes.
+const planRecordEncoded = `{"plan":{"schema":1,"scheme":"inter-sched","clients":2,"work":[[{"runs":[[0,4],[8,12]]}],[{"explicit":[5,4,7]}]],"total_iterations":11,"iteration_chunks":3,"sync_edges":1},"stages":[{"stage":"tags","duration_ms":0.25},{"stage":"similarity","duration_ms":1.5,"pairs_generated":12,"pairs_dense":21}],"filled_from":"10.0.0.7:8700","replanned":"incremental","reused_stages":["tags","chunks"]}`
+
+// TestPlanCodecPayload pins one fixture's disk payload to
+// planRecordEncoded and decodes it from planRecordGolden, so a log written
+// by an older daemon still warm-starts this one. The resumable state stays
+// out of the image, and a payload whose plan schema differs is rejected.
 func TestPlanCodecPayload(t *testing.T) {
-	const golden = planRecordGolden
 	plan := mapping.Plan{
 		Schema:  mapping.PlanSchemaVersion,
 		Scheme:  pipeline.InterProcessorSched,
@@ -392,7 +395,7 @@ func TestPlanCodecPayload(t *testing.T) {
 	fixture := cachedPlan{
 		Plan: mustPlanJSON(t, plan),
 		Stages: []pipeline.StageTiming{
-			{Stage: "tags", DurationMS: 0.25, AllocBytes: 4096},
+			{Stage: "tags", DurationMS: 0.25},
 			{Stage: "similarity", DurationMS: 1.5, PairsGenerated: 12, PairsDense: 21},
 		},
 		FilledFrom:   "10.0.0.7:8700",
@@ -405,16 +408,18 @@ func TestPlanCodecPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != golden {
-		t.Fatalf("payload changed:\n got %s\nwant %s", b, golden)
-	}
-	got, err := codec.Decode([]byte(golden))
-	if err != nil {
-		t.Fatalf("Decode(golden): %v", err)
+	if string(b) != planRecordEncoded {
+		t.Fatalf("payload changed:\n got %s\nwant %s", b, planRecordEncoded)
 	}
 	fixture.state = nil
-	if !reflect.DeepEqual(got, fixture) {
-		t.Fatalf("Decode(golden) = %+v, want %+v", got, fixture)
+	for _, rec := range []string{planRecordGolden, planRecordEncoded} {
+		got, err := codec.Decode([]byte(rec))
+		if err != nil {
+			t.Fatalf("Decode(%s): %v", rec, err)
+		}
+		if !reflect.DeepEqual(got, fixture) {
+			t.Fatalf("Decode(%s) = %+v, want %+v", rec, got, fixture)
+		}
 	}
 
 	plan.Schema = mapping.PlanSchemaVersion + 1

@@ -310,6 +310,36 @@ func TestDebugEventsFiltersAndLimit(t *testing.T) {
 	}
 }
 
+// TestCachedEventHasNoStageMS: a hit's wide event carries no stage_ms,
+// because no stage ran on that request, while the hit's response keeps
+// the stages of the plan's original computation.
+func TestCachedEventHasNoStageMS(t *testing.T) {
+	s := newTestServer(t, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	postJSON(t, ts.Client(), ts.URL+"/v1/map", namedSynthReq("hit", 64))
+	_, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", namedSynthReq("hit", 64))
+	var hit MapResponse
+	if err := json.Unmarshal(body, &hit); err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || len(hit.Stages) == 0 {
+		t.Fatalf("repeat request: cached %v, %d stages; want a hit with the origin's stages", hit.Cached, len(hit.Stages))
+	}
+	for mode, want := range map[string]bool{quality.ModeFull: true, quality.ModeCached: false} {
+		var er eventsResponse
+		getDebugJSON(t, ts.URL+"/debug/events?family=hit&mode="+mode, &er)
+		if er.Count != 1 {
+			t.Fatalf("%s events: %d, want 1", mode, er.Count)
+		}
+		if got := len(er.Events[0].StageMS) > 0; got != want {
+			t.Errorf("%s event has stage_ms %v, want %v", mode, er.Events[0].StageMS, want)
+		}
+	}
+}
+
 func TestDebugTracesLimitAndBound(t *testing.T) {
 	s := newTestServer(t, Config{})
 	defer s.Close()

@@ -823,7 +823,9 @@ func (s *Server) annotateMap(ctx context.Context, j *job, resp *MapResponse) {
 	ev.CacheKey = resp.CacheKey
 	ev.ReusedStages = resp.ReusedStages
 	ev.DegradedCause = resp.DegradedCause
-	if len(resp.Stages) > 0 {
+	// Only a plan this request produced reports its stages here: a hit's or
+	// a stale plan's (both Cached) and a peer's fill ran elsewhere.
+	if !resp.Cached && resp.FilledFrom == "" && len(resp.Stages) > 0 {
 		ev.StageMS = make(map[string]float64, len(resp.Stages))
 		for _, st := range resp.Stages {
 			ev.StageMS[st.Stage] = st.DurationMS

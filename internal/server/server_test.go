@@ -176,6 +176,7 @@ func TestMapEndpointErrors(t *testing.T) {
 		{"synth elements overflow", `{"workload":{"synth":{"Passes":4611686018427387904,"Extent":4,"PerPassOut":true,"Streams":[{"Stride":1}]}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
 		{"stencil elements overflow", `{"workload":{"stencil":{"Passes":1,"Rows":4611686018427387904,"Cols":8}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
 		{"synth subscript overflows", `{"workload":{"synth":{"Passes":1,"Extent":1,"Streams":[{"Stride":1,"Offset":9223372036854775807}]}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
+		{"synth stride wraps the subscript", `{"workload":{"synth":{"Passes":2,"Extent":4,"Streams":[{"Stride":4611686018427387904}]}},"topology":"2/4/8@16,8,4"}`, http.StatusBadRequest},
 		{"synth chunk at the edge", `{"workload":{"synth":{"Passes":1,"Extent":64,"Streams":[{"Stride":1}],"ChunkBytes":9223372036854775807}},"topology":"2/4/8@16,8,4"}`, http.StatusOK},
 		{"stencil chunk at the edge", `{"workload":{"stencil":{"Passes":1,"Rows":8,"Cols":8,"ChunkBytes":9223372036854775807}},"topology":"2/4/8@16,8,4"}`, http.StatusOK},
 	}

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/chunking"
 	"repro/internal/iosim"
@@ -64,10 +65,11 @@ func Synthesize(spec SynthSpec) (Workload, error) {
 		if st.Offset < 0 || st.Drift < 0 {
 			return Workload{}, fmt.Errorf("workloads: synth %q stream %d has negative offset/drift", spec.Name, i)
 		}
-		sub := st.Stride*(spec.Extent-1) + st.Offset + st.Drift*(spec.Passes-1)
-		if sub > maxSub {
-			maxSub = sub
+		sub, ok := streamReach(st, spec.Extent, spec.Passes)
+		if !ok {
+			return Workload{}, fmt.Errorf("workloads: synth %q stream %d's largest subscript overflows int64", spec.Name, i)
 		}
+		maxSub = max(maxSub, sub)
 	}
 
 	arrays := []chunking.Array{{Name: "In", Dims: []int64{maxSub + 1}, ElemSize: elemB}}
@@ -195,10 +197,20 @@ func SynthesizeStencil(spec StencilSpec) (Workload, error) {
 	}, nil
 }
 
+// streamReach returns a stream's largest subscript, Stride·(Extent−1) +
+// Offset + Drift·(Passes−1), whose terms are all non-negative, and false
+// unless it and the input size one past it fit in int64.
+func streamReach(st StreamSpec, extent, passes int64) (int64, bool) {
+	hi1, span := bits.Mul64(uint64(st.Stride), uint64(extent-1))
+	hi2, drift := bits.Mul64(uint64(st.Drift), uint64(passes-1))
+	sub, c1 := bits.Add64(span, uint64(st.Offset), 0)
+	sub, c2 := bits.Add64(sub, drift, 0)
+	return int64(sub), hi1|hi2|c1|c2 == 0 && sub < math.MaxInt64
+}
+
 // checkBytes rejects a spec with an array whose byte count, its element
 // count times its element size, does not fit in int64. A dimension below 1
-// is rejected too: the specs' own checks leave only an overflowed
-// subscript to make one.
+// is rejected too, though the specs' own checks leave none.
 func checkBytes(kind, name string, arrays []chunking.Array) error {
 	for _, a := range arrays {
 		bytes := a.ElemSize

@@ -2,8 +2,9 @@ package workloads
 
 import (
 	"context"
-
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -105,6 +106,39 @@ func TestSynthesizeValidation(t *testing.T) {
 		if _, err := Synthesize(spec); err == nil {
 			t.Errorf("spec %q accepted", spec.Name)
 		}
+	}
+}
+
+// TestSynthesizeSubscriptOverflow: a stream whose largest subscript,
+// Stride·(Extent−1) + Offset + Drift·(Passes−1), overflows int64 through
+// its stride, offset, drift or their sum is rejected. A wrapped subscript
+// once sized the input array to one element.
+func TestSynthesizeSubscriptOverflow(t *testing.T) {
+	const big = 1 << 62
+	for _, tc := range []struct {
+		name   string
+		stream StreamSpec
+	}{
+		{"stride", StreamSpec{Stride: big}},
+		{"stride product", StreamSpec{Stride: math.MaxInt64}},
+		{"offset", StreamSpec{Stride: 1, Offset: math.MaxInt64 - 3}},
+		{"drift", StreamSpec{Stride: 1, Drift: big}},
+		{"sum", StreamSpec{Stride: 1, Offset: big, Drift: big / 2}},
+	} {
+		_, err := Synthesize(SynthSpec{Name: tc.name, Passes: 3, Extent: 4, ElemBytes: 1,
+			Streams: []StreamSpec{{Stride: 1}, tc.stream}})
+		if err == nil || !strings.Contains(err.Error(), "subscript overflows int64") {
+			t.Errorf("%s: err %v, want a subscript overflow", tc.name, err)
+		}
+	}
+	// The largest subscript whose array size still fits.
+	w, err := Synthesize(SynthSpec{Name: "edge", Passes: 3, Extent: 4, ElemBytes: 1,
+		Streams: []StreamSpec{{Stride: 1, Offset: math.MaxInt64 - 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Prog.Data.Arrays[0].Dims[0]; got != math.MaxInt64 {
+		t.Fatalf("input dim = %d, want MaxInt64", got)
 	}
 }
 
